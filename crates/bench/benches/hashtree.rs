@@ -70,6 +70,29 @@ fn bench_subset(c: &mut Criterion) {
     group.finish();
 }
 
+/// Pass 2's shape, wide and shallow: every pair over 650 items (210,925
+/// candidates) against T15-length transactions. Under a fixed fan-out of
+/// 8 this tree has 64 leaves of ~3.3K candidates each.
+fn bench_k2_wide(c: &mut Criterion) {
+    let cands: Vec<ItemSet> = (0..650u32)
+        .flat_map(|a| (a + 1..650).map(move |b| ItemSet::from([a, b])))
+        .collect();
+    let txs = make_transactions(1000, 650, 15, 7);
+    let mut group = c.benchmark_group("hashtree_k2_wide_211k");
+    group.bench_function("build", |b| {
+        b.iter_batched(
+            || cands.clone(),
+            |cands| HashTree::build(2, HashTreeParams::default(), std::hint::black_box(cands)),
+            BatchSize::LargeInput,
+        );
+    });
+    group.bench_function("count_1000tx", |b| {
+        let mut tree = HashTree::build(2, HashTreeParams::default(), cands.clone());
+        b.iter(|| tree.count_all(std::hint::black_box(&txs), &OwnershipFilter::all()));
+    });
+    group.finish();
+}
+
 fn bench_trie_vs_tree(c: &mut Criterion) {
     let cands = make_candidates(10_000, 300, 3, 5);
     let txs = make_transactions(200, 300, 15, 6);
@@ -88,6 +111,6 @@ fn bench_trie_vs_tree(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(4)).warm_up_time(Duration::from_secs(1));
-    targets = bench_build, bench_subset, bench_trie_vs_tree
+    targets = bench_build, bench_subset, bench_k2_wide, bench_trie_vs_tree
 }
 criterion_main!(benches);

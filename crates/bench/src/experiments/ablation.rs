@@ -31,18 +31,23 @@ pub fn run_tree_shape() -> Table {
             "cand checks/tx",
         ],
     );
-    for (branching, max_leaf) in [(4usize, 16usize), (8, 16), (16, 16), (64, 16), (64, 4)] {
-        let params = AprioriParams::with_min_support(0.01)
-            .tree(HashTreeParams {
-                branching,
-                max_leaf,
-            })
-            .max_k(3);
+    let shape = |branching, max_leaf| HashTreeParams {
+        branching,
+        max_leaf,
+    };
+    let fixed =
+        [(4, 16), (8, 16), (16, 16), (64, 16), (64, 4)].map(|(b, leaf)| ("", shape(b, leaf)));
+    // The last row is the default: fan-out sized per pass from |C_k|.
+    let sized = ("sized: ", HashTreeParams::default());
+    for (prefix, tree) in fixed.into_iter().chain([sized]) {
+        let params = AprioriParams::with_min_support(0.01).tree(tree).max_k(3);
         let run = Apriori::new(params).mine(dataset.transactions());
-        let stats = run.passes.last().map(|p| p.tree_stats).unwrap_or_default();
+        let last = run.passes.last();
+        let stats = last.map(|p| p.tree_stats).unwrap_or_default();
+        let fan_out = last.map_or(0, |p| tree.fan_out(p.k, p.candidates));
         let tx = stats.transactions.max(1) as f64;
         table.row(&[
-            &format!("b={branching} leaf={max_leaf}"),
+            &format!("{prefix}b={fan_out} leaf={}", tree.max_leaf),
             &format!(
                 "{:.1}",
                 stats.candidate_checks as f64 / stats.distinct_leaf_visits.max(1) as f64

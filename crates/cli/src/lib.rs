@@ -19,13 +19,60 @@ pub mod commands;
 
 /// Entry point shared by the binary and the tests: parses `argv` (without
 /// the program name) and runs. Returns the process exit code.
+///
+/// A reader that closes the pipe early (`armine mine … | head -1`) has
+/// everything it asked for: `BrokenPipe` is a clean exit, not an error.
 pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> i32 {
     match commands::dispatch(argv, out) {
         Ok(()) => 0,
+        Err(e) if is_broken_pipe(e.as_ref()) => 0,
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("run `armine help` for usage");
             2
         }
+    }
+}
+
+fn is_broken_pipe(e: &(dyn std::error::Error + 'static)) -> bool {
+    e.downcast_ref::<std::io::Error>()
+        .is_some_and(|io| io.kind() == std::io::ErrorKind::BrokenPipe)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Error, ErrorKind, Write};
+
+    /// A pipe whose reader left after `budget` bytes.
+    struct ClosedPipe {
+        budget: usize,
+    }
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(Error::from(ErrorKind::BrokenPipe));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn broken_pipe_is_a_clean_exit() {
+        let argv = args::argv(&["help"]);
+        assert_eq!(run(&argv, &mut ClosedPipe { budget: 0 }), 0);
+        assert_eq!(run(&argv, &mut ClosedPipe { budget: 40 }), 0);
+    }
+
+    #[test]
+    fn other_failures_still_exit_2() {
+        assert_eq!(run(&args::argv(&["frobnicate"]), &mut Vec::new()), 2);
     }
 }

@@ -50,8 +50,8 @@ impl MinSupport {
 pub struct AprioriParams {
     /// Minimum support threshold.
     pub min_support: MinSupport,
-    /// Hash-tree shape (fan-out and leaf capacity). Ignored by the trie
-    /// backend.
+    /// Hash-tree shape (fan-out and leaf capacity; by default the fan-out
+    /// is sized per pass from `|C_k|`). Ignored by the other backends.
     pub tree: HashTreeParams,
     /// Which counting structure counts the candidates of each pass.
     pub counter: CounterBackend,
@@ -364,15 +364,20 @@ pub fn count_candidates(
     let mut level = Vec::new();
     let mut stats = TreeStats::default();
     let mut scans = 0;
-    let mut idx = 0;
-    while idx < total {
-        let end = (idx + chunk).min(total);
-        let mut counter = backend.build(k, tree_params, candidates[idx..end].to_vec());
+    let mut scan = |part: Vec<ItemSet>| {
+        let mut counter = backend.build(k, tree_params, part);
         counter.count_all(transactions, &OwnershipFilter::all());
         stats = stats.merged(&counter.stats());
         level.extend(counter.frequent(min_count));
         scans += 1;
-        idx = end;
+    };
+    if total > chunk {
+        candidates
+            .chunks(chunk)
+            .for_each(|part| scan(part.to_vec()));
+    } else if total > 0 {
+        // The common single-scan pass hands its candidates over whole.
+        scan(candidates);
     }
     let info = PassInfo {
         k,

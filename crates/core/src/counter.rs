@@ -8,8 +8,8 @@
 //! structure-agnostic work ledger the virtual-time model charges from,
 //! and [`CounterBackend`] is the config knob that selects a backend at
 //! run time. Three production backends exist — the paper's
-//! [`HashTree`](crate::hashtree::HashTree) (the default, which keeps
-//! every virtual-time golden bit-identical), the item-indexed
+//! [`HashTree`](crate::hashtree::HashTree) (the default, its fan-out
+//! sized from the candidate count), the item-indexed
 //! [`CandidateTrie`](crate::trie::CandidateTrie) of later Apriori
 //! implementations (Borgelt's, Bodon's), and the Eclat-style
 //! [`VerticalCounter`](crate::vertical::VerticalCounter), which pivots
@@ -337,9 +337,11 @@ impl CandidateCounter for VerticalCounter {
 /// CLI through `AprioriParams`/`ParallelParams` down to every pass.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum CounterBackend {
-    /// The paper's candidate hash tree (Section II). The default: the
-    /// virtual-time goldens were captured against it and stay
-    /// bit-identical.
+    /// The paper's candidate hash tree (Section II), the default. Its
+    /// shape comes from the [`HashTreeParams`] given to
+    /// [`build`](Self::build): by default the fan-out is sized from the
+    /// candidate count, and a pinned `branching: 8, max_leaf: 16`
+    /// reproduces the historical virtual-time goldens bit for bit.
     #[default]
     HashTree,
     /// The item-indexed prefix trie of later Apriori implementations.

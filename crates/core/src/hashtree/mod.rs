@@ -2,37 +2,48 @@
 //! paper's analysis (Section IV) and Figure 11 require.
 //!
 //! Internal nodes hold hash tables (fixed fan-out) linking to children;
-//! leaves hold candidate itemsets. Candidates are inserted by hashing
-//! successive items; when a leaf overflows and its depth is still less than
-//! `k`, it splits into an internal node and redistributes its candidates by
-//! the next item. The `subset` operation walks the tree with every item of
-//! a transaction as a possible starting item, recursively hashing the items
-//! that follow, and checks the candidates of each **distinct** leaf it
-//! reaches exactly once per transaction (re-visits are suppressed with an
-//! epoch stamp, as the paper describes: "if this node is revisited due to a
-//! different candidate from the same transaction, no checking needs to be
-//! performed").
+//! leaves hold candidate itemsets. Candidates are routed by hashing
+//! successive items; a node that more than `max_leaf` candidates reach
+//! while its depth is still less than `k` is an internal node that
+//! distributes them by the next item. The `subset` operation walks the
+//! tree with every item of a transaction as a possible starting item,
+//! recursively hashing the items that follow, and checks the candidates
+//! of each **distinct** leaf it reaches exactly once per transaction
+//! (re-visits are suppressed with an epoch stamp, as the paper describes:
+//! "if this node is revisited due to a different candidate from the same
+//! transaction, no checking needs to be performed").
 //!
 //! The tree counts its own work — hash-descents (`t_travers` units),
 //! distinct leaf visits (`t_check` units), and per-candidate comparisons —
 //! which is what lets the parallel simulator price computation with the
 //! paper's cost model, and what regenerates Figure 11 directly.
+//!
+//! The whole candidate set is known before a pass starts, so the tree is
+//! built in bulk and stored flat: candidate items in one array strided by
+//! `k`, laid out leaf by leaf so a leaf check scans contiguous memory,
+//! their counts beside them, and the nodes in one arena (see `arena`).
+//! The shape is exactly the one split-on-overflow insertion grows, so the
+//! work ledger for a given `(branching, max_leaf)` does not depend on how
+//! the tree is stored.
 
+mod arena;
 mod filter;
-mod node;
 mod stats;
 
 pub use filter::OwnershipFilter;
 pub use stats::TreeStats;
 
+use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
-use node::Node;
+use arena::{Arena, Walk};
 
 /// Configuration for a [`HashTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashTreeParams {
-    /// Hash-table fan-out of internal nodes (the example of Figure 2 uses 3).
+    /// Hash-table fan-out of internal nodes (the example of Figure 2 uses
+    /// 3). `0`, the default, sizes it per tree from the candidate count
+    /// (see [`fan_out`](Self::fan_out)); any other value pins it.
     pub branching: usize,
     /// Maximum candidates per leaf before it splits (the paper's "maximum
     /// allowed"; this controls `S`, the average leaf occupancy, in the
@@ -43,9 +54,39 @@ pub struct HashTreeParams {
 impl Default for HashTreeParams {
     fn default() -> Self {
         HashTreeParams {
-            branching: 8,
+            branching: 0,
             max_leaf: 16,
         }
+    }
+}
+
+/// The smallest fan-out the sizing rule picks (the fixed fan-out of
+/// earlier revisions).
+const MIN_SIZED_BRANCHING: usize = 8;
+
+impl HashTreeParams {
+    /// The fan-out of a tree over `num_candidates` size-`k` candidates:
+    /// `branching` itself when it is pinned, otherwise the smallest
+    /// `b >= 8` with `b^k >= 2 * num_candidates / max_leaf`.
+    ///
+    /// Section IV's analysis holds `S`, the candidates per leaf, constant
+    /// as `M` grows, which a fixed fan-out cannot: a depth-`k` leaf never
+    /// splits, so once `M` passes `b^k * max_leaf` every further
+    /// candidate lengthens a leaf scan. `b^k` is the number of depth-`k`
+    /// cells a size-`k` candidate can hash to. The factor 2 is slack for
+    /// skew: items hash by id modulo `b`, so cells fill unevenly (a
+    /// frequent item's row is fuller, the cells no ascending itemset
+    /// reaches stay empty), and sizing for half-full leaves keeps the
+    /// fullest ones near `max_leaf`.
+    pub fn fan_out(&self, k: usize, num_candidates: usize) -> usize {
+        if self.branching != 0 {
+            return self.branching;
+        }
+        let cells = (2 * num_candidates).div_ceil(self.max_leaf.max(1));
+        let exponent = u32::try_from(k).unwrap_or(u32::MAX);
+        (MIN_SIZED_BRANCHING..)
+            .find(|b| b.checked_pow(exponent).is_none_or(|c| c >= cells))
+            .expect("some fan-out reaches any cell count")
     }
 }
 
@@ -66,47 +107,50 @@ impl Default for HashTreeParams {
 /// ```
 pub struct HashTree {
     k: usize,
-    params: HashTreeParams,
-    candidates: Vec<CandidateSlot>,
-    root: Node,
+    /// Candidate items strided by `k`, in leaf order.
+    items: Vec<Item>,
+    /// Running support counts, in leaf order.
+    counts: Vec<u64>,
+    /// Leaf position → insertion index (the order every extraction uses).
+    ids: Vec<u32>,
+    arena: Arena,
     epoch: u64,
     stats: TreeStats,
 }
 
-/// A candidate and its running support count.
-#[derive(Debug, Clone)]
-struct CandidateSlot {
-    items: ItemSet,
-    count: u64,
-}
-
 impl HashTree {
-    /// An empty tree for size-`k` candidates.
+    /// Builds the tree over `candidates` (each must have exactly `k`
+    /// items), with the fan-out [`HashTreeParams::fan_out`] gives.
     ///
     /// # Panics
-    /// If `k == 0` or the params are degenerate (branching < 2, max_leaf == 0).
-    pub fn new(k: usize, params: HashTreeParams) -> Self {
+    /// If `k == 0`, the params are degenerate (branching 1, max_leaf 0),
+    /// or a candidate does not have exactly `k` items.
+    pub fn build(k: usize, params: HashTreeParams, candidates: Vec<ItemSet>) -> Self {
         assert!(k >= 1, "candidate size must be at least 1");
-        assert!(params.branching >= 2, "branching must be at least 2");
         assert!(params.max_leaf >= 1, "max_leaf must be at least 1");
+        let branching = params.fan_out(k, candidates.len());
+        assert!(branching >= 2, "branching must be at least 2");
+        for c in &candidates {
+            assert_eq!(c.len(), k, "candidate {c} has wrong size for a k={k} tree");
+        }
+        let (arena, ids) = Arena::build(k, branching, params.max_leaf, &candidates);
+        let items = ids
+            .iter()
+            .flat_map(|&id| candidates[id as usize].items())
+            .copied()
+            .collect();
         HashTree {
             k,
-            params,
-            candidates: Vec::new(),
-            root: Node::empty_leaf(),
+            items,
+            counts: vec![0; candidates.len()],
+            ids,
+            arena,
             epoch: 0,
-            stats: TreeStats::default(),
+            stats: TreeStats {
+                inserts: candidates.len() as u64,
+                ..TreeStats::default()
+            },
         }
-    }
-
-    /// Builds a tree containing all of `candidates` (each must have exactly
-    /// `k` items).
-    pub fn build(k: usize, params: HashTreeParams, candidates: Vec<ItemSet>) -> Self {
-        let mut tree = HashTree::new(k, params);
-        for c in candidates {
-            tree.insert(c);
-        }
-        tree
     }
 
     /// The candidate size `k`.
@@ -116,51 +160,30 @@ impl HashTree {
 
     /// Number of candidates stored (`M` for this processor's tree).
     pub fn num_candidates(&self) -> usize {
-        self.candidates.len()
+        self.counts.len()
     }
 
     /// Whether the tree holds no candidates.
     pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
+        self.counts.is_empty()
+    }
+
+    /// The hash-table fan-out this tree was built with.
+    pub fn branching(&self) -> usize {
+        self.arena.branching()
     }
 
     /// Number of leaf nodes (`L` of the analysis).
     pub fn num_leaves(&self) -> usize {
-        self.root.count_leaves()
+        self.arena.num_leaves()
     }
 
     /// Average candidates per non-empty leaf (`S` of the analysis).
     pub fn avg_leaf_occupancy(&self) -> f64 {
-        let (leaves, occupied) = self.root.leaf_occupancy();
-        if occupied == 0 {
-            0.0
-        } else {
-            debug_assert!(leaves >= 1);
-            self.candidates.len() as f64 / occupied as f64
+        match self.arena.occupied_leaves() {
+            0 => 0.0,
+            occupied => self.counts.len() as f64 / occupied as f64,
         }
-    }
-
-    /// Inserts one size-`k` candidate.
-    ///
-    /// # Panics
-    /// If the candidate does not have exactly `k` items.
-    pub fn insert(&mut self, items: ItemSet) {
-        assert_eq!(
-            items.len(),
-            self.k,
-            "candidate {items} has wrong size for a k={} tree",
-            self.k
-        );
-        let id = self.candidates.len() as u32;
-        self.candidates.push(CandidateSlot { items, count: 0 });
-        self.stats.inserts += 1;
-        // `item_at` reveals any candidate's d-th item; the node uses it both
-        // to route the new candidate and to redistribute old ones on splits.
-        let candidates = &self.candidates;
-        self.root
-            .insert(id, 0, self.k, self.params, &mut |cid, depth| {
-                candidates[cid as usize].items.items()[depth]
-            });
     }
 
     /// Computes, for one transaction, which candidates it contains and
@@ -170,31 +193,26 @@ impl HashTree {
     /// items), implementing IDD's bitmap check. Use
     /// [`OwnershipFilter::all`] for the serial algorithm and CD/DD.
     pub fn subset(&mut self, t: &Transaction, filter: &OwnershipFilter) {
-        if self.candidates.is_empty() {
+        if self.counts.is_empty() {
             return;
         }
         self.epoch += 1;
         self.stats.transactions += 1;
-        let items = t.items();
-        if items.len() < self.k {
+        let titems = t.items();
+        if titems.len() < self.k {
             return;
         }
-        // Split borrows: the recursion needs &mut nodes and &mut candidate
-        // counts simultaneously, so hand the node walk raw parts.
-        let k = self.k;
-        let epoch = self.epoch;
-        Node::subset_walk(
-            &mut self.root,
-            items,
-            0,
-            0,
-            k,
-            epoch,
+        Walk {
+            arena: &mut self.arena,
+            items: &self.items,
+            counts: &mut self.counts,
+            stats: &mut self.stats,
+            titems,
+            k: self.k,
+            epoch: self.epoch,
             filter,
-            None,
-            &mut self.candidates,
-            &mut self.stats,
-        );
+        }
+        .run();
     }
 
     /// Runs `subset` for every transaction of a slice.
@@ -204,25 +222,28 @@ impl HashTree {
         }
     }
 
+    /// The candidate at leaf position `pos`.
+    fn candidate(&self, pos: usize) -> &[Item] {
+        &self.items[pos * self.k..][..self.k]
+    }
+
     /// The support count accumulated for `items`, or `None` if the set was
     /// never inserted.
     pub fn count_of(&self, items: &ItemSet) -> Option<u64> {
-        self.candidates
-            .iter()
-            .find(|c| &c.items == items)
-            .map(|c| c.count)
-    }
-
-    /// Iterates over `(candidate, count)` pairs in insertion order.
-    pub fn counts(&self) -> impl Iterator<Item = (&ItemSet, u64)> + '_ {
-        self.candidates.iter().map(|c| (&c.items, c.count))
+        (0..self.counts.len())
+            .find(|&pos| self.candidate(pos) == items.items())
+            .map(|pos| self.counts[pos])
     }
 
     /// The raw count vector, ordered by insertion. This is what CD's global
     /// reduction sums element-wise across processors (candidate order is
     /// identical on every processor because `apriori_gen` is deterministic).
     pub fn count_vector(&self) -> Vec<u64> {
-        self.candidates.iter().map(|c| c.count).collect()
+        let mut out = vec![0; self.counts.len()];
+        for (&id, &count) in self.ids.iter().zip(&self.counts) {
+            out[id as usize] = count;
+        }
+        out
     }
 
     /// Overwrites the count vector (after a global reduction delivers the
@@ -233,21 +254,28 @@ impl HashTree {
     pub fn set_count_vector(&mut self, counts: &[u64]) {
         assert_eq!(
             counts.len(),
-            self.candidates.len(),
+            self.counts.len(),
             "count vector length mismatch"
         );
-        for (slot, &c) in self.candidates.iter_mut().zip(counts) {
-            slot.count = c;
+        for (&id, slot) in self.ids.iter().zip(&mut self.counts) {
+            *slot = counts[id as usize];
         }
     }
 
     /// Extracts the frequent itemsets: candidates with `count >= min_count`,
     /// with their counts, in insertion (lexicographic) order.
     pub fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
-        self.candidates
-            .iter()
-            .filter(|c| c.count >= min_count)
-            .map(|c| (c.items.clone(), c.count))
+        let mut survivors: Vec<(u32, usize)> = (0..self.counts.len())
+            .filter(|&pos| self.counts[pos] >= min_count)
+            .map(|pos| (self.ids[pos], pos))
+            .collect();
+        survivors.sort_unstable();
+        survivors
+            .into_iter()
+            .map(|(_, pos)| {
+                let set = ItemSet::from_sorted(self.candidate(pos).to_vec());
+                (set, self.counts[pos])
+            })
             .collect()
     }
 
@@ -264,7 +292,7 @@ impl HashTree {
     /// Bytes needed to ship every candidate of this tree (4 bytes per item
     /// plus an 8-byte count), used by communication costing.
     pub fn wire_size(&self) -> usize {
-        self.candidates.len() * (4 * self.k + 8)
+        self.counts.len() * (4 * self.k + 8)
     }
 }
 
@@ -272,7 +300,8 @@ impl std::fmt::Debug for HashTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HashTree")
             .field("k", &self.k)
-            .field("candidates", &self.candidates.len())
+            .field("candidates", &self.counts.len())
+            .field("branching", &self.branching())
             .field("leaves", &self.num_leaves())
             .finish()
     }
@@ -337,7 +366,7 @@ mod tests {
         assert_eq!(tree.count_of(&set(&[1, 2, 5])), Some(1));
         assert_eq!(tree.count_of(&set(&[1, 3, 6])), Some(1));
         assert_eq!(tree.count_of(&set(&[3, 5, 6])), Some(1));
-        let total: u64 = tree.counts().map(|(_, c)| c).sum();
+        let total: u64 = tree.count_vector().iter().sum();
         assert_eq!(total, 3, "exactly three candidates are subsets");
     }
 
@@ -472,7 +501,7 @@ mod tests {
     fn short_transaction_counts_nothing() {
         let mut tree = paper_tree();
         tree.subset(&tx(&[1, 2]), &OwnershipFilter::all());
-        assert!(tree.counts().all(|(_, c)| c == 0));
+        assert!(tree.count_vector().iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -485,7 +514,7 @@ mod tests {
 
     #[test]
     fn empty_tree_subset_is_noop() {
-        let mut tree = HashTree::new(3, HashTreeParams::default());
+        let mut tree = HashTree::build(3, HashTreeParams::default(), Vec::new());
         tree.subset(&tx(&[1, 2, 3]), &OwnershipFilter::all());
         assert_eq!(tree.stats().transactions, 0);
         assert_eq!(tree.num_leaves(), 1, "empty root leaf");
@@ -494,9 +523,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "wrong size")]
-    fn insert_rejects_wrong_arity() {
-        let mut tree = HashTree::new(3, HashTreeParams::default());
-        tree.insert(set(&[1, 2]));
+    fn build_rejects_wrong_arity() {
+        HashTree::build(3, HashTreeParams::default(), vec![set(&[1, 2])]);
     }
 
     #[test]
@@ -513,6 +541,27 @@ mod tests {
         assert_eq!(tree.count_of(&set(&[1])), Some(1));
         assert_eq!(tree.count_of(&set(&[0])), Some(0));
         assert_eq!(tree.count_of(&set(&[3])), Some(1));
+    }
+
+    #[test]
+    fn fan_out_follows_the_candidate_count_unless_pinned() {
+        let sized = HashTreeParams::default();
+        // Small trees keep the historical 8: 8^2 cells hold 512 pairs.
+        assert_eq!(sized.fan_out(2, 0), 8);
+        assert_eq!(sized.fan_out(2, 512), 8);
+        assert_eq!(sized.fan_out(2, 513), 9);
+        // T15.I6's pass 2: 171^2 = 29,241 cells for 232,903 pairs.
+        assert_eq!(sized.fan_out(2, 232_903), 171);
+        // Deeper trees reach the same cell count with less fan-out.
+        assert_eq!(sized.fan_out(3, 232_903), 31);
+        assert_eq!(sized.fan_out(9, 232_903), 8);
+        let pinned = HashTreeParams {
+            branching: 3,
+            max_leaf: 16,
+        };
+        assert_eq!(pinned.fan_out(2, 232_903), 3);
+        let tree = HashTree::build(2, sized, (0..600).map(|i| set(&[i, i + 1])).collect());
+        assert_eq!(tree.branching(), 9);
     }
 
     #[test]

@@ -55,11 +55,12 @@ pub struct ParallelParams {
     /// Minimum support threshold (fraction is relative to the whole
     /// database, not a processor's slice).
     pub min_support: MinSupport,
-    /// Hash-tree shape on every processor. Ignored by the trie backend.
+    /// Hash-tree shape on every processor; by default each tree's fan-out
+    /// is sized from the candidate share it holds. Ignored by the other
+    /// backends.
     pub tree: HashTreeParams,
     /// Which counting structure every processor builds over its candidate
-    /// share. The hash-tree default reproduces the paper's instrumented
-    /// runs (and the golden fingerprints) exactly.
+    /// share. The hash-tree default is the paper's instrumented structure.
     pub counter: CounterBackend,
     /// Transactions per communication buffer ("one page" in the paper;
     /// their pages held ≈1000 transactions at 63 KB per 1000).

@@ -4,7 +4,7 @@
 //! under ownership filters, and end-to-end through every parallel
 //! formulation on both the simulated and the native execution backend.
 
-use armine::core::binpack::partition_by_first_item;
+use armine::core::binpack::{partition_by_first_item, partition_two_level};
 use armine::core::counter::CounterBackend;
 use armine::core::hashtree::{HashTreeParams, OwnershipFilter};
 use armine::core::rules::generate_rules;
@@ -133,6 +133,47 @@ proptest! {
         }
         for (backend, union) in CounterBackend::ALL.iter().zip(&unions).skip(1) {
             prop_assert_eq!(&unions[0], union, "union diverges on {}", backend.name());
+        }
+    }
+
+    /// The same two properties where the hash tree's sized default
+    /// widens past fan-out 8: every pair (k = 2) or triple (k = 3) over a
+    /// universe, less each `thin`-th, counted whole and as two ranks'
+    /// shares under first-item or two-level ownership.
+    #[test]
+    fn backends_equal_brute_force_on_wide_trees(
+        raw_txs in prop::collection::vec(arb_transaction(46, 14), 1..20),
+        k in 2usize..4,
+        thin in 3usize..8,
+        split_threshold in 0u64..3,
+    ) {
+        let universe: u32 = if k == 2 { 72 } else { 46 };
+        let everything = Transaction::new(0, (0..universe).map(Item).collect());
+        let cands: Vec<ItemSet> = everything
+            .k_subsets(k)
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| i % thin != 0)
+            .map(|(_, set)| set)
+            .collect();
+        let tree = HashTreeParams::default();
+        let txs = to_transactions(&raw_txs);
+        let capacities = [1.0, 1.0];
+        let part = match split_threshold {
+            0 => partition_by_first_item(&cands, universe, &capacities),
+            t => partition_two_level(&cands, universe, &capacities, 40 * t),
+        };
+        let whole = (&cands, &OwnershipFilter::all());
+        for (mine, filter) in part.parts.iter().zip(&part.filters).chain([whole]) {
+            prop_assert!(tree.fan_out(k, mine.len()) > 8, "not a wide tree");
+            let want = brute_force(mine, &txs, filter);
+            for backend in CounterBackend::ALL {
+                let mut counter = backend.build(k, tree, mine.clone());
+                counter.count_all(&txs, filter);
+                prop_assert_eq!(
+                    counter.count_vector(), want.clone(), "backend {}", backend.name()
+                );
+            }
         }
     }
 }

@@ -3,6 +3,7 @@
 use armine::core::apriori::{apriori_gen, Apriori, AprioriParams};
 use armine::core::binpack::{
     pack_lpt, pack_lpt_weighted, partition_by_first_item, partition_round_robin,
+    partition_two_level,
 };
 use armine::core::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
 use armine::core::model::expected_distinct_leaves;
@@ -38,8 +39,53 @@ fn to_itemsets(raw: &[Vec<u32>]) -> Vec<ItemSet> {
     sets
 }
 
+/// Every `k`-subset of `0..universe` in lexicographic order, less each
+/// `thin`-th one: candidate sets dense enough that the sized default
+/// widens the tree past fan-out 8.
+fn dense_candidates(universe: u32, k: usize, thin: usize) -> Vec<ItemSet> {
+    let everything = Transaction::new(0, (0..universe).map(Item).collect());
+    let all = everything.k_subsets(k).into_iter().enumerate();
+    all.filter(|(i, _)| i % thin != 0)
+        .map(|(_, set)| set)
+        .collect()
+}
+
+fn brute_counts(cands: &[ItemSet], txs: &[Transaction]) -> Vec<u64> {
+    cands
+        .iter()
+        .map(|c| txs.iter().filter(|t| t.contains_set(c)).count() as u64)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sized default counts like brute force where its rule widens
+    /// the tree (k = 2 and k = 3, fan-out above 8): unfiltered, and on
+    /// two ranks' shares under IDD's first-item and two-level filters.
+    #[test]
+    fn sized_hashtree_equals_brute_force(
+        raw_txs in prop::collection::vec(arb_transaction(46, 14), 1..20),
+        k in 2usize..4,
+        thin in 3usize..8,
+        split_threshold in 0u64..3,
+    ) {
+        let universe = if k == 2 { 72 } else { 46 };
+        let cands = dense_candidates(universe, k, thin);
+        let txs = to_transactions(&raw_txs);
+        let capacities = [1.0, 1.0];
+        let part = match split_threshold {
+            0 => partition_by_first_item(&cands, universe, &capacities),
+            t => partition_two_level(&cands, universe, &capacities, 40 * t),
+        };
+        let whole = (&cands, &OwnershipFilter::all());
+        for (mine, filter) in part.parts.iter().zip(&part.filters).chain([whole]) {
+            let mut tree = HashTree::build(k, HashTreeParams::default(), mine.clone());
+            prop_assert!(tree.branching() > 8, "{} candidates stayed at 8", mine.len());
+            tree.count_all(&txs, filter);
+            prop_assert_eq!(tree.count_vector(), brute_counts(mine, &txs));
+        }
+    }
 
     /// The hash tree counts exactly like brute-force subset containment,
     /// for arbitrary candidates, transactions, and tree shapes.
@@ -285,5 +331,51 @@ proptest! {
                 prop_assert_eq!(tree.count_of(c), Some(want));
             }
         }
+    }
+}
+
+/// Section IV holds `S`, the candidates per leaf, constant as `M` grows.
+/// The sized default must too: over uniform random pairs, a hundredfold
+/// `M` leaves both the average leaf occupancy and the candidates checked
+/// per visited leaf where they were (a fixed fan-out of 8 multiplies both
+/// by a hundred).
+#[test]
+fn sized_fan_out_holds_leaf_occupancy_constant() {
+    use rand::prelude::*;
+    let params = HashTreeParams::default();
+    let mut rng = StdRng::seed_from_u64(1997);
+    let universe = 1000u32;
+    let txs: Vec<Transaction> = (0..200)
+        .map(|tid| {
+            let items = (0..15).map(|_| Item(rng.gen_range(0..universe))).collect();
+            Transaction::new(tid, items)
+        })
+        .collect();
+    let checks_per_visit: Vec<f64> = [1_000usize, 10_000, 100_000]
+        .into_iter()
+        .map(|m| {
+            let mut pairs = std::collections::BTreeSet::new();
+            while pairs.len() < m {
+                let (a, b) = (rng.gen_range(0..universe), rng.gen_range(0..universe));
+                if a != b {
+                    pairs.insert(ItemSet::from([a.min(b), a.max(b)]));
+                }
+            }
+            let mut tree = HashTree::build(2, params, pairs.into_iter().collect());
+            assert!(
+                tree.avg_leaf_occupancy() <= params.max_leaf as f64,
+                "M = {m}: S = {}",
+                tree.avg_leaf_occupancy()
+            );
+            tree.count_all(&txs, &OwnershipFilter::all());
+            let stats = tree.stats();
+            stats.candidate_checks as f64 / stats.distinct_leaf_visits as f64
+        })
+        .collect();
+    for (small, large) in checks_per_visit.iter().zip(&checks_per_visit[1..]) {
+        assert!(
+            *large <= params.max_leaf as f64 && *large <= 1.25 * small,
+            "candidates checked per visited leaf grew with M: {checks_per_visit:?}"
+        );
     }
 }

@@ -12,7 +12,15 @@
 //! shared (`Arc<[Transaction]>`) payloads, and pin every algorithm's
 //! virtual-time behavior across that refactor and any future one. The
 //! `f64` times are compared through their exact bit patterns.
+//!
+//! They were captured against the hash tree's historical fixed shape, so
+//! they run under an explicit `branching: 8, max_leaf: 16`: that they
+//! still hold bit for bit is the proof that the flat, bulk-built tree
+//! reports the ledger the boxed, insert-built one did. The `SIZED_*`
+//! goldens pin the default, whose fan-out follows each tree's candidate
+//! count.
 
+use armine_core::hashtree::HashTreeParams;
 use armine_datagen::QuestParams;
 use armine_metrics::{names, LABEL_KEYS};
 use armine_mpsim::{CrashPoint, FaultPlan};
@@ -29,10 +37,19 @@ fn dataset() -> armine_core::Dataset {
         .generate()
 }
 
-fn params() -> ParallelParams {
+/// The default parameters: every tree's fan-out sized from its |C_k|.
+fn sized_params() -> ParallelParams {
     ParallelParams::with_min_support_count(9)
         .page_size(25)
         .max_k(4)
+}
+
+/// The shape every tree had when the original goldens were captured.
+fn params() -> ParallelParams {
+    sized_params().tree(HashTreeParams {
+        branching: 8,
+        max_leaf: 16,
+    })
 }
 
 /// A compact, exact digest of everything virtual-time-visible in a run:
@@ -70,7 +87,11 @@ fn fingerprint(run: &ParallelRun) -> String {
 }
 
 fn check(algorithm: Algorithm, golden: &str) {
-    let run = ParallelMiner::new(PROCS).mine(algorithm, &dataset(), &params());
+    check_with(algorithm, &params(), golden);
+}
+
+fn check_with(algorithm: Algorithm, params: &ParallelParams, golden: &str) {
+    let run = ParallelMiner::new(PROCS).mine(algorithm, &dataset(), params);
     let got = fingerprint(&run);
     assert_eq!(
         got,
@@ -100,8 +121,10 @@ fn capture_goldens() {
         ),
         ("HPA", Algorithm::Hpa { eld_permille: 0 }),
     ] {
-        let run = ParallelMiner::new(PROCS).mine(algorithm, &dataset(), &params());
-        println!("GOLDEN_{name} {}", fingerprint(&run));
+        for (prefix, params) in [("GOLDEN", params()), ("SIZED", sized_params())] {
+            let run = ParallelMiner::new(PROCS).mine(algorithm, &dataset(), &params);
+            println!("{prefix}_{name} {}", fingerprint(&run));
+        }
     }
 }
 
@@ -159,6 +182,32 @@ fn metrics_registry_is_virtual_time_neutral() {
     }
 }
 
+/// CD under the sized default. Every rank's tree holds all of `C_k`, so
+/// passes 2 and 3 (1,711 and 11,225 candidates here) get fan-outs 15 and
+/// 12, shorter leaf scans and so less charged work than under the fixed
+/// 8. Pass 4's 23,823 candidates keep 8 (8^4 cells are enough); its time
+/// moves in the last bits only because it is a difference of clocks that
+/// now start earlier. The lattice and the wire bytes are those of the
+/// pinned run.
+#[test]
+fn cd_sized_default_virtual_time_is_invariant() {
+    check_with(Algorithm::Cd, &sized_params(), "rt=3fc2e2a28f4afda9 passes=[3f336b811ef1c2de,3f8041e38271025b,3fa5bbb028ea25d6,3fb8cbc518b3d658] bytes=[515744,515744,515744,515744,515744,515736,515752,515760] lattice=1d64cdddd93871a9 nfreq=25507");
+}
+
+/// HD under the sized default: with `C_k` split over the ranks of a
+/// group no share is large enough to leave fan-out 8, so this is the
+/// pinned HD fingerprint, bit for bit.
+#[test]
+fn hd_sized_default_virtual_time_is_invariant() {
+    check_with(
+        Algorithm::Hd {
+            group_threshold: 200,
+        },
+        &sized_params(),
+        "rt=3fba7434f0d9035f passes=[3f336b811ef1c2de,3f7bb785e17d1034,3fa088665cf99061,3fb0611de3257868] bytes=[544388,567448,621664,580588,570460,574704,604664,644396] lattice=1d64cdddd93871a9 nfreq=25507",
+    );
+}
+
 #[test]
 fn dd_virtual_time_is_invariant() {
     check(Algorithm::Dd, "rt=3fc43ede38e0dbff passes=[3f336b811ef1c2de,3f8a5ee1d14436c0,3fabb938a85c73fc,3fb741d8624c0565] bytes=[579852,581952,586152,588392,590660,595028,595728,590548] lattice=1d64cdddd93871a9 nfreq=25507");
@@ -213,8 +262,12 @@ fn fingerprint_faulted(run: &ParallelRun) -> String {
 }
 
 fn check_faulted(algorithm: Algorithm, golden: &str) {
+    check_faulted_with(algorithm, &params(), golden);
+}
+
+fn check_faulted_with(algorithm: Algorithm, params: &ParallelParams, golden: &str) {
     let run = ParallelMiner::new(PROCS)
-        .mine_with_faults(algorithm, &dataset(), &params(), Some(&golden_plan()))
+        .mine_with_faults(algorithm, &dataset(), params, Some(&golden_plan()))
         .expect("the golden plan is recoverable");
     let got = fingerprint_faulted(&run);
     assert_eq!(
@@ -239,10 +292,12 @@ fn capture_faulted_goldens() {
             },
         ),
     ] {
-        let run = ParallelMiner::new(PROCS)
-            .mine_with_faults(algorithm, &dataset(), &params(), Some(&golden_plan()))
-            .expect("the golden plan is recoverable");
-        println!("GOLDEN_{name} {}", fingerprint_faulted(&run));
+        for (prefix, params) in [("GOLDEN", params()), ("SIZED", sized_params())] {
+            let run = ParallelMiner::new(PROCS)
+                .mine_with_faults(algorithm, &dataset(), &params, Some(&golden_plan()))
+                .expect("the golden plan is recoverable");
+            println!("{prefix}_{name} {}", fingerprint_faulted(&run));
+        }
     }
 }
 
@@ -254,6 +309,13 @@ fn hpa_virtual_time_is_invariant() {
 #[test]
 fn cd_faulted_virtual_time_is_invariant() {
     check_faulted(Algorithm::Cd, "rt=3fd3362d155ad0a7 passes=[3f53dc2a88f6639e,3f8dcf6ad925acca,3fc2bcbba2755ba1,3fc1aaef859bfe19] bytes=[540528,551744,562968,574200,585408,25520,518128,529312] lattice=1d64cdddd93871a9 nfreq=25507 faults=[3/2/1,5/2/1,2/2/1,8/2/1,3/2/1,3/0/0,4/3/1,13/2/1]");
+}
+
+/// The faulted CD run under the sized default: the same fault history
+/// and wire bytes as the pinned run, with the cheaper passes 2 and 3.
+#[test]
+fn cd_sized_default_faulted_virtual_time_is_invariant() {
+    check_faulted_with(Algorithm::Cd, &sized_params(), "rt=3fd1922f3f00bc5f passes=[3f53dc2a88f6639e,3f878a97c0646ade,3fbfb21a4e9a8e60,3fc1aaef859bfe19] bytes=[540528,551744,562968,574200,585408,25520,518128,529312] lattice=1d64cdddd93871a9 nfreq=25507 faults=[3/2/1,5/2/1,2/2/1,8/2/1,3/2/1,3/0/0,4/3/1,13/2/1]");
 }
 
 #[test]
