@@ -1,7 +1,6 @@
 //! Microbenchmarks of the simulator's collectives: wall-clock cost of the
-//! *simulation itself* for ring vs recursive-doubling all-reduce and the
-//! binomial broadcast (virtual-time trade-offs are asserted in
-//! armine-mpsim's tests).
+//! *simulation itself* for the ring all-reduce and the binomial broadcast
+//! (virtual-time trade-offs are asserted in armine-mpsim's tests).
 
 use armine_mpsim::{MachineProfile, Simulator};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -15,17 +14,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 sim.run(|comm| {
                     let mut v = vec![1u64; 10_000];
-                    comm.world().allreduce_sum_u64(&mut v);
-                    v[0]
-                })
-            });
-        });
-        group.bench_function(format!("allreduce_doubling_p{p}_m10k"), |b| {
-            let sim = Simulator::new(p).machine(MachineProfile::cray_t3e());
-            b.iter(|| {
-                sim.run(|comm| {
-                    let mut v = vec![1u64; 10_000];
-                    comm.world().allreduce_sum_u64_doubling(&mut v);
+                    comm.world().try_allreduce_sum_u64(&mut v).unwrap();
                     v[0]
                 })
             });
@@ -36,7 +25,7 @@ fn bench(c: &mut Criterion) {
                 sim.run(|comm| {
                     let mut w = comm.world();
                     let v = (w.rank() == 0).then(|| vec![0u8; 1024]);
-                    w.broadcast(0, v, 1_000_000).len()
+                    w.try_broadcast(0, v, 1_000_000).unwrap().len()
                 })
             });
         });

@@ -1,5 +1,5 @@
 //! Figure 11 as a Criterion bench: DD vs IDD counting passes (the figure's
-//! virtual leaf-visit series comes from `exp_fig11`).
+//! virtual leaf-visit series comes from `exp fig11`).
 
 use armine_bench::workloads;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};

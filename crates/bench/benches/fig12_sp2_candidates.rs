@@ -1,5 +1,5 @@
 //! Figure 12 as a Criterion bench: the SP2 memory-wall comparison at one
-//! support level (the full sweep is `exp_fig12`).
+//! support level (the full sweep is `exp fig12`).
 
 use armine_bench::workloads;
 use armine_mpsim::MachineProfile;

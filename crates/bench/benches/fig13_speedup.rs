@@ -1,5 +1,5 @@
 //! Figure 13 as a Criterion bench: pass-3 computation at two machine
-//! sizes (the speedup series is `exp_fig13`).
+//! sizes (the speedup series is `exp fig13`).
 
 use armine_bench::workloads;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};

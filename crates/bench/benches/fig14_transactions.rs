@@ -1,5 +1,5 @@
 //! Figure 14 as a Criterion bench: transaction scaling of CD/IDD/HD at a
-//! fixed machine size (the N sweep is `exp_fig14`).
+//! fixed machine size (the N sweep is `exp fig14`).
 
 use armine_bench::workloads;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};

@@ -1,5 +1,5 @@
 //! Figure 15 as a Criterion bench: candidate scaling at two support
-//! levels (the M sweep is `exp_fig15`).
+//! levels (the M sweep is `exp fig15`).
 
 use armine_bench::workloads;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};

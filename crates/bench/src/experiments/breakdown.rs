@@ -21,7 +21,7 @@ use armine_parallel::{Algorithm, ParallelMiner, ParallelParams, ParallelRun};
 
 /// Transactions (Figure 13's fixed problem, scaled).
 pub const NUM_TRANSACTIONS: usize = 13_000;
-/// Minimum support (matches `exp_fig13`).
+/// Minimum support (matches `exp fig13`).
 pub const MIN_SUPPORT: f64 = 0.015;
 /// Passes measured.
 pub const MAX_K: usize = 3;

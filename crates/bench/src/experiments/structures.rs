@@ -188,7 +188,7 @@ pub fn native_table(n: usize, points: &[NativePoint]) -> Table {
 }
 
 /// Runs the sim structure comparison and returns the table (the
-/// historical entry point; `exp_structures` also runs the native slice
+/// historical entry point; `exp structures` also runs the native slice
 /// and writes the JSON via [`run_full`]).
 pub fn run() -> Table {
     sim_table(&measure_sim())

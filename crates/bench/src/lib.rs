@@ -1,9 +1,10 @@
 //! # armine-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper
-//! (`exp_table2`, `exp_fig10` … `exp_fig15`, `exp_model`, `exp_imbalance`),
-//! plus Criterion benches. Each binary prints the same series the paper
-//! plots and drops a CSV under `experiments/` for plotting.
+//! The experiment harness: one `exp <name>|all|--list` binary with one
+//! experiment per table/figure of the paper (`exp table2`, `exp fig10` …
+//! `exp fig15`, `exp model`, `exp imbalance`, …), plus Criterion benches.
+//! Each experiment prints the same series the paper plots and drops a CSV
+//! under `experiments/` for plotting.
 //!
 //! Experiments run at 1:100 of the paper's scale (the virtual-time
 //! simulator preserves the N/P, M/P and C/L ratios that determine curve

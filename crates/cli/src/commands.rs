@@ -75,11 +75,40 @@ pub fn dispatch(argv: &[String], out: Out) -> Result<(), Box<dyn std::error::Err
     }
 }
 
+/// Rejects an out-of-range flag value where it enters, in the `--counter`
+/// convention: name the flag, the value, and the valid range. The library
+/// asserts these ranges; the CLI must never reach the assert.
+fn in_range<T: std::fmt::Display>(
+    flag: &str,
+    value: T,
+    ok: impl Fn(&T) -> bool,
+    valid: &str,
+) -> Result<T, ArgError> {
+    if ok(&value) {
+        Ok(value)
+    } else {
+        Err(ArgError(format!(
+            "--{flag}: invalid value {value} (valid: {valid})"
+        )))
+    }
+}
+
+fn fraction(flag: &str, value: f64) -> Result<f64, ArgError> {
+    in_range(flag, value, |f| (0.0..=1.0).contains(f), "0.0 to 1.0")
+}
+
+fn at_least_one<T: std::fmt::Display + PartialOrd + From<u8>>(
+    flag: &str,
+    value: T,
+) -> Result<T, ArgError> {
+    in_range(flag, value, |v| *v >= T::from(1), "1 or more")
+}
+
 fn cmd_gen(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let path: String = args.required("out")?;
     let params = QuestParams::paper_t15_i6()
         .num_transactions(args.required("transactions")?)
-        .num_items(args.or_default("items", 1000)?)
+        .num_items(at_least_one("items", args.or_default("items", 1000u32)?)?)
         .num_patterns(args.or_default("patterns", 2000)?)
         .avg_transaction_len(args.or_default("avg-len", 15.0)?)
         .avg_pattern_len(args.or_default("pattern-len", 6.0)?)
@@ -111,7 +140,7 @@ fn min_support(args: &Args) -> Result<MinSupport, ArgError> {
         (Some(_), Some(_)) => Err(ArgError(
             "give either --min-support or --min-count, not both".into(),
         )),
-        (Some(f), None) => Ok(MinSupport::Fraction(f)),
+        (Some(f), None) => fraction("min-support", f).map(MinSupport::Fraction),
         (None, Some(c)) => Ok(MinSupport::Count(c)),
         (None, None) => Err(ArgError("need --min-support FRAC or --min-count N".into())),
     }
@@ -121,7 +150,10 @@ fn cmd_mine(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let input: String = args.required("input")?;
     let support = min_support(args)?;
     let max_k: Option<usize> = args.optional("max-k")?;
-    let rules_conf: Option<f64> = args.optional("rules")?;
+    let rules_conf: Option<f64> = args
+        .optional("rules")?
+        .map(|conf| fraction("rules", conf))
+        .transpose()?;
     let top: usize = args.or_default("top", 20)?;
     let counter = parse_counter(args)?;
     args.finish()?;
@@ -184,7 +216,10 @@ fn parse_algorithm(args: &Args) -> Result<Algorithm, ArgError> {
         "idd" => Algorithm::Idd,
         "idd-1src" => Algorithm::IddSingleSource,
         "hd" => Algorithm::Hd {
-            group_threshold: args.or_default("group-threshold", 1000)?,
+            group_threshold: at_least_one(
+                "group-threshold",
+                args.or_default("group-threshold", 1000usize)?,
+            )?,
         },
         "hpa" => Algorithm::Hpa {
             eld_permille: args.or_default("eld-permille", 0)?,
@@ -226,7 +261,7 @@ fn parse_placement(args: &Args) -> Result<PlacementPolicy, ArgError> {
 
 fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let input: String = args.required("input")?;
-    let procs: usize = args.required("procs")?;
+    let procs: usize = at_least_one("procs", args.required("procs")?)?;
     let algorithm = parse_algorithm(args)?;
     let machine_arg: Option<String> = args.optional("machine")?;
     let cluster_path: Option<String> = args.optional("cluster")?;
@@ -549,6 +584,80 @@ mod tests {
         // min-count alone works.
         let o = run_ok(&["mine", "--input", &db, "--min-count", "5", "--max-k", "2"]);
         assert!(o.contains("min count 5"));
+    }
+
+    /// Every one of these reached a library `assert!` (a backtrace, one on
+    /// a rank thread) before the flag boundary checked ranges.
+    #[test]
+    fn out_of_range_flag_values_exit_2_without_panicking() {
+        let db = temp("ranges.txt");
+        run_ok(&[
+            "gen",
+            "--out",
+            &db,
+            "--transactions",
+            "50",
+            "--items",
+            "20",
+            "--patterns",
+            "5",
+        ]);
+        let out = temp("ranges_out.txt");
+        let parallel = |extra: &[&'static str]| {
+            let mut argv = vec!["parallel", "--input", &db, "--algorithm", "hd"];
+            argv.extend_from_slice(extra);
+            argv
+        };
+        let cases: Vec<(Vec<&str>, &str, &str)> = vec![
+            (
+                parallel(&["--procs", "0", "--min-count", "3"]),
+                "--procs",
+                "0",
+            ),
+            (
+                parallel(&["--procs", "2", "--min-count", "3", "--group-threshold", "0"]),
+                "--group-threshold",
+                "0",
+            ),
+            (
+                parallel(&["--procs", "2", "--min-support", "1.5"]),
+                "--min-support",
+                "1.5",
+            ),
+            (
+                vec!["mine", "--input", &db, "--min-support", "1.5"],
+                "--min-support",
+                "1.5",
+            ),
+            (
+                vec!["mine", "--input", &db, "--min-support", "-0.5"],
+                "--min-support",
+                "-0.5",
+            ),
+            (
+                vec!["mine", "--input", &db, "--min-support", "nan"],
+                "--min-support",
+                "NaN",
+            ),
+            (
+                vec!["mine", "--input", &db, "--min-count", "3", "--rules", "1.5"],
+                "--rules",
+                "1.5",
+            ),
+            (
+                vec!["gen", "--out", &out, "--transactions", "10", "--items", "0"],
+                "--items",
+                "0",
+            ),
+        ];
+        for (parts, flag, value) in &cases {
+            assert_eq!(crate::run(&argv(parts), &mut Vec::new()), 2, "{parts:?}");
+            let err = run_err(parts);
+            assert!(
+                err.contains(flag) && err.contains(value) && err.contains("valid:"),
+                "{parts:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Each pass `k` generates candidates `C_k` from `F_{k-1}` with
 //! [`apriori_gen`] (join + prune), counts their occurrences with a
-//! [`HashTree`], and keeps the candidates meeting minimum support. The
+//! [`crate::hashtree::HashTree`], and keeps the candidates meeting minimum support. The
 //! algorithm stops when a pass produces no frequent itemsets.
 //!
 //! When a memory capacity is configured and `|C_k|` exceeds it, the

@@ -8,11 +8,11 @@
 //! structure-agnostic work ledger the virtual-time model charges from,
 //! and [`CounterBackend`] is the config knob that selects a backend at
 //! run time. Three production backends exist — the paper's
-//! [`HashTree`](crate::hashtree::HashTree) (the default, its fan-out
+//! [`HashTree`] (the default, its fan-out
 //! sized from the candidate count), the item-indexed
-//! [`CandidateTrie`](crate::trie::CandidateTrie) of later Apriori
+//! [`CandidateTrie`] of later Apriori
 //! implementations (Borgelt's, Bodon's), and the Eclat-style
-//! [`VerticalCounter`](crate::vertical::VerticalCounter), which pivots
+//! [`VerticalCounter`], which pivots
 //! each batch into per-item tid bitmaps and counts by AND + popcount
 //! instead of walking transaction subsets at all. Structure choice dominating
 //! Apriori runtime is the point of Singh et al. (arXiv:1511.07017);

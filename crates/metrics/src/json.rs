@@ -23,7 +23,7 @@
 //! parse back into [`JsonValue::UInt`]; floats use Rust's `Display`,
 //! which prints the shortest decimal that re-parses to the same bits.
 //! Labels always serialize as strings and appear in canonical
-//! [`LABEL_KEYS`](crate::LABEL_KEYS) order; series appear in snapshot
+//! [`LABEL_KEYS`] order; series appear in snapshot
 //! order — the same run serializes to the same bytes.
 
 use crate::{HistogramSummary, Labels, MetricSeries, MetricValue, MetricsSnapshot, LABEL_KEYS};
@@ -470,7 +470,7 @@ pub fn parse_json(input: &str) -> Result<JsonValue, ParseError> {
 
 /// A schema-versioned benchmark document: a named snapshot plus free-form
 /// context fields (dataset size, host cores, …). This is the one format
-/// every `exp_*` bench and the CLI `--metrics-json` flag emit.
+/// every `exp` experiment and the CLI `--metrics-json` flag emit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchDocument {
     /// Benchmark/run identifier (e.g. `"parallel_mine"`).

@@ -1,14 +1,15 @@
 //! The per-rank communicator: clocks, point-to-point messaging, and
 //! collectives.
 
+use crate::clock::{Category, Clock};
 use crate::fault::{FaultPlan, DECISION_DELAY, DECISION_DROP};
 use crate::machine::{CountingWork, MachineProfile};
 use crate::message::{Envelope, MatchKey, Packet};
 use crate::stats::RankStats;
 use crate::topology::Topology;
 use crate::trace::TraceEvent;
-use crate::wall::{ExecBackend, NativeState, WallCategory, WallTimings};
-use crossbeam::channel::{Receiver, Sender};
+use crate::wall::{ExecBackend, WallTimings};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -21,7 +22,7 @@ pub struct SendHandle {
     completion: f64,
 }
 
-/// Handle of a posted receive; [`Scope::wait_recv`] blocks until the
+/// Handle of a posted receive; [`Scope::try_wait_recv`] blocks until the
 /// matching message exists and advances the clock to its arrival.
 #[derive(Debug, Clone, Copy)]
 #[must_use = "a posted irecv must be waited on"]
@@ -88,8 +89,8 @@ pub(crate) struct CrashUnwind {
 /// panic when both unwound.
 pub(crate) struct SecondaryPanic(pub String);
 
-/// One rank's endpoint: virtual clock, mailboxes to every peer, and
-/// accounting. Obtain [`Scope`]s from it to actually communicate.
+/// One rank's endpoint: clock, mailboxes to every peer, and accounting.
+/// Obtain [`Scope`]s from it to actually communicate.
 pub struct Comm {
     rank: usize,
     size: usize,
@@ -98,15 +99,15 @@ pub struct Comm {
     senders: Vec<Sender<Envelope>>,
     inbox: Receiver<Envelope>,
     pending: VecDeque<Envelope>,
-    clock: f64,
+    /// Virtual or wall, chosen once by the run's [`ExecBackend`]; every
+    /// charge point below is one call into it.
+    clock: Clock,
+    /// Traffic and fault counters; the time fields are filled from the
+    /// clock on the way out.
     stats: RankStats,
     trace: Option<Vec<TraceEvent>>,
     // --- fault layer -----------------------------------------------------
     plan: Option<Arc<FaultPlan>>,
-    /// Combined compute multiplier of this rank: fault-plan straggler
-    /// slowdown × cluster slowdown (1/speed), computed by the runtime.
-    /// 1.0 on a homogeneous fault-free machine.
-    slowdown: f64,
     /// Pending injected crash, fired when the clock reaches this time.
     crash_time: Option<f64>,
     /// Pending injected crash, fired on entering this pass.
@@ -121,10 +122,6 @@ pub struct Comm {
     aborted: HashMap<usize, (u64, f64)>,
     /// Peers whose threads finished (true = by panic).
     exited: HashMap<usize, bool>,
-    /// Wall-clock measurement state; `Some` iff this run executes on the
-    /// native backend. When set, the virtual `clock` field stays at 0.0
-    /// and every charge point measures instead of pricing.
-    native: Option<NativeState>,
 }
 
 impl Comm {
@@ -133,14 +130,12 @@ impl Comm {
         rank: usize,
         size: usize,
         machine: MachineProfile,
-        slowdown: f64,
         topology: Topology,
         senders: Vec<Sender<Envelope>>,
         inbox: Receiver<Envelope>,
         tracing: bool,
         plan: Option<Arc<FaultPlan>>,
-        backend: ExecBackend,
-        wall_origin: Option<std::time::Instant>,
+        clock: Clock,
     ) -> Self {
         let (crash_time, crash_pass) = match plan.as_ref().and_then(|p| p.crash_of(rank)) {
             Some(crate::fault::CrashPoint::AtTime(t)) => (Some(t), None),
@@ -155,11 +150,10 @@ impl Comm {
             senders,
             inbox,
             pending: VecDeque::new(),
-            clock: 0.0,
+            clock,
             stats: RankStats::default(),
             trace: tracing.then(Vec::new),
             plan,
-            slowdown,
             crash_time,
             crash_pass,
             link_seq: vec![0; size],
@@ -167,20 +161,16 @@ impl Comm {
             dead: HashMap::new(),
             aborted: HashMap::new(),
             exited: HashMap::new(),
-            native: (backend == ExecBackend::Native)
-                .then(|| wall_origin.map_or_else(NativeState::new, NativeState::with_origin)),
         }
     }
 
-    /// Extracts the recorded trace (empty when tracing is off).
-    pub(crate) fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.take().unwrap_or_default()
-    }
-
-    /// Finalizes and extracts the wall-clock timings of a native run
-    /// (`None` on the sim backend).
-    pub(crate) fn take_wall(&mut self) -> Option<WallTimings> {
-        self.native.take().map(NativeState::finish)
+    /// Stops the clock and hands the run's record to the runtime: final
+    /// accounting, trace (empty when tracing is off), and the wall timings
+    /// of a native run.
+    pub(crate) fn finish(self) -> (RankStats, Vec<TraceEvent>, Option<WallTimings>) {
+        let mut stats = self.stats;
+        let wall = self.clock.finish(&mut stats);
+        (stats, self.trace.unwrap_or_default(), wall)
     }
 
     /// This rank's id in `0..size`.
@@ -199,21 +189,14 @@ impl Comm {
     }
 
     /// Current time of this rank: virtual seconds on the sim backend,
-    /// wall seconds since the rank's thread started on the native one.
+    /// wall seconds since the run started on the native one.
     pub fn clock(&self) -> f64 {
-        match &self.native {
-            Some(n) => n.elapsed(),
-            None => self.clock,
-        }
+        self.clock.now()
     }
 
     /// The execution backend this rank runs on.
     pub fn backend(&self) -> ExecBackend {
-        if self.native.is_some() {
-            ExecBackend::Native
-        } else {
-            ExecBackend::Sim
-        }
+        self.clock.backend()
     }
 
     /// The fault plan this simulation runs under, if any.
@@ -222,24 +205,13 @@ impl Comm {
     }
 
     /// Fires a scheduled [`crate::CrashPoint::AtTime`] crash the moment
-    /// the clock has reached it. On the sim backend the clock is clamped
-    /// back to the exact crash time so the tombstone timestamp is
-    /// independent of which charge crossed it; on the native backend the
-    /// tombstone likewise carries the *scheduled* time (elapsed wall time
-    /// at the crossing charge point is scheduler-dependent).
+    /// the clock has reached it. The tombstone carries the *scheduled*
+    /// time on both backends, never the time of the charge that crossed
+    /// it (which on the native backend is scheduler-dependent).
     fn maybe_crash(&mut self) {
-        let Some(t) = self.crash_time else { return };
-        match &self.native {
-            Some(n) => {
-                if n.elapsed() >= t {
-                    self.crash_now_at(t);
-                }
-            }
-            None => {
-                if self.clock >= t {
-                    self.clock = t;
-                    self.crash_now_at(t);
-                }
+        if let Some(t) = self.crash_time {
+            if self.clock.reached(t) {
+                self.crash_now_at(t);
             }
         }
     }
@@ -265,46 +237,13 @@ impl Comm {
     }
 
     /// Declares that this rank is entering mining pass `pass` (1-based):
-    /// fires a scheduled [`crate::CrashPoint::AtPass`] crash on either
-    /// backend, and records the pass boundary's wall time on the native
-    /// one.
+    /// records the pass boundary (native runs report per-pass wall time)
+    /// and fires a scheduled [`crate::CrashPoint::AtPass`] crash.
     pub fn enter_pass(&mut self, pass: usize) {
-        if self.native.is_some() {
-            let at = {
-                let n = self.native.as_mut().expect("native state present");
-                n.enter_pass(pass);
-                n.elapsed()
-            };
-            if self.crash_pass == Some(pass) {
-                self.crash_now_at(at);
-            }
-            return;
-        }
+        let at = self.clock.enter_pass(pass);
         if self.crash_pass == Some(pass) {
-            let at = self.clock;
             self.crash_now_at(at);
         }
-    }
-
-    /// Native charge point: attribute the bracket since the previous
-    /// charge point, stretch it for stragglers (a slowdown-`s` rank really
-    /// sleeps `(s−1)×` the measured bracket, so its passes take `s×` as
-    /// long just like the sim's scaled charges), and fire any due
-    /// injected crash.
-    fn native_charge(&mut self, category: WallCategory, scale_slowdown: bool) {
-        let bracket = {
-            let n = self.native.as_mut().expect("native charge on sim backend");
-            n.attribute(category)
-        };
-        if scale_slowdown && self.slowdown > 1.0 {
-            let pad = bracket * (self.slowdown - 1.0);
-            if pad > 0.0 {
-                std::thread::sleep(std::time::Duration::from_secs_f64(pad));
-                let n = self.native.as_mut().expect("native state present");
-                n.attribute(category);
-            }
-        }
-        self.maybe_crash();
     }
 
     /// Sets the recovery-protocol attempt epoch: abort notifications only
@@ -348,7 +287,7 @@ impl Comm {
                 src: self.rank,
                 tag: u64::MAX,
             },
-            arrival: self.clock,
+            arrival: 0.0, // control packets are absorbed, never completed
             bytes: 0,
             packet,
         };
@@ -359,25 +298,15 @@ impl Comm {
 
     /// Charges `seconds` of local computation, scaled by this rank's
     /// combined slowdown factor (cluster speed × fault-plan straggler
-    /// slowdown). On the native backend nothing is
-    /// charged; the wall time since the previous charge point is
-    /// attributed to counting instead (charge points bracket the real
-    /// work they price).
+    /// slowdown). On the native backend the price is ignored and the wall
+    /// time since the previous charge point is attributed to counting
+    /// instead (charge points bracket the real work they price).
     pub fn advance(&mut self, seconds: f64) {
         debug_assert!(seconds >= 0.0, "cannot advance time backwards");
-        if self.native.is_some() {
-            self.native_charge(WallCategory::Counting, true);
-            return;
-        }
-        let seconds = seconds * self.slowdown;
+        let (start, duration) = self.clock.charge(Category::Compute, seconds);
         if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent::Compute {
-                start: self.clock,
-                duration: seconds,
-            });
+            trace.push(TraceEvent::Compute { start, duration });
         }
-        self.clock += seconds;
-        self.stats.busy += seconds;
         self.maybe_crash();
     }
 
@@ -386,31 +315,18 @@ impl Comm {
     /// whatever built the [`CountingWork`] ledger — hash tree, trie, or
     /// any future backend — is charged through the same expression.
     pub fn charge_counting(&mut self, work: &CountingWork) {
-        if self.native.is_some() {
-            self.native_charge(WallCategory::Counting, true);
-            return;
-        }
         let t = self.machine.counting_time(work);
         self.advance(t);
     }
 
-    /// Charges I/O time for (re-)reading `bytes` from the database.
+    /// Charges I/O time for (re-)reading `bytes` from the database. Not
+    /// straggler-scaled: slowdown models a slow CPU, not a slow disk.
     pub fn charge_io(&mut self, bytes: usize) {
-        if self.native.is_some() {
-            // I/O is not straggler-scaled: the sim charges it unscaled too
-            // (slowdown models a slow CPU, not a slow disk).
-            self.native_charge(WallCategory::Io, false);
-            return;
-        }
         let t = bytes as f64 * self.machine.io_per_byte;
+        let (start, duration) = self.clock.charge(Category::Io, t);
         if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent::Io {
-                start: self.clock,
-                duration: t,
-            });
+            trace.push(TraceEvent::Io { start, duration });
         }
-        self.clock += t;
-        self.stats.io += t;
         self.maybe_crash();
     }
 
@@ -420,15 +336,7 @@ impl Comm {
     /// exchange bracket, `io` the I/O bracket.
     pub fn stats(&self) -> RankStats {
         let mut s = self.stats;
-        if let Some(n) = &self.native {
-            let t = n.timings();
-            s.clock = n.elapsed();
-            s.busy = t.counting;
-            s.idle = t.exchange;
-            s.io = t.io;
-        } else {
-            s.clock = self.clock;
-        }
+        self.clock.times(&mut s);
         s
     }
 
@@ -466,68 +374,14 @@ impl Comm {
         payload: Box<dyn Any + Send>,
         bytes: usize,
     ) -> SendHandle {
-        // Native backend: the message goes into the peer's channel at
-        // full speed; no postal charges, arrival 0.0 (matching is by key,
-        // never by time). The handle's completion of 0.0 makes wait_send
-        // a no-op against the pinned-at-0.0 virtual clock.
-        //
-        // Fault injection runs for real here: each lost transmission
-        // attempt makes the sender *sleep out* the exponential ack-timeout
-        // backoff on the wall clock before retransmitting, and a delayed
-        // message carries a wall-clock arrival deadline the receiver
-        // honours in `complete_recv`. Which attempts are lost/delayed is
-        // still the same pure function of (seed, link, sequence, attempt)
-        // as in sim, so fault *placement* is reproducible even though
-        // wall-clock durations are not.
-        if self.native.is_some() {
-            let mut arrival = 0.0;
-            if let Some(plan) = self.plan.clone() {
-                if plan.drop_rate > 0.0 || plan.delay_rate > 0.0 {
-                    let seq = self.link_seq[dst];
-                    self.link_seq[dst] += 1;
-                    let mut attempt: u32 = 0;
-                    while plan.drop_rate > 0.0
-                        && plan.u01(DECISION_DROP, self.rank, dst, seq, attempt) < plan.drop_rate
-                    {
-                        let backoff = plan.rto * (1u64 << attempt.min(16)) as f64;
-                        std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
-                        self.stats.retransmits += 1;
-                        attempt += 1;
-                        assert!(attempt < 10_000, "retransmit runaway: drop_rate too high");
-                    }
-                    if plan.delay_rate > 0.0
-                        && plan.u01(DECISION_DELAY, self.rank, dst, seq, attempt) < plan.delay_rate
-                    {
-                        let now = self.native.as_ref().expect("native state").elapsed();
-                        arrival = now + plan.delay;
-                    }
-                }
-            }
-            self.stats.messages_sent += 1;
-            self.stats.bytes_sent += bytes as u64;
-            let env = Envelope {
-                key: MatchKey {
-                    scope,
-                    src: self.rank,
-                    tag,
-                },
-                arrival,
-                bytes,
-                packet: Packet::Data(payload),
-            };
-            self.senders[dst]
-                .send(env)
-                .expect("peer mailbox closed (peer panicked?)");
-            // Attributes the send (including any backoff sleeps) to
-            // exchange and fires a due injected crash.
-            self.native_charge(WallCategory::Exchange, false);
-            return SendHandle { completion: 0.0 };
-        }
-        // Fault injection: lost transmission attempts cost the sender a
-        // full setup + wire charge plus an exponential ack-timeout
-        // backoff, all on the virtual clock, before the copy that gets
-        // through. Decisions are a pure function of (seed, link, per-link
-        // sequence number, attempt) — host scheduling never enters.
+        // Fault injection: each lost transmission attempt costs the sender
+        // a full setup + wire charge plus an exponential ack-timeout
+        // backoff before the copy that gets through — on the virtual
+        // clock, or slept out for real on the wall one, where a delayed
+        // copy likewise carries a wall-clock arrival deadline the receiver
+        // honours. Decisions are a pure function of (seed, link, per-link
+        // sequence number, attempt), so fault *placement* is reproducible
+        // on both backends — host scheduling never enters.
         let mut extra_delay = 0.0;
         if let Some(plan) = self.plan.clone() {
             if plan.drop_rate > 0.0 || plan.delay_rate > 0.0 {
@@ -538,7 +392,8 @@ impl Comm {
                     && plan.u01(DECISION_DROP, self.rank, dst, seq, attempt) < plan.drop_rate
                 {
                     let backoff = plan.rto * (1u64 << attempt.min(16)) as f64;
-                    self.clock += self.machine.t_s + bytes as f64 * self.machine.t_w + backoff;
+                    self.clock
+                        .backoff(self.machine.t_s + bytes as f64 * self.machine.t_w, backoff);
                     self.stats.retransmits += 1;
                     self.maybe_crash();
                     attempt += 1;
@@ -551,24 +406,8 @@ impl Comm {
                 }
             }
         }
-        // Sender CPU overhead: message setup costs host cycles even for
-        // non-blocking sends (LogP's `o`); it can never be overlapped.
-        self.clock += self.machine.t_s;
-        let issue = self.clock;
-        // Sender-side link occupancy: bytes on the wire.
-        let completion = issue + bytes as f64 * self.machine.t_w;
-        // In-flight: per-hop routing latency, plus per-hop bandwidth
-        // re-serialization on (partially) store-and-forward networks.
         let hops = self.topology.hops(self.rank, dst, self.size);
-        let mut arrival = completion
-            + hops as f64 * self.machine.t_hop
-            + hops.saturating_sub(1) as f64
-                * bytes as f64
-                * self.machine.t_w
-                * self.machine.store_forward;
-        if extra_delay > 0.0 {
-            arrival += extra_delay;
-        }
+        let (issue, completion, arrival) = self.clock.send(&self.machine, bytes, hops, extra_delay);
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += bytes as u64;
         if let Some(trace) = &mut self.trace {
@@ -616,23 +455,13 @@ impl Comm {
         }
     }
 
-    /// Charges the failure-detector wait for concluding that `src` (which
-    /// crashed at `at`) is dead, and counts the timeout. On the native
-    /// backend the detector really waits out its confirmation window on
-    /// the wall clock before declaring the peer dead.
+    /// Waits out the failure detector's confirmation window before
+    /// concluding that `src` (which crashed at `at`) is dead, and counts
+    /// the timeout.
     fn charge_detect(&mut self, src: usize, at: f64) -> RecvFault {
         let timeout = self.plan.as_ref().map_or(0.0, |p| p.detect_timeout);
-        if self.native.is_some() {
-            if timeout > 0.0 {
-                std::thread::sleep(std::time::Duration::from_secs_f64(timeout));
-            }
-            self.stats.timeouts += 1;
-            self.native_charge(WallCategory::Exchange, false);
-            return RecvFault::Dead { rank: src, at };
-        }
-        let target = self.clock.max(at) + timeout;
-        self.stats.idle += target - self.clock;
-        self.clock = target;
+        let target = self.clock.now().max(at) + timeout;
+        self.clock.wait_until(target);
         self.stats.timeouts += 1;
         self.maybe_crash();
         RecvFault::Dead { rank: src, at }
@@ -654,11 +483,8 @@ impl Comm {
             if honor_aborts {
                 if let Some(&(epoch, at)) = self.aborted.get(&key.src) {
                     if epoch == self.epoch {
-                        if self.native.is_none() && at > self.clock {
-                            self.stats.idle += at - self.clock;
-                            self.clock = at;
-                            self.maybe_crash();
-                        }
+                        self.clock.wait_until(at);
+                        self.maybe_crash();
                         return Err(RecvFault::Aborted { rank: key.src, at });
                     }
                 }
@@ -677,35 +503,27 @@ impl Comm {
                     key.src, self.rank, key.scope, key.tag
                 );
             }
-            // Native runs with a fault plan never block indefinitely:
-            // the wait is sliced by the failure detector's deadline so the
-            // rank periodically re-checks its own scheduled crash (a rank
-            // due to die must not sit forever in a receive its own death
-            // would unblock). Peer-fate maps only change when control
-            // packets are drained, so the slice loop re-entering `recv` is
-            // enough — the dead/aborted checks above re-run once a
-            // tombstone or abort actually arrives.
-            let env = if self.native.is_some() && self.plan.is_some() {
-                let slice = self
-                    .plan
-                    .as_ref()
-                    .map_or(1e-3, |p| p.detect_timeout)
-                    .max(1e-4);
-                let slice = std::time::Duration::from_secs_f64(slice);
-                loop {
-                    use crossbeam::channel::RecvTimeoutError;
-                    match self.inbox.recv_timeout(slice) {
-                        Ok(env) => break env,
-                        Err(RecvTimeoutError::Timeout) => self.maybe_crash(),
-                        Err(RecvTimeoutError::Disconnected) => {
-                            panic!("all peers disconnected while a receive was pending")
-                        }
+            // A rank due to die must not sit forever in a receive its own
+            // death would unblock: where real time passes while the thread
+            // blocks, the wait ends when the scheduled crash comes due.
+            // (Peer fates only change when control packets are drained, so
+            // nothing else needs a wake-up.)
+            let due = self.crash_time.and_then(|t| self.clock.real_time_until(t));
+            let env = match due {
+                Some(due) => match self.inbox.recv_timeout(due) {
+                    Ok(env) => env,
+                    Err(RecvTimeoutError::Timeout) => {
+                        self.maybe_crash();
+                        continue;
                     }
-                }
-            } else {
-                self.inbox
+                    Err(RecvTimeoutError::Disconnected) => {
+                        panic!("all peers disconnected while a receive was pending")
+                    }
+                },
+                None => self
+                    .inbox
                     .recv()
-                    .expect("all peers disconnected while a receive was pending")
+                    .expect("all peers disconnected while a receive was pending"),
             };
             if env.is_data() {
                 if env.key == key {
@@ -718,51 +536,22 @@ impl Comm {
         }
     }
 
-    fn match_raw(&mut self, key: MatchKey) -> Envelope {
-        self.match_raw_ft(key, false).unwrap_or_else(|fault| {
-            panic!(
-                "receive on rank {} (scope {}, tag {:#x}) failed: {fault} — \
-                 fault-tolerant callers must use the try_* receive variants",
-                self.rank, key.scope, key.tag
-            )
-        })
-    }
-
     fn complete_recv(&mut self, env: &Envelope) {
-        // Native backend: the blocking wait in `match_raw_ft` already
-        // happened for real; attribute the bracket to exchange. A message
-        // an injected fault marked as delayed carries a wall-clock arrival
-        // deadline (all ranks share one wall origin) that the receiver
-        // waits out — causality for real: it cannot complete the receive
-        // before the delayed copy "arrives".
-        if self.native.is_some() {
-            if env.arrival > 0.0 {
-                let now = self.native.as_ref().expect("native state").elapsed();
-                if env.arrival > now {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(env.arrival - now));
-                }
-            }
-            self.stats.messages_received += 1;
-            self.stats.bytes_received += env.bytes as u64;
-            self.native_charge(WallCategory::Exchange, false);
-            return;
-        }
-        // Causality: cannot complete before the message arrived.
-        let mut idle = 0.0;
-        if env.arrival > self.clock {
-            idle = env.arrival - self.clock;
-            self.stats.idle += idle;
-            self.clock = env.arrival;
-        }
+        // Causality: cannot complete before the message arrived. (On the
+        // native backend the blocking wait already happened for real; only
+        // a copy an injected fault delayed still has a deadline to wait
+        // out.)
+        let idle = self.clock.wait_until(env.arrival);
         // Single-ported receiver: unloading the message occupies the
         // network interface for its wire time. Draining many messages
         // therefore serializes — the DD all-to-all penalty.
-        self.clock += env.bytes as f64 * self.machine.t_w;
+        self.clock
+            .charge(Category::Exchange, env.bytes as f64 * self.machine.t_w);
         self.stats.messages_received += 1;
         self.stats.bytes_received += env.bytes as u64;
         if let Some(trace) = &mut self.trace {
             trace.push(TraceEvent::Recv {
-                at: self.clock,
+                at: self.clock.now(),
                 idle,
                 src: env.key.src,
                 bytes: env.bytes,
@@ -777,7 +566,7 @@ impl std::fmt::Debug for Comm {
         f.debug_struct("Comm")
             .field("rank", &self.rank)
             .field("size", &self.size)
-            .field("clock", &self.clock)
+            .field("clock", &self.clock.now())
             .finish()
     }
 }
@@ -857,10 +646,8 @@ impl<'a> Scope<'a> {
 
     /// Synchronizes the clock with a pending send's completion.
     pub fn wait_send(&mut self, handle: SendHandle) {
-        if handle.completion > self.comm.clock {
-            self.comm.clock = handle.completion;
-            self.comm.maybe_crash();
-        }
+        self.comm.clock.occupy_until(handle.completion);
+        self.comm.maybe_crash();
     }
 
     /// Posts a receive from local rank `from` with `tag`.
@@ -889,26 +676,9 @@ impl<'a> Scope<'a> {
 
     /// Completes a posted receive: blocks until the message exists,
     /// advances the clock to its arrival (idle time), charges unload.
-    ///
-    /// # Panics
-    /// If the payload type does not match `T` (a protocol bug), or if the
-    /// awaited peer crashed, exited, or aborted (fault-tolerant callers
-    /// use [`Scope::try_wait_recv`]).
-    pub fn wait_recv<T: Send + 'static>(&mut self, handle: RecvHandle) -> T {
-        let env = self.comm.match_raw(handle.key);
-        self.comm.complete_recv(&env);
-        Self::unpack(handle.key, env)
-    }
-
-    /// Blocking receive.
-    pub fn recv<T: Send + 'static>(&mut self, from: usize, tag: u64) -> T {
-        let h = self.irecv(from, tag);
-        self.wait_recv(h)
-    }
-
-    /// Fault-aware completion of a posted receive: fails (after charging
-    /// the failure-detector wait) if the awaited sender crashed, or
-    /// aborted the current attempt epoch, before sending.
+    /// Fails (after charging the failure-detector wait) if the awaited
+    /// sender crashed, or aborted the current attempt epoch, before
+    /// sending.
     ///
     /// # Panics
     /// On payload type mismatch, or if the peer exited without either
@@ -919,7 +689,7 @@ impl<'a> Scope<'a> {
         Ok(Self::unpack(handle.key, env))
     }
 
-    /// Fault-aware blocking receive (see [`Scope::try_wait_recv`]).
+    /// Blocking receive (see [`Scope::try_wait_recv`]).
     pub fn try_recv<T: Send + 'static>(&mut self, from: usize, tag: u64) -> Result<T, RecvFault> {
         let h = self.irecv(from, tag);
         self.try_wait_recv(h)
@@ -944,20 +714,12 @@ impl<'a> Scope<'a> {
     /// member — CD's "global reduction operation". Implemented as a ring
     /// reduce-scatter followed by a ring all-gather: `2(P−1)` messages of
     /// `M/P` entries each, i.e. `O(M)` total bytes per rank, matching the
-    /// `O(M)` reduction term of Equation 4.
+    /// `O(M)` reduction term of Equation 4. A 1-word call is the barrier:
+    /// no member leaves (in virtual time) much before the others arrive.
     ///
-    /// # Panics
-    /// If a member crashes or aborts mid-collective (fault-tolerant
-    /// callers use [`Scope::try_allreduce_sum_u64`]).
-    pub fn allreduce_sum_u64(&mut self, v: &mut [u64]) {
-        if let Err(fault) = self.try_allreduce_sum_u64(v) {
-            panic!("allreduce failed: {fault}");
-        }
-    }
-
-    /// Fault-aware [`Scope::allreduce_sum_u64`]: fails when a ring
-    /// neighbour crashes or aborts mid-collective. The vector is left in
-    /// an unspecified (but deterministic) partial state on failure.
+    /// Fails when a ring neighbour crashes or aborts mid-collective; the
+    /// vector is then left in an unspecified (but deterministic) partial
+    /// state.
     pub fn try_allreduce_sum_u64(&mut self, v: &mut [u64]) -> Result<(), RecvFault> {
         let p = self.members.len();
         if p == 1 || v.is_empty() {
@@ -1003,20 +765,8 @@ impl<'a> Scope<'a> {
     /// All-to-all broadcast: every member contributes `value` and receives
     /// everyone's, ordered by local rank — the primitive DD and IDD use to
     /// exchange per-partition frequent itemsets. Ring algorithm: `P−1`
-    /// store-and-forward steps.
-    ///
-    /// # Panics
-    /// If a member crashes or aborts mid-collective (fault-tolerant
-    /// callers use [`Scope::try_allgather`]).
-    pub fn allgather<T: Clone + Send + 'static>(&mut self, value: T, bytes: usize) -> Vec<T> {
-        match self.try_allgather(value, bytes) {
-            Ok(all) => all,
-            Err(fault) => panic!("allgather failed: {fault}"),
-        }
-    }
-
-    /// Fault-aware [`Scope::allgather`]: fails when a ring neighbour
-    /// crashes or aborts mid-collective.
+    /// store-and-forward steps. Fails when a ring neighbour crashes or
+    /// aborts mid-collective.
     pub fn try_allgather<T: Clone + Send + 'static>(
         &mut self,
         value: T,
@@ -1038,22 +788,17 @@ impl<'a> Scope<'a> {
         Ok(out.into_iter().map(Option::unwrap).collect())
     }
 
-    /// Synchronizes all members: no rank proceeds (in virtual time) much
-    /// before the others. Implemented as a 1-word allreduce.
-    pub fn barrier(&mut self) {
-        let mut token = [0u64; 1];
-        self.allreduce_sum_u64(&mut token);
-    }
-
     /// One-to-all broadcast from local rank `root`, binomial-tree
     /// algorithm: `⌈log₂ P⌉` rounds, so a large value reaches everyone in
-    /// `O(log P · (t_s + m·t_w))`. Returns the value on every member.
-    pub fn broadcast<T: Clone + Send + 'static>(
+    /// `O(log P · (t_s + m·t_w))`. Returns the value on every member;
+    /// fails when the member this rank would receive its copy from crashed
+    /// or aborted mid-collective.
+    pub fn try_broadcast<T: Clone + Send + 'static>(
         &mut self,
         root: usize,
         value: Option<T>,
         bytes: usize,
-    ) -> T {
+    ) -> Result<T, RecvFault> {
         let p = self.members.len();
         assert!(root < p, "broadcast root out of range");
         // Work in root-relative rank space so the binomial tree always
@@ -1079,44 +824,6 @@ impl<'a> Scope<'a> {
             } else if me < 2 * bit {
                 let partner = me - bit;
                 let from = (partner + root) % p;
-                have = Some(self.recv(from, tag));
-            }
-        }
-        have.expect("broadcast must deliver to every member")
-    }
-
-    /// Fault-aware [`Scope::broadcast`]: fails when the member this rank
-    /// would receive its copy from crashed or aborted mid-collective.
-    /// Same binomial tree and tags as the infallible variant, so the two
-    /// are wire-compatible.
-    pub fn try_broadcast<T: Clone + Send + 'static>(
-        &mut self,
-        root: usize,
-        value: Option<T>,
-        bytes: usize,
-    ) -> Result<T, RecvFault> {
-        let p = self.members.len();
-        assert!(root < p, "broadcast root out of range");
-        let me = (self.my_index + p - root) % p;
-        let mut have: Option<T> = if me == 0 {
-            Some(value.expect("root must supply the broadcast value"))
-        } else {
-            None
-        };
-        let rounds = p.next_power_of_two().trailing_zeros() as usize;
-        for round in 0..rounds {
-            let bit = 1usize << round;
-            let tag = COLLECTIVE_TAG | (3 << 32) | round as u64;
-            if me < bit {
-                let partner = me + bit;
-                if partner < p {
-                    let to = (partner + root) % p;
-                    let v = have.clone().expect("sender must hold the value");
-                    self.send(to, tag, v, bytes);
-                }
-            } else if me < 2 * bit {
-                let partner = me - bit;
-                let from = (partner + root) % p;
                 have = Some(self.try_recv(from, tag)?);
             }
         }
@@ -1125,36 +832,8 @@ impl<'a> Scope<'a> {
 
     /// All-to-one gather to local rank `root`: returns `Some(values)` in
     /// member order at the root, `None` elsewhere. Linear algorithm (the
-    /// root's single port serializes the receives anyway).
-    #[allow(clippy::needless_range_loop)] // the loop variable is a rank
-    pub fn gather<T: Send + 'static>(
-        &mut self,
-        root: usize,
-        value: T,
-        bytes: usize,
-    ) -> Option<Vec<T>> {
-        let p = self.members.len();
-        assert!(root < p, "gather root out of range");
-        let tag = COLLECTIVE_TAG | 4 << 32;
-        if self.my_index == root {
-            let mut out: Vec<Option<T>> = (0..p).map(|_| None).collect();
-            out[root] = Some(value);
-            #[allow(clippy::needless_range_loop)] // `from` is a rank, not just an index
-            for from in 0..p {
-                if from != root {
-                    out[from] = Some(self.recv(from, tag));
-                }
-            }
-            Some(out.into_iter().map(Option::unwrap).collect())
-        } else {
-            self.send(root, tag, value, bytes);
-            None
-        }
-    }
-
-    /// Fault-aware [`Scope::gather`]: the root fails when a contributing
-    /// member crashed or aborted before sending. Same linear algorithm
-    /// and tag as the infallible variant.
+    /// root's single port serializes the receives anyway). The root fails
+    /// when a contributing member crashed or aborted before sending.
     pub fn try_gather<T: Send + 'static>(
         &mut self,
         root: usize,
@@ -1177,35 +856,6 @@ impl<'a> Scope<'a> {
         } else {
             self.send(root, tag, value, bytes);
             Ok(None)
-        }
-    }
-
-    /// Recursive-doubling all-reduce: `⌈log₂ P⌉` rounds exchanging the
-    /// **whole** vector — latency-optimal (`log P` startups) but moves
-    /// `O(M log P)` bytes per rank, versus the ring algorithm's `O(M)`
-    /// with `O(P)` startups. The classic trade-off: use this for short
-    /// vectors, [`Scope::allreduce_sum_u64`] for long ones. Requires a
-    /// power-of-two membership.
-    ///
-    /// # Panics
-    /// If the scope size is not a power of two.
-    pub fn allreduce_sum_u64_doubling(&mut self, v: &mut [u64]) {
-        let p = self.members.len();
-        assert!(p.is_power_of_two(), "recursive doubling needs 2^k members");
-        if p == 1 {
-            return;
-        }
-        let rounds = p.trailing_zeros() as usize;
-        for round in 0..rounds {
-            let partner = self.my_index ^ (1 << round);
-            let tag = COLLECTIVE_TAG | (5 << 32) | round as u64;
-            let bytes = v.len() * 8;
-            let sh = self.isend(partner, tag, v.to_vec(), bytes);
-            let incoming: Vec<u64> = self.recv(partner, tag);
-            self.wait_send(sh);
-            for (dst, src) in v.iter_mut().zip(&incoming) {
-                *dst += src;
-            }
         }
     }
 }

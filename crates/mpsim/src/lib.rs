@@ -35,7 +35,7 @@
 //! let result = sim.run(|comm| {
 //!     let mut counts = vec![comm.rank() as u64 + 1; 8];
 //!     let mut world = comm.world();
-//!     world.allreduce_sum_u64(&mut counts);
+//!     world.try_allreduce_sum_u64(&mut counts).expect("no rank crashes");
 //!     counts[0]
 //! });
 //! // 1 + 2 + 3 + 4 summed on every rank.
@@ -68,11 +68,14 @@
 //! [`Simulator::backend`] selects between the default virtual-time mode
 //! ([`ExecBackend::Sim`]) and a native wall-clock mode
 //! ([`ExecBackend::Native`]) where the same rank threads run at full
-//! hardware speed: charges become no-ops that attribute real elapsed time
-//! to counting/exchange/io categories, and per-rank [`WallTimings`] land
-//! in [`SimResult::wall`]. Mined results are identical across backends;
-//! fault plans require the sim backend.
+//! hardware speed: the rank's clock measures instead of pricing, so each
+//! charge point attributes the real time elapsed since the previous one
+//! to its counting/exchange/io category, and per-rank [`WallTimings`] land
+//! in [`SimResult::wall`]. Mined results are identical across backends,
+//! and fault plans run on both: injected faults are real on the native one
+//! (thread deaths, sleeps, wall-clock retransmit timers).
 
+mod clock;
 mod comm;
 mod fault;
 mod machine;

@@ -1,5 +1,6 @@
 //! Spawning and collecting a simulation.
 
+use crate::clock::Clock;
 use crate::comm::{Comm, CrashUnwind, SecondaryPanic};
 use crate::fault::FaultPlan;
 use crate::machine::{ClusterProfile, MachineProfile};
@@ -173,7 +174,7 @@ impl Simulator {
         // compares cross-rank timestamps (delayed-arrival deadlines,
         // crash tombstones), so every rank must measure from the same
         // instant.
-        let wall_origin = (self.backend == ExecBackend::Native).then(std::time::Instant::now);
+        let wall_origin = std::time::Instant::now();
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..p).map(|_| unbounded::<Envelope>()).unzip();
         type RankResult<T> = (Option<T>, RankStats, Vec<TraceEvent>, Option<WallTimings>);
@@ -198,52 +199,30 @@ impl Simulator {
                 let plan = self.plan.clone();
                 let backend = self.backend;
                 handles.push(scope.spawn(move || -> RankOutcome<T> {
+                    let clock = Clock::new(backend, wall_origin, slowdown);
                     let mut comm = Comm::new(
-                        rank,
-                        p,
-                        machine,
-                        slowdown,
-                        topology,
-                        senders,
-                        inbox,
-                        tracing,
-                        plan,
-                        backend,
-                        wall_origin,
+                        rank, p, machine, topology, senders, inbox, tracing, plan, clock,
                     );
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm))) {
+                    let value = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        f(&mut comm)
+                    })) {
                         Ok(value) => {
                             // Tell peers this rank is done: a receive still
                             // pending on it is a protocol bug that should
                             // panic loudly, not hang.
                             comm.send_goodbyes(false);
-                            let mut stats = comm.stats();
-                            let wall = comm.take_wall();
-                            if let Some(w) = &wall {
-                                // The finished wall timings are the
-                                // authoritative native accounting: stamp
-                                // them into the final stats so the
-                                // response time equals the slowest rank's
-                                // measured total exactly.
-                                stats.clock = w.total;
-                                stats.busy = w.counting;
-                                stats.idle = w.exchange;
-                                stats.io = w.io;
-                            }
-                            Ok((Some(value), stats, comm.take_trace(), wall))
+                            Some(value)
                         }
-                        Err(payload) if payload.is::<CrashUnwind>() => {
-                            // Injected crash: tombstones were already sent
-                            // at the moment of death.
-                            let stats = comm.stats();
-                            let wall = comm.take_wall();
-                            Ok((None, stats, comm.take_trace(), wall))
-                        }
+                        // Injected crash: tombstones were already sent
+                        // at the moment of death.
+                        Err(payload) if payload.is::<CrashUnwind>() => None,
                         Err(payload) => {
                             comm.send_goodbyes(true);
-                            Err(payload)
+                            return Err(payload);
                         }
-                    }
+                    };
+                    let (stats, trace, wall) = comm.finish();
+                    Ok((value, stats, trace, wall))
                 }));
             }
             for (rank, handle) in handles.into_iter().enumerate() {
@@ -368,9 +347,9 @@ mod tests {
             let mut w = comm.world();
             if w.rank() == 0 {
                 w.send(1, 7, vec![1u32, 2, 3], 12);
-                w.recv::<String>(1, 8)
+                w.try_recv::<String>(1, 8).unwrap()
             } else {
-                let v: Vec<u32> = w.recv(0, 7);
+                let v: Vec<u32> = w.try_recv(0, 7).unwrap();
                 w.send(0, 8, format!("got {}", v.len()), 16);
                 String::new()
             }
@@ -398,7 +377,7 @@ mod tests {
                 w.send(1, 3, sent.clone(), 8 * 1024);
                 None
             } else {
-                Some(w.recv::<Arc<[u64]>>(0, 3))
+                Some(w.try_recv::<Arc<[u64]>>(0, 3).unwrap())
             }
         });
         let received = r.results[1].as_ref().expect("rank 1 received the page");
@@ -420,7 +399,7 @@ mod tests {
                 w.comm().advance(1e-3);
                 w.send(1, 0, 42u64, 1_000_000);
             } else {
-                let v: u64 = w.recv(0, 0);
+                let v: u64 = w.try_recv(0, 0).unwrap();
                 assert_eq!(v, 42);
             }
             w.comm().clock()
@@ -448,7 +427,7 @@ mod tests {
                 w.wait_send(h);
                 w.comm().clock()
             } else {
-                let _: Vec<u8> = w.recv(0, 0);
+                let _: Vec<u8> = w.try_recv(0, 0).unwrap();
                 0.0
             }
         });
@@ -481,7 +460,7 @@ mod tests {
             let mut got = 0;
             for other in 0..p {
                 if other != me {
-                    w.recv::<()>(other, 1);
+                    w.try_recv::<()>(other, 1).unwrap();
                     got += 1;
                 }
             }
@@ -505,7 +484,7 @@ mod tests {
                 let mut v: Vec<u64> = (0..10)
                     .map(|i| (comm.rank() as u64 + 1) * (i + 1))
                     .collect();
-                comm.world().allreduce_sum_u64(&mut v);
+                comm.world().try_allreduce_sum_u64(&mut v).unwrap();
                 v
             });
             let total_rank: u64 = (1..=p as u64).sum();
@@ -521,7 +500,7 @@ mod tests {
     fn allreduce_on_vector_shorter_than_ranks() {
         let r = ideal(8).run(|comm| {
             let mut v = vec![1u64; 3];
-            comm.world().allreduce_sum_u64(&mut v);
+            comm.world().try_allreduce_sum_u64(&mut v).unwrap();
             v
         });
         assert!(r.results.iter().all(|v| v == &vec![8u64; 3]));
@@ -536,7 +515,7 @@ mod tests {
             t3e(p)
                 .run(move |comm| {
                     let mut v = vec![1u64; m_entries];
-                    comm.world().allreduce_sum_u64(&mut v);
+                    comm.world().try_allreduce_sum_u64(&mut v).unwrap();
                 })
                 .response_time()
         };
@@ -553,7 +532,7 @@ mod tests {
         for p in [2, 3, 5, 8] {
             let r = ideal(p).run(|comm| {
                 let mine = format!("rank{}", comm.rank());
-                comm.world().allgather(mine, 8)
+                comm.world().try_allgather(mine, 8).unwrap()
             });
             for got in &r.results {
                 let want: Vec<String> = (0..p).map(|i| format!("rank{i}")).collect();
@@ -569,7 +548,7 @@ mod tests {
             if comm.rank() == 2 {
                 comm.advance(0.5);
             }
-            comm.world().barrier();
+            comm.world().try_allreduce_sum_u64(&mut [0]).unwrap();
             comm.clock()
         });
         // Nobody's post-barrier clock is below the slow rank's compute.
@@ -588,7 +567,7 @@ mod tests {
             let mut s = comm.scope(id, members);
             let peer = 1 - s.rank();
             s.send(peer, 0, me as u64, 8);
-            s.recv::<u64>(peer, 0)
+            s.try_recv::<u64>(peer, 0).unwrap()
         });
         assert_eq!(r.results, vec![1, 0, 3, 2]);
     }
@@ -605,10 +584,14 @@ mod tests {
             let col_members: Vec<usize> = (0..rows).map(|r| r * cols + col).collect();
             let mut v = vec![me as u64];
             comm.scope(100 + col as u64, col_members)
-                .allreduce_sum_u64(&mut v);
+                .try_allreduce_sum_u64(&mut v)
+                .unwrap();
             // Row scope: ranks sharing `row`.
             let row_members: Vec<usize> = (0..cols).map(|c| row * cols + c).collect();
-            let gathered = comm.scope(200 + row as u64, row_members).allgather(v[0], 8);
+            let gathered = comm
+                .scope(200 + row as u64, row_members)
+                .try_allgather(v[0], 8)
+                .unwrap();
             gathered
         });
         // Column sums: col c sums ranks {c, c+3} → {3, 5, 7}.
@@ -636,8 +619,8 @@ mod tests {
                     let mut v = vec![comm.rank() as u64; 1000];
                     comm.advance(1e-4 * (comm.rank() as f64 + 1.0));
                     let mut w = comm.world();
-                    w.allreduce_sum_u64(&mut v);
-                    let all = w.allgather(v[0], 8);
+                    w.try_allreduce_sum_u64(&mut v).unwrap();
+                    let all = w.try_allgather(v[0], 8).unwrap();
                     all.len() as u64 + v[0]
                 })
                 .response_time()
@@ -654,7 +637,7 @@ mod tests {
             let mut w = comm.world();
             let peer = 1 - w.rank();
             w.send(peer, 0, vec![0u8; 100], 100);
-            let _: Vec<u8> = w.recv(peer, 0);
+            let _: Vec<u8> = w.try_recv(peer, 0).unwrap();
         });
         for s in &r.ranks {
             assert!((s.busy - 0.01).abs() < 1e-12);
@@ -669,7 +652,7 @@ mod tests {
     fn compute_imbalance_reported() {
         let r = ideal(4).run(|comm| {
             comm.advance(if comm.rank() == 0 { 2.0 } else { 1.0 });
-            comm.world().barrier();
+            comm.world().try_allreduce_sum_u64(&mut [0]).unwrap();
         });
         // avg = 1.25, max = 2 → 0.6.
         assert!((r.compute_imbalance() - 0.6).abs() < 1e-9);
@@ -682,7 +665,7 @@ mod tests {
                 let r = ideal(p).run(move |comm| {
                     let mut w = comm.world();
                     let value = (w.rank() == root).then(|| format!("payload-{root}"));
-                    w.broadcast(root, value, 16)
+                    w.try_broadcast(root, value, 16).unwrap()
                 });
                 assert!(
                     r.results.iter().all(|v| v == &format!("payload-{root}")),
@@ -701,7 +684,7 @@ mod tests {
                 .run(move |comm| {
                     let mut w = comm.world();
                     let value = (w.rank() == 0).then(|| vec![0u8; 4]);
-                    w.broadcast(0, value, bytes);
+                    w.try_broadcast(0, value, bytes).unwrap();
                 })
                 .response_time()
         };
@@ -718,7 +701,7 @@ mod tests {
         let r = ideal(5).run(|comm| {
             let mut w = comm.world();
             let mine = w.rank() as u64 * 10;
-            w.gather(2, mine, 8)
+            w.try_gather(2, mine, 8).unwrap()
         });
         for (rank, got) in r.results.iter().enumerate() {
             if rank == 2 {
@@ -730,58 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn doubling_allreduce_matches_ring() {
-        for p in [2usize, 4, 8, 16] {
-            let r = ideal(p).run(move |comm| {
-                let mut ring: Vec<u64> = (0..7).map(|i| comm.rank() as u64 + i).collect();
-                let mut dbl = ring.clone();
-                let mut w = comm.world();
-                w.allreduce_sum_u64(&mut ring);
-                w.allreduce_sum_u64_doubling(&mut dbl);
-                (ring, dbl)
-            });
-            for (ring, dbl) in &r.results {
-                assert_eq!(ring, dbl, "p={p}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "2^k members")]
-    fn doubling_rejects_non_power_of_two() {
-        ideal(3).run(|comm| {
-            let mut v = vec![1u64];
-            comm.world().allreduce_sum_u64_doubling(&mut v);
-        });
-    }
-
-    #[test]
-    fn doubling_beats_ring_on_short_vectors_loses_on_long() {
-        // The classic trade-off: log P startups vs O(M) bytes.
-        let time = |len: usize, doubling: bool| {
-            t3e(32)
-                .run(move |comm| {
-                    let mut v = vec![1u64; len];
-                    let mut w = comm.world();
-                    if doubling {
-                        w.allreduce_sum_u64_doubling(&mut v);
-                    } else {
-                        w.allreduce_sum_u64(&mut v);
-                    }
-                })
-                .response_time()
-        };
-        assert!(
-            time(4, true) < time(4, false),
-            "short vector: doubling (log P startups) must win"
-        );
-        assert!(
-            time(2_000_000, true) > time(2_000_000, false),
-            "long vector: ring (O(M) bytes) must win"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "type mismatch")]
     fn receive_type_mismatch_is_loud() {
         ideal(2).run(|comm| {
@@ -790,7 +721,7 @@ mod tests {
                 w.send(1, 0, 42u64, 8);
             } else {
                 // Protocol bug: sender shipped u64, receiver expects String.
-                let _: String = w.recv(0, 0);
+                let _: String = w.try_recv(0, 0).unwrap();
             }
         });
     }
@@ -827,7 +758,7 @@ mod tests {
             let mut w = comm.world();
             let peer = 1 - w.rank();
             w.send(peer, 0, 7u64, 64);
-            let _: u64 = w.recv(peer, 0);
+            let _: u64 = w.try_recv(peer, 0).unwrap();
             comm.charge_io(0);
         });
         assert_eq!(r.traces.len(), 2);
@@ -853,7 +784,7 @@ mod tests {
         // 128 logical processors — the paper's full T3E — on any host.
         let r = ideal(128).run(|comm| {
             let mut v = vec![1u64; 4];
-            comm.world().allreduce_sum_u64(&mut v);
+            comm.world().try_allreduce_sum_u64(&mut v).unwrap();
             v[0]
         });
         assert!(r.results.iter().all(|&x| x == 128));
@@ -872,7 +803,7 @@ mod tests {
                 candidate_checks: 64,
                 ..Default::default()
             });
-            comm.world().allreduce_sum_u64(&mut v);
+            comm.world().try_allreduce_sum_u64(&mut v).unwrap();
             comm.charge_io(1024);
             v[0]
         };
@@ -922,7 +853,7 @@ mod tests {
                 } else {
                     let mut sum = 0;
                     for i in 0..50u64 {
-                        let got: u64 = w.recv(0, i);
+                        let got: u64 = w.try_recv(0, i).unwrap();
                         assert_eq!(got, i);
                         sum += got;
                     }
@@ -1015,7 +946,7 @@ mod tests {
                     w.send(1, 0, 42u64, 8);
                     0.0
                 } else {
-                    let _: u64 = w.recv(0, 0);
+                    let _: u64 = w.try_recv(0, 0).unwrap();
                     w.comm().clock()
                 }
             });
@@ -1042,7 +973,7 @@ mod tests {
                 }
             } else {
                 for i in 0..200u64 {
-                    let got: u64 = w.recv(0, i);
+                    let got: u64 = w.try_recv(0, i).unwrap();
                     assert_eq!(got, i);
                 }
             }
@@ -1079,8 +1010,8 @@ mod tests {
                     comm.advance(1e-4);
                     let mut v = vec![comm.rank() as u64; 500];
                     let mut w = comm.world();
-                    w.allreduce_sum_u64(&mut v);
-                    w.allgather(v[0], 8)
+                    w.try_allreduce_sum_u64(&mut v).unwrap();
+                    w.try_allgather(v[0], 8).unwrap()
                 })
         };
         let a = run_once();
@@ -1149,7 +1080,7 @@ mod tests {
         let workload = |comm: &mut Comm| {
             comm.advance(1e-4);
             let mut v = vec![comm.rank() as u64; 100];
-            comm.world().allreduce_sum_u64(&mut v);
+            comm.world().try_allreduce_sum_u64(&mut v).unwrap();
             comm.clock()
         };
         let bare = t3e(4).run(workload);
@@ -1297,7 +1228,7 @@ mod tests {
                 // Rank 0 finishes without ever sending: this must be a
                 // loud protocol-bug panic naming both ranks and the tag,
                 // not a silent hang.
-                let _: u64 = comm.world().recv(0, 3);
+                let _: u64 = comm.world().try_recv(0, 3).unwrap();
             }
         });
     }
@@ -1314,7 +1245,7 @@ mod tests {
     fn fault_free_plans_change_nothing() {
         let workload = |comm: &mut Comm| {
             let mut v = vec![comm.rank() as u64; 100];
-            comm.world().allreduce_sum_u64(&mut v);
+            comm.world().try_allreduce_sum_u64(&mut v).unwrap();
             comm.clock()
         };
         let bare = t3e(4).run(workload);

@@ -1,22 +1,13 @@
-//! The native wall-clock execution backend.
+//! The execution-backend selector and the native backend's report.
 //!
 //! The simulator's second mode of operation: ranks are still one real OS
-//! thread each exchanging owned messages over channels, but nothing is
-//! priced on a virtual clock — `advance`/`charge_counting`/`charge_io`
-//! stop charging and instead *measure*, attributing real elapsed time to
-//! the work category the charge point brackets. The result is a run at
-//! full hardware speed whose mined output is identical to the sim
-//! backend's (message matching is by `(scope, src, tag)`, never by
+//! thread each exchanging owned messages over channels, but the rank's
+//! clock (see the `clock` module) measures instead of pricing. The result
+//! is a run at full hardware speed whose mined output is identical to the
+//! sim backend's (message matching is by `(scope, src, tag)`, never by
 //! arrival time) and whose [`WallTimings`] report where the host's time
-//! actually went.
-//!
-//! Attribution is *bracketed*: every charge point in the drivers sits
-//! immediately after the real work it prices (count a batch, then charge
-//! it), so the wall time since the previous charge point belongs to that
-//! category. Sends and receive completions attribute to `exchange`,
+//! actually went: sends and receive completions attribute to `exchange`,
 //! compute charges to `counting`, I/O charges to `io`.
-
-use std::time::Instant;
 
 /// Which execution backend a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,77 +98,6 @@ impl WallTimings {
     }
 }
 
-/// The category a charge point attributes its bracket to.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum WallCategory {
-    Counting,
-    Exchange,
-    Io,
-}
-
-/// Per-rank measurement state of a native run, owned by the rank's
-/// [`crate::Comm`].
-pub(crate) struct NativeState {
-    origin: Instant,
-    /// Elapsed seconds at the previous charge point.
-    last_mark: f64,
-    timings: WallTimings,
-}
-
-impl NativeState {
-    pub fn new() -> Self {
-        Self::with_origin(Instant::now())
-    }
-
-    /// A state measuring from `origin`, so every rank of one run shares a
-    /// common epoch and cross-rank timestamps (delayed-arrival deadlines,
-    /// crash tombstones) are comparable.
-    pub fn with_origin(origin: Instant) -> Self {
-        NativeState {
-            origin,
-            last_mark: 0.0,
-            timings: WallTimings::default(),
-        }
-    }
-
-    /// Wall seconds since this rank's thread started.
-    pub fn elapsed(&self) -> f64 {
-        self.origin.elapsed().as_secs_f64()
-    }
-
-    /// Read-only view of what has been attributed so far.
-    pub fn timings(&self) -> &WallTimings {
-        &self.timings
-    }
-
-    /// Attributes the time since the previous charge point to `category`
-    /// and returns the bracket length in seconds (the straggler machinery
-    /// scales injected sleeps by it).
-    pub fn attribute(&mut self, category: WallCategory) -> f64 {
-        let now = self.elapsed();
-        let bracket = (now - self.last_mark).max(0.0);
-        match category {
-            WallCategory::Counting => self.timings.counting += bracket,
-            WallCategory::Exchange => self.timings.exchange += bracket,
-            WallCategory::Io => self.timings.io += bracket,
-        }
-        self.last_mark = now;
-        bracket
-    }
-
-    /// Records a pass boundary.
-    pub fn enter_pass(&mut self, pass: usize) {
-        let now = self.elapsed();
-        self.timings.pass_starts.push((pass, now));
-    }
-
-    /// Finalizes the measurement (sets `total`) and yields the timings.
-    pub fn finish(mut self) -> WallTimings {
-        self.timings.total = self.elapsed();
-        self.timings
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,19 +112,6 @@ mod tests {
         assert_eq!(ExecBackend::parse("Native"), Some(ExecBackend::Native));
         assert_eq!(ExecBackend::parse("quantum"), None);
         assert_eq!(ExecBackend::default(), ExecBackend::Sim);
-    }
-
-    #[test]
-    fn attribution_brackets_elapsed_time() {
-        let mut s = NativeState::new();
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        s.attribute(WallCategory::Counting);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        s.attribute(WallCategory::Exchange);
-        let t = s.finish();
-        assert!(t.counting >= 4e-3, "counting bracket lost: {t:?}");
-        assert!(t.exchange >= 4e-3, "exchange bracket lost: {t:?}");
-        assert!(t.total >= t.counting + t.exchange - 1e-9);
     }
 
     #[test]

@@ -23,7 +23,7 @@ proptest! {
                     .iter()
                     .map(|&x| x + comm.rank() as u64)
                     .collect();
-                comm.world().allreduce_sum_u64(&mut v);
+                comm.world().try_allreduce_sum_u64(&mut v).unwrap();
                 v
             });
         let rank_sum: u64 = (0..p as u64).sum();
@@ -40,7 +40,7 @@ proptest! {
             .machine(MachineProfile::ideal())
             .run(move |comm| {
                 let mine = comm.rank() as u64 * 1000 + salt;
-                comm.world().allgather(mine, 8)
+                comm.world().try_allgather(mine, 8).unwrap()
             });
         for got in &r.results {
             let want: Vec<u64> = (0..p as u64).map(|i| i * 1000 + salt).collect();
@@ -57,7 +57,7 @@ proptest! {
             .run(move |comm| {
                 let mut w = comm.world();
                 let value = (w.rank() == root).then_some(payload);
-                w.broadcast(root, value, 8)
+                w.try_broadcast(root, value, 8).unwrap()
             });
         prop_assert!(r.results.iter().all(|&v| v == payload));
     }
@@ -74,7 +74,7 @@ proptest! {
                 let us = work[comm.rank() % work.len()] as f64 * 1e-6;
                 comm.advance(us);
                 let mut v = vec![comm.rank() as u64; 16];
-                comm.world().allreduce_sum_u64(&mut v);
+                comm.world().try_allreduce_sum_u64(&mut v).unwrap();
                 comm.clock()
             })
         };

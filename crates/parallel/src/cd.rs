@@ -21,7 +21,7 @@ pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
     k: usize,
-    candidates: Vec<ItemSet>,
+    candidates: &[ItemSet],
     params: &ParallelParams,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();

@@ -190,13 +190,13 @@ pub(crate) fn rebalance_placement(
     ctx: &mut RankCtx,
     mobile_pages: bool,
     busy_mark: &mut f64,
-) {
+) -> Result<(), RecvFault> {
     let busy = comm.stats().busy;
     let spent = (busy - *busy_mark).max(0.0);
     *busy_mark = busy;
     let reports: Vec<(f64, u64)> = ctx
         .world(comm)
-        .allgather((spent, ctx.local.len() as u64), 16);
+        .try_allgather((spent, ctx.local.len() as u64), 16)?;
     let t_max = reports.iter().map(|r| r.0).fold(0.0f64, f64::max);
     if t_max > 0.0 {
         let floor = t_max * 1e-2;
@@ -212,8 +212,9 @@ pub(crate) fn rebalance_placement(
     }
     if mobile_pages {
         let old_counts: Vec<usize> = reports.iter().map(|r| r.1 as usize).collect();
-        rebalance_pages(comm, ctx, &old_counts);
+        rebalance_pages(comm, ctx, &old_counts)?;
     }
+    Ok(())
 }
 
 /// Moves transactions between members so local-slice sizes match the
@@ -223,13 +224,17 @@ pub(crate) fn rebalance_placement(
 /// intersection every member computes identically from the allgathered
 /// `old_counts`. Deadlock-free: all sends are posted asynchronously
 /// before any receive blocks.
-fn rebalance_pages(comm: &mut Comm, ctx: &mut RankCtx, old_counts: &[usize]) {
+fn rebalance_pages(
+    comm: &mut Comm,
+    ctx: &mut RankCtx,
+    old_counts: &[usize],
+) -> Result<(), RecvFault> {
     let n = old_counts.len();
     let total: usize = old_counts.iter().sum();
     let bounds = share_bounds(total, &ctx.capacities);
     let new_counts: Vec<usize> = (0..n).map(|i| bounds[i + 1] - bounds[i]).collect();
     if new_counts == old_counts || total == 0 {
-        return;
+        return Ok(());
     }
     let mut old_start = vec![0usize; n + 1];
     for i in 0..n {
@@ -271,9 +276,7 @@ fn rebalance_pages(comm: &mut Comm, ctx: &mut RankCtx, old_counts: &[usize]) {
         let lo = my_new_lo.max(old_start[i]);
         let hi = my_new_hi.min(old_start[i + 1]);
         if lo < hi {
-            // Adaptive placement never coexists with crash plans, so the
-            // receive cannot fail.
-            let seg: Vec<Transaction> = world.recv(i, TAG_REBAL);
+            let seg: Vec<Transaction> = world.try_recv(i, TAG_REBAL)?;
             debug_assert_eq!(seg.len(), hi - lo, "transfer plans diverged");
             pieces.push((lo, seg));
         }
@@ -285,6 +288,7 @@ fn rebalance_pages(comm: &mut Comm, ctx: &mut RankCtx, old_counts: &[usize]) {
     pieces.sort_by_key(|p| p.0);
     ctx.local = pieces.into_iter().flat_map(|(_, seg)| seg).collect();
     debug_assert_eq!(ctx.local.len(), new_counts[me]);
+    Ok(())
 }
 
 /// Maps a backend's stats delta onto the simulator's structure-agnostic
@@ -470,6 +474,12 @@ pub(crate) fn ring_shift_count(
     Ok(stats)
 }
 
+/// Unwraps a receive that only an injected crash could fail, where the
+/// plan injects none — the one place that says so.
+pub(crate) fn cannot_fail<T>(received: Result<T, RecvFault>) -> T {
+    received.unwrap_or_else(|fault| panic!("receive failed without a crashing fault plan: {fault}"))
+}
+
 /// The shared multi-pass driver: pass 1 then repeated
 /// `apriori_gen` → algorithm-specific counting, until a pass yields no
 /// frequent itemsets.
@@ -502,7 +512,7 @@ pub(crate) fn run_rank(
         &mut Comm,
         &RankCtx,
         usize,
-        Vec<ItemSet>,
+        &[ItemSet],
         &[(ItemSet, u64)],
     ) -> Result<PassResult, RecvFault>,
 ) -> RankOutput {
@@ -544,15 +554,12 @@ pub(crate) fn run_rank(
                 }),
                 Some(c) => {
                     let prev_level: &[(ItemSet, u64)] = levels.last().map_or(&[], Vec::as_slice);
-                    count_pass(comm, &ctx, k, c.clone(), prev_level)
+                    count_pass(comm, &ctx, k, c, prev_level)
                 }
             };
             if !recoverable {
-                // No crashes can be injected, so receives cannot fail:
-                // single attempt, no sync, epoch stays 0.
-                break attempt.unwrap_or_else(|fault| {
-                    panic!("receive failed without a crashing fault plan: {fault}")
-                });
+                // Single attempt, no sync, epoch stays 0.
+                break cannot_fail(attempt);
             }
             let outcome = crate::recovery::pass_sync(comm, &ctx, &attempt);
             if !outcome.dead.is_empty() {
@@ -583,7 +590,13 @@ pub(crate) fn run_rank(
         });
         levels.push(result.level);
         if adaptive {
-            rebalance_placement(comm, &mut ctx, mobile_pages, &mut busy_mark);
+            // Adaptive placement never coexists with crash plans.
+            cannot_fail(rebalance_placement(
+                comm,
+                &mut ctx,
+                mobile_pages,
+                &mut busy_mark,
+            ));
         }
         k += 1;
     }
@@ -659,7 +672,7 @@ mod tests {
             );
             counter.reset_stats();
             let mut world = comm.world();
-            let page_counts: Vec<u64> = world.allgather(my_pages.len() as u64, 8);
+            let page_counts: Vec<u64> = world.try_allgather(my_pages.len() as u64, 8).unwrap();
             let max_pages = page_counts.iter().copied().max().unwrap_or(0) as usize;
             let stats = ring_shift_count(
                 &mut world,

@@ -41,14 +41,14 @@ pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
     k: usize,
-    candidates: Vec<ItemSet>,
+    candidates: &[ItemSet],
     params: &ParallelParams,
     scheme: CommScheme,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
     let me = ctx.my_index;
     let total = candidates.len();
-    let part = partition_round_robin(&candidates, p);
+    let part = partition_round_robin(candidates, p);
     let mine = part.parts[me].clone();
     let mut counter = build_counter_charged(comm, k, params.counter, params.tree, mine, total);
     comm.charge_io(ctx.local_bytes());

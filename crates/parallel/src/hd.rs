@@ -55,7 +55,7 @@ pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
     k: usize,
-    candidates: Vec<ItemSet>,
+    candidates: &[ItemSet],
     params: &ParallelParams,
     group_threshold: usize,
 ) -> Result<PassResult, RecvFault> {
@@ -81,7 +81,7 @@ pub(crate) fn count_pass(
                 .fold(f64::INFINITY, f64::min)
         })
         .collect();
-    let part = make_partition(&candidates, ctx.num_items, &row_caps, params);
+    let part = make_partition(candidates, ctx.num_items, &row_caps, params);
     let mine = part.parts[my_row].clone();
     let filter = part.filters[my_row].clone();
     let mut counter = build_counter_charged(comm, k, params.counter, params.tree, mine, total);

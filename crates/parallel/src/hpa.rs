@@ -17,7 +17,7 @@
 //!    can correct it (good spread in expectation, no guarantee).
 //! 2. *Volume* — `(I choose k)` subsets per transaction: for `k > 2` HPA
 //!    ships far more bytes than DD/IDD ship transactions; for `k = 2` it
-//!    can ship less. The `exp_hpa` experiment measures this crossover.
+//!    can ship less. The `exp hpa` experiment measures this crossover.
 //!
 //! ELD duplicates the hottest candidates (here: by their anti-monotone
 //! support bound, the minimum count of their `(k−1)`-subsets) on every
@@ -41,7 +41,7 @@ pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
     k: usize,
-    candidates: Vec<ItemSet>,
+    candidates: &[ItemSet],
     prev_level: &[(ItemSet, u64)],
     _params: &ParallelParams,
     eld_permille: u32,
@@ -86,7 +86,7 @@ pub(crate) fn count_pass(
     // whole database. Hot: the ELD duplicates, counted CD-style.
     let mut owned: HashMap<ItemSet, u64> = HashMap::new();
     let mut loads = vec![0u64; p];
-    for c in &candidates {
+    for c in candidates {
         if hot.contains(c) {
             continue;
         }

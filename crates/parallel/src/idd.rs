@@ -57,14 +57,14 @@ pub(crate) fn count_pass_single_source(
     comm: &mut Comm,
     ctx: &RankCtx,
     k: usize,
-    candidates: Vec<ItemSet>,
+    candidates: &[ItemSet],
     params: &ParallelParams,
 ) -> Result<PassResult, RecvFault> {
     use crate::common::{count_batch_charged, page_bytes, TransactionPage, TAG_DATA};
     let p = ctx.size();
     let me = ctx.my_index;
     let total = candidates.len();
-    let part = make_partition(&candidates, ctx.num_items, &ctx.capacities, params);
+    let part = make_partition(candidates, ctx.num_items, &ctx.capacities, params);
     let mine = part.parts[me].clone();
     let filter = part.filters[me].clone();
     let mut counter = build_counter_charged(comm, k, params.counter, params.tree, mine, total);
@@ -134,7 +134,7 @@ pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
     k: usize,
-    candidates: Vec<ItemSet>,
+    candidates: &[ItemSet],
     params: &ParallelParams,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
@@ -142,7 +142,7 @@ pub(crate) fn count_pass(
     let total = candidates.len();
     // Deterministic on every rank: same candidates + same capacities →
     // same packing.
-    let part = make_partition(&candidates, ctx.num_items, &ctx.capacities, params);
+    let part = make_partition(candidates, ctx.num_items, &ctx.capacities, params);
     let mine = part.parts[me].clone();
     let filter = part.filters[me].clone();
     let mut counter = build_counter_charged(comm, k, params.counter, params.tree, mine, total);

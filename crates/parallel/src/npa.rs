@@ -21,13 +21,19 @@ pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
     k: usize,
-    candidates: Vec<ItemSet>,
+    candidates: &[ItemSet],
     params: &ParallelParams,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
     let total = candidates.len();
-    let mut counter =
-        build_counter_charged(comm, k, params.counter, params.tree, candidates, total);
+    let mut counter = build_counter_charged(
+        comm,
+        k,
+        params.counter,
+        params.tree,
+        candidates.to_vec(),
+        total,
+    );
     comm.charge_io(ctx.local_bytes());
     let stats = count_batch_charged(comm, &mut *counter, &ctx.local, &OwnershipFilter::all());
 

@@ -14,7 +14,7 @@
 //!
 //! Compared to CD, PDM pays an extra `O(B)` reduction (B = bucket count)
 //! and the subset-hashing compute, and saves the tree build + counting
-//! for every pruned candidate. The `exp_pdm` experiment measures the
+//! for every pruned candidate. The `exp pdm` experiment measures the
 //! trade.
 
 use crate::cd;
@@ -31,12 +31,12 @@ pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
     k: usize,
-    candidates: Vec<ItemSet>,
+    candidates: &[ItemSet],
     params: &ParallelParams,
     buckets: usize,
     filter_passes: usize,
 ) -> Result<PassResult, RecvFault> {
-    let total = candidates.len();
+    let pruned: Vec<ItemSet>;
     let candidates = if k >= 2 && k <= 1 + filter_passes {
         // Build the local bucket table for this pass's subset size over
         // the local slice.
@@ -55,17 +55,18 @@ pub(crate) fn count_pass(
         ctx.world(comm).try_allreduce_sum_u64(&mut counts)?;
         filter.set_counts(&counts);
         // Prune: identical on every rank (global counts, same candidates).
-        candidates
-            .into_iter()
+        pruned = candidates
+            .iter()
             .filter(|c| filter.admits(c, ctx.min_count))
-            .collect()
+            .cloned()
+            .collect();
+        &pruned
     } else {
         candidates
     };
     let counted = candidates.len();
     let mut result = cd::count_pass(comm, ctx, k, candidates, params)?;
     result.counted_candidates = Some(counted);
-    let _ = total;
     Ok(result)
 }
 

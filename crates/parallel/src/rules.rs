@@ -67,7 +67,8 @@ pub(crate) fn generate_rules_parallel(
                 .iter()
                 .map(|(_, rules)| rules.len() * 48)
                 .sum::<usize>();
-        let all: Vec<Vec<(usize, Vec<Rule>)>> = comm.world().allgather(mine, bytes);
+        let all: Vec<Vec<(usize, Vec<Rule>)>> =
+            crate::common::cannot_fail(comm.world().try_allgather(mine, bytes));
         // Reassemble in serial order by work index.
         let mut indexed: Vec<(usize, Vec<Rule>)> = all.into_iter().flatten().collect();
         indexed.sort_by_key(|(idx, _)| *idx);

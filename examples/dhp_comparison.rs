@@ -2,7 +2,7 @@
 //!
 //! DHP's bucket filter kills most of the pass-2 candidates before any
 //! hash tree is built, and its transaction trimming shrinks every later
-//! scan — the ideas PDM parallelizes (see `exp_pdm`).
+//! scan — the ideas PDM parallelizes (see `exp pdm`).
 //!
 //! ```sh
 //! cargo run --release --example dhp_comparison

@@ -57,6 +57,16 @@ fn brute_counts(cands: &[ItemSet], txs: &[Transaction]) -> Vec<u64> {
         .collect()
 }
 
+/// Drops and delays only: transient faults cost time, never answers, and
+/// (with no crash to recover from) leave adaptive placement switched on.
+fn transient_plan(seed: u64) -> armine::mpsim::FaultPlan {
+    armine::mpsim::FaultPlan::new()
+        .seed(seed)
+        .drop_rate(0.15)
+        .delays(0.1, 1e-4)
+        .rto(1e-5)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -264,9 +274,11 @@ proptest! {
     }
 
     /// A heterogeneous cluster never changes the mined lattice — under
-    /// either placement policy, every formulation returns bit-identical
-    /// itemsets to the homogeneous run. Speeds and placement move work
-    /// and time, never answers.
+    /// either placement policy, with or without transient faults (which,
+    /// having no crashes, leave adaptive re-balancing on), every
+    /// formulation returns bit-identical itemsets to the homogeneous
+    /// fault-free run. Speeds, placement and lost messages move work and
+    /// time, never answers.
     #[test]
     fn heterogeneity_and_placement_preserve_the_lattice(
         raw_txs in prop::collection::vec(arb_transaction(14, 8), 4..30),
@@ -274,6 +286,7 @@ proptest! {
         adaptive in 0u32..2,
         slow_rank in 0usize..4,
         speed_num in 1u32..9,
+        fault_seed in 0u64..6, // 0: no fault plan
     ) {
         use armine::mpsim::{ClusterProfile, MachineProfile};
         use armine::parallel::{Algorithm, ParallelMiner, ParallelParams, PlacementPolicy};
@@ -302,9 +315,11 @@ proptest! {
         let procs = 4;
         let cluster = ClusterProfile::uniform(MachineProfile::cray_t3e())
             .speed(slow_rank, f64::from(speed_num) / 4.0);
+        let plan = (fault_seed > 0).then(|| transient_plan(fault_seed));
         let hetero = ParallelMiner::new(procs)
             .cluster(cluster)
-            .mine(algorithm, &dataset, &params);
+            .mine_with_faults(algorithm, &dataset, &params, plan.as_ref())
+            .expect("transient faults are recoverable");
         let homo = ParallelMiner::new(procs).mine(algorithm, &dataset, &params);
         let a: Vec<(ItemSet, u64)> =
             hetero.frequent.iter().map(|(s, c)| (s.clone(), c)).collect();
@@ -376,6 +391,45 @@ fn sized_fan_out_holds_leaf_occupancy_constant() {
         assert!(
             *large <= params.max_leaf as f64 && *large <= 1.25 * small,
             "candidates checked per visited leaf grew with M: {checks_per_visit:?}"
+        );
+    }
+}
+
+/// The transient plan of `heterogeneity_and_placement_preserve_the_lattice`
+/// really bites: on a fixed workload it forces retransmits through the
+/// adaptive re-balancing exchange, and the lattice still equals the
+/// homogeneous fault-free one.
+#[test]
+fn transient_plan_bites_under_adaptive_placement() {
+    use armine::mpsim::{ClusterProfile, MachineProfile};
+    use armine::parallel::{Algorithm, ParallelMiner, ParallelParams, PlacementPolicy};
+    let dataset = armine::datagen::QuestParams::paper_t15_i6()
+        .num_transactions(300)
+        .num_items(60)
+        .num_patterns(20)
+        .seed(83)
+        .generate();
+    let params = ParallelParams::with_min_support_count(9)
+        .page_size(40)
+        .max_k(3);
+    let cluster = ClusterProfile::uniform(MachineProfile::cray_t3e()).speed(1, 0.25);
+    // CD re-slices transactions between ranks, IDD re-packs candidates.
+    for algorithm in [Algorithm::Cd, Algorithm::Idd] {
+        let want = ParallelMiner::new(4).mine(algorithm, &dataset, &params);
+        let got = ParallelMiner::new(4)
+            .cluster(cluster.clone())
+            .mine_with_faults(
+                algorithm,
+                &dataset,
+                &params.placement(PlacementPolicy::Adaptive),
+                Some(&transient_plan(7)),
+            )
+            .expect("transient faults are recoverable");
+        assert!(got.total_retransmits() > 0, "{}", algorithm.name());
+        assert!(
+            got.frequent.iter().eq(want.frequent.iter()),
+            "{} diverged",
+            algorithm.name()
         );
     }
 }
