@@ -2,6 +2,7 @@
 //! operation, and the effect of IDD's bitmap root filter.
 
 use armine_core::bitmap::ItemBitmap;
+use armine_core::counter::CounterBackend;
 use armine_core::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
 use armine_core::trie::CandidateTrie;
 use armine_core::{Item, ItemSet, Transaction};
@@ -72,7 +73,10 @@ fn bench_subset(c: &mut Criterion) {
 
 /// Pass 2's shape, wide and shallow: every pair over 650 items (210,925
 /// candidates) against T15-length transactions. Under a fixed fan-out of
-/// 8 this tree has 64 leaves of ~3.3K candidates each.
+/// 8 this tree has 64 leaves of ~3.3K candidates each. The `trie_*` and
+/// `vertical_*` rows are what those backends count pass 2 with, built the
+/// way every caller builds them, so the three structures' pass-2 cost
+/// sits in one table.
 fn bench_k2_wide(c: &mut Criterion) {
     let cands: Vec<ItemSet> = (0..650u32)
         .flat_map(|a| (a + 1..650).map(move |b| ItemSet::from([a, b])))
@@ -90,6 +94,20 @@ fn bench_k2_wide(c: &mut Criterion) {
         let mut tree = HashTree::build(2, HashTreeParams::default(), cands.clone());
         b.iter(|| tree.count_all(std::hint::black_box(&txs), &OwnershipFilter::all()));
     });
+    for backend in [CounterBackend::Trie, CounterBackend::Vertical] {
+        let build = |cands| backend.build(2, HashTreeParams::default(), cands);
+        group.bench_function(format!("{}_build", backend.name()), |b| {
+            b.iter_batched(
+                || cands.clone(),
+                |cands| build(std::hint::black_box(cands)),
+                BatchSize::LargeInput,
+            );
+        });
+        group.bench_function(format!("{}_count_1000tx", backend.name()), |b| {
+            let mut counter = build(cands.clone());
+            b.iter(|| counter.count_all(std::hint::black_box(&txs), &OwnershipFilter::all()));
+        });
+    }
     group.finish();
 }
 

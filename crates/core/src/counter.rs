@@ -14,13 +14,17 @@
 //! implementations (Borgelt's, Bodon's), and the Eclat-style
 //! [`VerticalCounter`], which pivots
 //! each batch into per-item tid bitmaps and counts by AND + popcount
-//! instead of walking transaction subsets at all. Structure choice dominating
+//! instead of walking transaction subsets at all. At `k = 2` the latter two
+//! share one direct pair table (one probe per item pair, the classic
+//! Apriori pass-2 specialisation), which [`CounterBackend::build`] alone
+//! knows about. Structure choice dominating
 //! Apriori runtime is the point of Singh et al. (arXiv:1511.07017);
 //! making it a measured experiment instead of an architectural fact is
 //! the point of this seam.
 
 use crate::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
 use crate::itemset::ItemSet;
+use crate::pairs::PairCounter;
 use crate::transaction::Transaction;
 use crate::trie::CandidateTrie;
 use crate::vertical::VerticalCounter;
@@ -363,12 +367,27 @@ impl CounterBackend {
     /// Builds the selected structure over one pass's size-`k`
     /// candidates. `tree` shapes the hash tree and is ignored by the
     /// other backends.
+    ///
+    /// At `k = 2` the trie and the vertical backend count through the
+    /// direct pair table of the `pairs` module (one probe per item pair)
+    /// in place of their own structure, unless the candidates are so
+    /// sparse over their item universe that the table would dwarf them.
+    /// The hash tree is built at every `k`: it is the paper's model, and
+    /// the virtual-time goldens are priced from its ledger.
     pub fn build(
         self,
         k: usize,
         tree: HashTreeParams,
         candidates: Vec<ItemSet>,
     ) -> Box<dyn CandidateCounter> {
+        let candidates = if k == 2 && self != CounterBackend::HashTree {
+            match PairCounter::build(candidates) {
+                Ok(pairs) => return Box::new(pairs),
+                Err(too_sparse) => too_sparse,
+            }
+        } else {
+            candidates
+        };
         match self {
             CounterBackend::HashTree => Box::new(HashTree::build(k, tree, candidates)),
             CounterBackend::Trie => Box::new(CandidateTrie::build(k, candidates)),

@@ -59,6 +59,7 @@ pub mod io;
 pub mod item;
 pub mod itemset;
 pub mod model;
+mod pairs;
 pub mod rules;
 pub mod stable_hash;
 pub mod stats;

@@ -33,7 +33,6 @@ use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::tidlist::intersect_sorted;
 use crate::transaction::Transaction;
-use std::collections::HashMap;
 
 /// A set of transaction positions within one batch, in the cheaper of the
 /// two representations for its density.
@@ -146,36 +145,51 @@ impl VerticalCounter {
     /// If any candidate's size differs from `k`, or `k == 0`.
     pub fn build(k: usize, candidates: Vec<ItemSet>) -> Self {
         assert!(k >= 1, "candidate size must be at least 1");
-        let mut vc = VerticalCounter {
-            k,
-            candidates: Vec::with_capacity(candidates.len()),
-            order: Vec::new(),
-            items: Vec::new(),
-            stats: CounterStats::default(),
-        };
-        let mut slots: HashMap<ItemSet, u32> = HashMap::with_capacity(candidates.len());
-        for set in candidates {
+        for set in &candidates {
             assert_eq!(set.len(), k, "candidate {set} has wrong size for k={k}");
-            vc.stats.inserts += 1;
-            if !slots.contains_key(&set) {
-                slots.insert(set.clone(), vc.candidates.len() as u32);
-                vc.candidates.push((set, 0));
-            }
         }
-        vc.items = vc
-            .candidates
+        let inserts = candidates.len() as u64;
+        // Offered positions in lexicographic order. The sort is stable, so
+        // the first occurrence leads each run of equal candidates and is
+        // the one `dedup_by` keeps.
+        let mut order: Vec<u32> = (0..candidates.len() as u32).collect();
+        order.sort_by(|&a, &b| candidates[a as usize].cmp(&candidates[b as usize]));
+        order.dedup_by(|later, first| candidates[*later as usize] == candidates[*first as usize]);
+        // Offered position → slot among the kept, in insertion order.
+        const DROPPED: u32 = u32::MAX;
+        let mut slot_of = vec![DROPPED; candidates.len()];
+        for &position in &order {
+            slot_of[position as usize] = 0;
+        }
+        let kept = slot_of.iter_mut().filter(|slot| **slot != DROPPED);
+        for (slot, index) in kept.zip(0u32..) {
+            *slot = index;
+        }
+        for position in &mut order {
+            *position = slot_of[*position as usize];
+        }
+        let candidates: Vec<(ItemSet, u64)> = candidates
+            .into_iter()
+            .zip(&slot_of)
+            .filter(|&(_, &slot)| slot != DROPPED)
+            .map(|(set, _)| (set, 0))
+            .collect();
+        let mut items: Vec<Item> = candidates
             .iter()
             .flat_map(|(s, _)| s.items().iter().copied())
             .collect();
-        vc.items.sort_unstable();
-        vc.items.dedup();
-        vc.order = (0..vc.candidates.len() as u32).collect();
-        vc.order.sort_by(|&a, &b| {
-            vc.candidates[a as usize]
-                .0
-                .cmp(&vc.candidates[b as usize].0)
-        });
-        vc
+        items.sort_unstable();
+        items.dedup();
+        VerticalCounter {
+            k,
+            candidates,
+            order,
+            items,
+            stats: CounterStats {
+                inserts,
+                ..CounterStats::default()
+            },
+        }
     }
 
     /// The candidate size this counter was built for.
@@ -538,6 +552,33 @@ mod tests {
         assert_eq!(vc.num_candidates(), 1);
         vc.count_all(&[tx(0, &[1, 2, 3])], &ALL());
         assert_eq!(vc.count_of(&set(&[1, 2])), Some(1));
+    }
+
+    /// Duplicates scattered through the offer keep their first slot, and
+    /// the survivors stay in insertion order with a consistent sweep order.
+    #[test]
+    fn interleaved_duplicates_keep_first_slot_and_insertion_order() {
+        let offered = vec![
+            set(&[2, 3, 4]),
+            set(&[1, 2, 3]),
+            set(&[2, 3, 4]),
+            set(&[1, 3, 4]),
+            set(&[1, 2, 3]),
+        ];
+        let mut vc = VerticalCounter::build(3, offered);
+        assert_eq!(vc.stats().inserts, 5);
+        assert_eq!(vc.num_candidates(), 3);
+        assert_eq!(vc.order, vec![1, 2, 0]);
+        vc.count_all(&[tx(0, &[1, 2, 3]), tx(1, &[1, 2, 3, 4])], &ALL());
+        assert_eq!(vc.count_vector(), vec![1, 2, 1]);
+        assert_eq!(
+            vc.frequent(1),
+            vec![
+                (set(&[2, 3, 4]), 1),
+                (set(&[1, 2, 3]), 2),
+                (set(&[1, 3, 4]), 1)
+            ]
+        );
     }
 
     #[test]

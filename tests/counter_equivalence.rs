@@ -5,7 +5,7 @@
 //! formulation on both the simulated and the native execution backend.
 
 use armine::core::binpack::{partition_by_first_item, partition_two_level};
-use armine::core::counter::CounterBackend;
+use armine::core::counter::{CounterBackend, CounterStats};
 use armine::core::hashtree::{HashTreeParams, OwnershipFilter};
 use armine::core::rules::generate_rules;
 use armine::core::{Item, ItemSet, Transaction};
@@ -13,6 +13,8 @@ use armine::datagen::QuestParams;
 use armine::mpsim::ExecBackend;
 use armine::parallel::{Algorithm, ParallelMiner, ParallelParams};
 use proptest::prelude::*;
+use rand::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a transaction as a set of item ids below `universe`.
 fn arb_transaction(universe: u32, max_len: usize) -> impl Strategy<Value = Vec<u32>> {
@@ -175,6 +177,205 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// The two backends whose pass 2 [`CounterBackend::build`] routes through
+/// the direct pair table.
+const PAIR_TABLE_BACKENDS: [CounterBackend; 2] = [CounterBackend::Trie, CounterBackend::Vertical];
+
+/// `F₁` for the pass-2 tests: the odd ids 3..=61, so every even id and
+/// every id above 61 is outside the candidates' universe.
+fn odd_items() -> Vec<Item> {
+    (3..62).step_by(2).map(Item).collect()
+}
+
+/// Seeded transactions over ids 0..70 and the far-off id 5000: some empty,
+/// some with a single item, most mixing `F₁` items with outsiders.
+fn pass2_transactions() -> Vec<Transaction> {
+    let mut rng = StdRng::seed_from_u64(1997);
+    (0..300u64)
+        .map(|tid| {
+            let len = rng.gen_range(0..=16usize);
+            let mut ids: Vec<u32> = (0..70).chain([5000]).collect();
+            ids.shuffle(&mut rng);
+            Transaction::new(tid, ids[..len].iter().map(|&id| Item(id)).collect())
+        })
+        .collect()
+}
+
+/// Pass 2 through the seam, for every shape of `C₂` share the parallel
+/// formulations hand a rank: all of `F₁ × F₁`, a first-item partition, a
+/// partition with split first items, DD's contiguous chunks, and an offer
+/// with duplicates. Both pair-table backends must equal brute force in
+/// counts, in `count_of`, and in the insertion order of `frequent`.
+#[test]
+fn pass2_equals_brute_force_on_every_share_shape() {
+    let full = Transaction::new(0, odd_items()).k_subsets(2);
+    let txs = pass2_transactions();
+    assert!(txs.iter().any(|t| t.len() < 2) && txs.iter().any(|t| t.contains(Item(5000))));
+    let capacities = [1.0, 1.0, 1.0];
+    let by_first = partition_by_first_item(&full, 64, &capacities);
+    let two_level = partition_two_level(&full, 64, &capacities, 20);
+    let split_firsts = two_level
+        .parts
+        .iter()
+        .flat_map(|part| part.iter().map(|c| c.first()).collect::<BTreeSet<_>>())
+        .count();
+    assert!(
+        split_firsts > odd_items().len() - 1,
+        "no first item was split"
+    );
+    let twice: Vec<ItemSet> = full.iter().chain(full.iter().rev()).cloned().collect();
+
+    let all = OwnershipFilter::all();
+    let mut shares: Vec<(&str, &[ItemSet], &OwnershipFilter)> =
+        vec![("full", &full, &all), ("duplicates", &twice, &all)];
+    shares.extend(
+        by_first
+            .parts
+            .iter()
+            .zip(&by_first.filters)
+            .map(|(p, f)| ("first-item", &p[..], f)),
+    );
+    shares.extend(
+        two_level
+            .parts
+            .iter()
+            .zip(&two_level.filters)
+            .map(|(p, f)| ("two-level", &p[..], f)),
+    );
+    // 100 does not divide a row boundary: each chunk's first row starts
+    // above its first item's own rank + 1.
+    shares.extend(full.chunks(100).map(|chunk| ("dd-chunk", chunk, &all)));
+
+    for (shape, offered, filter) in shares {
+        let mut distinct = offered.to_vec();
+        let mut seen = BTreeSet::new();
+        distinct.retain(|c| seen.insert(c.clone()));
+        let want = brute_force(&distinct, &txs, filter);
+        let want_frequent: Vec<(ItemSet, u64)> = distinct
+            .iter()
+            .cloned()
+            .zip(want.iter().copied())
+            .filter(|&(_, count)| count >= 2)
+            .collect();
+        for backend in PAIR_TABLE_BACKENDS {
+            let mut counter = backend.build(2, HashTreeParams::default(), offered.to_vec());
+            assert_eq!(counter.stats().inserts, offered.len() as u64, "{shape}");
+            assert_eq!(counter.num_candidates(), distinct.len(), "{shape}");
+            counter.count_all(&txs, filter);
+            assert_eq!(
+                counter.count_vector(),
+                want,
+                "{shape} on {}",
+                backend.name()
+            );
+            assert_eq!(
+                counter.frequent(2),
+                want_frequent,
+                "{shape} on {}",
+                backend.name()
+            );
+            for (c, w) in distinct.iter().zip(&want) {
+                assert_eq!(counter.count_of(c), Some(*w), "{shape}: {c}");
+            }
+            assert_eq!(counter.count_of(&ItemSet::from([4, 5])), None);
+            assert_eq!(
+                counter.stats().intersection_words,
+                0,
+                "{shape}: {} did not build the pair table",
+                backend.name()
+            );
+        }
+    }
+}
+
+/// Candidates scattered over a universe far larger than their number take
+/// the fallback: each backend builds its own structure (told apart by the
+/// ledger) and the counts are the same.
+#[test]
+fn sparse_pass2_candidates_fall_back_to_the_backends_own_structure() {
+    let cands: Vec<ItemSet> = (0..20u32)
+        .map(|i| ItemSet::from([i, 1000 + 50 * i]))
+        .collect();
+    let txs = to_transactions(&[
+        vec![0, 1, 2, 1000, 1050],
+        vec![1, 1050],
+        vec![1050],
+        vec![19, 1950, 1951],
+        vec![2, 3, 4, 5],
+    ]);
+    let all = OwnershipFilter::all();
+    let want = brute_force(&cands, &txs, &all);
+    assert_eq!(want.iter().sum::<u64>(), 4);
+    let item_occurrences: u64 = txs.iter().map(|t| t.len() as u64).sum();
+    for backend in PAIR_TABLE_BACKENDS {
+        let mut counter = backend.build(2, HashTreeParams::default(), cands.clone());
+        counter.count_all(&txs, &all);
+        assert_eq!(counter.count_vector(), want, "backend {}", backend.name());
+        let stats = counter.stats();
+        match backend {
+            CounterBackend::Vertical => assert!(stats.intersection_words > 0),
+            // The trie steps once per matched child; the pair table would
+            // have stepped once per item of every transaction it ranked.
+            _ => assert!(stats.traversal_steps < item_occurrences),
+        }
+    }
+}
+
+/// The pair table's ledger, pinned: one `traversal_steps` per item of a
+/// transaction with at least two items and one per probe inside a row's
+/// span, `distinct_leaf_visits` = `candidate_checks` = increments,
+/// `inserts` = candidates offered, no `intersection_words`. And the
+/// seam's ordering guarantees: `count_vector`, `set_count_vector` and
+/// `frequent` index the distinct candidates in insertion order.
+#[test]
+fn pass2_ledger_and_insertion_order_are_pinned() {
+    // Ranks 1→0, 3→1, 4→2, 5→3. Row of 1 spans {3, 4, 5} with a hole at
+    // {1, 4}; rows of 3 and 4 hold one cell each.
+    let offered: Vec<ItemSet> = [[3, 4], [1, 5], [1, 3], [1, 5], [4, 5]]
+        .into_iter()
+        .map(ItemSet::from)
+        .collect();
+    let txs = to_transactions(&[
+        vec![1, 2, 3, 4], // 4 items; probes {1,3} hit, {1,4} hole, {3,4} hit
+        vec![1, 4, 5, 9], // 4 items; probes {1,4} hole, {1,5} hit, {4,5} hit
+        vec![3],          // shorter than 2: a transaction, nothing else
+        vec![3, 5],       // 2 items; {3,5} is outside row 3's span: no probe
+        vec![1, 3],       // 2 items; probe {1,3} hit
+    ]);
+    for backend in PAIR_TABLE_BACKENDS {
+        let mut counter = backend.build(2, HashTreeParams::default(), offered.clone());
+        assert_eq!(counter.num_candidates(), 4);
+        counter.count_all(&txs, &OwnershipFilter::all());
+        assert_eq!(
+            counter.stats(),
+            CounterStats {
+                inserts: 5,
+                transactions: 5,
+                root_starts: 6,
+                traversal_steps: (4 + 4 + 2 + 2) + (3 + 3 + 1),
+                distinct_leaf_visits: 5,
+                candidate_checks: 5,
+                intersection_words: 0,
+            },
+            "backend {}",
+            backend.name()
+        );
+        assert_eq!(counter.count_vector(), vec![1, 1, 2, 1]);
+        counter.set_count_vector(&[7, 0, 9, 2]);
+        assert_eq!(counter.count_vector(), vec![7, 0, 9, 2]);
+        assert_eq!(
+            counter.frequent(2),
+            vec![
+                (ItemSet::from([3, 4]), 7),
+                (ItemSet::from([1, 3]), 9),
+                (ItemSet::from([4, 5]), 2)
+            ]
+        );
+        assert_eq!(counter.count_of(&ItemSet::from([1, 5])), Some(0));
+        assert_eq!(counter.count_of(&ItemSet::from([1, 4])), None);
     }
 }
 

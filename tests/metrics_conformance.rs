@@ -215,7 +215,9 @@ proptest! {
 
 /// All three counting backends record the same series set; the `counter`
 /// base label distinguishes the runs, and only the vertical backend's
-/// intersection-word ledger is non-zero.
+/// intersection-word ledger is non-zero. The run must reach pass 3
+/// (`max_k >= 3`): pass 2 under the vertical backend counts through the
+/// pair table, so a run that stops there legitimately records zero words.
 #[test]
 fn counting_backends_conform_and_are_distinguished_by_label() {
     let dataset = quest(250, 60, 20, 99);
