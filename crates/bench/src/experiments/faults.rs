@@ -223,10 +223,15 @@ pub fn measure_both(n: usize) -> Vec<FaultPoint> {
 pub fn run_both_backends() -> Table {
     let n = env_usize("ARMINE_FAULTS_N", BOTH_TRANSACTIONS);
     let points = measure_both(n);
-    match write_json(n, &points) {
+    match write_bench_json("BENCH_faults", &document(n, &points)) {
         Ok(path) => println!("(json: {})", path.display()),
         Err(e) => eprintln!("(json write failed: {e})"),
     }
+    both_table(&points)
+}
+
+/// Renders sweep 3's points as the comparison table.
+fn both_table(points: &[FaultPoint]) -> Table {
     let mut table = Table::new(
         "Fault overhead — sim-predicted vs native-measured (CD, P=4)",
         &[
@@ -239,7 +244,7 @@ pub fn run_both_backends() -> Table {
             "recoveries",
         ],
     );
-    for p in &points {
+    for p in points {
         table.row(&[
             &p.scenario,
             &p.backend,
@@ -253,11 +258,11 @@ pub fn run_both_backends() -> Table {
     table
 }
 
-/// Registry-snapshot JSON: each point lands as response/overhead gauges
-/// and the three fault counters under
+/// The registry-snapshot document: each point lands as response/overhead
+/// gauges and the three fault counters under
 /// `{scenario, backend, fault_plan, algorithm="CD", procs}` — sim-predicted
 /// vs measured recovery cost as a label join on `backend`.
-fn write_json(n: usize, points: &[FaultPoint]) -> std::io::Result<std::path::PathBuf> {
+fn document(n: usize, points: &[FaultPoint]) -> BenchDocument {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut shard = MetricShard::new();
     for p in points {
@@ -273,14 +278,13 @@ fn write_json(n: usize, points: &[FaultPoint]) -> std::io::Result<std::path::Pat
         shard.incr(names::RUN_TIMEOUTS, labels.clone(), p.timeouts);
         shard.incr(names::RUN_RECOVERIES, labels, p.recoveries);
     }
-    let doc = BenchDocument::new(
+    BenchDocument::new(
         "fault_overhead_sim_vs_native",
         shard.snapshot(&Labels::new()),
     )
     .with_context("workload", JsonValue::Str("T15.I6".into()))
     .with_context("transactions", JsonValue::UInt(n as u64))
-    .with_context("host_cores", JsonValue::UInt(cores as u64));
-    write_bench_json("BENCH_faults", &doc)
+    .with_context("host_cores", JsonValue::UInt(cores as u64))
 }
 
 #[cfg(test)]
@@ -290,9 +294,8 @@ mod tests {
     #[test]
     fn both_backends_sweep_emits_all_cells_and_the_json() {
         crate::report::use_scratch_experiments_dir();
-        std::env::set_var("ARMINE_FAULTS_N", "400");
-        let table = run_both_backends();
-        std::env::remove_var("ARMINE_FAULTS_N");
+        let points = measure_both(400);
+        let table = both_table(&points);
         // Four scenarios x two backends.
         assert_eq!(table.len(), 8);
         let crash_rows: Vec<_> = table
@@ -306,13 +309,12 @@ mod tests {
             let recoveries: u64 = row[6].parse().unwrap();
             assert!(recoveries > 0, "crash scenario must recover: {row:?}");
         }
-        let json =
-            std::fs::read_to_string(crate::report::experiments_dir().join("BENCH_faults.json"))
-                .unwrap();
-        let doc = BenchDocument::parse(&json).unwrap();
+        let doc = document(400, &points);
+        let path = write_bench_json("BENCH_faults", &doc).unwrap();
+        assert_eq!(std::fs::read_to_string(path).unwrap(), doc.to_json());
         assert_eq!(doc.benchmark, "fault_overhead_sim_vs_native");
         // Both backends are present, and the crash scenario's committed
-        // recoveries survived the export on each.
+        // recoveries reached the snapshot on each.
         for backend in ["sim", "native"] {
             let recoveries = doc.snapshot.counter_sum(
                 names::RUN_RECOVERIES,

@@ -175,10 +175,15 @@ pub fn run() -> Table {
     let n = env_usize("ARMINE_HETERO_N", DEFAULT_TRANSACTIONS);
     let mut points = measure(n);
     points.extend(measure_native(n));
-    match write_json(n, &points) {
+    match write_bench_json("BENCH_hetero", &document(n, &points)) {
         Ok(path) => println!("(json: {})", path.display()),
         Err(e) => eprintln!("(json write failed: {e})"),
     }
+    table(&points)
+}
+
+/// Renders the points as the table.
+fn table(points: &[HeteroPoint]) -> Table {
     let mut table = Table::new(
         "Heterogeneous clusters — static vs adaptive placement (sim P=16, native P=4)",
         &[
@@ -190,7 +195,7 @@ pub fn run() -> Table {
             "vs static",
         ],
     );
-    for p in &points {
+    for p in points {
         table.row(&[
             &p.scenario,
             &p.algorithm,
@@ -203,11 +208,11 @@ pub fn run() -> Table {
     table
 }
 
-/// Registry-snapshot JSON: each cell lands as a response gauge and its
-/// gain-vs-static gauge under `{scenario, algorithm, backend, procs}` —
-/// the placement policy rides the `scenario` label, so static vs adaptive
-/// is a label join on the mix prefix.
-fn write_json(n: usize, points: &[HeteroPoint]) -> std::io::Result<std::path::PathBuf> {
+/// The registry-snapshot document: each cell lands as a response gauge
+/// and its gain-vs-static gauge under `{scenario, algorithm, backend,
+/// procs}` — the placement policy rides the `scenario` label, so static vs
+/// adaptive is a label join on the mix prefix.
+fn document(n: usize, points: &[HeteroPoint]) -> BenchDocument {
     let mut shard = MetricShard::new();
     for p in points {
         let labels = Labels::new()
@@ -218,10 +223,9 @@ fn write_json(n: usize, points: &[HeteroPoint]) -> std::io::Result<std::path::Pa
         shard.set_gauge(names::RUN_RESPONSE_SECONDS, labels.clone(), p.response_s);
         shard.set_gauge(names::RUN_OVERHEAD_PCT, labels, p.vs_static_pct);
     }
-    let doc = BenchDocument::new("hetero_placement", shard.snapshot(&Labels::new()))
+    BenchDocument::new("hetero_placement", shard.snapshot(&Labels::new()))
         .with_context("workload", JsonValue::Str("T15.I6".into()))
-        .with_context("transactions", JsonValue::UInt(n as u64));
-    write_bench_json("BENCH_hetero", &doc)
+        .with_context("transactions", JsonValue::UInt(n as u64))
 }
 
 #[cfg(test)]
@@ -231,16 +235,14 @@ mod tests {
     #[test]
     fn hetero_sweep_emits_all_cells_and_the_json() {
         crate::report::use_scratch_experiments_dir();
-        std::env::set_var("ARMINE_HETERO_N", "600");
-        let table = run();
-        std::env::remove_var("ARMINE_HETERO_N");
+        let mut points = measure(600);
+        points.extend(measure_native(600));
         // Five mixes x two algorithms x two placements, plus the native
         // pair.
-        assert_eq!(table.len(), 22);
-        let json =
-            std::fs::read_to_string(crate::report::experiments_dir().join("BENCH_hetero.json"))
-                .unwrap();
-        let doc = BenchDocument::parse(&json).unwrap();
+        assert_eq!(table(&points).len(), 22);
+        let doc = document(600, &points);
+        let path = write_bench_json("BENCH_hetero", &doc).unwrap();
+        assert_eq!(std::fs::read_to_string(path).unwrap(), doc.to_json());
         assert_eq!(doc.benchmark, "hetero_placement");
         // Both placements of the most skewed mix made it into the
         // snapshot, and adaptive beat static there (the gauge is the

@@ -4,6 +4,7 @@
 //! processing real transactions.
 
 use crate::report::Table;
+use armine_core::counter::CandidateCounter;
 use armine_core::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
 use armine_core::model::expected_distinct_leaves;
 use armine_core::{Item, ItemSet, Transaction};

@@ -101,10 +101,15 @@ pub fn measure(procs_list: &[usize]) -> Vec<NativePoint> {
 pub fn run(procs_list: &[usize]) -> Table {
     let n = env_usize("ARMINE_NATIVE_N", NUM_TRANSACTIONS);
     let points = measure(procs_list);
-    match write_json(n, &points) {
+    match write_bench_json("BENCH_native", &document(n, &points)) {
         Ok(path) => println!("(json: {})", path.display()),
         Err(e) => eprintln!("(json write failed: {e})"),
     }
+    table(&points)
+}
+
+/// Renders the points as the comparison table.
+fn table(points: &[NativePoint]) -> Table {
     let mut table = Table::new(
         "Native vs virtual speedup (T15.I6, normalized to the smallest P)",
         &[
@@ -116,7 +121,7 @@ pub fn run(procs_list: &[usize]) -> Table {
             "measured speedup",
         ],
     );
-    for p in &points {
+    for p in points {
         table.row(&[
             &p.algorithm,
             &p.procs,
@@ -129,10 +134,10 @@ pub fn run(procs_list: &[usize]) -> Table {
     table
 }
 
-/// Registry-snapshot JSON: each point lands as a response-time gauge and
-/// a speedup gauge labeled `{algorithm, procs, backend}`, so the
+/// The registry-snapshot document: each point lands as a response-time
+/// gauge and a speedup gauge labeled `{algorithm, procs, backend}`, so the
 /// predicted-vs-measured comparison is a label join on `backend`.
-fn write_json(n: usize, points: &[NativePoint]) -> std::io::Result<std::path::PathBuf> {
+fn document(n: usize, points: &[NativePoint]) -> BenchDocument {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut shard = MetricShard::new();
     for p in points {
@@ -147,13 +152,12 @@ fn write_json(n: usize, points: &[NativePoint]) -> std::io::Result<std::path::Pa
         shard.set_gauge(names::RUN_SPEEDUP, at("sim"), p.virtual_speedup);
         shard.set_gauge(names::RUN_SPEEDUP, at("native"), p.measured_speedup);
     }
-    let doc = BenchDocument::new("native_vs_virtual_speedup", shard.snapshot(&Labels::new()))
+    BenchDocument::new("native_vs_virtual_speedup", shard.snapshot(&Labels::new()))
         .with_context("workload", JsonValue::Str("T15.I6".into()))
         .with_context("transactions", JsonValue::UInt(n as u64))
         .with_context("min_support", JsonValue::Float(MIN_SUPPORT))
         .with_context("max_k", JsonValue::UInt(MAX_K as u64))
-        .with_context("host_cores", JsonValue::UInt(cores as u64));
-    write_bench_json("BENCH_native", &doc)
+        .with_context("host_cores", JsonValue::UInt(cores as u64))
 }
 
 #[cfg(test)]
@@ -164,8 +168,9 @@ mod tests {
     fn sweep_produces_both_curves_and_the_json() {
         crate::report::use_scratch_experiments_dir();
         std::env::set_var("ARMINE_NATIVE_N", "400");
-        let table = run(&[1, 2]);
+        let points = measure(&[1, 2]);
         std::env::remove_var("ARMINE_NATIVE_N");
+        let table = table(&points);
         // Two algorithms x two processor counts.
         assert_eq!(table.len(), 4);
         for row in table.rows() {
@@ -173,10 +178,9 @@ mod tests {
             let measured_s: f64 = row[3].parse().unwrap();
             assert!(virtual_s > 0.0 && measured_s > 0.0, "{row:?}");
         }
-        let json =
-            std::fs::read_to_string(crate::report::experiments_dir().join("BENCH_native.json"))
-                .unwrap();
-        let doc = BenchDocument::parse(&json).unwrap();
+        let doc = document(400, &points);
+        let path = write_bench_json("BENCH_native", &doc).unwrap();
+        assert_eq!(std::fs::read_to_string(path).unwrap(), doc.to_json());
         assert_eq!(doc.benchmark, "native_vs_virtual_speedup");
         // 2 algos x 2 P x 2 backends, one response gauge + one speedup gauge each.
         assert_eq!(doc.snapshot.len(), 16);

@@ -200,23 +200,19 @@ pub fn run_full() -> (Table, Table) {
     let n = env_usize("ARMINE_STRUCTURES_N", NATIVE_TRANSACTIONS);
     let sim = measure_sim();
     let native = measure_native(n);
-    match write_json(n, &sim, &native) {
+    match write_bench_json("BENCH_structures", &document(n, &sim, &native)) {
         Ok(path) => println!("(json: {})", path.display()),
         Err(e) => eprintln!("(json write failed: {e})"),
     }
     (sim_table(&sim), native_table(n, &native))
 }
 
-/// Registry-snapshot JSON: sim points land as the seven counting-ledger
-/// counters plus a response gauge and a frequent-itemsets counter under
-/// `{algorithm, counter, procs, backend="sim"}`; native points as
-/// wall-clock counting/total gauges under
+/// The registry-snapshot document: sim points land as the seven
+/// counting-ledger counters plus a response gauge and a frequent-itemsets
+/// counter under `{algorithm, counter, procs, backend="sim"}`; native
+/// points as wall-clock counting/total gauges under
 /// `{algorithm="CD", counter, procs="1", backend="native"}`.
-fn write_json(
-    n: usize,
-    sim: &[SimPoint],
-    native: &[NativePoint],
-) -> std::io::Result<std::path::PathBuf> {
+fn document(n: usize, sim: &[SimPoint], native: &[NativePoint]) -> BenchDocument {
     let mut shard = MetricShard::new();
     for p in sim {
         let labels = Labels::new()
@@ -240,13 +236,12 @@ fn write_json(
         shard.set_gauge(&names::wall_time("total"), labels.clone(), p.total_s);
         shard.incr(names::RUN_FREQUENT, labels, p.frequent as u64);
     }
-    let doc = BenchDocument::new("counting_structures", shard.snapshot(&Labels::new()))
+    BenchDocument::new("counting_structures", shard.snapshot(&Labels::new()))
         .with_context("workload", JsonValue::Str("T10.I4".into()))
         .with_context("min_support", JsonValue::Float(MIN_SUPPORT))
         .with_context("max_k", JsonValue::UInt(MAX_K as u64))
         .with_context("sim_transactions", JsonValue::UInt(SIM_TRANSACTIONS as u64))
-        .with_context("native_transactions", JsonValue::UInt(n as u64));
-    write_bench_json("BENCH_structures", &doc)
+        .with_context("native_transactions", JsonValue::UInt(n as u64))
 }
 
 #[cfg(test)]
@@ -287,9 +282,9 @@ mod tests {
             assert!(p.counting_s >= 0.0 && p.total_s > 0.0, "{p:?}");
         }
         let sim = measure_sim();
-        let path = write_json(400, &sim, &points).unwrap();
-        let json = std::fs::read_to_string(path).unwrap();
-        let doc = BenchDocument::parse(&json).unwrap();
+        let doc = document(400, &sim, &points);
+        let path = write_bench_json("BENCH_structures", &doc).unwrap();
+        assert_eq!(std::fs::read_to_string(path).unwrap(), doc.to_json());
         assert_eq!(doc.benchmark, "counting_structures");
         // Native slice: one wall-clock counting gauge per counter backend.
         let native_series = doc

@@ -232,31 +232,29 @@ fn parse_algorithm(args: &Args) -> Result<Algorithm, ArgError> {
     })
 }
 
+/// Looks `name` up in `all` by `name_of` (ASCII case-insensitive): the
+/// one place a closed-set flag value is resolved or refused.
+fn choice<T: Copy>(
+    what: &str,
+    name: &str,
+    all: &[T],
+    name_of: impl Fn(&T) -> &'static str,
+) -> Result<T, ArgError> {
+    all.iter()
+        .find(|c| name_of(c).eq_ignore_ascii_case(name))
+        .copied()
+        .ok_or_else(|| {
+            let valid: Vec<&str> = all.iter().map(&name_of).collect();
+            ArgError(format!(
+                "unknown {what} {name:?} (valid: {})",
+                valid.join(", ")
+            ))
+        })
+}
+
 fn parse_counter(args: &Args) -> Result<CounterBackend, ArgError> {
     let name: String = args.or_default("counter", "hashtree".into())?;
-    CounterBackend::parse(&name).ok_or_else(|| {
-        let valid: Vec<&str> = CounterBackend::ALL.iter().map(|b| b.name()).collect();
-        ArgError(format!(
-            "unknown counter backend {name:?} (valid: {})",
-            valid.join(", ")
-        ))
-    })
-}
-
-fn lookup_machine(name: &str) -> Result<MachineProfile, ArgError> {
-    MachineProfile::by_key(name)
-        .ok_or_else(|| ArgError(format!("unknown machine {name:?} (valid: t3e, sp2, ideal)")))
-}
-
-fn parse_placement(args: &Args) -> Result<PlacementPolicy, ArgError> {
-    let name: String = args.or_default("placement", "static".into())?;
-    PlacementPolicy::parse(&name).ok_or_else(|| {
-        let valid: Vec<&str> = PlacementPolicy::ALL.iter().map(|p| p.name()).collect();
-        ArgError(format!(
-            "unknown placement {name:?} (valid: {})",
-            valid.join(", ")
-        ))
-    })
+    choice("counter backend", &name, &CounterBackend::ALL, |b| b.name())
 }
 
 fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
@@ -272,15 +270,10 @@ fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>>
     params.max_k = args.optional("max-k")?;
     params.memory_capacity = args.optional("memory-capacity")?;
     params.counter = parse_counter(args)?;
-    params.placement = parse_placement(args)?;
-    let backend_name: String = args.or_default("backend", "sim".into())?;
-    let backend = ExecBackend::parse(&backend_name).ok_or_else(|| {
-        let valid: Vec<&str> = ExecBackend::ALL.iter().map(|b| b.name()).collect();
-        ArgError(format!(
-            "unknown backend {backend_name:?} (valid: {})",
-            valid.join(", ")
-        ))
-    })?;
+    let placement: String = args.or_default("placement", "static".into())?;
+    params.placement = choice("placement", &placement, &PlacementPolicy::ALL, |p| p.name())?;
+    let backend: String = args.or_default("backend", "sim".into())?;
+    let backend = choice("backend", &backend, &ExecBackend::ALL, |b| b.name())?;
     let plan_path: Option<String> = args.optional("fault-plan")?;
     let metrics_path: Option<String> = args.optional("metrics-json")?;
     args.finish()?;
@@ -297,7 +290,11 @@ fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>>
             cluster.validate_for_procs(procs).map_err(ArgError)?;
             cluster
         }
-        (None, name) => ClusterProfile::uniform(lookup_machine(name.as_deref().unwrap_or("t3e"))?),
+        (None, name) => {
+            let name = name.as_deref().unwrap_or("t3e");
+            let (_, make) = choice("machine", name, &MachineProfile::PRESETS, |p| p.0)?;
+            ClusterProfile::uniform(make())
+        }
     };
 
     let dataset = read_transactions_auto(&input)?;
@@ -1290,7 +1287,7 @@ mod tests {
             "cray-3",
         ]);
         assert!(err.contains("valid: t3e, sp2, ideal"), "{err}");
-        // Machine keys are case-insensitive via MachineProfile::by_key.
+        // Machine keys are case-insensitive.
         let o = run_ok(&[
             "parallel",
             "--input",
@@ -1310,7 +1307,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_metrics_json_writes_a_parseable_snapshot() {
+    fn parallel_metrics_json_writes_the_runs_snapshot() {
         let db = temp("metrics.txt");
         run_ok(&[
             "gen",
@@ -1342,9 +1339,18 @@ mod tests {
             &json_path,
         ]);
         assert!(o.contains("metrics snapshot written"), "{o}");
-        let text = std::fs::read_to_string(&json_path).unwrap();
-        let doc = armine_metrics::json::BenchDocument::parse(&text).unwrap();
-        assert_eq!(doc.benchmark, "parallel_mine");
+        // The sim backend is deterministic: the same run through the
+        // library is the document the file must hold, byte for byte.
+        let dataset = read_transactions_auto(&db).unwrap();
+        let run = ParallelMiner::new(4).mine(
+            Algorithm::Cd,
+            &dataset,
+            &ParallelParams::with_min_support(0.03).max_k(3),
+        );
+        let doc = armine_metrics::json::BenchDocument::new("parallel_mine", run.metrics)
+            .with_context("input", armine_metrics::json::JsonValue::Str(db.clone()))
+            .with_context("transactions", armine_metrics::json::JsonValue::UInt(200));
+        assert_eq!(std::fs::read_to_string(&json_path).unwrap(), doc.to_json());
         assert!(!doc.snapshot.is_empty());
         // The run's base labels made it into every series.
         for series in doc.snapshot.series() {

@@ -11,8 +11,8 @@
 //! "unscalable with respect to the increasing size of candidate set" and
 //! that Figure 12 measures.
 
-use crate::counter::CounterBackend;
-use crate::hashtree::{HashTreeParams, OwnershipFilter, TreeStats};
+use crate::counter::{CounterBackend, CounterStats};
+use crate::hashtree::{HashTreeParams, OwnershipFilter};
 use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
@@ -211,7 +211,7 @@ pub struct PassInfo {
     /// Database scans this pass (1 unless memory-capped).
     pub db_scans: usize,
     /// Counting-structure work counters, summed over all partitions.
-    pub tree_stats: TreeStats,
+    pub tree_stats: CounterStats,
 }
 
 /// The result of a mining run: frequent itemsets plus per-pass accounting.
@@ -284,7 +284,7 @@ impl Apriori {
             candidates: f1.candidates,
             frequent: f1.frequent.len(),
             db_scans: 1,
-            tree_stats: TreeStats::default(),
+            tree_stats: CounterStats::default(),
         });
         let mut prev: Vec<ItemSet> = f1.frequent.iter().map(|(s, _)| s.clone()).collect();
         run.frequent.push_level(f1.frequent);
@@ -362,7 +362,7 @@ pub fn count_candidates(
     let total = candidates.len();
     let chunk = memory_capacity.unwrap_or(usize::MAX).min(total.max(1));
     let mut level = Vec::new();
-    let mut stats = TreeStats::default();
+    let mut stats = CounterStats::default();
     let mut scans = 0;
     let mut scan = |part: Vec<ItemSet>| {
         let mut counter = backend.build(k, tree_params, part);

@@ -211,132 +211,6 @@ pub trait CandidateCounter {
     fn wire_size(&self) -> usize;
 }
 
-impl CandidateCounter for HashTree {
-    fn k(&self) -> usize {
-        HashTree::k(self)
-    }
-
-    fn num_candidates(&self) -> usize {
-        HashTree::num_candidates(self)
-    }
-
-    fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
-        HashTree::count_all(self, transactions, filter);
-    }
-
-    fn count_of(&self, set: &ItemSet) -> Option<u64> {
-        HashTree::count_of(self, set)
-    }
-
-    fn count_vector(&self) -> Vec<u64> {
-        HashTree::count_vector(self)
-    }
-
-    fn set_count_vector(&mut self, counts: &[u64]) {
-        HashTree::set_count_vector(self, counts);
-    }
-
-    fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
-        HashTree::frequent(self, min_count)
-    }
-
-    fn stats(&self) -> CounterStats {
-        *HashTree::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        HashTree::reset_stats(self);
-    }
-
-    fn wire_size(&self) -> usize {
-        HashTree::wire_size(self)
-    }
-}
-
-impl CandidateCounter for CandidateTrie {
-    fn k(&self) -> usize {
-        CandidateTrie::k(self)
-    }
-
-    fn num_candidates(&self) -> usize {
-        CandidateTrie::num_candidates(self)
-    }
-
-    fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
-        CandidateTrie::count_all(self, transactions, filter);
-    }
-
-    fn count_of(&self, set: &ItemSet) -> Option<u64> {
-        CandidateTrie::count_of(self, set)
-    }
-
-    fn count_vector(&self) -> Vec<u64> {
-        CandidateTrie::count_vector(self)
-    }
-
-    fn set_count_vector(&mut self, counts: &[u64]) {
-        CandidateTrie::set_count_vector(self, counts);
-    }
-
-    fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
-        CandidateTrie::frequent(self, min_count)
-    }
-
-    fn stats(&self) -> CounterStats {
-        *CandidateTrie::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        CandidateTrie::reset_stats(self);
-    }
-
-    fn wire_size(&self) -> usize {
-        CandidateTrie::wire_size(self)
-    }
-}
-
-impl CandidateCounter for VerticalCounter {
-    fn k(&self) -> usize {
-        VerticalCounter::k(self)
-    }
-
-    fn num_candidates(&self) -> usize {
-        VerticalCounter::num_candidates(self)
-    }
-
-    fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
-        VerticalCounter::count_all(self, transactions, filter);
-    }
-
-    fn count_of(&self, set: &ItemSet) -> Option<u64> {
-        VerticalCounter::count_of(self, set)
-    }
-
-    fn count_vector(&self) -> Vec<u64> {
-        VerticalCounter::count_vector(self)
-    }
-
-    fn set_count_vector(&mut self, counts: &[u64]) {
-        VerticalCounter::set_count_vector(self, counts);
-    }
-
-    fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
-        VerticalCounter::frequent(self, min_count)
-    }
-
-    fn stats(&self) -> CounterStats {
-        *VerticalCounter::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        VerticalCounter::reset_stats(self);
-    }
-
-    fn wire_size(&self) -> usize {
-        VerticalCounter::wire_size(self)
-    }
-}
-
 /// Which counting structure to build — the config knob threaded from the
 /// CLI through `AprioriParams`/`ParallelParams` down to every pass.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

@@ -3,7 +3,7 @@
 //! tree's leaf-ordered candidate arrays plus its revisit stamp.
 
 use super::filter::OwnershipFilter;
-use super::stats::TreeStats;
+use crate::counter::CounterStats;
 use crate::item::Item;
 use crate::itemset::{sorted_subset, ItemSet};
 
@@ -145,7 +145,7 @@ pub(super) struct Walk<'a> {
     pub items: &'a [Item],
     /// Support counts in leaf order.
     pub counts: &'a mut [u64],
-    pub stats: &'a mut TreeStats,
+    pub stats: &'a mut CounterStats,
     /// The whole (sorted) transaction.
     pub titems: &'a [Item],
     pub k: usize,

@@ -28,11 +28,10 @@
 
 mod arena;
 mod filter;
-mod stats;
 
 pub use filter::OwnershipFilter;
-pub use stats::TreeStats;
 
+use crate::counter::{CandidateCounter, CounterStats};
 use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
@@ -93,6 +92,7 @@ impl HashTreeParams {
 /// A candidate hash tree for candidates of a fixed size `k`.
 ///
 /// ```
+/// use armine_core::counter::CandidateCounter;
 /// use armine_core::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
 /// use armine_core::{ItemSet, Transaction, Item};
 ///
@@ -115,7 +115,7 @@ pub struct HashTree {
     ids: Vec<u32>,
     arena: Arena,
     epoch: u64,
-    stats: TreeStats,
+    stats: CounterStats,
 }
 
 impl HashTree {
@@ -146,26 +146,11 @@ impl HashTree {
             ids,
             arena,
             epoch: 0,
-            stats: TreeStats {
+            stats: CounterStats {
                 inserts: candidates.len() as u64,
-                ..TreeStats::default()
+                ..CounterStats::default()
             },
         }
-    }
-
-    /// The candidate size `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of candidates stored (`M` for this processor's tree).
-    pub fn num_candidates(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether the tree holds no candidates.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
     }
 
     /// The hash-table fan-out this tree was built with.
@@ -215,30 +200,35 @@ impl HashTree {
         .run();
     }
 
+    /// The candidate at leaf position `pos`.
+    fn candidate(&self, pos: usize) -> &[Item] {
+        &self.items[pos * self.k..][..self.k]
+    }
+}
+
+impl CandidateCounter for HashTree {
+    fn k(&self) -> usize {
+        self.k
+    }
+
+    fn num_candidates(&self) -> usize {
+        self.counts.len()
+    }
+
     /// Runs `subset` for every transaction of a slice.
-    pub fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
+    fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
         for t in transactions {
             self.subset(t, filter);
         }
     }
 
-    /// The candidate at leaf position `pos`.
-    fn candidate(&self, pos: usize) -> &[Item] {
-        &self.items[pos * self.k..][..self.k]
-    }
-
-    /// The support count accumulated for `items`, or `None` if the set was
-    /// never inserted.
-    pub fn count_of(&self, items: &ItemSet) -> Option<u64> {
+    fn count_of(&self, items: &ItemSet) -> Option<u64> {
         (0..self.counts.len())
             .find(|&pos| self.candidate(pos) == items.items())
             .map(|pos| self.counts[pos])
     }
 
-    /// The raw count vector, ordered by insertion. This is what CD's global
-    /// reduction sums element-wise across processors (candidate order is
-    /// identical on every processor because `apriori_gen` is deterministic).
-    pub fn count_vector(&self) -> Vec<u64> {
+    fn count_vector(&self) -> Vec<u64> {
         let mut out = vec![0; self.counts.len()];
         for (&id, &count) in self.ids.iter().zip(&self.counts) {
             out[id as usize] = count;
@@ -246,12 +236,7 @@ impl HashTree {
         out
     }
 
-    /// Overwrites the count vector (after a global reduction delivers the
-    /// summed counts back).
-    ///
-    /// # Panics
-    /// If the length differs from the number of candidates.
-    pub fn set_count_vector(&mut self, counts: &[u64]) {
+    fn set_count_vector(&mut self, counts: &[u64]) {
         assert_eq!(
             counts.len(),
             self.counts.len(),
@@ -262,9 +247,7 @@ impl HashTree {
         }
     }
 
-    /// Extracts the frequent itemsets: candidates with `count >= min_count`,
-    /// with their counts, in insertion (lexicographic) order.
-    pub fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
+    fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
         let mut survivors: Vec<(u32, usize)> = (0..self.counts.len())
             .filter(|&pos| self.counts[pos] >= min_count)
             .map(|pos| (self.ids[pos], pos))
@@ -279,19 +262,17 @@ impl HashTree {
             .collect()
     }
 
-    /// Work counters accumulated so far.
-    pub fn stats(&self) -> &TreeStats {
-        &self.stats
+    fn stats(&self) -> CounterStats {
+        self.stats
     }
 
-    /// Resets the work counters (not the candidate counts).
-    pub fn reset_stats(&mut self) {
-        self.stats = TreeStats::default();
+    fn reset_stats(&mut self) {
+        self.stats = CounterStats::default();
     }
 
     /// Bytes needed to ship every candidate of this tree (4 bytes per item
     /// plus an 8-byte count), used by communication costing.
-    pub fn wire_size(&self) -> usize {
+    fn wire_size(&self) -> usize {
         self.counts.len() * (4 * self.k + 8)
     }
 }

@@ -9,15 +9,15 @@
 //! transaction, and no revisit bookkeeping — each candidate contained in
 //! the transaction is reached by exactly one path.
 //!
-//! The trie is a full [`CandidateCounter`](crate::counter::CandidateCounter)
-//! backend: it honors the [`OwnershipFilter`]'s root and second-level
-//! pruning (so IDD/HD partitioned counting works unchanged) and keeps the
+//! The trie is a full [`CandidateCounter`] backend: it honors the
+//! [`OwnershipFilter`]'s root and second-level pruning (so IDD/HD
+//! partitioned counting works unchanged) and keeps the
 //! same six-field work ledger as the hash tree, mapping child descents to
 //! `traversal_steps` and depth-`k` node arrivals to
 //! `distinct_leaf_visits` so the virtual-time model can charge either
 //! structure through one expression.
 
-use crate::counter::CounterStats;
+use crate::counter::{CandidateCounter, CounterStats};
 use crate::hashtree::OwnershipFilter;
 use crate::item::Item;
 use crate::itemset::ItemSet;
@@ -35,6 +35,7 @@ struct TrieNode {
 /// A counting trie for candidates of a fixed size `k`.
 ///
 /// ```
+/// use armine_core::counter::CandidateCounter;
 /// use armine_core::trie::CandidateTrie;
 /// use armine_core::hashtree::OwnershipFilter;
 /// use armine_core::{ItemSet, Transaction, Item};
@@ -98,16 +99,6 @@ impl CandidateTrie {
         }
     }
 
-    /// The candidate size this trie was built for.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of candidates stored.
-    pub fn num_candidates(&self) -> usize {
-        self.candidates.len()
-    }
-
     /// Number of trie nodes (diagnostics).
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
@@ -136,36 +127,39 @@ impl CandidateTrie {
         walker.walk(0, items, self.k, 0, Item(0));
     }
 
-    /// Counts a whole batch under one filter.
-    pub fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
+    /// `(candidate, count)` pairs in insertion order.
+    pub fn counts(&self) -> impl Iterator<Item = (&ItemSet, u64)> + '_ {
+        self.candidates.iter().map(|(s, c)| (s, *c))
+    }
+}
+
+impl CandidateCounter for CandidateTrie {
+    fn k(&self) -> usize {
+        self.k
+    }
+
+    fn num_candidates(&self) -> usize {
+        self.candidates.len()
+    }
+
+    fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
         for t in transactions {
             self.count(t, filter);
         }
     }
 
-    /// The accumulated count for `set`, or `None` if never inserted.
-    pub fn count_of(&self, set: &ItemSet) -> Option<u64> {
+    fn count_of(&self, set: &ItemSet) -> Option<u64> {
         self.candidates
             .iter()
             .find(|(s, _)| s == set)
             .map(|&(_, c)| c)
     }
 
-    /// `(candidate, count)` pairs in insertion order.
-    pub fn counts(&self) -> impl Iterator<Item = (&ItemSet, u64)> + '_ {
-        self.candidates.iter().map(|(s, c)| (s, *c))
-    }
-
-    /// Per-candidate counts in insertion order.
-    pub fn count_vector(&self) -> Vec<u64> {
+    fn count_vector(&self) -> Vec<u64> {
         self.candidates.iter().map(|&(_, c)| c).collect()
     }
 
-    /// Overwrites the per-candidate counts (after a global reduction).
-    ///
-    /// # Panics
-    /// If the length differs from [`num_candidates`](Self::num_candidates).
-    pub fn set_count_vector(&mut self, counts: &[u64]) {
+    fn set_count_vector(&mut self, counts: &[u64]) {
         assert_eq!(
             counts.len(),
             self.candidates.len(),
@@ -176,8 +170,7 @@ impl CandidateTrie {
         }
     }
 
-    /// Candidates with `count >= min_count`, insertion order.
-    pub fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
+    fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
         self.candidates
             .iter()
             .filter(|&&(_, c)| c >= min_count)
@@ -185,20 +178,18 @@ impl CandidateTrie {
             .collect()
     }
 
-    /// The accumulated work counters.
-    pub fn stats(&self) -> &CounterStats {
-        &self.stats
+    fn stats(&self) -> CounterStats {
+        self.stats
     }
 
-    /// Zeroes the work counters (candidate counts are kept).
-    pub fn reset_stats(&mut self) {
+    fn reset_stats(&mut self) {
         self.stats = CounterStats::default();
     }
 
     /// Logical bytes the stored candidates occupy on the wire — the same
     /// `|C| · (4k + 8)` accounting as the hash tree, since both ship the
     /// identical candidate list.
-    pub fn wire_size(&self) -> usize {
+    fn wire_size(&self) -> usize {
         self.candidates.len() * (4 * self.k + 8)
     }
 }
@@ -362,14 +353,14 @@ mod tests {
         assert_eq!(trie.stats().inserts, 2);
         trie.count(&tx(0, &[1, 2, 3]), &ALL());
         trie.count(&tx(1, &[9]), &ALL()); // short: counted as a transaction only
-        let s = *trie.stats();
+        let s = trie.stats();
         assert_eq!(s.transactions, 2);
         assert_eq!(s.root_starts, 1); // single descent from the root via item 1
         assert_eq!(s.distinct_leaf_visits, 2); // {1,2} and {1,3} both reached
         assert_eq!(s.candidate_checks, 2);
         assert!(s.traversal_steps >= 3); // 1→2, 1→3 plus the root descent
         trie.reset_stats();
-        assert_eq!(*trie.stats(), CounterStats::default());
+        assert_eq!(trie.stats(), CounterStats::default());
         // Counts survive a stats reset.
         assert_eq!(trie.count_of(&set(&[1, 2])), Some(1));
     }

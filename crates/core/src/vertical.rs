@@ -27,7 +27,7 @@
 //! `intersection_words`, which the virtual-time model prices at `t_word`.
 
 use crate::bitmap::words;
-use crate::counter::CounterStats;
+use crate::counter::{CandidateCounter, CounterStats};
 use crate::hashtree::OwnershipFilter;
 use crate::item::Item;
 use crate::itemset::ItemSet;
@@ -113,6 +113,7 @@ impl TidSet {
 /// The vertical counting backend for candidates of a fixed size `k`.
 ///
 /// ```
+/// use armine_core::counter::CandidateCounter;
 /// use armine_core::vertical::VerticalCounter;
 /// use armine_core::hashtree::OwnershipFilter;
 /// use armine_core::{ItemSet, Transaction, Item};
@@ -191,14 +192,14 @@ impl VerticalCounter {
             },
         }
     }
+}
 
-    /// The candidate size this counter was built for.
-    pub fn k(&self) -> usize {
+impl CandidateCounter for VerticalCounter {
+    fn k(&self) -> usize {
         self.k
     }
 
-    /// Number of candidates stored.
-    pub fn num_candidates(&self) -> usize {
+    fn num_candidates(&self) -> usize {
         self.candidates.len()
     }
 
@@ -208,7 +209,7 @@ impl VerticalCounter {
     /// candidate is evaluated iff its first item passes the root filter
     /// and its (first, second) pair passes the depth-1 filter, exactly
     /// the paths a horizontal subset walk would admit.
-    pub fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
+    fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
         if self.candidates.is_empty() || transactions.is_empty() {
             return;
         }
@@ -284,24 +285,18 @@ impl VerticalCounter {
         }
     }
 
-    /// The accumulated count for `set`, or `None` if never inserted.
-    pub fn count_of(&self, set: &ItemSet) -> Option<u64> {
+    fn count_of(&self, set: &ItemSet) -> Option<u64> {
         self.candidates
             .iter()
             .find(|(s, _)| s == set)
             .map(|&(_, c)| c)
     }
 
-    /// Per-candidate counts in insertion order.
-    pub fn count_vector(&self) -> Vec<u64> {
+    fn count_vector(&self) -> Vec<u64> {
         self.candidates.iter().map(|&(_, c)| c).collect()
     }
 
-    /// Overwrites the per-candidate counts (after a global reduction).
-    ///
-    /// # Panics
-    /// If the length differs from [`num_candidates`](Self::num_candidates).
-    pub fn set_count_vector(&mut self, counts: &[u64]) {
+    fn set_count_vector(&mut self, counts: &[u64]) {
         assert_eq!(
             counts.len(),
             self.candidates.len(),
@@ -312,8 +307,7 @@ impl VerticalCounter {
         }
     }
 
-    /// Candidates with `count >= min_count`, insertion order.
-    pub fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
+    fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
         self.candidates
             .iter()
             .filter(|&&(_, c)| c >= min_count)
@@ -321,20 +315,18 @@ impl VerticalCounter {
             .collect()
     }
 
-    /// The accumulated work counters.
-    pub fn stats(&self) -> &CounterStats {
-        &self.stats
+    fn stats(&self) -> CounterStats {
+        self.stats
     }
 
-    /// Zeroes the work counters (candidate counts are kept).
-    pub fn reset_stats(&mut self) {
+    fn reset_stats(&mut self) {
         self.stats = CounterStats::default();
     }
 
     /// Logical bytes the stored candidates occupy on the wire — the same
     /// `|C| · (4k + 8)` accounting as the other backends, since all three
     /// ship the identical candidate list.
-    pub fn wire_size(&self) -> usize {
+    fn wire_size(&self) -> usize {
         self.candidates.len() * (4 * self.k + 8)
     }
 }
@@ -460,7 +452,7 @@ mod tests {
         let mut vc = VerticalCounter::build(2, vec![set(&[1, 2]), set(&[1, 3])]);
         assert_eq!(vc.stats().inserts, 2);
         vc.count_all(&[tx(0, &[1, 2, 3]), tx(1, &[9])], &ALL());
-        let s = *vc.stats();
+        let s = vc.stats();
         assert_eq!(s.transactions, 2);
         assert_eq!(s.root_starts, 2, "both candidates admitted");
         assert_eq!(s.distinct_leaf_visits, 2);
@@ -468,7 +460,7 @@ mod tests {
         assert_eq!(s.traversal_steps, 4, "one probe per item occurrence");
         assert!(s.intersection_words > 0, "intersections were performed");
         vc.reset_stats();
-        assert_eq!(*vc.stats(), CounterStats::default());
+        assert_eq!(vc.stats(), CounterStats::default());
         assert_eq!(vc.count_of(&set(&[1, 2])), Some(1));
     }
 

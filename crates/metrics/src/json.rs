@@ -1,4 +1,4 @@
-//! Schema-versioned JSON export and import for metrics snapshots.
+//! Schema-versioned JSON export for metrics snapshots.
 //!
 //! The document layout (schema version 1):
 //!
@@ -19,38 +19,43 @@
 //! }
 //! ```
 //!
-//! Numbers round-trip exactly: counters serialize as `u64` decimals and
-//! parse back into [`JsonValue::UInt`]; floats use Rust's `Display`,
-//! which prints the shortest decimal that re-parses to the same bits.
+//! Numbers are written exactly: counters serialize as `u64` decimals
+//! (no detour through `f64`, so they stay exact beyond 2^53); floats use
+//! Rust's `Display`, which prints the shortest decimal that re-parses to
+//! the same bits.
 //! Labels always serialize as strings and appear in canonical
-//! [`LABEL_KEYS`] order; series appear in snapshot
+//! [`LABEL_KEYS`](crate::LABEL_KEYS) order; series appear in snapshot
 //! order — the same run serializes to the same bytes.
+//!
+//! This crate only writes the format. It is read by
+//! `scripts/check_bench_json.py` (the schema check CI runs) and by
+//! `benchmark/compare.py`.
 
-use crate::{HistogramSummary, Labels, MetricSeries, MetricValue, MetricsSnapshot, LABEL_KEYS};
+use crate::{MetricValue, MetricsSnapshot};
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// The schema version this crate writes, and the only one it accepts.
+/// The schema version this crate writes.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// A dynamically typed JSON value.
+/// A JSON value to render: the tree [`BenchDocument::to_json`] builds,
+/// and the type of a document's context fields.
 ///
-/// Integers keep their exact representation: a non-negative literal
-/// parses as [`UInt`](JsonValue::UInt) (so `u64` counters survive the
-/// round trip beyond 2^53), a negative one as [`Int`](JsonValue::Int),
-/// and anything with a fraction or exponent as
-/// [`Float`](JsonValue::Float).
+/// Integers keep their exact representation: [`UInt`](JsonValue::UInt)
+/// renders a `u64` counter digit for digit beyond 2^53,
+/// [`Int`](JsonValue::Int) a negative integer, and
+/// [`Float`](JsonValue::Float) goes through [`fmt_f64`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A non-negative integer literal.
+    /// A non-negative integer.
     UInt(u64),
-    /// A negative integer literal.
+    /// A signed integer.
     Int(i64),
-    /// A fractional or exponent-bearing number.
+    /// A finite floating-point number.
     Float(f64),
     /// A string.
     Str(String),
@@ -61,48 +66,6 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
-    /// The numeric value as `f64`, for any numeric variant.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::UInt(v) => Some(*v as f64),
-            JsonValue::Int(v) => Some(*v as f64),
-            JsonValue::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as `u64`, for non-negative integer variants.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::UInt(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as `&str`.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The named field of an object.
-    pub fn field(&self, name: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The array elements.
-    pub fn elements(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
     fn render(&self, out: &mut String, indent: usize) {
         match self {
             JsonValue::Null => out.push_str("null"),
@@ -192,280 +155,12 @@ fn render_string(s: &str, out: &mut String) {
 /// Formats an `f64` with Rust's shortest-round-trip `Display` — parsing
 /// the result back yields a bit-identical `f64`. Panics on NaN/Inf:
 /// JSON has no non-finite literals, and any placeholder would produce a
-/// document [`BenchDocument::parse`] rejects. The recording guards in
+/// document `scripts/check_bench_json.py` rejects. The recording guards in
 /// [`MetricShard`](crate::MetricShard) keep such values out of
 /// snapshots in the first place.
 pub fn fmt_f64(v: f64) -> String {
     assert!(v.is_finite(), "cannot serialize non-finite f64 {v} as JSON");
     format!("{v}")
-}
-
-/// A JSON parse error with byte offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// What went wrong.
-    pub message: String,
-    /// Byte offset into the input where it went wrong.
-    pub offset: usize,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "json parse error at byte {}: {}",
-            self.offset, self.message
-        )
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError {
-            message: message.into(),
-            offset: self.pos,
-        })
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected {:?}", b as char))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            self.err(format!("expected {word}"))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => self.err("expected a value"),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, ParseError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let simple = match self.peek() {
-                        Some(b'"') => Some('"'),
-                        Some(b'\\') => Some('\\'),
-                        Some(b'/') => Some('/'),
-                        Some(b'n') => Some('\n'),
-                        Some(b't') => Some('\t'),
-                        Some(b'r') => Some('\r'),
-                        Some(b'b') => Some('\u{8}'),
-                        Some(b'f') => Some('\u{c}'),
-                        Some(b'u') => None,
-                        _ => return self.err("bad escape"),
-                    };
-                    match simple {
-                        Some(c) => {
-                            out.push(c);
-                            self.pos += 1;
-                        }
-                        None => out.push(self.unicode_escape()?),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 encoded char.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| ParseError {
-                        message: "invalid utf-8".into(),
-                        offset: self.pos,
-                    })?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// Decodes a `\uXXXX` escape with `pos` on the `u`, combining a
-    /// surrogate pair (`\uD83D\uDE00` → 😀) into its single code point,
-    /// as RFC 8259 §7 requires. Leaves `pos` one past the last hex digit.
-    fn unicode_escape(&mut self) -> Result<char, ParseError> {
-        let unit = self.hex4()?;
-        let code = if (0xD800..=0xDBFF).contains(&unit) {
-            if self.peek() != Some(b'\\') || self.bytes.get(self.pos + 1) != Some(&b'u') {
-                return self.err("high surrogate not followed by a \\u escape");
-            }
-            self.pos += 1;
-            let low = self.hex4()?;
-            if !(0xDC00..=0xDFFF).contains(&low) {
-                return self.err("high surrogate not followed by a low surrogate");
-            }
-            0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
-        } else {
-            unit
-        };
-        // from_u32 fails only on a lone low surrogate here.
-        char::from_u32(code).map_or_else(|| self.err("bad \\u escape"), Ok)
-    }
-
-    /// Consumes `u` plus exactly four hex digits (`pos` on the `u`),
-    /// returning the UTF-16 code unit.
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        let unit = self
-            .bytes
-            .get(self.pos + 1..self.pos + 5)
-            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-            .and_then(|h| std::str::from_utf8(h).ok())
-            .and_then(|h| u32::from_str_radix(h, 16).ok());
-        match unit {
-            Some(v) => {
-                self.pos += 5;
-                Ok(v)
-            }
-            None => self.err("bad \\u escape"),
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if !is_float {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(JsonValue::UInt(v));
-            }
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(JsonValue::Int(v));
-            }
-        }
-        match text.parse::<f64>() {
-            Ok(v) => Ok(JsonValue::Float(v)),
-            Err(_) => self.err(format!("bad number {text:?}")),
-        }
-    }
-}
-
-/// Parses a JSON document into a [`JsonValue`] tree.
-pub fn parse_json(input: &str) -> Result<JsonValue, ParseError> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return parser.err("trailing data after document");
-    }
-    Ok(value)
 }
 
 /// A schema-versioned benchmark document: a named snapshot plus free-form
@@ -552,169 +247,109 @@ impl BenchDocument {
         .to_json()
     }
 
-    /// Parses and validates a schema-version-1 document: the version must
-    /// match, every label key must be in the taxonomy, and each metric's
-    /// fields must be consistent with its declared kind.
-    pub fn parse(input: &str) -> Result<BenchDocument, String> {
-        let doc = parse_json(input).map_err(|e| e.to_string())?;
-        let version = doc
-            .field("schema_version")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing schema_version")?;
-        if version != SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported schema_version {version} (this reader handles {SCHEMA_VERSION})"
-            ));
-        }
-        let benchmark = doc
-            .field("benchmark")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing benchmark")?
-            .to_owned();
-        let context = match doc.field("context") {
-            None => Vec::new(),
-            Some(JsonValue::Object(fields)) => fields.clone(),
-            Some(_) => return Err("context must be an object".into()),
-        };
-        let metrics = doc
-            .field("metrics")
-            .and_then(JsonValue::elements)
-            .ok_or("missing metrics array")?;
-        let mut series = Vec::with_capacity(metrics.len());
-        for entry in metrics {
-            series.push(parse_series(entry)?);
-        }
-        Ok(BenchDocument {
-            benchmark,
-            context,
-            snapshot: MetricsSnapshot::from_series(series),
-        })
-    }
-
     /// Writes `to_json()` to `path`.
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
     }
 }
 
-fn parse_series(entry: &JsonValue) -> Result<MetricSeries, String> {
-    let name = entry
-        .field("name")
-        .and_then(JsonValue::as_str)
-        .ok_or("metric missing name")?
-        .to_owned();
-    let kind = entry
-        .field("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("metric {name} missing kind"))?;
-    let mut labels = Labels::new();
-    match entry.field("labels") {
-        Some(JsonValue::Object(fields)) => {
-            for (key, value) in fields {
-                if !LABEL_KEYS.contains(&key.as_str()) {
-                    return Err(format!(
-                        "metric {name} has unknown label key {key:?} (taxonomy: {LABEL_KEYS:?})"
-                    ));
-                }
-                let value = value
-                    .as_str()
-                    .ok_or_else(|| format!("metric {name} label {key} must be a string"))?;
-                labels = labels.with(key, value);
-            }
-        }
-        Some(_) => return Err(format!("metric {name} labels must be an object")),
-        None => return Err(format!("metric {name} missing labels")),
-    }
-    let value = match kind {
-        "counter" => MetricValue::Counter(
-            entry
-                .field("value")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("counter {name} needs an unsigned integer value"))?,
-        ),
-        "gauge" => MetricValue::Gauge(
-            entry
-                .field("value")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("gauge {name} needs a numeric value"))?,
-        ),
-        "histogram" => {
-            let num = |field: &str| {
-                entry
-                    .field(field)
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| format!("histogram {name} needs numeric {field}"))
-            };
-            MetricValue::Histogram(HistogramSummary {
-                count: entry
-                    .field("count")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("histogram {name} needs unsigned count"))?,
-                sum: num("sum")?,
-                min: num("min")?,
-                max: num("max")?,
-            })
-        }
-        other => return Err(format!("metric {name} has unknown kind {other:?}")),
-    };
-    Ok(MetricSeries {
-        name,
-        labels,
-        value,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricShard;
+    use crate::{Labels, MetricShard};
 
-    fn sample_snapshot() -> MetricsSnapshot {
-        let mut shard = MetricShard::new();
-        for rank in 0..3u64 {
-            shard.incr(
-                "armine.counting.inserts",
-                Labels::new().with("rank", rank),
-                100 + rank,
-            );
-            shard.set_gauge(
-                "armine.rank.busy_seconds",
-                Labels::new().with("rank", rank),
-                0.1 * (rank as f64) + 0.037,
-            );
-        }
-        shard.set_gauge(
-            "armine.run.response_seconds",
-            Labels::new(),
-            0.375_000_000_1,
-        );
-        for v in [0.03, 0.041, 0.0375] {
-            shard.observe("armine.run.rank_clock_seconds", Labels::new(), v);
-        }
-        // A counter beyond 2^53 must survive the round trip exactly.
-        shard.incr(
-            "armine.counting.traversal_steps",
-            Labels::new(),
-            (1 << 60) + 7,
-        );
-        shard.snapshot(&Labels::new().with("algorithm", "CD").with("procs", 8))
-    }
-
+    /// Nothing in the workspace reads a document back, so the writer's
+    /// bytes are the contract: string escaping, exact integers, shortest
+    /// float digits, canonical label order, snapshot order and layout.
     #[test]
-    fn document_round_trips_exactly() {
-        let doc = BenchDocument::new("unit", sample_snapshot())
-            .with_context("transactions", JsonValue::UInt(480))
-            .with_context("min_support", JsonValue::Float(0.01));
-        let text = doc.to_json();
-        let parsed = BenchDocument::parse(&text).expect("round-trip parse");
-        assert_eq!(parsed, doc);
-        // Serialization is a fixed point: same bytes on the second trip.
-        assert_eq!(parsed.to_json(), text);
+    fn document_bytes_are_pinned() {
+        let mut shard = MetricShard::new();
+        // Labels given pass-before-rank must come out in taxonomy order.
+        let at = |rank: u64| Labels::new().with("pass", 2).with("rank", rank);
+        shard.incr("c", at(10), u64::MAX);
+        shard.incr("c", at(9), (1 << 53) + 1);
+        shard.set_gauge("g", Labels::new(), 1e-7);
+        for v in [0.1, 1.0 / 3.0, 2.5e-9] {
+            shard.observe("h", Labels::new(), v);
+        }
+        let snapshot = shard.snapshot(&Labels::new().with("algorithm", "CD"));
+        let doc = BenchDocument::new("q\"b\\s/\n\t\r\u{1}\u{1f}é😀", snapshot)
+            .with_context("big", JsonValue::UInt(u64::MAX))
+            .with_context("neg", JsonValue::Int(-2))
+            .with_context("whole", JsonValue::Float(3.0))
+            .with_context("large", JsonValue::Float(6.02e23))
+            .with_context("flag", JsonValue::Bool(true))
+            .with_context("none", JsonValue::Null)
+            .with_context("empty", JsonValue::Array(Vec::new()))
+            .with_context(
+                "list",
+                JsonValue::Array(vec![JsonValue::Object(Vec::new()), JsonValue::UInt(0)]),
+            );
+        let expected = r#"{
+  "schema_version": 1,
+  "benchmark": "q\"b\\s/\n\t\r\u0001\u001fé😀",
+  "context": {
+    "big": 18446744073709551615,
+    "neg": -2,
+    "whole": 3,
+    "large": 602000000000000000000000,
+    "flag": true,
+    "none": null,
+    "empty": [],
+    "list": [
+      {},
+      0
+    ]
+  },
+  "metrics": [
+    {
+      "name": "c",
+      "kind": "counter",
+      "labels": {
+        "algorithm": "CD",
+        "rank": "9",
+        "pass": "2"
+      },
+      "value": 9007199254740993
+    },
+    {
+      "name": "c",
+      "kind": "counter",
+      "labels": {
+        "algorithm": "CD",
+        "rank": "10",
+        "pass": "2"
+      },
+      "value": 18446744073709551615
+    },
+    {
+      "name": "g",
+      "kind": "gauge",
+      "labels": {
+        "algorithm": "CD"
+      },
+      "value": 0.0000001
+    },
+    {
+      "name": "h",
+      "kind": "histogram",
+      "labels": {
+        "algorithm": "CD"
+      },
+      "count": 3,
+      "sum": 0.43333333583333333,
+      "min": 0.0000000025,
+      "max": 0.3333333333333333
+    }
+  ]
+}
+"#;
+        assert_eq!(doc.to_json(), expected);
     }
 
     #[test]
     fn floats_round_trip_bit_exact() {
-        for v in [0.1, 1.0 / 3.0, 6.02e23, 5e-324, f64::MAX, 0.0375] {
+        for v in [0.1, 1.0 / 3.0, 6.02e23, 5e-324, f64::MAX, 0.0375, 1e-7] {
             let text = fmt_f64(v);
             let back: f64 = text.parse().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v} -> {text}");
@@ -722,100 +357,8 @@ mod tests {
     }
 
     #[test]
-    fn unknown_label_key_is_rejected() {
-        let text = r#"{"schema_version": 1, "benchmark": "x", "context": {},
-            "metrics": [{"name": "n", "kind": "counter",
-                         "labels": {"hostname": "a"}, "value": 1}]}"#;
-        let err = BenchDocument::parse(text).unwrap_err();
-        assert!(err.contains("unknown label key"), "{err}");
-    }
-
-    #[test]
-    fn wrong_schema_version_is_rejected() {
-        let text = r#"{"schema_version": 2, "benchmark": "x", "context": {}, "metrics": []}"#;
-        let err = BenchDocument::parse(text).unwrap_err();
-        assert!(err.contains("unsupported schema_version"), "{err}");
-    }
-
-    #[test]
-    fn kind_value_mismatch_is_rejected() {
-        let text = r#"{"schema_version": 1, "benchmark": "x", "context": {},
-            "metrics": [{"name": "n", "kind": "counter",
-                         "labels": {}, "value": 1.5}]}"#;
-        let err = BenchDocument::parse(text).unwrap_err();
-        assert!(err.contains("unsigned integer"), "{err}");
-    }
-
-    #[test]
-    fn labels_serialize_in_canonical_order() {
-        let mut shard = MetricShard::new();
-        shard.incr("c", Labels::new().with("pass", 2).with("rank", 1), 1);
-        let snap = shard.snapshot(&Labels::new().with("algorithm", "CD"));
-        let doc = BenchDocument::new("order", snap).to_json();
-        let algorithm = doc.find("\"algorithm\"").unwrap();
-        let rank = doc.find("\"rank\"").unwrap();
-        let pass = doc.find("\"pass\"").unwrap();
-        assert!(
-            algorithm < rank && rank < pass,
-            "labels out of canonical order:\n{doc}"
-        );
-    }
-
-    #[test]
-    fn parser_handles_escapes_nesting_and_numbers() {
-        let text = r#"{"a": [1, -2, 3.5, 1e3, true, false, null],
-                       "s": "line\nbreak \"quoted\" é"}"#;
-        let v = parse_json(text).unwrap();
-        assert_eq!(
-            v.field("a").unwrap().elements().unwrap(),
-            &[
-                JsonValue::UInt(1),
-                JsonValue::Int(-2),
-                JsonValue::Float(3.5),
-                JsonValue::Float(1e3),
-                JsonValue::Bool(true),
-                JsonValue::Bool(false),
-                JsonValue::Null,
-            ]
-        );
-        assert_eq!(
-            v.field("s").unwrap().as_str().unwrap(),
-            "line\nbreak \"quoted\" é"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "non-finite")]
     fn non_finite_float_cannot_serialize() {
         let _ = fmt_f64(f64::NAN);
-    }
-
-    #[test]
-    fn surrogate_pairs_decode_to_one_char() {
-        // Python's json.dumps("😀") emits exactly this pair.
-        let v = parse_json("\"\\ud83d\\ude00 ok\"").unwrap();
-        assert_eq!(v.as_str().unwrap(), "😀 ok");
-    }
-
-    #[test]
-    fn malformed_surrogates_are_rejected() {
-        for text in [
-            r#""\ud83d""#,       // high surrogate at end of string
-            r#""\ud83dx""#,      // high surrogate followed by a plain char
-            r#""\ud83d\n""#,     // high surrogate followed by another escape
-            r#""\ud83d\ud83d""#, // high surrogate followed by another high
-            r#""\ude00""#,       // lone low surrogate
-            r#""\u12g4""#,       // non-hex digit
-            r#""\u+123""#,       // sign accepted by from_str_radix, not JSON
-        ] {
-            assert!(parse_json(text).is_err(), "{text} should be rejected");
-        }
-    }
-
-    #[test]
-    fn trailing_garbage_is_rejected() {
-        assert!(parse_json("{} extra").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("").is_err());
     }
 }

@@ -15,11 +15,11 @@
 //! carrying a [`MetricValue`]: a monotone `u64` [counter], an `f64`
 //! [gauge], or a summary [histogram].
 //!
-//! Recording is **lock-free by ownership**: each worker thread writes
-//! its own [`MetricShard`] (no atomics, no mutexes — the shard is owned
-//! by exactly one thread, like the per-rank `CounterStats` ledgers it
-//! generalizes), and shards are [merged](MetricShard::merge) at pass/run
-//! boundaries. A finished shard freezes into a [`MetricsSnapshot`]:
+//! Recording is **lock-free by ownership**: a [`MetricShard`] is owned
+//! by exactly one thread (no atomics, no mutexes). A parallel run's rank
+//! threads keep plain per-rank ledgers (`CounterStats`, `RankStats`) and
+//! the host records them into one shard after the join. A finished shard
+//! freezes into a [`MetricsSnapshot`]:
 //! sorted, queryable, and exportable as a schema-versioned JSON
 //! [`json::BenchDocument`].
 //!
@@ -43,8 +43,9 @@ use std::collections::BTreeMap;
 /// first (`algorithm`, `backend`, `counter`, `fault_plan`, `procs`,
 /// `scenario`), then the per-rank and per-pass axes. Every label a
 /// series carries must use one of these keys — [`Labels::with`] panics
-/// on anything else, and [`json::BenchDocument::parse`] rejects unknown
-/// keys, so the schema cannot drift silently.
+/// on anything else, and CI's `scripts/check_bench_json.py` rejects
+/// unknown keys in every written file, so the schema cannot drift
+/// silently.
 pub const LABEL_KEYS: [&str; 8] = [
     "algorithm",
     "backend",
@@ -203,13 +204,6 @@ impl HistogramSummary {
         self.max = self.max.max(value);
     }
 
-    fn merge(&mut self, other: &HistogramSummary) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Mean observation (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -242,12 +236,11 @@ impl MetricValue {
     }
 }
 
-/// One thread's private slice of the registry.
+/// The recording side of the registry.
 ///
-/// A shard is owned by exactly one recording thread (a rank's worker, or
+/// A shard is owned by exactly one recording thread (in a parallel run,
 /// the assembly code after the join) — that ownership is the lock-free
-/// contract. Recording is a `BTreeMap` upsert; nothing is shared until
-/// the shard is moved out and [merged](MetricShard::merge).
+/// contract. Recording is a `BTreeMap` upsert.
 #[derive(Debug, Clone, Default)]
 pub struct MetricShard {
     series: BTreeMap<(String, Labels), MetricValue>,
@@ -308,31 +301,6 @@ impl MetricShard {
                 MetricValue::Histogram(h) => h.absorb(value),
                 other => panic!("{name} already recorded as a {}", other.kind()),
             },
-        }
-    }
-
-    /// Folds `other` into `self` without dropping anything: counters add,
-    /// histograms merge, and a gauge may only arrive from one shard —
-    /// two shards setting the same gauge series is a labeling bug (the
-    /// rank/pass axis is missing) and panics rather than silently
-    /// overwriting.
-    pub fn merge(&mut self, other: MetricShard) {
-        for ((name, labels), value) in other.series {
-            match (self.series.get_mut(&(name.clone(), labels.clone())), value) {
-                (None, v) => {
-                    self.series.insert((name, labels), v);
-                }
-                (Some(MetricValue::Counter(a)), MetricValue::Counter(b)) => *a += b,
-                (Some(MetricValue::Histogram(a)), MetricValue::Histogram(b)) => a.merge(&b),
-                (Some(MetricValue::Gauge(_)), MetricValue::Gauge(_)) => {
-                    panic!("gauge {name} recorded by two shards — a label axis is missing")
-                }
-                (Some(existing), incoming) => panic!(
-                    "{name} recorded as {} by one shard and {} by another",
-                    existing.kind(),
-                    incoming.kind()
-                ),
-            }
         }
     }
 
@@ -542,32 +510,20 @@ mod tests {
     }
 
     #[test]
-    fn shard_counters_accumulate_and_merge() {
+    fn shard_counters_accumulate_per_series() {
         let mut a = MetricShard::new();
-        let mut b = MetricShard::new();
         let l = |r: usize| Labels::new().with("rank", r);
         a.incr("armine.counting.inserts", l(0), 5);
         a.incr("armine.counting.inserts", l(0), 2);
-        b.incr("armine.counting.inserts", l(0), 10);
-        b.incr("armine.counting.inserts", l(1), 1);
-        a.merge(b);
+        a.incr("armine.counting.inserts", l(0), 10);
+        a.incr("armine.counting.inserts", l(1), 1);
         let snap = a.snapshot(&Labels::new());
         assert_eq!(snap.counter_sum("armine.counting.inserts", &[]), 18);
         assert_eq!(
             snap.counter_sum("armine.counting.inserts", &[("rank", "0")]),
             17
         );
-        assert_eq!(snap.len(), 2, "merge must keep every labeled series");
-    }
-
-    #[test]
-    #[should_panic(expected = "two shards")]
-    fn merging_colliding_gauges_panics() {
-        let mut a = MetricShard::new();
-        let mut b = MetricShard::new();
-        a.set_gauge("armine.run.response_seconds", Labels::new(), 1.0);
-        b.set_gauge("armine.run.response_seconds", Labels::new(), 2.0);
-        a.merge(b);
+        assert_eq!(snap.len(), 2, "every labeled series is kept apart");
     }
 
     #[test]
@@ -625,13 +581,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_observe_and_merge() {
+    fn histogram_observations_summarize() {
         let mut a = MetricShard::new();
-        a.observe("h", Labels::new(), 2.0);
-        a.observe("h", Labels::new(), 4.0);
-        let mut b = MetricShard::new();
-        b.observe("h", Labels::new(), 9.0);
-        a.merge(b);
+        for v in [2.0, 4.0, 9.0] {
+            a.observe("h", Labels::new(), v);
+        }
         let snap = a.snapshot(&Labels::new());
         let h = snap.histogram("h", &[]).unwrap();
         assert_eq!(h.count, 3);

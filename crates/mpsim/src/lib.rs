@@ -88,7 +88,7 @@ mod wall;
 
 pub use comm::{Comm, RecvFault, RecvHandle, Scope, SendHandle};
 pub use fault::{CrashPoint, FaultPlan};
-pub use machine::{ClusterProfile, CountingWork, MachineProfile};
+pub use machine::{ClusterProfile, CountingWork, MachinePreset, MachineProfile};
 pub use runtime::{SimResult, Simulator};
 pub use stats::{imbalance, RankStats};
 pub use topology::Topology;

@@ -125,11 +125,18 @@ impl MachineProfile {
         }
     }
 
+    /// The preset profiles in CLI listing order.
+    pub const PRESETS: [MachinePreset; 3] = [
+        ("t3e", MachineProfile::cray_t3e),
+        ("sp2", MachineProfile::ibm_sp2),
+        ("ideal", MachineProfile::ideal),
+    ];
+
     /// Looks up a preset profile by its short key (`t3e`, `sp2`,
     /// `ideal`), case-insensitively — the spelling the CLI's `--machine`
     /// flag and the [`ClusterProfile`] text format use.
     pub fn by_key(key: &str) -> Option<Self> {
-        PRESET_KEYS
+        Self::PRESETS
             .iter()
             .find(|&&(k, _)| k.eq_ignore_ascii_case(key))
             .map(|&(_, make)| make())
@@ -138,7 +145,7 @@ impl MachineProfile {
     /// The short key of this profile if it is one of the presets
     /// (matched by name), `None` for user-defined profiles.
     pub fn key(&self) -> Option<&'static str> {
-        PRESET_KEYS
+        Self::PRESETS
             .iter()
             .find(|&&(_, make)| make().name == self.name)
             .map(|&(k, _)| k)
@@ -176,14 +183,7 @@ impl MachineProfile {
 }
 
 /// A preset entry: short key plus its profile constructor.
-type PresetEntry = (&'static str, fn() -> MachineProfile);
-
-/// The preset profiles by short key, in CLI listing order.
-const PRESET_KEYS: [PresetEntry; 3] = [
-    ("t3e", MachineProfile::cray_t3e),
-    ("sp2", MachineProfile::ibm_sp2),
-    ("ideal", MachineProfile::ideal),
-];
+pub type MachinePreset = (&'static str, fn() -> MachineProfile);
 
 /// A whole (possibly heterogeneous) machine: a base [`MachineProfile`]
 /// shared by every rank plus per-rank relative **speed** factors.
@@ -349,7 +349,7 @@ impl FromStr for ClusterProfile {
                         format!(
                             "line {}: unknown machine `{rhs}` (valid: {})",
                             lineno + 1,
-                            PRESET_KEYS
+                            MachineProfile::PRESETS
                                 .iter()
                                 .map(|&(k, _)| k)
                                 .collect::<Vec<_>>()
@@ -507,7 +507,7 @@ mod tests {
             base_idx in 0usize..3,
             speed_packed in prop::collection::vec(0u64..32 * 40, 0..5),
         ) {
-            let base = PRESET_KEYS[base_idx].1();
+            let base = MachineProfile::PRESETS[base_idx].1();
             let mut cluster = ClusterProfile::uniform(base);
             for &x in &speed_packed {
                 // rank in 0..32, factor in {0.1, 0.2, …, 4.0} by tenths.
@@ -591,7 +591,7 @@ mod tests {
 
     #[test]
     fn preset_keys_round_trip() {
-        for (key, make) in PRESET_KEYS {
+        for (key, make) in MachineProfile::PRESETS {
             let m = make();
             assert_eq!(m.key(), Some(key), "{}", m.name);
             assert_eq!(MachineProfile::by_key(key), Some(make()));

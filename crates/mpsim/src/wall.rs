@@ -36,13 +36,6 @@ impl ExecBackend {
             ExecBackend::Native => "native",
         }
     }
-
-    /// Parses a backend name as the CLI spells it (case-insensitive).
-    pub fn parse(name: &str) -> Option<Self> {
-        Self::ALL
-            .into_iter()
-            .find(|b| b.name().eq_ignore_ascii_case(name))
-    }
 }
 
 impl std::fmt::Display for ExecBackend {
@@ -103,14 +96,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_names_round_trip() {
+    fn backend_names_display_and_default() {
         for b in ExecBackend::ALL {
-            assert_eq!(ExecBackend::parse(b.name()), Some(b));
-            assert_eq!(ExecBackend::parse(&b.name().to_uppercase()), Some(b));
             assert_eq!(b.to_string(), b.name());
         }
-        assert_eq!(ExecBackend::parse("Native"), Some(ExecBackend::Native));
-        assert_eq!(ExecBackend::parse("quantum"), None);
         assert_eq!(ExecBackend::default(), ExecBackend::Sim);
     }
 

@@ -131,10 +131,6 @@ pub(crate) struct RankPass {
 pub(crate) struct RankOutput {
     pub levels: Vec<Vec<(ItemSet, u64)>>,
     pub passes: Vec<RankPass>,
-    /// This rank's metric shard: the counting ledger of every committed
-    /// pass, recorded lock-free by thread ownership and merged at
-    /// assembly.
-    pub shard: armine_metrics::MetricShard,
 }
 
 /// Contiguous share boundaries of the placement seam: cut points
@@ -522,7 +518,6 @@ pub(crate) fn run_rank(
     let mut holdings = crate::recovery::initial_holdings(parts);
     let mut levels: Vec<Vec<(ItemSet, u64)>> = Vec::new();
     let mut passes = Vec::new();
-    let mut shard = armine_metrics::MetricShard::new();
     let mut prev: Vec<ItemSet> = Vec::new();
     let mut k = 1;
     loop {
@@ -574,10 +569,9 @@ pub(crate) fn run_rank(
             }
         };
         prev = result.level.iter().map(|(s, _)| s.clone()).collect();
-        // The attempt is committed: record its ledger. Recording here —
-        // not inside counting — keeps abandoned crash-recovery attempts
-        // out of the series, mirroring what `passes` keeps.
-        crate::registry::record_pass_counters(&mut shard, comm.rank(), k, &result.stats);
+        // The attempt is committed: keep its ledger. Pushing here — not
+        // inside counting — keeps abandoned crash-recovery attempts out
+        // of `passes`, and so out of the registry's counting series.
         passes.push(RankPass {
             k,
             candidates_total: total,
@@ -600,11 +594,7 @@ pub(crate) fn run_rank(
         }
         k += 1;
     }
-    RankOutput {
-        levels,
-        passes,
-        shard,
-    }
+    RankOutput { levels, passes }
 }
 
 #[cfg(test)]

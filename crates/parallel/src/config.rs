@@ -34,13 +34,6 @@ impl PlacementPolicy {
             PlacementPolicy::Adaptive => "adaptive",
         }
     }
-
-    /// Parses a policy name as the CLI spells it (case-insensitive).
-    pub fn parse(name: &str) -> Option<Self> {
-        Self::ALL
-            .into_iter()
-            .find(|p| p.name().eq_ignore_ascii_case(name))
-    }
 }
 
 impl std::fmt::Display for PlacementPolicy {
@@ -187,17 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn placement_names_round_trip() {
+    fn placement_names_display_and_default() {
         for p in PlacementPolicy::ALL {
-            assert_eq!(PlacementPolicy::parse(p.name()), Some(p));
-            assert_eq!(PlacementPolicy::parse(&p.name().to_uppercase()), Some(p));
             assert_eq!(p.to_string(), p.name());
         }
-        assert_eq!(
-            PlacementPolicy::parse("Adaptive"),
-            Some(PlacementPolicy::Adaptive)
-        );
-        assert_eq!(PlacementPolicy::parse("greedy"), None);
         assert_eq!(PlacementPolicy::default(), PlacementPolicy::Static);
     }
 

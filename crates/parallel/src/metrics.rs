@@ -2,7 +2,7 @@
 
 use armine_core::apriori::FrequentItemsets;
 use armine_core::counter::CounterStats;
-use armine_metrics::{names, MetricsSnapshot};
+use armine_metrics::MetricsSnapshot;
 use armine_mpsim::{imbalance, RankStats, WallTimings};
 
 /// What one pass of a parallel run looked like.
@@ -63,29 +63,19 @@ pub struct ParallelRun {
     pub wall: Vec<WallTimings>,
     /// The run's labeled metrics snapshot: every ledger above, re-plumbed
     /// as named series (see `armine_metrics::names`) under the run's base
-    /// labels. The accessors below are views over this snapshot.
+    /// labels.
     pub metrics: MetricsSnapshot,
 }
 
 impl ParallelRun {
-    /// Total bytes moved during the run — the registry's
-    /// `armine.rank.bytes_sent` summed over ranks.
+    /// Total bytes moved during the run, summed over ranks.
     pub fn total_bytes(&self) -> u64 {
-        self.metrics
-            .counter_sum(&names::rank_counter("bytes_sent"), &[])
+        self.ranks.iter().map(|r| r.bytes_sent).sum()
     }
 
-    /// Compute-time load imbalance across ranks (`max/avg − 1`), folded
-    /// over the registry's per-rank busy-time gauges in ascending rank
-    /// order — the same order (and therefore the same f64 sum) as the
-    /// legacy fold over `ranks`.
+    /// Compute-time load imbalance across ranks (`max/avg − 1`).
     pub fn compute_imbalance(&self) -> f64 {
-        imbalance(
-            self.metrics
-                .gauges_by(&names::rank_time("busy"), "rank")
-                .into_iter()
-                .map(|(_, busy)| busy),
-        )
+        imbalance(self.ranks.iter().map(|r| r.busy))
     }
 
     /// Response time of pass `k` (0.0 if the pass never ran).
@@ -102,25 +92,21 @@ impl ParallelRun {
     }
 
     /// Transmission attempts lost to injected faults and re-sent after an
-    /// ack-timeout backoff, summed over ranks (0 in fault-free runs) —
-    /// the registry's `armine.rank.retransmits`.
+    /// ack-timeout backoff, summed over ranks (0 in fault-free runs).
     pub fn total_retransmits(&self) -> u64 {
-        self.metrics
-            .counter_sum(&names::rank_counter("retransmits"), &[])
+        self.ranks.iter().map(|r| r.retransmits).sum()
     }
 
     /// Failure-detector timeouts (receives that concluded the awaited
-    /// peer was dead), summed over ranks — `armine.rank.timeouts`.
+    /// peer was dead), summed over ranks.
     pub fn total_timeouts(&self) -> u64 {
-        self.metrics
-            .counter_sum(&names::rank_counter("timeouts"), &[])
+        self.ranks.iter().map(|r| r.timeouts).sum()
     }
 
     /// Committed recovery events (membership shrinks with work
-    /// redistribution), summed over ranks — `armine.rank.recoveries`.
+    /// redistribution), summed over ranks.
     pub fn total_recoveries(&self) -> u64 {
-        self.metrics
-            .counter_sum(&names::rank_counter("recoveries"), &[])
+        self.ranks.iter().map(|r| r.recoveries).sum()
     }
 }
 

@@ -334,20 +334,26 @@ fn assemble(
         wall,
         ..
     } = result;
-    let survivors: Vec<RankOutput> = results.into_iter().flatten().collect();
+    // `(rank, output)` of every survivor: the registry labels each
+    // counting ledger with the rank that kept it.
+    let mut survivors: Vec<(usize, RankOutput)> = results
+        .into_iter()
+        .enumerate()
+        .filter_map(|(rank, output)| Some((rank, output?)))
+        .collect();
     // Every surviving rank must have discovered the identical lattice.
     debug_assert!(
-        survivors.windows(2).all(|w| w[0].levels == w[1].levels),
+        survivors.windows(2).all(|w| w[0].1.levels == w[1].1.levels),
         "ranks disagree on the frequent itemsets"
     );
-    let first = survivors.first()?;
+    let first = &survivors.first()?.1;
     let num_passes = first.passes.len();
     let mut passes = Vec::with_capacity(num_passes);
     let mut prev_end = 0.0f64;
     for i in 0..num_passes {
         let mut stats = CounterStats::default();
         let mut end = 0.0f64;
-        for r in &survivors {
+        for (_, r) in &survivors {
             stats = stats.merged(&r.passes[i].stats);
             end = end.max(r.passes[i].clock_end);
         }
@@ -367,16 +373,11 @@ fn assemble(
     }
     let procs = meta.procs;
     let algorithm = meta.algorithm;
-    let mut shards = Vec::with_capacity(survivors.len());
-    let mut levels = None;
-    for r in survivors {
-        shards.push(r.shard);
-        levels.get_or_insert(r.levels);
-    }
-    let frequent = FrequentItemsets::from_levels(levels.unwrap(), total_n as u64);
+    let levels = std::mem::take(&mut survivors[0].1.levels);
+    let frequent = FrequentItemsets::from_levels(levels, total_n as u64);
     let metrics = crate::registry::finish_snapshot(
         &meta,
-        shards,
+        &survivors,
         &ranks,
         &wall,
         &passes,

@@ -1,23 +1,22 @@
 //! Recording a parallel run into the labeled metrics registry.
 //!
-//! Two recording sites exist. Inside the simulation, each rank's worker
-//! thread owns a private [`MetricShard`] (lock-free by ownership) and
-//! records its counting ledger at every **committed** pass — the commit
-//! point in `run_rank` is the same place `RankPass` is pushed, so
-//! aborted crash-recovery attempts never pollute the series. After the
-//! join, [`finish_snapshot`] merges the survivors' shards and layers on
-//! everything the host assembles anyway: per-rank `RankStats`, native
-//! `WallTimings`, per-pass aggregates, and whole-run scalars. The
-//! result is one [`MetricsSnapshot`] whose base labels identify the run
-//! (`algorithm`, `backend`, `counter`, `fault_plan`, `procs`).
+//! There is one recording site: after the join, [`finish_snapshot`]
+//! records everything the host assembles anyway — the survivors'
+//! per-(rank, pass) counting ledgers (`RankPass::stats`, kept only for
+//! **committed** passes, so aborted crash-recovery attempts never
+//! pollute the series), per-rank `RankStats`, native `WallTimings`,
+//! per-pass aggregates, and whole-run scalars. The result is one
+//! [`MetricsSnapshot`] whose base labels identify the run (`algorithm`,
+//! `backend`, `counter`, `fault_plan`, `procs`).
 //!
 //! Recording never touches the virtual clock — every call here is a
 //! host-side map insert, so golden virtual-time fingerprints are
 //! bit-identical with the registry enabled (pinned in
 //! `tests/virtual_time_invariance.rs`).
 
+use crate::common::RankOutput;
 use crate::metrics::ParallelPassMetrics;
-use armine_core::counter::{CounterBackend, CounterStats};
+use armine_core::counter::CounterBackend;
 use armine_metrics::{names, Labels, MetricShard, MetricsSnapshot};
 use armine_mpsim::{ExecBackend, RankStats, WallTimings};
 
@@ -31,58 +30,50 @@ pub(crate) struct RunMeta {
     pub fault_plan: String,
 }
 
-/// Records one committed pass's counting ledger into the rank's shard.
-/// All seven fields are recorded, zeros included, so the series set is
-/// identical across backends and the conformance suite can reconcile
-/// field-for-field.
-pub(crate) fn record_pass_counters(
-    shard: &mut MetricShard,
-    rank: usize,
-    k: usize,
-    stats: &CounterStats,
-) {
-    for (field, value) in stats.named_fields() {
-        shard.incr(
-            &names::counting(field),
-            Labels::new().with("rank", rank).with("pass", k),
-            value,
-        );
-    }
-}
-
-/// Merges the survivors' shards and records the host-assembled views,
-/// yielding the run's full snapshot.
+/// Records the survivors' counting ledgers and the host-assembled
+/// views, yielding the run's full snapshot.
 ///
-/// Crashed ranks contribute no shard (matching the legacy survivor-only
-/// `CounterStats` aggregation), but their [`RankStats`] — like every
-/// rank's — are recorded here, so fault counters and traffic totals
-/// cover the whole machine.
+/// `survivors` pairs each surviving rank's index with its output. All
+/// seven ledger fields are recorded per (rank, pass), zeros included,
+/// so the series set is identical across backends and the conformance
+/// suite can reconcile field-for-field. Crashed ranks contribute no
+/// ledger (matching the survivor-only `CounterStats` aggregation), but
+/// their [`RankStats`] — like every rank's — are recorded here, so fault
+/// counters and traffic totals cover the whole machine.
 pub(crate) fn finish_snapshot(
     meta: &RunMeta,
-    shards: Vec<MetricShard>,
+    survivors: &[(usize, RankOutput)],
     ranks: &[RankStats],
     wall: &[WallTimings],
     passes: &[ParallelPassMetrics],
     response_time: f64,
     total_frequent: usize,
 ) -> MetricsSnapshot {
-    let mut merged = MetricShard::new();
-    for shard in shards {
-        merged.merge(shard);
+    let mut shard = MetricShard::new();
+    for (rank, output) in survivors {
+        for pass in &output.passes {
+            for (field, value) in pass.stats.named_fields() {
+                shard.incr(
+                    &names::counting(field),
+                    Labels::new().with("rank", rank).with("pass", pass.k),
+                    value,
+                );
+            }
+        }
     }
     for (rank, rs) in ranks.iter().enumerate() {
         let at = || Labels::new().with("rank", rank);
         for (field, seconds) in rs.named_times() {
-            merged.set_gauge(&names::rank_time(field), at(), seconds);
+            shard.set_gauge(&names::rank_time(field), at(), seconds);
         }
         for (field, count) in rs.named_counters() {
-            merged.incr(&names::rank_counter(field), at(), count);
+            shard.incr(&names::rank_counter(field), at(), count);
         }
-        merged.observe(names::RUN_RANK_CLOCK_SECONDS, Labels::new(), rs.clock);
+        shard.observe(names::RUN_RANK_CLOCK_SECONDS, Labels::new(), rs.clock);
     }
     for (rank, wt) in wall.iter().enumerate() {
         for (field, seconds) in wt.named_times() {
-            merged.set_gauge(
+            shard.set_gauge(
                 &names::wall_time(field),
                 Labels::new().with("rank", rank),
                 seconds,
@@ -91,7 +82,7 @@ pub(crate) fn finish_snapshot(
         // A crash-retried pass appears twice in pass_starts; the gauge
         // keeps the last (committed) attempt's duration.
         for (pass, seconds) in wt.pass_durations() {
-            merged.set_gauge(
+            shard.set_gauge(
                 names::WALL_PASS_SECONDS,
                 Labels::new().with("rank", rank).with("pass", pass),
                 seconds,
@@ -100,20 +91,20 @@ pub(crate) fn finish_snapshot(
     }
     for p in passes {
         let at = || Labels::new().with("pass", p.k);
-        merged.incr(names::PASS_CANDIDATES, at(), p.candidates as u64);
-        merged.incr(
+        shard.incr(names::PASS_CANDIDATES, at(), p.candidates as u64);
+        shard.incr(
             names::PASS_COUNTED_CANDIDATES,
             at(),
             p.counted_candidates as u64,
         );
-        merged.incr(names::PASS_FREQUENT, at(), p.frequent as u64);
-        merged.incr(names::PASS_DB_SCANS, at(), p.db_scans as u64);
-        merged.set_gauge(names::PASS_TIME_SECONDS, at(), p.time);
-        merged.set_gauge(names::PASS_CANDIDATE_IMBALANCE, at(), p.candidate_imbalance);
+        shard.incr(names::PASS_FREQUENT, at(), p.frequent as u64);
+        shard.incr(names::PASS_DB_SCANS, at(), p.db_scans as u64);
+        shard.set_gauge(names::PASS_TIME_SECONDS, at(), p.time);
+        shard.set_gauge(names::PASS_CANDIDATE_IMBALANCE, at(), p.candidate_imbalance);
     }
-    merged.set_gauge(names::RUN_RESPONSE_SECONDS, Labels::new(), response_time);
-    merged.incr(names::RUN_FREQUENT, Labels::new(), total_frequent as u64);
-    merged.snapshot(
+    shard.set_gauge(names::RUN_RESPONSE_SECONDS, Labels::new(), response_time);
+    shard.incr(names::RUN_FREQUENT, Labels::new(), total_frequent as u64);
+    shard.snapshot(
         &Labels::new()
             .with("algorithm", meta.algorithm)
             .with("backend", meta.backend.name())

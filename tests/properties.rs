@@ -5,6 +5,7 @@ use armine::core::binpack::{
     pack_lpt, pack_lpt_weighted, partition_by_first_item, partition_round_robin,
     partition_two_level,
 };
+use armine::core::counter::CandidateCounter;
 use armine::core::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
 use armine::core::model::expected_distinct_leaves;
 use armine::core::tidlist::TidListIndex;
