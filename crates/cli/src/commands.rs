@@ -1,7 +1,7 @@
 //! The `gen`, `mine`, `parallel`, and `model` subcommands.
 
 use crate::args::{ArgError, Args};
-use armine_core::apriori::{Apriori, AprioriParams, MinSupport};
+use armine_core::apriori::{Apriori, AprioriParams, FrequentItemsets, MinSupport};
 use armine_core::counter::CounterBackend;
 use armine_core::io::{read_transactions_auto, write_transactions_binary, write_transactions_file};
 use armine_core::model::{
@@ -10,12 +10,17 @@ use armine_core::model::{
 use armine_core::rules::generate_rules;
 use armine_core::stats::dataset_stats;
 use armine_core::summaries::{closed_itemsets, maximal_itemsets};
+use armine_core::{Dataset, ItemSet};
 use armine_datagen::QuestParams;
 use armine_mpsim::{ClusterProfile, ExecBackend, FaultPlan, MachineProfile};
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams, PlacementPolicy};
 use std::io::Write;
 
 type Out<'a> = &'a mut dyn Write;
+
+/// One row of a closed-set flag's table: the value's spelling and what
+/// it selects. [`choice`] resolves a flag against such a table.
+type Named<T> = (&'static str, T);
 
 /// Usage text printed by `armine help`.
 pub const USAGE: &str = "\
@@ -104,6 +109,18 @@ fn at_least_one<T: std::fmt::Display + PartialOrd + From<u8>>(
     in_range(flag, value, |v| *v >= T::from(1), "1 or more")
 }
 
+type WriteDataset = fn(&str, &Dataset) -> std::io::Result<()>;
+
+/// `gen --format`: each on-disk format and its writer.
+const FORMATS: [Named<WriteDataset>; 2] = [
+    ("text", |path, dataset| {
+        write_transactions_file(path, dataset)
+    }),
+    ("binary", |path, dataset| {
+        write_transactions_binary(std::fs::File::create(path)?, dataset)
+    }),
+];
+
 fn cmd_gen(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let path: String = args.required("out")?;
     let params = QuestParams::paper_t15_i6()
@@ -114,13 +131,10 @@ fn cmd_gen(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
         .avg_pattern_len(args.or_default("pattern-len", 6.0)?)
         .seed(args.or_default("seed", 0)?);
     let format: String = args.or_default("format", "text".into())?;
+    let (_, write) = choice("format", &format, &FORMATS, |f| f.0)?;
     args.finish()?;
     let dataset = params.generate();
-    match format.as_str() {
-        "text" => write_transactions_file(&path, &dataset)?,
-        "binary" => write_transactions_binary(std::fs::File::create(&path)?, &dataset)?,
-        other => return Err(ArgError(format!("unknown format {other:?}")).into()),
-    }
+    write(&path, &dataset)?;
     writeln!(
         out,
         "wrote {} ({} transactions, {} items, avg length {:.1}) to {path}",
@@ -206,30 +220,39 @@ fn cmd_mine(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn parse_algorithm(args: &Args) -> Result<Algorithm, ArgError> {
-    let name: String = args.required("algorithm")?;
-    Ok(match name.as_str() {
-        "cd" => Algorithm::Cd,
-        "npa" => Algorithm::Npa,
-        "dd" => Algorithm::Dd,
-        "dd-comm" => Algorithm::DdComm,
-        "idd" => Algorithm::Idd,
-        "idd-1src" => Algorithm::IddSingleSource,
-        "hd" => Algorithm::Hd {
-            group_threshold: at_least_one(
-                "group-threshold",
-                args.or_default("group-threshold", 1000usize)?,
-            )?,
-        },
-        "hpa" => Algorithm::Hpa {
+type MakeAlgorithm = fn(&Args) -> Result<Algorithm, ArgError>;
+
+/// `parallel --algorithm`: each formulation and the flags it alone reads.
+const ALGORITHMS: [Named<MakeAlgorithm>; 9] = [
+    ("cd", |_| Ok(Algorithm::Cd)),
+    ("npa", |_| Ok(Algorithm::Npa)),
+    ("dd", |_| Ok(Algorithm::Dd)),
+    ("dd-comm", |_| Ok(Algorithm::DdComm)),
+    ("idd", |_| Ok(Algorithm::Idd)),
+    ("idd-1src", |_| Ok(Algorithm::IddSingleSource)),
+    ("hd", |args| {
+        let m = args.or_default("group-threshold", 1000usize)?;
+        Ok(Algorithm::Hd {
+            group_threshold: at_least_one("group-threshold", m)?,
+        })
+    }),
+    ("hpa", |args| {
+        Ok(Algorithm::Hpa {
             eld_permille: args.or_default("eld-permille", 0)?,
-        },
-        "pdm" => Algorithm::Pdm {
+        })
+    }),
+    ("pdm", |args| {
+        Ok(Algorithm::Pdm {
             buckets: args.or_default("buckets", 1 << 15)?,
             filter_passes: args.or_default("filter-passes", 1)?,
-        },
-        other => return Err(ArgError(format!("unknown algorithm {other:?}"))),
-    })
+        })
+    }),
+];
+
+fn parse_algorithm(args: &Args) -> Result<Algorithm, ArgError> {
+    let name: String = args.required("algorithm")?;
+    let (_, make) = choice("algorithm", &name, &ALGORITHMS, |a| a.0)?;
+    make(args)
 }
 
 /// Looks `name` up in `all` by `name_of` (ASCII case-insensitive): the
@@ -398,6 +421,10 @@ fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>>
     Ok(())
 }
 
+/// `model --machine`: the machines Section IV has cost constants for.
+const MODEL_MACHINES: [Named<fn() -> CostParams>; 2] =
+    [("t3e", CostParams::cray_t3e), ("sp2", CostParams::ibm_sp2)];
+
 fn cmd_model(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let w = Workload {
         n: args.required("n")?,
@@ -408,12 +435,9 @@ fn cmd_model(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let procs: f64 = args.required("procs")?;
     let g: f64 = args.or_default("g", (procs).sqrt().round())?;
     let machine: String = args.or_default("machine", "t3e".into())?;
+    let (_, cost_params) = choice("machine", &machine, &MODEL_MACHINES, |m| m.0)?;
     args.finish()?;
-    let p = match machine.as_str() {
-        "t3e" => CostParams::cray_t3e(),
-        "sp2" => CostParams::ibm_sp2(),
-        other => return Err(ArgError(format!("unknown machine {other:?}")).into()),
-    };
+    let p = cost_params();
     writeln!(
         out,
         "Section IV closed forms (N={}, M={}, C={}, S={}, P={}, G={}):",
@@ -444,22 +468,25 @@ fn cmd_stats(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+type Summarize = fn(&FrequentItemsets) -> Vec<(ItemSet, u64)>;
+
+/// `summary --kind`: the lossless condensations of the lattice.
+const SUMMARY_KINDS: [Named<Summarize>; 2] =
+    [("maximal", maximal_itemsets), ("closed", closed_itemsets)];
+
 fn cmd_summary(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let input: String = args.required("input")?;
     let support = min_support(args)?;
     let max_k: Option<usize> = args.optional("max-k")?;
     let kind: String = args.or_default("kind", "maximal".into())?;
+    let (kind, summarize) = choice("summary kind", &kind, &SUMMARY_KINDS, |k| k.0)?;
     args.finish()?;
     let dataset = read_transactions_auto(&input)?;
     let mut params = AprioriParams::with_min_support_count(0);
     params.min_support = support;
     params.max_k = max_k;
     let run = Apriori::new(params).mine(dataset.transactions());
-    let summary = match kind.as_str() {
-        "maximal" => maximal_itemsets(&run.frequent),
-        "closed" => closed_itemsets(&run.frequent),
-        other => return Err(ArgError(format!("unknown summary kind {other:?}")).into()),
-    };
+    let summary = summarize(&run.frequent);
     writeln!(
         out,
         "{} frequent itemsets -> {} {kind} itemsets",
@@ -697,6 +724,75 @@ mod tests {
             "cray-3",
         ])
         .contains("cray-3"));
+    }
+
+    /// Every closed-set flag is refused the same way — `unknown X "v"
+    /// (valid: …)` — and before any work starts: `gen` writes no file and
+    /// `summary` never opens its (missing) input.
+    #[test]
+    fn closed_set_flags_list_their_valid_values() {
+        let unwritten = temp("closed-set-never-written.txt");
+        let cases: [(&[&str], &str); 4] = [
+            (
+                &[
+                    "gen",
+                    "--out",
+                    &unwritten,
+                    "--transactions",
+                    "1000000",
+                    "--format",
+                    "bogus",
+                ],
+                "unknown format \"bogus\" (valid: text, binary)",
+            ),
+            (
+                &[
+                    "parallel",
+                    "--input",
+                    &unwritten,
+                    "--procs",
+                    "2",
+                    "--algorithm",
+                    "quantum",
+                ],
+                "unknown algorithm \"quantum\" \
+                 (valid: cd, npa, dd, dd-comm, idd, idd-1src, hd, hpa, pdm)",
+            ),
+            (
+                &[
+                    "model",
+                    "--n",
+                    "1",
+                    "--m",
+                    "1",
+                    "--c",
+                    "1",
+                    "--s",
+                    "1",
+                    "--procs",
+                    "2",
+                    "--machine",
+                    "cray-3",
+                ],
+                "unknown machine \"cray-3\" (valid: t3e, sp2)",
+            ),
+            (
+                &[
+                    "summary",
+                    "--input",
+                    &unwritten,
+                    "--min-count",
+                    "1",
+                    "--kind",
+                    "minimal",
+                ],
+                "unknown summary kind \"minimal\" (valid: maximal, closed)",
+            ),
+        ];
+        for (argv, message) in cases {
+            assert_eq!(run_err(argv), message, "{argv:?}");
+        }
+        assert!(!std::path::Path::new(&unwritten).exists());
     }
 
     #[test]

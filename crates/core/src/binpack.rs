@@ -107,28 +107,41 @@ pub fn pack_lpt_weighted(weights: &[u64], capacities: &[f64]) -> Packing {
     Packing { assignment, loads }
 }
 
-/// A partition of a candidate set across `P` processors: each processor's
-/// candidate list plus the ownership filter it applies at the hash-tree
-/// root. Every candidate appears in exactly one part.
+/// A plan for partitioning a candidate set across `P` processors: the
+/// ownership filter each processor applies at the hash-tree root, and the
+/// balance of the shares. The plan holds no candidates — a processor
+/// materialises its own share with [`CandidatePartition::share`] and
+/// nobody else's. Every candidate falls in exactly one share.
 #[derive(Debug, Clone)]
 pub struct CandidatePartition {
-    /// Per-processor candidate lists, each lexicographically sorted.
-    pub parts: Vec<Vec<ItemSet>>,
     /// Per-processor root filters (bitmap or two-level).
     pub filters: Vec<OwnershipFilter>,
     /// Candidate-count imbalance of the packing (`max/avg − 1`).
     pub imbalance: f64,
+    /// Round-robin plans have no ownership structure (every filter is
+    /// [`OwnershipFilter::all`]); their shares are cut by position.
+    by_position: bool,
 }
 
 impl CandidatePartition {
     /// Number of processors.
     pub fn num_procs(&self) -> usize {
-        self.parts.len()
+        self.filters.len()
     }
 
-    /// Total candidates across all parts.
-    pub fn total_candidates(&self) -> usize {
-        self.parts.iter().map(Vec::len).sum()
+    /// Processor `proc`'s share of `candidates` (the set the plan was made
+    /// for), in the order they appear there — so a share of a sorted
+    /// candidate list is sorted. Round-robin: the stride `proc, proc + P,
+    /// …`; otherwise the candidates `filters[proc]` owns.
+    pub fn share(&self, candidates: &[ItemSet], proc: usize) -> Vec<ItemSet> {
+        if self.by_position {
+            let stride = candidates.iter().skip(proc).step_by(self.num_procs());
+            stride.cloned().collect()
+        } else {
+            let filter = &self.filters[proc];
+            let owned = candidates.iter().filter(|c| filter.owns(c));
+            owned.cloned().collect()
+        }
     }
 }
 
@@ -137,20 +150,17 @@ impl CandidatePartition {
 /// redundant-work problem).
 pub fn partition_round_robin(candidates: &[ItemSet], p: usize) -> CandidatePartition {
     assert!(p > 0);
-    let mut parts: Vec<Vec<ItemSet>> = vec![Vec::new(); p];
-    for (i, c) in candidates.iter().enumerate() {
-        parts[i % p].push(c.clone());
-    }
-    let loads: Vec<u64> = parts.iter().map(|part| part.len() as u64).collect();
+    let n = candidates.len();
+    let loads = (0..p).map(|i| (n / p + usize::from(i < n % p)) as u64);
     let imbalance = Packing {
         assignment: Vec::new(),
-        loads,
+        loads: loads.collect(),
     }
     .imbalance();
     CandidatePartition {
-        parts,
         filters: (0..p).map(|_| OwnershipFilter::all()).collect(),
         imbalance,
+        by_position: true,
     }
 }
 
@@ -171,33 +181,14 @@ pub fn partition_by_first_item(
     let active: Vec<u32> = (0..num_items).filter(|&i| hist[i as usize] > 0).collect();
     let weights: Vec<u64> = active.iter().map(|&i| hist[i as usize]).collect();
     let packing = pack_lpt_weighted(&weights, capacities);
-
-    let mut owner = vec![usize::MAX; num_items as usize];
-    for (u, &item) in active.iter().enumerate() {
-        owner[item as usize] = packing.assignment[u];
+    let mut owned = vec![ItemBitmap::new(num_items); p];
+    for (&item, &proc) in active.iter().zip(&packing.assignment) {
+        owned[proc].insert(Item(item));
     }
-    let mut parts: Vec<Vec<ItemSet>> = vec![Vec::new(); p];
-    for c in candidates {
-        let first = c.first().expect("empty candidate");
-        parts[owner[first.index()]].push(c.clone());
-    }
-    let filters = (0..p)
-        .map(|proc| {
-            let bitmap = ItemBitmap::from_items(
-                num_items,
-                active
-                    .iter()
-                    .enumerate()
-                    .filter(|&(u, _)| packing.assignment[u] == proc)
-                    .map(|(_, &i)| Item(i)),
-            );
-            OwnershipFilter::first_item(bitmap)
-        })
-        .collect();
     CandidatePartition {
-        parts,
-        filters,
+        filters: owned.into_iter().map(OwnershipFilter::first_item).collect(),
         imbalance: packing.imbalance(),
+        by_position: false,
     }
 }
 
@@ -221,7 +212,7 @@ pub fn partition_two_level(
 
     /// A packable unit: a whole first-item group, or one (first, second)
     /// subgroup of a split first item.
-    #[derive(Clone, Copy, PartialEq, Eq, Hash)]
+    #[derive(Clone, Copy)]
     enum Unit {
         First(Item),
         Pair(Item, Item),
@@ -255,45 +246,20 @@ pub fn partition_two_level(
     }
 
     let packing = pack_lpt_weighted(&weights, capacities);
-    let mut unit_owner: std::collections::HashMap<Unit, usize> = std::collections::HashMap::new();
-    for (u, unit) in units.iter().enumerate() {
-        unit_owner.insert(*unit, packing.assignment[u]);
-    }
-
-    let mut parts: Vec<Vec<ItemSet>> = vec![Vec::new(); p];
-    for c in candidates {
-        let first = c.first().unwrap();
-        let unit = if split[first.index()] {
-            Unit::Pair(first, c.second().unwrap())
-        } else {
-            Unit::First(first)
-        };
-        parts[unit_owner[&unit]].push(c.clone());
-    }
-
-    let filters = (0..p)
-        .map(|proc| {
-            let mut owned_first = ItemBitmap::new(num_items);
-            let mut owned_pairs: HashSet<(Item, Item)> = HashSet::new();
-            for (unit, &owner) in &unit_owner {
-                if owner != proc {
-                    continue;
-                }
-                match unit {
-                    Unit::First(i) => owned_first.insert(*i),
-                    Unit::Pair(f, s) => {
-                        owned_pairs.insert((*f, *s));
-                    }
-                }
+    let mut owned = vec![(ItemBitmap::new(num_items), HashSet::new()); p];
+    for (unit, &proc) in units.iter().zip(&packing.assignment) {
+        match *unit {
+            Unit::First(i) => owned[proc].0.insert(i),
+            Unit::Pair(f, s) => {
+                owned[proc].1.insert((f, s));
             }
-            OwnershipFilter::two_level(owned_first, owned_pairs)
-        })
-        .collect();
-
+        }
+    }
+    let two_level = |(first, pairs)| OwnershipFilter::two_level(first, pairs);
     CandidatePartition {
-        parts,
-        filters,
+        filters: owned.into_iter().map(two_level).collect(),
         imbalance: packing.imbalance(),
+        by_position: false,
     }
 }
 
@@ -426,15 +392,31 @@ mod tests {
         ]
     }
 
+    /// Every processor's share, as the drivers would cut them.
+    fn shares(part: &CandidatePartition, cands: &[ItemSet]) -> Vec<Vec<ItemSet>> {
+        (0..part.num_procs())
+            .map(|proc| part.share(cands, proc))
+            .collect()
+    }
+
+    fn total_candidates(part: &CandidatePartition, cands: &[ItemSet]) -> usize {
+        shares(part, cands).iter().map(Vec::len).sum()
+    }
+
     #[test]
     fn round_robin_covers_all_candidates() {
         let cands = sample_candidates();
         let part = partition_round_robin(&cands, 3);
-        assert_eq!(part.total_candidates(), cands.len());
+        assert_eq!(total_candidates(&part, &cands), cands.len());
         assert_eq!(part.num_procs(), 3);
-        // Round robin: parts have sizes 3, 3, 2.
-        let sizes: Vec<usize> = part.parts.iter().map(Vec::len).collect();
+        // Round robin: shares have sizes 3, 3, 2.
+        let sizes: Vec<usize> = shares(&part, &cands).iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![3, 3, 2]);
+        assert_eq!(
+            part.share(&cands, 1),
+            [set(&[0, 2]), set(&[1, 2]), set(&[5, 6])]
+        );
+        assert!((part.imbalance - (3.0 / (8.0 / 3.0) - 1.0)).abs() < 1e-12);
         assert!(part.filters.iter().all(OwnershipFilter::is_all));
     }
 
@@ -442,10 +424,10 @@ mod tests {
     fn first_item_partition_is_exact_and_filtered() {
         let cands = sample_candidates();
         let part = partition_by_first_item(&cands, 8, &[1.0; 2]);
-        assert_eq!(part.total_candidates(), cands.len());
+        assert_eq!(total_candidates(&part, &cands), cands.len());
         // All candidates with the same first item land on one processor,
         // and that processor's filter admits the first item.
-        for (proc, cand_list) in part.parts.iter().enumerate() {
+        for (proc, cand_list) in shares(&part, &cands).iter().enumerate() {
             for c in cand_list {
                 let first = c.first().unwrap();
                 assert!(part.filters[proc].allows_root(first));
@@ -465,7 +447,7 @@ mod tests {
         let cands: Vec<ItemSet> = (0..100u32).map(|i| set(&[i, i + 100])).collect();
         let part = partition_by_first_item(&cands, 200, &[1.0; 4]);
         assert!(part.imbalance < 1e-9);
-        for p in &part.parts {
+        for p in shares(&part, &cands) {
             assert_eq!(p.len(), 25);
         }
     }
@@ -485,7 +467,7 @@ mod tests {
             "two-level split restores balance, got {}",
             double.imbalance
         );
-        assert_eq!(double.total_candidates(), cands.len());
+        assert_eq!(total_candidates(&double, &cands), cands.len());
     }
 
     #[test]
@@ -493,7 +475,7 @@ mod tests {
         let mut cands: Vec<ItemSet> = (1..=20u32).map(|s| set(&[0, s])).collect();
         cands.push(set(&[3, 4]));
         let part = partition_two_level(&cands, 30, &[1.0; 3], 5);
-        for (proc, cand_list) in part.parts.iter().enumerate() {
+        for (proc, cand_list) in shares(&part, &cands).iter().enumerate() {
             for c in cand_list {
                 let first = c.first().unwrap();
                 let second = c.second().unwrap();
@@ -525,13 +507,13 @@ mod tests {
     fn partition_single_processor() {
         let cands = sample_candidates();
         let part = partition_by_first_item(&cands, 8, &[1.0; 1]);
-        assert_eq!(part.parts[0].len(), cands.len());
+        assert_eq!(part.share(&cands, 0), cands);
         assert_eq!(part.imbalance, 0.0);
     }
 
     #[test]
-    fn parts_remain_sorted() {
-        // apriori_gen emits sorted candidates; per-part order must stay
+    fn shares_remain_sorted() {
+        // apriori_gen emits sorted candidates; per-share order must stay
         // sorted because each processor rebuilds its own tree and relies on
         // deterministic candidate order for reductions.
         let cands = sample_candidates();
@@ -540,8 +522,8 @@ mod tests {
             partition_by_first_item(&cands, 8, &[1.0; 3]),
             partition_two_level(&cands, 8, &[1.0; 3], 2),
         ] {
-            for p in &part.parts {
-                assert!(p.windows(2).all(|w| w[0] < w[1]), "part not sorted: {p:?}");
+            for p in shares(&part, &cands) {
+                assert!(p.windows(2).all(|w| w[0] < w[1]), "share not sorted: {p:?}");
             }
         }
     }

@@ -20,13 +20,21 @@ pub struct Dataset {
 impl Dataset {
     /// Builds a dataset from transactions; `num_items` is inferred as
     /// `max item id + 1`.
+    ///
+    /// # Panics
+    /// If an item id is `u32::MAX`, which leaves no `u32` universe size
+    /// (the readers in [`crate::io`] refuse ids above [`Item::MAX_ID`]
+    /// long before that).
     pub fn new(transactions: Vec<Transaction>) -> Self {
-        let num_items = transactions
+        let max_id = transactions
             .iter()
             .filter_map(|t| t.items().last())
-            .map(|i| i.id() + 1)
-            .max()
-            .unwrap_or(0);
+            .map(|i| i.id())
+            .max();
+        let num_items = max_id.map_or(0, |id| {
+            id.checked_add(1)
+                .expect("item id u32::MAX leaves no room for the universe size")
+        });
         Dataset {
             transactions,
             interner: None,

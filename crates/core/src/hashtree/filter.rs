@@ -9,6 +9,7 @@
 
 use crate::bitmap::ItemBitmap;
 use crate::item::Item;
+use crate::itemset::ItemSet;
 use std::collections::HashSet;
 
 /// Root-level (and optionally second-level) pruning for the subset walk.
@@ -95,6 +96,19 @@ impl OwnershipFilter {
         }
     }
 
+    /// Whether the processor holding this filter owns `candidate`: the
+    /// subset walk can only reach it through a root item (and, for a split
+    /// first item, a second item) the filter admits — so this is also the
+    /// membership predicate of that processor's candidate share.
+    pub fn owns(&self, candidate: &ItemSet) -> bool {
+        candidate.first().is_some_and(|first| {
+            self.allows_root(first)
+                && candidate
+                    .second()
+                    .is_none_or(|second| self.allows_second(first, second))
+        })
+    }
+
     /// Whether this filter prunes anything at all.
     pub fn is_all(&self) -> bool {
         matches!(self.mode, Mode::All)
@@ -139,5 +153,11 @@ mod tests {
         assert!(!f.allows_second(Item(4), Item(6)));
         // Item 3 is not owned at all.
         assert!(!f.allows_root(Item(3)));
+        // `owns` is both levels at once.
+        assert!(f.owns(&ItemSet::from([1, 9])));
+        assert!(f.owns(&ItemSet::from([4, 7, 8])));
+        assert!(!f.owns(&ItemSet::from([4, 6])));
+        assert!(!f.owns(&ItemSet::from([3, 4])));
+        assert!(f.owns(&ItemSet::from([4])), "no second item to reject");
     }
 }

@@ -11,6 +11,10 @@
 //! 2: 5 19
 //! 3 5 7
 //! ```
+//!
+//! Both readers take outside input, so both refuse what the miner cannot
+//! hold: an item id above [`Item::MAX_ID`] is a [`ReadError::Parse`], and
+//! no length field of the binary format is trusted with an allocation.
 
 use crate::dataset::Dataset;
 use crate::item::Item;
@@ -87,11 +91,12 @@ pub fn read_transactions<R: Read>(reader: R) -> Result<Dataset, ReadError> {
         };
         let mut items = Vec::new();
         for token in rest.split_whitespace() {
-            let id = token.parse::<u32>().map_err(|_| ReadError::Parse {
+            // Unparseable and over-limit ids fail alike: line and token.
+            let id = token.parse::<u32>().ok().filter(|&id| id <= Item::MAX_ID);
+            items.push(Item(id.ok_or_else(|| ReadError::Parse {
                 line: lineno + 1,
                 token: token.to_owned(),
-            })?;
-            items.push(Item(id));
+            })?));
         }
         transactions.push(Transaction::new(tid, items));
         next_tid = tid + 1;
@@ -172,12 +177,20 @@ pub fn read_transactions_binary<R: Read>(reader: R) -> Result<Dataset, ReadError
         });
     }
     let num_items = read_u32(&mut buf)?;
+    if num_items > Item::MAX_ID + 1 {
+        return Err(ReadError::Parse {
+            line: 0,
+            token: format!("universe {num_items} above the item limit {}", Item::MAX_ID),
+        });
+    }
+    // The counts are untrusted: they size the first allocation only up to
+    // a cap, and a file shorter than it claims fails its next read.
     let n = read_u64(&mut buf)?;
     let mut transactions = Vec::with_capacity(n.min(1 << 24) as usize);
     for _ in 0..n {
         let tid = read_u64(&mut buf)?;
         let len = read_u32(&mut buf)? as usize;
-        let mut items = Vec::with_capacity(len);
+        let mut items = Vec::with_capacity(len.min(1 << 16));
         for _ in 0..len {
             let id = read_u32(&mut buf)?;
             if id >= num_items {
@@ -330,6 +343,57 @@ mod tests {
             read_transactions_binary(&bytes[..]),
             Err(ReadError::Io(_))
         ));
+    }
+
+    /// A 36-byte file claiming a 4-billion-item transaction: the length
+    /// must not size an allocation; the missing items are a short read.
+    #[test]
+    fn binary_untrusted_length_is_not_allocated() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(b"ARMN");
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // version
+        bytes.extend_from_slice(&10u32.to_le_bytes()); // num_items
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // one transaction
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // tid
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // len
+        bytes.extend_from_slice(&3u32.to_le_bytes()); // the only item
+        assert_eq!(bytes.len(), 36);
+        assert!(matches!(
+            read_transactions_binary(&bytes[..]),
+            Err(ReadError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn binary_rejects_universe_above_the_item_limit() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(b"ARMN");
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // num_items
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        let err = read_transactions_binary(&bytes[..]).unwrap_err();
+        assert!(err.to_string().contains("item limit"), "{err}");
+    }
+
+    /// Ids that would make pass 1's dense vector 32 GB, or wrap
+    /// `max id + 1` to 0, are refused where they enter — by line and token.
+    #[test]
+    fn text_rejects_item_ids_above_the_limit() {
+        for huge in ["4000000000", "4294967295", "134217728"] {
+            let text = format!("1: 1 2\n2: 1 2 {huge}\n");
+            match read_transactions(text.as_bytes()).unwrap_err() {
+                ReadError::Parse { line, token } => assert_eq!((line, &token[..]), (2, huge)),
+                other => panic!("expected parse error, got {other}"),
+            }
+        }
+        let d = read_transactions(format!("1: 1 {}\n", Item::MAX_ID).as_bytes()).unwrap();
+        assert_eq!(d.num_items(), Item::MAX_ID + 1, "the limit itself is valid");
+    }
+
+    #[test]
+    #[should_panic(expected = "no room for the universe size")]
+    fn dataset_new_does_not_wrap_the_universe_size() {
+        Dataset::new(vec![Transaction::new(1, vec![Item(u32::MAX)])]);
     }
 
     #[test]

@@ -17,6 +17,11 @@ use std::fmt;
 pub struct Item(pub u32);
 
 impl Item {
+    /// The largest item id the dataset readers accept: `2^27 − 1`. Pass 1
+    /// counts items in a dense `u64` vector indexed by id, so this caps
+    /// that vector at 1 GiB; real FIMI datasets top out near 5.3 M items.
+    pub const MAX_ID: u32 = (1 << 27) - 1;
+
     /// Creates an item from its raw id.
     #[inline]
     pub const fn new(id: u32) -> Self {

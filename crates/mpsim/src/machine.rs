@@ -234,7 +234,9 @@ impl ClusterProfile {
         self
     }
 
-    /// The base profile shared by every rank.
+    /// The base profile shared by every rank: the per-rank speed is
+    /// applied as a charge multiplier ([`Self::slowdown_of`]), not baked
+    /// into the constants, so reports can still name one machine.
     pub fn base(&self) -> &MachineProfile {
         &self.base
     }
@@ -252,13 +254,6 @@ impl ClusterProfile {
             Some(&s) => 1.0 / s,
             None => 1.0,
         }
-    }
-
-    /// The concrete profile `rank` runs (currently the shared base; the
-    /// per-rank speed is applied as a charge multiplier, not baked into
-    /// the constants, so reports can still name one machine).
-    pub fn profile_for(&self, _rank: usize) -> MachineProfile {
-        self.base.clone()
     }
 
     /// Whether every rank runs at the base speed.
@@ -548,7 +543,7 @@ mod tests {
         let cluster = ClusterProfile::default().speed(2, 0.5).speed(3, 4.0);
         assert_eq!(cluster.slowdown_of(2), 2.0);
         assert_eq!(cluster.slowdown_of(3), 0.25);
-        assert_eq!(cluster.profile_for(2).name, "Cray T3E");
+        assert_eq!(cluster.base().name, "Cray T3E");
         assert!(!cluster.is_uniform());
     }
 

@@ -1,4 +1,4 @@
-//! Machinery shared by all four parallel formulations: the per-rank pass
+//! Machinery shared by all nine parallel formulations: the per-rank pass
 //! loop, cost charging, pass-1 counting, paging, and the ring-pipelined
 //! data movement of Figure 6.
 
@@ -8,16 +8,57 @@ use armine_core::counter::{CandidateCounter, CounterBackend, CounterStats};
 use armine_core::hashtree::{HashTreeParams, OwnershipFilter};
 use armine_core::{Item, ItemSet, Transaction};
 use armine_mpsim::{Comm, CountingWork, FaultPlan, RecvFault, Scope};
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-/// An immutable, shared page of transactions — the unit of data movement.
+/// An immutable view of a run of transactions inside a shared slab — the
+/// unit of data movement, and the shape of a rank's local slice.
 ///
-/// Pages are produced once by [`paginate`] and then only ever *shared*:
-/// sending one through the simulator clones the `Arc` (a refcount bump),
-/// never the transactions. The virtual wire cost is unaffected — every
-/// send still charges the page's full logical [`page_bytes`] — so this is
-/// purely a host-time optimization (see DESIGN.md §5).
-pub(crate) type TransactionPage = Arc<[Transaction]>;
+/// A rank's slice is a view of its whole slab; [`paginate`] cuts it into
+/// page views; sending one through the simulator clones the view (a
+/// refcount bump), never the transactions. The virtual wire cost is
+/// unaffected — every send still charges the page's full logical
+/// [`page_bytes`] — so this is purely a host-time optimization (see
+/// DESIGN.md §5.6).
+#[derive(Clone)]
+pub(crate) struct TransactionPage {
+    slab: Arc<[Transaction]>,
+    range: Range<usize>,
+}
+
+impl TransactionPage {
+    /// The sub-view `range` of this view (indices relative to it).
+    pub fn slice(&self, range: Range<usize>) -> Self {
+        assert!(range.start <= range.end && range.end <= self.len());
+        TransactionPage {
+            slab: Arc::clone(&self.slab),
+            range: self.range.start + range.start..self.range.start + range.end,
+        }
+    }
+}
+
+impl Deref for TransactionPage {
+    type Target = [Transaction];
+
+    fn deref(&self) -> &[Transaction] {
+        &self.slab[self.range.clone()]
+    }
+}
+
+/// A view of a whole slab.
+impl From<Arc<[Transaction]>> for TransactionPage {
+    fn from(slab: Arc<[Transaction]>) -> Self {
+        let range = 0..slab.len();
+        TransactionPage { slab, range }
+    }
+}
+
+/// A freshly materialised slab, viewed whole.
+impl From<Vec<Transaction>> for TransactionPage {
+    fn from(transactions: Vec<Transaction>) -> Self {
+        Arc::<[Transaction]>::from(transactions).into()
+    }
+}
 
 /// Tag space for transaction pages (round/step encoded in high bits).
 pub(crate) const TAG_DATA: u64 = 1 << 20;
@@ -31,8 +72,9 @@ pub(crate) const TAG_REBAL: u64 = 1 << 22;
 /// data, and the epoch counts pass-boundary syncs so that message scopes
 /// of abandoned attempts can never cross-deliver into a retry.
 pub(crate) struct RankCtx {
-    /// This rank's slice of the database (grows on recovery).
-    pub local: Vec<Transaction>,
+    /// This rank's slice of the database: a view of its partition's slab
+    /// until recovery or re-balancing materialises a new one.
+    pub local: TransactionPage,
     /// Item-universe size.
     pub num_items: u32,
     /// Resolved absolute minimum support count.
@@ -57,7 +99,7 @@ pub(crate) struct RankCtx {
 impl RankCtx {
     /// The context of a fresh run over `procs` ranks.
     pub fn new(
-        local: Vec<Transaction>,
+        local: TransactionPage,
         num_items: u32,
         min_count: u64,
         page_size: usize,
@@ -78,7 +120,7 @@ impl RankCtx {
 
     /// Wire bytes of this rank's whole local slice.
     pub fn local_bytes(&self) -> usize {
-        self.local.iter().map(Transaction::wire_size).sum()
+        page_bytes(&self.local)
     }
 
     /// Number of participating ranks.
@@ -249,40 +291,35 @@ fn rebalance_pages(
         let lo = my_old_lo.max(bounds[j]);
         let hi = my_old_hi.min(bounds[j + 1]);
         if lo < hi {
-            let seg: Vec<Transaction> = ctx.local[lo - my_old_lo..hi - my_old_lo].to_vec();
-            let bytes: usize = seg.iter().map(Transaction::wire_size).sum();
+            let seg = ctx.local.slice(lo - my_old_lo..hi - my_old_lo);
+            let bytes = page_bytes(&seg);
             sends.push(world.isend(j, TAG_REBAL, seg, bytes));
         }
     }
-    // Collect my new slice: the kept overlap plus one segment per peer
-    // whose old range intersects my new range, in global order.
-    let mut pieces: Vec<(usize, Vec<Transaction>)> = Vec::new();
-    let keep_lo = my_old_lo.max(my_new_lo);
-    let keep_hi = my_old_hi.min(my_new_hi);
-    if keep_lo < keep_hi {
-        pieces.push((
-            keep_lo,
-            ctx.local[keep_lo - my_old_lo..keep_hi - my_old_lo].to_vec(),
-        ));
-    }
+    // Collect my new slice in global order: one segment per member whose
+    // old range intersects my new range — received from a peer, kept from
+    // my own slice. The segments live in different slabs, so the new
+    // slice is a new slab.
+    let mut merged: Vec<Transaction> = Vec::with_capacity(new_counts[me]);
     for i in 0..n {
-        if i == me {
-            continue;
-        }
         let lo = my_new_lo.max(old_start[i]);
         let hi = my_new_hi.min(old_start[i + 1]);
-        if lo < hi {
-            let seg: Vec<Transaction> = world.try_recv(i, TAG_REBAL)?;
+        if lo >= hi {
+            continue;
+        }
+        if i == me {
+            merged.extend_from_slice(&ctx.local[lo - my_old_lo..hi - my_old_lo]);
+        } else {
+            let seg: TransactionPage = world.try_recv(i, TAG_REBAL)?;
             debug_assert_eq!(seg.len(), hi - lo, "transfer plans diverged");
-            pieces.push((lo, seg));
+            merged.extend_from_slice(&seg);
         }
     }
     for sh in sends {
         world.wait_send(sh);
     }
     drop(world);
-    pieces.sort_by_key(|p| p.0);
-    ctx.local = pieces.into_iter().flat_map(|(_, seg)| seg).collect();
+    ctx.local = merged.into();
     debug_assert_eq!(ctx.local.len(), new_counts[me]);
     Ok(())
 }
@@ -351,15 +388,15 @@ pub(crate) fn count_batch_charged(
 }
 
 /// Pass 1: dense local item counting + global reduction. Identical in all
-/// four algorithms (the candidate set `C_1` is the item universe; no tree
-/// is needed).
+/// nine formulations (the candidate set `C_1` is the item universe; no
+/// tree is needed).
 pub(crate) fn parallel_pass1(
     comm: &mut Comm,
     ctx: &RankCtx,
 ) -> Result<Vec<(ItemSet, u64)>, RecvFault> {
     let mut counts = vec![0u64; ctx.num_items as usize];
     let mut touched = 0usize;
-    for t in &ctx.local {
+    for t in ctx.local.iter() {
         for item in t.items() {
             counts[item.index()] += 1;
         }
@@ -380,13 +417,14 @@ pub(crate) fn parallel_pass1(
         .collect())
 }
 
-/// Splits a slice of transactions into shared pages of at most
-/// `page_size`. This is the **only** place page payloads are copied; all
-/// subsequent movement is by `Arc` clone.
-pub(crate) fn paginate(transactions: &[Transaction], page_size: usize) -> Vec<TransactionPage> {
-    transactions
-        .chunks(page_size.max(1))
-        .map(Arc::from)
+/// Cuts a slice into page views of at most `page_size` transactions —
+/// the `chunks(page_size)` of the same sequence, in O(pages) with no
+/// transaction copied.
+pub(crate) fn paginate(local: &TransactionPage, page_size: usize) -> Vec<TransactionPage> {
+    let page_size = page_size.max(1);
+    (0..local.len())
+        .step_by(page_size)
+        .map(|lo| local.slice(lo..local.len().min(lo + page_size)))
         .collect()
 }
 
@@ -400,9 +438,20 @@ pub(crate) fn level_wire_size(level: &[(ItemSet, u64)]) -> usize {
     8 + level.iter().map(|(s, _)| 4 * s.len() + 8).sum::<usize>()
 }
 
+/// Ends a partitioned pass: every member of `scope` holds complete counts
+/// for its own (disjoint) candidate share, so an all-to-all broadcast of
+/// the frequent ones assembles the global `F_k` on all of them.
+pub(crate) fn exchange_level(
+    scope: &mut Scope<'_>,
+    mine_frequent: Vec<(ItemSet, u64)>,
+) -> Result<Vec<(ItemSet, u64)>, RecvFault> {
+    let bytes = level_wire_size(&mine_frequent);
+    Ok(merge_levels(scope.try_allgather(mine_frequent, bytes)?))
+}
+
 /// Merges per-processor frequent levels (disjoint candidate partitions)
 /// into the global, lexicographically sorted `F_k`.
-pub(crate) fn merge_levels(parts: Vec<Vec<(ItemSet, u64)>>) -> Vec<(ItemSet, u64)> {
+fn merge_levels(parts: Vec<Vec<(ItemSet, u64)>>) -> Vec<(ItemSet, u64)> {
     let mut merged: Vec<(ItemSet, u64)> = parts.into_iter().flatten().collect();
     merged.sort_by(|a, b| a.0.cmp(&b.0));
     debug_assert!(
@@ -431,7 +480,7 @@ pub(crate) fn ring_shift_count(
     // circulate this placeholder instead: the (zero-byte) message must
     // still flow each step so the shift pattern stays aligned, but there
     // is nothing in it to count.
-    let empty: TransactionPage = Arc::from(Vec::new());
+    let empty = TransactionPage::from(Vec::new());
     // Counts `sbuf` through the counter and charges the clock — skipped
     // for empty buffers, which is virtual-time neutral (an empty batch
     // yields an all-zero work delta) and saves the host-side bookkeeping.
@@ -500,7 +549,7 @@ pub(crate) fn cannot_fail<T>(received: Result<T, RecvFault>) -> T {
 pub(crate) fn run_rank(
     comm: &mut Comm,
     mut ctx: RankCtx,
-    parts: &[Vec<Transaction>],
+    parts: &[Arc<[Transaction]>],
     max_k: Option<usize>,
     placement: PlacementPolicy,
     mobile_pages: bool,
@@ -605,24 +654,36 @@ mod tests {
         Transaction::new(tid, ids.iter().map(|&i| Item(i)).collect())
     }
 
+    /// Pages are views: they cover the slice in order, cut where
+    /// `chunks(page_size)` cuts, and point into the slab they were cut
+    /// from — for a whole-slab slice and for a sub-view alike.
     #[test]
-    fn paginate_splits_and_preserves_order() {
-        let txs: Vec<Transaction> = (0..7).map(|i| tx(i, &[i as u32])).collect();
-        let pages = paginate(&txs, 3);
-        assert_eq!(pages.len(), 3);
-        assert_eq!(pages[0].len(), 3);
-        assert_eq!(pages[2].len(), 1);
-        let flat: Vec<u64> = pages
-            .iter()
-            .flat_map(|p| p.iter())
-            .map(Transaction::tid)
-            .collect();
-        assert_eq!(flat, (0..7).collect::<Vec<u64>>());
+    fn paginate_views_cover_the_slab_in_chunk_order() {
+        let slab: Arc<[Transaction]> = (0..11).map(|i| tx(i, &[i as u32])).collect();
+        let whole = TransactionPage::from(Arc::clone(&slab));
+        for (local, base) in [(whole.clone(), 0), (whole.slice(2..9), 2)] {
+            for page_size in [0, 1, 3, 4, 7, 11, 50] {
+                let pages = paginate(&local, page_size);
+                let chunks: Vec<&[Transaction]> = local.chunks(page_size.max(1)).collect();
+                assert_eq!(pages.len(), chunks.len(), "page_size={page_size}");
+                let mut next = base;
+                for (page, chunk) in pages.iter().zip(chunks) {
+                    assert_eq!(&page[..], chunk);
+                    // Same memory, not a copy: the view starts where the
+                    // previous one ended, inside the slab.
+                    assert!(std::ptr::eq(page.as_ptr(), slab[next..].as_ptr()));
+                    next += page.len();
+                }
+                assert_eq!(next, base + local.len());
+            }
+        }
+        // No transaction was cloned: every view shares the one slab.
+        assert_eq!(Arc::strong_count(&slab), 2, "views dropped, slab shared");
     }
 
     #[test]
     fn paginate_empty() {
-        assert!(paginate(&[], 10).is_empty());
+        assert!(paginate(&Vec::new().into(), 10).is_empty());
     }
 
     #[test]
@@ -654,7 +715,7 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let my_pages = paginate(&local, 3); // rank 0: 4 pages; others: 0.
+            let my_pages = paginate(&local.into(), 3); // rank 0: 4 pages; others: 0.
             let mut counter = CounterBackend::HashTree.build(
                 2,
                 HashTreeParams::default(),

@@ -11,13 +11,15 @@
 //! traverses every processor's tree from every starting item, visiting
 //! `V(C, L/P) > V(C, L)/P` distinct leaves.
 //!
-//! [`CommScheme::RingPipeline`] swaps only the data movement for IDD's
-//! ring (the "DD+comm" curve of Figure 10), isolating how much of IDD's
-//! win is communication and how much is the intelligent partitioning.
+//! The "DD+comm" curve of Figure 10 swaps only the data movement for
+//! IDD's ring, isolating how much of IDD's win is communication and how
+//! much is the intelligent partitioning. It has no driver here: it is the
+//! partitioned pass of [`crate::hd`] at grid `(P, 1)` with this module's
+//! round-robin plan, whose filters prune nothing.
 
 use crate::common::{
-    build_counter_charged, count_batch_charged, level_wire_size, merge_levels, page_bytes,
-    paginate, ring_shift_count, PassResult, RankCtx, TransactionPage, TAG_DATA,
+    build_counter_charged, count_batch_charged, exchange_level, page_bytes, paginate, PassResult,
+    RankCtx, TransactionPage, TAG_DATA,
 };
 use crate::config::ParallelParams;
 use armine_core::binpack::partition_round_robin;
@@ -26,16 +28,8 @@ use armine_core::hashtree::OwnershipFilter;
 use armine_core::ItemSet;
 use armine_mpsim::{Comm, RecvFault};
 
-/// How DD moves transaction pages between processors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CommScheme {
-    /// The original DD all-to-all: P−1 point-to-point sends per page.
-    NaiveAllToAll,
-    /// IDD's ring pipeline (the DD+comm ablation).
-    RingPipeline,
-}
-
-/// One DD counting pass.
+/// One DD counting pass: the original naive all-to-all, P−1
+/// point-to-point sends per page.
 #[allow(clippy::needless_range_loop)] // loop variables are peer ranks
 pub(crate) fn count_pass(
     comm: &mut Comm,
@@ -43,13 +37,12 @@ pub(crate) fn count_pass(
     k: usize,
     candidates: &[ItemSet],
     params: &ParallelParams,
-    scheme: CommScheme,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
     let me = ctx.my_index;
     let total = candidates.len();
     let part = partition_round_robin(candidates, p);
-    let mine = part.parts[me].clone();
+    let mine = part.share(candidates, me);
     let mut counter = build_counter_charged(comm, k, params.counter, params.tree, mine, total);
     comm.charge_io(ctx.local_bytes());
 
@@ -59,65 +52,48 @@ pub(crate) fn count_pass(
     let page_counts: Vec<u64> = ctx.world(comm).try_allgather(my_pages.len() as u64, 8)?;
     let max_pages = page_counts.iter().copied().max().unwrap_or(0) as usize;
 
-    let stats = match scheme {
-        CommScheme::NaiveAllToAll => {
-            let mut stats = CounterStats::default();
-            let filter = OwnershipFilter::all();
-            for round in 0..max_pages {
-                let mut world = ctx.world(comm);
-                // Send my page of this round to every other processor
-                // (asynchronous in the paper, but the single-ported sender
-                // still serializes the P−1 link occupancies). Each send is
-                // an `Arc` clone of the same shared page; only the charged
-                // wire bytes scale with P.
-                if round < my_pages.len() {
-                    let page = &my_pages[round];
-                    let bytes = page_bytes(page);
-                    for other in 0..p {
-                        if other != me {
-                            world.send(other, TAG_DATA | (round as u64) << 8, page.clone(), bytes);
-                        }
-                    }
-                }
-                // Drain the P−1 incoming pages of this round. The paper
-                // polls whichever buffer has data; a fixed order moves the
-                // same bytes through the same single port, so totals agree.
-                let mut batch: Vec<TransactionPage> = Vec::new();
-                if round < my_pages.len() {
-                    batch.push(my_pages[round].clone());
-                }
-                for other in 0..p {
-                    if other != me && round < page_counts[other] as usize {
-                        batch.push(world.try_recv(other, TAG_DATA | (round as u64) << 8)?);
-                    }
-                }
-                drop(world);
-                for page in &batch {
-                    stats = stats.merged(&count_batch_charged(comm, &mut *counter, page, &filter));
+    let mut stats = CounterStats::default();
+    let filter = OwnershipFilter::all();
+    for round in 0..max_pages {
+        let mut world = ctx.world(comm);
+        // Send my page of this round to every other processor
+        // (asynchronous in the paper, but the single-ported sender
+        // still serializes the P−1 link occupancies). Each send is a
+        // clone of the same page view; only the charged wire bytes
+        // scale with P.
+        if round < my_pages.len() {
+            let page = &my_pages[round];
+            let bytes = page_bytes(page);
+            for other in 0..p {
+                if other != me {
+                    world.send(other, TAG_DATA | (round as u64) << 8, page.clone(), bytes);
                 }
             }
-            stats
         }
-        CommScheme::RingPipeline => {
-            let mut world = ctx.world(comm);
-            ring_shift_count(
-                &mut world,
-                &my_pages,
-                max_pages,
-                &mut *counter,
-                &OwnershipFilter::all(),
-            )?
+        // Drain the P−1 incoming pages of this round. The paper
+        // polls whichever buffer has data; a fixed order moves the
+        // same bytes through the same single port, so totals agree.
+        let mut batch: Vec<TransactionPage> = Vec::new();
+        if round < my_pages.len() {
+            batch.push(my_pages[round].clone());
         }
-    };
+        for other in 0..p {
+            if other != me && round < page_counts[other] as usize {
+                batch.push(world.try_recv(other, TAG_DATA | (round as u64) << 8)?);
+            }
+        }
+        drop(world);
+        for page in &batch {
+            stats = stats.merged(&count_batch_charged(comm, &mut *counter, page, &filter));
+        }
+    }
 
     // Each processor now has complete global counts for its own candidate
-    // partition: extract the frequent ones and exchange them with an
-    // all-to-all broadcast so every rank assembles the full F_k.
+    // partition: extract the frequent ones and exchange them so every
+    // rank assembles the full F_k.
     let mine_frequent = counter.frequent(ctx.min_count);
-    let bytes = level_wire_size(&mine_frequent);
-    let all = ctx.world(comm).try_allgather(mine_frequent, bytes)?;
     Ok(PassResult {
-        level: merge_levels(all),
+        level: exchange_level(&mut ctx.world(comm), mine_frequent)?,
         stats,
         db_scans: 1,
         grid: (p, 1),

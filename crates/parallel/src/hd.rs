@@ -1,4 +1,5 @@
-//! Hybrid Distribution (Section III-D, Figure 9).
+//! Hybrid Distribution (Section III-D, Figure 9) — the one partitioned
+//! counting pass.
 //!
 //! HD arranges the P processors as a `G × (P/G)` grid. The candidate set
 //! is partitioned among the **G rows** (every column holds one full copy,
@@ -17,13 +18,19 @@
 //! `G` is chosen dynamically per pass: `G = 1` (pure CD) while the
 //! candidate set is small, growing as `⌈M/m⌉` (rounded to a divisor of P)
 //! when it is large — Table II's configurations.
+//!
+//! "G = P is IDD" is meant literally: [`partitioned_pass`] is the only
+//! driver of the ring pipeline. IDD, DD+comm and the dead-source fallback
+//! of single-source IDD call it at grid `(P, 1)` — one column holding
+//! everybody, rows of one whose reduction is a no-op — and differ only in
+//! the partition plan they hand it.
 
 use crate::common::{
-    build_counter_charged, level_wire_size, merge_levels, paginate, ring_shift_count, PassResult,
-    RankCtx,
+    build_counter_charged, exchange_level, paginate, ring_shift_count, PassResult, RankCtx,
 };
 use crate::config::ParallelParams;
 use crate::idd::make_partition;
+use armine_core::binpack::CandidatePartition;
 use armine_core::ItemSet;
 use armine_mpsim::{Comm, RecvFault};
 
@@ -50,7 +57,8 @@ pub fn choose_grid(p: usize, m_total: usize, m: usize) -> (usize, usize) {
     (g, p / g)
 }
 
-/// One HD counting pass.
+/// One HD counting pass: choose the grid, plan the candidates over its
+/// rows, run the partitioned pass.
 pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
@@ -59,70 +67,84 @@ pub(crate) fn count_pass(
     params: &ParallelParams,
     group_threshold: usize,
 ) -> Result<PassResult, RecvFault> {
-    let p = ctx.size();
+    let (g, cols) = choose_grid(ctx.size(), candidates.len(), group_threshold);
+    // A row's effective capacity is its *slowest* member's: the row's
+    // candidate subset is counted in parallel by one rank per column, so
+    // the slowest column finishes last. Uniform capacities collapse to
+    // all-1.0 rows and the historical equal packing.
+    let row_caps: Vec<f64> = ctx
+        .capacities
+        .chunks(cols)
+        .map(|row| row.iter().copied().fold(f64::INFINITY, f64::min))
+        .collect();
+    let plan = make_partition(candidates, ctx.num_items, &row_caps, params);
+    partitioned_pass(comm, ctx, k, candidates, params, &plan, (g, cols))
+}
+
+/// One partitioned counting pass on a `g × cols` grid (`g · cols` = the
+/// membership): `plan` splits the candidates over the `g` rows, identically
+/// in every column. Each rank clones its row's share — nobody else's —
+/// builds its counter, ring-shifts its column's pages past it, sums counts
+/// along its row, and the column reassembles `F_k`.
+pub(crate) fn partitioned_pass(
+    comm: &mut Comm,
+    ctx: &RankCtx,
+    k: usize,
+    candidates: &[ItemSet],
+    params: &ParallelParams,
+    plan: &CandidatePartition,
+    (g, cols): (usize, usize),
+) -> Result<PassResult, RecvFault> {
+    debug_assert_eq!((g * cols, plan.num_procs()), (ctx.size(), g));
     let me = ctx.my_index;
     let total = candidates.len();
-    let (g, cols) = choose_grid(p, total, group_threshold);
     let (my_row, my_col) = (me / cols, me % cols);
     // Grid positions are member-list indices, mapped to global ranks so
     // the sub-scopes stay valid after a recovery shrinks the membership.
     let col_members: Vec<usize> = (0..g).map(|r| ctx.members[r * cols + my_col]).collect();
     let row_members: Vec<usize> = (0..cols).map(|c| ctx.members[my_row * cols + c]).collect();
 
-    // Candidates partitioned among the G rows — identical in every column.
-    // A row's effective capacity is its *slowest* member's: the row's
-    // candidate subset is counted in parallel by one rank per column, so
-    // the slowest column finishes last. Uniform capacities collapse to
-    // all-1.0 rows and the historical equal packing.
-    let row_caps: Vec<f64> = (0..g)
-        .map(|r| {
-            (0..cols)
-                .map(|c| ctx.capacities[r * cols + c])
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect();
-    let part = make_partition(candidates, ctx.num_items, &row_caps, params);
-    let mine = part.parts[my_row].clone();
-    let filter = part.filters[my_row].clone();
+    let mine = plan.share(candidates, my_row);
+    let filter = &plan.filters[my_row];
     let mut counter = build_counter_charged(comm, k, params.counter, params.tree, mine, total);
     comm.charge_io(ctx.local_bytes());
 
     // Step 1 — IDD within the column: shift the column's transactions
-    // around the column ring, counting with the bitmap filter.
+    // around the column ring, counting with the row's filter. Everyone
+    // loops over the column's largest page count so the shift pattern
+    // stays aligned.
     let my_pages = paginate(&ctx.local, ctx.page_size);
-    let (stats, counts) = {
+    let stats = {
         let mut col = comm.scope(
             ctx.scope_id(SCOPE_COLUMN + my_col as u64),
             col_members.clone(),
         );
         let page_counts: Vec<u64> = col.try_allgather(my_pages.len() as u64, 8)?;
         let max_pages = page_counts.iter().copied().max().unwrap_or(0) as usize;
-        let stats = ring_shift_count(&mut col, &my_pages, max_pages, &mut *counter, &filter)?;
-        (stats, counter.count_vector())
+        ring_shift_count(&mut col, &my_pages, max_pages, &mut *counter, filter)?
     };
 
     // Step 2 — reduction along the row: processors in a row hold the same
-    // candidate subset; summing gives global counts.
-    let mut counts = counts;
+    // candidate subset; summing gives global counts. A row of one (every
+    // `(P, 1)` caller) already holds them, and the all-reduce returns at
+    // once.
+    let mut counts = counter.count_vector();
     comm.scope(ctx.scope_id(SCOPE_ROW + my_row as u64), row_members)
         .try_allreduce_sum_u64(&mut counts)?;
     counter.set_count_vector(&counts);
     let mine_frequent = counter.frequent(ctx.min_count);
 
     // Step 3 — all-to-all broadcast along the column: reassemble F_k.
-    let bytes = level_wire_size(&mine_frequent);
-    let col_levels = comm
-        .scope(
-            ctx.scope_id(SCOPE_COLUMN_BCAST + my_col as u64),
-            col_members,
-        )
-        .try_allgather(mine_frequent, bytes)?;
+    let mut col = comm.scope(
+        ctx.scope_id(SCOPE_COLUMN_BCAST + my_col as u64),
+        col_members,
+    );
     Ok(PassResult {
-        level: merge_levels(col_levels),
+        level: exchange_level(&mut col, mine_frequent)?,
         stats,
         db_scans: 1,
         grid: (g, cols),
-        candidate_imbalance: part.imbalance,
+        candidate_imbalance: plan.imbalance,
         counted_candidates: None,
     })
 }

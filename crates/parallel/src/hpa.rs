@@ -25,8 +25,7 @@
 //! all-reduce, so their (numerous) potential-candidate instances are
 //! never shipped.
 
-use crate::common::{level_wire_size, merge_levels, paginate, PassResult, RankCtx, TAG_DATA};
-use crate::config::ParallelParams;
+use crate::common::{exchange_level, paginate, PassResult, RankCtx, TAG_DATA};
 use armine_core::counter::CounterStats;
 use armine_core::stable_hash::owner_of;
 use armine_core::ItemSet;
@@ -43,7 +42,6 @@ pub(crate) fn count_pass(
     k: usize,
     candidates: &[ItemSet],
     prev_level: &[(ItemSet, u64)],
-    _params: &ParallelParams,
     eld_permille: u32,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
@@ -203,10 +201,8 @@ pub(crate) fn count_pass(
         );
     }
     mine_frequent.sort_by(|a, b| a.0.cmp(&b.0));
-    let bytes = level_wire_size(&mine_frequent);
-    let all = ctx.world(comm).try_allgather(mine_frequent, bytes)?;
     Ok(PassResult {
-        level: merge_levels(all),
+        level: exchange_level(&mut ctx.world(comm), mine_frequent)?,
         stats,
         db_scans: 1,
         grid: (p, 1),

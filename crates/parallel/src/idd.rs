@@ -13,10 +13,14 @@
 //!    items against its ownership bitmap at the hash-tree root, so each
 //!    transaction's work is *divided* among processors rather than
 //!    repeated: `V(C/P, L/P) ≈ V(C, L)/P`.
+//!
+//! IDD has no pass driver of its own: it is the partitioned pass of
+//! [`crate::hd`] at grid `(P, 1)` with [`make_partition`]'s plan. What
+//! lives here is that plan and the single-source chain.
 
 use crate::common::{
-    build_counter_charged, level_wire_size, merge_levels, paginate, ring_shift_count, PassResult,
-    RankCtx,
+    build_counter_charged, count_batch_charged, exchange_level, page_bytes, paginate, PassResult,
+    RankCtx, TransactionPage, TAG_DATA,
 };
 use crate::config::ParallelParams;
 use armine_core::binpack::{partition_by_first_item, partition_two_level, CandidatePartition};
@@ -50,8 +54,8 @@ pub(crate) fn make_partition(
 ///
 /// Under crash recovery the source itself can die: its database is then
 /// redistributed across the survivors by adoption, the chain has no head
-/// to stream from, and the pass falls back to the ring pipeline of the
-/// partitioned formulation — same candidate partition, same filters,
+/// to stream from, and the pass falls back to the partitioned pass at
+/// grid `(P, 1)` — plain IDD: same candidate partition, same filters,
 /// same `F_k`.
 pub(crate) fn count_pass_single_source(
     comm: &mut Comm,
@@ -60,108 +64,56 @@ pub(crate) fn count_pass_single_source(
     candidates: &[ItemSet],
     params: &ParallelParams,
 ) -> Result<PassResult, RecvFault> {
-    use crate::common::{count_batch_charged, page_bytes, TransactionPage, TAG_DATA};
     let p = ctx.size();
     let me = ctx.my_index;
     let total = candidates.len();
     let part = make_partition(candidates, ctx.num_items, &ctx.capacities, params);
-    let mine = part.parts[me].clone();
-    let filter = part.filters[me].clone();
-    let mut counter = build_counter_charged(comm, k, params.counter, params.tree, mine, total);
-
-    let stats = if ctx.members[0] != 0 {
+    if ctx.members[0] != 0 {
         // The source is dead and its pages now live on several survivors:
         // circulate them with the ring instead of the broken chain.
-        comm.charge_io(ctx.local_bytes());
-        let my_pages = paginate(&ctx.local, ctx.page_size);
-        let page_counts: Vec<u64> = ctx.world(comm).try_allgather(my_pages.len() as u64, 8)?;
-        let max_pages = page_counts.iter().copied().max().unwrap_or(0) as usize;
-        let mut world = ctx.world(comm);
-        ring_shift_count(&mut world, &my_pages, max_pages, &mut *counter, &filter)?
-    } else {
-        if me == 0 {
-            comm.charge_io(ctx.local_bytes());
-        }
-        // Page count is known only at the source; broadcast it down the
-        // chain first (the source owns all transactions in this mode).
-        let my_pages = paginate(&ctx.local, ctx.page_size);
-        let num_pages = {
-            let mut world = ctx.world(comm);
-            let value = (me == 0).then_some(my_pages.len() as u64);
-            world.try_broadcast(0, value, 8)? as usize
-        };
-        let mut stats = CounterStats::default();
-        #[allow(clippy::needless_range_loop)] // only the source indexes its pages
-        for page_idx in 0..num_pages {
-            let tag = TAG_DATA | (page_idx as u64) << 8;
-            let mut world = ctx.world(comm);
-            let page: TransactionPage = if me == 0 {
-                my_pages[page_idx].clone()
-            } else {
-                world.try_recv(me - 1, tag)?
-            };
-            // Forward down the chain (a shared-page refcount bump) before
-            // counting, so downstream ranks overlap with our subset work.
-            if me + 1 < p {
-                let bytes = page_bytes(&page);
-                let sh = world.isend(me + 1, tag, page.clone(), bytes);
-                drop(world);
-                stats = stats.merged(&count_batch_charged(comm, &mut *counter, &page, &filter));
-                ctx.world(comm).wait_send(sh);
-            } else {
-                drop(world);
-                stats = stats.merged(&count_batch_charged(comm, &mut *counter, &page, &filter));
-            }
-        }
-        stats
-    };
-
-    let mine_frequent = counter.frequent(ctx.min_count);
-    let bytes = level_wire_size(&mine_frequent);
-    let all = ctx.world(comm).try_allgather(mine_frequent, bytes)?;
-    Ok(PassResult {
-        level: merge_levels(all),
-        stats,
-        db_scans: 1,
-        grid: (p, 1),
-        candidate_imbalance: part.imbalance,
-        counted_candidates: None,
-    })
-}
-
-/// One IDD counting pass.
-pub(crate) fn count_pass(
-    comm: &mut Comm,
-    ctx: &RankCtx,
-    k: usize,
-    candidates: &[ItemSet],
-    params: &ParallelParams,
-) -> Result<PassResult, RecvFault> {
-    let p = ctx.size();
-    let me = ctx.my_index;
-    let total = candidates.len();
-    // Deterministic on every rank: same candidates + same capacities →
-    // same packing.
-    let part = make_partition(candidates, ctx.num_items, &ctx.capacities, params);
-    let mine = part.parts[me].clone();
-    let filter = part.filters[me].clone();
+        return crate::hd::partitioned_pass(comm, ctx, k, candidates, params, &part, (p, 1));
+    }
+    let mine = part.share(candidates, me);
+    let filter = &part.filters[me];
     let mut counter = build_counter_charged(comm, k, params.counter, params.tree, mine, total);
-    comm.charge_io(ctx.local_bytes());
-
+    if me == 0 {
+        comm.charge_io(ctx.local_bytes());
+    }
+    // Page count is known only at the source; broadcast it down the
+    // chain first (the source owns all transactions in this mode).
     let my_pages = paginate(&ctx.local, ctx.page_size);
-    let page_counts: Vec<u64> = ctx.world(comm).try_allgather(my_pages.len() as u64, 8)?;
-    let max_pages = page_counts.iter().copied().max().unwrap_or(0) as usize;
-
-    let stats = {
+    let num_pages = {
         let mut world = ctx.world(comm);
-        ring_shift_count(&mut world, &my_pages, max_pages, &mut *counter, &filter)?
+        let value = (me == 0).then_some(my_pages.len() as u64);
+        world.try_broadcast(0, value, 8)? as usize
     };
+    let mut stats = CounterStats::default();
+    #[allow(clippy::needless_range_loop)] // only the source indexes its pages
+    for page_idx in 0..num_pages {
+        let tag = TAG_DATA | (page_idx as u64) << 8;
+        let mut world = ctx.world(comm);
+        let page: TransactionPage = if me == 0 {
+            my_pages[page_idx].clone()
+        } else {
+            world.try_recv(me - 1, tag)?
+        };
+        // Forward down the chain (a page-view refcount bump) before
+        // counting, so downstream ranks overlap with our subset work.
+        if me + 1 < p {
+            let bytes = page_bytes(&page);
+            let sh = world.isend(me + 1, tag, page.clone(), bytes);
+            drop(world);
+            stats = stats.merged(&count_batch_charged(comm, &mut *counter, &page, filter));
+            ctx.world(comm).wait_send(sh);
+        } else {
+            drop(world);
+            stats = stats.merged(&count_batch_charged(comm, &mut *counter, &page, filter));
+        }
+    }
 
     let mine_frequent = counter.frequent(ctx.min_count);
-    let bytes = level_wire_size(&mine_frequent);
-    let all = ctx.world(comm).try_allgather(mine_frequent, bytes)?;
     Ok(PassResult {
-        level: merge_levels(all),
+        level: exchange_level(&mut ctx.world(comm), mine_frequent)?,
         stats,
         db_scans: 1,
         grid: (p, 1),

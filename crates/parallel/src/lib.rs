@@ -2,8 +2,10 @@
 
 //! # armine-parallel
 //!
-//! The four parallel formulations of Apriori the paper studies, plus the
-//! intermediate ablation it uses to decompose IDD's gains:
+//! Nine parallel formulations of Apriori: the four the paper studies, the
+//! intermediate ablation it uses to decompose IDD's gains, its
+//! single-source deployment, and the three related algorithms of Section
+//! III-E:
 //!
 //! | Algorithm | Candidate placement | Data movement | Section |
 //! |-----------|--------------------|---------------|---------|
@@ -17,14 +19,16 @@
 //! | [`Algorithm::Hpa`] (hash partitioned)  | stable-hash partition | per-transaction k-subsets to owners | III-E (related) |
 //! | [`Algorithm::Pdm`] (parallel DHP)      | full replica, bucket-pruned | counts + bucket tables reduced | III-E (related) |
 //!
-//! All five run on [`armine_mpsim`]'s virtual-time runtime: results are
+//! All nine run on [`armine_mpsim`]'s virtual-time runtime: results are
 //! exact (tested identical to serial Apriori), response times come from the
-//! calibrated cost model.
+//! calibrated cost model. DD+comm, IDD and HD are one pass driver — HD's
+//! partitioned pass, which the first two run at grid `(P, 1)` with their
+//! own candidate plan (DESIGN.md §5.4).
 //!
 //! Runs can also be subjected to deterministic fault injection
 //! ([`armine_mpsim::FaultPlan`]): [`ParallelMiner::mine_with_faults`]
-//! tolerates message loss, stragglers, and rank crashes for CD, DD,
-//! DD+comm, IDD, HD, and PDM. The replicated frequent-itemset lattice
+//! tolerates message loss, stragglers, and rank crashes for all nine
+//! formulations. The replicated frequent-itemset lattice
 //! acts as the pass-boundary checkpoint — survivors adopt a dead rank's
 //! transaction partitions and candidate responsibility, re-execute only
 //! the interrupted pass, and mine a lattice bit-identical to the

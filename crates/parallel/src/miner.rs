@@ -3,15 +3,16 @@
 
 use crate::common::{run_rank, RankCtx, RankOutput};
 use crate::config::ParallelParams;
-use crate::dd::CommScheme;
 use crate::metrics::{ParallelPassMetrics, ParallelRun};
 use crate::{cd, dd, hd, hpa, idd, npa, pdm};
 use armine_core::apriori::FrequentItemsets;
+use armine_core::binpack::partition_round_robin;
 use armine_core::counter::CounterStats;
-use armine_core::Dataset;
+use armine_core::{Dataset, Transaction};
 use armine_mpsim::{
     ClusterProfile, ExecBackend, FaultPlan, MachineProfile, SimResult, Simulator, Topology,
 };
+use std::sync::Arc;
 
 /// Which parallel formulation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,13 +200,17 @@ impl ParallelMiner {
             plan.validate_for_procs(self.procs)
                 .map_err(FaultRunError::InvalidPlan)?;
         }
-        // Single-source mode: the whole database sits on rank 0.
-        let parts = if algorithm == Algorithm::IddSingleSource {
-            let mut parts = vec![Vec::new(); self.procs];
-            parts[0] = dataset.transactions().to_vec();
+        // One slab per partition, built once: the ranks' local slices and
+        // every page are views of these, and they are the stable storage
+        // recovery re-reads. Single-source mode: the whole database sits
+        // on rank 0.
+        let parts: Vec<Arc<[Transaction]>> = if algorithm == Algorithm::IddSingleSource {
+            let mut parts = vec![Arc::from(Vec::new()); self.procs];
+            parts[0] = dataset.transactions().into();
             parts
         } else {
-            dataset.partition(self.procs)
+            let parts = dataset.partition(self.procs);
+            parts.into_iter().map(Arc::from).collect()
         };
         let num_items = dataset.num_items();
         let min_count = params.min_support.resolve(dataset.len());
@@ -231,7 +236,7 @@ impl ParallelMiner {
         );
         let result: SimResult<Option<RankOutput>> = sim.run_with_faults(move |comm| {
             let ctx = RankCtx::new(
-                parts[comm.rank()].clone(),
+                Arc::clone(&parts[comm.rank()]).into(),
                 num_items,
                 min_count,
                 params_copy.page_size,
@@ -247,28 +252,29 @@ impl ParallelMiner {
                 mobile_pages,
                 |comm, ctx, k, candidates, prev| match algorithm {
                     Algorithm::Cd => cd::count_pass(comm, ctx, k, candidates, &params_copy),
-                    Algorithm::Dd => dd::count_pass(
-                        comm,
-                        ctx,
-                        k,
-                        candidates,
-                        &params_copy,
-                        CommScheme::NaiveAllToAll,
-                    ),
-                    Algorithm::DdComm => dd::count_pass(
-                        comm,
-                        ctx,
-                        k,
-                        candidates,
-                        &params_copy,
-                        CommScheme::RingPipeline,
-                    ),
-                    Algorithm::Idd => idd::count_pass(comm, ctx, k, candidates, &params_copy),
+                    Algorithm::Dd => dd::count_pass(comm, ctx, k, candidates, &params_copy),
+                    // DD+comm and IDD are HD's pass at grid (P, 1): one
+                    // column of everybody, differing only in the plan.
+                    Algorithm::DdComm => {
+                        let plan = partition_round_robin(candidates, ctx.size());
+                        let grid = (ctx.size(), 1);
+                        hd::partitioned_pass(comm, ctx, k, candidates, &params_copy, &plan, grid)
+                    }
+                    Algorithm::Idd => {
+                        let plan = idd::make_partition(
+                            candidates,
+                            ctx.num_items,
+                            &ctx.capacities,
+                            &params_copy,
+                        );
+                        let grid = (ctx.size(), 1);
+                        hd::partitioned_pass(comm, ctx, k, candidates, &params_copy, &plan, grid)
+                    }
                     Algorithm::Hd { group_threshold } => {
                         hd::count_pass(comm, ctx, k, candidates, &params_copy, group_threshold)
                     }
                     Algorithm::Hpa { eld_permille } => {
-                        hpa::count_pass(comm, ctx, k, candidates, prev, &params_copy, eld_permille)
+                        hpa::count_pass(comm, ctx, k, candidates, prev, eld_permille)
                     }
                     Algorithm::IddSingleSource => {
                         idd::count_pass_single_source(comm, ctx, k, candidates, &params_copy)

@@ -43,7 +43,7 @@ pub(crate) fn count_pass(
         let machine = comm.machine().clone();
         let mut filter = HashFilter::new(buckets);
         let mut hashed = 0u64;
-        for t in &ctx.local {
+        for t in ctx.local.iter() {
             for subset in t.k_subsets(k) {
                 filter.add(&subset);
                 hashed += 1;

@@ -38,6 +38,7 @@ use crate::common::{share_bounds, PassResult, RankCtx};
 use armine_core::Transaction;
 use armine_mpsim::{Comm, RecvFault};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Scope-id namespace for the membership-sync rounds (epoch-shifted by
 /// [`RankCtx::scope_id`], so retries never cross-deliver).
@@ -60,7 +61,7 @@ pub(crate) struct SyncOutcome {
 pub(crate) type Holding = (usize, usize, usize);
 
 /// The initial placement: rank `r` holds all of partition `r`.
-pub(crate) fn initial_holdings(parts: &[Vec<Transaction>]) -> Vec<Vec<Holding>> {
+pub(crate) fn initial_holdings(parts: &[Arc<[Transaction]>]) -> Vec<Vec<Holding>> {
     parts
         .iter()
         .enumerate()
@@ -162,7 +163,7 @@ pub(crate) fn adopt(
     comm: &mut Comm,
     ctx: &mut RankCtx,
     holdings: &mut [Vec<Holding>],
-    parts: &[Vec<Transaction>],
+    parts: &[Arc<[Transaction]>],
     dead: &BTreeSet<usize>,
 ) {
     let me = comm.rank();
@@ -205,10 +206,13 @@ pub(crate) fn adopt(
     if adopted_bytes > 0 {
         comm.charge_io(adopted_bytes);
     }
-    ctx.local = holdings[me]
+    // Holdings span several partitions' slabs: re-reading them from
+    // stable storage materialises the grown slice as a new slab.
+    let reread: Vec<Transaction> = holdings[me]
         .iter()
         .flat_map(|&(p, lo, hi)| parts[p][lo..hi].iter().cloned())
         .collect();
+    ctx.local = reread.into();
     ctx.members = survivors;
     ctx.capacities = survivor_caps;
     ctx.my_index = ctx
@@ -252,9 +256,9 @@ mod tests {
 
     #[test]
     fn initial_holdings_map_rank_to_partition() {
-        let parts = vec![
-            vec![Transaction::new(0, vec![])],
-            vec![Transaction::new(1, vec![]), Transaction::new(2, vec![])],
+        let parts: Vec<Arc<[Transaction]>> = vec![
+            vec![Transaction::new(0, vec![])].into(),
+            vec![Transaction::new(1, vec![]), Transaction::new(2, vec![])].into(),
         ];
         assert_eq!(
             initial_holdings(&parts),

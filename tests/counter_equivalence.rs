@@ -4,7 +4,7 @@
 //! under ownership filters, and end-to-end through every parallel
 //! formulation on both the simulated and the native execution backend.
 
-use armine::core::binpack::{partition_by_first_item, partition_two_level};
+use armine::core::binpack::{partition_by_first_item, partition_two_level, CandidatePartition};
 use armine::core::counter::{CounterBackend, CounterStats};
 use armine::core::hashtree::{HashTreeParams, OwnershipFilter};
 use armine::core::rules::generate_rules;
@@ -41,6 +41,13 @@ fn to_itemsets(raw: &[Vec<u32>]) -> Vec<ItemSet> {
     sets.sort();
     sets.dedup();
     sets
+}
+
+/// Every processor's share of `cands` under `part`.
+fn shares(part: &CandidatePartition, cands: &[ItemSet]) -> Vec<Vec<ItemSet>> {
+    (0..part.num_procs())
+        .map(|proc| part.share(cands, proc))
+        .collect()
 }
 
 /// The reference semantics both backends must implement: candidate `c` is
@@ -120,7 +127,7 @@ proptest! {
         let mut unions = Vec::new();
         for backend in CounterBackend::ALL {
             let mut union = Vec::new();
-            for (mine, filter) in part.parts.iter().zip(&part.filters) {
+            for (mine, filter) in shares(&part, &cands).iter().zip(&part.filters) {
                 let mut counter = backend.build(2, HashTreeParams::default(), mine.clone());
                 counter.count_all(&txs, filter);
                 let want = brute_force(mine, &txs, filter);
@@ -166,7 +173,8 @@ proptest! {
             t => partition_two_level(&cands, universe, &capacities, 40 * t),
         };
         let whole = (&cands, &OwnershipFilter::all());
-        for (mine, filter) in part.parts.iter().zip(&part.filters).chain([whole]) {
+        let shares = shares(&part, &cands);
+        for (mine, filter) in shares.iter().zip(&part.filters).chain([whole]) {
             prop_assert!(tree.fan_out(k, mine.len()) > 8, "not a wide tree");
             let want = brute_force(mine, &txs, filter);
             for backend in CounterBackend::ALL {
@@ -217,8 +225,8 @@ fn pass2_equals_brute_force_on_every_share_shape() {
     let capacities = [1.0, 1.0, 1.0];
     let by_first = partition_by_first_item(&full, 64, &capacities);
     let two_level = partition_two_level(&full, 64, &capacities, 20);
-    let split_firsts = two_level
-        .parts
+    let (by_first_shares, two_level_shares) = (shares(&by_first, &full), shares(&two_level, &full));
+    let split_firsts = two_level_shares
         .iter()
         .flat_map(|part| part.iter().map(|c| c.first()).collect::<BTreeSet<_>>())
         .count();
@@ -232,15 +240,13 @@ fn pass2_equals_brute_force_on_every_share_shape() {
     let mut shares: Vec<(&str, &[ItemSet], &OwnershipFilter)> =
         vec![("full", &full, &all), ("duplicates", &twice, &all)];
     shares.extend(
-        by_first
-            .parts
+        by_first_shares
             .iter()
             .zip(&by_first.filters)
             .map(|(p, f)| ("first-item", &p[..], f)),
     );
     shares.extend(
-        two_level
-            .parts
+        two_level_shares
             .iter()
             .zip(&two_level.filters)
             .map(|(p, f)| ("two-level", &p[..], f)),

@@ -3,7 +3,7 @@
 use armine::core::apriori::{apriori_gen, Apriori, AprioriParams};
 use armine::core::binpack::{
     pack_lpt, pack_lpt_weighted, partition_by_first_item, partition_round_robin,
-    partition_two_level,
+    partition_two_level, CandidatePartition, Packing,
 };
 use armine::core::counter::CandidateCounter;
 use armine::core::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
@@ -51,6 +51,14 @@ fn dense_candidates(universe: u32, k: usize, thin: usize) -> Vec<ItemSet> {
         .collect()
 }
 
+/// Every processor's share of `cands` under `part`, cut the way the
+/// parallel drivers cut their own.
+fn shares(part: &CandidatePartition, cands: &[ItemSet]) -> Vec<Vec<ItemSet>> {
+    (0..part.num_procs())
+        .map(|proc| part.share(cands, proc))
+        .collect()
+}
+
 fn brute_counts(cands: &[ItemSet], txs: &[Transaction]) -> Vec<u64> {
     cands
         .iter()
@@ -90,7 +98,8 @@ proptest! {
             t => partition_two_level(&cands, universe, &capacities, 40 * t),
         };
         let whole = (&cands, &OwnershipFilter::all());
-        for (mine, filter) in part.parts.iter().zip(&part.filters).chain([whole]) {
+        let shares = shares(&part, &cands);
+        for (mine, filter) in shares.iter().zip(&part.filters).chain([whole]) {
             let mut tree = HashTree::build(k, HashTreeParams::default(), mine.clone());
             prop_assert!(tree.branching() > 8, "{} candidates stayed at 8", mine.len());
             tree.count_all(&txs, filter);
@@ -169,21 +178,52 @@ proptest! {
         }
     }
 
-    /// Candidate partitions cover every candidate exactly once, whatever
-    /// the strategy.
+    /// A partition plan's shares cover every candidate exactly once,
+    /// whatever the strategy, the capacities and the split threshold:
+    /// pairwise disjoint, union `C_k`, each sorted. A share is exactly
+    /// what its filter owns (the ownership partitioners; round-robin's
+    /// filters own everything and its shares are the strides), and the
+    /// plan's imbalance is the one the share lengths give.
     #[test]
     fn partitions_are_exact_covers(
-        raw_cands in prop::collection::vec(arb_candidate(20, 2), 1..60),
+        raw_cands in prop::collection::vec(arb_candidate(20, 3), 1..60),
         procs in 1usize..9,
+        skew in prop::collection::vec(1u32..6, 8),
+        skewed in 0u8..2,
+        split_threshold in 0u64..6,
     ) {
         let cands = to_itemsets(&raw_cands);
-        for part in [
-            partition_round_robin(&cands, procs),
-            partition_by_first_item(&cands, 20, &vec![1.0; procs]),
-        ] {
-            let mut all: Vec<ItemSet> = part.parts.iter().flatten().cloned().collect();
+        let capacities: Vec<f64> = (0..procs)
+            .map(|i| if skewed == 1 { f64::from(skew[i]) / 2.0 } else { 1.0 })
+            .collect();
+        let plans = [
+            (partition_round_robin(&cands, procs), false),
+            (partition_by_first_item(&cands, 20, &capacities), true),
+            (partition_two_level(&cands, 20, &capacities, split_threshold), true),
+        ];
+        for (part, by_ownership) in plans {
+            prop_assert_eq!(part.num_procs(), procs);
+            let shares = shares(&part, &cands);
+            for (proc, share) in shares.iter().enumerate() {
+                prop_assert!(share.windows(2).all(|w| w[0] < w[1]), "unsorted: {:?}", share);
+                if by_ownership {
+                    let owned: Vec<ItemSet> =
+                        cands.iter().filter(|c| part.filters[proc].owns(c)).cloned().collect();
+                    prop_assert_eq!(share, &owned);
+                } else {
+                    let stride: Vec<ItemSet> =
+                        cands.iter().skip(proc).step_by(procs).cloned().collect();
+                    prop_assert_eq!(share, &stride);
+                    prop_assert!(part.filters[proc].is_all());
+                }
+            }
+            // Sorted and duplicate-free once merged: disjoint, union C_k.
+            let mut all: Vec<ItemSet> = shares.iter().flatten().cloned().collect();
             all.sort();
             prop_assert_eq!(&all, &cands);
+            let loads = shares.iter().map(|s| s.len() as u64).collect();
+            let by_length = Packing { assignment: Vec::new(), loads }.imbalance();
+            prop_assert_eq!(part.imbalance, by_length);
         }
     }
 
@@ -339,7 +379,7 @@ proptest! {
         let cands = to_itemsets(&raw_cands);
         let txs = to_transactions(&raw_txs);
         let part = partition_by_first_item(&cands, 16, &vec![1.0; procs]);
-        for (mine, filter) in part.parts.iter().zip(&part.filters) {
+        for (mine, filter) in shares(&part, &cands).iter().zip(&part.filters) {
             let mut tree = HashTree::build(2, HashTreeParams::default(), mine.clone());
             tree.count_all(&txs, filter);
             for c in mine {
