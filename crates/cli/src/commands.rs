@@ -126,9 +126,23 @@ fn cmd_gen(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let params = QuestParams::paper_t15_i6()
         .num_transactions(args.required("transactions")?)
         .num_items(at_least_one("items", args.or_default("items", 1000u32)?)?)
-        .num_patterns(args.or_default("patterns", 2000)?)
-        .avg_transaction_len(args.or_default("avg-len", 15.0)?)
-        .avg_pattern_len(args.or_default("pattern-len", 6.0)?)
+        .num_patterns(at_least_one(
+            "patterns",
+            args.or_default("patterns", 2000usize)?,
+        )?)
+        // The Poisson sampler's range; it clamps a pattern mean of 0 itself.
+        .avg_transaction_len(in_range(
+            "avg-len",
+            args.or_default("avg-len", 15.0)?,
+            |mean| *mean > 0.0 && *mean <= 700.0,
+            "above 0, at most 700",
+        )?)
+        .avg_pattern_len(in_range(
+            "pattern-len",
+            args.or_default("pattern-len", 6.0)?,
+            |mean| (0.0..=700.0).contains(mean),
+            "0 to 700",
+        )?)
         .seed(args.or_default("seed", 0)?);
     let format: String = args.or_default("format", "text".into())?;
     let (_, write) = choice("format", &format, &FORMATS, |f| f.0)?;
@@ -243,7 +257,7 @@ const ALGORITHMS: [Named<MakeAlgorithm>; 9] = [
     }),
     ("pdm", |args| {
         Ok(Algorithm::Pdm {
-            buckets: args.or_default("buckets", 1 << 15)?,
+            buckets: at_least_one("buckets", args.or_default("buckets", 1usize << 15)?)?,
             filter_passes: args.or_default("filter-passes", 1)?,
         })
     }),
@@ -432,7 +446,7 @@ fn cmd_model(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
         c: args.required("c")?,
         s: args.required("s")?,
     };
-    let procs: f64 = args.required("procs")?;
+    let procs: f64 = at_least_one("procs", args.required("procs")?)?;
     let g: f64 = args.or_default("g", (procs).sqrt().round())?;
     let machine: String = args.or_default("machine", "t3e".into())?;
     let (_, cost_params) = choice("machine", &machine, &MODEL_MACHINES, |m| m.0)?;
@@ -627,24 +641,31 @@ mod tests {
             "5",
         ]);
         let out = temp("ranges_out.txt");
-        let parallel = |extra: &[&'static str]| {
-            let mut argv = vec!["parallel", "--input", &db, "--algorithm", "hd"];
-            argv.extend_from_slice(extra);
-            argv
-        };
+        let hd = ["parallel", "--input", &db, "--algorithm", "hd"];
+        let pdm = ["parallel", "--input", &db, "--algorithm", "pdm"];
+        let gen = ["gen", "--out", &out, "--transactions", "10"];
+        let model = [
+            "model", "--n", "1000", "--m", "100", "--c", "10", "--s", "4",
+        ];
+        fn with<'a>(base: &[&'a str], extra: &[&'a str]) -> Vec<&'a str> {
+            [base, extra].concat()
+        }
         let cases: Vec<(Vec<&str>, &str, &str)> = vec![
             (
-                parallel(&["--procs", "0", "--min-count", "3"]),
+                with(&hd, &["--procs", "0", "--min-count", "3"]),
                 "--procs",
                 "0",
             ),
             (
-                parallel(&["--procs", "2", "--min-count", "3", "--group-threshold", "0"]),
+                with(
+                    &hd,
+                    &["--procs", "2", "--min-count", "3", "--group-threshold", "0"],
+                ),
                 "--group-threshold",
                 "0",
             ),
             (
-                parallel(&["--procs", "2", "--min-support", "1.5"]),
+                with(&hd, &["--procs", "2", "--min-support", "1.5"]),
                 "--min-support",
                 "1.5",
             ),
@@ -668,11 +689,29 @@ mod tests {
                 "--rules",
                 "1.5",
             ),
+            (with(&gen, &["--items", "0"]), "--items", "0"),
+            (with(&gen, &["--patterns", "0"]), "--patterns", "0"),
+            (with(&gen, &["--avg-len", "0"]), "--avg-len", "0"),
+            (with(&gen, &["--avg-len", "-1"]), "--avg-len", "-1"),
+            (with(&gen, &["--avg-len", "nan"]), "--avg-len", "NaN"),
+            (with(&gen, &["--avg-len", "inf"]), "--avg-len", "inf"),
+            (with(&gen, &["--avg-len", "701"]), "--avg-len", "701"),
             (
-                vec!["gen", "--out", &out, "--transactions", "10", "--items", "0"],
-                "--items",
+                with(&gen, &["--pattern-len", "inf"]),
+                "--pattern-len",
+                "inf",
+            ),
+            (
+                with(
+                    &pdm,
+                    &["--procs", "2", "--min-count", "3", "--buckets", "0"],
+                ),
+                "--buckets",
                 "0",
             ),
+            (with(&model, &["--procs", "0"]), "--procs", "0"),
+            (with(&model, &["--procs", "-4"]), "--procs", "-4"),
+            (with(&model, &["--procs", "nan"]), "--procs", "NaN"),
         ];
         for (parts, flag, value) in &cases {
             assert_eq!(crate::run(&argv(parts), &mut Vec::new()), 2, "{parts:?}");

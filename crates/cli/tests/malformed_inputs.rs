@@ -1,7 +1,7 @@
-//! Dataset files that used to kill the process — an aborting allocation,
-//! an index panic — must end the real binary the way every other bad
-//! input does: exit code 2 and one `error:` line, from every subcommand
-//! that reads a dataset.
+//! Dataset files, flag values and fault-plan files that used to kill the
+//! process — an aborting allocation, an index panic, a library `assert!`
+//! — must end the real binary the way every other bad input does: exit
+//! code 2 and one `error:` line.
 
 use armine_core::io::write_transactions_binary;
 use armine_core::{Dataset, Item, Transaction};
@@ -29,6 +29,22 @@ fn truncated_binary() -> Vec<u8> {
     write_transactions_binary(&mut bytes, &dataset).unwrap();
     bytes.truncate(bytes.len() - 3);
     bytes
+}
+
+fn armine() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_armine"))
+}
+
+/// Exit code 2, exactly one `error:` line, and no trace of a panic or abort.
+fn assert_refused(command: &mut Command, what: &str) {
+    let run = command.output().unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    let what = format!("{what}: {stderr}");
+    assert_eq!(run.status.code(), Some(2), "{what}");
+    let errors = stderr.lines().filter(|l| l.starts_with("error: ")).count();
+    assert_eq!(errors, 1, "{what}");
+    assert!(!stderr.contains("panicked"), "{what}");
+    assert!(!stderr.contains("memory allocation"), "{what}");
 }
 
 #[test]
@@ -59,18 +75,48 @@ fn malformed_datasets_exit_2_with_an_error_line() {
         let path = dir.join(name);
         std::fs::write(&path, bytes).unwrap();
         for subcommand in subcommands {
-            let run = Command::new(env!("CARGO_BIN_EXE_armine"))
-                .args(subcommand)
-                .arg("--input")
-                .arg(&path)
-                .output()
-                .unwrap();
-            let stderr = String::from_utf8_lossy(&run.stderr);
-            let what = format!("{} on {name}: {stderr}", subcommand[0]);
-            assert_eq!(run.status.code(), Some(2), "{what}");
-            assert!(stderr.lines().any(|l| l.starts_with("error: ")), "{what}");
-            assert!(!stderr.contains("panicked"), "{what}");
-            assert!(!stderr.contains("memory allocation"), "{what}");
+            let what = format!("{} on {name}", subcommand[0]);
+            assert_refused(armine().args(subcommand).arg("--input").arg(&path), &what);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Four flag values that reached a library `assert!` (one of them inside a
+/// rank thread), and three plan timers that reached the metrics registry's
+/// finiteness check, on both backends.
+#[test]
+fn out_of_range_flags_and_plan_timers_exit_2_with_an_error_line() {
+    let dir = std::env::temp_dir().join("armine_cli_malformed_flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (db, out) = (path("db.txt"), path("out.txt"));
+    std::fs::write(&db, "1: 1 2 3\n2: 1 2\n3: 2 3\n").unwrap();
+
+    let (plan, backends) = (path("timer.plan"), ["sim", "native"]);
+    let gen = format!("gen --out {out} --transactions 10");
+    let model = "model --n 1000 --m 100 --c 10 --s 4";
+    let parallel = format!("parallel --input {db} --procs 2 --min-count 1");
+
+    let mut cases = vec![format!("{gen} --patterns 0")];
+    cases.extend(["0", "-1", "nan", "inf"].map(|mean| format!("{gen} --avg-len {mean}")));
+    cases.extend(["0", "-4", "nan"].map(|procs| format!("{model} --procs {procs}")));
+    cases.extend(backends.map(|b| format!("{parallel} --algorithm pdm --buckets 0 --backend {b}")));
+    for case in &cases {
+        assert_refused(armine().args(case.split_whitespace()), case);
+    }
+
+    for timer in [
+        "rto = nan",
+        "delay = nan",
+        "delay = inf",
+        "detect_timeout = nan",
+    ] {
+        std::fs::write(&plan, format!("drop_rate = 0.3\n{timer}\n")).unwrap();
+        for backend in backends {
+            let case = format!("{parallel} --algorithm cd --fault-plan {plan} --backend {backend}");
+            let what = format!("{case} with {timer:?}");
+            assert_refused(armine().args(case.split_whitespace()), &what);
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -21,8 +21,22 @@
 //! Apriori runtime is the point of Singh et al. (arXiv:1511.07017);
 //! making it a measured experiment instead of an architectural fact is
 //! the point of this seam.
+//!
+//! The structures differ only in how a transaction *finds* a candidate.
+//! What a candidate and its count *are* is the same for all of them and
+//! lives here, once, in [`CandidateTable`]: the candidate items in one
+//! arena strided by `k`, the counts, the work ledger, and the rule that a
+//! repeated candidate is dropped (the first occurrence keeps its slot). A
+//! structure owns a table plus its own index into the table's slots — hash
+//! nodes, trie nodes, a lexicographic sweep order, pair cells — and its
+//! `count_all` kernel; everything else [`CandidateCounter`] offers is a
+//! provided method over the table. Only the hash tree reorders the table
+//! (leaf by leaf, so a leaf check scans contiguous memory) and so only it
+//! carries a slot → insertion-index permutation; the other indexes point
+//! at slots in insertion order.
 
 use crate::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
+use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::pairs::PairCounter;
 use crate::transaction::Transaction;
@@ -150,6 +164,107 @@ impl CounterStats {
     }
 }
 
+/// One pass's size-`k` candidates and their counts: everything about a
+/// counting structure that does not depend on how it finds a candidate.
+///
+/// A *slot* is a position in the table. Slots are in insertion order
+/// unless the owning structure has permuted them (only the hash tree does).
+#[derive(Debug, Clone)]
+pub struct CandidateTable {
+    pub(crate) k: usize,
+    /// Candidate items, strided by `k`, in slot order.
+    pub(crate) items: Vec<Item>,
+    /// Running support counts, in slot order.
+    pub(crate) counts: Vec<u64>,
+    /// Slot → insertion index; `None` is the identity.
+    ids: Option<Vec<u32>>,
+    pub(crate) stats: CounterStats,
+}
+
+impl CandidateTable {
+    /// Copies `candidates` into the arena, dropping every repeat of an
+    /// earlier candidate (the first occurrence keeps its slot;
+    /// `stats.inserts` counts the whole offer).
+    ///
+    /// Every offer the miners make is strictly ascending, which the copy
+    /// itself confirms by comparing each candidate with the one before
+    /// it; only an offer that is not pays for a sort to find its repeats.
+    ///
+    /// # Panics
+    /// If `k == 0` or a candidate does not have exactly `k` items.
+    pub(crate) fn new(k: usize, candidates: Vec<ItemSet>) -> CandidateTable {
+        assert!(k >= 1, "candidate size must be at least 1");
+        let mut items: Vec<Item> = Vec::with_capacity(k * candidates.len());
+        let mut ascending = true;
+        for set in &candidates {
+            assert_eq!(set.len(), k, "candidate {set} has wrong size for k={k}");
+            ascending &= items.len() < k || items[items.len() - k..] < *set.items();
+            items.extend_from_slice(set.items());
+        }
+        if !ascending {
+            drop_repeats(&mut items, k);
+        }
+        CandidateTable {
+            k,
+            counts: vec![0; items.len() / k],
+            items,
+            ids: None,
+            stats: CounterStats {
+                inserts: candidates.len() as u64,
+                ..CounterStats::default()
+            },
+        }
+    }
+
+    /// Number of candidates stored.
+    pub(crate) fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// The candidate in `slot`.
+    pub(crate) fn candidate(&self, slot: usize) -> &[Item] {
+        &self.items[slot * self.k..][..self.k]
+    }
+
+    /// Where the candidate in `slot` stood in the offer, repeats aside.
+    fn insertion_index(&self, slot: usize) -> usize {
+        self.ids.as_ref().map_or(slot, |ids| ids[slot] as usize)
+    }
+
+    /// Moves the candidate in slot `order[i]` to slot `i`, for a structure
+    /// whose kernel wants its own layout. Extraction stays in insertion
+    /// order. Call before anything is counted, on a table not yet permuted.
+    pub(crate) fn permute(&mut self, order: Vec<u32>) {
+        debug_assert!(self.ids.is_none() && order.len() == self.len());
+        self.items = order
+            .iter()
+            .flat_map(|&slot| self.candidate(slot as usize))
+            .copied()
+            .collect();
+        self.ids = Some(order);
+    }
+}
+
+/// Removes from a `k`-strided arena every candidate equal to an earlier
+/// one, keeping the rest in place order.
+fn drop_repeats(items: &mut Vec<Item>, k: usize) {
+    let n = items.len() / k;
+    let at = |i: u32| &items[i as usize * k..][..k];
+    // The sort is stable, so the first occurrence leads each run of equals.
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_by(|&a, &b| at(a).cmp(at(b)));
+    let mut repeat = vec![false; n];
+    for pair in order.windows(2) {
+        repeat[pair[1] as usize] = at(pair[0]) == at(pair[1]);
+    }
+    let mut kept = 0;
+    for slot in (0..n).filter(|&slot| !repeat[slot]) {
+        items.copy_within(slot * k..(slot + 1) * k, kept * k);
+        kept += 1;
+    }
+    items.truncate(kept * k);
+}
+
 /// The contract every candidate-counting structure satisfies.
 ///
 /// A counter is built over one pass's size-`k` candidates (via
@@ -157,58 +272,104 @@ impl CounterStats {
 /// [`OwnershipFilter`], and reports per-candidate counts plus a
 /// [`CounterStats`] work ledger. The trait is object-safe: the parallel
 /// formulations hold a `Box<dyn CandidateCounter>` chosen by the config
-/// knob.
+/// knob. A structure supplies its [`CandidateTable`] and the
+/// [`count_all`](Self::count_all) kernel; the rest is provided here, so
+/// it cannot differ between structures.
 ///
-/// Two ordering guarantees every backend upholds (CD's count-vector
+/// Two ordering guarantees hold for every backend (CD's count-vector
 /// reduction and DD/IDD's `frequent` exchange depend on them):
 ///
 /// 1. [`count_vector`](Self::count_vector) /
-///    [`set_count_vector`](Self::set_count_vector) index candidates in
-///    **insertion order** — identical across ranks because `apriori_gen`
-///    is deterministic and sorted.
+///    [`set_count_vector`](Self::set_count_vector) index the distinct
+///    candidates in **insertion order** — identical across ranks because
+///    `apriori_gen` is deterministic and sorted.
 /// 2. [`frequent`](Self::frequent) returns survivors in insertion order.
 pub trait CandidateCounter {
-    /// The candidate size this counter was built for.
-    fn k(&self) -> usize;
+    /// The candidates and counts this structure indexes.
+    fn table(&self) -> &CandidateTable;
 
-    /// Number of candidates stored.
-    fn num_candidates(&self) -> usize;
+    /// Mutable access to the table (for the provided methods).
+    fn table_mut(&mut self) -> &mut CandidateTable;
+
+    /// Counts every candidate contained in each transaction, honoring
+    /// the ownership filter's root (and second-level) pruning.
+    fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter);
+
+    /// The candidate size this counter was built for.
+    fn k(&self) -> usize {
+        self.table().k
+    }
+
+    /// Number of (distinct) candidates stored.
+    fn num_candidates(&self) -> usize {
+        self.table().len()
+    }
 
     /// Whether the counter holds no candidates.
     fn is_empty(&self) -> bool {
         self.num_candidates() == 0
     }
 
-    /// Counts every candidate contained in each transaction, honoring
-    /// the ownership filter's root (and second-level) pruning.
-    fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter);
-
     /// The accumulated count for `set`, or `None` if never inserted.
-    fn count_of(&self, set: &ItemSet) -> Option<u64>;
+    fn count_of(&self, set: &ItemSet) -> Option<u64> {
+        let table = self.table();
+        let slot = table
+            .items
+            .chunks_exact(table.k)
+            .position(|candidate| candidate == set.items())?;
+        Some(table.counts[slot])
+    }
 
     /// Per-candidate counts in insertion order (what CD's global
     /// reduction sums).
-    fn count_vector(&self) -> Vec<u64>;
+    fn count_vector(&self) -> Vec<u64> {
+        let table = self.table();
+        let mut out = vec![0; table.len()];
+        for (slot, &count) in table.counts.iter().enumerate() {
+            out[table.insertion_index(slot)] = count;
+        }
+        out
+    }
 
     /// Overwrites the per-candidate counts (after a reduction).
     ///
     /// # Panics
     /// If the length differs from [`num_candidates`](Self::num_candidates).
-    fn set_count_vector(&mut self, counts: &[u64]);
+    fn set_count_vector(&mut self, counts: &[u64]) {
+        let table = self.table_mut();
+        assert_eq!(counts.len(), table.len(), "count vector length mismatch");
+        for slot in 0..table.len() {
+            table.counts[slot] = counts[table.insertion_index(slot)];
+        }
+    }
 
     /// Candidates with `count >= min_count`, insertion order.
-    fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)>;
+    fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
+        let table = self.table();
+        let mut survivors: Vec<(usize, usize)> = (0..table.len())
+            .filter(|&slot| table.counts[slot] >= min_count)
+            .map(|slot| (table.insertion_index(slot), slot))
+            .collect();
+        survivors.sort_unstable();
+        survivors
+            .into_iter()
+            .map(|(_, slot)| {
+                let set = ItemSet::from_sorted(table.candidate(slot).to_vec());
+                (set, table.counts[slot])
+            })
+            .collect()
+    }
 
     /// The work ledger accumulated since construction or the last
     /// [`reset_stats`](Self::reset_stats).
-    fn stats(&self) -> CounterStats;
+    fn stats(&self) -> CounterStats {
+        self.table().stats
+    }
 
     /// Zeroes the work ledger (counts are kept).
-    fn reset_stats(&mut self);
-
-    /// Logical bytes this counter's candidates occupy on the wire — what
-    /// IDD charges when candidates move between processors.
-    fn wire_size(&self) -> usize;
+    fn reset_stats(&mut self) {
+        self.table_mut().stats = CounterStats::default();
+    }
 }
 
 /// Which counting structure to build — the config knob threaded from the
@@ -254,18 +415,19 @@ impl CounterBackend {
         tree: HashTreeParams,
         candidates: Vec<ItemSet>,
     ) -> Box<dyn CandidateCounter> {
-        let candidates = if k == 2 && self != CounterBackend::HashTree {
-            match PairCounter::build(candidates) {
+        let table = CandidateTable::new(k, candidates);
+        let table = if k == 2 && self != CounterBackend::HashTree {
+            match PairCounter::from_table(table) {
                 Ok(pairs) => return Box::new(pairs),
                 Err(too_sparse) => too_sparse,
             }
         } else {
-            candidates
+            table
         };
         match self {
-            CounterBackend::HashTree => Box::new(HashTree::build(k, tree, candidates)),
-            CounterBackend::Trie => Box::new(CandidateTrie::build(k, candidates)),
-            CounterBackend::Vertical => Box::new(VerticalCounter::build(k, candidates)),
+            CounterBackend::HashTree => Box::new(HashTree::from_table(tree, table)),
+            CounterBackend::Trie => Box::new(CandidateTrie::from_table(table)),
+            CounterBackend::Vertical => Box::new(VerticalCounter::from_table(table)),
         }
     }
 
@@ -405,6 +567,123 @@ mod tests {
                 "backend {} diverged",
                 CounterBackend::ALL[i].name()
             );
+        }
+    }
+
+    /// The message of the panic `f` must raise.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call must panic");
+        let text = payload.downcast_ref::<String>().cloned();
+        text.unwrap_or_else(|| {
+            payload
+                .downcast_ref::<&str>()
+                .expect("a message")
+                .to_string()
+        })
+    }
+
+    /// Everything the table does, through every backend and `k` (`k = 2`
+    /// reaches the pair table). The hash tree splits down to one candidate
+    /// per leaf, so its leaf order differs from the insertion order.
+    #[test]
+    fn table_bookkeeping_is_the_same_behind_every_backend() {
+        let splitting = HashTreeParams {
+            branching: 2,
+            max_leaf: 1,
+        };
+        let txs: Vec<Transaction> = [&[1, 2, 3, 4][..], &[1, 2, 3], &[2, 3, 4], &[1, 3], &[4]]
+            .iter()
+            .map(|ids| Transaction::new(0, ids.iter().map(|&i| Item(i)).collect()))
+            .collect();
+        let support = |c: &ItemSet| txs.iter().filter(|t| t.contains_set(c)).count() as u64;
+        let all = OwnershipFilter::all();
+        for k in 1..=3usize {
+            // Every k-subset of {1, 2, 3, 4}, ascending.
+            let mut sets: Vec<ItemSet> = (1u32..16)
+                .filter(|mask| mask.count_ones() as usize == k)
+                .map(|mask| {
+                    (1..=4)
+                        .filter(|i| mask >> (i - 1) & 1 == 1)
+                        .map(Item)
+                        .collect()
+                })
+                .map(ItemSet::new)
+                .collect();
+            sets.sort();
+            let want: Vec<u64> = sets.iter().map(support).collect();
+            // Out of order, with two candidates offered twice.
+            let shuffled: Vec<ItemSet> = [2, 0, 2, 3, 1, 0].map(|i| sets[i].clone()).into();
+            let distinct: Vec<ItemSet> = [2, 0, 3, 1].map(|i| sets[i].clone()).into();
+
+            for backend in CounterBackend::ALL {
+                let on = format!("{} at k={k}", backend.name());
+                let mut counter = backend.build(k, splitting, sets.clone());
+                assert_eq!(
+                    (counter.k(), counter.num_candidates()),
+                    (k, sets.len()),
+                    "{on}"
+                );
+                assert_eq!(counter.stats().inserts, sets.len() as u64, "{on}");
+
+                // Count vector: insertion order, round trip, arity check.
+                counter.count_all(&txs, &all);
+                assert_eq!(counter.count_vector(), want, "{on}");
+                let doubled: Vec<u64> = want.iter().map(|c| c * 2).collect();
+                counter.set_count_vector(&doubled);
+                assert_eq!(counter.count_vector(), doubled, "{on}");
+                let message = panic_message(|| counter.set_count_vector(&doubled[1..]));
+                assert!(
+                    message.contains("count vector length mismatch"),
+                    "{on}: {message}"
+                );
+
+                // `count_of`: present, absent, wrong size.
+                for (set, &count) in sets.iter().zip(&doubled) {
+                    assert_eq!(counter.count_of(set), Some(count), "{on}: {set}");
+                }
+                let absent: Vec<Item> = (5..5 + k as u32).map(Item).collect();
+                assert_eq!(counter.count_of(&ItemSet::new(absent)), None, "{on}");
+                assert_eq!(counter.count_of(&ItemSet::empty()), None, "{on}");
+
+                // `frequent`: filtered, insertion order.
+                let survivors = |min: u64| -> Vec<(ItemSet, u64)> {
+                    let pairs = sets.iter().cloned().zip(doubled.iter().copied());
+                    pairs.filter(|&(_, count)| count >= min).collect()
+                };
+                assert_eq!(counter.frequent(0), survivors(0), "{on}");
+                let top = *doubled.iter().max().expect("non-empty");
+                assert_eq!(counter.frequent(top), survivors(top), "{on}");
+                assert!(survivors(top).len() < sets.len(), "{on}: nothing filtered");
+
+                // The ledger accrues, and resetting it keeps the counts.
+                assert_eq!(counter.stats().transactions, txs.len() as u64, "{on}");
+                counter.reset_stats();
+                assert_eq!(counter.stats(), CounterStats::default(), "{on}");
+                assert_eq!(counter.count_vector(), doubled, "{on}");
+
+                // A candidate of the wrong size is refused.
+                let long = ItemSet::new((1..=k as u32 + 1).map(Item).collect());
+                let message = panic_message(|| drop(backend.build(k, splitting, vec![long])));
+                assert!(message.contains("wrong size"), "{on}: {message}");
+
+                // An empty offer counts nothing, not even transactions.
+                let mut empty = backend.build(k, splitting, Vec::new());
+                assert!(empty.is_empty(), "{on}");
+                empty.count_all(&txs, &all);
+                assert_eq!(empty.stats(), CounterStats::default(), "{on}");
+                assert!(empty.count_vector().is_empty() && empty.frequent(0).is_empty());
+
+                // Repeats are dropped; the first occurrence keeps its slot.
+                let mut counter = backend.build(k, splitting, shuffled.clone());
+                assert_eq!(counter.stats().inserts, shuffled.len() as u64, "{on}");
+                assert_eq!(counter.num_candidates(), distinct.len(), "{on}");
+                counter.count_all(&txs, &all);
+                let want: Vec<u64> = distinct.iter().map(support).collect();
+                assert_eq!(counter.count_vector(), want, "{on}");
+                let want: Vec<(ItemSet, u64)> = distinct.iter().cloned().zip(want).collect();
+                assert_eq!(counter.frequent(1), want, "{on}");
+            }
         }
     }
 }

@@ -5,7 +5,7 @@
 use super::filter::OwnershipFilter;
 use crate::counter::CounterStats;
 use crate::item::Item;
-use crate::itemset::{sorted_subset, ItemSet};
+use crate::itemset::sorted_subset;
 
 /// The hash function of the tree: items are hashed on their integer value
 /// (Figure 2 uses `mod 3`: buckets {1,4,7}, {2,5,8}, {3,6,9}).
@@ -37,19 +37,20 @@ pub(super) struct Arena {
 }
 
 impl Arena {
-    /// Partitions `candidates` into the tree that inserting them one by
-    /// one would grow: a node is interior exactly when more than
-    /// `max_leaf` candidates reach it above depth `k`, and a child exists
-    /// exactly when a candidate hashes to it. Returns the arena and the
-    /// leaf order (candidate ids, ascending within each leaf).
+    /// Partitions `candidates` (items strided by `k`) into the tree that
+    /// inserting them one by one would grow: a node is interior exactly
+    /// when more than `max_leaf` candidates reach it above depth `k`, and
+    /// a child exists exactly when a candidate hashes to it. Returns the
+    /// arena and the leaf order (candidate ids, ascending within each leaf).
     pub(super) fn build(
         k: usize,
         branching: usize,
         max_leaf: usize,
-        candidates: &[ItemSet],
+        candidates: &[Item],
     ) -> (Arena, Vec<u32>) {
+        let num_candidates = candidates.len() / k;
         assert!(
-            candidates.len() < LEAF as usize,
+            num_candidates < LEAF as usize,
             "too many candidates for one tree"
         );
         let mut arena = Arena {
@@ -58,7 +59,7 @@ impl Arena {
             leaves: Vec::new(),
             root: NONE,
         };
-        let mut order: Vec<u32> = (0..candidates.len() as u32).collect();
+        let mut order: Vec<u32> = (0..num_candidates as u32).collect();
         let mut scratch = vec![0u32; order.len()];
         arena.root = arena.partition(candidates, &mut order, &mut scratch, 0, 0, k, max_leaf);
         (arena, order)
@@ -69,7 +70,7 @@ impl Arena {
     #[allow(clippy::too_many_arguments)]
     fn partition(
         &mut self,
-        candidates: &[ItemSet],
+        candidates: &[Item],
         order: &mut [u32],
         scratch: &mut [u32],
         offset: usize,
@@ -89,7 +90,7 @@ impl Arena {
         }
         // Stable counting sort on the hash of the `depth`-th item.
         let b = self.branching;
-        let bucket = |id: u32| hash(candidates[id as usize].items()[depth], b);
+        let bucket = |id: u32| hash(candidates[id as usize * k + depth], b);
         let mut bounds = vec![0usize; b + 1];
         for &id in order.iter() {
             bounds[bucket(id) + 1] += 1;

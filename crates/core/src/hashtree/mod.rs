@@ -19,20 +19,18 @@
 //! paper's cost model, and what regenerates Figure 11 directly.
 //!
 //! The whole candidate set is known before a pass starts, so the tree is
-//! built in bulk and stored flat: candidate items in one array strided by
-//! `k`, laid out leaf by leaf so a leaf check scans contiguous memory,
-//! their counts beside them, and the nodes in one arena (see `arena`).
-//! The shape is exactly the one split-on-overflow insertion grows, so the
-//! work ledger for a given `(branching, max_leaf)` does not depend on how
-//! the tree is stored.
+//! built in bulk and stored flat: the nodes in one arena (see `arena`),
+//! the candidates in the seam's [`CandidateTable`], permuted leaf by leaf
+//! so a leaf check scans contiguous memory. The shape is exactly the one
+//! split-on-overflow insertion grows, so the work ledger for a given
+//! `(branching, max_leaf)` does not depend on how the tree is stored.
 
 mod arena;
 mod filter;
 
 pub use filter::OwnershipFilter;
 
-use crate::counter::{CandidateCounter, CounterStats};
-use crate::item::Item;
+use crate::counter::{CandidateCounter, CandidateTable};
 use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
 use arena::{Arena, Walk};
@@ -106,16 +104,10 @@ impl HashTreeParams {
 /// assert_eq!(tree.count_of(&ItemSet::from([2, 5])), Some(0));
 /// ```
 pub struct HashTree {
-    k: usize,
-    /// Candidate items strided by `k`, in leaf order.
-    items: Vec<Item>,
-    /// Running support counts, in leaf order.
-    counts: Vec<u64>,
-    /// Leaf position → insertion index (the order every extraction uses).
-    ids: Vec<u32>,
+    /// The candidates, in leaf order.
+    table: CandidateTable,
     arena: Arena,
     epoch: u64,
-    stats: CounterStats,
 }
 
 impl HashTree {
@@ -126,30 +118,19 @@ impl HashTree {
     /// If `k == 0`, the params are degenerate (branching 1, max_leaf 0),
     /// or a candidate does not have exactly `k` items.
     pub fn build(k: usize, params: HashTreeParams, candidates: Vec<ItemSet>) -> Self {
-        assert!(k >= 1, "candidate size must be at least 1");
+        Self::from_table(params, CandidateTable::new(k, candidates))
+    }
+
+    pub(crate) fn from_table(params: HashTreeParams, mut table: CandidateTable) -> Self {
         assert!(params.max_leaf >= 1, "max_leaf must be at least 1");
-        let branching = params.fan_out(k, candidates.len());
+        let branching = params.fan_out(table.k, table.len());
         assert!(branching >= 2, "branching must be at least 2");
-        for c in &candidates {
-            assert_eq!(c.len(), k, "candidate {c} has wrong size for a k={k} tree");
-        }
-        let (arena, ids) = Arena::build(k, branching, params.max_leaf, &candidates);
-        let items = ids
-            .iter()
-            .flat_map(|&id| candidates[id as usize].items())
-            .copied()
-            .collect();
+        let (arena, order) = Arena::build(table.k, branching, params.max_leaf, &table.items);
+        table.permute(order);
         HashTree {
-            k,
-            items,
-            counts: vec![0; candidates.len()],
-            ids,
+            table,
             arena,
             epoch: 0,
-            stats: CounterStats {
-                inserts: candidates.len() as u64,
-                ..CounterStats::default()
-            },
         }
     }
 
@@ -167,7 +148,7 @@ impl HashTree {
     pub fn avg_leaf_occupancy(&self) -> f64 {
         match self.arena.occupied_leaves() {
             0 => 0.0,
-            occupied => self.counts.len() as f64 / occupied as f64,
+            occupied => self.table.len() as f64 / occupied as f64,
         }
     }
 
@@ -178,41 +159,36 @@ impl HashTree {
     /// items), implementing IDD's bitmap check. Use
     /// [`OwnershipFilter::all`] for the serial algorithm and CD/DD.
     pub fn subset(&mut self, t: &Transaction, filter: &OwnershipFilter) {
-        if self.counts.is_empty() {
+        if self.table.len() == 0 {
             return;
         }
         self.epoch += 1;
-        self.stats.transactions += 1;
+        self.table.stats.transactions += 1;
         let titems = t.items();
-        if titems.len() < self.k {
+        if titems.len() < self.table.k {
             return;
         }
         Walk {
             arena: &mut self.arena,
-            items: &self.items,
-            counts: &mut self.counts,
-            stats: &mut self.stats,
+            items: &self.table.items,
+            counts: &mut self.table.counts,
+            stats: &mut self.table.stats,
             titems,
-            k: self.k,
+            k: self.table.k,
             epoch: self.epoch,
             filter,
         }
         .run();
     }
-
-    /// The candidate at leaf position `pos`.
-    fn candidate(&self, pos: usize) -> &[Item] {
-        &self.items[pos * self.k..][..self.k]
-    }
 }
 
 impl CandidateCounter for HashTree {
-    fn k(&self) -> usize {
-        self.k
+    fn table(&self) -> &CandidateTable {
+        &self.table
     }
 
-    fn num_candidates(&self) -> usize {
-        self.counts.len()
+    fn table_mut(&mut self) -> &mut CandidateTable {
+        &mut self.table
     }
 
     /// Runs `subset` for every transaction of a slice.
@@ -221,67 +197,13 @@ impl CandidateCounter for HashTree {
             self.subset(t, filter);
         }
     }
-
-    fn count_of(&self, items: &ItemSet) -> Option<u64> {
-        (0..self.counts.len())
-            .find(|&pos| self.candidate(pos) == items.items())
-            .map(|pos| self.counts[pos])
-    }
-
-    fn count_vector(&self) -> Vec<u64> {
-        let mut out = vec![0; self.counts.len()];
-        for (&id, &count) in self.ids.iter().zip(&self.counts) {
-            out[id as usize] = count;
-        }
-        out
-    }
-
-    fn set_count_vector(&mut self, counts: &[u64]) {
-        assert_eq!(
-            counts.len(),
-            self.counts.len(),
-            "count vector length mismatch"
-        );
-        for (&id, slot) in self.ids.iter().zip(&mut self.counts) {
-            *slot = counts[id as usize];
-        }
-    }
-
-    fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
-        let mut survivors: Vec<(u32, usize)> = (0..self.counts.len())
-            .filter(|&pos| self.counts[pos] >= min_count)
-            .map(|pos| (self.ids[pos], pos))
-            .collect();
-        survivors.sort_unstable();
-        survivors
-            .into_iter()
-            .map(|(_, pos)| {
-                let set = ItemSet::from_sorted(self.candidate(pos).to_vec());
-                (set, self.counts[pos])
-            })
-            .collect()
-    }
-
-    fn stats(&self) -> CounterStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = CounterStats::default();
-    }
-
-    /// Bytes needed to ship every candidate of this tree (4 bytes per item
-    /// plus an 8-byte count), used by communication costing.
-    fn wire_size(&self) -> usize {
-        self.counts.len() * (4 * self.k + 8)
-    }
 }
 
 impl std::fmt::Debug for HashTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HashTree")
-            .field("k", &self.k)
-            .field("candidates", &self.counts.len())
+            .field("k", &self.table.k)
+            .field("candidates", &self.table.len())
             .field("branching", &self.branching())
             .field("leaves", &self.num_leaves())
             .finish()
@@ -543,11 +465,5 @@ mod tests {
         assert_eq!(pinned.fan_out(2, 232_903), 3);
         let tree = HashTree::build(2, sized, (0..600).map(|i| set(&[i, i + 1])).collect());
         assert_eq!(tree.branching(), 9);
-    }
-
-    #[test]
-    fn wire_size_scales_with_candidates() {
-        let tree = paper_tree();
-        assert_eq!(tree.wire_size(), 15 * (12 + 8));
     }
 }

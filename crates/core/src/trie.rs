@@ -17,7 +17,7 @@
 //! `distinct_leaf_visits` so the virtual-time model can charge either
 //! structure through one expression.
 
-use crate::counter::{CandidateCounter, CounterStats};
+use crate::counter::{CandidateCounter, CandidateTable, CounterStats};
 use crate::hashtree::OwnershipFilter;
 use crate::item::Item;
 use crate::itemset::ItemSet;
@@ -28,7 +28,7 @@ use crate::transaction::Transaction;
 struct TrieNode {
     /// `(item, child index)`, ascending by item.
     children: Vec<(Item, u32)>,
-    /// Index into the candidate arena when a candidate *ends* here.
+    /// The candidate's table slot when a candidate *ends* here.
     candidate: Option<u32>,
 }
 
@@ -49,10 +49,8 @@ struct TrieNode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CandidateTrie {
-    k: usize,
+    table: CandidateTable,
     nodes: Vec<TrieNode>,
-    candidates: Vec<(ItemSet, u64)>,
-    stats: CounterStats,
 }
 
 impl CandidateTrie {
@@ -61,42 +59,30 @@ impl CandidateTrie {
     /// # Panics
     /// If any candidate's size differs from `k`, or `k == 0`.
     pub fn build(k: usize, candidates: Vec<ItemSet>) -> Self {
-        assert!(k >= 1, "candidate size must be at least 1");
-        let mut trie = CandidateTrie {
-            k,
-            nodes: vec![TrieNode::default()],
-            candidates: Vec::with_capacity(candidates.len()),
-            stats: CounterStats::default(),
-        };
-        for set in candidates {
-            assert_eq!(set.len(), k, "candidate {set} has wrong size for k={k}");
-            trie.insert(set);
-        }
-        trie
+        Self::from_table(CandidateTable::new(k, candidates))
     }
 
-    fn insert(&mut self, set: ItemSet) {
-        self.stats.inserts += 1;
-        let mut node = 0u32;
-        for &item in set.items() {
-            let pos = self.nodes[node as usize]
-                .children
-                .binary_search_by_key(&item, |&(i, _)| i);
-            node = match pos {
-                Ok(p) => self.nodes[node as usize].children[p].1,
-                Err(p) => {
-                    let fresh = self.nodes.len() as u32;
-                    self.nodes.push(TrieNode::default());
-                    self.nodes[node as usize].children.insert(p, (item, fresh));
-                    fresh
-                }
-            };
+    pub(crate) fn from_table(table: CandidateTable) -> Self {
+        let mut nodes = vec![TrieNode::default()];
+        for slot in 0..table.len() {
+            let mut node = 0usize;
+            for &item in table.candidate(slot) {
+                let pos = nodes[node]
+                    .children
+                    .binary_search_by_key(&item, |&(i, _)| i);
+                node = match pos {
+                    Ok(p) => nodes[node].children[p].1 as usize,
+                    Err(p) => {
+                        nodes.push(TrieNode::default());
+                        let fresh = nodes.len() - 1;
+                        nodes[node].children.insert(p, (item, fresh as u32));
+                        fresh
+                    }
+                };
+            }
+            nodes[node].candidate = Some(slot as u32);
         }
-        let slot = &mut self.nodes[node as usize].candidate;
-        if slot.is_none() {
-            *slot = Some(self.candidates.len() as u32);
-            self.candidates.push((set, 0));
-        }
+        CandidateTrie { table, nodes }
     }
 
     /// Number of trie nodes (diagnostics).
@@ -110,87 +96,37 @@ impl CandidateTrie {
     /// (first, second) pairs at depth 1, exactly like the hash tree's
     /// `subset`.
     pub fn count(&mut self, t: &Transaction, filter: &OwnershipFilter) {
-        if self.candidates.is_empty() {
+        if self.table.len() == 0 {
             return;
         }
-        self.stats.transactions += 1;
+        self.table.stats.transactions += 1;
         let items = t.items();
-        if items.len() < self.k {
+        if items.len() < self.table.k {
             return;
         }
         let mut walker = Walker {
             nodes: &self.nodes,
-            counts: &mut self.candidates,
-            stats: &mut self.stats,
+            counts: &mut self.table.counts,
+            stats: &mut self.table.stats,
             filter,
         };
-        walker.walk(0, items, self.k, 0, Item(0));
-    }
-
-    /// `(candidate, count)` pairs in insertion order.
-    pub fn counts(&self) -> impl Iterator<Item = (&ItemSet, u64)> + '_ {
-        self.candidates.iter().map(|(s, c)| (s, *c))
+        walker.walk(0, items, self.table.k, 0, Item(0));
     }
 }
 
 impl CandidateCounter for CandidateTrie {
-    fn k(&self) -> usize {
-        self.k
+    fn table(&self) -> &CandidateTable {
+        &self.table
     }
 
-    fn num_candidates(&self) -> usize {
-        self.candidates.len()
+    fn table_mut(&mut self) -> &mut CandidateTable {
+        &mut self.table
     }
 
     fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
         for t in transactions {
             self.count(t, filter);
         }
-    }
-
-    fn count_of(&self, set: &ItemSet) -> Option<u64> {
-        self.candidates
-            .iter()
-            .find(|(s, _)| s == set)
-            .map(|&(_, c)| c)
-    }
-
-    fn count_vector(&self) -> Vec<u64> {
-        self.candidates.iter().map(|&(_, c)| c).collect()
-    }
-
-    fn set_count_vector(&mut self, counts: &[u64]) {
-        assert_eq!(
-            counts.len(),
-            self.candidates.len(),
-            "count vector length mismatch"
-        );
-        for (slot, &c) in self.candidates.iter_mut().zip(counts) {
-            slot.1 = c;
-        }
-    }
-
-    fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
-        self.candidates
-            .iter()
-            .filter(|&&(_, c)| c >= min_count)
-            .cloned()
-            .collect()
-    }
-
-    fn stats(&self) -> CounterStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = CounterStats::default();
-    }
-
-    /// Logical bytes the stored candidates occupy on the wire — the same
-    /// `|C| · (4k + 8)` accounting as the hash tree, since both ship the
-    /// identical candidate list.
-    fn wire_size(&self) -> usize {
-        self.candidates.len() * (4 * self.k + 8)
     }
 }
 
@@ -200,7 +136,7 @@ impl CandidateCounter for CandidateTrie {
 /// checker).
 struct Walker<'a> {
     nodes: &'a [TrieNode],
-    counts: &'a mut [(ItemSet, u64)],
+    counts: &'a mut [u64],
     stats: &'a mut CounterStats,
     filter: &'a OwnershipFilter,
 }
@@ -214,7 +150,7 @@ impl Walker<'_> {
             self.stats.distinct_leaf_visits += 1;
             if let Some(c) = nodes[node as usize].candidate {
                 self.stats.candidate_checks += 1;
-                self.counts[c as usize].1 += 1;
+                self.counts[c as usize] += 1;
             }
             return;
         }
@@ -387,14 +323,6 @@ mod tests {
     fn count_vector_arity_checked() {
         let mut trie = CandidateTrie::build(2, vec![set(&[1, 2])]);
         trie.set_count_vector(&[1, 2]);
-    }
-
-    #[test]
-    fn wire_size_matches_hash_tree() {
-        let cands = vec![set(&[1, 2, 3]), set(&[1, 2, 4])];
-        let trie = CandidateTrie::build(3, cands.clone());
-        let tree = HashTree::build(3, HashTreeParams::default(), cands);
-        assert_eq!(trie.wire_size(), tree.wire_size());
     }
 
     #[test]

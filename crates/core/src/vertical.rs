@@ -18,7 +18,7 @@
 //! lists intersected with [`crate::tidlist::intersect_sorted`] (a bitmap
 //! with a handful of set bits would waste both memory and sweep time).
 //!
-//! Ledger mapping onto [`CounterStats`]: each item occurrence scanned
+//! Ledger mapping onto [`CounterStats`](crate::counter::CounterStats): each item occurrence scanned
 //! while pivoting a batch is a `traversal_steps` unit, each
 //! filter-admitted candidate is one `root_starts`, its final evaluation
 //! one `distinct_leaf_visits` + one `candidate_checks`, and — the term
@@ -27,7 +27,7 @@
 //! `intersection_words`, which the virtual-time model prices at `t_word`.
 
 use crate::bitmap::words;
-use crate::counter::{CandidateCounter, CounterStats};
+use crate::counter::{CandidateCounter, CandidateTable};
 use crate::hashtree::OwnershipFilter;
 use crate::item::Item;
 use crate::itemset::ItemSet;
@@ -127,80 +127,44 @@ impl TidSet {
 /// ```
 #[derive(Debug, Clone)]
 pub struct VerticalCounter {
-    k: usize,
-    /// `(candidate, accumulated count)` in insertion order — the order
-    /// every [`crate::counter::CandidateCounter`] exposes.
-    candidates: Vec<(ItemSet, u64)>,
-    /// Candidate indices in lexicographic order (prefix sharing).
+    table: CandidateTable,
+    /// Table slots in lexicographic order (prefix sharing).
     order: Vec<u32>,
     /// Distinct items appearing in any candidate, ascending.
     items: Vec<Item>,
-    stats: CounterStats,
 }
 
 impl VerticalCounter {
-    /// Builds the counter over size-`k` candidates. Duplicate candidates
-    /// are idempotent (first occurrence keeps the slot).
+    /// Builds the counter over size-`k` candidates.
     ///
     /// # Panics
     /// If any candidate's size differs from `k`, or `k == 0`.
     pub fn build(k: usize, candidates: Vec<ItemSet>) -> Self {
-        assert!(k >= 1, "candidate size must be at least 1");
-        for set in &candidates {
-            assert_eq!(set.len(), k, "candidate {set} has wrong size for k={k}");
-        }
-        let inserts = candidates.len() as u64;
-        // Offered positions in lexicographic order. The sort is stable, so
-        // the first occurrence leads each run of equal candidates and is
-        // the one `dedup_by` keeps.
-        let mut order: Vec<u32> = (0..candidates.len() as u32).collect();
-        order.sort_by(|&a, &b| candidates[a as usize].cmp(&candidates[b as usize]));
-        order.dedup_by(|later, first| candidates[*later as usize] == candidates[*first as usize]);
-        // Offered position → slot among the kept, in insertion order.
-        const DROPPED: u32 = u32::MAX;
-        let mut slot_of = vec![DROPPED; candidates.len()];
-        for &position in &order {
-            slot_of[position as usize] = 0;
-        }
-        let kept = slot_of.iter_mut().filter(|slot| **slot != DROPPED);
-        for (slot, index) in kept.zip(0u32..) {
-            *slot = index;
-        }
-        for position in &mut order {
-            *position = slot_of[*position as usize];
-        }
-        let candidates: Vec<(ItemSet, u64)> = candidates
-            .into_iter()
-            .zip(&slot_of)
-            .filter(|&(_, &slot)| slot != DROPPED)
-            .map(|(set, _)| (set, 0))
-            .collect();
-        let mut items: Vec<Item> = candidates
-            .iter()
-            .flat_map(|(s, _)| s.items().iter().copied())
-            .collect();
+        Self::from_table(CandidateTable::new(k, candidates))
+    }
+
+    pub(crate) fn from_table(table: CandidateTable) -> Self {
+        // One comparison pass when the table is already ascending.
+        let mut order: Vec<u32> = (0..table.len() as u32).collect();
+        order.sort_by_key(|&slot| table.candidate(slot as usize));
+        let mut items = table.items.clone();
         items.sort_unstable();
         items.dedup();
         VerticalCounter {
-            k,
-            candidates,
+            table,
             order,
             items,
-            stats: CounterStats {
-                inserts,
-                ..CounterStats::default()
-            },
         }
     }
 }
 
 impl CandidateCounter for VerticalCounter {
-    fn k(&self) -> usize {
-        self.k
+    fn table(&self) -> &CandidateTable {
+        &self.table
     }
 
-    fn num_candidates(&self) -> usize {
-        self.candidates.len()
+    fn table_mut(&mut self) -> &mut CandidateTable {
+        &mut self.table
     }
 
     /// Pivots one batch into per-item tid sets and evaluates every
@@ -210,17 +174,24 @@ impl CandidateCounter for VerticalCounter {
     /// and its (first, second) pair passes the depth-1 filter, exactly
     /// the paths a horizontal subset walk would admit.
     fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
-        if self.candidates.is_empty() || transactions.is_empty() {
+        let CandidateTable {
+            k,
+            items: candidates,
+            counts,
+            stats,
+            ..
+        } = &mut self.table;
+        if counts.is_empty() || transactions.is_empty() {
             return;
         }
-        self.stats.transactions += transactions.len() as u64;
+        stats.transactions += transactions.len() as u64;
         let num_tids = transactions.len();
         // Pivot: horizontal batch → per-item tid lists (ascending by
         // construction — positions are visited in order).
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); self.items.len()];
         for (pos, t) in transactions.iter().enumerate() {
             for item in t.items() {
-                self.stats.traversal_steps += 1;
+                stats.traversal_steps += 1;
                 if let Ok(slot) = self.items.binary_search(item) {
                     lists[slot].push(pos as u32);
                 }
@@ -242,7 +213,7 @@ impl CandidateCounter for VerticalCounter {
         // intersection of the current candidate's first `d + 1` items.
         let mut stack: Vec<(Item, TidSet)> = Vec::new();
         for &ci in &self.order {
-            let items = self.candidates[ci as usize].0.items();
+            let items = &candidates[ci as usize * *k..][..*k];
             let first = items[0];
             if !filter.allows_root(first) {
                 continue;
@@ -250,7 +221,7 @@ impl CandidateCounter for VerticalCounter {
             if items.len() >= 2 && !filter.allows_second(first, items[1]) {
                 continue;
             }
-            self.stats.root_starts += 1;
+            stats.root_starts += 1;
             // Keep the longest cached prefix this candidate shares with
             // its predecessor.
             let shared = stack
@@ -266,7 +237,7 @@ impl CandidateCounter for VerticalCounter {
                     base_of(item).clone()
                 } else {
                     let (ts, work) = stack[depth - 1].1.intersect(base_of(item));
-                    self.stats.intersection_words += work;
+                    stats.intersection_words += work;
                     ts
                 };
                 stack.push((item, ts));
@@ -278,56 +249,11 @@ impl CandidateCounter for VerticalCounter {
             } else {
                 stack[items.len() - 2].1.intersect_count(base_of(last))
             };
-            self.stats.intersection_words += work;
-            self.stats.distinct_leaf_visits += 1;
-            self.stats.candidate_checks += 1;
-            self.candidates[ci as usize].1 += count;
+            stats.intersection_words += work;
+            stats.distinct_leaf_visits += 1;
+            stats.candidate_checks += 1;
+            counts[ci as usize] += count;
         }
-    }
-
-    fn count_of(&self, set: &ItemSet) -> Option<u64> {
-        self.candidates
-            .iter()
-            .find(|(s, _)| s == set)
-            .map(|&(_, c)| c)
-    }
-
-    fn count_vector(&self) -> Vec<u64> {
-        self.candidates.iter().map(|&(_, c)| c).collect()
-    }
-
-    fn set_count_vector(&mut self, counts: &[u64]) {
-        assert_eq!(
-            counts.len(),
-            self.candidates.len(),
-            "count vector length mismatch"
-        );
-        for (slot, &c) in self.candidates.iter_mut().zip(counts) {
-            slot.1 = c;
-        }
-    }
-
-    fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
-        self.candidates
-            .iter()
-            .filter(|&&(_, c)| c >= min_count)
-            .cloned()
-            .collect()
-    }
-
-    fn stats(&self) -> CounterStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = CounterStats::default();
-    }
-
-    /// Logical bytes the stored candidates occupy on the wire — the same
-    /// `|C| · (4k + 8)` accounting as the other backends, since all three
-    /// ship the identical candidate list.
-    fn wire_size(&self) -> usize {
-        self.candidates.len() * (4 * self.k + 8)
     }
 }
 
@@ -335,6 +261,7 @@ impl CandidateCounter for VerticalCounter {
 mod tests {
     use super::*;
     use crate::bitmap::ItemBitmap;
+    use crate::counter::CounterStats;
     use crate::hashtree::{HashTree, HashTreeParams};
     use rand::prelude::*;
     use std::collections::HashSet;
@@ -528,14 +455,6 @@ mod tests {
     fn count_vector_arity_checked() {
         let mut vc = VerticalCounter::build(2, vec![set(&[1, 2])]);
         vc.set_count_vector(&[1, 2]);
-    }
-
-    #[test]
-    fn wire_size_matches_hash_tree() {
-        let cands = vec![set(&[1, 2, 3]), set(&[1, 2, 4])];
-        let vc = VerticalCounter::build(3, cands.clone());
-        let tree = HashTree::build(3, HashTreeParams::default(), cands);
-        assert_eq!(vc.wire_size(), tree.wire_size());
     }
 
     #[test]

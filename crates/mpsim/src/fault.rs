@@ -203,6 +203,14 @@ impl FaultPlan {
                 self.delay_rate
             ));
         }
+        let timers = [
+            ("delay", self.delay),
+            ("rto", self.rto),
+            ("detect_timeout", self.detect_timeout),
+        ];
+        if let Some((name, seconds)) = timers.into_iter().find(|(_, s)| !s.is_finite()) {
+            return Err(format!("{name} must be finite, got {seconds}"));
+        }
         if self.delay < 0.0 {
             return Err(format!("delay must be non-negative, got {}", self.delay));
         }
@@ -321,20 +329,11 @@ impl FromStr for FaultPlan {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut plan = FaultPlan::default();
-        for (lineno, raw) in s.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (lhs, rhs) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
-            let (lhs, rhs) = (lhs.trim(), rhs.trim());
-            let mut lhs_words = lhs.split_whitespace();
-            let key = lhs_words.next().unwrap_or("");
-            let arg = lhs_words.next();
-            let bad = |what: &str| format!("line {}: invalid {what} `{rhs}`", lineno + 1);
-            match (key, arg) {
+        for entry in crate::scenario::entries(s) {
+            let entry = entry?;
+            let rhs = entry.value;
+            let bad = |what: &str| entry.invalid(what);
+            match (entry.key, entry.arg) {
                 ("seed", None) => plan.seed = rhs.parse().map_err(|_| bad("seed"))?,
                 ("drop_rate", None) => plan.drop_rate = rhs.parse().map_err(|_| bad("rate"))?,
                 ("delay_rate", None) => plan.delay_rate = rhs.parse().map_err(|_| bad("rate"))?,
@@ -343,32 +342,25 @@ impl FromStr for FaultPlan {
                 ("detect_timeout", None) => {
                     plan.detect_timeout = rhs.parse().map_err(|_| bad("timeout"))?
                 }
-                ("slowdown", Some(rank)) => {
-                    let rank: usize = rank
-                        .parse()
-                        .map_err(|_| format!("line {}: invalid rank `{rank}`", lineno + 1))?;
+                ("slowdown", Some(_)) => {
+                    let rank = entry.rank()?;
                     plan.slowdowns
                         .insert(rank, rhs.parse().map_err(|_| bad("factor"))?);
                 }
-                ("crash", Some(rank)) => {
-                    let rank: usize = rank
-                        .parse()
-                        .map_err(|_| format!("line {}: invalid rank `{rank}`", lineno + 1))?;
+                ("crash", Some(_)) => {
+                    let rank = entry.rank()?;
                     let point = if let Some(t) = rhs.strip_prefix("time:") {
                         CrashPoint::AtTime(t.trim().parse().map_err(|_| bad("crash time"))?)
                     } else if let Some(k) = rhs.strip_prefix("pass:") {
                         CrashPoint::AtPass(k.trim().parse().map_err(|_| bad("crash pass"))?)
                     } else {
-                        return Err(format!(
-                            "line {}: crash point must be `time:<seconds>` or `pass:<k>`",
-                            lineno + 1
-                        ));
+                        return Err(
+                            entry.error("crash point must be `time:<seconds>` or `pass:<k>`")
+                        );
                     };
                     plan.crashes.insert(rank, point);
                 }
-                _ => {
-                    return Err(format!("line {}: unknown key `{lhs}`", lineno + 1));
-                }
+                _ => return Err(entry.unknown_key()),
             }
         }
         plan.validate()?;
@@ -424,6 +416,32 @@ mod tests {
             let reparsed: FaultPlan = plan.to_string().parse().expect("reparse");
             prop_assert_eq!(reparsed, plan);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        // Any text is a plan or an error, never a panic, and a plan that
+        // parses prints as text that parses back to it.
+        #[test]
+        fn any_text_parses_or_errs_and_ok_round_trips(text in crate::scenario::tests::fuzz_text()) {
+            if let Ok(plan) = text.parse::<FaultPlan>() {
+                prop_assert!(plan.validate().is_ok(), "{text:?}");
+                prop_assert_eq!(plan.to_string().parse::<FaultPlan>(), Ok(plan), "{:?}", text);
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_timers_are_rejected() {
+        for timer in ["delay", "rto", "detect_timeout"] {
+            for value in ["nan", "inf", "-inf"] {
+                let text = format!("drop_rate = 0.3\n{timer} = {value}\n");
+                let err = text.parse::<FaultPlan>().expect_err(&text);
+                assert!(err.contains(timer), "{text:?}: {err}");
+            }
+        }
+        assert!(FaultPlan::new().rto(f64::NAN).validate().is_err());
     }
 
     #[test]

@@ -81,6 +81,7 @@ mod fault;
 mod machine;
 mod message;
 mod runtime;
+mod scenario;
 mod stats;
 mod topology;
 mod trace;

@@ -326,44 +326,26 @@ impl FromStr for ClusterProfile {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut cluster = ClusterProfile::default();
-        for (lineno, raw) in s.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (lhs, rhs) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
-            let (lhs, rhs) = (lhs.trim(), rhs.trim());
-            let mut lhs_words = lhs.split_whitespace();
-            let key = lhs_words.next().unwrap_or("");
-            let arg = lhs_words.next();
-            match (key, arg) {
+        for entry in crate::scenario::entries(s) {
+            let entry = entry?;
+            match (entry.key, entry.arg) {
                 ("machine", None) => {
-                    cluster.base = MachineProfile::by_key(rhs).ok_or_else(|| {
-                        format!(
-                            "line {}: unknown machine `{rhs}` (valid: {})",
-                            lineno + 1,
-                            MachineProfile::PRESETS
-                                .iter()
-                                .map(|&(k, _)| k)
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        )
+                    cluster.base = MachineProfile::by_key(entry.value).ok_or_else(|| {
+                        let valid: Vec<&str> =
+                            MachineProfile::PRESETS.iter().map(|&(k, _)| k).collect();
+                        entry.error(format_args!(
+                            "unknown machine `{}` (valid: {})",
+                            entry.value,
+                            valid.join(", ")
+                        ))
                     })?;
                 }
-                ("speed", Some(rank)) => {
-                    let rank: usize = rank
-                        .parse()
-                        .map_err(|_| format!("line {}: invalid rank `{rank}`", lineno + 1))?;
-                    let factor: f64 = rhs
-                        .parse()
-                        .map_err(|_| format!("line {}: invalid factor `{rhs}`", lineno + 1))?;
+                ("speed", Some(_)) => {
+                    let rank = entry.rank()?;
+                    let factor = entry.value.parse().map_err(|_| entry.invalid("factor"))?;
                     cluster.speeds.insert(rank, factor);
                 }
-                _ => {
-                    return Err(format!("line {}: unknown key `{lhs}`", lineno + 1));
-                }
+                _ => return Err(entry.unknown_key()),
             }
         }
         cluster.validate()?;
@@ -511,6 +493,21 @@ mod tests {
             prop_assert!(cluster.validate().is_ok(), "generator made invalid cluster");
             let reparsed: ClusterProfile = cluster.to_string().parse().expect("reparse");
             prop_assert_eq!(reparsed, cluster);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        // Any text is a cluster or an error, never a panic, and a cluster
+        // that parses prints as text that parses back to it.
+        #[test]
+        fn any_text_parses_or_errs_and_ok_round_trips(text in crate::scenario::tests::fuzz_text()) {
+            if let Ok(cluster) = text.parse::<ClusterProfile>() {
+                prop_assert!(cluster.validate().is_ok(), "{text:?}");
+                let printed = cluster.to_string();
+                prop_assert_eq!(printed.parse::<ClusterProfile>(), Ok(cluster), "{:?}", text);
+            }
         }
     }
 

@@ -324,29 +324,6 @@ fn rebalance_pages(
     Ok(())
 }
 
-/// Maps a backend's stats delta onto the simulator's structure-agnostic
-/// counting ledger. Field for field: the hash tree's distinct leaf visits
-/// and the trie's depth-`k` node arrivals both price as `node_visits`;
-/// the vertical backend's bitmap words pass through as
-/// `intersection_words` (zero for the horizontal backends, which keeps
-/// their charge expression — and the goldens — bit-identical).
-fn as_counting_work(delta: &CounterStats) -> CountingWork {
-    CountingWork {
-        inserts: delta.inserts,
-        transactions: delta.transactions,
-        traversal_steps: delta.traversal_steps,
-        node_visits: delta.distinct_leaf_visits,
-        candidate_checks: delta.candidate_checks,
-        intersection_words: delta.intersection_words,
-    }
-}
-
-/// Charges the clock for counted work (everything except insertions,
-/// which [`build_counter_charged`] prices at build time).
-pub(crate) fn charge_counting_work(comm: &mut Comm, delta: &CounterStats) {
-    comm.charge_counting(&as_counting_work(delta));
-}
-
 /// Builds the configured counting structure over `local_candidates`,
 /// charging `apriori_gen` work for the **full** candidate set (every
 /// processor regenerates all of `C_k` before keeping its share — Section
@@ -372,8 +349,17 @@ pub(crate) fn build_counter_charged(
 }
 
 /// Counts one batch of transactions through the counter, charges the
-/// clock for the work actually performed, and returns the counters (for
-/// pass metrics). The counter's work ledger is reset afterwards.
+/// clock for the work actually performed (everything except insertions,
+/// which [`build_counter_charged`] prices at build time), and returns the
+/// counters (for pass metrics). The counter's work ledger is reset
+/// afterwards.
+///
+/// The stats delta maps onto the simulator's structure-agnostic counting
+/// ledger field for field: the hash tree's distinct leaf visits and the
+/// trie's depth-`k` node arrivals both price as `node_visits`; the
+/// vertical backend's bitmap words pass through as `intersection_words`
+/// (zero for the horizontal backends, which keeps their charge expression
+/// — and the goldens — bit-identical).
 pub(crate) fn count_batch_charged(
     comm: &mut Comm,
     counter: &mut dyn CandidateCounter,
@@ -383,7 +369,14 @@ pub(crate) fn count_batch_charged(
     counter.count_all(batch, filter);
     let delta = counter.stats();
     counter.reset_stats();
-    charge_counting_work(comm, &delta);
+    comm.charge_counting(&CountingWork {
+        inserts: delta.inserts,
+        transactions: delta.transactions,
+        traversal_steps: delta.traversal_steps,
+        node_visits: delta.distinct_leaf_visits,
+        candidate_checks: delta.candidate_checks,
+        intersection_words: delta.intersection_words,
+    });
     delta
 }
 
@@ -481,19 +474,15 @@ pub(crate) fn ring_shift_count(
     // still flow each step so the shift pattern stays aligned, but there
     // is nothing in it to count.
     let empty = TransactionPage::from(Vec::new());
-    // Counts `sbuf` through the counter and charges the clock — skipped
-    // for empty buffers, which is virtual-time neutral (an empty batch
-    // yields an all-zero work delta) and saves the host-side bookkeeping.
+    // Counts `sbuf` and charges the clock — skipped for empty buffers,
+    // which is virtual-time neutral (an empty batch yields an all-zero
+    // work delta) and saves the host-side bookkeeping.
     let mut count_buf =
         |scope: &mut Scope<'_>, sbuf: &TransactionPage, stats: &mut CounterStats| {
-            if sbuf.is_empty() {
-                return;
+            if !sbuf.is_empty() {
+                let delta = count_batch_charged(scope.comm(), counter, sbuf, filter);
+                *stats = stats.merged(&delta);
             }
-            counter.count_all(sbuf, filter);
-            let delta = counter.stats();
-            counter.reset_stats();
-            charge_counting_work(scope.comm(), &delta);
-            *stats = stats.merged(&delta);
         };
     for page_idx in 0..max_pages {
         // FillBuffer: my own page for this round.
