@@ -169,7 +169,7 @@ fn min_support(args: &Args) -> Result<MinSupport, ArgError> {
             "give either --min-support or --min-count, not both".into(),
         )),
         (Some(f), None) => fraction("min-support", f).map(MinSupport::Fraction),
-        (None, Some(c)) => Ok(MinSupport::Count(c)),
+        (None, Some(c)) => at_least_one("min-count", c).map(MinSupport::Count),
         (None, None) => Err(ArgError("need --min-support FRAC or --min-count N".into())),
     }
 }
@@ -688,6 +688,21 @@ mod tests {
                 vec!["mine", "--input", &db, "--min-count", "3", "--rules", "1.5"],
                 "--rules",
                 "1.5",
+            ),
+            (
+                vec!["mine", "--input", &db, "--min-count", "0"],
+                "--min-count",
+                "0",
+            ),
+            (
+                with(&hd, &["--procs", "2", "--min-count", "0"]),
+                "--min-count",
+                "0",
+            ),
+            (
+                vec!["summary", "--input", &db, "--min-count", "0"],
+                "--min-count",
+                "0",
             ),
             (with(&gen, &["--items", "0"]), "--items", "0"),
             (with(&gen, &["--patterns", "0"]), "--patterns", "0"),

@@ -83,8 +83,8 @@ fn malformed_datasets_exit_2_with_an_error_line() {
 }
 
 /// Four flag values that reached a library `assert!` (one of them inside a
-/// rank thread), and three plan timers that reached the metrics registry's
-/// finiteness check, on both backends.
+/// rank thread), a support count of zero, and three plan timers that
+/// reached the metrics registry's finiteness check, on both backends.
 #[test]
 fn out_of_range_flags_and_plan_timers_exit_2_with_an_error_line() {
     let dir = std::env::temp_dir().join("armine_cli_malformed_flags");
@@ -102,6 +102,12 @@ fn out_of_range_flags_and_plan_timers_exit_2_with_an_error_line() {
     cases.extend(["0", "-1", "nan", "inf"].map(|mean| format!("{gen} --avg-len {mean}")));
     cases.extend(["0", "-4", "nan"].map(|procs| format!("{model} --procs {procs}")));
     cases.extend(backends.map(|b| format!("{parallel} --algorithm pdm --buckets 0 --backend {b}")));
+    // Support 0 makes every id of the universe "frequent".
+    let zero = format!("--input {db} --min-count 0");
+    cases.extend(["mine", "summary"].map(|sub| format!("{sub} {zero}")));
+    cases.extend(
+        backends.map(|b| format!("parallel {zero} --algorithm cd --procs 2 --backend {b}")),
+    );
     for case in &cases {
         assert_refused(armine().args(case.split_whitespace()), case);
     }

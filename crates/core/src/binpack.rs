@@ -6,7 +6,8 @@
 //! root filtering (Section III-C). When too many candidates share one first
 //! item (more than `M/P`, increasingly likely as `P` grows), the paper's
 //! refinement splits that item by **second** item; `partition_two_level`
-//! implements it.
+//! implements it. A partitioner returns a plan, not lists: each processor
+//! reads its share out of the one candidate list ([`CandidatePartition::share`]).
 //!
 //! The packer is the classic Longest-Processing-Time greedy (the paper
 //! cites bin-packing [Papadimitriou & Steiglitz]; LPT's 4/3 bound is ample
@@ -110,8 +111,8 @@ pub fn pack_lpt_weighted(weights: &[u64], capacities: &[f64]) -> Packing {
 /// A plan for partitioning a candidate set across `P` processors: the
 /// ownership filter each processor applies at the hash-tree root, and the
 /// balance of the shares. The plan holds no candidates — a processor
-/// materialises its own share with [`CandidatePartition::share`] and
-/// nobody else's. Every candidate falls in exactly one share.
+/// reads its own share through [`CandidatePartition::share`] and nobody
+/// else's. Every candidate falls in exactly one share.
 #[derive(Debug, Clone)]
 pub struct CandidatePartition {
     /// Per-processor root filters (bitmap or two-level).
@@ -130,18 +131,23 @@ impl CandidatePartition {
     }
 
     /// Processor `proc`'s share of `candidates` (the set the plan was made
-    /// for), in the order they appear there — so a share of a sorted
+    /// for), lent in the order they appear there — so a share of a sorted
     /// candidate list is sorted. Round-robin: the stride `proc, proc + P,
     /// …`; otherwise the candidates `filters[proc]` owns.
-    pub fn share(&self, candidates: &[ItemSet], proc: usize) -> Vec<ItemSet> {
-        if self.by_position {
-            let stride = candidates.iter().skip(proc).step_by(self.num_procs());
-            stride.cloned().collect()
-        } else {
-            let filter = &self.filters[proc];
-            let owned = candidates.iter().filter(|c| filter.owns(c));
-            owned.cloned().collect()
-        }
+    pub fn share<'a>(
+        &'a self,
+        candidates: &'a [ItemSet],
+        proc: usize,
+    ) -> impl Iterator<Item = &'a ItemSet> {
+        let (p, filter) = (self.num_procs(), &self.filters[proc]);
+        let mine = candidates.iter().enumerate().filter(move |&(i, c)| {
+            if self.by_position {
+                i % p == proc
+            } else {
+                filter.owns(c)
+            }
+        });
+        mine.map(|(_, c)| c)
     }
 }
 
@@ -395,7 +401,7 @@ mod tests {
     /// Every processor's share, as the drivers would cut them.
     fn shares(part: &CandidatePartition, cands: &[ItemSet]) -> Vec<Vec<ItemSet>> {
         (0..part.num_procs())
-            .map(|proc| part.share(cands, proc))
+            .map(|proc| part.share(cands, proc).cloned().collect())
             .collect()
     }
 
@@ -413,7 +419,7 @@ mod tests {
         let sizes: Vec<usize> = shares(&part, &cands).iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![3, 3, 2]);
         assert_eq!(
-            part.share(&cands, 1),
+            shares(&part, &cands)[1],
             [set(&[0, 2]), set(&[1, 2]), set(&[5, 6])]
         );
         assert!((part.imbalance - (3.0 / (8.0 / 3.0) - 1.0)).abs() < 1e-12);
@@ -507,7 +513,7 @@ mod tests {
     fn partition_single_processor() {
         let cands = sample_candidates();
         let part = partition_by_first_item(&cands, 8, &[1.0; 1]);
-        assert_eq!(part.share(&cands, 0), cands);
+        assert_eq!(shares(&part, &cands), [cands]);
         assert_eq!(part.imbalance, 0.0);
     }
 
@@ -525,6 +531,21 @@ mod tests {
             for p in shares(&part, &cands) {
                 assert!(p.windows(2).all(|w| w[0] < w[1]), "share not sorted: {p:?}");
             }
+            // A share lends elements of the list itself, in list order, and
+            // the shares are disjoint and cover it: every list position is
+            // lent exactly once.
+            let mut lent = Vec::new();
+            for proc in 0..part.num_procs() {
+                let at = |c: &ItemSet| cands.iter().position(|own| std::ptr::eq(own, c));
+                let positions: Vec<usize> = part
+                    .share(&cands, proc)
+                    .map(|c| at(c).expect("a share lends, it does not copy"))
+                    .collect();
+                assert!(positions.windows(2).all(|w| w[0] < w[1]), "{positions:?}");
+                lent.extend(positions);
+            }
+            lent.sort_unstable();
+            assert_eq!(lent, (0..cands.len()).collect::<Vec<_>>());
         }
     }
 }

@@ -34,6 +34,11 @@
 //! (leaf by leaf, so a leaf check scans contiguous memory) and so only it
 //! carries a slot → insertion-index permutation; the other indexes point
 //! at slots in insertion order.
+//!
+//! The seam only reads the offer a table is built from. Whoever still needs
+//! `C_k` lends it — every parallel driver: the whole list, a chunk of it or
+//! its share of it — and only the serial single-scan pass gives its list
+//! away, so that each boxed candidate is freed as it is copied (DESIGN.md §5.7).
 
 use crate::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
 use crate::item::Item;
@@ -42,6 +47,7 @@ use crate::pairs::PairCounter;
 use crate::transaction::Transaction;
 use crate::trie::CandidateTrie;
 use crate::vertical::VerticalCounter;
+use std::borrow::Borrow;
 
 /// Accumulated work counters of a candidate-counting structure.
 ///
@@ -182,8 +188,8 @@ pub struct CandidateTable {
 }
 
 impl CandidateTable {
-    /// Copies `candidates` into the arena, dropping every repeat of an
-    /// earlier candidate (the first occurrence keeps its slot;
+    /// Copies `candidates` (given or lent) into the arena, dropping every
+    /// repeat of an earlier candidate (the first occurrence keeps its slot;
     /// `stats.inserts` counts the whole offer).
     ///
     /// Every offer the miners make is strictly ascending, which the copy
@@ -192,14 +198,18 @@ impl CandidateTable {
     ///
     /// # Panics
     /// If `k == 0` or a candidate does not have exactly `k` items.
-    pub(crate) fn new(k: usize, candidates: Vec<ItemSet>) -> CandidateTable {
+    pub(crate) fn new(k: usize, candidates: impl IntoIterator<Item: Borrow<ItemSet>>) -> Self {
         assert!(k >= 1, "candidate size must be at least 1");
-        let mut items: Vec<Item> = Vec::with_capacity(k * candidates.len());
+        let candidates = candidates.into_iter();
+        let mut items: Vec<Item> = Vec::with_capacity(k * candidates.size_hint().0);
+        let mut stats = CounterStats::default();
         let mut ascending = true;
-        for set in &candidates {
+        for set in candidates {
+            let set: &ItemSet = set.borrow();
             assert_eq!(set.len(), k, "candidate {set} has wrong size for k={k}");
             ascending &= items.len() < k || items[items.len() - k..] < *set.items();
             items.extend_from_slice(set.items());
+            stats.inserts += 1;
         }
         if !ascending {
             drop_repeats(&mut items, k);
@@ -209,10 +219,7 @@ impl CandidateTable {
             counts: vec![0; items.len() / k],
             items,
             ids: None,
-            stats: CounterStats {
-                inserts: candidates.len() as u64,
-                ..CounterStats::default()
-            },
+            stats,
         }
     }
 
@@ -401,7 +408,8 @@ impl CounterBackend {
 
     /// Builds the selected structure over one pass's size-`k`
     /// candidates. `tree` shapes the hash tree and is ignored by the
-    /// other backends.
+    /// other backends. The candidates are only read: give a `Vec<ItemSet>`,
+    /// or lend a `&[ItemSet]` or an iterator of `&ItemSet` and keep the list.
     ///
     /// At `k = 2` the trie and the vertical backend count through the
     /// direct pair table of the `pairs` module (one probe per item pair)
@@ -413,7 +421,7 @@ impl CounterBackend {
         self,
         k: usize,
         tree: HashTreeParams,
-        candidates: Vec<ItemSet>,
+        candidates: impl IntoIterator<Item: Borrow<ItemSet>>,
     ) -> Box<dyn CandidateCounter> {
         let table = CandidateTable::new(k, candidates);
         let table = if k == 2 && self != CounterBackend::HashTree {
@@ -668,7 +676,7 @@ mod tests {
                 assert!(message.contains("wrong size"), "{on}: {message}");
 
                 // An empty offer counts nothing, not even transactions.
-                let mut empty = backend.build(k, splitting, Vec::new());
+                let mut empty = backend.build(k, splitting, Vec::<ItemSet>::new());
                 assert!(empty.is_empty(), "{on}");
                 empty.count_all(&txs, &all);
                 assert_eq!(empty.stats(), CounterStats::default(), "{on}");
@@ -683,6 +691,27 @@ mod tests {
                 assert_eq!(counter.count_vector(), want, "{on}");
                 let want: Vec<(ItemSet, u64)> = distinct.iter().cloned().zip(want).collect();
                 assert_eq!(counter.frequent(1), want, "{on}");
+
+                // The offer is only read: lending it, as a slice or as an
+                // iterator of references (filtered, so of unknown length,
+                // like a partitioned rank's share), builds what giving it
+                // builds — slot for slot, which for the hash tree is leaf
+                // for leaf.
+                for offer in [&sets, &shuffled] {
+                    let mut given = backend.build(k, splitting, offer.clone());
+                    given.count_all(&txs, &all);
+                    let slice = backend.build(k, splitting, &offer[..]);
+                    let refs = backend.build(k, splitting, offer.iter().filter(|_| true));
+                    for mut lent in [slice, refs] {
+                        assert_eq!(lent.stats().inserts, offer.len() as u64, "{on}");
+                        lent.count_all(&txs, &all);
+                        assert_eq!(lent.stats(), given.stats(), "{on}");
+                        assert_eq!(lent.num_candidates(), given.num_candidates(), "{on}");
+                        assert_eq!(lent.table().items, given.table().items, "{on}");
+                        assert_eq!(lent.count_vector(), given.count_vector(), "{on}");
+                        assert_eq!(lent.frequent(1), given.frequent(1), "{on}");
+                    }
+                }
             }
         }
     }

@@ -142,23 +142,24 @@ impl Dataset {
         self.transactions.iter().map(Transaction::wire_size).sum()
     }
 
+    /// Cut points of [`Dataset::partition`]: part `i` is `bounds[i]..bounds[i + 1]`
+    /// and the first `len() % p` parts are one transaction longer. The
+    /// parallel miner views these ranges of one slab instead of copying them.
+    pub fn partition_bounds(&self, p: usize) -> Vec<usize> {
+        assert!(p > 0, "cannot partition into zero parts");
+        let (base, extra) = (self.len() / p, self.len() % p);
+        (0..=p).map(|i| i * base + i.min(extra)).collect()
+    }
+
     /// Splits the database into `p` contiguous, maximally even parts: part
     /// sizes differ by at most one. This is the even distribution of
     /// transactions among processors that Section III assumes.
     pub fn partition(&self, p: usize) -> Vec<Vec<Transaction>> {
-        assert!(p > 0, "cannot partition into zero parts");
-        let n = self.transactions.len();
-        let base = n / p;
-        let extra = n % p;
-        let mut parts = Vec::with_capacity(p);
-        let mut start = 0;
-        for rank in 0..p {
-            let size = base + usize::from(rank < extra);
-            parts.push(self.transactions[start..start + size].to_vec());
-            start += size;
-        }
-        debug_assert_eq!(start, n);
+        let bounds = self.partition_bounds(p);
+        let parts = bounds.windows(2);
         parts
+            .map(|w| self.transactions[w[0]..w[1]].to_vec())
+            .collect()
     }
 
     /// Per-item occurrence counts over the whole database — the first pass
@@ -244,6 +245,26 @@ mod tests {
         let parts = d.partition(4);
         assert_eq!(parts.len(), 4);
         assert_eq!(parts.iter().filter(|p| p.is_empty()).count(), 2);
+    }
+
+    /// One split rule: `partition` is `partition_bounds` sliced, for `p`
+    /// below, at and above the transaction count.
+    #[test]
+    fn partition_copies_the_ranges_partition_bounds_cuts() {
+        let d = Dataset::new((0..7).map(|i| tx(i, &[i as u32])).collect());
+        for p in [1, 2, 3, 6, 7, 8, 20] {
+            let bounds = d.partition_bounds(p);
+            assert_eq!((bounds.len(), bounds[0], bounds[p]), (p + 1, 0, 7), "p={p}");
+            let sliced: Vec<&[Transaction]> = bounds
+                .windows(2)
+                .map(|w| &d.transactions()[w[0]..w[1]])
+                .collect();
+            assert_eq!(d.partition(p), sliced, "p={p}");
+            // The first `n % p` parts are the longer ones.
+            let sizes: Vec<usize> = sliced.iter().map(|s| s.len()).collect();
+            let want: Vec<usize> = (0..p).map(|i| 7 / p + usize::from(i < 7 % p)).collect();
+            assert_eq!(sizes, want, "p={p}");
+        }
     }
 
     #[test]

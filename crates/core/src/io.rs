@@ -76,30 +76,23 @@ pub fn read_transactions<R: Read>(reader: R) -> Result<Dataset, ReadError> {
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
+        let bad = |token: &str| ReadError::Parse {
+            line: lineno + 1,
+            token: token.to_owned(),
+        };
         let (tid, rest) = match trimmed.split_once(':') {
-            Some((tid_str, rest)) => {
-                let tid = tid_str
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|_| ReadError::Parse {
-                        line: lineno + 1,
-                        token: tid_str.trim().to_owned(),
-                    })?;
-                (tid, rest)
-            }
+            Some((tid, rest)) => (tid.trim().parse().map_err(|_| bad(tid.trim()))?, rest),
             None => (next_tid, trimmed),
         };
         let mut items = Vec::new();
         for token in rest.split_whitespace() {
             // Unparseable and over-limit ids fail alike: line and token.
             let id = token.parse::<u32>().ok().filter(|&id| id <= Item::MAX_ID);
-            items.push(Item(id.ok_or_else(|| ReadError::Parse {
-                line: lineno + 1,
-                token: token.to_owned(),
-            })?));
+            items.push(Item(id.ok_or_else(|| bad(token))?));
         }
         transactions.push(Transaction::new(tid, items));
-        next_tid = tid + 1;
+        // An explicit tid of `u64::MAX` is legal: the sequence wraps to 0.
+        next_tid = tid.wrapping_add(1);
     }
     Ok(Dataset::new(transactions))
 }
@@ -161,43 +154,38 @@ pub fn write_transactions_binary<W: Write>(writer: W, dataset: &Dataset) -> std:
 /// Reads a dataset written by [`write_transactions_binary`].
 pub fn read_transactions_binary<R: Read>(reader: R) -> Result<Dataset, ReadError> {
     let mut buf = BufReader::new(reader);
-    let mut magic = [0u8; 4];
-    buf.read_exact(&mut magic)?;
+    // Not a text line: line 0, and what is wrong in place of a token.
+    let malformed = |what: String| ReadError::Parse {
+        line: 0,
+        token: what,
+    };
+    let magic: [u8; 4] = read_le(&mut buf)?;
     if &magic != BINARY_MAGIC {
-        return Err(ReadError::Parse {
-            line: 0,
-            token: format!("bad magic {magic:?}"),
-        });
+        return Err(malformed(format!("bad magic {magic:?}")));
     }
-    let version = read_u32(&mut buf)?;
+    let version = u32::from_le_bytes(read_le(&mut buf)?);
     if version != BINARY_VERSION {
-        return Err(ReadError::Parse {
-            line: 0,
-            token: format!("unsupported version {version}"),
-        });
+        return Err(malformed(format!("unsupported version {version}")));
     }
-    let num_items = read_u32(&mut buf)?;
+    let num_items = u32::from_le_bytes(read_le(&mut buf)?);
     if num_items > Item::MAX_ID + 1 {
-        return Err(ReadError::Parse {
-            line: 0,
-            token: format!("universe {num_items} above the item limit {}", Item::MAX_ID),
-        });
+        return Err(malformed(format!(
+            "universe {num_items} above the item limit {}",
+            Item::MAX_ID
+        )));
     }
     // The counts are untrusted: they size the first allocation only up to
     // a cap, and a file shorter than it claims fails its next read.
-    let n = read_u64(&mut buf)?;
+    let n = u64::from_le_bytes(read_le(&mut buf)?);
     let mut transactions = Vec::with_capacity(n.min(1 << 24) as usize);
     for _ in 0..n {
-        let tid = read_u64(&mut buf)?;
-        let len = read_u32(&mut buf)? as usize;
+        let tid = u64::from_le_bytes(read_le(&mut buf)?);
+        let len = u32::from_le_bytes(read_le(&mut buf)?) as usize;
         let mut items = Vec::with_capacity(len.min(1 << 16));
         for _ in 0..len {
-            let id = read_u32(&mut buf)?;
+            let id = u32::from_le_bytes(read_le(&mut buf)?);
             if id >= num_items {
-                return Err(ReadError::Parse {
-                    line: 0,
-                    token: format!("item {id} outside universe {num_items}"),
-                });
+                return Err(malformed(format!("item {id} outside universe {num_items}")));
             }
             items.push(Item(id));
         }
@@ -206,26 +194,23 @@ pub fn read_transactions_binary<R: Read>(reader: R) -> Result<Dataset, ReadError
     Ok(Dataset::with_num_items(transactions, num_items))
 }
 
-fn read_u32<R: Read>(r: &mut R) -> std::io::Result<u32> {
-    let mut b = [0u8; 4];
+fn read_le<const N: usize>(r: &mut impl Read) -> std::io::Result<[u8; N]> {
+    let mut b = [0u8; N];
     r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> std::io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
+    Ok(b)
 }
 
 /// Reads a transaction database, auto-detecting the binary format by its
-/// magic bytes and falling back to the text parser.
+/// magic bytes and falling back to the text parser. The file is streamed:
+/// only the magic is read ahead (a file shorter than it is text).
 pub fn read_transactions_auto<P: AsRef<Path>>(path: P) -> Result<Dataset, ReadError> {
-    let bytes = std::fs::read(path)?;
-    if bytes.starts_with(BINARY_MAGIC) {
-        read_transactions_binary(&bytes[..])
+    let mut file = std::fs::File::open(path)?;
+    let mut head = Vec::new();
+    Read::by_ref(&mut file).take(4).read_to_end(&mut head)?;
+    if head == BINARY_MAGIC {
+        read_transactions_binary(head.chain(file))
     } else {
-        read_transactions(&bytes[..])
+        read_transactions(head.chain(file))
     }
 }
 
@@ -247,6 +232,15 @@ mod tests {
             &[Item(3), Item(7)],
             "items are sorted on ingest"
         );
+    }
+
+    /// `u64::MAX` is a legal explicit tid; the implicit tid after it is
+    /// the same in debug and release builds.
+    #[test]
+    fn explicit_max_tid_wraps_the_implicit_sequence() {
+        let d = read_transactions("18446744073709551615: 1 2\n3\n".as_bytes()).unwrap();
+        let tids: Vec<u64> = d.transactions().iter().map(Transaction::tid).collect();
+        assert_eq!(tids, [u64::MAX, 0]);
     }
 
     #[test]
@@ -411,8 +405,19 @@ mod tests {
             let r = read_transactions_auto(p).unwrap();
             assert_eq!(r.transactions(), d.transactions(), "{}", p.display());
         }
-        std::fs::remove_file(text_path).ok();
-        std::fs::remove_file(bin_path).ok();
+        // Files too short to hold the magic bytes are text.
+        let short_path = dir.join("short.txt");
+        std::fs::write(&short_path, b"").unwrap();
+        assert!(read_transactions_auto(&short_path).unwrap().is_empty());
+        std::fs::write(&short_path, b"3 2").unwrap();
+        let r = read_transactions_auto(&short_path).unwrap();
+        assert_eq!(r.transactions(), d.transactions());
+        std::fs::write(&short_path, b"ARM").unwrap();
+        let err = read_transactions_auto(&short_path).unwrap_err();
+        assert_eq!(err.to_string(), "line 1: invalid item id \"ARM\"");
+        for p in [text_path, bin_path, short_path] {
+            std::fs::remove_file(p).ok();
+        }
     }
 
     #[test]
@@ -452,4 +457,86 @@ mod tests {
         assert_eq!(r.transactions(), d.transactions());
         std::fs::remove_file(&path).ok();
     }
+    /// What both any-input properties assert of an accepted dataset before
+    /// round-tripping it: it is no bigger than the bytes that made it (no
+    /// length field was believed beyond what the input backs).
+    fn accepted(d: &Dataset, input_len: usize, min_tx_bytes: usize, min_item_bytes: usize) {
+        assert!(d.len() * min_tx_bytes <= input_len);
+        let items: usize = d.transactions().iter().map(Transaction::len).sum();
+        assert!(items * min_item_bytes <= input_len);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        // Any bytes, and lines built from what the format accepts and what
+        // it must refuse (random bytes almost never reach a `tid:` prefix
+        // or an over-limit id), are a dataset or an error, never a panic;
+        // a dataset reads back from its own text unchanged.
+        #[test]
+        fn text_reader_takes_any_bytes_and_ok_round_trips(
+            bytes in proptest::collection::vec(0u8..=255, 0..48),
+            tokens in proptest::collection::vec(0usize..TEXT_TOKENS.len(), 0..20),
+        ) {
+            let junk: String = tokens.iter().map(|&t| TEXT_TOKENS[t]).collect();
+            for input in [&bytes[..], junk.as_bytes()] {
+                let Ok(d) = read_transactions(input) else { continue };
+                // A transaction needs a line, an item a digit and a space.
+                accepted(&d, input.len() + 1, 1, 2);
+                let mut text = Vec::new();
+                write_transactions(&mut text, &d).unwrap();
+                let reread = read_transactions(&text[..]).unwrap();
+                proptest::prop_assert_eq!(reread.transactions(), d.transactions());
+                proptest::prop_assert_eq!(reread.num_items(), d.num_items());
+            }
+        }
+
+        // Any bytes at all, a valid header followed by any bytes, and a
+        // valid header followed by small words (so that lengths and ids
+        // are often believable) then any bytes: a dataset or an error,
+        // never a panic, never more transactions or items than the input
+        // holds; a dataset reads back from its own bytes unchanged.
+        #[test]
+        fn binary_reader_takes_any_bytes_and_ok_round_trips(
+            bytes in proptest::collection::vec(0u8..=255, 0..64),
+            num_items in 0u32..6,
+            count in 0usize..BINARY_COUNTS.len(),
+            words in proptest::collection::vec(0u32..4, 0..24),
+            tail in proptest::collection::vec(0u8..=255, 0..16),
+        ) {
+            let mut header = Vec::new();
+            header.extend_from_slice(BINARY_MAGIC);
+            header.extend_from_slice(&BINARY_VERSION.to_le_bytes());
+            header.extend_from_slice(&num_items.to_le_bytes());
+            header.extend_from_slice(&BINARY_COUNTS[count].to_le_bytes());
+            let words = words.iter().flat_map(|w| w.to_le_bytes());
+            let believable: Vec<u8> = header.iter().copied().chain(words).chain(tail.clone()).collect();
+            let headed: Vec<u8> = header.iter().chain(&bytes).copied().collect();
+            for input in [&bytes, &headed, &believable] {
+                let Ok(d) = read_transactions_binary(&input[..]) else { continue };
+                // tid u64 + len u32 per transaction, u32 per item.
+                accepted(&d, input.len(), 12, 4);
+                let mut bin = Vec::new();
+                write_transactions_binary(&mut bin, &d).unwrap();
+                let reread = read_transactions_binary(&bin[..]).unwrap();
+                proptest::prop_assert_eq!(reread.transactions(), d.transactions());
+                proptest::prop_assert_eq!(reread.num_items(), d.num_items());
+            }
+        }
+    }
+
+    /// Pieces of text-format lines, concatenated without separators:
+    /// mostly what the format accepts (so that whole inputs often parse),
+    /// plus the id limit, the values just past it and past `u32`/`u64`,
+    /// and plain junk.
+    #[rustfmt::skip]
+    const TEXT_TOKENS: [&str; 32] = [
+        " ", " ", " ", " ", " ", " ", "\n", "\n", "\n", "\n", "\r\n", "\t", ":", ":", "#",
+        "0", "1", "2", "3", "5", "7", "7", "12", "12", "300", "134217727", "18446744073709551615",
+        "134217728", "4294967296", "18446744073709551616", "-1", "x",
+    ];
+
+    /// Transaction counts a header may claim: honest ones, and ones no
+    /// input is long enough to back.
+    const BINARY_COUNTS: [u64; 6] = [0, 1, 2, 3, 1 << 40, u64::MAX];
 }

@@ -596,11 +596,6 @@ impl<'a> Scope<'a> {
         self.members.len()
     }
 
-    /// Global rank of local member `local`.
-    pub fn global_rank(&self, local: usize) -> usize {
-        self.members[local]
-    }
-
     /// The underlying communicator (clock, compute charges).
     pub fn comm(&mut self) -> &mut Comm {
         self.comm

@@ -305,11 +305,6 @@ impl<T> SimResult<T> {
     pub fn compute_imbalance(&self) -> f64 {
         imbalance(self.ranks.iter().map(|r| r.busy))
     }
-
-    /// Sum of idle (message-wait) time across ranks.
-    pub fn total_idle(&self) -> f64 {
-        self.ranks.iter().map(|r| r.idle).sum()
-    }
 }
 
 #[cfg(test)]

@@ -36,14 +36,7 @@ pub(crate) fn count_pass(
         let end = (idx + cap).min(total);
         // Replicated counter over this chunk. apriori_gen is charged once.
         let gen_charge = if first_chunk { total } else { 0 };
-        let mut counter = build_counter_charged(
-            comm,
-            k,
-            params.counter,
-            params.tree,
-            candidates[idx..end].to_vec(),
-            gen_charge,
-        );
+        let mut counter = build_counter_charged(comm, k, params, &candidates[idx..end], gen_charge);
         first_chunk = false;
         // Each scan (re-)reads the local slice of the database.
         comm.charge_io(ctx.local_bytes());

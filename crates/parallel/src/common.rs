@@ -1,11 +1,12 @@
 //! Machinery shared by all nine parallel formulations: the per-rank pass
-//! loop, cost charging, pass-1 counting, paging, and the ring-pipelined
-//! data movement of Figure 6.
+//! loop, cost charging, pass-1 counting, the views every rank holds of the
+//! one database slab (slices, pages, re-balanced shares), and the
+//! ring-pipelined data movement of Figure 6.
 
-use crate::config::PlacementPolicy;
+use crate::config::{ParallelParams, PlacementPolicy};
 use armine_core::apriori::apriori_gen;
-use armine_core::counter::{CandidateCounter, CounterBackend, CounterStats};
-use armine_core::hashtree::{HashTreeParams, OwnershipFilter};
+use armine_core::counter::{CandidateCounter, CounterStats};
+use armine_core::hashtree::OwnershipFilter;
 use armine_core::{Item, ItemSet, Transaction};
 use armine_mpsim::{Comm, CountingWork, FaultPlan, RecvFault, Scope};
 use std::ops::{Deref, Range};
@@ -14,12 +15,12 @@ use std::sync::Arc;
 /// An immutable view of a run of transactions inside a shared slab — the
 /// unit of data movement, and the shape of a rank's local slice.
 ///
-/// A rank's slice is a view of its whole slab; [`paginate`] cuts it into
-/// page views; sending one through the simulator clones the view (a
-/// refcount bump), never the transactions. The virtual wire cost is
+/// The database is one slab; a rank's slice is a range of it, [`paginate`]
+/// cuts that into page views, and re-balancing hands a rank the view
+/// covering its new range. Sending a view through the simulator clones it
+/// (a refcount bump), never the transactions. The virtual wire cost is
 /// unaffected — every send still charges the page's full logical
-/// [`page_bytes`] — so this is purely a host-time optimization (see
-/// DESIGN.md §5.6).
+/// [`page_bytes`] — so this is purely a host-side saving (DESIGN.md §5.6).
 #[derive(Clone)]
 pub(crate) struct TransactionPage {
     slab: Arc<[Transaction]>,
@@ -34,6 +35,18 @@ impl TransactionPage {
             slab: Arc::clone(&self.slab),
             range: self.range.start + range.start..self.range.start + range.end,
         }
+    }
+
+    /// This view extended over `next`, the adjacent range of the same
+    /// slab; an empty view joins anything.
+    fn join(mut self, next: TransactionPage) -> Self {
+        if self.is_empty() {
+            return next;
+        }
+        let adjacent = Arc::ptr_eq(&self.slab, &next.slab) && self.range.end == next.range.start;
+        assert!(adjacent, "joined views must be adjacent ranges of one slab");
+        self.range.end = next.range.end;
+        self
     }
 }
 
@@ -72,8 +85,8 @@ pub(crate) const TAG_REBAL: u64 = 1 << 22;
 /// data, and the epoch counts pass-boundary syncs so that message scopes
 /// of abandoned attempts can never cross-deliver into a retry.
 pub(crate) struct RankCtx {
-    /// This rank's slice of the database: a view of its partition's slab
-    /// until recovery or re-balancing materialises a new one.
+    /// This rank's slice of the database: a range of the database slab,
+    /// until recovery re-reads a grown one into a slab of its own.
     pub local: TransactionPage,
     /// Item-universe size.
     pub num_items: u32,
@@ -268,15 +281,13 @@ fn rebalance_pages(
     old_counts: &[usize],
 ) -> Result<(), RecvFault> {
     let n = old_counts.len();
-    let total: usize = old_counts.iter().sum();
-    let bounds = share_bounds(total, &ctx.capacities);
-    let new_counts: Vec<usize> = (0..n).map(|i| bounds[i + 1] - bounds[i]).collect();
-    if new_counts == old_counts || total == 0 {
-        return Ok(());
-    }
     let mut old_start = vec![0usize; n + 1];
     for i in 0..n {
         old_start[i + 1] = old_start[i] + old_counts[i];
+    }
+    let bounds = share_bounds(old_start[n], &ctx.capacities);
+    if bounds == old_start {
+        return Ok(());
     }
     let me = ctx.my_index;
     let (my_old_lo, my_old_hi) = (old_start[me], old_start[me + 1]);
@@ -298,43 +309,44 @@ fn rebalance_pages(
     }
     // Collect my new slice in global order: one segment per member whose
     // old range intersects my new range — received from a peer, kept from
-    // my own slice. The segments live in different slabs, so the new
-    // slice is a new slab.
-    let mut merged: Vec<Transaction> = Vec::with_capacity(new_counts[me]);
+    // my own slice. The slices tile the database slab in member order, so
+    // the segments are adjacent and the new slice is the view covering
+    // them: the bytes move in the model, nothing moves on the host.
+    let mut covering = ctx.local.slice(0..0);
     for i in 0..n {
         let lo = my_new_lo.max(old_start[i]);
         let hi = my_new_hi.min(old_start[i + 1]);
         if lo >= hi {
             continue;
         }
-        if i == me {
-            merged.extend_from_slice(&ctx.local[lo - my_old_lo..hi - my_old_lo]);
+        let seg = if i == me {
+            ctx.local.slice(lo - my_old_lo..hi - my_old_lo)
         } else {
-            let seg: TransactionPage = world.try_recv(i, TAG_REBAL)?;
-            debug_assert_eq!(seg.len(), hi - lo, "transfer plans diverged");
-            merged.extend_from_slice(&seg);
-        }
+            world.try_recv(i, TAG_REBAL)?
+        };
+        debug_assert_eq!(seg.len(), hi - lo, "transfer plans diverged");
+        covering = covering.join(seg);
     }
     for sh in sends {
         world.wait_send(sh);
     }
     drop(world);
-    ctx.local = merged.into();
-    debug_assert_eq!(ctx.local.len(), new_counts[me]);
+    debug_assert_eq!(covering.len(), my_new_hi - my_new_lo);
+    ctx.local = covering;
     Ok(())
 }
 
-/// Builds the configured counting structure over `local_candidates`,
+/// Builds the configured counting structure over `local_candidates` (all
+/// of `C_k` or this rank's share, lent out of the one generated list),
 /// charging `apriori_gen` work for the **full** candidate set (every
 /// processor regenerates all of `C_k` before keeping its share — Section
 /// III-C) plus insertion work for the local share only. Returns the
 /// counter with clean work counters.
-pub(crate) fn build_counter_charged(
+pub(crate) fn build_counter_charged<'a>(
     comm: &mut Comm,
     k: usize,
-    backend: CounterBackend,
-    tree_params: HashTreeParams,
-    local_candidates: Vec<ItemSet>,
+    params: &ParallelParams,
+    local_candidates: impl IntoIterator<Item = &'a ItemSet>,
     total_candidates: usize,
 ) -> Box<dyn CandidateCounter> {
     let (t_gen, t_insert) = {
@@ -342,7 +354,7 @@ pub(crate) fn build_counter_charged(
         (m.t_gen, m.t_insert)
     };
     comm.advance(total_candidates as f64 * t_gen);
-    let mut counter = backend.build(k, tree_params, local_candidates);
+    let mut counter = params.counter.build(k, params.tree, local_candidates);
     comm.advance(counter.stats().inserts as f64 * t_insert);
     counter.reset_stats();
     counter
@@ -535,12 +547,15 @@ pub(crate) fn cannot_fail<T>(received: Result<T, RecvFault>) -> T {
 /// rides the local slice. Adaptive placement is skipped when the plan
 /// can crash ranks — crash recovery owns membership and data placement,
 /// and mixing the two re-distribution mechanisms would fight.
+///
+/// `db` is the database slab and `cuts[r]..cuts[r + 1]` the range rank `r`
+/// starts on: the stable storage recovery re-reads a dead rank's data from.
 pub(crate) fn run_rank(
     comm: &mut Comm,
     mut ctx: RankCtx,
-    parts: &[Arc<[Transaction]>],
-    max_k: Option<usize>,
-    placement: PlacementPolicy,
+    db: &[Transaction],
+    cuts: &[usize],
+    params: &ParallelParams,
     mobile_pages: bool,
     mut count_pass: impl FnMut(
         &mut Comm,
@@ -551,9 +566,9 @@ pub(crate) fn run_rank(
     ) -> Result<PassResult, RecvFault>,
 ) -> RankOutput {
     let recoverable = comm.fault_plan().is_some_and(FaultPlan::has_crashes);
-    let adaptive = placement == PlacementPolicy::Adaptive && !recoverable && ctx.size() > 1;
+    let adaptive = params.placement == PlacementPolicy::Adaptive && !recoverable && ctx.size() > 1;
     let mut busy_mark = 0.0f64;
-    let mut holdings = crate::recovery::initial_holdings(parts);
+    let mut holdings = crate::recovery::initial_holdings(cuts);
     let mut levels: Vec<Vec<(ItemSet, u64)>> = Vec::new();
     let mut passes = Vec::new();
     let mut prev: Vec<ItemSet> = Vec::new();
@@ -563,7 +578,7 @@ pub(crate) fn run_rank(
         let candidates: Option<Vec<ItemSet>> = if k == 1 {
             None
         } else {
-            if prev.is_empty() || max_k.is_some_and(|m| k > m) {
+            if prev.is_empty() || params.max_k.is_some_and(|m| k > m) {
                 break;
             }
             let c = apriori_gen(&prev);
@@ -596,7 +611,7 @@ pub(crate) fn run_rank(
             }
             let outcome = crate::recovery::pass_sync(comm, &ctx, &attempt);
             if !outcome.dead.is_empty() {
-                crate::recovery::adopt(comm, &mut ctx, &mut holdings, parts, &outcome.dead);
+                crate::recovery::adopt(comm, &mut ctx, &mut holdings, db, &outcome.dead);
             }
             ctx.epoch += 1;
             match attempt {
@@ -638,6 +653,8 @@ pub(crate) fn run_rank(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use armine_core::counter::CounterBackend;
+    use armine_core::hashtree::HashTreeParams;
 
     fn tx(tid: u64, ids: &[u32]) -> Transaction {
         Transaction::new(tid, ids.iter().map(|&i| Item(i)).collect())
@@ -668,6 +685,61 @@ mod tests {
         }
         // No transaction was cloned: every view shares the one slab.
         assert_eq!(Arc::strong_count(&slab), 2, "views dropped, slab shared");
+    }
+
+    /// Adaptive re-balancing on a two-speed cluster moves transactions in
+    /// the model only: after every pass boundary each rank's slice is
+    /// still a range of the one database slab, the ranges tile it in
+    /// member order, and each holds exactly the transactions the
+    /// capacity-proportional re-slicing of the global sequence assigns it
+    /// (what merging cloned segments used to produce).
+    #[test]
+    fn rebalanced_slices_are_ranges_of_the_database_slab() {
+        use armine_mpsim::{ClusterProfile, MachineProfile, Simulator};
+        let (p, n) = (4, 103);
+        let slab: Arc<[Transaction]> = (0..n as u64).map(|i| tx(i, &[i as u32, 200])).collect();
+        let db = TransactionPage::from(Arc::clone(&slab));
+        let cuts: Vec<usize> = (0..=p).map(|i| i * n / p).collect();
+        let two_speed = ClusterProfile::uniform(MachineProfile::cray_t3e()).speed(1, 0.5);
+        let result = Simulator::new(p).cluster(two_speed).run(|comm| {
+            let me = comm.rank();
+            let mut ctx = RankCtx::new(db.slice(cuts[me]..cuts[me + 1]), 201, 1, 10, me, p);
+            let mut busy_mark = 0.0;
+            let mut moved = 0u64;
+            for _pass in 0..3 {
+                // Counting work that rides the slice, as CD's does.
+                comm.advance(ctx.local.len() as f64 * 1e-6);
+                let before = comm.stats().bytes_sent;
+                cannot_fail(rebalance_placement(comm, &mut ctx, true, &mut busy_mark));
+                moved += comm.stats().bytes_sent - before;
+            }
+            (ctx.local, ctx.capacities, moved)
+        });
+        let capacities = &result.results[0].1;
+        assert!(
+            capacities[1] < 0.75,
+            "the slow rank was re-scored: {capacities:?}"
+        );
+        let bounds = share_bounds(n, capacities);
+        assert_ne!(bounds, cuts, "the re-balance must have moved something");
+        for (rank, (local, caps, moved)) in result.results.iter().enumerate() {
+            assert_eq!(caps, capacities, "rank {rank}");
+            assert!(Arc::ptr_eq(&local.slab, &slab), "rank {rank} left the slab");
+            // The cut points tile `0..n` in member order.
+            assert_eq!(local.range, bounds[rank]..bounds[rank + 1], "rank {rank}");
+            assert_eq!(&local[..], &slab[bounds[rank]..bounds[rank + 1]]);
+            // The model still paid for the move: 16 allgather bytes to
+            // each peer per boundary, and the page bytes on top.
+            assert!(*moved > 3 * 3 * 16, "rank {rank} sent no segment: {moved}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "adjacent ranges of one slab")]
+    fn views_of_different_slabs_do_not_join() {
+        let a = TransactionPage::from(vec![tx(0, &[1])]);
+        let b = TransactionPage::from(vec![tx(1, &[2])]);
+        let _ = a.join(b);
     }
 
     #[test]

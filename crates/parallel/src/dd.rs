@@ -43,7 +43,7 @@ pub(crate) fn count_pass(
     let total = candidates.len();
     let part = partition_round_robin(candidates, p);
     let mine = part.share(candidates, me);
-    let mut counter = build_counter_charged(comm, k, params.counter, params.tree, mine, total);
+    let mut counter = build_counter_charged(comm, k, params, mine, total);
     comm.charge_io(ctx.local_bytes());
 
     let my_pages = paginate(&ctx.local, ctx.page_size);

@@ -83,8 +83,8 @@ pub(crate) fn count_pass(
 
 /// One partitioned counting pass on a `g × cols` grid (`g · cols` = the
 /// membership): `plan` splits the candidates over the `g` rows, identically
-/// in every column. Each rank clones its row's share — nobody else's —
-/// builds its counter, ring-shifts its column's pages past it, sums counts
+/// in every column. Each rank builds its counter straight from its row's
+/// share of the candidate list (lent by the plan, never copied out), ring-shifts its column's pages past it, sums counts
 /// along its row, and the column reassembles `F_k`.
 pub(crate) fn partitioned_pass(
     comm: &mut Comm,
@@ -106,7 +106,7 @@ pub(crate) fn partitioned_pass(
 
     let mine = plan.share(candidates, my_row);
     let filter = &plan.filters[my_row];
-    let mut counter = build_counter_charged(comm, k, params.counter, params.tree, mine, total);
+    let mut counter = build_counter_charged(comm, k, params, mine, total);
     comm.charge_io(ctx.local_bytes());
 
     // Step 1 — IDD within the column: shift the column's transactions

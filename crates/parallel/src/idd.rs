@@ -75,7 +75,7 @@ pub(crate) fn count_pass_single_source(
     }
     let mine = part.share(candidates, me);
     let filter = &part.filters[me];
-    let mut counter = build_counter_charged(comm, k, params.counter, params.tree, mine, total);
+    let mut counter = build_counter_charged(comm, k, params, mine, total);
     if me == 0 {
         comm.charge_io(ctx.local_bytes());
     }

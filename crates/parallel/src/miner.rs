@@ -1,7 +1,8 @@
 //! The user-facing entry point: pick an algorithm, a machine, a processor
-//! count, and mine.
+//! count, and mine. The database is copied once, into one slab the ranks
+//! are placed on by cut points.
 
-use crate::common::{run_rank, RankCtx, RankOutput};
+use crate::common::{run_rank, RankCtx, RankOutput, TransactionPage};
 use crate::config::ParallelParams;
 use crate::metrics::{ParallelPassMetrics, ParallelRun};
 use crate::{cd, dd, hd, hpa, idd, npa, pdm};
@@ -200,18 +201,10 @@ impl ParallelMiner {
             plan.validate_for_procs(self.procs)
                 .map_err(FaultRunError::InvalidPlan)?;
         }
-        // One slab per partition, built once: the ranks' local slices and
-        // every page are views of these, and they are the stable storage
-        // recovery re-reads. Single-source mode: the whole database sits
-        // on rank 0.
-        let parts: Vec<Arc<[Transaction]>> = if algorithm == Algorithm::IddSingleSource {
-            let mut parts = vec![Arc::from(Vec::new()); self.procs];
-            parts[0] = dataset.transactions().into();
-            parts
-        } else {
-            let parts = dataset.partition(self.procs);
-            parts.into_iter().map(Arc::from).collect()
-        };
+        // The database is one slab (the run's one clone of each transaction):
+        // every rank's slice, page and recovery holding is a range of it.
+        let db = TransactionPage::from(Arc::<[Transaction]>::from(dataset.transactions()));
+        let cuts = cut_points(algorithm, dataset, self.procs);
         let num_items = dataset.num_items();
         let min_count = params.min_support.resolve(dataset.len());
         let mut sim = Simulator::new(self.procs)
@@ -221,7 +214,7 @@ impl ParallelMiner {
         if let Some(plan) = plan {
             sim = sim.fault_plan(plan.clone());
         }
-        let parts = &parts;
+        let (db, cuts) = (&db, &cuts[..]);
         let params_copy = *params;
         // Replicated-candidate formulations count their local slice
         // against the full candidate set, so their counting load rides
@@ -236,7 +229,7 @@ impl ParallelMiner {
         );
         let result: SimResult<Option<RankOutput>> = sim.run_with_faults(move |comm| {
             let ctx = RankCtx::new(
-                Arc::clone(&parts[comm.rank()]).into(),
+                db.slice(cuts[comm.rank()]..cuts[comm.rank() + 1]),
                 num_items,
                 min_count,
                 params_copy.page_size,
@@ -246,9 +239,9 @@ impl ParallelMiner {
             run_rank(
                 comm,
                 ctx,
-                parts,
-                params_copy.max_k,
-                params_copy.placement,
+                db,
+                cuts,
+                &params_copy,
                 mobile_pages,
                 |comm, ctx, k, candidates, prev| match algorithm {
                     Algorithm::Cd => cd::count_pass(comm, ctx, k, candidates, &params_copy),
@@ -322,6 +315,17 @@ impl ParallelMiner {
             .backend(self.backend);
         crate::rules::generate_rules_parallel(&sim, frequent, min_confidence)
     }
+}
+
+/// Where the database slab is cut: rank `r` starts on `cuts[r]..cuts[r + 1]`,
+/// the even split of Section III — except in single-source mode, where the
+/// whole database sits on rank 0.
+fn cut_points(algorithm: Algorithm, dataset: &Dataset, procs: usize) -> Vec<usize> {
+    let mut cuts = dataset.partition_bounds(procs);
+    if algorithm == Algorithm::IddSingleSource {
+        cuts[1..].fill(dataset.len());
+    }
+    cuts
 }
 
 /// Folds the per-rank outputs into one [`ParallelRun`]. Crashed ranks
@@ -498,6 +502,23 @@ mod tests {
             run.total_db_scans() > run.passes.len(),
             "capping must force multiple scans in some pass"
         );
+    }
+
+    /// Placement is cut points over one slab: the even split everywhere
+    /// but single-source mode, where rank 0's range is the whole database
+    /// and every other rank's is empty.
+    #[test]
+    fn single_source_is_a_choice_of_cut_points() {
+        let dataset = quest(10, 20, 3);
+        for algo in ALGOS {
+            assert_eq!(cut_points(algo, &dataset, 4), [0, 3, 6, 8, 10]);
+        }
+        let cuts = cut_points(Algorithm::IddSingleSource, &dataset, 4);
+        assert_eq!(cuts, [0, 10, 10, 10, 10]);
+        let db = TransactionPage::from(Arc::<[Transaction]>::from(dataset.transactions()));
+        let slices: Vec<TransactionPage> = cuts.windows(2).map(|w| db.slice(w[0]..w[1])).collect();
+        assert_eq!(&slices[0][..], dataset.transactions());
+        assert!(slices[1..].iter().all(|s| s.is_empty()));
     }
 
     #[test]

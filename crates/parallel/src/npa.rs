@@ -26,14 +26,7 @@ pub(crate) fn count_pass(
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
     let total = candidates.len();
-    let mut counter = build_counter_charged(
-        comm,
-        k,
-        params.counter,
-        params.tree,
-        candidates.to_vec(),
-        total,
-    );
+    let mut counter = build_counter_charged(comm, k, params, candidates, total);
     comm.charge_io(ctx.local_bytes());
     let stats = count_batch_charged(comm, &mut *counter, &ctx.local, &OwnershipFilter::all());
 

@@ -10,9 +10,10 @@
 //!    interrupted pass committed anywhere ([`pass_sync`], a two-round
 //!    flooding protocol).
 //! 2. **Data placement** — the dead rank's share of the database, which
-//!    survivors re-read from stable storage ([`adopt`]; the original
-//!    partitions are the simulator's stand-in for the paper's disk-
-//!    resident database, so adoption charges I/O, not messages).
+//!    survivors re-read from stable storage ([`adopt`]; the database slab
+//!    is the simulator's stand-in for the paper's disk-resident database
+//!    and a [`Holding`] is a range of it, so adoption charges I/O, not
+//!    messages, and copies what it re-reads as a disk read would).
 //!
 //! The decision rule is deliberately conservative: if **any** member
 //! aborted the pass, everyone discards the attempt and re-executes it
@@ -34,11 +35,11 @@
 //! left uncommitted; the next pass deterministically re-observes it (the
 //! dead rank's tombstone is persistent) and commits it then.
 
-use crate::common::{share_bounds, PassResult, RankCtx};
+use crate::common::{page_bytes, share_bounds, PassResult, RankCtx};
 use armine_core::Transaction;
 use armine_mpsim::{Comm, RecvFault};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::ops::Range;
 
 /// Scope-id namespace for the membership-sync rounds (epoch-shifted by
 /// [`RankCtx::scope_id`], so retries never cross-deliver).
@@ -56,17 +57,15 @@ pub(crate) struct SyncOutcome {
     pub any_abort: bool,
 }
 
-/// A contiguous slice `[start, end)` of one original database partition —
-/// the unit of data placement tracked for recovery.
-pub(crate) type Holding = (usize, usize, usize);
+/// A contiguous range of the database slab — the unit of data placement
+/// tracked for recovery.
+pub(crate) type Holding = Range<usize>;
 
-/// The initial placement: rank `r` holds all of partition `r`.
-pub(crate) fn initial_holdings(parts: &[Arc<[Transaction]>]) -> Vec<Vec<Holding>> {
-    parts
-        .iter()
-        .enumerate()
-        .map(|(r, p)| vec![(r, 0, p.len())])
-        .collect()
+/// The initial placement: rank `r` holds the slab between cut points `r`
+/// and `r + 1`.
+pub(crate) fn initial_holdings(cuts: &[usize]) -> Vec<Vec<Holding>> {
+    let ranges = cuts.windows(2).map(|w| w[0]..w[1]);
+    ranges.map(|held| vec![held]).collect()
 }
 
 /// Two-round membership sync at a pass boundary. Every member floods
@@ -157,13 +156,13 @@ fn exchange_round(
 /// through the placement seam's [`share_bounds`] — crash plans always
 /// run with uniform capacities, which that seam maps to the exact even
 /// split), each survivor re-reads its newly adopted transactions from
-/// stable storage (an I/O charge — the database partitions outlive
-/// their rank), and the rank context is rebuilt for the next attempt.
+/// stable storage (an I/O charge — the database `db` outlives every
+/// rank), and the rank context is rebuilt for the next attempt.
 pub(crate) fn adopt(
     comm: &mut Comm,
     ctx: &mut RankCtx,
     holdings: &mut [Vec<Holding>],
-    parts: &[Arc<[Transaction]>],
+    db: &[Transaction],
     dead: &BTreeSet<usize>,
 ) {
     let me = comm.rank();
@@ -185,7 +184,7 @@ pub(crate) fn adopt(
     for &d in dead {
         debug_assert!(ctx.members.contains(&d), "committed dead ranks are members");
         let freed = std::mem::take(&mut holdings[d]);
-        let total: usize = freed.iter().map(|&(_, lo, hi)| hi - lo).sum();
+        let total: usize = freed.iter().map(Range::len).sum();
         let bounds = share_bounds(total, &survivor_caps);
         for (i, &sv) in survivors.iter().enumerate() {
             let (a, b) = (bounds[i], bounds[i + 1]);
@@ -196,21 +195,17 @@ pub(crate) fn adopt(
     }
     let adopted_bytes: usize = holdings[me][kept..]
         .iter()
-        .map(|&(p, lo, hi)| {
-            parts[p][lo..hi]
-                .iter()
-                .map(Transaction::wire_size)
-                .sum::<usize>()
-        })
+        .map(|held| page_bytes(&db[held.clone()]))
         .sum();
     if adopted_bytes > 0 {
         comm.charge_io(adopted_bytes);
     }
-    // Holdings span several partitions' slabs: re-reading them from
-    // stable storage materialises the grown slice as a new slab.
+    // Holdings are scattered ranges of the database: re-reading them
+    // from stable storage copies the grown slice into a slab of its own,
+    // as the disk read it models would.
     let reread: Vec<Transaction> = holdings[me]
         .iter()
-        .flat_map(|&(p, lo, hi)| parts[p][lo..hi].iter().cloned())
+        .flat_map(|held| db[held.clone()].iter().cloned())
         .collect();
     ctx.local = reread.into();
     ctx.members = survivors;
@@ -228,14 +223,13 @@ pub(crate) fn adopt(
 fn slice_ranges(ranges: &[Holding], a: usize, b: usize) -> Vec<Holding> {
     let mut out = Vec::new();
     let mut offset = 0;
-    for &(p, lo, hi) in ranges {
-        let len = hi - lo;
-        let start = a.clamp(offset, offset + len);
-        let end = b.clamp(offset, offset + len);
+    for held in ranges {
+        let start = a.clamp(offset, offset + held.len());
+        let end = b.clamp(offset, offset + held.len());
         if end > start {
-            out.push((p, lo + (start - offset), lo + (end - offset)));
+            out.push(held.start + (start - offset)..held.start + (end - offset));
         }
-        offset += len;
+        offset += held.len();
     }
     out
 }
@@ -246,23 +240,20 @@ mod tests {
 
     #[test]
     fn slice_ranges_spans_boundaries() {
-        let ranges = vec![(0, 0, 4), (2, 10, 13)]; // lengths 4 + 3
+        let ranges = vec![0..4, 10..13]; // lengths 4 + 3
         assert_eq!(slice_ranges(&ranges, 0, 7), ranges);
-        assert_eq!(slice_ranges(&ranges, 0, 2), vec![(0, 0, 2)]);
-        assert_eq!(slice_ranges(&ranges, 3, 5), vec![(0, 3, 4), (2, 10, 11)]);
-        assert_eq!(slice_ranges(&ranges, 4, 7), vec![(2, 10, 13)]);
+        assert_eq!(slice_ranges(&ranges, 0, 2), vec![0..2]);
+        assert_eq!(slice_ranges(&ranges, 3, 5), vec![3..4, 10..11]);
+        assert_eq!(slice_ranges(&ranges, 4, 7), vec![10..13]);
         assert!(slice_ranges(&ranges, 5, 5).is_empty());
     }
 
     #[test]
     fn initial_holdings_map_rank_to_partition() {
-        let parts: Vec<Arc<[Transaction]>> = vec![
-            vec![Transaction::new(0, vec![])].into(),
-            vec![Transaction::new(1, vec![]), Transaction::new(2, vec![])].into(),
-        ];
-        assert_eq!(
-            initial_holdings(&parts),
-            vec![vec![(0, 0, 1)], vec![(1, 0, 2)]]
-        );
+        // Ranks 0 and 1 of an even split of three transactions, then the
+        // single-source placement of the same three.
+        let one = |held: Holding| vec![held];
+        assert_eq!(initial_holdings(&[0, 2, 3]), [one(0..2), one(2..3)]);
+        assert_eq!(initial_holdings(&[0, 3, 3]), [one(0..3), one(3..3)]);
     }
 }

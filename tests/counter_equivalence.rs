@@ -46,7 +46,7 @@ fn to_itemsets(raw: &[Vec<u32>]) -> Vec<ItemSet> {
 /// Every processor's share of `cands` under `part`.
 fn shares(part: &CandidatePartition, cands: &[ItemSet]) -> Vec<Vec<ItemSet>> {
     (0..part.num_procs())
-        .map(|proc| part.share(cands, proc))
+        .map(|proc| part.share(cands, proc).cloned().collect())
         .collect()
 }
 

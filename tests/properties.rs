@@ -55,7 +55,7 @@ fn dense_candidates(universe: u32, k: usize, thin: usize) -> Vec<ItemSet> {
 /// parallel drivers cut their own.
 fn shares(part: &CandidatePartition, cands: &[ItemSet]) -> Vec<Vec<ItemSet>> {
     (0..part.num_procs())
-        .map(|proc| part.share(cands, proc))
+        .map(|proc| part.share(cands, proc).cloned().collect())
         .collect()
 }
 
