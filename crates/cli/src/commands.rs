@@ -7,7 +7,7 @@ use armine_core::io::{read_transactions_auto, write_transactions_binary, write_t
 use armine_core::model::{
     cd_time, dd_time, hd_beats_cd_window, hd_time, idd_time, serial_time, CostParams, Workload,
 };
-use armine_core::rules::generate_rules;
+use armine_core::rules::{generate_rules, Rule};
 use armine_core::stats::dataset_stats;
 use armine_core::summaries::{closed_itemsets, maximal_itemsets};
 use armine_core::{Dataset, ItemSet};
@@ -214,24 +214,36 @@ fn cmd_mine(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
         )?;
     }
     if let Some(conf) = rules_conf {
-        let mut rules = generate_rules(&run.frequent, conf);
-        rules.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then(b.support_count.cmp(&a.support_count))
-        });
+        let rules = generate_rules(&run.frequent, conf);
         writeln!(
             out,
             "{} rules at confidence >= {:.0}%:",
             rules.len(),
             conf * 100.0
         )?;
-        for rule in rules.iter().take(top) {
+        for rule in best_rules(&rules, top) {
             writeln!(out, "  {rule}")?;
         }
     }
     Ok(())
+}
+
+/// The `top` best of `rules`, best first: by confidence, then by support
+/// count, then in generation order — the head of a stable sort of all of
+/// them, found by selection so that only `top` rules are ever sorted.
+fn best_rules(rules: &[Rule], top: usize) -> Vec<&Rule> {
+    let best_first = |a: &(usize, &Rule), b: &(usize, &Rule)| {
+        (b.1.confidence.total_cmp(&a.1.confidence))
+            .then(b.1.support_count.cmp(&a.1.support_count))
+            .then(a.0.cmp(&b.0))
+    };
+    let mut ranked: Vec<(usize, &Rule)> = rules.iter().enumerate().collect();
+    if top < ranked.len() {
+        ranked.select_nth_unstable_by(top, best_first);
+        ranked.truncate(top);
+    }
+    ranked.sort_unstable_by(best_first);
+    ranked.into_iter().map(|(_, rule)| rule).collect()
 }
 
 type MakeAlgorithm = fn(&Args) -> Result<Algorithm, ArgError>;
@@ -535,6 +547,54 @@ mod tests {
         dir.join(name).to_string_lossy().into_owned()
     }
 
+    /// `mine --rules --top N` prints the first `N` lines a stable sort of
+    /// every rule would, for `N` below, at and above the rule count.
+    fn assert_top_is_the_head_of_a_stable_sort(db: &str, min_count: &str, conf: f64) {
+        let dataset = read_transactions_auto(db).unwrap();
+        let params = AprioriParams::with_min_support_count(min_count.parse().unwrap()).max_k(3);
+        let run = Apriori::new(params).mine(dataset.transactions());
+        let mut rules = generate_rules(&run.frequent, conf);
+        rules.sort_by(|a, b| {
+            b.confidence
+                .partial_cmp(&a.confidence)
+                .unwrap()
+                .then(b.support_count.cmp(&a.support_count))
+        });
+        let tied = rules
+            .windows(2)
+            .filter(|w| w[0].confidence == w[1].confidence)
+            .filter(|w| w[0].support_count == w[1].support_count)
+            .count();
+        assert!(
+            tied >= 10,
+            "only {tied} ties in {db}: order is not at stake"
+        );
+        let conf = conf.to_string();
+        for top in [0, 1, rules.len() / 2, rules.len(), rules.len() + 7] {
+            let top_flag = top.to_string();
+            let o = run_ok(&[
+                "mine",
+                "--input",
+                db,
+                "--min-count",
+                min_count,
+                "--max-k",
+                "3",
+                "--rules",
+                &conf,
+                "--top",
+                &top_flag,
+            ]);
+            let printed: Vec<&str> = o
+                .lines()
+                .skip_while(|line| !line.contains("rules at confidence"))
+                .collect();
+            assert!(printed[0].starts_with(&format!("{} rules at", rules.len())));
+            let want: Vec<String> = rules.iter().take(top).map(|r| format!("  {r}")).collect();
+            assert_eq!(printed[1..], want, "--top {top} on {db}");
+        }
+    }
+
     #[test]
     fn help_prints_usage() {
         assert!(run_ok(&["help"]).contains("USAGE"));
@@ -576,6 +636,17 @@ mod tests {
         ]);
         assert!(o.contains("frequent itemsets"));
         assert!(o.contains("pass  2"));
+        assert_top_is_the_head_of_a_stable_sort(&db, "9", 0.7);
+
+        // Forty rules tied at 100% confidence and one support count, in
+        // two blocks the generator emits one after the other.
+        let ties = temp("ties.txt");
+        let baskets = ["1 2 3 4", "5 6 7 8", "1 2 9", "5 6 9"];
+        let lines: Vec<String> = (0..44)
+            .map(|tid| format!("{tid}: {}", baskets[tid % 2 + 2 * (tid / 40)]))
+            .collect();
+        std::fs::write(&ties, lines.join("\n")).unwrap();
+        assert_top_is_the_head_of_a_stable_sort(&ties, "2", 0.5);
 
         let o = run_ok(&[
             "parallel",

@@ -1,11 +1,13 @@
 //! The hash tree's nodes, flat: every interior node is a block of
 //! `branching` child slots in one `Vec<u32>`, every leaf a range of the
-//! tree's leaf-ordered candidate arrays plus its revisit stamp.
+//! tree's leaf-ordered candidate arrays plus its revisit stamp. [`Walk`]
+//! is one transaction's descent over them; at a leaf it probes the tree's
+//! presence bitmap, which holds that transaction's items for its duration.
 
 use super::filter::OwnershipFilter;
+use crate::bitmap::ItemBitmap;
 use crate::counter::CounterStats;
 use crate::item::Item;
-use crate::itemset::sorted_subset;
 
 /// The hash function of the tree: items are hashed on their integer value
 /// (Figure 2 uses `mod 3`: buckets {1,4,7}, {2,5,8}, {3,6,9}).
@@ -149,6 +151,8 @@ pub(super) struct Walk<'a> {
     pub stats: &'a mut CounterStats,
     /// The whole (sorted) transaction.
     pub titems: &'a [Item],
+    /// The same transaction as a set, for the leaf check.
+    pub present: &'a ItemBitmap,
     pub k: usize,
     pub epoch: u64,
     pub filter: &'a OwnershipFilter,
@@ -202,7 +206,8 @@ impl Walk<'_> {
         }
     }
 
-    /// Checks each candidate of a leaf against the whole transaction, but
+    /// Checks each candidate of a leaf against the whole transaction (`k`
+    /// bit probes, stopping at the first item the transaction lacks), but
     /// only on the first arrival per transaction (the epoch stamp makes
     /// revisits free).
     fn check_leaf(&mut self, index: usize) {
@@ -217,7 +222,7 @@ impl Walk<'_> {
         let k = self.k;
         let candidates = self.items[start * k..end * k].chunks_exact(k);
         for (candidate, count) in candidates.zip(&mut self.counts[start..end]) {
-            if sorted_subset(candidate, self.titems) {
+            if candidate.iter().all(|&item| self.present.contains(item)) {
                 *count += 1;
             }
         }

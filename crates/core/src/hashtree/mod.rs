@@ -24,12 +24,22 @@
 //! so a leaf check scans contiguous memory. The shape is exactly the one
 //! split-on-overflow insertion grows, so the work ledger for a given
 //! `(branching, max_leaf)` does not depend on how the tree is stored.
+//!
+//! Nor does it depend on how a leaf candidate is compared. The tree keeps
+//! one presence bitmap, a bit per item id up to its own largest candidate
+//! item: `subset` sets the transaction's bits before the walk and clears
+//! them after it, so checking a candidate is `k` bit probes (fewer on a
+//! miss) instead of a merge over the whole transaction. A transaction
+//! item above every candidate item has no bit and can match nothing, but
+//! the walk still hashes it and descends where a child exists: the
+//! ledger counts the paper's walk, not the cheapest one.
 
 mod arena;
 mod filter;
 
 pub use filter::OwnershipFilter;
 
+use crate::bitmap::ItemBitmap;
 use crate::counter::{CandidateCounter, CandidateTable};
 use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
@@ -108,6 +118,9 @@ pub struct HashTree {
     table: CandidateTable,
     arena: Arena,
     epoch: u64,
+    /// The items of the transaction being walked, one bit per item id up
+    /// to the largest candidate item; all zero between transactions.
+    present: ItemBitmap,
 }
 
 impl HashTree {
@@ -116,7 +129,8 @@ impl HashTree {
     ///
     /// # Panics
     /// If `k == 0`, the params are degenerate (branching 1, max_leaf 0),
-    /// or a candidate does not have exactly `k` items.
+    /// a candidate does not have exactly `k` items, or one holds the item
+    /// id `u32::MAX` (the readers stop at [`Item::MAX_ID`](crate::Item::MAX_ID)).
     pub fn build(k: usize, params: HashTreeParams, candidates: Vec<ItemSet>) -> Self {
         Self::from_table(params, CandidateTable::new(k, candidates))
     }
@@ -127,10 +141,16 @@ impl HashTree {
         assert!(branching >= 2, "branching must be at least 2");
         let (arena, order) = Arena::build(table.k, branching, params.max_leaf, &table.items);
         table.permute(order);
+        let largest = table.items.iter().max();
+        let universe = largest.map_or(0, |item| {
+            let bits = item.id().checked_add(1);
+            bits.expect("candidate item ids stay below u32::MAX")
+        });
         HashTree {
             table,
             arena,
             epoch: 0,
+            present: ItemBitmap::new(universe),
         }
     }
 
@@ -168,17 +188,28 @@ impl HashTree {
         if titems.len() < self.table.k {
             return;
         }
+        // Items above every candidate item have no bit and match nothing,
+        // but the walk below still hashes them: the ledger is the model.
+        let universe = self.present.num_items();
+        let inside = titems.partition_point(|item| item.id() < universe);
+        for &item in &titems[..inside] {
+            self.present.insert(item);
+        }
         Walk {
             arena: &mut self.arena,
             items: &self.table.items,
             counts: &mut self.table.counts,
             stats: &mut self.table.stats,
             titems,
+            present: &self.present,
             k: self.table.k,
             epoch: self.epoch,
             filter,
         }
         .run();
+        for &item in &titems[..inside] {
+            self.present.remove(item);
+        }
     }
 }
 
@@ -444,6 +475,224 @@ mod tests {
         assert_eq!(tree.count_of(&set(&[1])), Some(1));
         assert_eq!(tree.count_of(&set(&[0])), Some(0));
         assert_eq!(tree.count_of(&set(&[3])), Some(1));
+    }
+
+    /// 400 seeded transactions over 48 items: two of six 7-item patterns
+    /// plus three noise items each, so itemsets stay frequent to size 6.
+    fn ledger_transactions() -> Vec<Transaction> {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(1997);
+        let mut ids: Vec<u32> = (0..48).collect();
+        let patterns: Vec<Vec<u32>> = (0..6)
+            .map(|_| {
+                ids.shuffle(&mut rng);
+                ids[..7].to_vec()
+            })
+            .collect();
+        (0..400)
+            .map(|tid| {
+                let mut items = Vec::new();
+                for _ in 0..2 {
+                    items.extend(&patterns[rng.gen_range(0..patterns.len())]);
+                }
+                items.extend((0..3).map(|_| rng.gen_range(0..48u32)));
+                Transaction::new(tid, items.into_iter().map(Item).collect())
+            })
+            .collect()
+    }
+
+    /// The work ledger, pinned directly: C_2…C_6 of one seeded dataset,
+    /// each rank's tree holding what its filter owns, summed over the five
+    /// passes. The numbers are the merge-scan kernel's (the commit before
+    /// the presence bitmap); the walk the model charges for must not move.
+    #[test]
+    fn ledger_is_pinned_for_sized_and_pinned_fan_out_under_every_filter() {
+        use crate::apriori::{apriori_gen, Apriori, AprioriParams};
+
+        let txs = ledger_transactions();
+        let run = Apriori::new(AprioriParams::with_min_support_count(20).max_k(5)).mine(&txs);
+        let levels: Vec<Vec<ItemSet>> = (2..=6)
+            .map(|k| {
+                let prev: Vec<ItemSet> = run
+                    .frequent
+                    .level(k - 1)
+                    .iter()
+                    .map(|(set, _)| set.clone())
+                    .collect();
+                apriori_gen(&prev)
+            })
+            .collect();
+        let sizes: Vec<usize> = levels.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [1035, 2982, 7079, 14251, 19765]);
+
+        let first_item =
+            OwnershipFilter::first_item(ItemBitmap::from_items(48, (0..48).step_by(2).map(Item)));
+        let split_pairs = (1..48)
+            .step_by(3)
+            .flat_map(|a| (a + 1..48).step_by(2).map(move |b| (Item(a), Item(b))))
+            .collect();
+        let two_level = OwnershipFilter::two_level(
+            ItemBitmap::from_items(48, (0..48).step_by(3).map(Item)),
+            split_pairs,
+        );
+        let sized = HashTreeParams::default();
+        let pinned = HashTreeParams {
+            branching: 8,
+            max_leaf: 16,
+        };
+        assert_eq!(sized.fan_out(2, sizes[0]), 12, "the sized default widens");
+
+        // [transactions, root_starts, traversal_steps,
+        //  distinct_leaf_visits, candidate_checks, Σ counts]
+        let cases = [
+            (
+                "sized/all",
+                sized,
+                OwnershipFilter::all(),
+                [2000u64, 21925, 1798341, 634148, 4059626, 1430990],
+            ),
+            (
+                "sized/first-item",
+                sized,
+                first_item.clone(),
+                [2000, 10585, 849226, 303329, 1942278, 669842],
+            ),
+            (
+                "sized/two-level",
+                sized,
+                two_level.clone(),
+                [2000, 15609, 903106, 353256, 2133558, 856918],
+            ),
+            (
+                "8x16/all",
+                pinned,
+                OwnershipFilter::all(),
+                [2000, 21925, 1798341, 627294, 4146997, 1430990],
+            ),
+            (
+                "8x16/first-item",
+                pinned,
+                first_item,
+                [2000, 10585, 849226, 300632, 1999682, 669842],
+            ),
+            (
+                "8x16/two-level",
+                pinned,
+                two_level,
+                [2000, 15609, 903106, 353327, 2123685, 856918],
+            ),
+        ];
+        for (name, params, filter, want) in cases {
+            let mut stats = crate::counter::CounterStats::default();
+            let mut hits = 0;
+            for (k, level) in (2..).zip(&levels) {
+                let owned: Vec<ItemSet> =
+                    level.iter().filter(|c| filter.owns(c)).cloned().collect();
+                let mut tree = HashTree::build(k, params, owned);
+                tree.count_all(&txs, &filter);
+                stats = stats.merged(&tree.stats());
+                hits += tree.count_vector().iter().sum::<u64>();
+            }
+            let got = [
+                stats.transactions,
+                stats.root_starts,
+                stats.traversal_steps,
+                stats.distinct_leaf_visits,
+                stats.candidate_checks,
+                hits,
+            ];
+            assert_eq!(got, want, "{name}");
+        }
+    }
+
+    /// Transaction items above every candidate item sit outside the
+    /// presence bitmap: they match nothing, but they are hashed and
+    /// descended like any other item, so the ledger charges them.
+    #[test]
+    fn items_above_every_candidate_are_walked_but_match_nothing() {
+        let cands: Vec<ItemSet> = tx(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]).k_subsets(3);
+        let params = HashTreeParams {
+            branching: 3,
+            max_leaf: 2,
+        };
+        let low = [tx(&[1, 2, 4, 7, 9]), tx(&[0, 3, 5, 6, 8, 9]), tx(&[9])];
+        let high: Vec<Transaction> = low
+            .iter()
+            .map(|t| {
+                let outside = [10, 11, 63, 64, 700, Item::MAX_ID].map(Item);
+                Transaction::new(0, t.items().iter().copied().chain(outside).collect())
+            })
+            .collect();
+        let count = |txs: &[Transaction]| {
+            let mut tree = HashTree::build(3, params, cands.clone());
+            tree.count_all(txs, &OwnershipFilter::all());
+            (tree.count_vector(), tree.stats())
+        };
+        let (low_counts, low_stats) = count(&low);
+        let (high_counts, high_stats) = count(&high);
+        assert_eq!(low_counts, brute_counts(&cands, &low));
+        assert_eq!(high_counts, low_counts);
+        assert!(high_stats.root_starts > low_stats.root_starts);
+        assert!(high_stats.traversal_steps > low_stats.traversal_steps);
+        assert!(high_stats.candidate_checks > low_stats.candidate_checks);
+    }
+
+    #[test]
+    fn largest_legal_item_id_is_a_countable_candidate_item() {
+        let top = Item::MAX_ID;
+        let cands = vec![set(&[3, top]), set(&[top - 1, top]), set(&[3, 4])];
+        let txs = [
+            tx(&[3, top]),
+            tx(&[3, 4, top - 1, top]),
+            tx(&[top]),
+            tx(&[]),
+        ];
+        let params = HashTreeParams {
+            branching: 8,
+            max_leaf: 1,
+        };
+        let mut tree = HashTree::build(2, params, cands.clone());
+        tree.count_all(&txs, &OwnershipFilter::all());
+        assert_eq!(tree.count_vector(), brute_counts(&cands, &txs));
+        assert_eq!(tree.count_vector(), [2, 1, 1]);
+        assert_eq!(tree.stats().transactions, 4);
+        assert_eq!(tree.stats().root_starts, 1 + 3, "short ones never start");
+    }
+
+    /// The bitmap is clean between any two calls: `subset` and `count_all`
+    /// interleaved over page views of one slab count what one sweep does,
+    /// and a page counted twice counts exactly double.
+    #[test]
+    fn interleaved_pages_and_recounts_leave_no_residue() {
+        let slab = ledger_transactions();
+        let cands: Vec<ItemSet> = slab[0].k_subsets(4).into_iter().take(300).collect();
+        let all = OwnershipFilter::all();
+        let build = || HashTree::build(4, HashTreeParams::default(), cands.clone());
+
+        let mut whole = build();
+        whole.count_all(&slab, &all);
+        assert_eq!(whole.count_vector(), brute_counts(&cands, &slab));
+
+        let mut paged = build();
+        for (i, page) in slab.chunks(37).enumerate() {
+            if i % 2 == 0 {
+                paged.count_all(page, &all);
+            } else {
+                page.iter().for_each(|t| paged.subset(t, &all));
+            }
+        }
+        assert_eq!(paged.count_vector(), whole.count_vector());
+        assert_eq!(paged.stats(), whole.stats());
+
+        let page = &slab[100..137];
+        let mut once = build();
+        once.count_all(page, &all);
+        let mut twice = build();
+        twice.count_all(page, &all);
+        twice.count_all(page, &all);
+        let doubled: Vec<u64> = once.count_vector().iter().map(|c| 2 * c).collect();
+        assert_eq!(twice.count_vector(), doubled);
+        assert!(doubled.iter().any(|&c| c > 0));
     }
 
     #[test]

@@ -14,30 +14,6 @@ pub struct ItemSet {
     items: Box<[Item]>,
 }
 
-/// Whether every item of `needles` occurs in `hay`, both strictly
-/// ascending: one linear merge scan. The slice form of
-/// [`ItemSet::is_subset_of_items`], for candidates stored in flat arenas.
-pub(crate) fn sorted_subset(needles: &[Item], hay: &[Item]) -> bool {
-    if needles.len() > hay.len() {
-        return false;
-    }
-    let mut hi = 0;
-    'outer: for &needle in needles {
-        while hi < hay.len() {
-            match hay[hi].cmp(&needle) {
-                std::cmp::Ordering::Less => hi += 1,
-                std::cmp::Ordering::Equal => {
-                    hi += 1;
-                    continue 'outer;
-                }
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
-}
-
 impl ItemSet {
     /// Builds an itemset from arbitrary items, sorting and deduplicating.
     pub fn new(mut items: Vec<Item>) -> Self {
@@ -119,7 +95,24 @@ impl ItemSet {
 
     /// Whether `self ⊆ other`, both sorted: linear merge scan.
     pub fn is_subset_of_items(&self, other: &[Item]) -> bool {
-        sorted_subset(&self.items, other)
+        if self.len() > other.len() {
+            return false;
+        }
+        let mut hi = 0;
+        'outer: for &needle in self.items.iter() {
+            while hi < other.len() {
+                match other[hi].cmp(&needle) {
+                    std::cmp::Ordering::Less => hi += 1,
+                    std::cmp::Ordering::Equal => {
+                        hi += 1;
+                        continue 'outer;
+                    }
+                    std::cmp::Ordering::Greater => return false,
+                }
+            }
+            return false;
+        }
+        true
     }
 
     /// Whether `self ⊆ other`.

@@ -158,8 +158,9 @@ fn grow_rules(
     // Levels 2..: join surviving consequents, Apriori-style. A consequent
     // can have at most |itemset| - 1 items (the antecedent is non-empty).
     while !consequents.is_empty() && consequents[0].len() + 1 < itemset.len() {
-        consequents.sort();
-        consequents.dedup();
+        // Ascending by construction: level 1 follows the itemset's own
+        // order, every later level is `apriori_gen` output, filtered.
+        debug_assert!(consequents.windows(2).all(|w| w[0] < w[1]));
         let next = apriori_gen(&consequents);
         consequents = next
             .into_iter()

@@ -186,6 +186,44 @@ proptest! {
             }
         }
     }
+
+    /// The narrow-deep shape (`dense_default`'s): 24 items, transactions
+    /// that hold a third to nearly all of them, candidates of size 4 to 7
+    /// cut from random 7-sets, so most checked candidates share items with
+    /// the transaction. Counted whole and as three ranks' first-item shares.
+    #[test]
+    fn backends_equal_brute_force_on_narrow_deep_passes(
+        sevens in prop::collection::vec(arb_candidate(24, 7), 1..60),
+        long in prop::collection::vec(prop::collection::btree_set(0..24u32, 8..=22), 1..30),
+        short in prop::collection::vec(arb_transaction(24, 7), 0..6),
+        k in 4usize..8,
+    ) {
+        let raw_cands: Vec<Vec<u32>> = sevens
+            .iter()
+            .enumerate()
+            .map(|(i, ids)| ids[i % (8 - k)..][..k].to_vec())
+            .collect();
+        let cands = to_itemsets(&raw_cands);
+        let raw_txs: Vec<Vec<u32>> = long
+            .iter()
+            .map(|t| t.iter().copied().collect())
+            .chain(short.iter().cloned())
+            .collect();
+        let txs = to_transactions(&raw_txs);
+        let part = partition_by_first_item(&cands, 24, &[1.0; 3]);
+        let whole = (&cands, &OwnershipFilter::all());
+        let shares = shares(&part, &cands);
+        for (mine, filter) in shares.iter().zip(&part.filters).chain([whole]) {
+            let want = brute_force(mine, &txs, filter);
+            for backend in CounterBackend::ALL {
+                let mut counter = backend.build(k, HashTreeParams::default(), mine.clone());
+                counter.count_all(&txs, filter);
+                prop_assert_eq!(
+                    counter.count_vector(), want.clone(), "k={} backend {}", k, backend.name()
+                );
+            }
+        }
+    }
 }
 
 /// The two backends whose pass 2 [`CounterBackend::build`] routes through
