@@ -3,14 +3,14 @@
 use crate::args::{ArgError, Args};
 use armine_core::apriori::{Apriori, AprioriParams, FrequentItemsets, MinSupport};
 use armine_core::counter::CounterBackend;
-use armine_core::io::{read_transactions_auto, write_transactions_binary, write_transactions_file};
+use armine_core::io::{read_transactions_auto, write_transaction_stream};
 use armine_core::model::{
     cd_time, dd_time, hd_beats_cd_window, hd_time, idd_time, serial_time, CostParams, Workload,
 };
 use armine_core::rules::{generate_rules, Rule};
 use armine_core::stats::dataset_stats;
 use armine_core::summaries::{closed_itemsets, maximal_itemsets};
-use armine_core::{Dataset, ItemSet};
+use armine_core::ItemSet;
 use armine_datagen::QuestParams;
 use armine_mpsim::{ClusterProfile, ExecBackend, FaultPlan, MachineProfile};
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams, PlacementPolicy};
@@ -109,17 +109,8 @@ fn at_least_one<T: std::fmt::Display + PartialOrd + From<u8>>(
     in_range(flag, value, |v| *v >= T::from(1), "1 or more")
 }
 
-type WriteDataset = fn(&str, &Dataset) -> std::io::Result<()>;
-
-/// `gen --format`: each on-disk format and its writer.
-const FORMATS: [Named<WriteDataset>; 2] = [
-    ("text", |path, dataset| {
-        write_transactions_file(path, dataset)
-    }),
-    ("binary", |path, dataset| {
-        write_transactions_binary(std::fs::File::create(path)?, dataset)
-    }),
-];
+/// `gen --format`: each on-disk format and whether it is the binary one.
+const FORMATS: [Named<bool>; 2] = [("text", false), ("binary", true)];
 
 fn cmd_gen(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let path: String = args.required("out")?;
@@ -145,17 +136,25 @@ fn cmd_gen(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
         )?)
         .seed(args.or_default("seed", 0)?);
     let format: String = args.or_default("format", "text".into())?;
-    let (_, write) = choice("format", &format, &FORMATS, |f| f.0)?;
+    let (_, binary) = choice("format", &format, &FORMATS, |f| f.0)?;
     args.finish()?;
-    let dataset = params.generate();
-    write(&path, &dataset)?;
+    // Generator to file, one transaction at a time: nothing is held but the
+    // generator's buffers and the writer's block.
+    let header = binary.then_some((params.num_items, params.num_transactions as u64));
+    let mut total_len = 0usize;
+    write_transaction_stream(std::fs::File::create(&path)?, header, |sink| {
+        params.stream(|tid, items| {
+            total_len += items.len();
+            sink(tid, items)
+        })
+    })?;
     writeln!(
         out,
         "wrote {} ({} transactions, {} items, avg length {:.1}) to {path}",
         params.name(),
-        dataset.len(),
-        dataset.num_items(),
-        dataset.avg_transaction_len()
+        params.num_transactions,
+        params.num_items,
+        total_len as f64 / params.num_transactions.max(1) as f64
     )?;
     Ok(())
 }

@@ -36,7 +36,8 @@ fn armine() -> Command {
 }
 
 /// Exit code 2, exactly one `error:` line, and no trace of a panic or abort.
-fn assert_refused(command: &mut Command, what: &str) {
+/// Returns what was printed to stderr.
+fn assert_refused(command: &mut Command, what: &str) -> String {
     let run = command.output().unwrap();
     let stderr = String::from_utf8_lossy(&run.stderr);
     let what = format!("{what}: {stderr}");
@@ -45,15 +46,17 @@ fn assert_refused(command: &mut Command, what: &str) {
     assert_eq!(errors, 1, "{what}");
     assert!(!stderr.contains("panicked"), "{what}");
     assert!(!stderr.contains("memory allocation"), "{what}");
+    stderr.into_owned()
 }
 
 #[test]
 fn malformed_datasets_exit_2_with_an_error_line() {
-    let inputs: [(&str, Vec<u8>); 4] = [
+    let inputs: [(&str, Vec<u8>); 5] = [
         ("huge-length.bin", huge_length_binary()),
         ("huge-id.txt", b"1: 1 2 4000000000\n2: 1 2\n".to_vec()),
         ("wrapping-id.txt", b"1: 1 2 4294967295\n2: 1 2\n".to_vec()),
         ("truncated.bin", truncated_binary()),
+        ("latin1.txt", b"1: 1 2\n2: 3 \xe9 4\n".to_vec()),
     ];
     let subcommands: [&[&str]; 4] = [
         &["mine", "--min-count", "1"],
@@ -76,7 +79,12 @@ fn malformed_datasets_exit_2_with_an_error_line() {
         std::fs::write(&path, bytes).unwrap();
         for subcommand in subcommands {
             let what = format!("{} on {name}", subcommand[0]);
-            assert_refused(armine().args(subcommand).arg("--input").arg(&path), &what);
+            let stderr = assert_refused(armine().args(subcommand).arg("--input").arg(&path), &what);
+            // A byte that is not UTF-8 is a bad token on a line, not a disk.
+            if *name == "latin1.txt" {
+                let named = "line 2: invalid item id \"\u{fffd}\"";
+                assert!(stderr.contains(named), "{what}: {stderr}");
+            }
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -16,7 +16,7 @@ use crate::hashtree::{HashTreeParams, OwnershipFilter};
 use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Minimum support, either as an absolute transaction count or as a
 /// fraction of the database size (the paper quotes percentages: 0.1%,
@@ -409,7 +409,8 @@ pub fn apriori_gen(prev: &[ItemSet]) -> Vec<ItemSet> {
     }
     let k_minus_1 = prev[0].len();
     debug_assert!(prev.iter().all(|s| s.len() == k_minus_1));
-    let prev_set: HashSet<&ItemSet> = prev.iter().collect();
+    // The candidate under test: joined in place, boxed only if it survives.
+    let mut candidate: Vec<Item> = Vec::with_capacity(k_minus_1 + 1);
     let mut out = Vec::new();
     let mut i = 0;
     while i < prev.len() {
@@ -421,15 +422,23 @@ pub fn apriori_gen(prev: &[ItemSet]) -> Vec<ItemSet> {
         }
         for a in i..block_end {
             for b in a + 1..block_end {
-                let candidate = prev[a].extend_with(prev[b].items()[k_minus_1 - 1]);
-                // Prune: every (k-1)-subset must be frequent. (Two of them
-                // are prev[a] and prev[b] themselves; checking all is
-                // simpler and still O(k) hash probes.)
-                let ok = candidate
-                    .subsets_dropping_one()
-                    .all(|s| prev_set.contains(&s));
+                candidate.clear();
+                candidate.extend_from_slice(prev[a].items());
+                candidate.push(prev[b].items()[k_minus_1 - 1]);
+                // Prune: every (k-1)-subset must be frequent. Dropping one
+                // of the last two items gives prev[b] and prev[a]; each
+                // other subset is looked up in the sorted `prev`, compared
+                // in place against the candidate minus item `dropped`.
+                let ok = (0..k_minus_1 - 1).all(|dropped| {
+                    let (head, tail) = (&candidate[..dropped], &candidate[dropped + 1..]);
+                    let subset = |s: &ItemSet| {
+                        let (s_head, s_tail) = s.items().split_at(dropped);
+                        s_head.cmp(head).then_with(|| s_tail.cmp(tail))
+                    };
+                    prev.binary_search_by(subset).is_ok()
+                });
                 if ok {
-                    out.push(candidate);
+                    out.push(ItemSet::from_sorted(candidate.clone()));
                 }
             }
         }
@@ -456,6 +465,7 @@ pub fn first_item_histogram(candidates: &[ItemSet], num_items: u32) -> Vec<u64> 
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
+    use std::collections::HashSet;
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from(ids)
@@ -576,6 +586,37 @@ mod tests {
                 }
             }
             assert_eq!(got, want);
+        }
+    }
+
+    /// A join that only a middle subset prunes: 123 and 124 join, 234 is
+    /// there, 134 is not.
+    #[test]
+    fn apriori_gen_prunes_on_a_subset_that_is_neither_parent() {
+        let f3 = [set(&[1, 2, 3]), set(&[1, 2, 4]), set(&[2, 3, 4])];
+        assert!(apriori_gen(&f3).is_empty());
+        let f3 = [&f3[..2], &[set(&[1, 3, 4]), set(&[2, 3, 4])]].concat();
+        assert_eq!(apriori_gen(&f3), [set(&[1, 2, 3, 4])]);
+    }
+
+    proptest::proptest! {
+        // Any sorted F_(k-1) over seven items, k-1 from 1 to 5, from one
+        // set in twenty kept (blocks of one) to all of them (at k-1 = 1,
+        // one block): exactly the k-sets whose every (k-1)-subset is there.
+        #[test]
+        fn apriori_gen_is_the_definition_at_every_depth(
+            size in 1usize..=5,
+            density in 1u8..=20,
+            lots in proptest::collection::vec(0u8..20, 35),
+        ) {
+            let universe = Transaction::new(0, (0..7).map(Item).collect());
+            let all = universe.k_subsets(size);
+            let kept = all.into_iter().zip(&lots).filter(|(_, &lot)| lot < density);
+            let prev: Vec<ItemSet> = kept.map(|(s, _)| s).collect();
+            let in_prev: HashSet<&ItemSet> = prev.iter().collect();
+            let mut want = universe.k_subsets(size + 1);
+            want.retain(|c| c.subsets_dropping_one().all(|s| in_prev.contains(&s)));
+            proptest::prop_assert_eq!(apriori_gen(&prev), want);
         }
     }
 

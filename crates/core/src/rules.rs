@@ -293,6 +293,46 @@ mod tests {
         assert_eq!(got.len(), want);
     }
 
+    /// The same, rule for rule, on a lattice five levels deep, where
+    /// `grow_rules` calls `apriori_gen` on consequents of every size.
+    #[test]
+    fn rules_are_the_brute_force_rules_on_a_seeded_lattice() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(11);
+        let transactions: Vec<Transaction> = (0..80)
+            .map(|tid| {
+                let items = (0..9).filter(|_| rng.gen_bool(0.6)).map(Item).collect();
+                Transaction::new(tid, items)
+            })
+            .collect();
+        let run = Apriori::new(AprioriParams::with_min_support_count(8)).mine(&transactions);
+        assert!(run.frequent.max_len() >= 5);
+        let min_conf = 0.7;
+        let mut got: Vec<(ItemSet, ItemSet, u64)> = generate_rules(&run.frequent, min_conf)
+            .into_iter()
+            .map(|r| (r.antecedent, r.consequent, r.support_count))
+            .collect();
+        got.sort();
+        let mut want = Vec::new();
+        for size in 2..=run.frequent.max_len() {
+            for (itemset, count) in run.frequent.level(size) {
+                let items = itemset.items();
+                for mask in 1u32..(1 << items.len()) - 1 {
+                    let chosen = (0..items.len()).filter(|&i| mask & (1 << i) != 0);
+                    let consequent = ItemSet::from_sorted(chosen.map(|i| items[i]).collect());
+                    let antecedent = itemset.difference(&consequent);
+                    let ac = run.frequent.support(&antecedent).unwrap();
+                    if *count as f64 / ac as f64 >= min_conf {
+                        want.push((antecedent, consequent, *count));
+                    }
+                }
+            }
+        }
+        want.sort();
+        assert!(want.len() > 300, "{} rules", want.len());
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn higher_confidence_yields_fewer_rules() {
         let d = table1();

@@ -10,6 +10,8 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy)]
 pub struct Poisson {
     mean: f64,
+    /// `exp(-mean)`: where Knuth's running product stops.
+    threshold: f64,
 }
 
 impl Poisson {
@@ -23,7 +25,10 @@ impl Poisson {
             mean.is_finite() && mean > 0.0 && mean <= 700.0,
             "Poisson mean out of supported range: {mean}"
         );
-        Poisson { mean }
+        Poisson {
+            mean,
+            threshold: (-mean).exp(),
+        }
     }
 
     /// The configured mean.
@@ -33,12 +38,11 @@ impl Poisson {
 
     /// Draws one sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let threshold = (-self.mean).exp();
         let mut k = 0u64;
         let mut product: f64 = 1.0;
         loop {
             product *= rng.gen::<f64>();
-            if product <= threshold {
+            if product <= self.threshold {
                 return k;
             }
             k += 1;

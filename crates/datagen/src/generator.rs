@@ -1,9 +1,12 @@
-//! The transaction generator: parameters and assembly loop.
+//! The transaction generator: parameters and assembly loop. The loop is a
+//! stream ([`QuestParams::stream`]) that holds one transaction at a time;
+//! [`QuestParams::generate`] is the caller that collects them.
 
 use crate::dist::Poisson;
 use crate::patterns::PatternPool;
 use armine_core::{Dataset, Item, Transaction};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::convert::Infallible;
 
 /// Parameters of the Quest generator, in the naming of the original tool:
 /// a dataset `T15.I6.D100K` means `|T| = 15`, `|I| = 6`, `|D| = 100_000`.
@@ -162,15 +165,28 @@ impl QuestParams {
         Ok(out)
     }
 
-    /// Generates the dataset.
+    /// Generates the dataset: the collected [`QuestParams::stream`].
     ///
     /// # Panics
     /// If the parameters are degenerate (zero items or patterns with
     /// transactions requested).
     pub fn generate(&self) -> Dataset {
+        let mut transactions = Vec::with_capacity(self.num_transactions);
+        let Ok(()) = self.stream(|tid, items| {
+            transactions.push(Transaction::from_sorted(tid, items.to_vec()));
+            Ok::<(), Infallible>(())
+        });
+        Dataset::with_num_items(transactions, self.num_items)
+    }
+
+    /// Generates the dataset one transaction at a time: `sink` gets each
+    /// tid (1-based, sequential) with its items, strictly ascending, in a
+    /// buffer reused for the next. The sink's first error ends the stream.
+    /// Panics as [`QuestParams::generate`].
+    pub fn stream<E>(&self, mut sink: impl FnMut(u64, &[Item]) -> Result<(), E>) -> Result<(), E> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         if self.num_transactions == 0 {
-            return Dataset::with_num_items(Vec::new(), self.num_items);
+            return Ok(());
         }
         let pool = PatternPool::build(
             &mut rng,
@@ -182,31 +198,30 @@ impl QuestParams {
             self.corruption_sd,
         );
         let len_dist = Poisson::new(self.avg_transaction_len);
-        let mut transactions = Vec::with_capacity(self.num_transactions);
+        let (mut items, mut instance) = (Vec::new(), Vec::new());
         // A pattern instance that overflowed the previous transaction and
-        // was deferred ("saved for the next transaction").
-        let mut carried: Option<Vec<Item>> = None;
+        // was deferred ("saved for the next transaction"); empty if none,
+        // as an instance never is.
+        let mut carried: Vec<Item> = Vec::new();
         for tid in 0..self.num_transactions {
             let target = (len_dist.sample(&mut rng).max(1) as usize).min(self.num_items as usize);
-            let mut items: Vec<Item> = Vec::with_capacity(target + 4);
-            if let Some(c) = carried.take() {
-                items.extend(c);
-            }
+            items.clear();
+            items.append(&mut carried);
             // Pack corrupted pattern instances until the target length is
             // reached. If an instance would overflow, add it anyway half
             // the time; otherwise defer it to the next transaction.
             let mut guard = 0;
             while items.len() < target {
-                let instance = pool.corrupted_instance(pool.pick(&mut rng), &mut rng);
+                pool.corrupted_instance(pool.pick(&mut rng), &mut rng, &mut instance);
                 if items.len() + instance.len() > target {
                     if rng.gen::<bool>() {
-                        items.extend(instance);
+                        items.extend_from_slice(&instance);
                     } else {
-                        carried = Some(instance);
+                        std::mem::swap(&mut carried, &mut instance);
                     }
                     break;
                 }
-                items.extend(instance);
+                items.extend_from_slice(&instance);
                 // Heavily corrupted pools can stall; bail out after enough
                 // attempts rather than loop forever.
                 guard += 1;
@@ -219,9 +234,11 @@ impl QuestParams {
                 // transaction well-formed with one random item.
                 items.push(Item(rng.gen_range(0..self.num_items)));
             }
-            transactions.push(Transaction::new(tid as u64 + 1, items));
+            items.sort_unstable();
+            items.dedup();
+            sink(tid as u64 + 1, &items)?;
         }
-        Dataset::with_num_items(transactions, self.num_items)
+        Ok(())
     }
 }
 
@@ -302,6 +319,45 @@ mod tests {
             !run.frequent.level(2).is_empty(),
             "planted patterns must produce frequent 2-itemsets at 2% support"
         );
+    }
+
+    /// The text bytes of `armine gen` at seed 4242, N = 2000, hashed at the
+    /// commit before the generator became a stream: the two shapes the
+    /// benchmark generates, no transactions at all, and a universe of five
+    /// items (every target is cut to it, so instances overflow and carry).
+    /// Reusing buffers moved no RNG draw; and `generate` is the stream.
+    #[test]
+    fn stream_writes_the_bytes_the_collecting_generator_wrote() {
+        use armine_core::io::{write_transaction_stream, write_transactions};
+        use armine_core::stable_hash::fnv1a;
+        let sparse = QuestParams::paper_t15_i6()
+            .num_transactions(2000)
+            .seed(4242);
+        let dense = sparse.num_items(250).num_patterns(120);
+        let dense = dense.avg_transaction_len(10.0).avg_pattern_len(4.0);
+        let tiny = sparse.num_items(5).avg_transaction_len(10.0);
+        for (params, bytes, hash) in [
+            (sparse, 128_245, 0x301d_f307_976d_d8c7),
+            (dense, 78_908, 0xb0c9_3022_fc37_dcaa),
+            (sparse.num_transactions(0), 0, 0xcbf2_9ce4_8422_2325),
+            (tiny, 28_199, 0x9325_c0e1_81ed_baef),
+        ] {
+            let mut streamed = Vec::new();
+            write_transaction_stream(&mut streamed, None, |sink| params.stream(sink)).unwrap();
+            assert_eq!(
+                (streamed.len(), fnv1a(&streamed)),
+                (bytes, hash),
+                "{params:?}"
+            );
+            let dataset = params.generate();
+            assert_eq!(dataset.num_items(), params.num_items);
+            let mut collected = Vec::new();
+            write_transactions(&mut collected, &dataset).unwrap();
+            assert!(
+                collected == streamed,
+                "generate() is not the stream: {params:?}"
+            );
+        }
     }
 
     #[test]

@@ -131,19 +131,24 @@ impl PatternPool {
         }
     }
 
-    /// Produces a corrupted instance of pattern `idx`: items are removed
-    /// while `uniform(0,1) < corruption` (so a corruption level of 0 keeps
-    /// the whole pattern; higher levels keep less). At least one item is
-    /// always kept.
-    pub fn corrupted_instance<R: Rng + ?Sized>(&self, idx: usize, rng: &mut R) -> Vec<Item> {
+    /// Produces a corrupted instance of pattern `idx` in `items`, a buffer
+    /// the caller reuses: items are removed while `uniform(0,1) <
+    /// corruption` (so a corruption level of 0 keeps the whole pattern;
+    /// higher levels keep less). At least one item is always kept.
+    pub fn corrupted_instance<R: Rng + ?Sized>(
+        &self,
+        idx: usize,
+        rng: &mut R,
+        items: &mut Vec<Item>,
+    ) {
         let p = &self.patterns[idx];
-        let mut items = p.items.clone();
+        items.clear();
+        items.extend_from_slice(&p.items);
         while items.len() > 1 && rng.gen::<f64>() < p.corruption {
             let victim = rng.gen_range(0..items.len());
             items.swap_remove(victim);
         }
         items.sort_unstable();
-        items
     }
 }
 
@@ -219,8 +224,9 @@ mod tests {
     fn corrupted_instance_is_subset_and_nonempty() {
         let p = pool(5);
         let mut rng = StdRng::seed_from_u64(7);
+        let mut inst = Vec::new();
         for idx in 0..p.len() {
-            let inst = p.corrupted_instance(idx, &mut rng);
+            p.corrupted_instance(idx, &mut rng, &mut inst);
             assert!(!inst.is_empty());
             let full = &p.patterns()[idx].items;
             assert!(inst.iter().all(|i| full.contains(i)), "instance ⊆ pattern");
@@ -235,8 +241,10 @@ mod tests {
         for pat in &mut p.patterns {
             pat.corruption = 0.0;
         }
+        let mut inst = Vec::new();
         for idx in 0..p.len() {
-            assert_eq!(p.corrupted_instance(idx, &mut rng), p.patterns()[idx].items);
+            p.corrupted_instance(idx, &mut rng, &mut inst);
+            assert_eq!(inst, p.patterns()[idx].items);
         }
     }
 
