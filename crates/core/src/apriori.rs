@@ -1,7 +1,7 @@
 //! The serial Apriori algorithm (Figure 1 of the paper).
 //!
-//! Each pass `k` generates candidates `C_k` from `F_{k-1}` with
-//! [`apriori_gen`] (join + prune), counts their occurrences with a
+//! Each pass `k` generates candidates `C_k` from `F_{k-1}` with the join +
+//! prune of [`apriori_gen`] into the counter's arena, counts them with a
 //! [`crate::hashtree::HashTree`], and keeps the candidates meeting minimum support. The
 //! algorithm stops when a pass produces no frequent itemsets.
 //!
@@ -11,7 +11,7 @@
 //! "unscalable with respect to the increasing size of candidate set" and
 //! that Figure 12 measures.
 
-use crate::counter::{CandidateCounter, CounterBackend, CounterStats};
+use crate::counter::{CandidateTable, CounterBackend, CounterStats};
 use crate::hashtree::{HashTreeParams, OwnershipFilter};
 use crate::item::Item;
 use crate::itemset::ItemSet;
@@ -286,12 +286,11 @@ impl Apriori {
             db_scans: 1,
             tree_stats: CounterStats::default(),
         });
-        let mut prev: Vec<ItemSet> = f1.frequent.iter().map(|(s, _)| s.clone()).collect();
         run.frequent.push_level(f1.frequent);
 
         let mut k = 2;
-        while !prev.is_empty() && self.params.max_k.is_none_or(|m| k <= m) {
-            let candidates = apriori_gen(&prev);
+        while self.params.max_k.is_none_or(|m| k <= m) {
+            let candidates = candidate_arena(run.frequent.level(k - 1), |(s, _)| s.items(), |_| {});
             if candidates.is_empty() {
                 break;
             }
@@ -305,7 +304,6 @@ impl Apriori {
                 self.params.memory_capacity,
             );
             run.passes.push(info);
-            prev = level.iter().map(|(s, _)| s.clone()).collect();
             run.frequent.push_level(level);
             k += 1;
         }
@@ -345,39 +343,37 @@ fn frequent_singletons(transactions: &[Transaction], min_count: u64) -> Pass1 {
     }
 }
 
-/// Counts `candidates` over `transactions` with the selected
-/// [`CounterBackend`], partitioning the candidate set when it exceeds
-/// `memory_capacity` (one database scan per partition). Returns the
-/// frequent level and the pass accounting; an empty candidate set scans
-/// the database zero times.
-pub fn count_candidates(
+/// Counts `candidates`, the arena [`candidate_arena`] writes, over
+/// `transactions` with the selected [`CounterBackend`], cutting it into
+/// runs of `memory_capacity` rows when it holds more (one database scan
+/// per run). Returns the frequent level and the pass accounting; an empty
+/// candidate set scans the database zero times.
+pub(crate) fn count_candidates(
     k: usize,
-    candidates: Vec<ItemSet>,
+    candidates: Vec<Item>,
     transactions: &[Transaction],
     min_count: u64,
     backend: CounterBackend,
     tree_params: HashTreeParams,
     memory_capacity: Option<usize>,
 ) -> (Vec<(ItemSet, u64)>, PassInfo) {
-    let total = candidates.len();
+    let total = candidates.len() / k;
     let chunk = memory_capacity.unwrap_or(usize::MAX).min(total.max(1));
     let mut level = Vec::new();
     let mut stats = CounterStats::default();
     let mut scans = 0;
-    let mut scan = |mut counter: Box<dyn CandidateCounter>| {
+    let mut scan = |rows: Vec<Item>| {
+        let mut counter = backend.index(tree_params, CandidateTable::from_arena(k, rows));
         counter.count_all(transactions, &OwnershipFilter::all());
         stats = stats.merged(&counter.stats());
         level.extend(counter.frequent(min_count));
         scans += 1;
     };
     if total > chunk {
-        let parts = candidates.chunks(chunk);
-        parts.for_each(|part| scan(backend.build(k, tree_params, part)));
+        let parts = candidates.chunks(chunk * k);
+        parts.for_each(|rows| scan(rows.to_vec()));
     } else if total > 0 {
-        // The common single-scan pass gives its candidates away: each box
-        // is freed as the build copies it, not held through the scan
-        // (lending them measured +23% peak RSS on `sparse_default`).
-        scan(backend.build(k, tree_params, candidates));
+        scan(candidates);
     }
     let info = PassInfo {
         k,
@@ -395,56 +391,71 @@ pub fn count_candidates(
 /// `prev` must be the lexicographically sorted `F_{k-1}`. Two itemsets
 /// sharing their first `k-2` items join into a `k`-candidate; the candidate
 /// survives only if **all** of its `k-1`-subsets are in `prev` (the
-/// anti-monotonicity prune). The output is lexicographically sorted, which
-/// every parallel formulation relies on: processors generate identical
-/// candidate sequences independently, so candidate *indices* agree across
-/// processors and CD's count reduction can sum plain vectors.
+/// anti-monotonicity prune). The output is lexicographically sorted, so
+/// candidate *indices* mean the same candidate on every processor and CD's
+/// count reduction can sum plain vectors. ([`Apriori::mine`] writes the
+/// same rows straight into its counter's arena instead of boxing them.)
 pub fn apriori_gen(prev: &[ItemSet]) -> Vec<ItemSet> {
+    let mut sets = Vec::new();
+    candidate_arena(prev, ItemSet::items, |row| {
+        sets.push(ItemSet::from_sorted(row.split_off(0)))
+    });
+    sets
+}
+
+/// The join + prune of [`apriori_gen`] over the sorted `F_{k-1}` (rows read
+/// by `items`), writing `C_k` ascending into one arena strided by `k`: each
+/// join goes to the tail, is pruned there and is truncated if it fails.
+/// `keep` sees the arena after each survivor, and may take it.
+pub(crate) fn candidate_arena<T>(
+    prev: &[T],
+    items: impl Fn(&T) -> &[Item],
+    mut keep: impl FnMut(&mut Vec<Item>),
+) -> Vec<Item> {
     debug_assert!(
-        prev.windows(2).all(|w| w[0] < w[1]),
+        prev.windows(2).all(|w| items(&w[0]) < items(&w[1])),
         "F_(k-1) must be sorted"
     );
-    if prev.is_empty() {
+    let Some(k_minus_1) = prev.first().map(|s| items(s).len()) else {
         return Vec::new();
-    }
-    let k_minus_1 = prev[0].len();
-    debug_assert!(prev.iter().all(|s| s.len() == k_minus_1));
-    // The candidate under test: joined in place, boxed only if it survives.
-    let mut candidate: Vec<Item> = Vec::with_capacity(k_minus_1 + 1);
-    let mut out = Vec::new();
+    };
+    let mut out = Vec::with_capacity(k_minus_1 + 1);
+    debug_assert!(prev.iter().all(|s| items(s).len() == k_minus_1));
     let mut i = 0;
     while i < prev.len() {
         // The block [i, block_end) shares the same (k-2)-item prefix.
-        let prefix = &prev[i].items()[..k_minus_1 - 1];
+        let prefix = &items(&prev[i])[..k_minus_1 - 1];
         let mut block_end = i + 1;
-        while block_end < prev.len() && &prev[block_end].items()[..k_minus_1 - 1] == prefix {
+        while block_end < prev.len() && &items(&prev[block_end])[..k_minus_1 - 1] == prefix {
             block_end += 1;
         }
         for a in i..block_end {
             for b in a + 1..block_end {
-                candidate.clear();
-                candidate.extend_from_slice(prev[a].items());
-                candidate.push(prev[b].items()[k_minus_1 - 1]);
+                let at = out.len();
+                out.extend_from_slice(items(&prev[a]));
+                out.push(items(&prev[b])[k_minus_1 - 1]);
+                let candidate = &out[at..];
                 // Prune: every (k-1)-subset must be frequent. Dropping one
                 // of the last two items gives prev[b] and prev[a]; each
                 // other subset is looked up in the sorted `prev`, compared
                 // in place against the candidate minus item `dropped`.
                 let ok = (0..k_minus_1 - 1).all(|dropped| {
                     let (head, tail) = (&candidate[..dropped], &candidate[dropped + 1..]);
-                    let subset = |s: &ItemSet| {
-                        let (s_head, s_tail) = s.items().split_at(dropped);
+                    let subset = |s: &T| {
+                        let (s_head, s_tail) = items(s).split_at(dropped);
                         s_head.cmp(head).then_with(|| s_tail.cmp(tail))
                     };
                     prev.binary_search_by(subset).is_ok()
                 });
                 if ok {
-                    out.push(ItemSet::from_sorted(candidate.clone()));
+                    keep(&mut out)
+                } else {
+                    out.truncate(at)
                 }
             }
         }
         i = block_end;
     }
-    debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "output must be sorted");
     out
 }
 
@@ -602,7 +613,9 @@ mod tests {
     proptest::proptest! {
         // Any sorted F_(k-1) over seven items, k-1 from 1 to 5, from one
         // set in twenty kept (blocks of one) to all of them (at k-1 = 1,
-        // one block): exactly the k-sets whose every (k-1)-subset is there.
+        // one block): exactly the k-sets whose every (k-1)-subset is there,
+        // as the arena's rows (read from sets or from a committed level)
+        // and as `apriori_gen`'s boxes.
         #[test]
         fn apriori_gen_is_the_definition_at_every_depth(
             size in 1usize..=5,
@@ -616,6 +629,12 @@ mod tests {
             let in_prev: HashSet<&ItemSet> = prev.iter().collect();
             let mut want = universe.k_subsets(size + 1);
             want.retain(|c| c.subsets_dropping_one().all(|s| in_prev.contains(&s)));
+            let want_rows: Vec<Item> = want.iter().flat_map(ItemSet::items).copied().collect();
+            let arena = candidate_arena(&prev, ItemSet::items, |_| {});
+            proptest::prop_assert_eq!(arena, want_rows.clone());
+            let level: Vec<(ItemSet, u64)> = prev.iter().map(|s| (s.clone(), 1)).collect();
+            let arena = candidate_arena(&level, |(s, _)| s.items(), |_| {});
+            proptest::prop_assert_eq!(arena, want_rows);
             proptest::prop_assert_eq!(apriori_gen(&prev), want);
         }
     }
@@ -654,6 +673,10 @@ mod tests {
         }
     }
 
+    /// A capped pass cuts its arena into runs of `cap` rows, one scan each:
+    /// from one candidate per scan to the largest `C_k` in one, every
+    /// backend mines the same itemsets with the same per-pass counts and
+    /// inserts each candidate exactly once.
     #[test]
     fn memory_cap_gives_same_answer_with_more_scans() {
         use rand::prelude::*;
@@ -665,23 +688,36 @@ mod tests {
                 Transaction::new(tid, items)
             })
             .collect();
-        let uncapped = Apriori::new(AprioriParams::with_min_support_count(3)).mine(&transactions);
-        let capped = Apriori::new(AprioriParams::with_min_support_count(3).memory_capacity(5))
-            .mine(&transactions);
-        // Identical frequent itemsets...
-        let a: Vec<_> = uncapped
-            .frequent
-            .iter()
-            .map(|(s, c)| (s.clone(), c))
-            .collect();
-        let b: Vec<_> = capped
-            .frequent
-            .iter()
-            .map(|(s, c)| (s.clone(), c))
-            .collect();
-        assert_eq!(a, b);
-        // ...but strictly more database scans.
-        assert!(capped.total_db_scans() > uncapped.total_db_scans());
+        let lattice = |run: &MiningRun| -> Vec<(ItemSet, u64)> {
+            run.frequent.iter().map(|(s, c)| (s.clone(), c)).collect()
+        };
+        let base = AprioriParams::with_min_support_count(3);
+        let uncapped = Apriori::new(base).mine(&transactions);
+        let largest = uncapped.passes[1..].iter().map(|p| p.candidates).max();
+        let largest = largest.expect("the data reaches pass 2");
+        assert!(
+            largest > 8,
+            "|C_k| {largest} leaves no room between the caps"
+        );
+        for backend in CounterBackend::ALL {
+            for cap in [1, 7, largest - 1, largest] {
+                let on = format!("{} at cap {cap}", backend.name());
+                let capped =
+                    Apriori::new(base.counter(backend).memory_capacity(cap)).mine(&transactions);
+                assert_eq!(lattice(&capped), lattice(&uncapped), "{on}");
+                assert_eq!(capped.passes.len(), uncapped.passes.len(), "{on}");
+                for (got, want) in capped.passes.iter().zip(&uncapped.passes) {
+                    let counts = |p: &PassInfo| (p.k, p.candidates, p.frequent);
+                    assert_eq!(counts(got), counts(want), "{on}");
+                    if got.k > 1 {
+                        let scans = got.candidates.div_ceil(cap);
+                        assert_eq!(got.db_scans, scans, "{on}: pass {}", got.k);
+                        let inserts = got.tree_stats.inserts;
+                        assert_eq!(inserts, got.candidates as u64, "{on}: pass {}", got.k);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,10 +35,10 @@
 //! carries a slot → insertion-index permutation; the other indexes point
 //! at slots in insertion order.
 //!
-//! The seam only reads the offer a table is built from. Whoever still needs
-//! `C_k` lends it — every parallel driver: the whole list, a chunk of it or
-//! its share of it — and only the serial single-scan pass gives its list
-//! away, so that each boxed candidate is freed as it is copied (DESIGN.md §5.7).
+//! The serial pass hands the table the arena candidate generation wrote,
+//! adopted without a copy. [`CounterBackend::build`] only reads its offer:
+//! every parallel driver lends the run's one `C_k`, the whole list, a chunk
+//! of it or its share of it (DESIGN.md §5.7).
 
 use crate::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
 use crate::item::Item;
@@ -202,18 +202,37 @@ impl CandidateTable {
         assert!(k >= 1, "candidate size must be at least 1");
         let candidates = candidates.into_iter();
         let mut items: Vec<Item> = Vec::with_capacity(k * candidates.size_hint().0);
-        let mut stats = CounterStats::default();
         let mut ascending = true;
         for set in candidates {
             let set: &ItemSet = set.borrow();
             assert_eq!(set.len(), k, "candidate {set} has wrong size for k={k}");
             ascending &= items.len() < k || items[items.len() - k..] < *set.items();
             items.extend_from_slice(set.items());
-            stats.inserts += 1;
         }
+        let inserts = (items.len() / k) as u64;
         if !ascending {
             drop_repeats(&mut items, k);
         }
+        Self::with_arena(k, items, inserts)
+    }
+
+    /// Adopts `items`, `k`-strided and strictly ascending as candidate
+    /// generation writes them (or panics), as the arena without a copy.
+    pub(crate) fn from_arena(k: usize, items: Vec<Item>) -> Self {
+        assert_eq!(items.len() % k, 0, "arena is not strided by k={k}");
+        let rows = || items.chunks_exact(k);
+        let ascending = rows().zip(rows().skip(1)).all(|(a, b)| a < b);
+        assert!(ascending, "arena candidates must be strictly ascending");
+        let inserts = (items.len() / k) as u64;
+        Self::with_arena(k, items, inserts)
+    }
+
+    /// The table over `items`, built from an offer of `inserts` candidates.
+    fn with_arena(k: usize, items: Vec<Item>, inserts: u64) -> Self {
+        let stats = CounterStats {
+            inserts,
+            ..CounterStats::default()
+        };
         CandidateTable {
             k,
             counts: vec![0; items.len() / k],
@@ -423,8 +442,16 @@ impl CounterBackend {
         tree: HashTreeParams,
         candidates: impl IntoIterator<Item: Borrow<ItemSet>>,
     ) -> Box<dyn CandidateCounter> {
-        let table = CandidateTable::new(k, candidates);
-        let table = if k == 2 && self != CounterBackend::HashTree {
+        self.index(tree, CandidateTable::new(k, candidates))
+    }
+
+    /// The one dispatch behind [`build`](Self::build) and the serial pass.
+    pub(crate) fn index(
+        self,
+        tree: HashTreeParams,
+        table: CandidateTable,
+    ) -> Box<dyn CandidateCounter> {
+        let table = if table.k == 2 && self != CounterBackend::HashTree {
             match PairCounter::from_table(table) {
                 Ok(pairs) => return Box::new(pairs),
                 Err(too_sparse) => too_sparse,
@@ -605,6 +632,9 @@ mod tests {
             .map(|ids| Transaction::new(0, ids.iter().map(|&i| Item(i)).collect()))
             .collect();
         let support = |c: &ItemSet| txs.iter().filter(|t| t.contains_set(c)).count() as u64;
+        let flat = |offer: &[ItemSet]| -> Vec<Item> {
+            offer.iter().flat_map(ItemSet::items).copied().collect()
+        };
         let all = OwnershipFilter::all();
         for k in 1..=3usize {
             // Every k-subset of {1, 2, 3, 4}, ascending.
@@ -702,7 +732,11 @@ mod tests {
                     given.count_all(&txs, &all);
                     let slice = backend.build(k, splitting, &offer[..]);
                     let refs = backend.build(k, splitting, offer.iter().filter(|_| true));
-                    for mut lent in [slice, refs] {
+                    // An ascending offer's arena is adopted as it stands.
+                    let adopted = (offer == &sets).then(|| {
+                        backend.index(splitting, CandidateTable::from_arena(k, flat(offer)))
+                    });
+                    for mut lent in [Some(slice), Some(refs), adopted].into_iter().flatten() {
                         assert_eq!(lent.stats().inserts, offer.len() as u64, "{on}");
                         lent.count_all(&txs, &all);
                         assert_eq!(lent.stats(), given.stats(), "{on}");
@@ -712,6 +746,15 @@ mod tests {
                         assert_eq!(lent.frequent(1), given.frequent(1), "{on}");
                     }
                 }
+            }
+
+            // An arena is adopted only if it is strided by `k` and ascending.
+            let message = panic_message(|| drop(CandidateTable::from_arena(k, flat(&shuffled))));
+            assert!(message.contains("strictly ascending"), "k={k}: {message}");
+            let ragged = flat(&sets)[1..].to_vec();
+            if k > 1 {
+                let message = panic_message(|| drop(CandidateTable::from_arena(k, ragged)));
+                assert!(message.contains("not strided"), "k={k}: {message}");
             }
         }
     }

@@ -306,16 +306,16 @@ impl Dhp {
             if self.params.trim {
                 db = trim_database(&db, levels.last().unwrap(), num_items as u32, k);
             }
-            // Generate with the Apriori join+prune, then the bucket prune.
+            // Generate with the Apriori join+prune, then the bucket prune;
+            // the survivors are flattened into the arena the counter adopts.
             let apriori_cands = apriori_gen(&prev);
             let apriori_count = apriori_cands.len();
-            let candidates: Vec<ItemSet> = match &filter {
-                Some(f) => apriori_cands
-                    .into_iter()
-                    .filter(|c| f.admits(c, min_count))
-                    .collect(),
-                None => apriori_cands,
-            };
+            let candidates: Vec<Item> = apriori_cands
+                .iter()
+                .filter(|c| filter.as_ref().is_none_or(|f| f.admits(c, min_count)))
+                .flat_map(ItemSet::items)
+                .copied()
+                .collect();
             if candidates.is_empty() {
                 break;
             }

@@ -49,9 +49,9 @@ pub struct MachineProfile {
     pub t_leaf: f64,
     /// Per-candidate hash-tree insertion cost (tree construction).
     pub t_insert: f64,
-    /// Per-candidate `apriori_gen` cost (join + prune, paid on every
-    /// processor regardless of algorithm — candidates are regenerated
-    /// locally).
+    /// Per-candidate `apriori_gen` cost (join + prune, charged to every
+    /// processor regardless of algorithm, as each regenerates the
+    /// candidates in the model; the host generates once per run).
     pub t_gen: f64,
     /// Per-transaction bookkeeping cost in a database scan.
     pub t_trans: f64,

@@ -1,7 +1,7 @@
 //! Machinery shared by all nine parallel formulations: the per-rank pass
-//! loop, cost charging, pass-1 counting, the views every rank holds of the
-//! one database slab (slices, pages, re-balanced shares), and the
-//! ring-pipelined data movement of Figure 6.
+//! loop and the candidates and levels its ranks share, cost charging,
+//! pass-1 counting, the views every rank holds of the one database slab
+//! (slices, pages, re-balanced shares), and the ring pipeline of Figure 6.
 
 use crate::config::{ParallelParams, PlacementPolicy};
 use armine_core::apriori::apriori_gen;
@@ -10,7 +10,7 @@ use armine_core::hashtree::OwnershipFilter;
 use armine_core::{Item, ItemSet, Transaction};
 use armine_mpsim::{Comm, CountingWork, FaultPlan, RecvFault, Scope};
 use std::ops::{Deref, Range};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// An immutable view of a run of transactions inside a shared slab — the
 /// unit of data movement, and the shape of a rank's local slice.
@@ -170,6 +170,45 @@ pub(crate) struct PassResult {
     pub counted_candidates: Option<usize>,
 }
 
+pub(crate) type Level = Arc<Vec<(ItemSet, u64)>>;
+
+/// What a run's ranks hold once: each pass's `C_k`, generated by the first
+/// rank to ask, and `F_k`, kept from the first to commit. Recovery cannot
+/// tell, nor can the model, which charges every rank for all of `C_k`.
+#[derive(Default)]
+pub(crate) struct RunShare {
+    passes: Mutex<Vec<Arc<PassShare>>>,
+}
+
+/// Pass `k`'s `C_k` and committed `F_k`, each set once, at `passes[k - 1]`.
+type PassShare = (OnceLock<Arc<Vec<ItemSet>>>, OnceLock<Level>);
+
+impl RunShare {
+    fn pass(&self, k: usize) -> Arc<PassShare> {
+        let mut passes = self.passes.lock().expect("a rank panicked holding it");
+        if passes.len() < k {
+            passes.resize_with(k, Default::default);
+        }
+        Arc::clone(&passes[k - 1])
+    }
+
+    /// `C_k`, from `prev`, the committed `F_{k-1}`.
+    pub(crate) fn candidates(&self, k: usize, prev: &[(ItemSet, u64)]) -> Arc<Vec<ItemSet>> {
+        let sets = || prev.iter().map(|(set, _)| set.clone()).collect::<Vec<_>>();
+        let generate = || Arc::new(apriori_gen(&sets()));
+        Arc::clone(self.pass(k).0.get_or_init(generate))
+    }
+
+    /// Commits this rank's `F_k`, returning the run's copy (checked equal).
+    pub(crate) fn commit(&self, k: usize, level: Vec<(ItemSet, u64)>) -> Level {
+        let mut mine = Some(level);
+        let pass = self.pass(k);
+        let shared = pass.1.get_or_init(|| Arc::new(mine.take().expect("once")));
+        debug_assert!(mine.is_none_or(|m| **shared == m), "ranks differ on F_{k}");
+        Arc::clone(shared)
+    }
+}
+
 /// Per-pass record a rank keeps for the metrics assembly.
 pub(crate) struct RankPass {
     pub k: usize,
@@ -184,7 +223,7 @@ pub(crate) struct RankPass {
 
 /// A rank's full output.
 pub(crate) struct RankOutput {
-    pub levels: Vec<Vec<(ItemSet, u64)>>,
+    pub levels: Vec<Level>,
     pub passes: Vec<RankPass>,
 }
 
@@ -337,11 +376,11 @@ fn rebalance_pages(
 }
 
 /// Builds the configured counting structure over `local_candidates` (all
-/// of `C_k` or this rank's share, lent out of the one generated list),
-/// charging `apriori_gen` work for the **full** candidate set (every
-/// processor regenerates all of `C_k` before keeping its share — Section
-/// III-C) plus insertion work for the local share only. Returns the
-/// counter with clean work counters.
+/// of `C_k` or this rank's share, lent out of the run's one list),
+/// charging `apriori_gen` work for the **full** candidate set (in the model
+/// every processor regenerates all of `C_k` before keeping its share —
+/// Section III-C) plus insertion work for the local share only. Returns
+/// the counter with clean work counters.
 pub(crate) fn build_counter_charged<'a>(
     comm: &mut Comm,
     k: usize,
@@ -528,7 +567,7 @@ pub(crate) fn cannot_fail<T>(received: Result<T, RecvFault>) -> T {
 
 /// The shared multi-pass driver: pass 1 then repeated
 /// `apriori_gen` → algorithm-specific counting, until a pass yields no
-/// frequent itemsets.
+/// frequent itemsets, with `C_k` and `F_k` held once in the run's `share`.
 ///
 /// Under a crash-injecting fault plan each pass becomes an
 /// attempt/sync/retry loop: a failed attempt floods abort notifications,
@@ -550,11 +589,13 @@ pub(crate) fn cannot_fail<T>(received: Result<T, RecvFault>) -> T {
 ///
 /// `db` is the database slab and `cuts[r]..cuts[r + 1]` the range rank `r`
 /// starts on: the stable storage recovery re-reads a dead rank's data from.
+#[allow(clippy::too_many_arguments)] // internal: called from one place
 pub(crate) fn run_rank(
     comm: &mut Comm,
     mut ctx: RankCtx,
     db: &[Transaction],
     cuts: &[usize],
+    share: &RunShare,
     params: &ParallelParams,
     mobile_pages: bool,
     mut count_pass: impl FnMut(
@@ -569,25 +610,25 @@ pub(crate) fn run_rank(
     let adaptive = params.placement == PlacementPolicy::Adaptive && !recoverable && ctx.size() > 1;
     let mut busy_mark = 0.0f64;
     let mut holdings = crate::recovery::initial_holdings(cuts);
-    let mut levels: Vec<Vec<(ItemSet, u64)>> = Vec::new();
+    let mut levels: Vec<Level> = Vec::new();
     let mut passes = Vec::new();
-    let mut prev: Vec<ItemSet> = Vec::new();
     let mut k = 1;
     loop {
+        let prev_level: &[(ItemSet, u64)] = levels.last().map_or(&[], |level| level);
         // C_k: the item universe for pass 1, apriori_gen thereafter.
-        let candidates: Option<Vec<ItemSet>> = if k == 1 {
+        let candidates = if k == 1 {
             None
         } else {
-            if prev.is_empty() || params.max_k.is_some_and(|m| k > m) {
+            if prev_level.is_empty() || params.max_k.is_some_and(|m| k > m) {
                 break;
             }
-            let c = apriori_gen(&prev);
+            let c = share.candidates(k, prev_level);
             if c.is_empty() {
                 break;
             }
             Some(c)
         };
-        let total = candidates.as_ref().map_or(ctx.num_items as usize, Vec::len);
+        let total = candidates.as_deref().map_or(ctx.num_items as _, Vec::len);
         let result = loop {
             comm.enter_pass(k);
             comm.set_epoch(ctx.epoch);
@@ -600,10 +641,7 @@ pub(crate) fn run_rank(
                     candidate_imbalance: 0.0,
                     counted_candidates: None,
                 }),
-                Some(c) => {
-                    let prev_level: &[(ItemSet, u64)] = levels.last().map_or(&[], Vec::as_slice);
-                    count_pass(comm, &ctx, k, c, prev_level)
-                }
+                Some(c) => count_pass(comm, &ctx, k, c, prev_level),
             };
             if !recoverable {
                 // Single attempt, no sync, epoch stays 0.
@@ -621,7 +659,6 @@ pub(crate) fn run_rank(
                 _ => debug_assert!(outcome.any_abort, "a failed attempt floods its abort"),
             }
         };
-        prev = result.level.iter().map(|(s, _)| s.clone()).collect();
         // The attempt is committed: keep its ledger. Pushing here — not
         // inside counting — keeps abandoned crash-recovery attempts out
         // of `passes`, and so out of the registry's counting series.
@@ -635,7 +672,7 @@ pub(crate) fn run_rank(
             candidate_imbalance: result.candidate_imbalance,
             clock_end: comm.clock(),
         });
-        levels.push(result.level);
+        levels.push(share.commit(k, result.level));
         if adaptive {
             // Adaptive placement never coexists with crash plans.
             cannot_fail(rebalance_placement(

@@ -2,7 +2,7 @@
 //! count, and mine. The database is copied once, into one slab the ranks
 //! are placed on by cut points.
 
-use crate::common::{run_rank, RankCtx, RankOutput, TransactionPage};
+use crate::common::{run_rank, RankCtx, RankOutput, RunShare, TransactionPage};
 use crate::config::ParallelParams;
 use crate::metrics::{ParallelPassMetrics, ParallelRun};
 use crate::{cd, dd, hd, hpa, idd, npa, pdm};
@@ -207,6 +207,7 @@ impl ParallelMiner {
         let cuts = cut_points(algorithm, dataset, self.procs);
         let num_items = dataset.num_items();
         let min_count = params.min_support.resolve(dataset.len());
+        let share = RunShare::default();
         let mut sim = Simulator::new(self.procs)
             .cluster(self.cluster.clone())
             .topology(self.topology)
@@ -241,6 +242,7 @@ impl ParallelMiner {
                 ctx,
                 db,
                 cuts,
+                &share,
                 &params_copy,
                 mobile_pages,
                 |comm, ctx, k, candidates, prev| match algorithm {
@@ -383,7 +385,10 @@ fn assemble(
     }
     let procs = meta.procs;
     let algorithm = meta.algorithm;
+    // The share died with the rank closure, so the levels move out uncopied.
     let levels = std::mem::take(&mut survivors[0].1.levels);
+    survivors.iter_mut().for_each(|(_, r)| r.levels.clear());
+    let levels = levels.into_iter().map(Arc::unwrap_or_clone).collect();
     let frequent = FrequentItemsets::from_levels(levels, total_n as u64);
     let metrics = crate::registry::finish_snapshot(
         &meta,
@@ -765,6 +770,61 @@ mod tests {
                 .mine_with_faults(algo, &dataset, &params, Some(&transient))
                 .expect("transient faults are recoverable everywhere");
             assert!(run.total_retransmits() > 0);
+        }
+    }
+
+    /// A run generates each pass's `C_k` once and commits each `F_k` once:
+    /// every surviving rank holds the same allocation of both, pass for
+    /// pass. HD on eight simulated ranks, also after rank 0 (often the one
+    /// that generated pass 2) dies entering pass 2, and CD on two native
+    /// threads, wired as `mine_with_faults` wires them.
+    #[test]
+    fn ranks_hold_one_copy_of_each_pass() {
+        use armine_mpsim::{CrashPoint, FaultPlan};
+        let dataset = quest(300, 80, 11);
+        let params = ParallelParams::with_min_support_count(9)
+            .page_size(50)
+            .max_k(5);
+        let rank0_dies = FaultPlan::new().seed(3).crash(0, CrashPoint::AtPass(2));
+        let cases = [
+            (Simulator::new(8), 8),
+            (Simulator::new(8).fault_plan(rank0_dies), 7),
+            (Simulator::new(2).backend(ExecBackend::Native), 2),
+        ];
+        for (sim, survivors) in cases {
+            let procs = sim.procs();
+            let db = TransactionPage::from(dataset.transactions().to_vec());
+            let cuts = dataset.partition_bounds(procs);
+            let share = RunShare::default();
+            let result = sim.run_with_faults(|comm| {
+                let me = comm.rank();
+                let local = db.slice(cuts[me]..cuts[me + 1]);
+                let ctx = RankCtx::new(local, dataset.num_items(), 9, 50, me, procs);
+                // Where each pass's candidates lie, as this rank counts them.
+                let mut c_k = std::collections::BTreeMap::new();
+                let count_pass =
+                    |comm: &mut armine_mpsim::Comm, ctx: &RankCtx, k, c: &[ItemSet], _: &[_]| {
+                        c_k.insert(k, c.as_ptr() as usize);
+                        match procs {
+                            2 => cd::count_pass(comm, ctx, k, c, &params),
+                            _ => hd::count_pass(comm, ctx, k, c, &params, 40),
+                        }
+                    };
+                let output = run_rank(comm, ctx, &db, &cuts, &share, &params, false, count_pass);
+                (output, c_k)
+            });
+            let outputs: Vec<_> = result.results.into_iter().flatten().collect();
+            assert_eq!(outputs.len(), survivors, "P = {procs}");
+            let (first, first_c_k) = &outputs[0];
+            assert!(first.levels.len() >= 3, "P = {procs}: too few passes");
+            assert_eq!(first_c_k.len(), first.levels.len() - 1, "P = {procs}");
+            for (other, c_k) in &outputs[1..] {
+                assert_eq!(c_k, first_c_k, "P = {procs}: C_k not shared");
+                assert_eq!(other.levels.len(), first.levels.len(), "P = {procs}");
+                for (a, b) in first.levels.iter().zip(&other.levels) {
+                    assert!(Arc::ptr_eq(a, b), "P = {procs}: F_k not shared");
+                }
+            }
         }
     }
 

@@ -4,8 +4,10 @@
 # cluster) on the sim backend with two armine binaries and compares their
 # --metrics-json files byte for byte. Virtual time, the work ledger and the
 # message counts are all in there, so a host-only change must leave every
-# file identical. With the same binary on both sides it is a determinism
-# check.
+# file identical. CD/IDD/HD x counter also run natively on two ranks, where
+# only stdout without its host timings repeats: candidates per pass, grid,
+# itemsets and bytes moved. With the same binary on both sides it is a
+# determinism check.
 #
 # usage: scripts/metrics_cmp.sh OLD_ARMINE NEW_ARMINE
 set -euo pipefail
@@ -24,21 +26,40 @@ trap 'rm -rf "$tmp"' EXIT
 
 total=0
 same=0
-# compare NAME FLAG...: one `parallel` run per binary, then cmp.
+# tally NAME: counts one comparison of NAME.old with NAME.new.
+tally() {
+    total=$((total + 1))
+    if cmp -s "$tmp/$1.old" "$tmp/$1.new"; then
+        same=$((same + 1))
+    else
+        echo "DIFFERS: $1"
+    fi
+}
+# compare NAME FLAG...: one sim `parallel` run per binary, --metrics-json
+# compared.
 compare() {
     local name=$1
     shift
     for side in old new; do
         "${!side}" parallel --input "$tmp/db.txt" --procs 8 --page-size 100 \
             --min-support 0.01 --max-k 4 "$@" \
-            --metrics-json "$tmp/$name.$side.json" > /dev/null
+            --metrics-json "$tmp/$name.$side" > /dev/null
     done
-    total=$((total + 1))
-    if cmp -s "$tmp/$name.old.json" "$tmp/$name.new.json"; then
-        same=$((same + 1))
-    else
-        echo "DIFFERS: $name ($*)"
-    fi
+    tally "$name"
+}
+# compare_native NAME FLAG...: one native `parallel` run per binary on two
+# ranks, stdout compared without `wall …s`, `… ms` and the compute
+# imbalance, which is measured from the same clocks.
+compare_native() {
+    local name=$1
+    shift
+    for side in old new; do
+        "${!side}" parallel --input "$tmp/db.txt" --procs 2 --backend native \
+            --page-size 100 --min-support 0.01 --max-k 4 "$@" |
+            sed -E 's/wall [0-9.]+s//; s/ +[0-9.]+ ms/ ms/g; s/imbalance [0-9.]+%/imbalance/' \
+                > "$tmp/$name.$side"
+    done
+    tally "$name"
 }
 
 for algorithm in cd npa pdm dd dd-comm idd idd-1src hd hpa; do
@@ -51,6 +72,9 @@ for algorithm in cd idd hd; do
         --fault-plan "$root/experiments/faults/single-crash-per-pass.plan"
     compare "$algorithm-adaptive" --algorithm "$algorithm" \
         --cluster "$root/experiments/clusters/two-speed.cluster" --placement adaptive
+    for counter in hashtree trie vertical; do
+        compare_native "$algorithm-$counter-native" --algorithm "$algorithm" --counter "$counter"
+    done
 done
 
 echo "identical: $same of $total"

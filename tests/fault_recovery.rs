@@ -6,6 +6,7 @@
 //! timers under native); and on sim the same plan must reproduce the
 //! same virtual clocks and fault counters.
 
+use armine::metrics::json::BenchDocument;
 use armine::mpsim::{CrashPoint, ExecBackend, FaultPlan};
 use armine::parallel::{Algorithm, FaultRunError, ParallelMiner, ParallelParams};
 use armine_core::ItemSet;
@@ -211,6 +212,51 @@ fn drops_straggler_and_midpass_crash_reproduce_fault_free_results() {
             algo.name()
         );
         assert_eq!(faulted_rules.rules, clean_rules.rules, "{}", algo.name());
+    }
+}
+
+/// A run generates each pass's candidates once, in whichever rank asks
+/// first, often rank 0. Rank 0 dying as it enters pass 2 or in the middle
+/// of it costs the survivors nothing: CD, IDD and HD (on a 2×2 grid in pass
+/// 2) mine the fault-free lattice on both backends, and on sim the same
+/// plan twice writes byte-identical metrics.
+#[test]
+fn generating_rank_crashes_mine_the_fault_free_lattice() {
+    let dataset = dataset();
+    let params = params();
+    let sim = ParallelMiner::new(PROCS);
+    let native = ParallelMiner::new(PROCS).backend(ExecBackend::Native);
+    let metrics_json = |run: &armine::parallel::ParallelRun| {
+        BenchDocument::new("parallel_mine", run.metrics.clone()).to_json()
+    };
+    // Pass 2 runs from 0.14 ms to about 3 ms of virtual time.
+    let plans = [CrashPoint::AtPass(2), CrashPoint::AtTime(0.0015)]
+        .map(|at| FaultPlan::new().seed(11).crash(0, at));
+    let algos = [
+        Algorithm::Cd,
+        Algorithm::Idd,
+        Algorithm::Hd {
+            group_threshold: 400,
+        },
+    ];
+    for algo in algos {
+        let clean = itemsets(&sim.mine(algo, &dataset, &params));
+        for plan in &plans {
+            let on = format!("{} under {plan}", algo.name());
+            let run = || {
+                sim.mine_with_faults(algo, &dataset, &params, Some(plan))
+                    .unwrap_or_else(|e| panic!("{on}: {e}"))
+            };
+            let (first, second) = (run(), run());
+            assert_eq!(itemsets(&first), clean, "{on}");
+            assert!(first.total_recoveries() > 0, "{on}: no recovery");
+            assert_eq!(metrics_json(&first), metrics_json(&second), "{on}");
+            let plan = plan.clone().rto(5e-5).detect_timeout(2e-3);
+            let faulted = native
+                .mine_with_faults(algo, &dataset, &params, Some(&plan))
+                .unwrap_or_else(|e| panic!("native {on}: {e}"));
+            assert_eq!(itemsets(&faulted), clean, "native {on}");
+        }
     }
 }
 
