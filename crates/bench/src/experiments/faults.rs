@@ -1,25 +1,23 @@
 //! Fault-overhead experiment: how much virtual response time the
 //! ack/retransmit machinery and the pass-boundary recovery protocol cost
-//! at P=64, as the injected fault rate grows.
+//! as the injected fault rate grows.
 //!
-//! Two sweeps:
+//! Three sweeps:
 //!
-//! 1. **Transient faults** — message drop rate 0 → 20% (each drop pays an
-//!    exponential-backoff retransmission timeout at the sender). Reported
-//!    as absolute response time and overhead relative to the fault-free
-//!    run, for CD (reduction-dominated traffic) and HD (ring pipelines
-//!    within grid columns).
-//! 2. **Crash recovery** — one rank dies at a pass boundary, on top of a
-//!    fixed 2% drop rate. The survivors adopt its transaction partitions
-//!    and re-execute the interrupted pass; the overhead column isolates
-//!    what that re-execution plus the shifted load balance costs.
-//!
-//! A third sweep runs the **same plans on both execution backends** at a
-//! host-sized P: the sim backend predicts the fault overhead on its
-//! virtual clock, the native backend pays it for real (thread deaths,
-//! sleeps, wall-clock RTO timers). The side-by-side points are
-//! snapshotted to `experiments/BENCH_faults.json` — sim-predicted vs
-//! measured recovery cost.
+//! 1. **Transient faults** — at P=64, message drop rate 0 → 20% (each
+//!    drop pays an exponential-backoff retransmission timeout at the
+//!    sender). Reported as absolute response time and overhead relative
+//!    to the fault-free run, for CD (reduction-dominated traffic) and HD
+//!    (ring pipelines within grid columns).
+//! 2. **Crash recovery** — at P=64, one rank dies at a pass boundary, on
+//!    top of a fixed 2% drop rate. The survivors adopt its transaction
+//!    partitions and re-execute the interrupted pass; the overhead column
+//!    isolates what that re-execution plus the shifted load balance
+//!    costs.
+//! 3. **Scenario ladder** — at P=4, where one straggler or one lost rank
+//!    is a quarter of the machine: fault-free, transient drops, a
+//!    straggler, and a mid-run crash, snapshotted to
+//!    `experiments/BENCH_faults.json`.
 //!
 //! Every run mines the identical frequent lattice (asserted here): the
 //! fault layer may cost time, never answers.
@@ -28,7 +26,7 @@ use crate::report::{ms, signed_pct, write_bench_json, Table};
 use crate::workloads;
 use armine_metrics::json::{BenchDocument, JsonValue};
 use armine_metrics::{names, Labels, MetricShard};
-use armine_mpsim::{CrashPoint, ExecBackend, FaultPlan};
+use armine_mpsim::{CrashPoint, FaultPlan};
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams, ParallelRun};
 
 const PROCS: usize = 64;
@@ -121,23 +119,19 @@ pub fn run_crash_recovery() -> Table {
     table
 }
 
-/// Processor count for the backend comparison — small enough that native
-/// ranks map one-per-core on commodity hosts.
-const BOTH_PROCS: usize = 4;
-/// Default transactions for the backend comparison (override with
-/// `ARMINE_FAULTS_N`).
-pub const BOTH_TRANSACTIONS: usize = 20_000;
+/// Processor count of the scenario ladder.
+const SCENARIO_PROCS: usize = 4;
+/// Transactions mined on every rung of the scenario ladder.
+pub const SCENARIO_TRANSACTIONS: usize = 20_000;
 
-/// One fault scenario measured on one backend.
+/// One rung of the scenario ladder.
 #[derive(Debug, Clone)]
 pub struct FaultPoint {
     /// Scenario label ("fault-free", "drops 5%", …).
     pub scenario: &'static str,
-    /// `ExecBackend::name()` the point ran on.
-    pub backend: &'static str,
-    /// Response time in seconds (virtual on sim, wall-clock on native).
+    /// Virtual response time in seconds.
     pub response_s: f64,
-    /// Overhead vs the same backend's fault-free baseline, percent.
+    /// Overhead vs the fault-free rung, percent.
     pub overhead_pct: f64,
     /// Fault counters of the run.
     pub retransmits: u64,
@@ -150,17 +144,9 @@ pub struct FaultPoint {
     pub fault_plan: String,
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// The fixed scenario ladder the backend comparison climbs: transient
-/// drops, a straggler, and a mid-run crash — identical plans on both
-/// backends.
-fn both_scenarios() -> Vec<(&'static str, Option<FaultPlan>)> {
+/// The scenario ladder: transient drops, a straggler, and a mid-run
+/// crash, each against the fault-free baseline.
+fn scenarios() -> Vec<(&'static str, Option<FaultPlan>)> {
     vec![
         ("fault-free", None),
         ("drops 5%", Some(FaultPlan::new().seed(11).drop_rate(0.05))),
@@ -180,63 +166,54 @@ fn both_scenarios() -> Vec<(&'static str, Option<FaultPlan>)> {
     ]
 }
 
-/// Sweep 3: the same plans on both backends (CD, P=4). Lattice equality
-/// across every cell is asserted — faults and backends cost time, never
-/// answers.
-pub fn measure_both(n: usize) -> Vec<FaultPoint> {
+/// Sweep 3: the scenario ladder (CD, P=4). Lattice equality across every
+/// rung is asserted — faults cost time, never answers.
+pub fn measure_scenarios(n: usize) -> Vec<FaultPoint> {
     let dataset = workloads::t15_i6(n, 6161);
     let params = ParallelParams::with_min_support(0.01)
         .page_size(500)
         .max_k(3);
-    let scenarios = both_scenarios();
+    let miner = ParallelMiner::new(SCENARIO_PROCS);
     let mut points = Vec::new();
-    let mut reference: Option<usize> = None;
-    for backend in ExecBackend::ALL {
-        let miner = ParallelMiner::new(BOTH_PROCS).backend(backend);
-        let mut base: Option<f64> = None;
-        for (scenario, plan) in &scenarios {
-            let run = miner
-                .mine_with_faults(Algorithm::Cd, &dataset, &params, plan.as_ref())
-                .expect("every scenario in this sweep is recoverable");
-            let want = *reference.get_or_insert_with(|| lattice_len(&run));
-            assert_eq!(lattice_len(&run), want, "{scenario} on {backend} diverged");
-            let b = *base.get_or_insert(run.response_time);
-            points.push(FaultPoint {
-                scenario,
-                backend: backend.name(),
-                response_s: run.response_time,
-                overhead_pct: (run.response_time / b - 1.0) * 100.0,
-                retransmits: run.total_retransmits(),
-                timeouts: run.total_timeouts(),
-                recoveries: run.total_recoveries(),
-                fault_plan: plan
-                    .as_ref()
-                    .map_or_else(|| "none".to_owned(), FaultPlan::label),
-            });
-        }
+    let mut reference: Option<(usize, f64)> = None;
+    for (scenario, plan) in scenarios() {
+        let run = miner
+            .mine_with_faults(Algorithm::Cd, &dataset, &params, plan.as_ref())
+            .expect("every scenario in this sweep is recoverable");
+        let (want, base) = *reference.get_or_insert_with(|| (lattice_len(&run), run.response_time));
+        assert_eq!(lattice_len(&run), want, "{scenario} diverged");
+        points.push(FaultPoint {
+            scenario,
+            response_s: run.response_time,
+            overhead_pct: (run.response_time / base - 1.0) * 100.0,
+            retransmits: run.total_retransmits(),
+            timeouts: run.total_timeouts(),
+            recoveries: run.total_recoveries(),
+            fault_plan: plan
+                .as_ref()
+                .map_or_else(|| "none".to_owned(), FaultPlan::label),
+        });
     }
     points
 }
 
-/// Runs sweep 3, writes `experiments/BENCH_faults.json`, and returns the
-/// comparison table.
-pub fn run_both_backends() -> Table {
-    let n = env_usize("ARMINE_FAULTS_N", BOTH_TRANSACTIONS);
-    let points = measure_both(n);
-    match write_bench_json("BENCH_faults", &document(n, &points)) {
+/// Runs sweep 3, writes `experiments/BENCH_faults.json`, and returns its
+/// table.
+pub fn run_scenarios() -> Table {
+    let points = measure_scenarios(SCENARIO_TRANSACTIONS);
+    match write_bench_json("BENCH_faults", &document(SCENARIO_TRANSACTIONS, &points)) {
         Ok(path) => println!("(json: {})", path.display()),
         Err(e) => eprintln!("(json write failed: {e})"),
     }
-    both_table(&points)
+    scenario_table(&points)
 }
 
-/// Renders sweep 3's points as the comparison table.
-fn both_table(points: &[FaultPoint]) -> Table {
+/// Renders sweep 3's points as a table.
+fn scenario_table(points: &[FaultPoint]) -> Table {
     let mut table = Table::new(
-        "Fault overhead — sim-predicted vs native-measured (CD, P=4)",
+        "Fault overhead — scenario ladder (CD, P=4)",
         &[
             "scenario",
-            "backend",
             "response ms",
             "overhead",
             "retransmits",
@@ -247,7 +224,6 @@ fn both_table(points: &[FaultPoint]) -> Table {
     for p in points {
         table.row(&[
             &p.scenario,
-            &p.backend,
             &ms(p.response_s),
             &signed_pct(p.overhead_pct),
             &p.retransmits,
@@ -258,33 +234,26 @@ fn both_table(points: &[FaultPoint]) -> Table {
     table
 }
 
-/// The registry-snapshot document: each point lands as response/overhead
+/// The registry-snapshot document: each rung lands as response/overhead
 /// gauges and the three fault counters under
-/// `{scenario, backend, fault_plan, algorithm="CD", procs}` — sim-predicted
-/// vs measured recovery cost as a label join on `backend`.
+/// `{algorithm="CD", fault_plan, procs, scenario}`.
 fn document(n: usize, points: &[FaultPoint]) -> BenchDocument {
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut shard = MetricShard::new();
     for p in points {
         let labels = Labels::new()
             .with("scenario", p.scenario)
-            .with("backend", p.backend)
             .with("fault_plan", p.fault_plan.clone())
             .with("algorithm", "CD")
-            .with("procs", BOTH_PROCS);
+            .with("procs", SCENARIO_PROCS);
         shard.set_gauge(names::RUN_RESPONSE_SECONDS, labels.clone(), p.response_s);
         shard.set_gauge(names::RUN_OVERHEAD_PCT, labels.clone(), p.overhead_pct);
         shard.incr(names::RUN_RETRANSMITS, labels.clone(), p.retransmits);
         shard.incr(names::RUN_TIMEOUTS, labels.clone(), p.timeouts);
         shard.incr(names::RUN_RECOVERIES, labels, p.recoveries);
     }
-    BenchDocument::new(
-        "fault_overhead_sim_vs_native",
-        shard.snapshot(&Labels::new()),
-    )
-    .with_context("workload", JsonValue::Str("T15.I6".into()))
-    .with_context("transactions", JsonValue::UInt(n as u64))
-    .with_context("host_cores", JsonValue::UInt(cores as u64))
+    BenchDocument::new("fault_overhead_scenarios", shard.snapshot(&Labels::new()))
+        .with_context("workload", JsonValue::Str("T15.I6".into()))
+        .with_context("transactions", JsonValue::UInt(n as u64))
 }
 
 #[cfg(test)]
@@ -292,36 +261,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_backends_sweep_emits_all_cells_and_the_json() {
+    fn scenario_sweep_emits_all_cells_and_the_json() {
         crate::report::use_scratch_experiments_dir();
-        let points = measure_both(400);
-        let table = both_table(&points);
-        // Four scenarios x two backends.
-        assert_eq!(table.len(), 8);
-        let crash_rows: Vec<_> = table
-            .rows()
-            .iter()
-            .filter(|r| r[0].contains("crash"))
-            .cloned()
-            .collect();
-        assert_eq!(crash_rows.len(), 2);
-        for row in &crash_rows {
-            let recoveries: u64 = row[6].parse().unwrap();
-            assert!(recoveries > 0, "crash scenario must recover: {row:?}");
-        }
+        let points = measure_scenarios(400);
+        let table = scenario_table(&points);
+        assert_eq!(table.len(), 4, "four scenarios");
+        let crash_row = &table.rows()[3];
+        assert!(crash_row[0].contains("crash"), "{crash_row:?}");
+        let recoveries: u64 = crash_row[5].parse().unwrap();
+        assert!(recoveries > 0, "crash scenario must recover: {crash_row:?}");
         let doc = document(400, &points);
         let path = write_bench_json("BENCH_faults", &doc).unwrap();
         assert_eq!(std::fs::read_to_string(path).unwrap(), doc.to_json());
-        assert_eq!(doc.benchmark, "fault_overhead_sim_vs_native");
-        // Both backends are present, and the crash scenario's committed
-        // recoveries reached the snapshot on each.
-        for backend in ["sim", "native"] {
-            let recoveries = doc.snapshot.counter_sum(
-                names::RUN_RECOVERIES,
-                &[("backend", backend), ("scenario", "crash @ pass 2")],
-            );
-            assert!(recoveries > 0, "{backend} crash row lost its recoveries");
-        }
+        assert_eq!(doc.benchmark, "fault_overhead_scenarios");
+        // The crash scenario's committed recoveries reached the snapshot.
+        let recoveries = doc
+            .snapshot
+            .counter_sum(names::RUN_RECOVERIES, &[("scenario", "crash @ pass 2")]);
+        assert!(recoveries > 0, "crash row lost its recoveries");
         // The crash plan's canonical label reached the fault_plan axis.
         assert!(
             doc.snapshot

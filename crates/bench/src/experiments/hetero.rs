@@ -5,16 +5,11 @@
 //! evenly. On a cluster where some ranks run at a fraction of the others'
 //! speed, an even split makes every pass wait for the slowest rank. This
 //! sweep measures that penalty and how much of it the adaptive placement
-//! seam claws back:
-//!
-//! 1. **Cluster mixes** — 25% and 50% of the ranks slowed 2–8×, at P=16
-//!    on the simulated Cray T3E. Each mix runs CD (replicated candidates,
-//!    page re-balancing moves transactions toward fast ranks) and IDD
-//!    (partitioned candidates, capacity-weighted bin packing shrinks the
-//!    slow ranks' candidate shares) under both placement policies.
-//! 2. **Native validation** — one skewed mix at a host-sized P on the
-//!    native backend, where slow ranks really sleep out their handicap
-//!    and the adaptive gain is measured on the wall clock.
+//! seam claws back: 25% and 50% of the ranks slowed 2–8×, at P=16 on the
+//! simulated Cray T3E. Each mix runs CD (replicated candidates, page
+//! re-balancing moves transactions toward fast ranks) and IDD
+//! (partitioned candidates, capacity-weighted bin packing shrinks the
+//! slow ranks' candidate shares) under both placement policies.
 //!
 //! Every cell mines the identical frequent lattice (asserted): placement
 //! moves work, never answers. The sweep is snapshotted to
@@ -25,16 +20,13 @@ use crate::report::{ms, signed_pct, write_bench_json, Table};
 use crate::workloads;
 use armine_metrics::json::{BenchDocument, JsonValue};
 use armine_metrics::{names, Labels, MetricShard};
-use armine_mpsim::{ClusterProfile, ExecBackend, MachineProfile};
+use armine_mpsim::{ClusterProfile, MachineProfile};
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams, ParallelRun, PlacementPolicy};
 
-/// Processor count for the simulated sweep.
+/// Processor count of the sweep.
 pub const PROCS: usize = 16;
-/// Processor count for the native validation — small enough that ranks
-/// map one-per-core on commodity hosts.
-const NATIVE_PROCS: usize = 4;
-/// Default transactions (override with `ARMINE_HETERO_N`).
-pub const DEFAULT_TRANSACTIONS: usize = 8_000;
+/// Transactions mined in every cell.
+pub const TRANSACTIONS: usize = 8_000;
 
 fn params() -> ParallelParams {
     ParallelParams::with_min_support(0.01)
@@ -67,31 +59,20 @@ pub struct HeteroPoint {
     pub scenario: String,
     /// Algorithm display name (`"CD"`, `"IDD"`).
     pub algorithm: String,
-    /// `ExecBackend::name()` the cell ran on.
-    pub backend: &'static str,
-    /// Rank count of the cell.
-    pub procs: usize,
-    /// Response time in seconds (virtual on sim, wall-clock on native).
+    /// Virtual response time in seconds.
     pub response_s: f64,
     /// Response time vs the same mix's **static** run, percent — negative
     /// on adaptive rows is the re-balancing gain; 0 on static rows.
     pub vs_static_pct: f64,
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn lattice_len(run: &ParallelRun) -> usize {
     run.frequent.iter().count()
 }
 
-/// The simulated sweep at P=16: every mix × {CD, IDD} × both placements.
-/// Asserts lattice equality across all cells and that adaptive placement
-/// beats static on the most skewed mix for each algorithm.
+/// The sweep at P=16: every mix × {CD, IDD} × both placements. Asserts
+/// lattice equality across all cells and that adaptive placement beats
+/// static on the most skewed mix for each algorithm.
 pub fn measure(n: usize) -> Vec<HeteroPoint> {
     let dataset = workloads::t15_i6(n, 7272);
     let mixes = mixes();
@@ -121,8 +102,6 @@ pub fn measure(n: usize) -> Vec<HeteroPoint> {
                 points.push(HeteroPoint {
                     scenario: format!("{mix} / {placement}"),
                     algorithm: name.to_owned(),
-                    backend: ExecBackend::Sim.name(),
-                    procs: PROCS,
                     response_s: run.response_time,
                     vs_static_pct,
                 });
@@ -137,45 +116,11 @@ pub fn measure(n: usize) -> Vec<HeteroPoint> {
     points
 }
 
-/// The native validation: one skewed mix at P=4, both placements, CD.
-/// Slow ranks sleep out their handicap for real, so the response times
-/// are measured wall clock — reported, not asserted (host noise).
-pub fn measure_native(n: usize) -> Vec<HeteroPoint> {
-    let dataset = workloads::t15_i6(n, 7272);
-    let mix = "25% slow x4";
-    let cluster = ClusterProfile::uniform(MachineProfile::cray_t3e()).speed(NATIVE_PROCS - 1, 0.25);
-    let miner = ParallelMiner::new(NATIVE_PROCS)
-        .cluster(cluster)
-        .backend(ExecBackend::Native);
-    let mut points = Vec::new();
-    let mut static_s = 0.0;
-    let mut reference: Option<usize> = None;
-    for placement in PlacementPolicy::ALL {
-        let run = miner.mine(Algorithm::Cd, &dataset, &params().placement(placement));
-        let want = *reference.get_or_insert_with(|| lattice_len(&run));
-        assert_eq!(lattice_len(&run), want, "native {placement} diverged");
-        if placement == PlacementPolicy::Static {
-            static_s = run.response_time;
-        }
-        points.push(HeteroPoint {
-            scenario: format!("{mix} / {placement}"),
-            algorithm: Algorithm::Cd.name().to_owned(),
-            backend: ExecBackend::Native.name(),
-            procs: NATIVE_PROCS,
-            response_s: run.response_time,
-            vs_static_pct: (run.response_time / static_s - 1.0) * 100.0,
-        });
-    }
-    points
-}
-
-/// Runs both sweeps, writes `experiments/BENCH_hetero.json`, and returns
+/// Runs the sweep, writes `experiments/BENCH_hetero.json`, and returns
 /// the table.
 pub fn run() -> Table {
-    let n = env_usize("ARMINE_HETERO_N", DEFAULT_TRANSACTIONS);
-    let mut points = measure(n);
-    points.extend(measure_native(n));
-    match write_bench_json("BENCH_hetero", &document(n, &points)) {
+    let points = measure(TRANSACTIONS);
+    match write_bench_json("BENCH_hetero", &document(TRANSACTIONS, &points)) {
         Ok(path) => println!("(json: {})", path.display()),
         Err(e) => eprintln!("(json write failed: {e})"),
     }
@@ -185,12 +130,10 @@ pub fn run() -> Table {
 /// Renders the points as the table.
 fn table(points: &[HeteroPoint]) -> Table {
     let mut table = Table::new(
-        "Heterogeneous clusters — static vs adaptive placement (sim P=16, native P=4)",
+        "Heterogeneous clusters — static vs adaptive placement (P=16)",
         &[
             "cluster / placement",
             "algorithm",
-            "backend",
-            "procs",
             "response ms",
             "vs static",
         ],
@@ -199,8 +142,6 @@ fn table(points: &[HeteroPoint]) -> Table {
         table.row(&[
             &p.scenario,
             &p.algorithm,
-            &p.backend,
-            &p.procs,
             &ms(p.response_s),
             &signed_pct(p.vs_static_pct),
         ]);
@@ -209,17 +150,16 @@ fn table(points: &[HeteroPoint]) -> Table {
 }
 
 /// The registry-snapshot document: each cell lands as a response gauge
-/// and its gain-vs-static gauge under `{scenario, algorithm, backend,
-/// procs}` — the placement policy rides the `scenario` label, so static vs
-/// adaptive is a label join on the mix prefix.
+/// and its gain-vs-static gauge under `{scenario, algorithm, procs}` —
+/// the placement policy rides the `scenario` label, so static vs adaptive
+/// is a label join on the mix prefix.
 fn document(n: usize, points: &[HeteroPoint]) -> BenchDocument {
     let mut shard = MetricShard::new();
     for p in points {
         let labels = Labels::new()
             .with("scenario", p.scenario.clone())
             .with("algorithm", p.algorithm.clone())
-            .with("backend", p.backend)
-            .with("procs", p.procs);
+            .with("procs", PROCS);
         shard.set_gauge(names::RUN_RESPONSE_SECONDS, labels.clone(), p.response_s);
         shard.set_gauge(names::RUN_OVERHEAD_PCT, labels, p.vs_static_pct);
     }
@@ -235,11 +175,9 @@ mod tests {
     #[test]
     fn hetero_sweep_emits_all_cells_and_the_json() {
         crate::report::use_scratch_experiments_dir();
-        let mut points = measure(600);
-        points.extend(measure_native(600));
-        // Five mixes x two algorithms x two placements, plus the native
-        // pair.
-        assert_eq!(table(&points).len(), 22);
+        let points = measure(600);
+        // Five mixes x two algorithms x two placements.
+        assert_eq!(table(&points).len(), 20);
         let doc = document(600, &points);
         let path = write_bench_json("BENCH_hetero", &doc).unwrap();
         assert_eq!(std::fs::read_to_string(path).unwrap(), doc.to_json());

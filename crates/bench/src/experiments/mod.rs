@@ -16,8 +16,7 @@
 //! | [`imbalance::run`] | §III-C quote | 4p: 1.3%→5.4%; 8p: 2.3%→9.4% | same metrics |
 //! | [`hpa_comm::run`] | §III-E claim | HPA comm volume vs IDD, by k | extension: HPA implemented |
 //! | [`structures::run`] | — (extension) | hash tree vs trie behind the counter seam | CD+IDD, P ∈ {1,16,64} |
-//! | [`hetero::run`] | — (extension) | static vs adaptive placement on skewed clusters | CD+IDD, P=16 sim + P=4 native |
-//! | [`native::run`] | Fig 13 validation (extension) | speedup on real hardware | CD+IDD, sim vs native backend |
+//! | [`hetero::run`] | — (extension) | static vs adaptive placement on skewed clusters | CD+IDD, P=16 |
 
 pub mod ablation;
 pub mod breakdown;
@@ -32,7 +31,6 @@ pub mod hetero;
 pub mod hpa_comm;
 pub mod imbalance;
 pub mod model;
-pub mod native;
 pub mod pdm_prune;
 pub mod structures;
 pub mod table2;

@@ -6,7 +6,7 @@
 use armine_metrics::json::BenchDocument;
 use std::fmt::Display;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A simple result table.
 #[derive(Debug, Clone)]
@@ -82,9 +82,8 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Writes CSV into `experiments/<name>.csv` (relative to the workspace
-    /// root when run via cargo, else the current directory). Returns the
-    /// path written.
+    /// Writes CSV into [`experiments_dir`]`/<name>.csv`. Returns the path
+    /// written.
     pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
         let dir = experiments_dir();
         std::fs::create_dir_all(&dir)?;
@@ -101,14 +100,11 @@ impl Table {
 /// Where experiment CSVs and `BENCH_*.json` snapshots land: the
 /// workspace `experiments/` directory, unless `ARMINE_EXPERIMENTS_DIR`
 /// redirects it (smoke tests use this so they never overwrite the
-/// committed full-size artifacts).
+/// committed artifacts).
 pub fn experiments_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("ARMINE_EXPERIMENTS_DIR") {
-        return PathBuf::from(dir);
-    }
-    std::env::var_os("CARGO_MANIFEST_DIR")
-        .map(|d| PathBuf::from(d).join("../../experiments"))
-        .unwrap_or_else(|| PathBuf::from("experiments"))
+    std::env::var_os("ARMINE_EXPERIMENTS_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments"))
 }
 
 /// Redirects [`experiments_dir`] to a scratch directory for the rest of
@@ -124,12 +120,6 @@ pub(crate) fn use_scratch_experiments_dir() {
 /// Formats seconds as engineering-friendly milliseconds.
 pub fn ms(seconds: f64) -> String {
     format!("{:.3}", seconds * 1e3)
-}
-
-/// Formats seconds as plain seconds with four decimals (wall-clock
-/// measurements where milliseconds would overflow the column).
-pub fn secs(seconds: f64) -> String {
-    format!("{seconds:.4}")
 }
 
 /// Formats a ratio as a percentage with one decimal.
@@ -197,7 +187,6 @@ mod tests {
     fn formatters() {
         assert_eq!(ms(0.001), "1.000");
         assert_eq!(pct(0.054), "5.4%");
-        assert_eq!(secs(1.25), "1.2500");
         assert_eq!(signed_pct(3.21), "+3.2%");
         assert_eq!(signed_pct(-0.44), "-0.4%");
         assert_eq!(ratio(2.0 / 3.0), "0.67");

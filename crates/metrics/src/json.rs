@@ -6,7 +6,7 @@
 //! {
 //!   "schema_version": 1,
 //!   "benchmark": "parallel_mine",
-//!   "context": {"transactions": 480, "host_cores": 1},
+//!   "context": {"transactions": 480, "max_k": 3},
 //!   "metrics": [
 //!     {"name": "armine.counting.inserts", "kind": "counter",
 //!      "labels": {"algorithm": "CD", "rank": "0", "pass": "2"},

@@ -42,8 +42,6 @@ pub const RUN_RETRANSMITS: &str = "armine.run.retransmits";
 pub const RUN_TIMEOUTS: &str = "armine.run.timeouts";
 /// Run-total pass recoveries after crashes (counter).
 pub const RUN_RECOVERIES: &str = "armine.run.recoveries";
-/// Speedup relative to the P=1 baseline of the same backend (gauge).
-pub const RUN_SPEEDUP: &str = "armine.run.speedup";
 /// Response-time overhead vs the fault-free baseline, percent (gauge).
 pub const RUN_OVERHEAD_PCT: &str = "armine.run.overhead_pct";
 

@@ -105,6 +105,38 @@ fn native_runs_are_deterministic() {
     }
 }
 
+/// The full miner on native ranks of a heterogeneous cluster, under
+/// adaptive placement, mines the lattice of the homogeneous static sim
+/// run: the slow rank really sleeps and sheds work, and neither changes
+/// an answer.
+#[test]
+fn native_adaptive_placement_on_a_slow_rank_mines_the_same_lattice() {
+    use armine::mpsim::{ClusterProfile, MachineProfile};
+    use armine::parallel::PlacementPolicy;
+    let dataset = quest(400, 90, 30, 7272);
+    let params = ParallelParams::with_min_support_count(10)
+        .page_size(50)
+        .max_k(4);
+    let cluster = ClusterProfile::uniform(MachineProfile::cray_t3e()).speed(3, 0.25);
+    for algorithm in [Algorithm::Cd, Algorithm::Idd] {
+        let reference = ParallelMiner::new(4).mine(algorithm, &dataset, &params);
+        let native = ParallelMiner::new(4)
+            .cluster(cluster.clone())
+            .backend(ExecBackend::Native)
+            .mine(
+                algorithm,
+                &dataset,
+                &params.placement(PlacementPolicy::Adaptive),
+            );
+        assert_eq!(
+            lattice(&native),
+            lattice(&reference),
+            "{} diverged",
+            algorithm.name()
+        );
+    }
+}
+
 /// Native runs populate per-rank wall timings; sim runs don't.
 #[test]
 fn wall_timings_populated_only_on_native() {
