@@ -7,7 +7,7 @@ use armine_core::io::{read_transactions_auto, write_transaction_stream};
 use armine_core::model::{
     cd_time, dd_time, hd_beats_cd_window, hd_time, idd_time, serial_time, CostParams, Workload,
 };
-use armine_core::rules::{generate_rules, Rule};
+use armine_core::rules::{for_each_rule, Rule};
 use armine_core::stats::dataset_stats;
 use armine_core::summaries::{closed_itemsets, maximal_itemsets};
 use armine_core::ItemSet;
@@ -213,36 +213,56 @@ fn cmd_mine(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
         )?;
     }
     if let Some(conf) = rules_conf {
-        let rules = generate_rules(&run.frequent, conf);
-        writeln!(
-            out,
-            "{} rules at confidence >= {:.0}%:",
-            rules.len(),
-            conf * 100.0
-        )?;
-        for rule in best_rules(&rules, top) {
+        let mut best = BestRules::new(top);
+        for_each_rule(&run.frequent, conf, |rule| best.offer(rule));
+        best.cut();
+        let count = best.seen;
+        writeln!(out, "{count} rules at confidence >= {:.0}%:", conf * 100.0)?;
+        for (_, rule) in &best.held {
             writeln!(out, "  {rule}")?;
         }
     }
     Ok(())
 }
 
-/// The `top` best of `rules`, best first: by confidence, then by support
-/// count, then in generation order — the head of a stable sort of all of
-/// them, found by selection so that only `top` rules are ever sorted.
-fn best_rules(rules: &[Rule], top: usize) -> Vec<&Rule> {
-    let best_first = |a: &(usize, &Rule), b: &(usize, &Rule)| {
-        (b.1.confidence.total_cmp(&a.1.confidence))
-            .then(b.1.support_count.cmp(&a.1.support_count))
-            .then(a.0.cmp(&b.0))
-    };
-    let mut ranked: Vec<(usize, &Rule)> = rules.iter().enumerate().collect();
-    if top < ranked.len() {
-        ranked.select_nth_unstable_by(top, best_first);
-        ranked.truncate(top);
+/// The `top` best rules of a stream, best first: by confidence, then by
+/// support count, then in generation order — the head of a stable sort of
+/// all of them. It holds at most `2·top + 64` rules: when full, a
+/// selection keeps the best `top` of those seen so far.
+struct BestRules {
+    top: usize,
+    seen: usize,
+    /// `(generation index, rule)`.
+    held: Vec<(usize, Rule)>,
+}
+
+impl BestRules {
+    fn new(top: usize) -> Self {
+        let held = Vec::new();
+        BestRules { top, seen: 0, held }
     }
-    ranked.sort_unstable_by(best_first);
-    ranked.into_iter().map(|(_, rule)| rule).collect()
+
+    fn offer(&mut self, rule: Rule) {
+        self.held.push((self.seen, rule));
+        self.seen += 1;
+        if self.held.len() >= self.top.saturating_mul(2).saturating_add(64) {
+            self.cut();
+        }
+    }
+
+    /// Keeps the best `top` rules held, best first.
+    fn cut(&mut self) {
+        let best_first = |a: &(usize, Rule), b: &(usize, Rule)| {
+            (b.1.confidence.total_cmp(&a.1.confidence))
+                .then(b.1.support_count.cmp(&a.1.support_count))
+                .then(a.0.cmp(&b.0))
+        };
+        if self.top < self.held.len() {
+            self.held.select_nth_unstable_by(self.top, best_first);
+            self.held.truncate(self.top);
+        }
+        self.held.sort_unstable_by(best_first);
+    }
 }
 
 type MakeAlgorithm = fn(&Args) -> Result<Algorithm, ArgError>;
@@ -528,6 +548,7 @@ fn cmd_summary(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> 
 mod tests {
     use super::*;
     use crate::args::argv;
+    use armine_core::rules::generate_rules;
 
     fn run_ok(parts: &[&str]) -> String {
         let mut out = Vec::new();
@@ -546,8 +567,14 @@ mod tests {
         dir.join(name).to_string_lossy().into_owned()
     }
 
+    /// The most rules `BestRules` may hold at `--top top`.
+    fn bound(top: usize) -> usize {
+        2 * top + 64
+    }
+
     /// `mine --rules --top N` prints the first `N` lines a stable sort of
-    /// every rule would, for `N` below, at and above the rule count.
+    /// every rule would, for `N` below, at and above the rule count, and on
+    /// either side of the selection's cut-back points.
     fn assert_top_is_the_head_of_a_stable_sort(db: &str, min_count: &str, conf: f64) {
         let dataset = read_transactions_auto(db).unwrap();
         let params = AprioriParams::with_min_support_count(min_count.parse().unwrap()).max_k(3);
@@ -569,7 +596,10 @@ mod tests {
             "only {tied} ties in {db}: order is not at stake"
         );
         let conf = conf.to_string();
-        for top in [0, 1, rules.len() / 2, rules.len(), rules.len() + 7] {
+        let (slack, buffer) = (bound(0), bound(1));
+        let near_cuts = [slack - 1, slack, slack + 1, buffer - 1, buffer, buffer + 1];
+        let tops = [0, 1, rules.len() / 2, rules.len(), rules.len() + 7];
+        for top in tops.into_iter().chain(near_cuts) {
             let top_flag = top.to_string();
             let o = run_ok(&[
                 "mine",
@@ -662,6 +692,61 @@ mod tests {
         ]);
         assert!(o.contains("HD on 4 simulated"));
         assert!(o.contains("virtual response time"));
+    }
+
+    /// Forty groups of four items that always occur together, two to four
+    /// times each: 1,440 rules at 100% confidence in three support tiers,
+    /// over twenty times the selection's buffer at `--top 1`, so `--top`
+    /// is decided by generation order through many cut-backs.
+    #[test]
+    fn top_survives_many_cut_backs_on_tied_rules() {
+        let db = temp("tied_groups.txt");
+        let mut lines = Vec::new();
+        for group in 0..40u32 {
+            let items: Vec<String> = (4 * group..4 * group + 4).map(|i| i.to_string()).collect();
+            for _ in 0..2 + group % 3 {
+                lines.push(format!("{}: {}", lines.len(), items.join(" ")));
+            }
+        }
+        std::fs::write(&db, lines.join("\n")).unwrap();
+        let dataset = read_transactions_auto(&db).unwrap();
+        let run = Apriori::new(AprioriParams::with_min_support_count(2).max_k(3))
+            .mine(dataset.transactions());
+        let rules = generate_rules(&run.frequent, 0.5);
+        assert_eq!(rules.len(), 40 * (6 * 2 + 4 * 6));
+        assert!(rules.iter().all(|r| r.confidence == 1.0));
+        assert!(rules.len() > 20 * bound(1));
+        assert_top_is_the_head_of_a_stable_sort(&db, "2", 0.5);
+    }
+
+    /// Streaming 10K rules with heavy ties, the selection never holds more
+    /// than its bound and ends with the head of a stable sort.
+    #[test]
+    fn best_rules_holds_at_most_its_bound() {
+        let rule = |i: usize| Rule {
+            antecedent: ItemSet::from([1]),
+            consequent: ItemSet::from([2]),
+            support_count: (i * 7 % 5) as u64,
+            support: i as f64,
+            confidence: [0.5, 1.0, 0.75][i * 13 % 3],
+            antecedent_support: 0.0,
+            consequent_support: 0.0,
+        };
+        let mut want: Vec<Rule> = (0..10_000).map(rule).collect();
+        want.sort_by(|a, b| {
+            (b.confidence.total_cmp(&a.confidence)).then(b.support_count.cmp(&a.support_count))
+        });
+        for top in [0, 1, 63, 64, 65, 130, 3_000, 20_000] {
+            let mut best = BestRules::new(top);
+            for i in 0..10_000 {
+                best.offer(rule(i));
+                assert!(best.held.len() <= bound(top), "--top {top}");
+            }
+            best.cut();
+            assert_eq!(best.seen, 10_000);
+            let got: Vec<Rule> = best.held.into_iter().map(|(_, rule)| rule).collect();
+            assert_eq!(got[..], want[..top.min(want.len())], "--top {top}");
+        }
     }
 
     #[test]

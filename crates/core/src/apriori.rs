@@ -16,7 +16,6 @@ use crate::hashtree::{HashTreeParams, OwnershipFilter};
 use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
-use std::collections::HashMap;
 
 /// Minimum support, either as an absolute transaction count or as a
 /// fraction of the database size (the paper quotes percentages: 0.1%,
@@ -117,30 +116,27 @@ impl AprioriParams {
 pub struct FrequentItemsets {
     /// `levels[k-1]` holds `F_k` in lexicographic order with counts.
     levels: Vec<Vec<(ItemSet, u64)>>,
-    by_set: HashMap<ItemSet, u64>,
     num_transactions: u64,
 }
 
 impl FrequentItemsets {
     /// Assembles a result from per-level `(itemset, count)` lists; level
-    /// `i` of the input holds `F_{i+1}`. Used by the parallel drivers,
-    /// which discover the levels pass by pass.
+    /// `i` of the input holds `F_{i+1}`: sets of `i + 1` items, strictly
+    /// ascending, as the lookups' binary search needs (checked in debug
+    /// builds). Used by the parallel drivers, which discover the levels
+    /// pass by pass.
     pub fn from_levels(levels: Vec<Vec<(ItemSet, u64)>>, num_transactions: u64) -> Self {
-        let mut out = FrequentItemsets {
+        debug_assert!(
+            levels.iter().enumerate().all(|(i, level)| {
+                let ascending = level.windows(2).all(|w| w[0].0 < w[1].0);
+                ascending && level.iter().all(|(set, _)| set.len() == i + 1)
+            }),
+            "F_k must hold k-sets in strictly ascending order"
+        );
+        FrequentItemsets {
+            levels,
             num_transactions,
-            ..Default::default()
-        };
-        for level in levels {
-            out.push_level(level);
         }
-        out
-    }
-
-    fn push_level(&mut self, level: Vec<(ItemSet, u64)>) {
-        for (set, count) in &level {
-            self.by_set.insert(set.clone(), *count);
-        }
-        self.levels.push(level);
     }
 
     /// `F_k`, lexicographically ordered. Empty slice if the run never
@@ -162,7 +158,20 @@ impl FrequentItemsets {
 
     /// The support count of a frequent itemset, `None` if not frequent.
     pub fn support(&self, set: &ItemSet) -> Option<u64> {
-        self.by_set.get(set).copied()
+        self.support_of(set.items())
+    }
+
+    /// The support count of the itemset with these strictly ascending
+    /// items, `None` if not frequent: a binary search in
+    /// `F_{items.len()}`, with no `ItemSet` built to ask.
+    pub fn support_of(&self, items: &[Item]) -> Option<u64> {
+        Some(self.level(items.len())[self.position(items)?].1)
+    }
+
+    /// Where the itemset with these items sits in its level, if frequent.
+    pub(crate) fn position(&self, items: &[Item]) -> Option<usize> {
+        let by_items = |(set, _): &(ItemSet, u64)| set.items().cmp(items);
+        self.level(items.len()).binary_search_by(by_items).ok()
     }
 
     /// The relative support (count / N) of a frequent itemset.
@@ -173,17 +182,17 @@ impl FrequentItemsets {
 
     /// Whether `set` is frequent.
     pub fn contains(&self, set: &ItemSet) -> bool {
-        self.by_set.contains_key(set)
+        self.position(set.items()).is_some()
     }
 
     /// Total number of frequent itemsets across all sizes.
     pub fn len(&self) -> usize {
-        self.by_set.len()
+        self.levels.iter().map(Vec::len).sum()
     }
 
     /// Whether nothing is frequent.
     pub fn is_empty(&self) -> bool {
-        self.by_set.is_empty()
+        self.levels.iter().all(Vec::is_empty)
     }
 
     /// Iterates all `(itemset, count)` pairs, smallest sizes first.
@@ -286,7 +295,7 @@ impl Apriori {
             db_scans: 1,
             tree_stats: CounterStats::default(),
         });
-        run.frequent.push_level(f1.frequent);
+        run.frequent.levels.push(f1.frequent);
 
         let mut k = 2;
         while self.params.max_k.is_none_or(|m| k <= m) {
@@ -304,7 +313,7 @@ impl Apriori {
                 self.params.memory_capacity,
             );
             run.passes.push(info);
-            run.frequent.push_level(level);
+            run.frequent.levels.push(level);
             k += 1;
         }
         run
@@ -476,7 +485,7 @@ pub fn first_item_histogram(candidates: &[ItemSet], num_items: u32) -> Vec<u64> 
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from(ids)
@@ -826,6 +835,36 @@ mod tests {
         assert_eq!(f.support(&set(&[1, 2])), Some(3));
         assert_eq!(f.max_len(), 2);
         assert_eq!(f.num_transactions(), 10);
+    }
+
+    #[test]
+    fn support_of_searches_the_level_of_its_size() {
+        let levels = vec![
+            vec![(set(&[1]), 5), (set(&[2]), 4), (set(&[4]), 4)],
+            vec![(set(&[1, 2]), 3), (set(&[2, 4]), 2)],
+        ];
+        let f = FrequentItemsets::from_levels(levels, 10);
+        assert_eq!(f.support_of(&[Item(2), Item(4)]), Some(2));
+        assert_eq!(f.support_of(&[Item(4)]), Some(4));
+        assert_eq!(f.support_of(&[Item(3)]), None);
+        assert_eq!(f.support_of(&[Item(1), Item(4)]), None);
+        assert_eq!(f.support_of(&[Item(1), Item(2), Item(4)]), None);
+        assert_eq!(f.support_of(&[]), None);
+        assert!(f.contains(&set(&[1, 2])) && !f.contains(&set(&[1, 4])));
+        assert_eq!((f.len(), f.is_empty()), (5, false));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn from_levels_refuses_a_level_its_lookups_cannot_search() {
+        let unsorted = vec![vec![(set(&[2]), 4), (set(&[1]), 5)]];
+        let duplicated = vec![vec![(set(&[1]), 5), (set(&[1]), 5)]];
+        let misplaced = vec![vec![(set(&[1]), 5), (set(&[1, 2]), 3)]];
+        for levels in [unsorted, duplicated, misplaced] {
+            let built = std::panic::catch_unwind(|| FrequentItemsets::from_levels(levels, 10));
+            let message = *built.unwrap_err().downcast::<&str>().unwrap();
+            assert!(message.contains("strictly ascending"), "{message}");
+        }
     }
 
     #[test]

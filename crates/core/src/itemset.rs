@@ -170,22 +170,6 @@ impl ItemSet {
     pub fn subsets_dropping_one(&self) -> impl Iterator<Item = ItemSet> + '_ {
         (0..self.items.len()).map(move |i| self.without_index(i))
     }
-
-    /// Extends this set by one item strictly larger than the current last
-    /// item — the `apriori_gen` join.
-    ///
-    /// # Panics
-    /// In debug builds, panics if `item` is not larger than the last item.
-    pub fn extend_with(&self, item: Item) -> ItemSet {
-        debug_assert!(
-            self.items.last().is_none_or(|&l| l < item),
-            "extend_with requires a strictly larger item"
-        );
-        let mut items = Vec::with_capacity(self.items.len() + 1);
-        items.extend_from_slice(&self.items);
-        items.push(item);
-        ItemSet::from_sorted(items)
-    }
 }
 
 impl From<Vec<Item>> for ItemSet {
@@ -304,20 +288,6 @@ mod tests {
         let s = set(&[1, 2, 3]);
         let subs: Vec<ItemSet> = s.subsets_dropping_one().collect();
         assert_eq!(subs, vec![set(&[2, 3]), set(&[1, 3]), set(&[1, 2])]);
-    }
-
-    #[test]
-    fn extend_with_appends() {
-        let s = set(&[1, 2]);
-        assert_eq!(s.extend_with(Item(9)), set(&[1, 2, 9]));
-        assert_eq!(ItemSet::empty().extend_with(Item(0)), set(&[0]));
-    }
-
-    #[test]
-    #[should_panic]
-    #[cfg(debug_assertions)]
-    fn extend_with_rejects_smaller_item() {
-        set(&[5]).extend_with(Item(3));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! level-wise, pruning with the fact that if `f\Y ⟹ Y` fails the confidence
 //! bar, so does `f\Y' ⟹ Y'` for every `Y' ⊇ Y`.
 
-use crate::apriori::{apriori_gen, FrequentItemsets};
+use crate::apriori::FrequentItemsets;
+use crate::item::Item;
 use crate::itemset::ItemSet;
 
 /// An association rule `X ⟹ Y` with its measures.
@@ -85,18 +86,24 @@ impl std::fmt::Display for Rule {
 /// assert!(rules.iter().all(|r| r.confidence == 1.0));
 /// ```
 pub fn generate_rules(frequent: &FrequentItemsets, min_confidence: f64) -> Vec<Rule> {
+    let mut rules = Vec::new();
+    for_each_rule(frequent, min_confidence, |rule| rules.push(rule));
+    rules
+}
+
+/// Hands every rule meeting `min_confidence` to `sink`, in
+/// [`generate_rules`]' order, holding none of them: a caller that keeps
+/// only some rules pays memory for those alone.
+pub fn for_each_rule(frequent: &FrequentItemsets, min_confidence: f64, mut sink: impl FnMut(Rule)) {
     assert!(
         (0.0..=1.0).contains(&min_confidence),
         "confidence must be a fraction, got {min_confidence}"
     );
-    let n = frequent.num_transactions().max(1) as f64;
-    let mut rules = Vec::new();
     for size in 2..=frequent.max_len() {
         for (itemset, count) in frequent.level(size) {
-            grow_rules(frequent, itemset, *count, min_confidence, n, &mut rules);
+            grow_rules(frequent, itemset.items(), *count, min_confidence, &mut sink);
         }
     }
-    rules
 }
 
 /// Generates the rules of a **single** frequent itemset (level-wise
@@ -121,98 +128,228 @@ pub fn rules_for_itemset_counted(
     itemset: &ItemSet,
     min_confidence: f64,
 ) -> (Vec<Rule>, u64) {
-    let n = frequent.num_transactions().max(1) as f64;
-    let count = match frequent.support(itemset) {
-        Some(c) => c,
-        None => return (Vec::new(), 0),
-    };
     let mut out = Vec::new();
-    let mut evaluated = 0;
-    if itemset.len() >= 2 {
-        evaluated = grow_rules(frequent, itemset, count, min_confidence, n, &mut out);
-    }
+    let Some(count) = frequent.support(itemset).filter(|_| itemset.len() >= 2) else {
+        return (out, 0);
+    };
+    let sink = &mut |rule| out.push(rule);
+    let evaluated = grow_rules(frequent, itemset.items(), count, min_confidence, sink);
     (out, evaluated)
 }
 
-/// Level-wise consequent growth for one frequent itemset. Returns the
-/// number of consequents confidence-evaluated ([`try_rule`] calls).
+/// Level-wise consequent growth for one frequent itemset of `count`
+/// transactions. Bit `i` of a consequent mask stands for `items[i]`.
+/// Returns the number of consequents confidence-evaluated.
 fn grow_rules(
     frequent: &FrequentItemsets,
-    itemset: &ItemSet,
+    items: &[Item],
     count: u64,
     min_confidence: f64,
-    n: f64,
-    out: &mut Vec<Rule>,
+    sink: &mut impl FnMut(Rule),
 ) -> u64 {
+    // A frequent 65-set would imply 2^65 frequent subsets.
+    assert!(items.len() <= 64, "masks hold 64 items");
     let mut evaluated = 0u64;
-    // Level 1: single-item consequents.
-    let mut consequents: Vec<ItemSet> = Vec::new();
-    for item in itemset {
-        let consequent = ItemSet::singleton(item);
+    let mut confident = |consequent: &u64| {
         evaluated += 1;
-        if let Some(rule) = try_rule(frequent, itemset, &consequent, count, min_confidence, n) {
-            out.push(rule);
-            consequents.push(consequent);
-        }
-    }
-    // Levels 2..: join surviving consequents, Apriori-style. A consequent
-    // can have at most |itemset| - 1 items (the antecedent is non-empty).
-    while !consequents.is_empty() && consequents[0].len() + 1 < itemset.len() {
-        // Ascending by construction: level 1 follows the itemset's own
-        // order, every later level is `apriori_gen` output, filtered.
-        debug_assert!(consequents.windows(2).all(|w| w[0] < w[1]));
-        let next = apriori_gen(&consequents);
-        consequents = next
-            .into_iter()
-            .filter_map(|consequent| {
-                evaluated += 1;
-                let rule = try_rule(frequent, itemset, &consequent, count, min_confidence, n)?;
-                out.push(rule);
-                Some(consequent)
-            })
-            .collect();
+        try_rule(frequent, items, *consequent, count, min_confidence, sink)
+    };
+    // Level 1: single-item consequents, in the itemset's own order.
+    let mut consequents: Vec<u64> = (0..items.len()).map(|i| 1 << i).collect();
+    consequents.retain(&mut confident);
+    // Levels 2..: join surviving consequents, Apriori-style, up to
+    // |itemset| - 1 items (the antecedent is non-empty).
+    for _ in 2..items.len() {
+        consequents = join_consequents(&consequents);
+        consequents.retain(&mut confident);
     }
     evaluated
 }
 
-/// Builds the rule `itemset\consequent ⟹ consequent` if it clears the
-/// confidence bar.
+/// `apriori_gen` over consequent masks of one size, ordered as their
+/// position lists are: masks differing only in their highest bit join, if
+/// every other subset is in `prev`. The output keeps that order.
+fn join_consequents(prev: &[u64]) -> Vec<u64> {
+    // Position-list order: the mask holding the lowest differing bit first.
+    let position_order = |a: &u64, b: u64| b.reverse_bits().cmp(&a.reverse_bits());
+    let prefix = |mask: u64| mask & !(1 << (63 - mask.leading_zeros()));
+    let mut out = Vec::new();
+    for (a, &first) in prev.iter().enumerate() {
+        let shared = prefix(first);
+        for &second in prev[a + 1..].iter().take_while(|&&m| prefix(m) == shared) {
+            let joined = first | second;
+            // Dropping one of the two highest bits gives `second` or
+            // `first`; every prefix bit's subset is looked up.
+            let mut subsets = (0..64 - shared.leading_zeros())
+                .filter(|i| (shared >> i) & 1 == 1)
+                .map(|i| joined & !(1 << i));
+            if subsets.all(|s| prev.binary_search_by(|m| position_order(m, s)).is_ok()) {
+                out.push(joined);
+            }
+        }
+    }
+    out
+}
+
+/// Emits the rule `items\consequent ⟹ consequent` if it clears the
+/// confidence bar, and says whether it did. Both sides are written into a
+/// stack buffer, antecedent first, and boxed only for an emitted rule.
 fn try_rule(
     frequent: &FrequentItemsets,
-    itemset: &ItemSet,
-    consequent: &ItemSet,
+    items: &[Item],
+    consequent: u64,
     count: u64,
     min_confidence: f64,
-    n: f64,
-) -> Option<Rule> {
-    let antecedent = itemset.difference(consequent);
+    sink: &mut impl FnMut(Rule),
+) -> bool {
+    let mut sides = [Item(0); 64];
+    let split = items.len() - consequent.count_ones() as usize;
+    let mut next = [0, split];
+    for (i, &item) in items.iter().enumerate() {
+        let side = ((consequent >> i) & 1) as usize;
+        sides[next[side]] = item;
+        next[side] += 1;
+    }
+    let (antecedent, consequent) = sides[..items.len()].split_at(split);
     debug_assert!(!antecedent.is_empty());
     // The antecedent is a subset of a frequent set, hence frequent itself.
     let antecedent_count = frequent
-        .support(&antecedent)
+        .support_of(antecedent)
         .expect("antecedent of a frequent itemset must be frequent");
-    let consequent_count = frequent
-        .support(consequent)
-        .expect("consequent of a frequent itemset must be frequent");
     let confidence = count as f64 / antecedent_count as f64;
-    (confidence >= min_confidence).then(|| Rule {
-        antecedent,
-        consequent: consequent.clone(),
-        support_count: count,
-        support: count as f64 / n,
-        confidence,
-        antecedent_support: antecedent_count as f64 / n,
-        consequent_support: consequent_count as f64 / n,
-    })
+    let confident = confidence >= min_confidence;
+    if confident {
+        let consequent_count = frequent
+            .support_of(consequent)
+            .expect("consequent of a frequent itemset must be frequent");
+        let n = frequent.num_transactions().max(1) as f64;
+        sink(Rule {
+            antecedent: ItemSet::from_sorted(antecedent.to_vec()),
+            consequent: ItemSet::from_sorted(consequent.to_vec()),
+            support_count: count,
+            support: count as f64 / n,
+            confidence,
+            antecedent_support: antecedent_count as f64 / n,
+            consequent_support: consequent_count as f64 / n,
+        });
+    }
+    confident
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apriori::{Apriori, AprioriParams};
+    use crate::apriori::{apriori_gen, Apriori, AprioriParams};
     use crate::dataset::Dataset;
-    use crate::item::Item;
     use crate::transaction::Transaction;
+
+    /// The growth this module had before consequents were masks: each
+    /// level by the general `apriori_gen`, each evaluation through a boxed
+    /// difference and two hashed lookups. Kept as the definition of the
+    /// rule order and of the `evaluated` count that parallel rule
+    /// generation charges.
+    fn grow_rules_by_sets(
+        frequent: &FrequentItemsets,
+        itemset: &ItemSet,
+        min_confidence: f64,
+    ) -> (Vec<Rule>, u64) {
+        let count = frequent.support(itemset).unwrap();
+        let n = frequent.num_transactions().max(1) as f64;
+        let try_rule = |consequent: &ItemSet| {
+            let antecedent = itemset.difference(consequent);
+            let antecedent_count = frequent.support(&antecedent).unwrap();
+            let consequent_count = frequent.support(consequent).unwrap();
+            let confidence = count as f64 / antecedent_count as f64;
+            (confidence >= min_confidence).then(|| Rule {
+                antecedent,
+                consequent: consequent.clone(),
+                support_count: count,
+                support: count as f64 / n,
+                confidence,
+                antecedent_support: antecedent_count as f64 / n,
+                consequent_support: consequent_count as f64 / n,
+            })
+        };
+        let mut out = Vec::new();
+        let mut evaluated = 0u64;
+        let mut consequents: Vec<ItemSet> = Vec::new();
+        for item in itemset {
+            let consequent = ItemSet::singleton(item);
+            evaluated += 1;
+            if let Some(rule) = try_rule(&consequent) {
+                out.push(rule);
+                consequents.push(consequent);
+            }
+        }
+        while !consequents.is_empty() && consequents[0].len() + 1 < itemset.len() {
+            let next = apriori_gen(&consequents);
+            consequents = next
+                .into_iter()
+                .filter_map(|consequent| {
+                    evaluated += 1;
+                    let rule = try_rule(&consequent)?;
+                    out.push(rule);
+                    Some(consequent)
+                })
+                .collect();
+        }
+        (out, evaluated)
+    }
+
+    /// Every field of a rule, its `f64`s as bits.
+    fn exactly(rule: &Rule) -> (ItemSet, ItemSet, u64, [u64; 4]) {
+        let measures = [
+            rule.support,
+            rule.confidence,
+            rule.antecedent_support,
+            rule.consequent_support,
+        ];
+        let bits = measures.map(f64::to_bits);
+        (
+            rule.antecedent.clone(),
+            rule.consequent.clone(),
+            rule.support_count,
+            bits,
+        )
+    }
+
+    /// On lattices six levels and more deep, at confidences from none to
+    /// all-or-nothing, the mask growth emits the set growth's rules in its
+    /// order, bit for bit, after as many evaluations, itemset by itemset.
+    #[test]
+    fn mask_growth_is_the_set_growth_rule_for_rule() {
+        use rand::prelude::*;
+        for seed in [5, 17, 29] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let transactions: Vec<Transaction> = (0..80)
+                .map(|tid| {
+                    let items = (0..9).filter(|_| rng.gen_bool(0.75)).map(Item).collect();
+                    Transaction::new(tid, items)
+                })
+                .collect();
+            let run = Apriori::new(AprioriParams::with_min_support_count(8)).mine(&transactions);
+            let depth = run.frequent.max_len();
+            assert!(depth >= 6, "seed {seed}: {depth} levels");
+            for conf in [0.0, 0.5, 0.7, 1.0] {
+                let mut want_all = Vec::new();
+                for (itemset, _) in run.frequent.iter().filter(|(s, _)| s.len() >= 2) {
+                    let (got, evaluated) = rules_for_itemset_counted(&run.frequent, itemset, conf);
+                    let (want, want_evaluated) = grow_rules_by_sets(&run.frequent, itemset, conf);
+                    let on = format!("seed {seed}, {itemset} at {conf}");
+                    let got: Vec<_> = got.iter().map(exactly).collect();
+                    assert_eq!(got, want.iter().map(exactly).collect::<Vec<_>>(), "{on}");
+                    assert_eq!(evaluated, want_evaluated, "{on}");
+                    want_all.extend(want);
+                }
+                assert!(!want_all.is_empty(), "seed {seed} at {conf}: no rules");
+                let all: Vec<_> = generate_rules(&run.frequent, conf)
+                    .iter()
+                    .map(exactly)
+                    .collect();
+                assert_eq!(all, want_all.iter().map(exactly).collect::<Vec<_>>());
+            }
+        }
+    }
 
     fn table1() -> Dataset {
         Dataset::from_named_transactions(&[
@@ -331,6 +468,13 @@ mod tests {
         want.sort();
         assert!(want.len() > 300, "{} rules", want.len());
         assert_eq!(got, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "masks hold 64 items")]
+    fn a_65_set_is_refused_before_any_lookup() {
+        let items: Vec<Item> = (0..65).map(Item).collect();
+        grow_rules(&FrequentItemsets::default(), &items, 1, 0.5, &mut |_| {});
     }
 
     #[test]

@@ -32,41 +32,38 @@ use crate::itemset::ItemSet;
 /// assert_eq!(maximal, vec![(ItemSet::from([1, 2, 3]), 3)]);
 /// ```
 pub fn maximal_itemsets(frequent: &FrequentItemsets) -> Vec<(ItemSet, u64)> {
-    let max_len = frequent.max_len();
-    let mut out = Vec::new();
-    for size in 1..=max_len {
-        let supersets = frequent.level(size + 1);
-        for (set, count) in frequent.level(size) {
-            // A set is maximal iff it extends into no frequent superset.
-            // Supersets of size+1 suffice: anti-monotonicity means any
-            // larger frequent superset implies one at size+1.
-            let has_frequent_superset = supersets.iter().any(|(sup, _)| set.is_subset_of(sup));
-            if !has_frequent_superset {
-                out.push((set.clone(), *count));
-            }
-        }
-    }
-    out
+    // A set is maximal iff it extends into no frequent superset.
+    // Supersets of size+1 suffice: anti-monotonicity means any larger
+    // frequent superset implies one at size+1.
+    uncovered(frequent, false)
 }
 
 /// Extracts the closed frequent itemsets (no proper superset with equal
 /// support), lexicographically ordered within each size.
 pub fn closed_itemsets(frequent: &FrequentItemsets) -> Vec<(ItemSet, u64)> {
-    let max_len = frequent.max_len();
+    // Any superset has support ≤ count; equality at size+1 decides
+    // closedness (a larger equal-support superset implies an equal-support
+    // one at size+1 by anti-monotonicity).
+    uncovered(frequent, true)
+}
+
+/// The sets of every `F_k` that no set of `F_{k+1}` covers (contains, with
+/// an equal count if `same_count`). Each `(k+1)`-set marks its `k`-subsets
+/// by lookup, so a level costs `(k+1)·|F_{k+1}|` searches.
+fn uncovered(frequent: &FrequentItemsets, same_count: bool) -> Vec<(ItemSet, u64)> {
     let mut out = Vec::new();
-    for size in 1..=max_len {
-        let supersets = frequent.level(size + 1);
-        for (set, count) in frequent.level(size) {
-            // Any superset has support ≤ count; equality at size+1 decides
-            // closedness (a larger equal-support superset implies an
-            // equal-support one at size+1 by anti-monotonicity).
-            let absorbed = supersets
-                .iter()
-                .any(|(sup, sc)| sc == count && set.is_subset_of(sup));
-            if !absorbed {
-                out.push((set.clone(), *count));
+    for size in 1..=frequent.max_len() {
+        let level = frequent.level(size);
+        let mut covered = vec![false; level.len()];
+        for (sup, sup_count) in frequent.level(size + 1) {
+            for subset in sup.subsets_dropping_one() {
+                if let Some(at) = frequent.position(subset.items()) {
+                    covered[at] |= !same_count || level[at].1 == *sup_count;
+                }
             }
         }
+        let kept = level.iter().zip(covered).filter(|(_, covered)| !covered);
+        out.extend(kept.map(|(entry, _)| entry.clone()));
     }
     out
 }
@@ -155,6 +152,52 @@ mod tests {
         for (m, _) in maximal_itemsets(&f) {
             assert!(closed.contains(&m), "maximal {m} not closed");
         }
+    }
+
+    /// The definition the summaries used to run: each set of `F_k` scans
+    /// all of `F_{k+1}` for a covering superset.
+    fn by_scan(frequent: &FrequentItemsets, same_count: bool) -> Vec<(ItemSet, u64)> {
+        let mut out = Vec::new();
+        for size in 1..=frequent.max_len() {
+            let supersets = frequent.level(size + 1);
+            for (set, count) in frequent.level(size) {
+                let covered = supersets
+                    .iter()
+                    .any(|(sup, sc)| (!same_count || sc == count) && set.is_subset_of(sup));
+                if !covered {
+                    out.push((set.clone(), *count));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn summaries_are_the_scan_definition_on_seeded_lattices() {
+        use crate::item::Item;
+        use crate::transaction::Transaction;
+        use rand::prelude::*;
+        let mut closed_differs = false;
+        for seed in 0..6 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let transactions: Vec<Transaction> = (0..60)
+                .map(|tid| {
+                    let items = (0..12).filter(|_| rng.gen_bool(0.45)).map(Item).collect();
+                    Transaction::new(tid, items)
+                })
+                .collect();
+            for (min_count, max_k) in [(2, 3), (3, 99), (6, 99), (12, 99)] {
+                let params = AprioriParams::with_min_support_count(min_count).max_k(max_k);
+                let f = Apriori::new(params).mine(&transactions).frequent;
+                let on = format!("seed {seed}, min count {min_count}, max k {max_k}");
+                let (maximal, closed) = (maximal_itemsets(&f), closed_itemsets(&f));
+                assert_eq!(maximal, by_scan(&f, false), "{on}");
+                assert_eq!(closed, by_scan(&f, true), "{on}");
+                assert!(maximal.len() < f.len(), "{on}: nothing to cover");
+                closed_differs |= closed != maximal;
+            }
+        }
+        assert!(closed_differs, "no lattice tells closed from maximal");
     }
 
     #[test]

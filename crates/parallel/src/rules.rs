@@ -27,7 +27,7 @@ pub struct ParallelRulesRun {
 }
 
 /// Per-rule-candidate work constant: one confidence evaluation is a pair
-/// of hash probes plus an arithmetic check.
+/// of support look-ups plus an arithmetic check.
 const T_RULE: f64 = 300e-9;
 
 /// Generates rules from a (replicated) frequent lattice on `sim`'s

@@ -6,8 +6,10 @@
 # message counts are all in there, so a host-only change must leave every
 # file identical. CD/IDD/HD x counter also run natively on two ranks, where
 # only stdout without its host timings repeats: candidates per pass, grid,
-# itemsets and bytes moved. With the same binary on both sides it is a
-# determinism check.
+# itemsets and bytes moved. Serial `mine --rules` runs on a dense dataset
+# with each counter at three confidences and three `--top` sizes, stdout
+# compared without its `(…s)` timing: the rule count and every printed
+# rule. With the same binary on both sides it is a determinism check.
 #
 # usage: scripts/metrics_cmp.sh OLD_ARMINE NEW_ARMINE
 set -euo pipefail
@@ -23,6 +25,8 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 "$new" gen --out "$tmp/db.txt" --transactions 4000 --items 300 --patterns 200 --seed 7 > /dev/null
+"$new" gen --out "$tmp/dense.txt" --transactions 2000 --items 250 --patterns 120 \
+    --avg-len 10 --pattern-len 4 --seed 7 > /dev/null
 
 total=0
 same=0
@@ -61,6 +65,17 @@ compare_native() {
     done
     tally "$name"
 }
+# compare_rules NAME FLAG...: one serial `mine` per binary on the dense
+# dataset, stdout compared without the `(…s)` timing.
+compare_rules() {
+    local name=$1
+    shift
+    for side in old new; do
+        "${!side}" mine --input "$tmp/dense.txt" --min-support 0.01 "$@" |
+            sed -E 's/\([0-9.]+s\)//' > "$tmp/$name.$side"
+    done
+    tally "$name"
+}
 
 for algorithm in cd npa pdm dd dd-comm idd idd-1src hd hpa; do
     for counter in hashtree trie vertical; do
@@ -74,6 +89,13 @@ for algorithm in cd idd hd; do
         --cluster "$root/experiments/clusters/two-speed.cluster" --placement adaptive
     for counter in hashtree trie vertical; do
         compare_native "$algorithm-$counter-native" --algorithm "$algorithm" --counter "$counter"
+    done
+done
+for counter in hashtree trie vertical; do
+    for conf in 0 0.5 1; do
+        for top in 0 20 1000000; do
+            compare_rules "mine-$counter-$conf-$top" --counter "$counter" --rules "$conf" --top "$top"
+        done
     done
 done
 

@@ -137,6 +137,33 @@ fn native_adaptive_placement_on_a_slow_rank_mines_the_same_lattice() {
     }
 }
 
+/// A support look-up is a binary search in its level, so every
+/// formulation must hand back each `F_k` as `k`-sets in strictly ascending
+/// order: all nine on sim, and CD, IDD and HD on native ranks.
+#[test]
+fn every_level_of_every_lattice_is_strictly_ascending() {
+    let dataset = quest(400, 90, 30, 919);
+    let params = ParallelParams::with_min_support_count(10)
+        .page_size(50)
+        .max_k(4);
+    let hd = Algorithm::Hd { group_threshold: 8 };
+    let native = [Algorithm::Cd, Algorithm::Idd, hd];
+    let sim_runs = ALL_ALGORITHMS.map(|algorithm| (algorithm, ExecBackend::Sim));
+    let native_runs = native.map(|algorithm| (algorithm, ExecBackend::Native));
+    for (algorithm, backend) in sim_runs.into_iter().chain(native_runs) {
+        let run = ParallelMiner::new(4)
+            .backend(backend)
+            .mine(algorithm, &dataset, &params);
+        let on = format!("{} on {backend}", algorithm.name());
+        assert_eq!(run.frequent.max_len(), 4, "{on}");
+        for k in 1..=4 {
+            let level = run.frequent.level(k);
+            assert!(level.iter().all(|(set, _)| set.len() == k), "{on}: F_{k}");
+            assert!(level.windows(2).all(|w| w[0].0 < w[1].0), "{on}: F_{k}");
+        }
+    }
+}
+
 /// Native runs populate per-rank wall timings; sim runs don't.
 #[test]
 fn wall_timings_populated_only_on_native() {
