@@ -109,6 +109,16 @@ fn at_least_one<T: std::fmt::Display + PartialOrd + From<u8>>(
     in_range(flag, value, |v| *v >= T::from(1), "1 or more")
 }
 
+/// A flag that may be absent but, when given, is at least 1 (a limit of 0
+/// would otherwise be read as 1 or ignored).
+fn optional_at_least_one<T>(args: &Args, flag: &str) -> Result<Option<T>, ArgError>
+where
+    T: std::str::FromStr + std::fmt::Display + PartialOrd + From<u8>,
+{
+    let value = args.optional(flag)?;
+    value.map(|v| at_least_one(flag, v)).transpose()
+}
+
 /// `gen --format`: each on-disk format and whether it is the binary one.
 const FORMATS: [Named<bool>; 2] = [("text", false), ("binary", true)];
 
@@ -176,7 +186,7 @@ fn min_support(args: &Args) -> Result<MinSupport, ArgError> {
 fn cmd_mine(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let input: String = args.required("input")?;
     let support = min_support(args)?;
-    let max_k: Option<usize> = args.optional("max-k")?;
+    let max_k: Option<usize> = optional_at_least_one(args, "max-k")?;
     let rules_conf: Option<f64> = args
         .optional("rules")?
         .map(|conf| fraction("rules", conf))
@@ -282,8 +292,9 @@ const ALGORITHMS: [Named<MakeAlgorithm>; 9] = [
         })
     }),
     ("hpa", |args| {
+        let permille = args.or_default("eld-permille", 0)?;
         Ok(Algorithm::Hpa {
-            eld_permille: args.or_default("eld-permille", 0)?,
+            eld_permille: in_range("eld-permille", permille, |p| *p <= 1000, "0 to 1000")?,
         })
     }),
     ("pdm", |args| {
@@ -334,9 +345,9 @@ fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>>
     let support = min_support(args)?;
     let mut params = ParallelParams::with_min_support_count(0);
     params.min_support = support;
-    params.page_size = args.or_default("page-size", 1000)?;
-    params.max_k = args.optional("max-k")?;
-    params.memory_capacity = args.optional("memory-capacity")?;
+    params.page_size = at_least_one("page-size", args.or_default("page-size", 1000)?)?;
+    params.max_k = optional_at_least_one(args, "max-k")?;
+    params.memory_capacity = optional_at_least_one(args, "memory-capacity")?;
     params.counter = parse_counter(args)?;
     let placement: String = args.or_default("placement", "static".into())?;
     params.placement = choice("placement", &placement, &PlacementPolicy::ALL, |p| p.name())?;
@@ -522,7 +533,7 @@ const SUMMARY_KINDS: [Named<Summarize>; 2] =
 fn cmd_summary(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let input: String = args.required("input")?;
     let support = min_support(args)?;
-    let max_k: Option<usize> = args.optional("max-k")?;
+    let max_k: Option<usize> = optional_at_least_one(args, "max-k")?;
     let kind: String = args.or_default("kind", "maximal".into())?;
     let (kind, summarize) = choice("summary kind", &kind, &SUMMARY_KINDS, |k| k.0)?;
     args.finish()?;
@@ -882,6 +893,64 @@ mod tests {
             (with(&model, &["--procs", "0"]), "--procs", "0"),
             (with(&model, &["--procs", "-4"]), "--procs", "-4"),
             (with(&model, &["--procs", "nan"]), "--procs", "NaN"),
+            // Limits of zero were read as one (page size, memory capacity)
+            // or ignored (pass cap), and a per-mille above 1000 as 1000.
+            (
+                with(
+                    &hd,
+                    &["--procs", "2", "--min-count", "3", "--page-size", "0"],
+                ),
+                "--page-size",
+                "0",
+            ),
+            (
+                with(
+                    &hd,
+                    &["--procs", "2", "--min-count", "3", "--memory-capacity", "0"],
+                ),
+                "--memory-capacity",
+                "0",
+            ),
+            (
+                with(&hd, &["--procs", "2", "--min-count", "3", "--max-k", "0"]),
+                "--max-k",
+                "0",
+            ),
+            (
+                vec!["mine", "--input", &db, "--min-count", "3", "--max-k", "0"],
+                "--max-k",
+                "0",
+            ),
+            (
+                vec![
+                    "summary",
+                    "--input",
+                    &db,
+                    "--min-count",
+                    "3",
+                    "--max-k",
+                    "0",
+                ],
+                "--max-k",
+                "0",
+            ),
+            (
+                vec![
+                    "parallel",
+                    "--input",
+                    &db,
+                    "--algorithm",
+                    "hpa",
+                    "--procs",
+                    "2",
+                    "--min-count",
+                    "3",
+                    "--eld-permille",
+                    "5000",
+                ],
+                "--eld-permille",
+                "5000",
+            ),
         ];
         for (parts, flag, value) in &cases {
             assert_eq!(crate::run(&argv(parts), &mut Vec::new()), 2, "{parts:?}");

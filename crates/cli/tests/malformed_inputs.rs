@@ -91,8 +91,10 @@ fn malformed_datasets_exit_2_with_an_error_line() {
 }
 
 /// Four flag values that reached a library `assert!` (one of them inside a
-/// rank thread), a support count of zero, and three plan timers that
-/// reached the metrics registry's finiteness check, on both backends.
+/// rank thread), a support count of zero, limits of zero and a per-mille
+/// above 1000 that were silently read as another value, and three plan
+/// timers that reached the metrics registry's finiteness check, on both
+/// backends.
 #[test]
 fn out_of_range_flags_and_plan_timers_exit_2_with_an_error_line() {
     let dir = std::env::temp_dir().join("armine_cli_malformed_flags");
@@ -116,6 +118,13 @@ fn out_of_range_flags_and_plan_timers_exit_2_with_an_error_line() {
     cases.extend(
         backends.map(|b| format!("parallel {zero} --algorithm cd --procs 2 --backend {b}")),
     );
+    // Limits of zero were read as one or ignored, a per-mille above 1000 as
+    // 1000.
+    for flag in ["page-size 0", "memory-capacity 0", "max-k 0"] {
+        cases.extend(backends.map(|b| format!("{parallel} --algorithm cd --{flag} --backend {b}")));
+    }
+    cases.push(format!("mine --input {db} --min-count 1 --max-k 0"));
+    cases.push(format!("{parallel} --algorithm hpa --eld-permille 5000"));
     for case in &cases {
         assert_refused(armine().args(case.split_whitespace()), case);
     }

@@ -402,8 +402,8 @@ pub(crate) fn count_candidates(
 /// survives only if **all** of its `k-1`-subsets are in `prev` (the
 /// anti-monotonicity prune). The output is lexicographically sorted, so
 /// candidate *indices* mean the same candidate on every processor and CD's
-/// count reduction can sum plain vectors. ([`Apriori::mine`] writes the
-/// same rows straight into its counter's arena instead of boxing them.)
+/// count reduction can sum plain vectors. (The miners write the same rows
+/// straight into one arena with [`candidate_arena`] instead of boxing them.)
 pub fn apriori_gen(prev: &[ItemSet]) -> Vec<ItemSet> {
     let mut sets = Vec::new();
     candidate_arena(prev, ItemSet::items, |row| {
@@ -415,8 +415,9 @@ pub fn apriori_gen(prev: &[ItemSet]) -> Vec<ItemSet> {
 /// The join + prune of [`apriori_gen`] over the sorted `F_{k-1}` (rows read
 /// by `items`), writing `C_k` ascending into one arena strided by `k`: each
 /// join goes to the tail, is pruned there and is truncated if it fails.
-/// `keep` sees the arena after each survivor, and may take it.
-pub(crate) fn candidate_arena<T>(
+/// `keep` sees the arena after each survivor (its last `k` items), and may
+/// take it or truncate that row away.
+pub fn candidate_arena<T>(
     prev: &[T],
     items: impl Fn(&T) -> &[Item],
     mut keep: impl FnMut(&mut Vec<Item>),
@@ -466,19 +467,6 @@ pub(crate) fn candidate_arena<T>(
         i = block_end;
     }
     out
-}
-
-/// Counts, for each possible first item, how many of `candidates` start
-/// with it — the statistic the IDD bin-packing partitioner consumes. The
-/// paper notes candidates need not be stored for this; only the counts.
-pub fn first_item_histogram(candidates: &[ItemSet], num_items: u32) -> Vec<u64> {
-    let mut hist = vec![0u64; num_items as usize];
-    for c in candidates {
-        if let Some(first) = c.first() {
-            hist[first.index()] += 1;
-        }
-    }
-    hist
 }
 
 #[cfg(test)]
@@ -865,12 +853,6 @@ mod tests {
             let message = *built.unwrap_err().downcast::<&str>().unwrap();
             assert!(message.contains("strictly ascending"), "{message}");
         }
-    }
-
-    #[test]
-    fn first_item_histogram_counts() {
-        let cands = vec![set(&[0, 5]), set(&[0, 7]), set(&[3, 4])];
-        assert_eq!(first_item_histogram(&cands, 6), vec![2, 0, 0, 1, 0, 0]);
     }
 
     #[test]

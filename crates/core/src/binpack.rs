@@ -7,7 +7,9 @@
 //! item (more than `M/P`, increasingly likely as `P` grows), the paper's
 //! refinement splits that item by **second** item; `partition_two_level`
 //! implements it. A partitioner returns a plan, not lists: each processor
-//! reads its share out of the one candidate list ([`CandidatePartition::share`]).
+//! reads its share out of the one candidate set ([`CandidatePartition::share`]).
+//! Partitioners and shares read candidates as rows of items: item sets, or
+//! the rows of a `k`-strided arena such as a parallel run's `C_k`.
 //!
 //! The packer is the classic Longest-Processing-Time greedy (the paper
 //! cites bin-packing [Papadimitriou & Steiglitz]; LPT's 4/3 bound is ample
@@ -16,7 +18,6 @@
 use crate::bitmap::ItemBitmap;
 use crate::hashtree::OwnershipFilter;
 use crate::item::Item;
-use crate::itemset::ItemSet;
 use std::collections::HashSet;
 
 /// The result of packing weighted units into bins.
@@ -131,32 +132,52 @@ impl CandidatePartition {
     }
 
     /// Processor `proc`'s share of `candidates` (the set the plan was made
-    /// for), lent in the order they appear there — so a share of a sorted
-    /// candidate list is sorted. Round-robin: the stride `proc, proc + P,
-    /// …`; otherwise the candidates `filters[proc]` owns.
-    pub fn share<'a>(
+    /// for: item sets, or the rows of a `k`-strided arena), lent in the
+    /// order they appear there — so a share of a sorted candidate list is
+    /// sorted. Round-robin: the stride `proc, proc + P, …`; otherwise the
+    /// candidates `filters[proc]` owns.
+    pub fn share<'a, C: AsRef<[Item]> + 'a>(
         &'a self,
-        candidates: &'a [ItemSet],
+        candidates: impl IntoIterator<Item = C, IntoIter: 'a>,
         proc: usize,
-    ) -> impl Iterator<Item = &'a ItemSet> {
+    ) -> impl Iterator<Item = C> + 'a {
         let (p, filter) = (self.num_procs(), &self.filters[proc]);
-        let mine = candidates.iter().enumerate().filter(move |&(i, c)| {
+        let mine = candidates.into_iter().enumerate().filter(move |(i, c)| {
             if self.by_position {
                 i % p == proc
             } else {
-                filter.owns(c)
+                filter.owns(c.as_ref())
             }
         });
         mine.map(|(_, c)| c)
     }
 }
 
+/// Counts, for each possible first item, how many of `candidates` start
+/// with it — the statistic the IDD bin-packing partitioner consumes. The
+/// paper notes candidates need not be stored for this; only the counts.
+fn first_item_histogram(
+    candidates: impl IntoIterator<Item: AsRef<[Item]>>,
+    num_items: u32,
+) -> Vec<u64> {
+    let mut hist = vec![0u64; num_items as usize];
+    for c in candidates {
+        if let Some(first) = c.as_ref().first() {
+            hist[first.index()] += 1;
+        }
+    }
+    hist
+}
+
 /// DD's round-robin partition: candidate `i` goes to processor `i mod P`.
 /// No ownership filter exists (DD cannot prune at the root — that is its
 /// redundant-work problem).
-pub fn partition_round_robin(candidates: &[ItemSet], p: usize) -> CandidatePartition {
+pub fn partition_round_robin(
+    candidates: impl IntoIterator<Item: AsRef<[Item]>>,
+    p: usize,
+) -> CandidatePartition {
     assert!(p > 0);
-    let n = candidates.len();
+    let n = candidates.into_iter().count();
     let loads = (0..p).map(|i| (n / p + usize::from(i < n % p)) as u64);
     let imbalance = Packing {
         assignment: Vec::new(),
@@ -176,13 +197,13 @@ pub fn partition_round_robin(candidates: &[ItemSet], p: usize) -> CandidateParti
 /// shares), and give each processor the matching bitmap filter. Uniform
 /// capacities reproduce the classic equal-share packing bit for bit.
 pub fn partition_by_first_item(
-    candidates: &[ItemSet],
+    candidates: impl IntoIterator<Item: AsRef<[Item]>>,
     num_items: u32,
     capacities: &[f64],
 ) -> CandidatePartition {
     let p = capacities.len();
     assert!(p > 0);
-    let hist = crate::apriori::first_item_histogram(candidates, num_items);
+    let hist = first_item_histogram(candidates, num_items);
     // Pack only items that actually start candidates.
     let active: Vec<u32> = (0..num_items).filter(|&i| hist[i as usize] > 0).collect();
     let weights: Vec<u64> = active.iter().map(|&i| hist[i as usize]).collect();
@@ -201,20 +222,22 @@ pub fn partition_by_first_item(
 /// The two-level refinement: first items whose candidate count exceeds
 /// `split_threshold` are split by second item, so a single hot first item
 /// can be spread over several processors. Candidates must have at least two
-/// items (the refinement only matters for k ≥ 2 passes).
+/// items (the refinement only matters for k ≥ 2 passes). They are read
+/// twice: once for the first-item counts, once for the split items' pairs.
 pub fn partition_two_level(
-    candidates: &[ItemSet],
+    candidates: impl IntoIterator<Item: AsRef<[Item]>, IntoIter: Clone>,
     num_items: u32,
     capacities: &[f64],
     split_threshold: u64,
 ) -> CandidatePartition {
     let p = capacities.len();
     assert!(p > 0);
+    let candidates = candidates.into_iter();
     assert!(
-        candidates.iter().all(|c| c.len() >= 2),
+        candidates.clone().all(|c| c.as_ref().len() >= 2),
         "two-level partitioning requires candidates of size >= 2"
     );
-    let hist = crate::apriori::first_item_histogram(candidates, num_items);
+    let hist = first_item_histogram(candidates.clone(), num_items);
 
     /// A packable unit: a whole first-item group, or one (first, second)
     /// subgroup of a split first item.
@@ -239,9 +262,9 @@ pub fn partition_two_level(
     let mut pair_hist: std::collections::HashMap<(Item, Item), u64> =
         std::collections::HashMap::new();
     for c in candidates {
-        let first = c.first().unwrap();
+        let (first, second) = (c.as_ref()[0], c.as_ref()[1]);
         if split[first.index()] {
-            *pair_hist.entry((first, c.second().unwrap())).or_insert(0) += 1;
+            *pair_hist.entry((first, second)).or_insert(0) += 1;
         }
     }
     let mut pairs: Vec<((Item, Item), u64)> = pair_hist.into_iter().collect();
@@ -272,6 +295,7 @@ pub fn partition_two_level(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::itemset::ItemSet;
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from(ids)
@@ -515,6 +539,12 @@ mod tests {
         let part = partition_by_first_item(&cands, 8, &[1.0; 1]);
         assert_eq!(shares(&part, &cands), [cands]);
         assert_eq!(part.imbalance, 0.0);
+    }
+
+    #[test]
+    fn first_item_histogram_counts() {
+        let cands = vec![set(&[0, 5]), set(&[0, 7]), set(&[3, 4])];
+        assert_eq!(first_item_histogram(&cands, 6), vec![2, 0, 0, 1, 0, 0]);
     }
 
     #[test]

@@ -36,9 +36,10 @@
 //! at slots in insertion order.
 //!
 //! The serial pass hands the table the arena candidate generation wrote,
-//! adopted without a copy. [`CounterBackend::build`] only reads its offer:
-//! every parallel driver lends the run's one `C_k`, the whole list, a chunk
-//! of it or its share of it (DESIGN.md §5.7).
+//! adopted without a copy. [`CounterBackend::build`] only reads its offer,
+//! anything that yields `k`-item rows (`AsRef<[Item]>`): every parallel
+//! driver lends rows of the run's one `C_k` arena — all of them, a run of
+//! them or its share of them (DESIGN.md §5.7).
 
 use crate::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
 use crate::item::Item;
@@ -47,7 +48,6 @@ use crate::pairs::PairCounter;
 use crate::transaction::Transaction;
 use crate::trie::CandidateTrie;
 use crate::vertical::VerticalCounter;
-use std::borrow::Borrow;
 
 /// Accumulated work counters of a candidate-counting structure.
 ///
@@ -188,9 +188,10 @@ pub struct CandidateTable {
 }
 
 impl CandidateTable {
-    /// Copies `candidates` (given or lent) into the arena, dropping every
-    /// repeat of an earlier candidate (the first occurrence keeps its slot;
-    /// `stats.inserts` counts the whole offer).
+    /// Copies `candidates` (given or lent: item sets, or rows of an arena)
+    /// into the arena, dropping every repeat of an earlier candidate (the
+    /// first occurrence keeps its slot; `stats.inserts` counts the whole
+    /// offer).
     ///
     /// Every offer the miners make is strictly ascending, which the copy
     /// itself confirms by comparing each candidate with the one before
@@ -198,16 +199,16 @@ impl CandidateTable {
     ///
     /// # Panics
     /// If `k == 0` or a candidate does not have exactly `k` items.
-    pub(crate) fn new(k: usize, candidates: impl IntoIterator<Item: Borrow<ItemSet>>) -> Self {
+    pub(crate) fn new(k: usize, candidates: impl IntoIterator<Item: AsRef<[Item]>>) -> Self {
         assert!(k >= 1, "candidate size must be at least 1");
         let candidates = candidates.into_iter();
         let mut items: Vec<Item> = Vec::with_capacity(k * candidates.size_hint().0);
         let mut ascending = true;
         for set in candidates {
-            let set: &ItemSet = set.borrow();
-            assert_eq!(set.len(), k, "candidate {set} has wrong size for k={k}");
-            ascending &= items.len() < k || items[items.len() - k..] < *set.items();
-            items.extend_from_slice(set.items());
+            let set = set.as_ref();
+            assert_eq!(set.len(), k, "candidate {set:?} has wrong size for k={k}");
+            ascending &= items.len() < k || items[items.len() - k..] < *set;
+            items.extend_from_slice(set);
         }
         let inserts = (items.len() / k) as u64;
         if !ascending {
@@ -428,7 +429,8 @@ impl CounterBackend {
     /// Builds the selected structure over one pass's size-`k`
     /// candidates. `tree` shapes the hash tree and is ignored by the
     /// other backends. The candidates are only read: give a `Vec<ItemSet>`,
-    /// or lend a `&[ItemSet]` or an iterator of `&ItemSet` and keep the list.
+    /// or lend a `&[ItemSet]`, an iterator of `&ItemSet` or the rows of a
+    /// `k`-strided arena (`arena.chunks_exact(k)`) and keep them.
     ///
     /// At `k = 2` the trie and the vertical backend count through the
     /// direct pair table of the `pairs` module (one probe per item pair)
@@ -440,7 +442,7 @@ impl CounterBackend {
         self,
         k: usize,
         tree: HashTreeParams,
-        candidates: impl IntoIterator<Item: Borrow<ItemSet>>,
+        candidates: impl IntoIterator<Item: AsRef<[Item]>>,
     ) -> Box<dyn CandidateCounter> {
         self.index(tree, CandidateTable::new(k, candidates))
     }
@@ -722,21 +724,25 @@ mod tests {
                 let want: Vec<(ItemSet, u64)> = distinct.iter().cloned().zip(want).collect();
                 assert_eq!(counter.frequent(1), want, "{on}");
 
-                // The offer is only read: lending it, as a slice or as an
+                // The offer is only read: lending it, as a slice, as an
                 // iterator of references (filtered, so of unknown length,
-                // like a partitioned rank's share), builds what giving it
-                // builds — slot for slot, which for the hash tree is leaf
-                // for leaf.
+                // like a partitioned rank's share) or as the rows of a
+                // `k`-strided arena (as the parallel drivers lend `C_k`),
+                // builds what giving it builds — slot for slot, which for
+                // the hash tree is leaf for leaf.
                 for offer in [&sets, &shuffled] {
                     let mut given = backend.build(k, splitting, offer.clone());
                     given.count_all(&txs, &all);
                     let slice = backend.build(k, splitting, &offer[..]);
                     let refs = backend.build(k, splitting, offer.iter().filter(|_| true));
+                    let arena = flat(offer);
+                    let rows = backend.build(k, splitting, arena.chunks_exact(k));
                     // An ascending offer's arena is adopted as it stands.
                     let adopted = (offer == &sets).then(|| {
                         backend.index(splitting, CandidateTable::from_arena(k, flat(offer)))
                     });
-                    for mut lent in [Some(slice), Some(refs), adopted].into_iter().flatten() {
+                    let lent = [Some(slice), Some(refs), Some(rows), adopted];
+                    for mut lent in lent.into_iter().flatten() {
                         assert_eq!(lent.stats().inserts, offer.len() as u64, "{on}");
                         lent.count_all(&txs, &all);
                         assert_eq!(lent.stats(), given.stats(), "{on}");

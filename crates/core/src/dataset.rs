@@ -3,16 +3,19 @@
 use crate::item::{Item, ItemInterner};
 use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
+use std::sync::Arc;
 
 /// A horizontal transaction database (`T` in the paper), optionally with an
 /// item-name interner for human-readable examples.
 ///
 /// Parallel algorithms assume the transactions are evenly distributed among
 /// processors (Section III); [`Dataset::partition`] produces that
-/// distribution.
+/// distribution. The transactions live in one shared allocation
+/// ([`Dataset::shared_transactions`]): a parallel run's ranks view ranges
+/// of it, and cloning a `Dataset` copies no transaction.
 #[derive(Debug, Clone, Default)]
 pub struct Dataset {
-    transactions: Vec<Transaction>,
+    transactions: Arc<Vec<Transaction>>,
     interner: Option<ItemInterner>,
     num_items: u32,
 }
@@ -36,7 +39,7 @@ impl Dataset {
                 .expect("item id u32::MAX leaves no room for the universe size")
         });
         Dataset {
-            transactions,
+            transactions: Arc::new(transactions),
             interner: None,
             num_items,
         }
@@ -52,7 +55,7 @@ impl Dataset {
             "transaction item exceeds declared universe"
         );
         Dataset {
-            transactions,
+            transactions: Arc::new(transactions),
             interner: None,
             num_items,
         }
@@ -72,7 +75,7 @@ impl Dataset {
             .collect();
         let num_items = interner.len() as u32;
         Dataset {
-            transactions,
+            transactions: Arc::new(transactions),
             interner: Some(interner),
             num_items,
         }
@@ -81,6 +84,14 @@ impl Dataset {
     /// The transactions.
     #[inline]
     pub fn transactions(&self) -> &[Transaction] {
+        &self.transactions
+    }
+
+    /// The transactions' one allocation, shared: wrapping the `Vec` moved
+    /// only its header, and the parallel miner places its ranks on ranges
+    /// of it by cut points instead of copying it.
+    #[inline]
+    pub fn shared_transactions(&self) -> &Arc<Vec<Transaction>> {
         &self.transactions
     }
 
@@ -144,7 +155,8 @@ impl Dataset {
 
     /// Cut points of [`Dataset::partition`]: part `i` is `bounds[i]..bounds[i + 1]`
     /// and the first `len() % p` parts are one transaction longer. The
-    /// parallel miner views these ranges of one slab instead of copying them.
+    /// parallel miner views these ranges of [`Dataset::shared_transactions`]
+    /// instead of copying them.
     pub fn partition_bounds(&self, p: usize) -> Vec<usize> {
         assert!(p > 0, "cannot partition into zero parts");
         let (base, extra) = (self.len() / p, self.len() % p);
@@ -167,7 +179,7 @@ impl Dataset {
     /// partitioner's first-item statistics.
     pub fn item_counts(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.num_items as usize];
-        for t in &self.transactions {
+        for t in self.transactions.iter() {
             for item in t.items() {
                 counts[item.index()] += 1;
             }

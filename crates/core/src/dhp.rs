@@ -22,7 +22,7 @@
 //! candidates counted.
 
 use crate::apriori::{
-    apriori_gen, count_candidates, FrequentItemsets, MinSupport, MiningRun, PassInfo,
+    candidate_arena, count_candidates, FrequentItemsets, MinSupport, MiningRun, PassInfo,
 };
 use crate::bitmap::ItemBitmap;
 use crate::counter::CounterBackend;
@@ -57,24 +57,24 @@ impl HashFilter {
         self.buckets.is_empty()
     }
 
-    /// Hashes `set` to its bucket index.
+    /// Hashes the itemset `set` to its bucket index.
     #[inline]
-    pub fn bucket_of(&self, set: &ItemSet) -> usize {
+    pub fn bucket_of(&self, set: &[Item]) -> usize {
         (hash_itemset(set) % self.buckets.len() as u64) as usize
     }
 
     /// Adds one occurrence of `set`.
     #[inline]
     pub fn add(&mut self, set: &ItemSet) {
-        let b = self.bucket_of(set);
+        let b = self.bucket_of(set.items());
         self.buckets[b] += 1;
     }
 
-    /// Whether `set`'s bucket reaches `min_count` — a necessary condition
-    /// for `set` to be frequent (the bucket aggregates every subset that
-    /// hashed there, so it upper-bounds σ(set)).
+    /// Whether the bucket of the itemset `set` reaches `min_count` — a
+    /// necessary condition for `set` to be frequent (the bucket aggregates
+    /// every subset that hashed there, so it upper-bounds σ(set)).
     #[inline]
-    pub fn admits(&self, set: &ItemSet, min_count: u64) -> bool {
+    pub fn admits(&self, set: &[Item], min_count: u64) -> bool {
         self.buckets[self.bucket_of(set)] >= min_count
     }
 
@@ -291,12 +291,7 @@ impl Dhp {
 
         let mut k = 2;
         while self.params.max_k.is_none_or(|m| k <= m) {
-            let prev: Vec<ItemSet> = levels
-                .last()
-                .unwrap()
-                .iter()
-                .map(|(s, _)| s.clone())
-                .collect();
+            let prev = levels.last().expect("F_1 is always committed");
             if prev.is_empty() {
                 break;
             }
@@ -304,18 +299,25 @@ impl Dhp {
             // every frequent (k-1)-itemset cannot occur in any frequent
             // itemset of size >= k).
             if self.params.trim {
-                db = trim_database(&db, levels.last().unwrap(), num_items as u32, k);
+                db = trim_database(&db, prev, num_items as u32, k);
             }
-            // Generate with the Apriori join+prune, then the bucket prune;
-            // the survivors are flattened into the arena the counter adopts.
-            let apriori_cands = apriori_gen(&prev);
-            let apriori_count = apriori_cands.len();
-            let candidates: Vec<Item> = apriori_cands
-                .iter()
-                .filter(|c| filter.as_ref().is_none_or(|f| f.admits(c, min_count)))
-                .flat_map(ItemSet::items)
-                .copied()
-                .collect();
+            // Generate with the Apriori join+prune into the arena the
+            // counter adopts, dropping each survivor the bucket prune refuses.
+            let mut apriori_count = 0;
+            let candidates = candidate_arena(
+                prev,
+                |(s, _)| s.items(),
+                |arena| {
+                    apriori_count += 1;
+                    let row = arena.len() - k;
+                    if filter
+                        .as_ref()
+                        .is_some_and(|f| !f.admits(&arena[row..], min_count))
+                    {
+                        arena.truncate(row);
+                    }
+                },
+            );
             if candidates.is_empty() {
                 break;
             }
@@ -417,13 +419,13 @@ mod tests {
         for _ in 0..5 {
             f.add(&a);
         }
-        assert!(f.admits(&a, 5));
-        assert!(!f.admits(&a, 6));
+        assert!(f.admits(a.items(), 5));
+        assert!(!f.admits(a.items(), 6));
         // A colliding set inherits the bucket count — false positives are
         // allowed (over-approximation), false negatives are not.
         let other = ItemSet::from([9, 17]);
-        if f.bucket_of(&other) == f.bucket_of(&a) {
-            assert!(f.admits(&other, 5));
+        if f.bucket_of(other.items()) == f.bucket_of(a.items()) {
+            assert!(f.admits(other.items(), 5));
         }
     }
 

@@ -9,16 +9,15 @@
 
 use crate::bitmap::ItemBitmap;
 use crate::item::Item;
-use crate::itemset::ItemSet;
 use std::collections::HashSet;
 
 /// Root-level (and optionally second-level) pruning for the subset walk.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OwnershipFilter {
     mode: Mode,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Mode {
     /// No pruning: the serial algorithm, CD, and DD.
     All,
@@ -100,12 +99,12 @@ impl OwnershipFilter {
     /// subset walk can only reach it through a root item (and, for a split
     /// first item, a second item) the filter admits — so this is also the
     /// membership predicate of that processor's candidate share.
-    pub fn owns(&self, candidate: &ItemSet) -> bool {
-        candidate.first().is_some_and(|first| {
+    pub fn owns(&self, candidate: &[Item]) -> bool {
+        candidate.first().is_some_and(|&first| {
             self.allows_root(first)
                 && candidate
-                    .second()
-                    .is_none_or(|second| self.allows_second(first, second))
+                    .get(1)
+                    .is_none_or(|&second| self.allows_second(first, second))
         })
     }
 
@@ -118,6 +117,7 @@ impl OwnershipFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::itemset::ItemSet;
 
     #[test]
     fn all_allows_everything() {
@@ -154,10 +154,11 @@ mod tests {
         // Item 3 is not owned at all.
         assert!(!f.allows_root(Item(3)));
         // `owns` is both levels at once.
-        assert!(f.owns(&ItemSet::from([1, 9])));
-        assert!(f.owns(&ItemSet::from([4, 7, 8])));
-        assert!(!f.owns(&ItemSet::from([4, 6])));
-        assert!(!f.owns(&ItemSet::from([3, 4])));
-        assert!(f.owns(&ItemSet::from([4])), "no second item to reject");
+        let owns = |ids: &[u32]| f.owns(ItemSet::from(ids).items());
+        assert!(owns(&[1, 9]));
+        assert!(owns(&[4, 7, 8]));
+        assert!(!owns(&[4, 6]));
+        assert!(!owns(&[3, 4]));
+        assert!(owns(&[4]), "no second item to reject");
     }
 }

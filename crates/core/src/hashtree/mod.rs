@@ -586,8 +586,11 @@ mod tests {
             let mut stats = crate::counter::CounterStats::default();
             let mut hits = 0;
             for (k, level) in (2..).zip(&levels) {
-                let owned: Vec<ItemSet> =
-                    level.iter().filter(|c| filter.owns(c)).cloned().collect();
+                let owned: Vec<ItemSet> = level
+                    .iter()
+                    .filter(|c| filter.owns(c.items()))
+                    .cloned()
+                    .collect();
                 let mut tree = HashTree::build(k, params, owned);
                 tree.count_all(&txs, &filter);
                 stats = stats.merged(&tree.stats());

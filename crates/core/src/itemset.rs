@@ -172,6 +172,14 @@ impl ItemSet {
     }
 }
 
+/// The items, so that an `ItemSet` and a row of a candidate arena are
+/// offered to the counting seam alike.
+impl AsRef<[Item]> for ItemSet {
+    fn as_ref(&self) -> &[Item] {
+        &self.items
+    }
+}
+
 impl From<Vec<Item>> for ItemSet {
     fn from(items: Vec<Item>) -> Self {
         ItemSet::new(items)

@@ -6,7 +6,7 @@
 //! randomly seeded per process, so we provide FNV-1a over the item ids —
 //! tiny, deterministic, and good enough for bucket spreading.
 
-use crate::itemset::ItemSet;
+use crate::item::Item;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -22,8 +22,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Stable hash of an itemset: FNV-1a over the little-endian item ids.
-pub fn hash_itemset(set: &ItemSet) -> u64 {
+/// Stable hash of an itemset's items: FNV-1a over the little-endian ids.
+pub fn hash_itemset(set: &[Item]) -> u64 {
     let mut h = FNV_OFFSET;
     for item in set {
         for b in item.id().to_le_bytes() {
@@ -34,9 +34,10 @@ pub fn hash_itemset(set: &ItemSet) -> u64 {
     h
 }
 
-/// The processor owning `set` under hash partitioning over `p` buckets.
+/// The processor owning the itemset `set` under hash partitioning over
+/// `p` buckets.
 #[inline]
-pub fn owner_of(set: &ItemSet, p: usize) -> usize {
+pub fn owner_of(set: &[Item], p: usize) -> usize {
     debug_assert!(p > 0);
     (hash_itemset(set) % p as u64) as usize
 }
@@ -44,12 +45,13 @@ pub fn owner_of(set: &ItemSet, p: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::itemset::ItemSet;
 
     #[test]
     fn deterministic_across_calls() {
         let s = ItemSet::from([3, 9, 14]);
-        assert_eq!(hash_itemset(&s), hash_itemset(&s));
-        assert_eq!(owner_of(&s, 7), owner_of(&s, 7));
+        assert_eq!(hash_itemset(s.items()), hash_itemset(s.items()));
+        assert_eq!(owner_of(s.items(), 7), owner_of(s.items(), 7));
     }
 
     #[test]
@@ -61,9 +63,9 @@ mod tests {
 
     #[test]
     fn different_sets_usually_differ() {
-        let a = hash_itemset(&ItemSet::from([1, 2, 3]));
-        let b = hash_itemset(&ItemSet::from([1, 2, 4]));
-        let c = hash_itemset(&ItemSet::from([2, 3]));
+        let a = hash_itemset(ItemSet::from([1, 2, 3]).items());
+        let b = hash_itemset(ItemSet::from([1, 2, 4]).items());
+        let c = hash_itemset(ItemSet::from([2, 3]).items());
         assert_ne!(a, b);
         assert_ne!(a, c);
     }
@@ -76,7 +78,7 @@ mod tests {
         for a in 0u32..10 {
             for b in 10..20 {
                 for c in 20..30 {
-                    loads[owner_of(&ItemSet::from([a, b, c]), 8)] += 1;
+                    loads[owner_of(&[Item(a), Item(b), Item(c)], 8)] += 1;
                 }
             }
         }

@@ -13,19 +13,19 @@ use crate::common::{build_counter_charged, count_batch_charged, PassResult, Rank
 use crate::config::ParallelParams;
 use armine_core::counter::CounterStats;
 use armine_core::hashtree::OwnershipFilter;
-use armine_core::ItemSet;
+use armine_core::Item;
 use armine_mpsim::{Comm, RecvFault};
 
-/// One CD counting pass.
+/// One CD counting pass over `candidates`, `C_k` as a `k`-strided arena.
 pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
     k: usize,
-    candidates: &[ItemSet],
+    candidates: &[Item],
     params: &ParallelParams,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
-    let total = candidates.len();
+    let total = candidates.len() / k;
     let cap = params.memory_capacity.unwrap_or(usize::MAX).max(1);
     let mut level = Vec::new();
     let mut stats = CounterStats::default();
@@ -36,7 +36,8 @@ pub(crate) fn count_pass(
         let end = (idx + cap).min(total);
         // Replicated counter over this chunk. apriori_gen is charged once.
         let gen_charge = if first_chunk { total } else { 0 };
-        let mut counter = build_counter_charged(comm, k, params, &candidates[idx..end], gen_charge);
+        let rows = candidates[idx * k..end * k].chunks_exact(k);
+        let mut counter = build_counter_charged(comm, k, params, rows, gen_charge);
         first_chunk = false;
         // Each scan (re-)reads the local slice of the database.
         comm.charge_io(ctx.local_bytes());
@@ -54,7 +55,7 @@ pub(crate) fn count_pass(
         scans += 1;
         idx = end;
     }
-    // Chunks are contiguous slices of the sorted candidate list, so the
+    // Chunks are contiguous row ranges of the sorted arena, so the
     // concatenated level is already lexicographically sorted.
     Ok(PassResult {
         level,

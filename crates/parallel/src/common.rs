@@ -4,7 +4,7 @@
 //! (slices, pages, re-balanced shares), and the ring pipeline of Figure 6.
 
 use crate::config::{ParallelParams, PlacementPolicy};
-use armine_core::apriori::apriori_gen;
+use armine_core::apriori::candidate_arena;
 use armine_core::counter::{CandidateCounter, CounterStats};
 use armine_core::hashtree::OwnershipFilter;
 use armine_core::{Item, ItemSet, Transaction};
@@ -15,7 +15,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// An immutable view of a run of transactions inside a shared slab — the
 /// unit of data movement, and the shape of a rank's local slice.
 ///
-/// The database is one slab; a rank's slice is a range of it, [`paginate`]
+/// The database is one slab, the dataset's own allocation
+/// ([`armine_core::Dataset::shared_transactions`]); a rank's slice is a
+/// range of it, [`paginate`]
 /// cuts that into page views, and re-balancing hands a rank the view
 /// covering its new range. Sending a view through the simulator clones it
 /// (a refcount bump), never the transactions. The virtual wire cost is
@@ -23,7 +25,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// [`page_bytes`] — so this is purely a host-side saving (DESIGN.md §5.6).
 #[derive(Clone)]
 pub(crate) struct TransactionPage {
-    slab: Arc<[Transaction]>,
+    slab: Arc<Vec<Transaction>>,
     range: Range<usize>,
 }
 
@@ -59,8 +61,8 @@ impl Deref for TransactionPage {
 }
 
 /// A view of a whole slab.
-impl From<Arc<[Transaction]>> for TransactionPage {
-    fn from(slab: Arc<[Transaction]>) -> Self {
+impl From<Arc<Vec<Transaction>>> for TransactionPage {
+    fn from(slab: Arc<Vec<Transaction>>) -> Self {
         let range = 0..slab.len();
         TransactionPage { slab, range }
     }
@@ -69,7 +71,7 @@ impl From<Arc<[Transaction]>> for TransactionPage {
 /// A freshly materialised slab, viewed whole.
 impl From<Vec<Transaction>> for TransactionPage {
     fn from(transactions: Vec<Transaction>) -> Self {
-        Arc::<[Transaction]>::from(transactions).into()
+        Arc::new(transactions).into()
     }
 }
 
@@ -173,15 +175,16 @@ pub(crate) struct PassResult {
 pub(crate) type Level = Arc<Vec<(ItemSet, u64)>>;
 
 /// What a run's ranks hold once: each pass's `C_k`, generated by the first
-/// rank to ask, and `F_k`, kept from the first to commit. Recovery cannot
-/// tell, nor can the model, which charges every rank for all of `C_k`.
+/// rank to ask as one `k`-strided arena of items, and `F_k`, kept from the
+/// first to commit. Recovery cannot tell, nor can the model, which charges
+/// every rank for all of `C_k`.
 #[derive(Default)]
 pub(crate) struct RunShare {
     passes: Mutex<Vec<Arc<PassShare>>>,
 }
 
 /// Pass `k`'s `C_k` and committed `F_k`, each set once, at `passes[k - 1]`.
-type PassShare = (OnceLock<Arc<Vec<ItemSet>>>, OnceLock<Level>);
+type PassShare = (OnceLock<Arc<Vec<Item>>>, OnceLock<Level>);
 
 impl RunShare {
     fn pass(&self, k: usize) -> Arc<PassShare> {
@@ -192,10 +195,10 @@ impl RunShare {
         Arc::clone(&passes[k - 1])
     }
 
-    /// `C_k`, from `prev`, the committed `F_{k-1}`.
-    pub(crate) fn candidates(&self, k: usize, prev: &[(ItemSet, u64)]) -> Arc<Vec<ItemSet>> {
-        let sets = || prev.iter().map(|(set, _)| set.clone()).collect::<Vec<_>>();
-        let generate = || Arc::new(apriori_gen(&sets()));
+    /// `C_k`, its rows ascending, generated straight from `prev`, the
+    /// committed `F_{k-1}`.
+    pub(crate) fn candidates(&self, k: usize, prev: &[(ItemSet, u64)]) -> Arc<Vec<Item>> {
+        let generate = || Arc::new(candidate_arena(prev, |(set, _)| set.items(), |_| {}));
         Arc::clone(self.pass(k).0.get_or_init(generate))
     }
 
@@ -376,16 +379,16 @@ fn rebalance_pages(
 }
 
 /// Builds the configured counting structure over `local_candidates` (all
-/// of `C_k` or this rank's share, lent out of the run's one list),
+/// of `C_k` or this rank's share, rows lent out of the run's one arena),
 /// charging `apriori_gen` work for the **full** candidate set (in the model
 /// every processor regenerates all of `C_k` before keeping its share —
 /// Section III-C) plus insertion work for the local share only. Returns
 /// the counter with clean work counters.
-pub(crate) fn build_counter_charged<'a>(
+pub(crate) fn build_counter_charged(
     comm: &mut Comm,
     k: usize,
     params: &ParallelParams,
-    local_candidates: impl IntoIterator<Item = &'a ItemSet>,
+    local_candidates: impl IntoIterator<Item: AsRef<[Item]>>,
     total_candidates: usize,
 ) -> Box<dyn CandidateCounter> {
     let (t_gen, t_insert) = {
@@ -565,9 +568,10 @@ pub(crate) fn cannot_fail<T>(received: Result<T, RecvFault>) -> T {
     received.unwrap_or_else(|fault| panic!("receive failed without a crashing fault plan: {fault}"))
 }
 
-/// The shared multi-pass driver: pass 1 then repeated
-/// `apriori_gen` → algorithm-specific counting, until a pass yields no
-/// frequent itemsets, with `C_k` and `F_k` held once in the run's `share`.
+/// The shared multi-pass driver: pass 1 then repeated candidate generation
+/// → algorithm-specific counting, until a pass yields no frequent itemsets,
+/// with `C_k` and `F_k` held once in the run's `share`. `count_pass` gets
+/// `C_k` as its `k`-strided arena of items.
 ///
 /// Under a crash-injecting fault plan each pass becomes an
 /// attempt/sync/retry loop: a failed attempt floods abort notifications,
@@ -602,7 +606,7 @@ pub(crate) fn run_rank(
         &mut Comm,
         &RankCtx,
         usize,
-        &[ItemSet],
+        &[Item],
         &[(ItemSet, u64)],
     ) -> Result<PassResult, RecvFault>,
 ) -> RankOutput {
@@ -615,7 +619,7 @@ pub(crate) fn run_rank(
     let mut k = 1;
     loop {
         let prev_level: &[(ItemSet, u64)] = levels.last().map_or(&[], |level| level);
-        // C_k: the item universe for pass 1, apriori_gen thereafter.
+        // C_k: the item universe for pass 1, generated thereafter.
         let candidates = if k == 1 {
             None
         } else {
@@ -628,7 +632,9 @@ pub(crate) fn run_rank(
             }
             Some(c)
         };
-        let total = candidates.as_deref().map_or(ctx.num_items as _, Vec::len);
+        let total = candidates
+            .as_deref()
+            .map_or(ctx.num_items as _, |c| c.len() / k);
         let result = loop {
             comm.enter_pass(k);
             comm.set_epoch(ctx.epoch);
@@ -702,7 +708,7 @@ mod tests {
     /// from — for a whole-slab slice and for a sub-view alike.
     #[test]
     fn paginate_views_cover_the_slab_in_chunk_order() {
-        let slab: Arc<[Transaction]> = (0..11).map(|i| tx(i, &[i as u32])).collect();
+        let slab = Arc::new((0..11).map(|i| tx(i, &[i as u32])).collect::<Vec<_>>());
         let whole = TransactionPage::from(Arc::clone(&slab));
         for (local, base) in [(whole.clone(), 0), (whole.slice(2..9), 2)] {
             for page_size in [0, 1, 3, 4, 7, 11, 50] {
@@ -734,7 +740,11 @@ mod tests {
     fn rebalanced_slices_are_ranges_of_the_database_slab() {
         use armine_mpsim::{ClusterProfile, MachineProfile, Simulator};
         let (p, n) = (4, 103);
-        let slab: Arc<[Transaction]> = (0..n as u64).map(|i| tx(i, &[i as u32, 200])).collect();
+        let slab = Arc::new(
+            (0..n as u64)
+                .map(|i| tx(i, &[i as u32, 200]))
+                .collect::<Vec<_>>(),
+        );
         let db = TransactionPage::from(Arc::clone(&slab));
         let cuts: Vec<usize> = (0..=p).map(|i| i * n / p).collect();
         let two_speed = ClusterProfile::uniform(MachineProfile::cray_t3e()).speed(1, 0.5);

@@ -25,24 +25,24 @@ use crate::config::ParallelParams;
 use armine_core::binpack::partition_round_robin;
 use armine_core::counter::CounterStats;
 use armine_core::hashtree::OwnershipFilter;
-use armine_core::ItemSet;
+use armine_core::Item;
 use armine_mpsim::{Comm, RecvFault};
 
-/// One DD counting pass: the original naive all-to-all, P−1
-/// point-to-point sends per page.
+/// One DD counting pass over `candidates`, `C_k` as a `k`-strided arena:
+/// the original naive all-to-all, P−1 point-to-point sends per page.
 #[allow(clippy::needless_range_loop)] // loop variables are peer ranks
 pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
     k: usize,
-    candidates: &[ItemSet],
+    candidates: &[Item],
     params: &ParallelParams,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
     let me = ctx.my_index;
-    let total = candidates.len();
-    let part = partition_round_robin(candidates, p);
-    let mine = part.share(candidates, me);
+    let total = candidates.len() / k;
+    let part = partition_round_robin(candidates.chunks_exact(k), p);
+    let mine = part.share(candidates.chunks_exact(k), me);
     let mut counter = build_counter_charged(comm, k, params, mine, total);
     comm.charge_io(ctx.local_bytes());
 

@@ -28,25 +28,27 @@
 use crate::common::{exchange_level, paginate, PassResult, RankCtx, TAG_DATA};
 use armine_core::counter::CounterStats;
 use armine_core::stable_hash::owner_of;
-use armine_core::ItemSet;
+use armine_core::{Item, ItemSet};
 use armine_mpsim::{Comm, RecvFault};
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::HashMap;
 
-/// One HPA counting pass. All addressing is by member index within the
-/// current attempt's scope, so the pass re-runs cleanly under a shrunken
-/// membership (candidate ownership simply re-hashes over the survivors).
+/// One HPA counting pass over `candidates`, `C_k` as a `k`-strided arena.
+/// All addressing is by member index within the current attempt's scope,
+/// so the pass re-runs cleanly under a shrunken membership (candidate
+/// ownership simply re-hashes over the survivors).
 #[allow(clippy::needless_range_loop)] // loop variables are peer ranks
 pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
     k: usize,
-    candidates: &[ItemSet],
+    candidates: &[Item],
     prev_level: &[(ItemSet, u64)],
     eld_permille: u32,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
     let me = ctx.my_index;
-    let total = candidates.len();
+    let total = candidates.len() / k;
     let machine = comm.machine().clone();
 
     // Every processor regenerates the full candidate set (as in IDD).
@@ -54,47 +56,43 @@ pub(crate) fn count_pass(
 
     // --- ELD selection: duplicate the hottest candidates everywhere. ----
     // Hotness = upper bound on support = min over (k-1)-subset counts
-    // (anti-monotonicity). Deterministic on every rank.
+    // (anti-monotonicity). A stable sort leaves ties in row order, which is
+    // candidate order: deterministic on every rank.
     let eld_count = (total * eld_permille as usize) / 1000;
-    let hot: HashSet<ItemSet> = if eld_count > 0 {
-        let prev_counts: HashMap<&ItemSet, u64> = prev_level.iter().map(|(s, c)| (s, *c)).collect();
-        let mut bounded: Vec<(u64, &ItemSet)> = candidates
-            .iter()
-            .map(|c| {
-                let bound = c
-                    .subsets_dropping_one()
-                    .map(|s| prev_counts.get(&s).copied().unwrap_or(0))
-                    .min()
-                    .unwrap_or(0);
-                (bound, c)
-            })
-            .collect();
-        bounded.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(b.1)));
-        bounded
-            .into_iter()
-            .take(eld_count)
-            .map(|(_, c)| c.clone())
-            .collect()
-    } else {
-        HashSet::new()
-    };
+    let mut hot = vec![false; total];
+    if eld_count > 0 {
+        let prev_counts: HashMap<&[Item], u64> =
+            prev_level.iter().map(|(s, c)| (s.items(), *c)).collect();
+        let bound = |row: &[Item]| {
+            let count = |d: usize| prev_counts.get(&[&row[..d], &row[d + 1..]].concat()[..]);
+            (0..k).map(|d| count(d).copied().unwrap_or(0)).min()
+        };
+        let mut order: Vec<usize> = (0..total).collect();
+        order.sort_by_cached_key(|&i| Reverse(bound(&candidates[i * k..][..k])));
+        for i in order.into_iter().take(eld_count) {
+            hot[i] = true;
+        }
+    }
 
     // --- Local candidate tables. ----------------------------------------
     // Owned: hash-partitioned candidates this processor counts for the
-    // whole database. Hot: the ELD duplicates, counted CD-style.
+    // whole database. Hot: the ELD duplicates, counted CD-style. Only
+    // these two are boxed; the rest of C_k stays in the run's arena.
     let mut owned: HashMap<ItemSet, u64> = HashMap::new();
+    let mut hot_counts: HashMap<ItemSet, u64> = HashMap::new();
     let mut loads = vec![0u64; p];
-    for c in candidates {
-        if hot.contains(c) {
+    for (row, is_hot) in candidates.chunks_exact(k).zip(hot) {
+        let set = || ItemSet::from_sorted(row.to_vec());
+        if is_hot {
+            hot_counts.insert(set(), 0);
             continue;
         }
-        let owner = owner_of(c, p);
+        let owner = owner_of(row, p);
         loads[owner] += 1;
         if owner == me {
-            owned.insert(c.clone(), 0);
+            owned.insert(set(), 0);
         }
     }
-    let mut hot_counts: HashMap<ItemSet, u64> = hot.iter().map(|c| (c.clone(), 0)).collect();
     // Building the local tables is the (hash-table) analogue of tree
     // construction: owned plus the duplicated hot set.
     comm.advance((owned.len() + hot_counts.len()) as f64 * machine.t_insert);
@@ -127,7 +125,7 @@ pub(crate) fn count_pass(
                         local_probes += 1;
                         continue;
                     }
-                    let owner = owner_of(&subset, p);
+                    let owner = owner_of(subset.items(), p);
                     if owner == me {
                         local_probes += 1;
                         if let Some(c) = owned.get_mut(&subset) {

@@ -1,6 +1,6 @@
 //! The user-facing entry point: pick an algorithm, a machine, a processor
-//! count, and mine. The database is copied once, into one slab the ranks
-//! are placed on by cut points.
+//! count, and mine. The ranks are placed by cut points on the dataset's own
+//! allocation of transactions, which no rank copies.
 
 use crate::common::{run_rank, RankCtx, RankOutput, RunShare, TransactionPage};
 use crate::config::ParallelParams;
@@ -9,7 +9,7 @@ use crate::{cd, dd, hd, hpa, idd, npa, pdm};
 use armine_core::apriori::FrequentItemsets;
 use armine_core::binpack::partition_round_robin;
 use armine_core::counter::CounterStats;
-use armine_core::{Dataset, Transaction};
+use armine_core::Dataset;
 use armine_mpsim::{
     ClusterProfile, ExecBackend, FaultPlan, MachineProfile, SimResult, Simulator, Topology,
 };
@@ -201,9 +201,9 @@ impl ParallelMiner {
             plan.validate_for_procs(self.procs)
                 .map_err(FaultRunError::InvalidPlan)?;
         }
-        // The database is one slab (the run's one clone of each transaction):
-        // every rank's slice, page and recovery holding is a range of it.
-        let db = TransactionPage::from(Arc::<[Transaction]>::from(dataset.transactions()));
+        // The database is one slab, the dataset's own allocation: every
+        // rank's slice, page and recovery holding is a range of it.
+        let db = TransactionPage::from(Arc::clone(dataset.shared_transactions()));
         let cuts = cut_points(algorithm, dataset, self.procs);
         let num_items = dataset.num_items();
         let min_count = params.min_support.resolve(dataset.len());
@@ -251,12 +251,13 @@ impl ParallelMiner {
                     // DD+comm and IDD are HD's pass at grid (P, 1): one
                     // column of everybody, differing only in the plan.
                     Algorithm::DdComm => {
-                        let plan = partition_round_robin(candidates, ctx.size());
+                        let plan = partition_round_robin(candidates.chunks_exact(k), ctx.size());
                         let grid = (ctx.size(), 1);
                         hd::partitioned_pass(comm, ctx, k, candidates, &params_copy, &plan, grid)
                     }
                     Algorithm::Idd => {
                         let plan = idd::make_partition(
+                            k,
                             candidates,
                             ctx.num_items,
                             &ctx.capacities,
@@ -520,7 +521,7 @@ mod tests {
         }
         let cuts = cut_points(Algorithm::IddSingleSource, &dataset, 4);
         assert_eq!(cuts, [0, 10, 10, 10, 10]);
-        let db = TransactionPage::from(Arc::<[Transaction]>::from(dataset.transactions()));
+        let db = TransactionPage::from(Arc::clone(dataset.shared_transactions()));
         let slices: Vec<TransactionPage> = cuts.windows(2).map(|w| db.slice(w[0]..w[1])).collect();
         assert_eq!(&slices[0][..], dataset.transactions());
         assert!(slices[1..].iter().all(|s| s.is_empty()));
@@ -773,10 +774,13 @@ mod tests {
         }
     }
 
-    /// A run generates each pass's `C_k` once and commits each `F_k` once:
-    /// every surviving rank holds the same allocation of both, pass for
-    /// pass. HD on eight simulated ranks, also after rank 0 (often the one
-    /// that generated pass 2) dies entering pass 2, and CD on two native
+    /// A run holds one copy of everything its ranks only read. Each rank
+    /// starts on a range of the dataset's own allocation (no transaction
+    /// cloned), each pass's `C_k` is one arena and each `F_k` one level,
+    /// the same allocation on every surviving rank, pass for pass, and the
+    /// allocation is the dataset's alone again once the run returns. HD on
+    /// eight simulated ranks, also after rank 0 (often the one that
+    /// generated pass 2) dies entering pass 2, and CD on two native
     /// threads, wired as `mine_with_faults` wires them.
     #[test]
     fn ranks_hold_one_copy_of_each_pass() {
@@ -785,6 +789,12 @@ mod tests {
         let params = ParallelParams::with_min_support_count(9)
             .page_size(50)
             .max_k(5);
+        // Where a run of transactions lies in memory, as addresses.
+        let at = |txs: &[Transaction]| {
+            let range = txs.as_ptr_range();
+            range.start as usize..range.end as usize
+        };
+        let whole = at(dataset.transactions());
         let rank0_dies = FaultPlan::new().seed(3).crash(0, CrashPoint::AtPass(2));
         let cases = [
             (Simulator::new(8), 8),
@@ -793,17 +803,18 @@ mod tests {
         ];
         for (sim, survivors) in cases {
             let procs = sim.procs();
-            let db = TransactionPage::from(dataset.transactions().to_vec());
+            let db = TransactionPage::from(Arc::clone(dataset.shared_transactions()));
             let cuts = dataset.partition_bounds(procs);
             let share = RunShare::default();
             let result = sim.run_with_faults(|comm| {
                 let me = comm.rank();
                 let local = db.slice(cuts[me]..cuts[me + 1]);
+                let start = at(&local);
                 let ctx = RankCtx::new(local, dataset.num_items(), 9, 50, me, procs);
                 // Where each pass's candidates lie, as this rank counts them.
                 let mut c_k = std::collections::BTreeMap::new();
                 let count_pass =
-                    |comm: &mut armine_mpsim::Comm, ctx: &RankCtx, k, c: &[ItemSet], _: &[_]| {
+                    |comm: &mut armine_mpsim::Comm, ctx: &RankCtx, k, c: &[Item], _: &[_]| {
                         c_k.insert(k, c.as_ptr() as usize);
                         match procs {
                             2 => cd::count_pass(comm, ctx, k, c, &params),
@@ -811,21 +822,33 @@ mod tests {
                         }
                     };
                 let output = run_rank(comm, ctx, &db, &cuts, &share, &params, false, count_pass);
-                (output, c_k)
+                (output, c_k, start)
             });
+            drop((db, share));
             let outputs: Vec<_> = result.results.into_iter().flatten().collect();
             assert_eq!(outputs.len(), survivors, "P = {procs}");
-            let (first, first_c_k) = &outputs[0];
+            for (_, _, start) in &outputs {
+                let inside = whole.start <= start.start && start.end <= whole.end;
+                assert!(inside, "P = {procs}: a rank started on a copy");
+            }
+            let (first, first_c_k, _) = &outputs[0];
             assert!(first.levels.len() >= 3, "P = {procs}: too few passes");
             assert_eq!(first_c_k.len(), first.levels.len() - 1, "P = {procs}");
-            for (other, c_k) in &outputs[1..] {
+            for (other, c_k, _) in &outputs[1..] {
                 assert_eq!(c_k, first_c_k, "P = {procs}: C_k not shared");
                 assert_eq!(other.levels.len(), first.levels.len(), "P = {procs}");
                 for (a, b) in first.levels.iter().zip(&other.levels) {
                     assert!(Arc::ptr_eq(a, b), "P = {procs}: F_k not shared");
                 }
             }
+            let held = Arc::strong_count(dataset.shared_transactions());
+            assert_eq!(held, 1, "P = {procs}: a view outlived the run");
         }
+        let miner = ParallelMiner::new(2).backend(ExecBackend::Native);
+        let run = miner.mine(Algorithm::Cd, &dataset, &params);
+        assert!(!run.frequent.is_empty());
+        let held = Arc::strong_count(dataset.shared_transactions());
+        assert_eq!(held, 1, "mine returned holding the dataset");
     }
 
     #[test]

@@ -13,20 +13,21 @@
 use crate::common::{build_counter_charged, count_batch_charged, PassResult, RankCtx};
 use crate::config::ParallelParams;
 use armine_core::hashtree::OwnershipFilter;
-use armine_core::ItemSet;
+use armine_core::{Item, ItemSet};
 use armine_mpsim::{Comm, RecvFault};
 
-/// One NPA counting pass.
+/// One NPA counting pass over `candidates`, `C_k` as a `k`-strided arena.
 pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
     k: usize,
-    candidates: &[ItemSet],
+    candidates: &[Item],
     params: &ParallelParams,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
-    let total = candidates.len();
-    let mut counter = build_counter_charged(comm, k, params, candidates, total);
+    let total = candidates.len() / k;
+    let rows = candidates.chunks_exact(k);
+    let mut counter = build_counter_charged(comm, k, params, rows, total);
     comm.charge_io(ctx.local_bytes());
     let stats = count_batch_charged(comm, &mut *counter, &ctx.local, &OwnershipFilter::all());
 

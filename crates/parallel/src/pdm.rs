@@ -21,22 +21,22 @@ use crate::cd;
 use crate::common::{PassResult, RankCtx};
 use crate::config::ParallelParams;
 use armine_core::dhp::HashFilter;
-use armine_core::ItemSet;
+use armine_core::Item;
 use armine_mpsim::{Comm, RecvFault};
 
-/// One PDM counting pass. `filter_passes` bounds which passes build and
-/// apply a hash filter (the original uses it for pass 2, where `|C_2|`
-/// dominates).
+/// One PDM counting pass over `candidates`, `C_k` as a `k`-strided arena.
+/// `filter_passes` bounds which passes build and apply a hash filter (the
+/// original uses it for pass 2, where `|C_2|` dominates).
 pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
     k: usize,
-    candidates: &[ItemSet],
+    candidates: &[Item],
     params: &ParallelParams,
     buckets: usize,
     filter_passes: usize,
 ) -> Result<PassResult, RecvFault> {
-    let pruned: Vec<ItemSet>;
+    let pruned: Vec<Item>;
     let candidates = if k >= 2 && k <= 1 + filter_passes {
         // Build the local bucket table for this pass's subset size over
         // the local slice.
@@ -54,17 +54,16 @@ pub(crate) fn count_pass(
         let mut counts = filter.counts().to_vec();
         ctx.world(comm).try_allreduce_sum_u64(&mut counts)?;
         filter.set_counts(&counts);
-        // Prune: identical on every rank (global counts, same candidates).
-        pruned = candidates
-            .iter()
-            .filter(|c| filter.admits(c, ctx.min_count))
-            .cloned()
-            .collect();
+        // Prune: identical on every rank (global counts, same candidates),
+        // the surviving rows copied into this rank's arena.
+        let rows = candidates.chunks_exact(k);
+        let admitted = rows.filter(|c| filter.admits(c, ctx.min_count));
+        pruned = admitted.flatten().copied().collect();
         &pruned
     } else {
         candidates
     };
-    let counted = candidates.len();
+    let counted = candidates.len() / k;
     let mut result = cd::count_pass(comm, ctx, k, candidates, params)?;
     result.counted_candidates = Some(counted);
     Ok(result)

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # "Nothing the model sees moved": runs every formulation x counter (and
-# CD/IDD/HD under a crash plan and under adaptive placement on a two-speed
-# cluster) on the sim backend with two armine binaries and compares their
-# --metrics-json files byte for byte. Virtual time, the work ledger and the
-# message counts are all in there, so a host-only change must leave every
-# file identical. CD/IDD/HD x counter also run natively on two ranks, where
-# only stdout without its host timings repeats: candidates per pass, grid,
-# itemsets and bytes moved. Serial `mine --rules` runs on a dense dataset
+# every formulation under a crash plan, CD/IDD/HD under adaptive placement
+# on a two-speed cluster, CD and PDM with a memory capacity below |C_2|,
+# HPA with ELD) on the sim backend with two armine binaries and compares
+# their --metrics-json files byte for byte. Virtual time, the work ledger
+# and the message counts are all in there, so a host-only change must leave
+# every file identical. CD/IDD/HD x counter and the six other formulations
+# also run natively on two ranks, where only stdout without its host
+# timings repeats: candidates per pass, grid, itemsets and bytes moved. Serial `mine --rules` runs on a dense dataset
 # with each counter at three confidences and three `--top` sizes, stdout
 # compared without its `(…s)` timing: the rule count and every printed
 # rule. With the same binary on both sides it is a determinism check.
@@ -82,15 +83,25 @@ for algorithm in cd npa pdm dd dd-comm idd idd-1src hd hpa; do
         compare "$algorithm-$counter" --algorithm "$algorithm" --counter "$counter"
     done
 done
-for algorithm in cd idd hd; do
+for algorithm in cd npa pdm dd dd-comm idd idd-1src hd hpa; do
     compare "$algorithm-crash" --algorithm "$algorithm" \
         --fault-plan "$root/experiments/faults/single-crash-per-pass.plan"
+done
+for algorithm in cd idd hd; do
     compare "$algorithm-adaptive" --algorithm "$algorithm" \
         --cluster "$root/experiments/clusters/two-speed.cluster" --placement adaptive
     for counter in hashtree trie vertical; do
         compare_native "$algorithm-$counter-native" --algorithm "$algorithm" --counter "$counter"
     done
 done
+for algorithm in npa pdm dd dd-comm idd-1src hpa; do
+    compare_native "$algorithm-native" --algorithm "$algorithm"
+done
+# |C_2| is 28,920 here: a capacity of 5,000 cuts pass 2 into six scans.
+for algorithm in cd pdm; do
+    compare "$algorithm-capped" --algorithm "$algorithm" --memory-capacity 5000
+done
+compare hpa-eld --algorithm hpa --eld-permille 200
 for counter in hashtree trie vertical; do
     for conf in 0 0.5 1; do
         for top in 0 20 1000000; do

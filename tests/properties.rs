@@ -208,7 +208,7 @@ proptest! {
                 prop_assert!(share.windows(2).all(|w| w[0] < w[1]), "unsorted: {:?}", share);
                 if by_ownership {
                     let owned: Vec<ItemSet> =
-                        cands.iter().filter(|c| part.filters[proc].owns(c)).cloned().collect();
+                        cands.iter().filter(|c| part.filters[proc].owns(c.items())).cloned().collect();
                     prop_assert_eq!(share, &owned);
                 } else {
                     let stride: Vec<ItemSet> =
@@ -472,5 +472,71 @@ fn transient_plan_bites_under_adaptive_placement() {
             "{} diverged",
             algorithm.name()
         );
+    }
+}
+
+/// A plan built from the rows of a `k`-strided arena, as the parallel
+/// drivers build theirs from `C_k`, is the plan built from the boxed list of
+/// the same candidates: the same filters and imbalance, and `share` lends
+/// the same rows in the same order. Seeded; `k` from 2 to 5, first items
+/// skewed toward small ids so that two-level plans split some of them,
+/// round-robin, first-item and two-level plans at several split
+/// thresholds, uniform and skewed capacities.
+#[test]
+fn plans_from_arena_rows_equal_plans_from_item_sets() {
+    use rand::prelude::*;
+    let mut rng = StdRng::seed_from_u64(30);
+    let universe = 24u32;
+    for k in 2..=5usize {
+        for _ in 0..6 {
+            let raw: Vec<Vec<u32>> = (0..rng.gen_range(1..150))
+                .map(|_| {
+                    let mut ids = std::collections::BTreeSet::new();
+                    while ids.len() < k {
+                        ids.insert(rng.gen_range(0..universe).min(rng.gen_range(0..universe)));
+                    }
+                    ids.into_iter().collect()
+                })
+                .collect();
+            let cands = to_itemsets(&raw);
+            let arena: Vec<Item> = cands.iter().flat_map(ItemSet::items).copied().collect();
+            let rows = || arena.chunks_exact(k);
+            let procs = rng.gen_range(1..7);
+            for skewed in [false, true] {
+                let capacities: Vec<f64> = (0..procs)
+                    .map(|_| match skewed {
+                        true => f64::from(rng.gen_range(1u32..6)) / 2.0,
+                        false => 1.0,
+                    })
+                    .collect();
+                let mut plans = vec![
+                    (
+                        partition_round_robin(&cands, procs),
+                        partition_round_robin(rows(), procs),
+                    ),
+                    (
+                        partition_by_first_item(&cands, universe, &capacities),
+                        partition_by_first_item(rows(), universe, &capacities),
+                    ),
+                ];
+                for threshold in [0, 1, 4, 16, 64] {
+                    plans.push((
+                        partition_two_level(&cands, universe, &capacities, threshold),
+                        partition_two_level(rows(), universe, &capacities, threshold),
+                    ));
+                }
+                let on = format!("k={k}, {} candidates, P={procs}", cands.len());
+                for (boxed, from_rows) in &plans {
+                    assert_eq!(from_rows.filters, boxed.filters, "{on}");
+                    assert_eq!(from_rows.imbalance, boxed.imbalance, "{on}");
+                    for proc in 0..procs {
+                        let lent: Vec<&[Item]> = from_rows.share(rows(), proc).collect();
+                        let want: Vec<&[Item]> =
+                            boxed.share(&cands, proc).map(ItemSet::items).collect();
+                        assert_eq!(lent, want, "{on}, proc {proc}");
+                    }
+                }
+            }
+        }
     }
 }
