@@ -45,13 +45,6 @@ impl ItemBitmap {
         self.words[item.index() / 64] |= 1u64 << (item.index() % 64);
     }
 
-    /// Clears the bit for `item`.
-    pub fn remove(&mut self, item: Item) {
-        if item.id() < self.num_items {
-            self.words[item.index() / 64] &= !(1u64 << (item.index() % 64));
-        }
-    }
-
     /// Whether the bit for `item` is set. Items outside the universe are
     /// never contained.
     #[inline]
@@ -85,19 +78,6 @@ impl ItemBitmap {
                 Some(Item((wi * 64) as u32 + bit))
             })
         })
-    }
-
-    /// Bitwise OR with another bitmap of the same universe.
-    pub fn union_with(&mut self, other: &ItemBitmap) {
-        assert_eq!(self.num_items, other.num_items, "universe mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// Whether the two bitmaps share no items.
-    pub fn is_disjoint(&self, other: &ItemBitmap) -> bool {
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
     }
 
     /// Size in bytes when shipped between processors (what broadcasting the
@@ -164,7 +144,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_contains_remove() {
+    fn insert_contains() {
         let mut bm = ItemBitmap::new(130);
         assert!(bm.is_empty());
         bm.insert(Item(0));
@@ -175,9 +155,6 @@ mod tests {
         assert!(bm.contains(Item(129)));
         assert!(!bm.contains(Item(1)));
         assert_eq!(bm.len(), 3);
-        bm.remove(Item(64));
-        assert!(!bm.contains(Item(64)));
-        assert_eq!(bm.len(), 2);
     }
 
     #[test]
@@ -198,18 +175,6 @@ mod tests {
         let bm = ItemBitmap::from_items(200, [Item(5), Item(190), Item(63), Item(64)]);
         let items: Vec<u32> = bm.iter().map(Item::id).collect();
         assert_eq!(items, vec![5, 63, 64, 190]);
-    }
-
-    #[test]
-    fn union_and_disjoint() {
-        let mut a = ItemBitmap::from_items(100, [Item(1), Item(2)]);
-        let b = ItemBitmap::from_items(100, [Item(2), Item(3)]);
-        let c = ItemBitmap::from_items(100, [Item(50)]);
-        assert!(!a.is_disjoint(&b));
-        assert!(a.is_disjoint(&c));
-        a.union_with(&b);
-        assert_eq!(a.len(), 3);
-        assert!(a.contains(Item(3)));
     }
 
     #[test]

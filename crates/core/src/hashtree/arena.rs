@@ -1,11 +1,11 @@
 //! The hash tree's nodes, flat: every interior node is a block of
 //! `branching` child slots in one `Vec<u32>`, every leaf a range of the
-//! tree's leaf-ordered candidate arrays plus its revisit stamp. [`Walk`]
-//! is one transaction's descent over them; at a leaf it probes the tree's
-//! presence bitmap, which holds that transaction's items for its duration.
+//! tree's leaf-ordered candidate arrays plus the batch's visit bits.
+//! [`Walk`] is one transaction's descent over them: it only marks the
+//! leaves it reaches. [`Arena::score`] then checks each leaf a batch of
+//! transactions reached, once per batch, against its per-item masks.
 
 use super::filter::OwnershipFilter;
-use crate::bitmap::ItemBitmap;
 use crate::counter::CounterStats;
 use crate::item::Item;
 
@@ -22,12 +22,13 @@ const NONE: u32 = u32::MAX;
 /// Without it the slot indexes an interior node.
 const LEAF: u32 = 1 << 31;
 
-/// Candidates `start..end` of the leaf-ordered arrays, plus the epoch of
-/// the last transaction that checked them (the revisit-suppression stamp).
+/// Candidates `start..end` of the leaf-ordered arrays, plus which
+/// transactions of the current batch reached them: bit `j` for the batch's
+/// `j`-th (the revisit suppression, and the scoring's starting mask).
 struct Leaf {
     start: u32,
     end: u32,
-    epoch: u64,
+    visited: u64,
 }
 
 pub(super) struct Arena {
@@ -36,6 +37,10 @@ pub(super) struct Arena {
     slots: Vec<u32>,
     leaves: Vec<Leaf>,
     root: u32,
+    /// The leaves the current batch reached, each once, in arrival order.
+    touched: Vec<u32>,
+    /// The walked transaction's hash buckets, one per item.
+    buckets: Vec<u32>,
 }
 
 impl Arena {
@@ -60,6 +65,8 @@ impl Arena {
             slots: Vec::new(),
             leaves: Vec::new(),
             root: NONE,
+            touched: Vec::new(),
+            buckets: Vec::new(),
         };
         let mut order: Vec<u32> = (0..num_candidates as u32).collect();
         let mut scratch = vec![0u32; order.len()];
@@ -86,7 +93,7 @@ impl Arena {
             self.leaves.push(Leaf {
                 start: offset as u32,
                 end: (offset + order.len()) as u32,
-                epoch: 0,
+                visited: 0,
             });
             return LEAF | (self.leaves.len() - 1) as u32;
         }
@@ -138,29 +145,58 @@ impl Arena {
     pub(super) fn occupied_leaves(&self) -> usize {
         self.leaves.iter().filter(|l| l.start < l.end).count()
     }
+
+    /// Whether no leaf holds a visit bit and none awaits scoring.
+    #[cfg(test)]
+    pub(super) fn is_clean(&self) -> bool {
+        self.touched.is_empty() && self.leaves.iter().all(|l| l.visited == 0)
+    }
+
+    /// Checks every leaf the batch reached against the batch, once: a
+    /// candidate's count grows by the number of transactions that both
+    /// reached its leaf and hold all its items, the popcount of the
+    /// leaf's visit bits ANDed with each item's mask. `masks` needs a word
+    /// per item id up to the largest candidate item. Leaves the visit bits
+    /// zero for the next batch.
+    pub(super) fn score(&mut self, items: &[Item], counts: &mut [u64], masks: &[u64], k: usize) {
+        for index in self.touched.drain(..) {
+            let leaf = &mut self.leaves[index as usize];
+            let visited = std::mem::take(&mut leaf.visited);
+            let (start, end) = (leaf.start as usize, leaf.end as usize);
+            let candidates = items[start * k..end * k].chunks_exact(k);
+            for (candidate, count) in candidates.zip(&mut counts[start..end]) {
+                // No early exit on an empty mask: the branch costs more
+                // than the `k` ANDs it would save.
+                let hits = candidate
+                    .iter()
+                    .fold(visited, |hits, item| hits & masks[item.index()]);
+                *count += u64::from(hits.count_ones());
+            }
+        }
+    }
 }
 
 /// One transaction's subset walk: the tree's parts borrowed side by side
-/// so the recursion can stamp leaves, bump counts and count its own work.
+/// so the recursion can mark leaves and count its own work.
 pub(super) struct Walk<'a> {
     pub arena: &'a mut Arena,
-    /// Candidate items in leaf order, strided by `k`.
-    pub items: &'a [Item],
-    /// Support counts in leaf order.
-    pub counts: &'a mut [u64],
     pub stats: &'a mut CounterStats,
     /// The whole (sorted) transaction.
     pub titems: &'a [Item],
-    /// The same transaction as a set, for the leaf check.
-    pub present: &'a ItemBitmap,
     pub k: usize,
-    pub epoch: u64,
+    /// The transaction's bit in the batch: `1 << j` for the `j`-th.
+    pub bit: u64,
     pub filter: &'a OwnershipFilter,
 }
 
 impl Walk<'_> {
     /// The recursive subset operation of Section II, from the root.
     pub(super) fn run(&mut self) {
+        let b = self.arena.branching;
+        let buckets = &mut self.arena.buckets;
+        buckets.clear();
+        // Lossless: a bucket is at most the item's own `u32` id.
+        buckets.extend(self.titems.iter().map(|&item| hash(item, b) as u32));
         self.descend(self.arena.root, 0, 0, None);
     }
 
@@ -169,7 +205,7 @@ impl Walk<'_> {
     /// `path_first` is the item it started with.
     fn descend(&mut self, node: u32, start: usize, depth: usize, path_first: Option<Item>) {
         if node & LEAF != 0 {
-            self.check_leaf((node & !LEAF) as usize);
+            self.visit_leaf(node & !LEAF);
             return;
         }
         // A candidate needs k - depth more items, so the last viable
@@ -197,7 +233,7 @@ impl Walk<'_> {
                     }
                 }
             }
-            let child = self.arena.slots[base + hash(item, b)];
+            let child = self.arena.slots[base + self.arena.buckets[p] as usize];
             if child != NONE {
                 self.stats.traversal_steps += 1;
                 let first = if depth == 0 { Some(item) } else { path_first };
@@ -206,26 +242,21 @@ impl Walk<'_> {
         }
     }
 
-    /// Checks each candidate of a leaf against the whole transaction (`k`
-    /// bit probes, stopping at the first item the transaction lacks), but
-    /// only on the first arrival per transaction (the epoch stamp makes
-    /// revisits free).
-    fn check_leaf(&mut self, index: usize) {
-        let leaf = &mut self.arena.leaves[index];
-        if leaf.epoch == self.epoch {
+    /// Marks a leaf reached by this transaction and charges its check
+    /// (one `t_check` visit, a comparison per candidate), but only on the
+    /// first arrival per transaction: revisits are free. The check itself
+    /// waits for [`Arena::score`].
+    fn visit_leaf(&mut self, index: u32) {
+        let leaf = &mut self.arena.leaves[index as usize];
+        if leaf.visited & self.bit != 0 {
             return;
         }
-        leaf.epoch = self.epoch;
-        let (start, end) = (leaf.start as usize, leaf.end as usize);
-        self.stats.distinct_leaf_visits += 1;
-        self.stats.candidate_checks += (end - start) as u64;
-        let k = self.k;
-        let candidates = self.items[start * k..end * k].chunks_exact(k);
-        for (candidate, count) in candidates.zip(&mut self.counts[start..end]) {
-            if candidate.iter().all(|&item| self.present.contains(item)) {
-                *count += 1;
-            }
+        if leaf.visited == 0 {
+            self.arena.touched.push(index);
         }
+        leaf.visited |= self.bit;
+        self.stats.distinct_leaf_visits += 1;
+        self.stats.candidate_checks += u64::from(leaf.end - leaf.start);
     }
 }
 

@@ -9,9 +9,9 @@
 //! tree with every item of a transaction as a possible starting item,
 //! recursively hashing the items that follow, and checks the candidates
 //! of each **distinct** leaf it reaches exactly once per transaction
-//! (re-visits are suppressed with an epoch stamp, as the paper describes:
-//! "if this node is revisited due to a different candidate from the same
-//! transaction, no checking needs to be performed").
+//! (re-visits are suppressed with a visit bit per leaf, as the paper
+//! describes: "if this node is revisited due to a different candidate
+//! from the same transaction, no checking needs to be performed").
 //!
 //! The tree counts its own work — hash-descents (`t_travers` units),
 //! distinct leaf visits (`t_check` units), and per-candidate comparisons —
@@ -25,22 +25,28 @@
 //! split-on-overflow insertion grows, so the work ledger for a given
 //! `(branching, max_leaf)` does not depend on how the tree is stored.
 //!
-//! Nor does it depend on how a leaf candidate is compared. The tree keeps
-//! one presence bitmap, a bit per item id up to its own largest candidate
-//! item: `subset` sets the transaction's bits before the walk and clears
-//! them after it, so checking a candidate is `k` bit probes (fewer on a
-//! miss) instead of a merge over the whole transaction. A transaction
-//! item above every candidate item has no bit and can match nothing, but
-//! the walk still hashes it and descends where a child exists: the
-//! ledger counts the paper's walk, not the cheapest one.
+//! Nor does it depend on how a leaf candidate is compared. `count_all`
+//! walks transactions 64 at a time, one bit of a `u64` each: the walk of
+//! the batch's `j`-th transaction only sets bit `j` on each leaf it
+//! reaches (a leaf whose bit is already set is the paper's revisit, and
+//! is neither charged nor marked again), and sets bit `j` in the mask of
+//! each of its items. After the batch every leaf it reached is checked
+//! once: a candidate gains the popcount of the leaf's visit bits ANDed
+//! with the masks of its `k` items, without a branch. The masks take a
+//! `u64` per item id up to the tree's largest candidate item, 8 bytes an
+//! item: 2 KB over 250 items, 1 GiB at [`Item::MAX_ID`](crate::Item::MAX_ID),
+//! the size of the pass-1 count vector such an input already allocates.
+//! A transaction item above every candidate item has no mask and can
+//! match nothing, but the walk still hashes it and descends where a child
+//! exists: the ledger counts the paper's walk, not the cheapest one.
 
 mod arena;
 mod filter;
 
 pub use filter::OwnershipFilter;
 
-use crate::bitmap::ItemBitmap;
 use crate::counter::{CandidateCounter, CandidateTable};
+use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
 use arena::{Arena, Walk};
@@ -97,6 +103,9 @@ impl HashTreeParams {
     }
 }
 
+/// Transactions per batch: one bit of a `u64` each.
+const BATCH: usize = u64::BITS as usize;
+
 /// A candidate hash tree for candidates of a fixed size `k`.
 ///
 /// ```
@@ -117,10 +126,9 @@ pub struct HashTree {
     /// The candidates, in leaf order.
     table: CandidateTable,
     arena: Arena,
-    epoch: u64,
-    /// The items of the transaction being walked, one bit per item id up
-    /// to the largest candidate item; all zero between transactions.
-    present: ItemBitmap,
+    /// Per item id up to the largest candidate item, bit `j` set when the
+    /// batch's `j`-th transaction holds it; all zero between batches.
+    masks: Vec<u64>,
 }
 
 impl HashTree {
@@ -143,14 +151,13 @@ impl HashTree {
         table.permute(order);
         let largest = table.items.iter().max();
         let universe = largest.map_or(0, |item| {
-            let bits = item.id().checked_add(1);
-            bits.expect("candidate item ids stay below u32::MAX")
+            let ids = item.id().checked_add(1);
+            ids.expect("candidate item ids stay below u32::MAX") as usize
         });
         HashTree {
             table,
             arena,
-            epoch: 0,
-            present: ItemBitmap::new(universe),
+            masks: vec![0; universe],
         }
     }
 
@@ -179,37 +186,52 @@ impl HashTree {
     /// items), implementing IDD's bitmap check. Use
     /// [`OwnershipFilter::all`] for the serial algorithm and CD/DD.
     pub fn subset(&mut self, t: &Transaction, filter: &OwnershipFilter) {
+        self.count_batch(std::slice::from_ref(t), filter);
+    }
+
+    /// `subset` for up to 64 transactions: walks each, then scores every
+    /// leaf the batch reached once.
+    fn count_batch(&mut self, batch: &[Transaction], filter: &OwnershipFilter) {
+        debug_assert!(batch.len() <= BATCH);
         if self.table.len() == 0 {
             return;
         }
-        self.epoch += 1;
-        self.table.stats.transactions += 1;
-        let titems = t.items();
-        if titems.len() < self.table.k {
-            return;
+        self.table.stats.transactions += batch.len() as u64;
+        let k = self.table.k;
+        for (j, t) in batch.iter().enumerate() {
+            let titems = t.items();
+            if titems.len() < k {
+                continue;
+            }
+            let bit = 1 << j;
+            for &item in self.inside(titems) {
+                self.masks[item.index()] |= bit;
+            }
+            // Items above every candidate item have no mask and match
+            // nothing, but the walk below still hashes them: the ledger
+            // is the model.
+            Walk {
+                arena: &mut self.arena,
+                stats: &mut self.table.stats,
+                titems,
+                k,
+                bit,
+                filter,
+            }
+            .run();
         }
-        // Items above every candidate item have no bit and match nothing,
-        // but the walk below still hashes them: the ledger is the model.
-        let universe = self.present.num_items();
-        let inside = titems.partition_point(|item| item.id() < universe);
-        for &item in &titems[..inside] {
-            self.present.insert(item);
+        let (items, counts) = (&self.table.items, &mut self.table.counts);
+        self.arena.score(items, counts, &self.masks, k);
+        for t in batch {
+            for &item in self.inside(t.items()) {
+                self.masks[item.index()] = 0;
+            }
         }
-        Walk {
-            arena: &mut self.arena,
-            items: &self.table.items,
-            counts: &mut self.table.counts,
-            stats: &mut self.table.stats,
-            titems,
-            present: &self.present,
-            k: self.table.k,
-            epoch: self.epoch,
-            filter,
-        }
-        .run();
-        for &item in &titems[..inside] {
-            self.present.remove(item);
-        }
+    }
+
+    /// The prefix of a sorted transaction that has masks.
+    fn inside<'t>(&self, titems: &'t [Item]) -> &'t [Item] {
+        &titems[..titems.partition_point(|item| item.index() < self.masks.len())]
     }
 }
 
@@ -222,10 +244,10 @@ impl CandidateCounter for HashTree {
         &mut self.table
     }
 
-    /// Runs `subset` for every transaction of a slice.
+    /// Runs `subset` for every transaction of a slice, 64 at a time.
     fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
-        for t in transactions {
-            self.subset(t, filter);
+        for batch in transactions.chunks(BATCH) {
+            self.count_batch(batch, filter);
         }
     }
 }
@@ -244,7 +266,7 @@ impl std::fmt::Debug for HashTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::item::Item;
+    use crate::bitmap::ItemBitmap;
     use crate::transaction::k_subsets;
 
     fn set(ids: &[u32]) -> ItemSet {
@@ -383,7 +405,7 @@ mod tests {
             "cannot visit more distinct leaves than exist"
         );
         // A second identical transaction doubles the visit count exactly:
-        // the epoch stamp resets between transactions.
+        // the visit bits reset between transactions.
         let first = stats.distinct_leaf_visits;
         tree.subset(&tx(&[1, 2, 3, 5, 6]), &OwnershipFilter::all());
         assert_eq!(tree.stats().distinct_leaf_visits, 2 * first);
@@ -609,8 +631,8 @@ mod tests {
         }
     }
 
-    /// Transaction items above every candidate item sit outside the
-    /// presence bitmap: they match nothing, but they are hashed and
+    /// Transaction items above every candidate item have no mask: they
+    /// match nothing, but they are hashed and
     /// descended like any other item, so the ledger charges them.
     #[test]
     fn items_above_every_candidate_are_walked_but_match_nothing() {
@@ -663,32 +685,64 @@ mod tests {
         assert_eq!(tree.stats().root_starts, 1 + 3, "short ones never start");
     }
 
-    /// The bitmap is clean between any two calls: `subset` and `count_all`
-    /// interleaved over page views of one slab count what one sweep does,
-    /// and a page counted twice counts exactly double.
+    /// Whether every mask and visit bit is zero, as between any two calls.
+    fn is_clean(tree: &HashTree) -> bool {
+        tree.arena.is_clean() && tree.masks.iter().all(|&mask| mask == 0)
+    }
+
+    /// The masks and visit bits are clean between any two calls: `subset`
+    /// and `count_all` interleaved over page views of one slab, in pages
+    /// on both sides of the 64-transaction batch, count and charge what
+    /// one sweep does under every filter, and a page counted twice counts
+    /// exactly double.
     #[test]
     fn interleaved_pages_and_recounts_leave_no_residue() {
         let slab = ledger_transactions();
         let cands: Vec<ItemSet> = k_subsets(&slab[0], 4).into_iter().take(300).collect();
-        let all = OwnershipFilter::all();
-        let build = || HashTree::build(4, HashTreeParams::default(), cands.clone());
+        let odd_first = ItemBitmap::from_items(48, (1..48).step_by(2).map(Item));
+        let split_pairs = (0..48)
+            .step_by(4)
+            .flat_map(|a| (a + 1..48).step_by(2).map(move |b| (Item(a), Item(b))))
+            .collect();
+        let filters = [
+            ("all", OwnershipFilter::all()),
+            ("first-item", OwnershipFilter::first_item(odd_first.clone())),
+            (
+                "two-level",
+                OwnershipFilter::two_level(odd_first, split_pairs),
+            ),
+        ];
+        for (name, filter) in filters {
+            let owned: Vec<ItemSet> = cands
+                .iter()
+                .filter(|c| filter.owns(c.items()))
+                .cloned()
+                .collect();
+            let build = || HashTree::build(4, HashTreeParams::default(), owned.clone());
+            let mut whole = build();
+            whole.count_all(&slab, &filter);
+            assert_eq!(whole.count_vector(), brute_counts(&owned, &slab), "{name}");
+            assert!(whole.count_vector().iter().any(|&c| c > 0), "{name}");
+            assert!(is_clean(&whole), "{name}");
 
-        let mut whole = build();
-        whole.count_all(&slab, &all);
-        assert_eq!(whole.count_vector(), brute_counts(&cands, &slab));
-
-        let mut paged = build();
-        for (i, page) in slab.chunks(37).enumerate() {
-            if i % 2 == 0 {
-                paged.count_all(page, &all);
-            } else {
-                page.iter().for_each(|t| paged.subset(t, &all));
+            for size in [1, 63, 64, 65, 128] {
+                let mut paged = build();
+                for (i, page) in slab.chunks(size).enumerate() {
+                    if i % 3 == 2 {
+                        page.iter().for_each(|t| paged.subset(t, &filter));
+                    } else {
+                        paged.count_all(page, &filter);
+                    }
+                    assert!(is_clean(&paged), "{name}, pages of {size}");
+                }
+                assert_eq!(paged.count_vector(), whole.count_vector(), "{name}, {size}");
+                assert_eq!(paged.stats(), whole.stats(), "{name}, pages of {size}");
             }
         }
-        assert_eq!(paged.count_vector(), whole.count_vector());
-        assert_eq!(paged.stats(), whole.stats());
 
-        let page = &slab[100..137];
+        let all = OwnershipFilter::all();
+        let build = || HashTree::build(4, HashTreeParams::default(), cands.clone());
+        let page = &slab[100..165];
         let mut once = build();
         once.count_all(page, &all);
         let mut twice = build();
@@ -697,6 +751,38 @@ mod tests {
         let doubled: Vec<u64> = once.count_vector().iter().map(|c| 2 * c).collect();
         assert_eq!(twice.count_vector(), doubled);
         assert!(doubled.iter().any(|&c| c > 0));
+    }
+
+    /// One batch that mixes transactions shorter than `k` (which walk
+    /// nothing), empty ones and ones with items above every candidate item
+    /// (which have no mask) counts and charges what `subset` does one
+    /// transaction at a time, and leaves no mask or visit bit behind.
+    #[test]
+    fn a_mixed_batch_leaves_no_mask_or_visit_residue() {
+        let cands: Vec<ItemSet> = k_subsets(&tx(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]), 3);
+        let kinds = [
+            tx(&[2, 3]),
+            tx(&[4, 700]),
+            tx(&[1, 2, 4, 7, 9, 10, 11, 63, 64, 700]),
+            tx(&[]),
+            tx(&[0, 3, 5, 6, 8, 9]),
+            tx(&[9, 10, 11, 12]),
+        ];
+        let batch: Vec<Transaction> = kinds.iter().cycle().take(70).cloned().collect();
+        let params = HashTreeParams {
+            branching: 3,
+            max_leaf: 2,
+        };
+        let all = OwnershipFilter::all();
+        let mut batched = HashTree::build(3, params, cands.clone());
+        batched.count_all(&batch, &all);
+        assert!(is_clean(&batched));
+        let mut single = HashTree::build(3, params, cands.clone());
+        batch.iter().for_each(|t| single.subset(t, &all));
+        assert_eq!(batched.count_vector(), brute_counts(&cands, &batch));
+        assert_eq!(batched.count_vector(), single.count_vector());
+        assert_eq!(batched.stats(), single.stats());
+        assert_eq!(batched.stats().transactions, 70);
     }
 
     #[test]
