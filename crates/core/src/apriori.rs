@@ -174,12 +174,6 @@ impl FrequentItemsets {
         self.level(items.len()).binary_search_by(by_items).ok()
     }
 
-    /// The relative support (count / N) of a frequent itemset.
-    pub fn relative_support(&self, set: &ItemSet) -> Option<f64> {
-        self.support(set)
-            .map(|c| c as f64 / self.num_transactions.max(1) as f64)
-    }
-
     /// Whether `set` is frequent.
     pub fn contains(&self, set: &ItemSet) -> bool {
         self.position(set.items()).is_some()
@@ -797,7 +791,7 @@ mod tests {
         let run = Apriori::new(AprioriParams::with_min_support(0.6)).mine(d.transactions());
         assert_eq!(run.min_count, 3);
         let dm = d.itemset(&["Diaper", "Milk"]).unwrap();
-        assert_eq!(run.frequent.relative_support(&dm), Some(3.0 / 5.0));
+        assert_eq!(run.frequent.support(&dm), Some(3));
     }
 
     #[test]

@@ -210,11 +210,6 @@ pub fn read_transactions<R: Read>(reader: R) -> Result<Dataset, ReadError> {
     Ok(Dataset::new(transactions))
 }
 
-/// Reads a transaction database from a file path.
-pub fn read_transactions_file<P: AsRef<Path>>(path: P) -> Result<Dataset, ReadError> {
-    read_transactions(std::fs::File::open(path)?)
-}
-
 /// Writes `value` in decimal at `block[at..]`; returns where it ends.
 #[inline]
 fn put_decimal(block: &mut [u8], at: usize, mut value: u64) -> usize {
@@ -625,7 +620,7 @@ mod tests {
         let path = dir.join("db.txt");
         let d = Dataset::new(vec![Transaction::new(1, vec![Item(2), Item(3)])]);
         write_transactions_file(&path, &d).unwrap();
-        let r = read_transactions_file(&path).unwrap();
+        let r = read_transactions_auto(&path).unwrap();
         assert_eq!(r.transactions(), d.transactions());
         std::fs::remove_file(&path).ok();
     }

@@ -53,7 +53,6 @@ pub mod binpack;
 pub mod bitmap;
 pub mod counter;
 pub mod dataset;
-pub mod dhp;
 pub mod hashtree;
 pub mod io;
 pub mod item;

@@ -106,37 +106,6 @@ pub fn for_each_rule(frequent: &FrequentItemsets, min_confidence: f64, mut sink:
     }
 }
 
-/// Generates the rules of a **single** frequent itemset (level-wise
-/// consequent growth). This is the unit of work the parallel rule
-/// generator distributes: each processor takes a share of the frequent
-/// itemsets and calls this on each.
-pub fn rules_for_itemset(
-    frequent: &FrequentItemsets,
-    itemset: &ItemSet,
-    min_confidence: f64,
-) -> Vec<Rule> {
-    rules_for_itemset_counted(frequent, itemset, min_confidence).0
-}
-
-/// Like [`rules_for_itemset`], but also reports how many consequents were
-/// actually confidence-evaluated. Level-wise pruning makes this far
-/// smaller than the `2^|itemset| − 2` bipartitions in all but the
-/// all-confident case, so cost models must charge this number, not the
-/// exponential bound.
-pub fn rules_for_itemset_counted(
-    frequent: &FrequentItemsets,
-    itemset: &ItemSet,
-    min_confidence: f64,
-) -> (Vec<Rule>, u64) {
-    let mut out = Vec::new();
-    let Some(count) = frequent.support(itemset).filter(|_| itemset.len() >= 2) else {
-        return (out, 0);
-    };
-    let sink = &mut |rule| out.push(rule);
-    let evaluated = grow_rules(frequent, itemset.items(), count, min_confidence, sink);
-    (out, evaluated)
-}
-
 /// Level-wise consequent growth for one frequent itemset of `count`
 /// transactions. Bit `i` of a consequent mask stands for `items[i]`.
 /// Returns the number of consequents confidence-evaluated.
@@ -243,11 +212,24 @@ mod tests {
     use crate::dataset::Dataset;
     use crate::transaction::Transaction;
 
+    /// The rules of one frequent itemset of size ≥ 2, and how many
+    /// consequents `grow_rules` confidence-evaluated for them.
+    fn rules_of(
+        frequent: &FrequentItemsets,
+        itemset: &ItemSet,
+        min_confidence: f64,
+    ) -> (Vec<Rule>, u64) {
+        let count = frequent.support(itemset).unwrap();
+        let mut out = Vec::new();
+        let sink = &mut |rule| out.push(rule);
+        let evaluated = grow_rules(frequent, itemset.items(), count, min_confidence, sink);
+        (out, evaluated)
+    }
+
     /// The growth this module had before consequents were masks: each
     /// level by the general `apriori_gen`, each evaluation through a boxed
     /// difference and two hashed lookups. Kept as the definition of the
-    /// rule order and of the `evaluated` count that parallel rule
-    /// generation charges.
+    /// rule order and of the `evaluated` count `grow_rules` returns.
     fn grow_rules_by_sets(
         frequent: &FrequentItemsets,
         itemset: &ItemSet,
@@ -333,7 +315,7 @@ mod tests {
             for conf in [0.0, 0.5, 0.7, 1.0] {
                 let mut want_all = Vec::new();
                 for (itemset, _) in run.frequent.iter().filter(|(s, _)| s.len() >= 2) {
-                    let (got, evaluated) = rules_for_itemset_counted(&run.frequent, itemset, conf);
+                    let (got, evaluated) = rules_of(&run.frequent, itemset, conf);
                     let (want, want_evaluated) = grow_rules_by_sets(&run.frequent, itemset, conf);
                     let on = format!("seed {seed}, {itemset} at {conf}");
                     let got: Vec<_> = got.iter().map(exactly).collect();
@@ -560,26 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn rules_for_itemset_is_the_unit_of_generate_rules() {
-        let d = table1();
-        let run = Apriori::new(AprioriParams::with_min_support_count(2)).mine(d.transactions());
-        let whole = generate_rules(&run.frequent, 0.6);
-        let mut pieced: Vec<Rule> = Vec::new();
-        for size in 2..=run.frequent.max_len() {
-            for (set, _) in run.frequent.level(size) {
-                pieced.extend(rules_for_itemset(&run.frequent, set, 0.6));
-            }
-        }
-        assert_eq!(whole.len(), pieced.len());
-        for (a, b) in whole.iter().zip(&pieced) {
-            assert_eq!(a, b);
-        }
-        // Non-frequent and singleton queries produce nothing.
-        assert!(rules_for_itemset(&run.frequent, &ItemSet::from([0]), 0.0).is_empty());
-        assert!(rules_for_itemset(&run.frequent, &ItemSet::from([90, 91]), 0.0).is_empty());
-    }
-
-    #[test]
     fn evaluated_count_is_exhaustive_when_nothing_prunes() {
         // All transactions identical ⇒ every rule has confidence 1, so
         // level-wise growth evaluates every non-trivial consequent of the
@@ -589,7 +551,7 @@ mod tests {
             .collect();
         let run = Apriori::new(AprioriParams::with_min_support_count(2)).mine(&transactions);
         let four = ItemSet::from([1, 2, 3, 4]);
-        let (rules, evaluated) = rules_for_itemset_counted(&run.frequent, &four, 0.9);
+        let (rules, evaluated) = rules_of(&run.frequent, &four, 0.9);
         assert_eq!(evaluated, 14);
         assert_eq!(rules.len(), 14);
     }
@@ -621,14 +583,9 @@ mod tests {
             run.frequent.support(&triple).is_some(),
             "triple is frequent"
         );
-        let (rules, evaluated) = rules_for_itemset_counted(&run.frequent, &triple, 0.9);
+        let (rules, evaluated) = rules_of(&run.frequent, &triple, 0.9);
         assert!(rules.is_empty());
         assert_eq!(evaluated, 3, "pruning stops after the level-1 failures");
-        // Counted and uncounted variants agree on the rules themselves.
-        assert_eq!(
-            rules_for_itemset(&run.frequent, &triple, 0.9),
-            rules_for_itemset_counted(&run.frequent, &triple, 0.9).0
-        );
     }
 
     #[test]

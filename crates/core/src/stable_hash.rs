@@ -2,7 +2,8 @@
 //!
 //! HPA-style algorithms partition candidates by *hashing the itemset*:
 //! every processor must compute the identical owner for the identical
-//! candidate, across threads and across runs. `std`'s default hasher is
+//! candidate, across threads and across runs. PDM's bucket table is
+//! indexed the same way, by [`owner_of`] over the bucket count. `std`'s default hasher is
 //! randomly seeded per process, so we provide FNV-1a over the item ids —
 //! tiny, deterministic, and good enough for bucket spreading.
 

@@ -88,7 +88,7 @@ impl Transaction {
 
     /// Visits every size-`k` subset of this transaction in lexicographic
     /// order — the *potential candidates* HPA hashes and ships (Section
-    /// III-E), and DHP and PDM hash into buckets. Their number is
+    /// III-E), and PDM hashes into buckets. Their number is
     /// `(|t| choose k)`, which is exactly why the paper warns that HPA's
     /// communication volume blows up for `k > 2`, so none is held: each
     /// is lent to `visit` in one buffer that the next overwrites. `k = 0`

@@ -409,24 +409,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Every gauge named `name`, keyed by the numeric value of label
-    /// `key`, in ascending key order — e.g. per-rank busy times in rank
-    /// order, ready for an imbalance fold.
-    pub fn gauges_by(&self, name: &str, key: &str) -> Vec<(u64, f64)> {
-        let mut out: Vec<(u64, f64)> = self
-            .select(name, &[])
-            .filter_map(|s| {
-                let k = s.labels.get(key)?.parse::<u64>().ok()?;
-                match s.value {
-                    MetricValue::Gauge(v) => Some((k, v)),
-                    other => panic!("{name} is a {}, not a gauge", other.kind()),
-                }
-            })
-            .collect();
-        out.sort_by_key(|&(k, _)| k);
-        out
-    }
-
     /// The single histogram named `name` matching `filter`.
     pub fn histogram(&self, name: &str, filter: &[(&str, &str)]) -> Option<&HistogramSummary> {
         let mut matches = self.select(name, filter);
@@ -615,8 +597,6 @@ mod tests {
             s.set_gauge("g", Labels::new().with("rank", rank), rank as f64);
         }
         let snap = s.snapshot(&Labels::new());
-        let by_rank = snap.gauges_by("g", "rank");
-        assert_eq!(by_rank, vec![(0, 0.0), (2, 2.0), (10, 10.0)]);
         assert_eq!(snap.label_values("rank"), vec!["0", "2", "10"]);
         assert_eq!(snap.gauge("g", &[("rank", "2")]), Some(2.0));
         assert_eq!(snap.gauge("g", &[("rank", "7")]), None);

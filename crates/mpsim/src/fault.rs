@@ -180,14 +180,6 @@ impl FaultPlan {
         parts.join(",")
     }
 
-    /// Whether the plan injects nothing at all.
-    pub fn is_fault_free(&self) -> bool {
-        self.drop_rate == 0.0
-            && self.delay_rate == 0.0
-            && self.slowdowns.is_empty()
-            && self.crashes.is_empty()
-    }
-
     /// Checks the plan's parameters; returns a human-readable complaint
     /// for out-of-range values.
     pub fn validate(&self) -> Result<(), String> {
@@ -485,7 +477,10 @@ mod tests {
     fn whitespace_only_and_comment_only_input_is_a_default_plan() {
         let plan: FaultPlan = "\n   \n# nothing here\n\t\n".parse().expect("parses");
         assert_eq!(plan, FaultPlan::default());
-        assert!("".parse::<FaultPlan>().expect("empty").is_fault_free());
+        assert_eq!(
+            "".parse::<FaultPlan>().expect("empty"),
+            FaultPlan::default()
+        );
     }
 
     #[test]
@@ -546,7 +541,8 @@ mod tests {
     #[test]
     fn defaults_are_fault_free() {
         let plan = FaultPlan::default();
-        assert!(plan.is_fault_free());
+        // The label names every injected fault; the default's names none.
+        assert_eq!(plan.label(), "seed0");
         assert!(!plan.has_crashes());
         assert_eq!(plan.slowdown_of(3), 1.0);
         assert!(plan.validate().is_ok());

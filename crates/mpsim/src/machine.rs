@@ -151,15 +151,6 @@ impl MachineProfile {
             .map(|&(k, _)| k)
     }
 
-    /// Effective bandwidth in MB/s (for reports).
-    pub fn bandwidth_mb_s(&self) -> f64 {
-        if self.t_w == 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / self.t_w / 1e6
-        }
-    }
-
     /// Virtual seconds one batch of candidate-counting work costs on this
     /// machine.
     ///
@@ -239,11 +230,6 @@ impl ClusterProfile {
     /// into the constants, so reports can still name one machine.
     pub fn base(&self) -> &MachineProfile {
         &self.base
-    }
-
-    /// The relative speed of `rank` (1.0 unless overridden).
-    pub fn speed_of(&self, rank: usize) -> f64 {
-        self.speeds.get(&rank).copied().unwrap_or(1.0)
     }
 
     /// The compute-charge multiplier of `rank`: `1 / speed`. Exactly 1.0
@@ -384,7 +370,7 @@ mod tests {
     #[test]
     fn t3e_matches_paper_figures() {
         let m = MachineProfile::cray_t3e();
-        assert!((m.bandwidth_mb_s() - 303.0).abs() < 1.0);
+        assert!((1.0 / m.t_w / 1e6 - 303.0).abs() < 1.0, "303 MB/s");
         assert!((m.t_s - 16e-6).abs() < 1e-12);
         assert_eq!(m.io_per_byte, 0.0, "T3E runs from memory buffers");
     }
@@ -402,7 +388,6 @@ mod tests {
     fn ideal_communication_is_free() {
         let m = MachineProfile::ideal();
         assert_eq!(m.t_s + m.t_w + m.t_hop, 0.0);
-        assert!(m.bandwidth_mb_s().is_infinite());
         assert!(m.t_travers > 0.0, "compute still costs");
     }
 
@@ -527,7 +512,6 @@ mod tests {
         let cluster = ClusterProfile::default();
         assert!(cluster.is_uniform());
         assert_eq!(cluster.base().name, "Cray T3E");
-        assert_eq!(cluster.speed_of(5), 1.0);
         // The multiplier of a non-overridden rank is the literal 1.0 —
         // the bit pattern the homogeneous charge path has always used.
         assert_eq!(cluster.slowdown_of(5).to_bits(), 1.0f64.to_bits());
@@ -551,7 +535,7 @@ mod tests {
                 .parse()
                 .expect("parses");
         assert_eq!(cluster.base().name, "IBM SP2");
-        assert_eq!(cluster.speed_of(1), 0.5);
+        assert_eq!(cluster.slowdown_of(1), 2.0);
         let empty: ClusterProfile = "\n  \n# nothing\n".parse().expect("parses");
         assert_eq!(empty, ClusterProfile::default());
     }

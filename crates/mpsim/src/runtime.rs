@@ -276,11 +276,6 @@ impl<T> SimResult<T> {
         self.ranks.iter().map(|r| r.bytes_sent).sum()
     }
 
-    /// Total messages sent by all ranks.
-    pub fn total_messages(&self) -> u64 {
-        self.ranks.iter().map(|r| r.messages_sent).sum()
-    }
-
     /// Load imbalance of compute time across ranks (`max/avg − 1`) — the
     /// metric behind the paper's Section III-C load-balance quotes.
     pub fn compute_imbalance(&self) -> f64 {
@@ -332,7 +327,7 @@ mod tests {
         });
         assert_eq!(r.results[0], "got 3");
         // Two messages, 28 bytes total.
-        assert_eq!(r.total_messages(), 2);
+        assert_eq!(r.ranks.iter().map(|s| s.messages_sent).sum::<u64>(), 2);
         assert_eq!(r.total_bytes(), 28);
         // Virtual time covers two startups at least.
         assert!(r.response_time() >= 2.0 * MachineProfile::cray_t3e().t_s);
@@ -773,7 +768,8 @@ mod tests {
         }
         assert!(native.response_time() > 0.0);
         // Traffic accounting is backend-independent.
-        assert_eq!(sim.total_messages(), native.total_messages());
+        let messages = |r: &SimResult<u64>| r.ranks.iter().map(|s| s.messages_sent).sum::<u64>();
+        assert_eq!(messages(&sim), messages(&native));
         assert_eq!(sim.total_bytes(), native.total_bytes());
     }
 

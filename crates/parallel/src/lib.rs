@@ -60,10 +60,8 @@ mod npa;
 mod pdm;
 mod recovery;
 mod registry;
-mod rules;
 
 pub use config::{ParallelParams, PlacementPolicy};
 pub use hd::choose_grid;
 pub use metrics::{ParallelPassMetrics, ParallelRun};
 pub use miner::{Algorithm, FaultRunError, ParallelMiner};
-pub use rules::ParallelRulesRun;

@@ -300,24 +300,6 @@ impl ParallelMiner {
         };
         assemble(meta, dataset.len(), min_count, result).ok_or(FaultRunError::AllRanksCrashed)
     }
-
-    /// Generates association rules from a mined (replicated) frequent
-    /// lattice in parallel — the discovery pipeline's second step, which
-    /// the paper notes "is straightforward": the itemsets are partitioned
-    /// round-robin and each processor grows consequents for its share.
-    /// The output is byte-identical to
-    /// [`armine_core::rules::generate_rules`].
-    pub fn generate_rules(
-        &self,
-        frequent: &armine_core::apriori::FrequentItemsets,
-        min_confidence: f64,
-    ) -> crate::rules::ParallelRulesRun {
-        let sim = Simulator::new(self.procs)
-            .cluster(self.cluster.clone())
-            .topology(self.topology)
-            .backend(self.backend);
-        crate::rules::generate_rules_parallel(&sim, frequent, min_confidence)
-    }
 }
 
 /// Where the database slab is cut: rank `r` starts on `cuts[r]..cuts[r + 1]`,

@@ -20,7 +20,7 @@
 use crate::cd;
 use crate::common::{PassResult, RankCtx};
 use crate::config::ParallelParams;
-use armine_core::dhp::HashFilter;
+use armine_core::stable_hash::owner_of;
 use armine_core::Item;
 use armine_mpsim::{Comm, RecvFault};
 
@@ -38,26 +38,26 @@ pub(crate) fn count_pass(
 ) -> Result<PassResult, RecvFault> {
     let pruned: Vec<Item>;
     let candidates = if k >= 2 && k <= 1 + filter_passes {
+        assert!(buckets >= 1, "need at least one bucket");
         // Build the local bucket table for this pass's subset size over
         // the local slice.
         let machine = comm.machine().clone();
-        let mut filter = HashFilter::new(buckets);
+        let mut table = vec![0u64; buckets];
         let mut hashed = 0u64;
         for t in ctx.local.iter() {
             t.for_each_k_subset(k, |subset| {
-                filter.add(subset);
+                table[owner_of(subset, buckets)] += 1;
                 hashed += 1;
             });
         }
         comm.advance(hashed as f64 * machine.t_travers);
         // Global reduction of the bucket table (the PDM-specific traffic).
-        let mut counts = filter.counts().to_vec();
-        ctx.world(comm).try_allreduce_sum_u64(&mut counts)?;
-        filter.set_counts(&counts);
+        ctx.world(comm).try_allreduce_sum_u64(&mut table)?;
         // Prune: identical on every rank (global counts, same candidates),
-        // the surviving rows copied into this rank's arena.
+        // the surviving rows copied into this rank's arena. A bucket sums
+        // every subset hashed there, so it never refuses a frequent `c`.
         let rows = candidates.chunks_exact(k);
-        let admitted = rows.filter(|c| filter.admits(c, ctx.min_count));
+        let admitted = rows.filter(|c| table[owner_of(c, buckets)] >= ctx.min_count);
         pruned = admitted.flatten().copied().collect();
         &pruned
     } else {
@@ -98,20 +98,48 @@ mod tests {
             .collect();
         let params = ParallelParams::with_min_support_count(min_count).max_k(4);
         for procs in [1, 4, 7] {
-            for buckets in [16usize, 4096] {
-                let run = ParallelMiner::new(procs).mine(
-                    Algorithm::Pdm {
-                        buckets,
-                        filter_passes: 2,
-                    },
-                    &dataset,
-                    &params,
-                );
-                let got: Vec<(ItemSet, u64)> =
-                    run.frequent.iter().map(|(s, c)| (s.clone(), c)).collect();
-                assert_eq!(got, want, "procs={procs} buckets={buckets}");
+            let miner = ParallelMiner::new(procs);
+            let cd = miner.mine(Algorithm::Cd, &dataset, &params);
+            // One bucket holds every hashed pair (the tiniest table, all
+            // collisions), 8 filter passes reach past `max_k`.
+            for buckets in [1usize, 16, 4096] {
+                for filter_passes in [2, 8] {
+                    let run = miner.mine(
+                        Algorithm::Pdm {
+                            buckets,
+                            filter_passes,
+                        },
+                        &dataset,
+                        &params,
+                    );
+                    let got: Vec<(ItemSet, u64)> =
+                        run.frequent.iter().map(|(s, c)| (s.clone(), c)).collect();
+                    let case = format!("procs={procs} buckets={buckets} filter={filter_passes}");
+                    assert_eq!(got, want, "{case}");
+                    if buckets == 1 {
+                        assert_eq!(
+                            run.passes[1].counted_candidates, cd.passes[1].counted_candidates,
+                            "one bucket prunes nothing: {case}"
+                        );
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one bucket")]
+    fn zero_buckets_rejected() {
+        let dataset = quest(50, 30, 73);
+        let params = ParallelParams::with_min_support_count(3).max_k(2);
+        ParallelMiner::new(2).mine(
+            Algorithm::Pdm {
+                buckets: 0,
+                filter_passes: 1,
+            },
+            &dataset,
+            &params,
+        );
     }
 
     #[test]

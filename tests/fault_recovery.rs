@@ -6,6 +6,7 @@
 //! timers under native); and on sim the same plan must reproduce the
 //! same virtual clocks and fault counters.
 
+use armine::core::rules::generate_rules;
 use armine::metrics::json::BenchDocument;
 use armine::mpsim::{CrashPoint, ExecBackend, FaultPlan};
 use armine::parallel::{Algorithm, FaultRunError, ParallelMiner, ParallelParams};
@@ -203,15 +204,9 @@ fn drops_straggler_and_midpass_crash_reproduce_fault_free_results() {
         );
         assert!(faulted.total_retransmits() > 0, "{}", algo.name());
         // Rule generation runs on the recovered lattice: identical rules.
-        let clean_rules = miner.generate_rules(&clean.frequent, 0.5);
-        let faulted_rules = miner.generate_rules(&faulted.frequent, 0.5);
-        assert_eq!(
-            faulted_rules.rules.len(),
-            clean_rules.rules.len(),
-            "{}",
-            algo.name()
-        );
-        assert_eq!(faulted_rules.rules, clean_rules.rules, "{}", algo.name());
+        let clean_rules = generate_rules(&clean.frequent, 0.5);
+        let faulted_rules = generate_rules(&faulted.frequent, 0.5);
+        assert_eq!(faulted_rules, clean_rules, "{}", algo.name());
     }
 }
 
