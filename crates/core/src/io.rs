@@ -89,6 +89,12 @@ fn ascii_blanks(line: &[u8]) -> Vec<u8> {
     spelled
 }
 
+/// The cap [`digits`] reads a tid under: one at or above it, or not plain
+/// digits, is `str::parse`'s to judge.
+const TID_CAP: u64 = 10u64.pow(18);
+/// The cap [`digits`] reads an item id under: one past [`Item::MAX_ID`].
+const ID_CAP: u64 = Item::MAX_ID as u64 + 1;
+
 /// The plain digits at `bytes[at..]`: where they end and their value,
 /// which stops growing at `cap` (at most 10^18: no overflow).
 #[inline]
@@ -120,8 +126,6 @@ fn parse_line(
     next_tid: u64,
     items: &mut Vec<Item>,
 ) -> Result<Option<u64>, std::ops::Range<usize>> {
-    const TID_CAP: u64 = 10u64.pow(18);
-    const ID_CAP: u64 = Item::MAX_ID as u64 + 1;
     let end = line
         .iter()
         .rposition(|&b| !is_blank(b))
@@ -176,38 +180,132 @@ fn parse_line(
     Ok(Some(tid))
 }
 
+/// The line the writer writes, at the start of `bytes`: `tid:` then ` id`
+/// per item and `\n`, every number plain digits, the tid below 10^18, the
+/// ids strictly ascending and at most [`Item::MAX_ID`]. Its tid, with its
+/// items in `items`, and where it ends past the newline; `None` for any
+/// other line, and for one that `bytes` cuts off. What it accepts,
+/// [`parse_line`] parses the same.
+#[inline]
+fn parse_canonical(bytes: &[u8], items: &mut Vec<Item>) -> Option<(u64, usize)> {
+    let (colon, tid) = digits(bytes, 0, TID_CAP);
+    if colon == 0 || tid == TID_CAP || bytes.get(colon) != Some(&b':') {
+        return None;
+    }
+    items.clear();
+    let mut at = colon + 1;
+    while bytes.get(at) == Some(&b' ') {
+        let (end, id) = digits(bytes, at + 1, ID_CAP);
+        let ascending = items.last().is_none_or(|last| (last.id() as u64) < id);
+        if end == at + 1 || id == ID_CAP || !ascending {
+            return None;
+        }
+        items.push(Item(id as u32));
+        at = end;
+    }
+    (bytes.get(at) == Some(&b'\n')).then_some((tid, at + 1))
+}
+
+/// The text reader's state between lines: the transactions so far, the
+/// scratch items of the line at hand, the tid a line without one gets, and
+/// the number of lines taken.
+#[derive(Default)]
+struct TextReader {
+    transactions: Vec<Transaction>,
+    items: Vec<Item>,
+    next_tid: u64,
+    lines: usize,
+}
+
+impl TextReader {
+    /// Takes the line at the start of `bytes`: how long it is, newline
+    /// and all, or `None` if `bytes` ends inside it. With `whole`, `bytes`
+    /// is one line, closed by its newline or by the end of the input.
+    fn take(&mut self, bytes: &[u8], whole: bool) -> Result<Option<usize>, ReadError> {
+        let (parsed, len) = match parse_canonical(bytes, &mut self.items) {
+            Some((tid, len)) => (Ok(Some(tid)), len),
+            None => {
+                let len = match bytes.iter().position(|&b| b == b'\n') {
+                    Some(newline) => newline + 1,
+                    None if whole => bytes.len(),
+                    None => return Ok(None),
+                };
+                let line = &bytes[..len];
+                let parsed = if line.is_ascii() {
+                    parse_line(line, self.next_tid, &mut self.items)
+                } else {
+                    parse_line(&ascii_blanks(line), self.next_tid, &mut self.items)
+                };
+                (parsed, len)
+            }
+        };
+        self.lines += 1;
+        let tid = parsed.map_err(|token| ReadError::Parse {
+            line: self.lines,
+            token: String::from_utf8_lossy(&bytes[token]).into_owned(),
+        })?;
+        if let Some(tid) = tid {
+            let items = self.items.to_vec();
+            self.transactions.push(Transaction::from_sorted(tid, items));
+            // An explicit tid of `u64::MAX` is legal: the sequence wraps to 0.
+            self.next_tid = tid.wrapping_add(1);
+        }
+        Ok(Some(len))
+    }
+}
+
 /// Reads a transaction database from any reader.
 ///
 /// Transactions without an explicit `tid:` prefix get sequential ids
-/// starting from 1. A line is parsed as bytes in one reused buffer and
-/// costs one allocation, of exactly the transaction's size.
+/// starting from 1. Lines are parsed where they lie in the reader's 64 KB
+/// block; only a line that a refill cuts in two is first gathered into one
+/// reused buffer. A transaction costs one allocation, of exactly its size.
 pub fn read_transactions<R: Read>(reader: R) -> Result<Dataset, ReadError> {
-    use std::io::BufRead;
+    use std::io::{BufRead, ErrorKind};
     let mut reader = BufReader::with_capacity(IO_BLOCK, reader);
-    let mut transactions = Vec::new();
-    let (mut line, mut items) = (Vec::new(), Vec::new());
-    let mut next_tid: u64 = 1;
-    for lineno in 1.. {
-        line.clear();
-        if reader.read_until(b'\n', &mut line)? == 0 {
+    let mut text = TextReader {
+        next_tid: 1,
+        ..TextReader::default()
+    };
+    // The head of a line that the last block ended inside.
+    let mut cut = Vec::new();
+    loop {
+        let block = match reader.fill_buf() {
+            Ok(block) => block,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        if block.is_empty() {
             break;
         }
-        let parsed = if line.is_ascii() {
-            parse_line(&line, next_tid, &mut items)
-        } else {
-            parse_line(&ascii_blanks(&line), next_tid, &mut items)
-        };
-        let bad = |token| ReadError::Parse {
-            line: lineno,
-            token: String::from_utf8_lossy(&line[token]).into_owned(),
-        };
-        if let Some(tid) = parsed.map_err(bad)? {
-            transactions.push(Transaction::from_sorted(tid, items.to_vec()));
-            // An explicit tid of `u64::MAX` is legal: the sequence wraps to 0.
-            next_tid = tid.wrapping_add(1);
+        let mut at = 0;
+        if !cut.is_empty() {
+            let end = block
+                .iter()
+                .position(|&b| b == b'\n')
+                .map(|newline| newline + 1);
+            at = end.unwrap_or(block.len());
+            cut.extend_from_slice(&block[..at]);
+            if end.is_some() {
+                text.take(&cut, true)?;
+                cut.clear();
+            }
         }
+        while at < block.len() {
+            match text.take(&block[at..], false)? {
+                Some(len) => at += len,
+                None => {
+                    cut.extend_from_slice(&block[at..]);
+                    at = block.len();
+                }
+            }
+        }
+        reader.consume(at);
     }
-    Ok(Dataset::new(transactions))
+    if !cut.is_empty() {
+        text.take(&cut, true)?;
+    }
+    Ok(Dataset::new(text.transactions))
 }
 
 /// Writes `value` in decimal at `block[at..]`; returns where it ends.
@@ -303,8 +401,9 @@ pub fn write_transactions_file<P: AsRef<Path>>(path: P, dataset: &Dataset) -> st
 //
 // Fixed-width, so nothing is parsed, and smaller than text once ids run to
 // five digits or more (Quest ids below 1000 are smaller as text: 66 MB
-// against 72 MB for T15 D1M). It no longer loads faster: 1M transactions
-// read in 0.23 s, field by field, against 0.20 s for the text reader.
+// against 72 MB for T15 D1M). It no longer loads faster: it is read field
+// by field, the text a block at a time (the probe's `io.load_binary_s` and
+// `io.load_text_s`).
 
 const BINARY_MAGIC: &[u8; 4] = b"ARMN";
 const BINARY_VERSION: u32 = 1;
@@ -747,6 +846,118 @@ mod tests {
             let err = read_transactions(text.as_bytes()).unwrap_err();
             assert_eq!(err.to_string(), "line 4: invalid item id \"x5y\"");
         }
+        // A line longer than the block that the fast path refuses (tabs),
+        // then a canonical one, each cut by every refill.
+        let long = format!("7:\t{}\n8: 1 2\n", ids.join("\t"));
+        assert_reads_like_the_line_reader(long.as_bytes(), &steps);
+        let d = read_transactions(long.as_bytes()).unwrap();
+        assert_eq!((d.len(), d.transactions()[0].len()), (2, 40_000));
+        // A canonical line cut at every offset, by the block's end and by
+        // reads of every size, each cut an `Interrupted` read mid-line.
+        let line = "123456: 0 7 89 1011 134217727\n";
+        let text = format!("1: 2\n{line}{line}9:\n");
+        let every: Vec<usize> = (1..=text.len()).collect();
+        assert_reads_like_the_line_reader(text.as_bytes(), &every);
+        for offset in 0..=line.len() {
+            let text = format!("#{}\n{line}3 4", "-".repeat(IO_BLOCK - 2 - offset));
+            assert_reads_like_the_line_reader(text.as_bytes(), &[4096, usize::MAX]);
+            let d = read_transactions(text.as_bytes()).unwrap();
+            let tids: Vec<u64> = d.transactions().iter().map(Transaction::tid).collect();
+            assert_eq!(tids, [123456, 123457], "line cut at {offset}");
+        }
+        // CRLF line ends and a missing final newline, canonical or not.
+        for (text, len) in [
+            ("1: 2 3\r\n4: 5\r\n\r\n6", 3),
+            ("1: 2 3\n4: 5 6", 2),
+            ("1: 2\n 4 3", 2),
+        ] {
+            assert_reads_like_the_line_reader(text.as_bytes(), &steps);
+            assert_eq!(read_transactions(text.as_bytes()).unwrap().len(), len);
+        }
+    }
+
+    /// Whatever line the fast path takes, it parses as `parse_line` does;
+    /// these it must take, and these it must leave to `parse_line`.
+    #[test]
+    fn the_fast_path_takes_canonical_lines_only() {
+        let max = Item::MAX_ID;
+        let canonical = [
+            "1: 2 3\n".to_string(),
+            "7:\n".to_string(),
+            "0: 0\n".to_string(),
+            "999999999999999999: 1\n".to_string(),
+            format!("5: 1 {max}\n"),
+            "12: 007 100000000 0134217727\n".to_string(),
+        ];
+        let other = [
+            "1: 2 3".to_string(),
+            "1: 2 3\r\n".to_string(),
+            "1: 2  3\n".to_string(),
+            "1: 2 3 \n".to_string(),
+            "1:\t2\n".to_string(),
+            " 1: 2\n".to_string(),
+            "1 : 2\n".to_string(),
+            "1: 3 2\n".to_string(),
+            "1: 2 2\n".to_string(),
+            "2 3\n".to_string(),
+            "\n".to_string(),
+            "# 1: 2\n".to_string(),
+            "1000000000000000000: 1\n".to_string(),
+            format!("5: 1 {}\n", max + 1),
+            "5: 1 00134217728\n".to_string(),
+            "5: 1 4294967296\n".to_string(),
+            "5: +1\n".to_string(),
+            "5: 1x\n".to_string(),
+        ];
+        let (mut fast, mut slow) = (Vec::new(), Vec::new());
+        for line in canonical.iter().chain(&other) {
+            let line = line.as_bytes();
+            let taken = parse_canonical(line, &mut fast);
+            assert_eq!(
+                taken.is_some(),
+                canonical.iter().any(|c| c.as_bytes() == line)
+            );
+            if let Some((tid, len)) = taken {
+                assert_eq!(len, line.len());
+                assert_eq!(parse_line(line, 0, &mut slow), Ok(Some(tid)));
+                assert_eq!(fast, slow);
+            }
+            // A line the block cuts off is never taken.
+            assert_eq!(parse_canonical(&line[..line.len() - 1], &mut fast), None);
+        }
+    }
+
+    /// Every line `armine gen` writes, in the benchmark's shapes, takes the
+    /// fast path and parses as `parse_line` parses it.
+    #[test]
+    fn every_generated_line_takes_the_fast_path() {
+        let sparse = armine_datagen::QuestParams::paper_t15_i6()
+            .num_transactions(20_000)
+            .seed(4242);
+        let dense = sparse.num_items(250).num_patterns(120);
+        let dense_t10 = dense.avg_transaction_len(10.0).avg_pattern_len(4.0);
+        for params in [sparse, dense, dense_t10] {
+            let mut text = Vec::new();
+            let mut ids = Vec::new();
+            write_transaction_stream(&mut text, None, |sink| {
+                params.stream(|tid, items| {
+                    ids.clear();
+                    ids.extend(items.iter().map(|item| Item(item.id())));
+                    sink(tid, &ids)
+                })
+            })
+            .unwrap();
+            let (mut fast, mut slow) = (Vec::new(), Vec::new());
+            let mut lines = 0;
+            for line in text.split_inclusive(|&b| b == b'\n') {
+                let (tid, len) = parse_canonical(line, &mut fast).expect("canonical");
+                assert_eq!(len, line.len());
+                assert_eq!(parse_line(line, 0, &mut slow), Ok(Some(tid)));
+                assert_eq!(fast, slow);
+                lines += 1;
+            }
+            assert_eq!(lines, 20_000, "{params:?}");
+        }
     }
 
     /// Not an i/o error: the offending line is named, and what is printed
@@ -799,10 +1010,31 @@ mod tests {
         fn text_reader_takes_any_bytes_and_ok_round_trips(
             bytes in proptest::collection::vec(0u8..=255, 0..48),
             tokens in proptest::collection::vec(0usize..TEXT_TOKENS.len(), 0..20),
+            ids in proptest::collection::vec(0u32..400, 0..40),
+            spliced in 0usize..TEXT_TOKENS.len(),
+            at in 0usize..1000,
+            step in 1usize..64,
         ) {
             let junk: String = tokens.iter().map(|&t| TEXT_TOKENS[t]).collect();
-            for input in [&bytes[..], junk.as_bytes()] {
-                assert_reads_like_the_line_reader(input, &[1, 2, 3, 7, 4096]);
+            // Canonical lines, as the writer writes them (a line ends before
+            // each multiple of 5), with one token spliced in somewhere.
+            let mut lines: Vec<Transaction> = Vec::new();
+            for (tid, &id) in ids.iter().enumerate() {
+                match lines.last_mut() {
+                    Some(last) if id % 5 != 0 => {
+                        let items = last.items().iter().copied().chain([Item(id)]);
+                        *last = Transaction::new(last.tid(), items.collect());
+                    }
+                    _ => lines.push(Transaction::new(tid as u64 * 3, vec![Item(id)])),
+                }
+            }
+            let mut canonical = Vec::new();
+            write_transactions(&mut canonical, &Dataset::new(lines)).unwrap();
+            let mut spliced_in = canonical.clone();
+            let at = at % (canonical.len() + 1);
+            spliced_in.splice(at..at, TEXT_TOKENS[spliced].bytes());
+            for input in [&bytes[..], junk.as_bytes(), &canonical, &spliced_in] {
+                assert_reads_like_the_line_reader(input, &[1, 2, 3, 7, step, 4096]);
                 let Ok(d) = read_transactions(input) else { continue };
                 // A transaction needs a line, an item a digit and a space.
                 accepted(&d, input.len() + 1, 1, 2);

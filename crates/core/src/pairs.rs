@@ -142,6 +142,34 @@ impl PairCounter {
     }
 }
 
+/// Counts the pairs `(first, second)` that one row's `cells`, starting at
+/// second-item rank `lo`, hold for every `second` in `rest`: the probes
+/// that land in the row, and the hits. Out of line, with nothing else live,
+/// so the loop keeps its values in registers.
+#[inline(never)]
+fn count_row(
+    cells: &[u32],
+    lo: u32,
+    first: Item,
+    rest: &[(Item, u32)],
+    filter: &OwnershipFilter,
+    counts: &mut [u64],
+) -> (u64, u64) {
+    let (mut steps, mut hits) = (0, 0);
+    for &(second, rank) in rest {
+        // Below `lo` wraps far above the row's length: one compare.
+        let Some(&slot) = cells.get(rank.wrapping_sub(lo) as usize) else {
+            continue;
+        };
+        steps += 1;
+        if slot != NONE && filter.allows_second(first, second) {
+            hits += 1;
+            counts[slot as usize] += 1;
+        }
+    }
+    (steps, hits)
+}
+
 impl CandidateCounter for PairCounter {
     fn table(&self) -> &CandidateTable {
         &self.table
@@ -180,19 +208,11 @@ impl CandidateCounter for PairCounter {
                     continue;
                 }
                 stats.root_starts += 1;
-                for &(second, rank) in rest {
-                    // Below `lo` wraps far above `len`: one compare.
-                    let offset = rank.wrapping_sub(row.lo);
-                    if offset >= row.len {
-                        continue;
-                    }
-                    stats.traversal_steps += 1;
-                    let slot = self.cells[(row.start + offset) as usize];
-                    if slot != NONE && filter.allows_second(first, second) {
-                        hits += 1;
-                        self.table.counts[slot as usize] += 1;
-                    }
-                }
+                let cells = &self.cells[row.start as usize..][..row.len as usize];
+                let (steps, row_hits) =
+                    count_row(cells, row.lo, first, rest, filter, &mut self.table.counts);
+                stats.traversal_steps += steps;
+                hits += row_hits;
             }
         }
         stats.distinct_leaf_visits += hits;

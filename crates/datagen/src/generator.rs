@@ -324,8 +324,10 @@ mod tests {
     /// The text bytes of `armine gen` at seed 4242, N = 2000, hashed at the
     /// commit before the generator became a stream: the two shapes the
     /// benchmark generates, no transactions at all, and a universe of five
-    /// items (every target is cut to it, so instances overflow and carry).
-    /// Reusing buffers moved no RNG draw; and `generate` is the stream.
+    /// items (every target is cut to it, so instances overflow and carry);
+    /// and the sparse shape at N = 200,000, hashed at the commit before
+    /// `PatternPool::pick` became a guide-table lookup. Reusing buffers
+    /// and the guide table moved no RNG draw; and `generate` is the stream.
     #[test]
     fn stream_writes_the_bytes_the_collecting_generator_wrote() {
         use armine_core::io::{write_transaction_stream, write_transactions};
@@ -341,6 +343,11 @@ mod tests {
             (dense, 78_908, 0xb0c9_3022_fc37_dcaa),
             (sparse.num_transactions(0), 0, 0xcbf2_9ce4_8422_2325),
             (tiny, 28_199, 0x9325_c0e1_81ed_baef),
+            (
+                sparse.num_transactions(200_000),
+                13_119_365,
+                0x455b_324b_19a3_8801,
+            ),
         ] {
             let mut streamed = Vec::new();
             write_transaction_stream(&mut streamed, None, |sink| params.stream(sink)).unwrap();

@@ -24,12 +24,17 @@ pub struct Pattern {
     pub corruption: f64,
 }
 
-/// The pattern pool plus its cumulative-weight index for roulette
-/// selection.
+/// The pattern pool plus its roulette wheel: the cumulative weights and a
+/// guide table over them, so that a draw is an O(1) lookup (Chen and Asau's
+/// indexed search) rather than a binary search over `|L|` floats.
 #[derive(Debug, Clone)]
 pub struct PatternPool {
     patterns: Vec<Pattern>,
     cumulative: Vec<f64>,
+    /// `guide[j]` is the first index whose cumulative weight is `≥ j / G`,
+    /// `G = guide.len()` a power of two `≥ 4·|L|`: a draw `x` lands in
+    /// bucket `⌊x·G⌋` and scans on from there, about a quarter of a step.
+    guide: Vec<u32>,
 }
 
 impl PatternPool {
@@ -86,7 +91,12 @@ impl PatternPool {
                 corruption: corruption_dist.sample(rng).clamp(0.0, 1.0),
             });
         }
-        // Normalize weights to a probability distribution.
+        PatternPool::from_patterns(patterns)
+    }
+
+    /// The pool of `patterns`, their weights normalized to a probability
+    /// distribution, with its wheel.
+    fn from_patterns(mut patterns: Vec<Pattern>) -> Self {
         let total: f64 = patterns.iter().map(|p| p.weight).sum();
         let mut cumulative = Vec::with_capacity(patterns.len());
         let mut acc = 0.0;
@@ -99,9 +109,22 @@ impl PatternPool {
         if let Some(last) = cumulative.last_mut() {
             *last = 1.0;
         }
+        // `j / G` is exact for a power of two, and so is `x · G` in `pick`.
+        let buckets = (4 * cumulative.len()).next_power_of_two();
+        let mut at = 0;
+        let guide = (0..buckets)
+            .map(|j| {
+                let edge = j as f64 / buckets as f64;
+                while cumulative[at] < edge {
+                    at += 1;
+                }
+                at as u32
+            })
+            .collect();
         PatternPool {
             patterns,
             cumulative,
+            guide,
         }
     }
 
@@ -120,15 +143,19 @@ impl PatternPool {
         self.patterns.is_empty()
     }
 
-    /// Roulette-selects a pattern index by weight.
+    /// Roulette-selects a pattern index by weight: one uniform draw.
     pub fn pick<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let x: f64 = rng.gen();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&x).unwrap())
-        {
-            Ok(i) | Err(i) => i.min(self.patterns.len() - 1),
+        self.index_of(rng.gen())
+    }
+
+    /// The first index whose cumulative weight is `≥ x`, for `x` in
+    /// `[0, 1)`: the guide table's bucket, then a short forward scan.
+    fn index_of(&self, x: f64) -> usize {
+        let mut at = self.guide[(x * self.guide.len() as f64) as usize] as usize;
+        while self.cumulative.get(at).is_some_and(|&c| c < x) {
+            at += 1;
         }
+        at.min(self.patterns.len() - 1)
     }
 
     /// Produces a corrupted instance of pattern `idx` in `items`, a buffer
@@ -144,11 +171,16 @@ impl PatternPool {
         let p = &self.patterns[idx];
         items.clear();
         items.extend_from_slice(&p.items);
+        let mut dropped = false;
         while items.len() > 1 && rng.gen::<f64>() < p.corruption {
             let victim = rng.gen_range(0..items.len());
             items.swap_remove(victim);
+            dropped = true;
         }
-        items.sort_unstable();
+        // `swap_remove` is what unsorts; a whole pattern is sorted already.
+        if dropped {
+            items.sort_unstable();
+        }
     }
 }
 
@@ -218,6 +250,74 @@ mod tests {
             (freq - weight).abs() < 0.02,
             "heaviest pattern: freq {freq} vs weight {weight}"
         );
+    }
+
+    /// The search `pick` made before the guide table: a binary search over
+    /// the cumulative weights, kept as the definition of the draw.
+    fn binary_search_index_of(pool: &PatternPool, x: f64) -> usize {
+        match pool
+            .cumulative
+            .binary_search_by(|c| c.partial_cmp(&x).unwrap())
+        {
+            Ok(i) | Err(i) => i.min(pool.patterns.len() - 1),
+        }
+    }
+
+    #[test]
+    fn guide_table_picks_what_the_binary_search_picked() {
+        for num_patterns in [1, 2, 120, 2000] {
+            let mut rng = StdRng::seed_from_u64(num_patterns as u64);
+            let p = PatternPool::build(&mut rng, num_patterns, 1000, 6.0, 0.5, 0.5, 0.3);
+            assert!(p.cumulative.windows(2).all(|w| w[0] < w[1]));
+            for _ in 0..1_000_000 {
+                let x = rng.gen();
+                assert_eq!(p.index_of(x), binary_search_index_of(&p, x), "x = {x}");
+            }
+            // Every bucket's edge, the smallest draw and the largest.
+            let buckets = p.guide.len();
+            assert!(buckets.is_power_of_two() && buckets >= 4 * num_patterns);
+            let edges = (0..buckets).map(|j| j as f64 / buckets as f64);
+            for x in edges.chain([0.0, 1.0 - f64::EPSILON / 2.0]) {
+                assert_eq!(p.index_of(x), binary_search_index_of(&p, x), "x = {x}");
+            }
+        }
+    }
+
+    /// A zero weight ties two cumulative weights. The guide table picks
+    /// the first index `≥ x`, so a zero-weight pattern is drawn only by
+    /// `x = 0.0` when it leads the pool and never otherwise; among equal
+    /// elements `binary_search_by` may return any one, so this is the one
+    /// place the two searches need not agree. A Quest pool never ties: its
+    /// weights are exponential draws, and every pool the generator builds
+    /// is strictly increasing (asserted above).
+    #[test]
+    fn tied_cumulative_weights_pick_the_first_index_at_or_above() {
+        let pattern = |id, weight| Pattern {
+            items: vec![Item(id)],
+            weight,
+            corruption: 0.0,
+        };
+        let p = PatternPool::from_patterns(vec![
+            pattern(0, 0.0),
+            pattern(1, 0.25),
+            pattern(2, 0.0),
+            pattern(3, 0.25),
+            pattern(4, 0.5),
+        ]);
+        assert_eq!(p.cumulative, [0.0, 0.25, 0.25, 0.5, 1.0]);
+        for (x, first) in [
+            (0.0, 0),
+            (f64::EPSILON, 1),
+            (0.25, 1),
+            (0.25 + f64::EPSILON, 3),
+            (0.5, 3),
+            (0.75, 4),
+            (1.0 - f64::EPSILON / 2.0, 4),
+        ] {
+            assert_eq!(p.index_of(x), first, "x = {x}");
+        }
+        let mut rng = StdRng::seed_from_u64(11);
+        assert!((0..10_000).all(|_| p.pick(&mut rng) != 2));
     }
 
     #[test]

@@ -4,9 +4,11 @@
 # Quest shapes of the benchmark x --format text|binary at N = 20000, `gen`
 # with each binary and cmp the files; then `mine --max-k 2`, `stats` and
 # `parallel --algorithm cd --procs 2` on each file with each binary and
-# diff their stdout without the host timings; then four malformed inputs,
-# comparing exit code and stderr. With the same binary on both sides it is
-# a determinism check.
+# diff their stdout without the host timings; then four malformed inputs
+# and seven at the edges of the reader's fast path (CRLF, a line over
+# 64 KB, tabs, a comment between lines, the item-id limit and one past it,
+# no final newline), comparing stdout, stderr and exit code. With the same
+# binary on both sides it is a determinism check.
 #
 # usage: scripts/io_cmp.sh OLD_ARMINE NEW_ARMINE
 set -uo pipefail
@@ -41,11 +43,14 @@ run() {
     cat "$out.err" >> "$out"
     echo "exit $status" >> "$out"
 }
-# read_both NAME FILE: the three readers' subcommands, each binary.
+# read_both NAME FILE [JOB...]: the three readers' subcommands, or the
+# JOBs given, on FILE with each binary.
 read_both() {
     local name=$1 file=$2 job
-    for job in "mine --min-support 0.01 --max-k 2" "stats" \
-        "parallel --algorithm cd --procs 2 --min-support 0.01 --max-k 2"; do
+    shift 2
+    [ $# -gt 0 ] || set -- "mine --min-support 0.01 --max-k 2" "stats" \
+        "parallel --algorithm cd --procs 2 --min-support 0.01 --max-k 2"
+    for job in "$@"; do
         for side in old new; do
             # shellcheck disable=SC2086
             run $side "$tmp/$side.out" $job --input "$file"
@@ -82,6 +87,29 @@ head -c -3 "$tmp/new-dense-7.binary" > "$tmp/truncated.bin"
 for name in huge-length.bin huge-id.txt wrapping-id.txt truncated.bin; do
     read_both "$name" "$tmp/$name"
 done
+
+# Lines the reader's fast path leaves to the full parser, and a canonical
+# line longer than its 64 KB block (its items once each, so that 300 short
+# lines keep them infrequent and pass 2 small).
+printf '1: 1 2\r\n2: 1 3\r\n3: 2 3\r\n' > "$tmp/crlf.txt"
+{
+    printf '1:'
+    printf ' %s' $(seq 0 20000)
+    printf '\n'
+    printf '%s: 1 2\n' $(seq 2 301)
+} > "$tmp/long-line.txt"
+printf '1:\t1\t2\n2:\t1 3\n3 2\t1\n' > "$tmp/tabs.txt"
+printf '1: 1 2\n# between\n2: 1 3\n\n3: 2 3\n' > "$tmp/comment.txt"
+printf '1: 1 2\n2: 1 134217728\n' > "$tmp/max-id-plus-one.txt"
+printf '1: 1 2\n2: 1 3\n3: 2 3' > "$tmp/no-final-newline.txt"
+for name in crlf.txt long-line.txt tabs.txt comment.txt max-id-plus-one.txt \
+    no-final-newline.txt; do
+    read_both "$name" "$tmp/$name"
+done
+# Only the serial readers: the simulated count exchange over 2^27 items
+# moves gigabytes.
+printf '1: 1 134217727\n2: 1 2\n' > "$tmp/max-id.txt"
+read_both max-id.txt "$tmp/max-id.txt" "mine --min-support 0.01 --max-k 2" "stats"
 
 echo "identical: $same of $total"
 [ "$same" -eq "$total" ]
