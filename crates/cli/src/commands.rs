@@ -482,14 +482,29 @@ const MODEL_MACHINES: [Named<fn() -> CostParams>; 2] =
     [("t3e", CostParams::cray_t3e), ("sp2", CostParams::ibm_sp2)];
 
 fn cmd_model(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
-    let w = Workload {
-        n: args.required("n")?,
-        m: args.required("m")?,
-        c: args.required("c")?,
-        s: args.required("s")?,
+    // The closed forms take any f64; only these ranges describe a run.
+    let size = |flag: &str| -> Result<f64, ArgError> {
+        let ok = |v: &f64| v.is_finite() && *v >= 0.0;
+        in_range(flag, args.required(flag)?, ok, "finite, 0 or more")
     };
-    let procs: f64 = at_least_one("procs", args.required("procs")?)?;
-    let g: f64 = args.or_default("g", (procs).sqrt().round())?;
+    let w = Workload {
+        n: size("n")?,
+        m: size("m")?,
+        c: size("c")?,
+        s: size("s")?,
+    };
+    let procs: f64 = in_range(
+        "procs",
+        args.required("procs")?,
+        |p: &f64| p.is_finite() && *p >= 1.0,
+        "finite, 1 or more",
+    )?;
+    let g: f64 = in_range(
+        "g",
+        args.or_default("g", procs.sqrt().round())?,
+        |g| (1.0..=procs).contains(g),
+        &format!("1 to {procs}, the --procs value"),
+    )?;
     let machine: String = args.or_default("machine", "t3e".into())?;
     let (_, cost_params) = choice("machine", &machine, &MODEL_MACHINES, |m| m.0)?;
     args.finish()?;
@@ -816,6 +831,15 @@ mod tests {
         fn with<'a>(base: &[&'a str], extra: &[&'a str]) -> Vec<&'a str> {
             [base, extra].concat()
         }
+        // `model` at P = 4 with one size flag's value replaced.
+        fn model_with<'a>(flag: &str, value: &'a str) -> Vec<&'a str> {
+            let mut parts = vec![
+                "model", "--n", "1000", "--m", "100", "--c", "10", "--s", "4", "--procs", "4",
+            ];
+            let at = parts.iter().position(|p| *p == flag).unwrap();
+            parts[at + 1] = value;
+            parts
+        }
         let cases: Vec<(Vec<&str>, &str, &str)> = vec![
             (
                 with(&hd, &["--procs", "0", "--min-count", "3"]),
@@ -893,6 +917,19 @@ mod tests {
             (with(&model, &["--procs", "0"]), "--procs", "0"),
             (with(&model, &["--procs", "-4"]), "--procs", "-4"),
             (with(&model, &["--procs", "nan"]), "--procs", "NaN"),
+            (with(&model, &["--procs", "inf"]), "--procs", "inf"),
+            // G was clamped to [1, P] by the model while the header
+            // printed the G given; NaN, negative and infinite sizes
+            // printed NaN, negative or infinite seconds.
+            (with(&model, &["--procs", "4", "--g", "0"]), "--g", "0"),
+            (with(&model, &["--procs", "4", "--g", "-2"]), "--g", "-2"),
+            (with(&model, &["--procs", "4", "--g", "9"]), "--g", "9"),
+            (with(&model, &["--procs", "4", "--g", "nan"]), "--g", "NaN"),
+            (model_with("--n", "-1000"), "--n", "-1000"),
+            (model_with("--n", "inf"), "--n", "inf"),
+            (model_with("--m", "nan"), "--m", "NaN"),
+            (model_with("--c", "-1"), "--c", "-1"),
+            (model_with("--s", "inf"), "--s", "inf"),
             // Limits of zero were read as one (page size, memory capacity)
             // or ignored (pass cap), and a per-mille above 1000 as 1000.
             (

@@ -117,54 +117,6 @@ impl QuestParams {
         )
     }
 
-    /// Parses a conventional dataset name like `"T15.I6.D100K"` into
-    /// parameters (other fields default). Suffixes `K` and `M` scale the
-    /// transaction count by 10³ and 10⁶.
-    ///
-    /// ```
-    /// use armine_datagen::QuestParams;
-    /// let p = QuestParams::from_name("T15.I6.D100K").unwrap();
-    /// assert_eq!(p.num_transactions, 100_000);
-    /// assert_eq!(p.avg_transaction_len, 15.0);
-    /// ```
-    ///
-    /// # Errors
-    /// Returns a message describing the malformed component.
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        let mut out = QuestParams::default();
-        for part in name.split('.') {
-            if part.len() < 2 || !part.is_char_boundary(1) {
-                return Err(format!("malformed component {part:?} in {name:?}"));
-            }
-            let (key, value) = part.split_at(1);
-            match key {
-                "T" => {
-                    out.avg_transaction_len = value
-                        .parse()
-                        .map_err(|_| format!("bad T component in {name:?}"))?
-                }
-                "I" => {
-                    out.avg_pattern_len = value
-                        .parse()
-                        .map_err(|_| format!("bad I component in {name:?}"))?
-                }
-                "D" => {
-                    let (digits, mult) = match value.as_bytes().last() {
-                        Some(b'K') => (&value[..value.len() - 1], 1000usize),
-                        Some(b'M') => (&value[..value.len() - 1], 1_000_000),
-                        _ => (value, 1),
-                    };
-                    let n: usize = digits
-                        .parse()
-                        .map_err(|_| format!("bad D component in {name:?}"))?;
-                    out.num_transactions = n * mult;
-                }
-                other => return Err(format!("unknown component {other:?} in {name:?}")),
-            }
-        }
-        Ok(out)
-    }
-
     /// Generates the dataset: the collected [`QuestParams::stream`].
     ///
     /// # Panics
@@ -390,39 +342,6 @@ mod tests {
             QuestParams::paper_t15_i6().num_transactions(123).name(),
             "T15.I6.D123"
         );
-    }
-
-    #[test]
-    fn from_name_parses_conventional_names() {
-        let p = QuestParams::from_name("T15.I6.D100K").unwrap();
-        assert_eq!(p.avg_transaction_len, 15.0);
-        assert_eq!(p.avg_pattern_len, 6.0);
-        assert_eq!(p.num_transactions, 100_000);
-        assert_eq!(
-            QuestParams::from_name("T10.I4.D2M")
-                .unwrap()
-                .num_transactions,
-            2_000_000
-        );
-        assert_eq!(
-            QuestParams::from_name("D123").unwrap().num_transactions,
-            123
-        );
-        // Round-trips with name() for canonical forms.
-        let q = QuestParams::from_name("T15.I6.D100K").unwrap();
-        assert_eq!(q.name(), "T15.I6.D100K");
-    }
-
-    #[test]
-    fn from_name_rejects_garbage() {
-        assert!(QuestParams::from_name("T15.X9").is_err());
-        assert!(QuestParams::from_name("Tfifteen").is_err());
-        assert!(QuestParams::from_name("DxxK").is_err());
-        assert!(
-            QuestParams::from_name("T15..D1").is_err(),
-            "empty component"
-        );
-        assert!(QuestParams::from_name("T").is_err(), "too short");
     }
 
     #[test]

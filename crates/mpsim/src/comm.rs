@@ -12,6 +12,7 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Handle of a non-blocking send; [`Scope::wait_send`] synchronizes the
 /// sender's clock with the link-occupancy completion time.
@@ -286,9 +287,16 @@ impl Comm {
             bytes: 0,
             packet,
         };
-        self.senders[dst]
-            .send(env)
-            .expect("peer mailbox closed (peer panicked?)");
+        self.post(dst, env);
+    }
+
+    /// Puts `env` in `dst`'s mailbox. A closed mailbox means that rank's
+    /// thread has ended (it returned, crashed or panicked) and nothing
+    /// will read the envelope again, so it is dropped: the fate it would
+    /// have met anyway, sitting unread in the dead rank's queue until the
+    /// run ended. Every send goes through here.
+    fn post(&self, dst: usize, env: Envelope) {
+        let _ = self.senders[dst].send(env);
     }
 
     /// Charges `seconds` of local computation, scaled by this rank's
@@ -409,9 +417,7 @@ impl Comm {
             bytes,
             packet: Packet::Data(payload),
         };
-        self.senders[dst]
-            .send(env)
-            .expect("peer mailbox closed (peer panicked?)");
+        self.post(dst, env);
         self.maybe_crash();
         SendHandle { completion }
     }
@@ -488,23 +494,21 @@ impl Comm {
             // death would unblock: where real time passes while the thread
             // blocks, the wait ends when the scheduled crash comes due.
             // (Peer fates only change when control packets are drained, so
-            // nothing else needs a wake-up.)
+            // nothing else needs a wake-up.) With no crash due the wait is
+            // `Duration::MAX`, whose deadline overflows: std then blocks
+            // until a message comes.
             let due = self.crash_time.and_then(|t| self.clock.real_time_until(t));
-            let env = match due {
-                Some(due) => match self.inbox.recv_timeout(due) {
-                    Ok(env) => env,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.maybe_crash();
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        panic!("all peers disconnected while a receive was pending")
-                    }
-                },
-                None => self
-                    .inbox
-                    .recv()
-                    .expect("all peers disconnected while a receive was pending"),
+            let env = match self.inbox.recv_timeout(due.unwrap_or(Duration::MAX)) {
+                Ok(env) => env,
+                Err(RecvTimeoutError::Timeout) => {
+                    self.maybe_crash();
+                    continue;
+                }
+                // `senders[self.rank]` is this rank's own sender to its
+                // inbox, so the channel cannot disconnect while it waits.
+                Err(RecvTimeoutError::Disconnected) => {
+                    unreachable!("a rank holds a sender to its own inbox")
+                }
             };
             if env.is_data() {
                 if env.key == key {

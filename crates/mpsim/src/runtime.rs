@@ -1201,24 +1201,50 @@ mod tests {
 #[cfg(test)]
 mod race_probe {
     use super::*;
-    use crate::{CrashPoint, FaultPlan, Topology};
+    use crate::{CrashPoint, ExecBackend, FaultPlan};
 
+    /// A send to a rank whose thread has ended (it returned or crashed)
+    /// meets a closed mailbox and is dropped; the run goes on.
     #[test]
     fn send_to_exited_crashed_rank() {
-        let r = Simulator::new(2)
-            .machine(MachineProfile::ideal())
-            .topology(Topology::FullyConnected)
-            .fault_plan(FaultPlan::new().crash(1, CrashPoint::AtTime(0.0)))
-            .run_with_faults(|comm| {
-                if comm.rank() == 1 {
-                    comm.advance(1.0);
-                    unreachable!();
-                }
-                // Ensure rank 1's thread has really exited (receiver dropped).
-                std::thread::sleep(std::time::Duration::from_millis(300));
-                comm.world().send(1, 7, 42u64, 8);
-                comm.world().try_recv::<u64>(1, 8)
-            });
-        assert!(r.results[0].as_ref().unwrap().is_err());
+        // A payload that signals when it is dropped. Sent to a rank that
+        // never reads it, it is dropped when that rank's mailbox closes.
+        struct Probe(std::sync::mpsc::Sender<()>);
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                let _ = self.0.send(());
+            }
+        }
+        for backend in [ExecBackend::Sim, ExecBackend::Native] {
+            let r = Simulator::new(3)
+                .machine(MachineProfile::cray_t3e())
+                .backend(backend)
+                .fault_plan(FaultPlan::new().crash(2, CrashPoint::AtPass(1)))
+                .run_with_faults(|comm| {
+                    comm.enter_pass(1); // rank 2 crashes here
+                    if comm.rank() == 1 {
+                        return 1;
+                    }
+                    for peer in [1, 2] {
+                        // Wait until the peer's thread has ended and its
+                        // mailbox has closed.
+                        let (closed, on_close) = std::sync::mpsc::channel();
+                        comm.world().send(peer, 0, Probe(closed), 8);
+                        on_close
+                            .recv_timeout(std::time::Duration::from_secs(60))
+                            .expect("an ended rank's mailbox closes");
+                        // A data message and a control packet both meet
+                        // the closed mailbox.
+                        comm.world().send(peer, 1, 42u64, 8);
+                        comm.send_abort(&[peer], 0);
+                    }
+                    // The crash still reads as a crash.
+                    let fault = comm.world().try_recv::<u64>(2, 2).unwrap_err();
+                    assert_eq!(fault.rank(), 2);
+                    0
+                });
+            assert_eq!(r.results, vec![Some(0), Some(1), None], "{backend:?}");
+            assert_eq!(r.ranks[0].messages_sent, 4, "{backend:?}");
+        }
     }
 }
