@@ -19,7 +19,7 @@ use armine_mpsim::{MachineProfile, Topology};
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};
 
 /// Ablation 1: hash-tree shape on the serial miner.
-pub fn run_tree_shape() -> Table {
+pub(crate) fn run_tree_shape() -> Table {
     let dataset = workloads::t15_i6(2000, 4040);
     let mut table = Table::new(
         "Ablation — hash-tree shape: branching and leaf capacity (serial, pass ≤ 3)",
@@ -61,7 +61,7 @@ pub fn run_tree_shape() -> Table {
 }
 
 /// Ablation 2: ring-pipeline page size for IDD.
-pub fn run_page_size() -> Table {
+pub(crate) fn run_page_size() -> Table {
     let dataset = workloads::scaleup(8, 400, 4141);
     let miner = ParallelMiner::new(8);
     let mut table = Table::new(
@@ -84,7 +84,7 @@ pub fn run_page_size() -> Table {
 }
 
 /// Ablation 3: interconnect topology under DD vs IDD.
-pub fn run_topology() -> Table {
+pub(crate) fn run_topology() -> Table {
     let dataset = workloads::scaleup(16, 250, 4242);
     let params = ParallelParams::with_min_support(0.012)
         .page_size(100)

@@ -20,11 +20,11 @@ use armine_mpsim::MachineProfile;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams, ParallelRun};
 
 /// Transactions (Figure 13's fixed problem, scaled).
-pub const NUM_TRANSACTIONS: usize = 13_000;
+const NUM_TRANSACTIONS: usize = 13_000;
 /// Minimum support (matches `exp fig13`).
-pub const MIN_SUPPORT: f64 = 0.015;
+const MIN_SUPPORT: f64 = 0.015;
 /// Passes measured.
-pub const MAX_K: usize = 3;
+const MAX_K: usize = 3;
 
 fn tree_build_seconds(run: &ParallelRun, machine: &MachineProfile) -> f64 {
     // Every processor regenerates all candidates and (for CD) inserts all
@@ -37,7 +37,7 @@ fn tree_build_seconds(run: &ParallelRun, machine: &MachineProfile) -> f64 {
 }
 
 /// Runs the decomposition at each processor count.
-pub fn run(procs_list: &[usize]) -> Table {
+pub(crate) fn run(procs_list: &[usize]) -> Table {
     let dataset = workloads::t15_i6(NUM_TRANSACTIONS, 1313);
     let params = ParallelParams::with_min_support(MIN_SUPPORT)
         .page_size(100)
@@ -85,6 +85,6 @@ pub fn run(procs_list: &[usize]) -> Table {
 }
 
 /// Default sweep (the paper quotes P = 4 and 64).
-pub fn default_procs() -> Vec<usize> {
+pub(crate) fn default_procs() -> Vec<usize> {
     vec![4, 16, 64]
 }

@@ -49,7 +49,7 @@ fn lattice_len(run: &ParallelRun) -> usize {
 }
 
 /// Sweep 1: response time vs message drop rate (no crashes).
-pub fn run_drop_rate() -> Table {
+pub(crate) fn run_drop_rate() -> Table {
     let miner = ParallelMiner::new(PROCS);
     let hd = Algorithm::Hd {
         group_threshold: 500,
@@ -90,7 +90,7 @@ pub fn run_drop_rate() -> Table {
 }
 
 /// Sweep 2: cost of losing one rank at each pass boundary (2% drops).
-pub fn run_crash_recovery() -> Table {
+pub(crate) fn run_crash_recovery() -> Table {
     let miner = ParallelMiner::new(PROCS);
     let baseline = mine(&miner, Algorithm::Cd, None);
     let mut table = Table::new(
@@ -122,26 +122,26 @@ pub fn run_crash_recovery() -> Table {
 /// Processor count of the scenario ladder.
 const SCENARIO_PROCS: usize = 4;
 /// Transactions mined on every rung of the scenario ladder.
-pub const SCENARIO_TRANSACTIONS: usize = 20_000;
+const SCENARIO_TRANSACTIONS: usize = 20_000;
 
 /// One rung of the scenario ladder.
 #[derive(Debug, Clone)]
-pub struct FaultPoint {
+struct FaultPoint {
     /// Scenario label ("fault-free", "drops 5%", …).
-    pub scenario: &'static str,
+    scenario: &'static str,
     /// Virtual response time in seconds.
-    pub response_s: f64,
+    response_s: f64,
     /// Overhead vs the fault-free rung, percent.
-    pub overhead_pct: f64,
+    overhead_pct: f64,
     /// Fault counters of the run.
-    pub retransmits: u64,
+    retransmits: u64,
     /// Failure-detector timeouts.
-    pub timeouts: u64,
+    timeouts: u64,
     /// Committed recoveries.
-    pub recoveries: u64,
+    recoveries: u64,
     /// Canonical [`FaultPlan::label`] of the injected plan (`"none"` for
     /// the fault-free baseline) — the `fault_plan` label in the JSON.
-    pub fault_plan: String,
+    fault_plan: String,
 }
 
 /// The scenario ladder: transient drops, a straggler, and a mid-run
@@ -168,7 +168,7 @@ fn scenarios() -> Vec<(&'static str, Option<FaultPlan>)> {
 
 /// Sweep 3: the scenario ladder (CD, P=4). Lattice equality across every
 /// rung is asserted — faults cost time, never answers.
-pub fn measure_scenarios(n: usize) -> Vec<FaultPoint> {
+fn measure_scenarios(n: usize) -> Vec<FaultPoint> {
     let dataset = workloads::t15_i6(n, 6161);
     let params = ParallelParams::with_min_support(0.01)
         .page_size(500)
@@ -199,7 +199,7 @@ pub fn measure_scenarios(n: usize) -> Vec<FaultPoint> {
 
 /// Runs sweep 3, writes `experiments/BENCH_faults.json`, and returns its
 /// table.
-pub fn run_scenarios() -> Table {
+pub(crate) fn run_scenarios() -> Table {
     let points = measure_scenarios(SCENARIO_TRANSACTIONS);
     match write_bench_json("BENCH_faults", &document(SCENARIO_TRANSACTIONS, &points)) {
         Ok(path) => println!("(json: {})", path.display()),

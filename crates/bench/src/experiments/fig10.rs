@@ -14,16 +14,16 @@ use crate::workloads;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};
 
 /// Transactions per processor (paper: 50_000).
-pub const PER_PROC: usize = 400;
+const PER_PROC: usize = 400;
 /// Minimum support fraction (paper: 0.1%; ours is higher because the
 /// scaled database is 100× smaller — this keeps per-pass candidate counts
 /// in the same proportion to N).
-pub const MIN_SUPPORT: f64 = 0.01;
+const MIN_SUPPORT: f64 = 0.01;
 /// HD group threshold, scaled from the paper's 5K (Figure 10 run).
-pub const HD_THRESHOLD: usize = 2000;
+const HD_THRESHOLD: usize = 2000;
 
 /// Runs the scaleup sweep over `procs_list`.
-pub fn run(procs_list: &[usize]) -> Table {
+pub(crate) fn run(procs_list: &[usize]) -> Table {
     let mut table = Table::new(
         "Figure 10 — scaleup: response time (ms) vs P (constant work per processor)",
         &["P", "CD", "IDD", "HD", "DD", "DD+comm"],
@@ -57,6 +57,6 @@ pub fn run(procs_list: &[usize]) -> Table {
 /// The default processor sweep (paper: 4…128; DD's quadratic page traffic
 /// makes 128 slow to *simulate*, so the default stops at 64 — pass more to
 /// [`run`] if you have the time).
-pub fn default_procs() -> Vec<usize> {
+pub(crate) fn default_procs() -> Vec<usize> {
     vec![2, 4, 8, 16, 32, 64]
 }

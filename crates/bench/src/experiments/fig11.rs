@@ -14,15 +14,15 @@ use armine_core::model::expected_distinct_leaves;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};
 
 /// Transactions per processor.
-pub const PER_PROC: usize = 400;
+const PER_PROC: usize = 400;
 /// Minimum support fraction (paper: 0.2%).
-pub const MIN_SUPPORT: f64 = 0.015;
+const MIN_SUPPORT: f64 = 0.015;
 /// The pass whose counters are reported (pass 3 dominates runtime in the
 /// paper's runs).
-pub const PASS: usize = 3;
+const PASS: usize = 3;
 
 /// Runs the sweep over `procs_list`.
-pub fn run(procs_list: &[usize]) -> Table {
+pub(crate) fn run(procs_list: &[usize]) -> Table {
     let mut table = Table::new(
         "Figure 11 — avg distinct leaf nodes visited per transaction (pass 3)",
         &["P", "DD", "IDD", "DD_model", "IDD_model", "ratio DD/IDD"],
@@ -65,6 +65,6 @@ pub fn run(procs_list: &[usize]) -> Table {
 }
 
 /// Default sweep (paper: up to 32).
-pub fn default_procs() -> Vec<usize> {
+pub(crate) fn default_procs() -> Vec<usize> {
     vec![2, 4, 8, 16, 32]
 }

@@ -14,16 +14,16 @@ use armine_mpsim::MachineProfile;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};
 
 /// Processors (paper: 16).
-pub const PROCS: usize = 16;
+const PROCS: usize = 16;
 /// Transactions (paper: 100K, 1:50 here).
-pub const NUM_TRANSACTIONS: usize = 2000;
+const NUM_TRANSACTIONS: usize = 2000;
 /// Per-processor candidate capacity before CD partitions its tree.
-pub const MEMORY_CAPACITY: usize = 10_000;
+const MEMORY_CAPACITY: usize = 10_000;
 /// HD group threshold.
-pub const HD_THRESHOLD: usize = MEMORY_CAPACITY;
+const HD_THRESHOLD: usize = MEMORY_CAPACITY;
 
 /// Runs the support sweep (lower support ⇒ more candidates).
-pub fn run(supports: &[f64]) -> Table {
+pub(crate) fn run(supports: &[f64]) -> Table {
     let mut table = Table::new(
         "Figure 12 — IBM SP2, P=16: response time (ms) vs total candidates",
         &[
@@ -66,6 +66,6 @@ pub fn run(supports: &[f64]) -> Table {
 }
 
 /// Default support sweep, highest first (paper: 0.1% → 0.025%).
-pub fn default_supports() -> Vec<f64> {
+pub(crate) fn default_supports() -> Vec<f64> {
     vec![0.02, 0.015, 0.01, 0.0075, 0.005]
 }

@@ -11,18 +11,18 @@ use crate::workloads;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};
 
 /// Transactions (paper: 1.3M).
-pub const NUM_TRANSACTIONS: usize = 13_000;
+const NUM_TRANSACTIONS: usize = 13_000;
 /// Minimum support fraction, chosen so pass 3 carries a large candidate
 /// set (the paper pinned M = 0.7M; the achieved M is printed).
-pub const MIN_SUPPORT: f64 = 0.015;
+const MIN_SUPPORT: f64 = 0.015;
 /// The measured pass.
-pub const PASS: usize = 3;
+const PASS: usize = 3;
 /// HD group threshold.
-pub const HD_THRESHOLD: usize = 1100;
+const HD_THRESHOLD: usize = 1100;
 
 /// Runs the speedup sweep; speedups are normalized to the smallest P in
 /// the list (the paper plots vs P=4).
-pub fn run(procs_list: &[usize]) -> Table {
+pub(crate) fn run(procs_list: &[usize]) -> Table {
     assert!(!procs_list.is_empty());
     let dataset = workloads::t15_i6(NUM_TRANSACTIONS, 1313);
     let params = ParallelParams::with_min_support(MIN_SUPPORT)
@@ -72,6 +72,6 @@ pub fn run(procs_list: &[usize]) -> Table {
 }
 
 /// Default sweep (paper: 4…64).
-pub fn default_procs() -> Vec<usize> {
+pub(crate) fn default_procs() -> Vec<usize> {
     vec![4, 8, 16, 32, 64]
 }

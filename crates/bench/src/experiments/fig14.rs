@@ -11,18 +11,18 @@ use crate::workloads;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};
 
 /// Processors (paper: 64).
-pub const PROCS: usize = 64;
+const PROCS: usize = 64;
 /// Minimum support fraction: held constant so that M stays roughly fixed
 /// while N grows (the paper pins M = 0.7M).
-pub const MIN_SUPPORT: f64 = 0.015;
+const MIN_SUPPORT: f64 = 0.015;
 /// Only pass 3 is timed, as in Figure 13 (a fixed-M comparison needs a
 /// fixed pass).
-pub const PASS: usize = 3;
+const PASS: usize = 3;
 /// HD group threshold.
-pub const HD_THRESHOLD: usize = 1100;
+const HD_THRESHOLD: usize = 1100;
 
 /// Runs the N sweep.
-pub fn run(transaction_counts: &[usize]) -> Table {
+pub(crate) fn run(transaction_counts: &[usize]) -> Table {
     let mut table = Table::new(
         "Figure 14 — response time (ms) vs N (P=64, M fixed via constant support)",
         &["N", "CD", "IDD", "HD", "|C3|", "IDD imbalance"],
@@ -56,6 +56,6 @@ pub fn run(transaction_counts: &[usize]) -> Table {
 
 /// Default sweep (paper: 1.3M → 26.1M, 1:1000 here to keep the largest
 /// DD-free run quick).
-pub fn default_transactions() -> Vec<usize> {
+pub(crate) fn default_transactions() -> Vec<usize> {
     vec![1300, 2600, 5200, 13_000, 26_000]
 }

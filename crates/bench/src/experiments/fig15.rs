@@ -12,17 +12,17 @@ use crate::workloads;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};
 
 /// Processors (paper: 64).
-pub const PROCS: usize = 64;
+const PROCS: usize = 64;
 /// Transactions (paper: 1.3M).
-pub const NUM_TRANSACTIONS: usize = 2600;
+const NUM_TRANSACTIONS: usize = 2600;
 /// Per-processor capacity: CD partitions its tree beyond this (paper:
 /// 0.7M).
-pub const MEMORY_CAPACITY: usize = 25_000;
+const MEMORY_CAPACITY: usize = 25_000;
 /// HD group threshold (scaled from the paper's regime).
-pub const HD_THRESHOLD: usize = 1200;
+const HD_THRESHOLD: usize = 1200;
 
 /// Runs the support sweep; lower support grows M.
-pub fn run(supports: &[f64]) -> Table {
+pub(crate) fn run(supports: &[f64]) -> Table {
     let mut table = Table::new(
         "Figure 15 — response time (ms) vs M (P=64, N fixed)",
         &[
@@ -67,6 +67,6 @@ pub fn run(supports: &[f64]) -> Table {
 }
 
 /// Default sweep, highest support (smallest M) first.
-pub fn default_supports() -> Vec<f64> {
+pub(crate) fn default_supports() -> Vec<f64> {
     vec![0.02, 0.015, 0.01, 0.0075, 0.005, 0.004]
 }

@@ -24,9 +24,9 @@ use armine_mpsim::{ClusterProfile, MachineProfile};
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams, ParallelRun, PlacementPolicy};
 
 /// Processor count of the sweep.
-pub const PROCS: usize = 16;
+const PROCS: usize = 16;
 /// Transactions mined in every cell.
-pub const TRANSACTIONS: usize = 8_000;
+const TRANSACTIONS: usize = 8_000;
 
 fn params() -> ParallelParams {
     ParallelParams::with_min_support(0.01)
@@ -53,17 +53,17 @@ fn mixes() -> Vec<(String, ClusterProfile)> {
 
 /// One (mix, algorithm, placement) cell of the sweep.
 #[derive(Debug, Clone)]
-pub struct HeteroPoint {
+struct HeteroPoint {
     /// Mix + placement, e.g. `"50% slow x4 / adaptive"` — the `scenario`
     /// label in the JSON.
-    pub scenario: String,
+    scenario: String,
     /// Algorithm display name (`"CD"`, `"IDD"`).
-    pub algorithm: String,
+    algorithm: String,
     /// Virtual response time in seconds.
-    pub response_s: f64,
+    response_s: f64,
     /// Response time vs the same mix's **static** run, percent — negative
     /// on adaptive rows is the re-balancing gain; 0 on static rows.
-    pub vs_static_pct: f64,
+    vs_static_pct: f64,
 }
 
 fn lattice_len(run: &ParallelRun) -> usize {
@@ -73,7 +73,7 @@ fn lattice_len(run: &ParallelRun) -> usize {
 /// The sweep at P=16: every mix × {CD, IDD} × both placements. Asserts
 /// lattice equality across all cells and that adaptive placement beats
 /// static on the most skewed mix for each algorithm.
-pub fn measure(n: usize) -> Vec<HeteroPoint> {
+fn measure(n: usize) -> Vec<HeteroPoint> {
     let dataset = workloads::t15_i6(n, 7272);
     let mixes = mixes();
     let mut points = Vec::new();
@@ -118,7 +118,7 @@ pub fn measure(n: usize) -> Vec<HeteroPoint> {
 
 /// Runs the sweep, writes `experiments/BENCH_hetero.json`, and returns
 /// the table.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let points = measure(TRANSACTIONS);
     match write_bench_json("BENCH_hetero", &document(TRANSACTIONS, &points)) {
         Ok(path) => println!("(json: {})", path.display()),

@@ -14,16 +14,16 @@ use crate::workloads;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};
 
 /// Processors.
-pub const PROCS: usize = 8;
+const PROCS: usize = 8;
 /// Transactions.
-pub const NUM_TRANSACTIONS: usize = 2000;
+const NUM_TRANSACTIONS: usize = 2000;
 /// Minimum support fraction.
-pub const MIN_SUPPORT: f64 = 0.015;
+const MIN_SUPPORT: f64 = 0.015;
 
 /// Runs IDD, HPA, and HPA-ELD up to pass `max_k` and reports per-run
 /// bytes and times. (Per-pass byte split is approximated by rerunning
 /// with increasing `max_k`, since traffic counters are cumulative.)
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let dataset = workloads::t15_i6(NUM_TRANSACTIONS, 3030);
     let miner = ParallelMiner::new(PROCS);
     let mut table = Table::new(

@@ -10,13 +10,13 @@ use crate::workloads;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};
 
 /// Transactions per processor.
-pub const PER_PROC: usize = 400;
+const PER_PROC: usize = 400;
 /// Minimum support fraction.
-pub const MIN_SUPPORT: f64 = 0.01;
+const MIN_SUPPORT: f64 = 0.01;
 
 /// Runs IDD at each processor count and reports both imbalance metrics,
 /// with and without the two-level split refinement.
-pub fn run(procs_list: &[usize]) -> Table {
+pub(crate) fn run(procs_list: &[usize]) -> Table {
     let mut table = Table::new(
         "Section III-C — IDD imbalance: candidates vs computation time",
         &[
@@ -69,6 +69,6 @@ fn worst_candidate_imbalance(run: &armine_parallel::ParallelRun) -> f64 {
 }
 
 /// Default sweep (paper quotes P = 4 and 8).
-pub fn default_procs() -> Vec<usize> {
+pub(crate) fn default_procs() -> Vec<usize> {
     vec![4, 8, 16]
 }

@@ -1,7 +1,7 @@
-//! One module per table/figure of the paper. Each `run_*` function
-//! executes the scaled experiment, prints the paper-shaped table, writes a
-//! CSV under `experiments/`, and returns the table for programmatic
-//! checks.
+//! One module per table/figure of the paper. Each `run*` function
+//! executes the scaled experiment (some also write a `BENCH_*.json`) and
+//! returns the paper-shaped table, which [`emit`] prints and writes as a
+//! CSV under `experiments/`.
 //!
 //! | Function | Reproduces | Paper setup | Ours (1:100 unless noted) |
 //! |---|---|---|---|
@@ -18,27 +18,27 @@
 //! | [`structures::run`] | — (extension) | hash tree vs trie behind the counter seam | CD+IDD, P ∈ {1,16,64} |
 //! | [`hetero::run`] | — (extension) | static vs adaptive placement on skewed clusters | CD+IDD, P=16 |
 
-pub mod ablation;
-pub mod breakdown;
-pub mod faults;
-pub mod fig10;
-pub mod fig11;
-pub mod fig12;
-pub mod fig13;
-pub mod fig14;
-pub mod fig15;
-pub mod hetero;
-pub mod hpa_comm;
-pub mod imbalance;
-pub mod model;
-pub mod pdm_prune;
-pub mod structures;
-pub mod table2;
+pub(crate) mod ablation;
+pub(crate) mod breakdown;
+pub(crate) mod faults;
+pub(crate) mod fig10;
+pub(crate) mod fig11;
+pub(crate) mod fig12;
+pub(crate) mod fig13;
+pub(crate) mod fig14;
+pub(crate) mod fig15;
+pub(crate) mod hetero;
+pub(crate) mod hpa_comm;
+pub(crate) mod imbalance;
+pub(crate) mod model;
+pub(crate) mod pdm_prune;
+pub(crate) mod structures;
+pub(crate) mod table2;
 
 use crate::report::Table;
 
 /// Prints a finished table and writes its CSV, reporting the path.
-pub fn emit(table: &Table, csv_name: &str) {
+pub(crate) fn emit(table: &Table, csv_name: &str) {
     table.print();
     match table.write_csv(csv_name) {
         Ok(path) => println!("(csv: {})", path.display()),

@@ -11,7 +11,7 @@ use armine_core::{Item, ItemSet, Transaction};
 use rand::prelude::*;
 
 /// Runs the three-way comparison over a grid of (i, j).
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let mut table = Table::new(
         "Equation 1 — V(i,j): expected distinct leaves visited",
         &[
@@ -61,7 +61,7 @@ pub fn run() -> Table {
 /// ~110 distinct root-to-leaf paths (exactly the number of distinct hash
 /// signatures — verified against an independent signature count), a 38%
 /// structural bias that no amount of sampling averages away.
-pub fn measured_vs_predicted(seed: u64) -> (f64, f64) {
+pub(crate) fn measured_vs_predicted(seed: u64) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let k = 3;
     let num_items = 600u32;

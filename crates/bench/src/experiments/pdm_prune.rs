@@ -12,14 +12,14 @@ use crate::workloads;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};
 
 /// Processors.
-pub const PROCS: usize = 8;
+const PROCS: usize = 8;
 /// Transactions.
-pub const NUM_TRANSACTIONS: usize = 2000;
+const NUM_TRANSACTIONS: usize = 2000;
 /// Minimum support fraction.
-pub const MIN_SUPPORT: f64 = 0.01;
+const MIN_SUPPORT: f64 = 0.01;
 
 /// Sweeps the bucket-table size.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let dataset = workloads::t15_i6(NUM_TRANSACTIONS, 5050);
     let params = ParallelParams::with_min_support(MIN_SUPPORT)
         .page_size(100)

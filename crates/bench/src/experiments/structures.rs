@@ -23,32 +23,32 @@ use armine_metrics::{names, Labels, MetricShard};
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};
 
 /// Minimum support fraction.
-pub const MIN_SUPPORT: f64 = 0.01;
+const MIN_SUPPORT: f64 = 0.01;
 /// Deepest pass.
-pub const MAX_K: usize = 4;
+const MAX_K: usize = 4;
 /// Transactions (small: the virtual clock does the scaling).
-pub const TRANSACTIONS: usize = 3200;
+const TRANSACTIONS: usize = 3200;
 
 /// One (algorithm, counter backend, P) data point.
 #[derive(Debug, Clone)]
-pub struct StructurePoint {
+struct StructurePoint {
     /// `Algorithm::name()`.
-    pub algorithm: &'static str,
+    algorithm: &'static str,
     /// Counting-backend name.
-    pub counter: &'static str,
+    counter: &'static str,
     /// Processor count.
-    pub procs: usize,
+    procs: usize,
     /// Virtual response time (seconds).
-    pub response_s: f64,
+    response_s: f64,
     /// Work ledger summed over all passes and ranks.
-    pub stats: CounterStats,
+    stats: CounterStats,
     /// Frequent itemsets mined (backend-invariant).
-    pub frequent: usize,
+    frequent: usize,
 }
 
 /// Runs the sweep: both algorithms, all three counting
 /// backends, P ∈ {1, 16, 64}.
-pub fn measure() -> Vec<StructurePoint> {
+fn measure() -> Vec<StructurePoint> {
     let dataset = workloads::t10_i4(TRANSACTIONS, 33);
     let mut points = Vec::new();
     for algorithm in [Algorithm::Cd, Algorithm::Idd] {
@@ -111,7 +111,7 @@ fn table(points: &[StructurePoint]) -> Table {
 
 /// Runs the sweep, writes `experiments/BENCH_structures.json`, and
 /// returns the comparison table.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let points = measure();
     match write_bench_json("BENCH_structures", &document(&points)) {
         Ok(path) => println!("(json: {})", path.display()),

@@ -7,17 +7,17 @@ use crate::workloads;
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams};
 
 /// Processors (paper: 64).
-pub const PROCS: usize = 64;
+const PROCS: usize = 64;
 /// Group threshold `m` (paper: 50K, scaled 1:100).
-pub const GROUP_THRESHOLD: usize = 500;
+const GROUP_THRESHOLD: usize = 500;
 /// Transactions.
-pub const NUM_TRANSACTIONS: usize = 6400;
+const NUM_TRANSACTIONS: usize = 6400;
 /// Minimum support fraction — low enough to produce the rising-then-
 /// falling candidate profile of a long run.
-pub const MIN_SUPPORT: f64 = 0.008;
+const MIN_SUPPORT: f64 = 0.008;
 
 /// Runs HD once and reports the chosen grid per pass.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let dataset = workloads::t15_i6(NUM_TRANSACTIONS, 22);
     let params = ParallelParams::with_min_support(MIN_SUPPORT).page_size(100);
     let run = ParallelMiner::new(PROCS).mine(

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 
 /// A simple result table.
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -18,7 +18,7 @@ pub struct Table {
 
 impl Table {
     /// A table with the given title and column headers.
-    pub fn new(title: &str, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: &str, headers: &[&str]) -> Self {
         Table {
             title: title.to_owned(),
             headers: headers.iter().map(|s| (*s).to_owned()).collect(),
@@ -27,29 +27,14 @@ impl Table {
     }
 
     /// Appends a row (must match the header arity).
-    pub fn row(&mut self, cells: &[&dyn Display]) {
+    pub(crate) fn row(&mut self, cells: &[&dyn Display]) {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows
             .push(cells.iter().map(|c| c.to_string()).collect());
     }
 
-    /// The rendered data rows (one `Vec<String>` per [`Table::row`] call).
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -78,13 +63,13 @@ impl Table {
     }
 
     /// Prints to stdout.
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         print!("{}", self.render());
     }
 
     /// Writes CSV into [`experiments_dir`]`/<name>.csv`. Returns the path
     /// written.
-    pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
+    pub(crate) fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
         let dir = experiments_dir();
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{name}.csv"));
@@ -101,7 +86,7 @@ impl Table {
 /// workspace `experiments/` directory, unless `ARMINE_EXPERIMENTS_DIR`
 /// redirects it (smoke tests use this so they never overwrite the
 /// committed artifacts).
-pub fn experiments_dir() -> PathBuf {
+fn experiments_dir() -> PathBuf {
     std::env::var_os("ARMINE_EXPERIMENTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments"))
@@ -117,32 +102,46 @@ pub(crate) fn use_scratch_experiments_dir() {
     std::env::set_var("ARMINE_EXPERIMENTS_DIR", &dir);
 }
 
+/// What the sweep tests read back from a finished table.
+#[cfg(test)]
+impl Table {
+    /// The rendered data rows (one `Vec<String>` per [`Table::row`] call).
+    pub(crate) fn rows(&self) -> &[Vec<String>] {
+        &self.rows
+    }
+
+    /// Number of data rows.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+}
+
 /// Formats seconds as engineering-friendly milliseconds.
-pub fn ms(seconds: f64) -> String {
+pub(crate) fn ms(seconds: f64) -> String {
     format!("{:.3}", seconds * 1e3)
 }
 
 /// Formats a ratio as a percentage with one decimal.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
 /// Formats an already-in-percent overhead with an explicit sign
 /// (`+3.2%` / `-0.4%`), the convention of the fault-overhead tables.
-pub fn signed_pct(percent: f64) -> String {
+pub(crate) fn signed_pct(percent: f64) -> String {
     format!("{percent:+.1}%")
 }
 
 /// Formats a dimensionless ratio (speedup, blow-up factor) with two
 /// decimals.
-pub fn ratio(x: f64) -> String {
+pub(crate) fn ratio(x: f64) -> String {
     format!("{x:.2}")
 }
 
 /// Writes a registry [`BenchDocument`] into `experiments/<name>.json` —
 /// the uniform exporter behind every `BENCH_*.json` perf-trajectory
 /// snapshot. Returns the path written.
-pub fn write_bench_json(name: &str, doc: &BenchDocument) -> std::io::Result<PathBuf> {
+pub(crate) fn write_bench_json(name: &str, doc: &BenchDocument) -> std::io::Result<PathBuf> {
     let dir = experiments_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));

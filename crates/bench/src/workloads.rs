@@ -9,17 +9,12 @@
 use armine_core::Dataset;
 use armine_datagen::QuestParams;
 
-/// The linear scale factor between the paper's workloads and ours.
-pub const SCALE: usize = 100;
-
 /// Item universe for the scaled experiments. The paper's datasets use
-/// 1000 items; we keep the universe at 1000/√SCALE·√SCALE = 1000 divided
-/// only where candidate counts must shrink proportionally — in practice a
-/// few hundred items keeps |C_2| in a realistic band at our N.
-pub const NUM_ITEMS: u32 = 250;
+/// 1000 items; a few hundred keeps |C_2| in a realistic band at our N.
+const NUM_ITEMS: u32 = 250;
 
 /// A `T15.I6` database with `n` transactions over [`NUM_ITEMS`] items.
-pub fn t15_i6(n: usize, seed: u64) -> Dataset {
+pub(crate) fn t15_i6(n: usize, seed: u64) -> Dataset {
     QuestParams::paper_t15_i6()
         .num_transactions(n)
         .num_items(NUM_ITEMS)
@@ -30,7 +25,7 @@ pub fn t15_i6(n: usize, seed: u64) -> Dataset {
 
 /// A `T15.I6` database with an explicit item universe (experiments that
 /// sweep the candidate count need wider universes).
-pub fn t15_i6_items(n: usize, num_items: u32, seed: u64) -> Dataset {
+pub(crate) fn t15_i6_items(n: usize, num_items: u32, seed: u64) -> Dataset {
     QuestParams::paper_t15_i6()
         .num_transactions(n)
         .num_items(num_items)
@@ -43,7 +38,7 @@ pub fn t15_i6_items(n: usize, num_items: u32, seed: u64) -> Dataset {
 /// the lighter Quest workload used by the counting-structure comparison
 /// (shorter transactions keep the trie's merge-intersect walk and the
 /// hash tree's subset descent in the same op-count regime).
-pub fn t10_i4(n: usize, seed: u64) -> Dataset {
+pub(crate) fn t10_i4(n: usize, seed: u64) -> Dataset {
     QuestParams::paper_t15_i6()
         .avg_transaction_len(10.0)
         .avg_pattern_len(4.0)
@@ -57,7 +52,7 @@ pub fn t10_i4(n: usize, seed: u64) -> Dataset {
 /// Scaleup database: `per_proc` transactions for each of `procs`
 /// processors (the Figure 10/11 setup keeps work per processor constant
 /// as P grows).
-pub fn scaleup(procs: usize, per_proc: usize, seed: u64) -> Dataset {
+pub(crate) fn scaleup(procs: usize, per_proc: usize, seed: u64) -> Dataset {
     t15_i6(procs * per_proc, seed)
 }
 

@@ -9,7 +9,7 @@ use std::fmt;
 
 /// A parse or validation failure, with a user-facing message.
 #[derive(Debug, PartialEq, Eq)]
-pub struct ArgError(pub String);
+pub(crate) struct ArgError(pub(crate) String);
 
 impl fmt::Display for ArgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -21,14 +21,14 @@ impl std::error::Error for ArgError {}
 
 /// Parsed `--key value` options.
 #[derive(Debug)]
-pub struct Args {
+pub(crate) struct Args {
     values: HashMap<String, String>,
     consumed: std::cell::RefCell<Vec<String>>,
 }
 
 impl Args {
     /// Parses `argv` (after the subcommand) into key/value options.
-    pub fn parse(argv: &[String]) -> Result<Args, ArgError> {
+    pub(crate) fn parse(argv: &[String]) -> Result<Args, ArgError> {
         let mut values = HashMap::new();
         let mut it = argv.iter();
         while let Some(token) = it.next() {
@@ -57,7 +57,7 @@ impl Args {
     }
 
     /// A required option parsed as `T`.
-    pub fn required<T: std::str::FromStr>(&self, key: &str) -> Result<T, ArgError> {
+    pub(crate) fn required<T: std::str::FromStr>(&self, key: &str) -> Result<T, ArgError> {
         let raw = self
             .take(key)
             .ok_or_else(|| ArgError(format!("missing required option --{key}")))?;
@@ -66,7 +66,7 @@ impl Args {
     }
 
     /// An optional option parsed as `T`.
-    pub fn optional<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
+    pub(crate) fn optional<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
         match self.take(key) {
             None => Ok(None),
             Some(raw) => raw
@@ -77,12 +77,16 @@ impl Args {
     }
 
     /// An optional option with a default.
-    pub fn or_default<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
+    pub(crate) fn or_default<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, ArgError> {
         Ok(self.optional(key)?.unwrap_or(default))
     }
 
     /// Errors if any provided option was never consumed (i.e. unknown).
-    pub fn finish(&self) -> Result<(), ArgError> {
+    pub(crate) fn finish(&self) -> Result<(), ArgError> {
         let consumed = self.consumed.borrow();
         for key in self.values.keys() {
             if !consumed.iter().any(|c| c == key) {
@@ -94,7 +98,8 @@ impl Args {
 }
 
 /// Convenience for building argv slices in tests.
-pub fn argv(parts: &[&str]) -> Vec<String> {
+#[cfg(test)]
+pub(crate) fn argv(parts: &[&str]) -> Vec<String> {
     parts.iter().map(|s| (*s).to_owned()).collect()
 }
 

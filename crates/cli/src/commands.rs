@@ -23,7 +23,7 @@ type Out<'a> = &'a mut dyn Write;
 type Named<T> = (&'static str, T);
 
 /// Usage text printed by `armine help`.
-pub const USAGE: &str = "\
+const USAGE: &str = "\
 armine — scalable parallel association-rule mining (Han/Karypis/Kumar, SIGMOD'97)
 
 USAGE:
@@ -61,7 +61,7 @@ sleeps, retransmit timers) and recovers identically.
 ";
 
 /// Parses the subcommand and runs it.
-pub fn dispatch(argv: &[String], out: Out) -> Result<(), Box<dyn std::error::Error>> {
+pub(crate) fn dispatch(argv: &[String], out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let (cmd, rest) = argv
         .split_first()
         .ok_or_else(|| ArgError("no subcommand given".into()))?;

@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! # armine-cli
 //!
 //! The `armine` command-line tool:
@@ -14,15 +12,21 @@
 //! The argument parser is hand-rolled (and unit-tested) to keep the
 //! dependency set identical to the library's.
 
-pub mod args;
-pub mod commands;
+mod args;
+mod commands;
 
-/// Entry point shared by the binary and the tests: parses `argv` (without
-/// the program name) and runs. Returns the process exit code.
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut stdout = std::io::stdout();
+    std::process::exit(run(&argv, &mut stdout));
+}
+
+/// Parses `argv` (without the program name) and runs. Returns the process
+/// exit code.
 ///
 /// A reader that closes the pipe early (`armine mine … | head -1`) has
 /// everything it asked for: `BrokenPipe` is a clean exit, not an error.
-pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> i32 {
+fn run(argv: &[String], out: &mut dyn std::io::Write) -> i32 {
     match commands::dispatch(argv, out) {
         Ok(()) => 0,
         Err(e) if is_broken_pipe(e.as_ref()) => 0,

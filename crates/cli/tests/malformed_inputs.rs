@@ -92,9 +92,10 @@ fn malformed_datasets_exit_2_with_an_error_line() {
 
 /// Four flag values that reached a library `assert!` (one of them inside a
 /// rank thread), a support count of zero, limits of zero and a per-mille
-/// above 1000 that were silently read as another value, and three plan
-/// timers that reached the metrics registry's finiteness check, on both
-/// backends.
+/// above 1000 that were silently read as another value, three plan
+/// timers that reached the metrics registry's finiteness check, and plan
+/// and cluster values too large for the native clock to sleep out, on
+/// both backends.
 #[test]
 fn out_of_range_flags_and_plan_timers_exit_2_with_an_error_line() {
     let dir = std::env::temp_dir().join("armine_cli_malformed_flags");
@@ -129,11 +130,18 @@ fn out_of_range_flags_and_plan_timers_exit_2_with_an_error_line() {
         assert_refused(armine().args(case.split_whitespace()), case);
     }
 
+    // The last five passed validation, and the native clock panicked
+    // converting them into a sleep.
     for timer in [
         "rto = nan",
         "delay = nan",
         "delay = inf",
         "detect_timeout = nan",
+        "slowdown 1 = 1e308",
+        "drop_rate = 0.5\nrto = 1e300",
+        "delay_rate = 0.5\ndelay = 1e300",
+        "crash 1 = time:inf",
+        "crash 1 = pass:2\ndetect_timeout = 1e300",
     ] {
         std::fs::write(&plan, format!("drop_rate = 0.3\n{timer}\n")).unwrap();
         for backend in backends {
@@ -141,6 +149,12 @@ fn out_of_range_flags_and_plan_timers_exit_2_with_an_error_line() {
             let what = format!("{case} with {timer:?}");
             assert_refused(armine().args(case.split_whitespace()), &what);
         }
+    }
+    let cluster = path("slow.cluster");
+    std::fs::write(&cluster, "speed 1 = 1e-300\n").unwrap();
+    for backend in backends {
+        let case = format!("{parallel} --algorithm cd --cluster {cluster} --backend {backend}");
+        assert_refused(armine().args(case.split_whitespace()), &case);
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,13 +3,9 @@
 //! Each pass `k` generates candidates `C_k` from `F_{k-1}` with the join +
 //! prune of [`apriori_gen`] into the counter's arena, counts them with a
 //! [`crate::hashtree::HashTree`], and keeps the candidates meeting minimum support. The
-//! algorithm stops when a pass produces no frequent itemsets.
-//!
-//! When a memory capacity is configured and `|C_k|` exceeds it, the
-//! candidate set is partitioned and the database is scanned once per
-//! partition — the multi-scan behaviour that makes serial Apriori (and CD)
-//! "unscalable with respect to the increasing size of candidate set" and
-//! that Figure 12 measures.
+//! algorithm stops when a pass produces no frequent itemsets. Each pass
+//! scans the database once; the memory-capped mode that partitions `C_k`
+//! and rescans per partition (Figure 12) is CD's, in `armine-parallel`.
 
 use crate::counter::{CandidateTable, CounterBackend, CounterStats};
 use crate::hashtree::{HashTreeParams, OwnershipFilter};
@@ -54,10 +50,6 @@ pub struct AprioriParams {
     pub tree: HashTreeParams,
     /// Which counting structure counts the candidates of each pass.
     pub counter: CounterBackend,
-    /// Maximum candidates a single in-memory hash tree may hold. `None`
-    /// means unlimited. When `|C_k|` exceeds this, the pass partitions the
-    /// candidates and scans the database once per partition.
-    pub memory_capacity: Option<usize>,
     /// Stop after this pass even if larger frequent itemsets exist.
     pub max_k: Option<usize>,
 }
@@ -69,7 +61,6 @@ impl AprioriParams {
             min_support: MinSupport::Count(count),
             tree: HashTreeParams::default(),
             counter: CounterBackend::default(),
-            memory_capacity: None,
             max_k: None,
         }
     }
@@ -80,7 +71,6 @@ impl AprioriParams {
             min_support: MinSupport::Fraction(fraction),
             tree: HashTreeParams::default(),
             counter: CounterBackend::default(),
-            memory_capacity: None,
             max_k: None,
         }
     }
@@ -94,13 +84,6 @@ impl AprioriParams {
     /// Selects the candidate-counting backend.
     pub fn counter(mut self, counter: CounterBackend) -> Self {
         self.counter = counter;
-        self
-    }
-
-    /// Caps the in-memory candidate count (forces multi-scan passes).
-    pub fn memory_capacity(mut self, cap: usize) -> Self {
-        assert!(cap >= 1, "memory capacity must be positive");
-        self.memory_capacity = Some(cap);
         self
     }
 
@@ -211,9 +194,10 @@ pub struct PassInfo {
     pub candidates: usize,
     /// `|F_k|` — candidates that met minimum support.
     pub frequent: usize,
-    /// Database scans this pass (1 unless memory-capped).
+    /// Database scans this pass: 1, as the serial miner counts each pass
+    /// in one scan.
     pub db_scans: usize,
-    /// Counting-structure work counters, summed over all partitions.
+    /// Counting-structure work counters of the pass.
     pub tree_stats: CounterStats,
 }
 
@@ -232,11 +216,6 @@ impl MiningRun {
     /// Convenience passthrough: the support count of a frequent itemset.
     pub fn support(&self, set: &ItemSet) -> Option<u64> {
         self.frequent.support(set)
-    }
-
-    /// Total database scans over all passes.
-    pub fn total_db_scans(&self) -> usize {
-        self.passes.iter().map(|p| p.db_scans).sum()
     }
 }
 
@@ -304,7 +283,6 @@ impl Apriori {
                 min_count,
                 self.params.counter,
                 self.params.tree,
-                self.params.memory_capacity,
             );
             run.passes.push(info);
             run.frequent.levels.push(level);
@@ -347,9 +325,8 @@ fn frequent_singletons(transactions: &[Transaction], min_count: u64) -> Pass1 {
 }
 
 /// Counts `candidates`, the arena [`candidate_arena`] writes, over
-/// `transactions` with the selected [`CounterBackend`], cutting it into
-/// runs of `memory_capacity` rows when it holds more (one database scan
-/// per run). Returns the frequent level and the pass accounting; an empty
+/// `transactions` with the selected [`CounterBackend`] in one database
+/// scan. Returns the frequent level and the pass accounting; an empty
 /// candidate set scans the database zero times.
 pub(crate) fn count_candidates(
     k: usize,
@@ -358,32 +335,26 @@ pub(crate) fn count_candidates(
     min_count: u64,
     backend: CounterBackend,
     tree_params: HashTreeParams,
-    memory_capacity: Option<usize>,
 ) -> (Vec<(ItemSet, u64)>, PassInfo) {
     let total = candidates.len() / k;
-    let chunk = memory_capacity.unwrap_or(usize::MAX).min(total.max(1));
-    let mut level = Vec::new();
-    let mut stats = CounterStats::default();
-    let mut scans = 0;
-    let mut scan = |rows: Vec<Item>| {
-        let mut counter = backend.index(tree_params, CandidateTable::from_arena(k, rows));
-        counter.count_all(transactions, &OwnershipFilter::all());
-        stats = stats.merged(&counter.stats());
-        level.extend(counter.frequent(min_count));
-        scans += 1;
-    };
-    if total > chunk {
-        let parts = candidates.chunks(chunk * k);
-        parts.for_each(|rows| scan(rows.to_vec()));
-    } else if total > 0 {
-        scan(candidates);
+    if total == 0 {
+        return (
+            Vec::new(),
+            PassInfo {
+                k,
+                ..PassInfo::default()
+            },
+        );
     }
+    let mut counter = backend.index(tree_params, CandidateTable::from_arena(k, candidates));
+    counter.count_all(transactions, &OwnershipFilter::all());
+    let level = counter.frequent(min_count);
     let info = PassInfo {
         k,
         candidates: total,
         frequent: level.len(),
-        db_scans: scans,
-        tree_stats: stats,
+        db_scans: 1,
+        tree_stats: counter.stats(),
     };
     (level, info)
 }
@@ -665,53 +636,6 @@ mod tests {
         }
     }
 
-    /// A capped pass cuts its arena into runs of `cap` rows, one scan each:
-    /// from one candidate per scan to the largest `C_k` in one, every
-    /// backend mines the same itemsets with the same per-pass counts and
-    /// inserts each candidate exactly once.
-    #[test]
-    fn memory_cap_gives_same_answer_with_more_scans() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(99);
-        let transactions: Vec<Transaction> = (0..60)
-            .map(|tid| {
-                let len = rng.gen_range(2..=9);
-                let items: Vec<Item> = (0..len).map(|_| Item(rng.gen_range(0..15))).collect();
-                Transaction::new(tid, items)
-            })
-            .collect();
-        let lattice = |run: &MiningRun| -> Vec<(ItemSet, u64)> {
-            run.frequent.iter().map(|(s, c)| (s.clone(), c)).collect()
-        };
-        let base = AprioriParams::with_min_support_count(3);
-        let uncapped = Apriori::new(base).mine(&transactions);
-        let largest = uncapped.passes[1..].iter().map(|p| p.candidates).max();
-        let largest = largest.expect("the data reaches pass 2");
-        assert!(
-            largest > 8,
-            "|C_k| {largest} leaves no room between the caps"
-        );
-        for backend in CounterBackend::ALL {
-            for cap in [1, 7, largest - 1, largest] {
-                let on = format!("{} at cap {cap}", backend.name());
-                let capped =
-                    Apriori::new(base.counter(backend).memory_capacity(cap)).mine(&transactions);
-                assert_eq!(lattice(&capped), lattice(&uncapped), "{on}");
-                assert_eq!(capped.passes.len(), uncapped.passes.len(), "{on}");
-                for (got, want) in capped.passes.iter().zip(&uncapped.passes) {
-                    let counts = |p: &PassInfo| (p.k, p.candidates, p.frequent);
-                    assert_eq!(counts(got), counts(want), "{on}");
-                    if got.k > 1 {
-                        let scans = got.candidates.div_ceil(cap);
-                        assert_eq!(got.db_scans, scans, "{on}: pass {}", got.k);
-                        let inserts = got.tree_stats.inserts;
-                        assert_eq!(inserts, got.candidates as u64, "{on}: pass {}", got.k);
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn max_k_stops_early() {
         let d = table1();
@@ -751,7 +675,6 @@ mod tests {
             1,
             CounterBackend::default(),
             HashTreeParams::default(),
-            None,
         );
         assert!(level.is_empty());
         assert_eq!(info.candidates, 0);

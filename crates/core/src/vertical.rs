@@ -15,7 +15,7 @@
 //! Tid sets are adaptive: high-density items become dense `u64` bitmap
 //! blocks intersected with the wide-word kernels of
 //! [`crate::bitmap::words`]; low-density items stay sorted `u32` tid
-//! lists intersected with [`crate::tidlist::intersect_sorted`] (a bitmap
+//! lists intersected by a merge, galloping for skewed sizes (a bitmap
 //! with a handful of set bits would waste both memory and sweep time).
 //!
 //! Ledger mapping onto [`CounterStats`](crate::counter::CounterStats): each item occurrence scanned
@@ -31,7 +31,6 @@ use crate::counter::{CandidateCounter, CandidateTable};
 use crate::hashtree::OwnershipFilter;
 use crate::item::Item;
 use crate::itemset::ItemSet;
-use crate::tidlist::intersect_sorted;
 use crate::transaction::Transaction;
 
 /// A set of transaction positions within one batch, in the cheaper of the
@@ -257,6 +256,45 @@ impl CandidateCounter for VerticalCounter {
     }
 }
 
+/// Intersection of two ascending id lists (galloping for skewed sizes):
+/// the kernel of the sparse tid sets of low-density items.
+fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    // Gallop when the size ratio is extreme; merge otherwise.
+    if large.len() / small.len().max(1) >= 16 {
+        let mut out = Vec::with_capacity(small.len());
+        let mut lo = 0;
+        for &x in small {
+            match large[lo..].binary_search(&x) {
+                Ok(pos) => {
+                    out.push(x);
+                    lo += pos + 1;
+                }
+                Err(pos) => lo += pos,
+            }
+            if lo >= large.len() {
+                break;
+            }
+        }
+        out
+    } else {
+        let mut out = Vec::with_capacity(small.len());
+        let (mut i, mut j) = (0, 0);
+        while i < small.len() && j < large.len() {
+            match small[i].cmp(&large[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    out.push(small[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,6 +306,16 @@ mod tests {
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from(ids)
+    }
+
+    #[test]
+    fn intersect_handles_galloping_path() {
+        // Ratio >= 16 triggers the binary-search path.
+        let small = vec![5u32, 100, 900];
+        let large: Vec<u32> = (0..1000).collect();
+        assert_eq!(intersect_sorted(&small, &large), small);
+        let disjoint: Vec<u32> = (1000..2000).collect();
+        assert!(intersect_sorted(&small, &disjoint).is_empty());
     }
 
     fn tx(tid: u64, ids: &[u32]) -> Transaction {

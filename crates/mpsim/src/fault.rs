@@ -115,7 +115,7 @@ impl FaultPlan {
     }
 
     /// Makes `rank` a straggler: all its compute charges are multiplied
-    /// by `factor` (≥ 1).
+    /// by `factor` (in [1, 10^6]).
     ///
     /// The map recorded here is pure scenario data (format, label,
     /// validation); *applying* it is the per-rank speed path's job — the
@@ -200,8 +200,13 @@ impl FaultPlan {
             ("rto", self.rto),
             ("detect_timeout", self.detect_timeout),
         ];
-        if let Some((name, seconds)) = timers.into_iter().find(|(_, s)| !s.is_finite()) {
-            return Err(format!("{name} must be finite, got {seconds}"));
+        if let Some((name, seconds)) = timers
+            .into_iter()
+            .find(|&(_, s)| !(s.is_finite() && s <= MAX_SECONDS))
+        {
+            return Err(format!(
+                "{name} must be finite and at most {MAX_SECONDS} seconds, got {seconds}"
+            ));
         }
         if self.delay < 0.0 {
             return Err(format!("delay must be non-negative, got {}", self.delay));
@@ -219,17 +224,17 @@ impl FaultPlan {
             ));
         }
         for (&rank, &factor) in &self.slowdowns {
-            if factor < 1.0 || !factor.is_finite() {
+            if !(1.0..=MAX_SLOWDOWN).contains(&factor) {
                 return Err(format!(
-                    "slowdown factor for rank {rank} must be finite and >= 1, got {factor}"
+                    "slowdown factor for rank {rank} must be in [1, {MAX_SLOWDOWN}], got {factor}"
                 ));
             }
         }
         for (&rank, &point) in &self.crashes {
             match point {
-                CrashPoint::AtTime(t) if t.is_nan() || t < 0.0 => {
+                CrashPoint::AtTime(t) if !(0.0..=MAX_SECONDS).contains(&t) => {
                     return Err(format!(
-                        "crash time for rank {rank} must be non-negative, got {t}"
+                        "crash time for rank {rank} must be in [0, {MAX_SECONDS}] seconds, got {t}"
                     ));
                 }
                 CrashPoint::AtPass(0) => {
@@ -282,6 +287,21 @@ impl FaultPlan {
         text.parse()
     }
 }
+
+/// The largest timer (`delay`, `rto`, `detect_timeout`) or crash time a
+/// plan may set, in seconds (about 11.6 days).
+///
+/// The native clock sleeps these out, a retransmit after backing off up to
+/// 2^16 times the `rto`, and `Duration` holds at most 2^64 seconds: under
+/// this bound every sleep fits, and every virtual time stays finite.
+pub(crate) const MAX_SECONDS: f64 = 1e6;
+
+/// The largest straggler slowdown a plan may set, and the inverse of the
+/// smallest speed a [`crate::ClusterProfile`] may set. A rank's combined
+/// factor is then at most 10^12, and the native clock's sleep of `factor`
+/// times a measured bracket fits a `Duration` for any bracket under 200
+/// days.
+pub(crate) const MAX_SLOWDOWN: f64 = 1e6;
 
 /// Decision-kind discriminators mixed into [`FaultPlan::u01`].
 pub(crate) const DECISION_DROP: u64 = 1;
@@ -518,6 +538,20 @@ mod tests {
         assert!("frobnicate = 1".parse::<FaultPlan>().is_err());
         assert!("drop_rate = 0.1\nrto = 0".parse::<FaultPlan>().is_err());
         assert!("crash 1 = pass:0".parse::<FaultPlan>().is_err());
+        // Values the native clock could not sleep out.
+        for text in [
+            "slowdown 1 = 1e308",
+            "drop_rate = 0.5\nrto = 1e300",
+            "delay_rate = 0.5\ndelay = 1e300",
+            "crash 1 = time:inf",
+            "crash 1 = pass:2\ndetect_timeout = 1e300",
+        ] {
+            let err = text.parse::<FaultPlan>().expect_err(text);
+            assert!(err.contains(" must be ") && err.contains(", got "), "{err}");
+        }
+        let edge = "slowdown 1 = 1e6\nrto = 1e6\ndelay = 1e6\ndetect_timeout = 1e6\n\
+                    crash 1 = time:1e6";
+        assert!(edge.parse::<FaultPlan>().is_ok());
     }
 
     #[test]

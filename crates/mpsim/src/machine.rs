@@ -19,6 +19,7 @@
 //! speed 7 = 0.25
 //! ```
 
+use crate::fault::MAX_SLOWDOWN;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -218,8 +219,8 @@ impl ClusterProfile {
     }
 
     /// Overrides the relative speed of `rank` (builder style). `factor`
-    /// must be finite and positive; values below 1.0 are slower than the
-    /// base machine, above 1.0 faster.
+    /// must be finite and at least 10^-6; values below 1.0 are slower
+    /// than the base machine, above 1.0 faster.
     pub fn speed(mut self, rank: usize, factor: f64) -> Self {
         self.speeds.insert(rank, factor);
         self
@@ -261,9 +262,10 @@ impl ClusterProfile {
     /// complaint for out-of-range values.
     pub fn validate(&self) -> Result<(), String> {
         for (&rank, &factor) in &self.speeds {
-            if !(factor.is_finite() && factor > 0.0) {
+            if !(factor.is_finite() && factor >= 1.0 / MAX_SLOWDOWN) {
                 return Err(format!(
-                    "speed factor for rank {rank} must be finite and > 0, got {factor}"
+                    "speed factor for rank {rank} must be finite and >= {}, got {factor}",
+                    1.0 / MAX_SLOWDOWN
                 ));
             }
         }
@@ -546,6 +548,9 @@ mod tests {
         assert!("speed 1 = 0".parse::<ClusterProfile>().is_err());
         assert!("speed 1 = -2".parse::<ClusterProfile>().is_err());
         assert!("speed 1 = inf".parse::<ClusterProfile>().is_err());
+        let err = "speed 1 = 1e-300".parse::<ClusterProfile>().unwrap_err();
+        assert!(err.contains("must be finite and >= 0.000001, got"), "{err}");
+        assert!("speed 1 = 1e-6".parse::<ClusterProfile>().is_ok());
         assert!("speed x = 1.0".parse::<ClusterProfile>().is_err());
         assert!("frobnicate = 1".parse::<ClusterProfile>().is_err());
         assert!("machine".parse::<ClusterProfile>().is_err());
