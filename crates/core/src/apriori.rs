@@ -7,6 +7,7 @@
 //! scans the database once; the memory-capped mode that partitions `C_k`
 //! and rescans per partition (Figure 12) is CD's, in `armine-parallel`.
 
+use crate::candidates::Candidates;
 use crate::counter::{CandidateTable, CounterBackend, CounterStats};
 use crate::hashtree::{HashTreeParams, OwnershipFilter};
 use crate::item::Item;
@@ -272,12 +273,11 @@ impl Apriori {
 
         let mut k = 2;
         while self.params.max_k.is_none_or(|m| k <= m) {
-            let candidates = candidate_arena(run.frequent.level(k - 1), |(s, _)| s.items(), |_| {});
+            let candidates = Candidates::generate(k, run.frequent.level(k - 1), |(s, _)| s.items());
             if candidates.is_empty() {
                 break;
             }
             let (level, info) = count_candidates(
-                k,
                 candidates,
                 transactions,
                 min_count,
@@ -324,19 +324,19 @@ fn frequent_singletons(transactions: &[Transaction], min_count: u64) -> Pass1 {
     }
 }
 
-/// Counts `candidates`, the arena [`candidate_arena`] writes, over
-/// `transactions` with the selected [`CounterBackend`] in one database
-/// scan. Returns the frequent level and the pass accounting; an empty
-/// candidate set scans the database zero times.
+/// Counts `candidates` over `transactions` with the selected
+/// [`CounterBackend`] in one database scan: an arena is adopted by the
+/// counter's table without a copy, and `F₁ × F₁` is read in place. Returns
+/// the frequent level and the pass accounting; an empty candidate set
+/// scans the database zero times.
 pub(crate) fn count_candidates(
-    k: usize,
-    candidates: Vec<Item>,
+    candidates: Candidates,
     transactions: &[Transaction],
     min_count: u64,
     backend: CounterBackend,
     tree_params: HashTreeParams,
 ) -> (Vec<(ItemSet, u64)>, PassInfo) {
-    let total = candidates.len() / k;
+    let (k, total) = (candidates.k(), candidates.len());
     if total == 0 {
         return (
             Vec::new(),
@@ -346,7 +346,10 @@ pub(crate) fn count_candidates(
             },
         );
     }
-    let mut counter = backend.index(tree_params, CandidateTable::from_arena(k, candidates));
+    let mut counter = match candidates.into_arena() {
+        Ok(arena) => backend.index(tree_params, CandidateTable::from_arena(k, arena)),
+        Err(pairs) => backend.build_share(tree_params, &pairs, 0..total, |_, _| true),
+    };
     counter.count_all(transactions, &OwnershipFilter::all());
     let level = counter.frequent(min_count);
     let info = PassInfo {
@@ -669,8 +672,7 @@ mod tests {
     fn zero_candidates_report_zero_db_scans() {
         let d = table1();
         let (level, info) = count_candidates(
-            2,
-            Vec::new(),
+            Candidates::pairs(Vec::new()),
             d.transactions(),
             1,
             CounterBackend::default(),

@@ -141,15 +141,20 @@ impl CandidatePartition {
         candidates: impl IntoIterator<Item = C, IntoIter: 'a>,
         proc: usize,
     ) -> impl Iterator<Item = C> + 'a {
-        let (p, filter) = (self.num_procs(), &self.filters[proc]);
-        let mine = candidates.into_iter().enumerate().filter(move |(i, c)| {
-            if self.by_position {
-                i % p == proc
-            } else {
-                filter.owns(c.as_ref())
-            }
-        });
+        let mine = candidates.into_iter().enumerate();
+        let mine = mine.filter(move |(i, c)| self.owns(proc, *i, c.as_ref()));
         mine.map(|(_, c)| c)
+    }
+
+    /// Whether processor `proc`'s share holds `candidate`, found at
+    /// `position` in the candidate set: the predicate [`share`](Self::share)
+    /// filters by.
+    pub fn owns(&self, proc: usize, position: usize, candidate: &[Item]) -> bool {
+        if self.by_position {
+            position % self.num_procs() == proc
+        } else {
+            self.filters[proc].owns(candidate)
+        }
     }
 }
 

@@ -16,8 +16,8 @@
 //! each batch into per-item tid bitmaps and counts by AND + popcount
 //! instead of walking transaction subsets at all. At `k = 2` the latter two
 //! share one direct pair table (one probe per item pair, the classic
-//! Apriori pass-2 specialisation), which [`CounterBackend::build`] alone
-//! knows about. Structure choice dominating
+//! Apriori pass-2 specialisation), which only [`CounterBackend`] knows
+//! about. Structure choice dominating
 //! Apriori runtime is the point of Singh et al. (arXiv:1511.07017);
 //! making it a measured experiment instead of an architectural fact is
 //! the point of this seam.
@@ -37,10 +37,14 @@
 //!
 //! The serial pass hands the table the arena candidate generation wrote,
 //! adopted without a copy. [`CounterBackend::build`] only reads its offer,
-//! anything that yields `k`-item rows (`AsRef<[Item]>`): every parallel
-//! driver lends rows of the run's one `C_k` arena — all of them, a run of
-//! them or its share of them (DESIGN.md §5.7).
+//! anything that yields `k`-item rows (`AsRef<[Item]>`), and
+//! [`CounterBackend::build_share`] reads a share of a [`Candidates`] set in
+//! place: every parallel driver names the rows of the run's one `C_k` it
+//! counts — all of them, a run of them or its share of them — and at
+//! `k = 2` the pair table is built from `F₁` and that share with no pair
+//! written down (DESIGN.md §5.7).
 
+use crate::candidates::Candidates;
 use crate::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
 use crate::item::Item;
 use crate::itemset::ItemSet;
@@ -48,6 +52,7 @@ use crate::pairs::PairCounter;
 use crate::transaction::Transaction;
 use crate::trie::CandidateTrie;
 use crate::vertical::VerticalCounter;
+use std::ops::Range;
 
 /// Accumulated work counters of a candidate-counting structure.
 ///
@@ -178,7 +183,8 @@ impl CounterStats {
 #[derive(Debug, Clone)]
 pub struct CandidateTable {
     pub(crate) k: usize,
-    /// Candidate items, strided by `k`, in slot order.
+    /// Candidate items, strided by `k`, in slot order; empty for the pair
+    /// counter, whose candidates are implicit.
     pub(crate) items: Vec<Item>,
     /// Running support counts, in slot order.
     pub(crate) counts: Vec<u64>,
@@ -226,6 +232,15 @@ impl CandidateTable {
         assert!(ascending, "arena candidates must be strictly ascending");
         let inserts = (items.len() / k) as u64;
         Self::with_arena(k, items, inserts)
+    }
+
+    /// A table of `n` counts with no candidate rows, for a structure that
+    /// keeps its candidates implicit (the pair counter).
+    pub(crate) fn counts_only(k: usize, n: usize) -> Self {
+        CandidateTable {
+            counts: vec![0; n],
+            ..Self::with_arena(k, Vec::new(), n as u64)
+        }
     }
 
     /// The table over `items`, built from an offer of `inserts` candidates.
@@ -358,6 +373,15 @@ pub trait CandidateCounter {
         out
     }
 
+    /// The per-candidate counts themselves, when their slots are in
+    /// insertion order (every structure but a hash tree that split): what
+    /// CD's reduction sums in place. `None` means "go through
+    /// [`count_vector`](Self::count_vector)".
+    fn counts_mut(&mut self) -> Option<&mut [u64]> {
+        let table = self.table_mut();
+        table.ids.is_none().then_some(&mut table.counts[..])
+    }
+
     /// Overwrites the per-candidate counts (after a reduction).
     ///
     /// # Panics
@@ -447,6 +471,45 @@ impl CounterBackend {
         self.index(tree, CandidateTable::new(k, candidates))
     }
 
+    /// Builds the selected structure over a share of `candidates`: the
+    /// rows in `range` that `keep(row, items)` admits, read in place.
+    ///
+    /// On `C₂ = F₁ × F₁` the trie and the vertical backend build the pair
+    /// table straight from `F₁` and the share, so no pair is stored; every
+    /// other structure (and a declined pair table) is built over a copy of
+    /// the share's rows, as [`build`](Self::build) would build it.
+    pub fn build_share(
+        self,
+        tree: HashTreeParams,
+        candidates: &Candidates,
+        range: Range<usize>,
+        keep: impl Fn(usize, &[Item]) -> bool,
+    ) -> Box<dyn CandidateCounter> {
+        let f1 = candidates.pair_items();
+        if let Some(f1) = f1.filter(|_| self != CounterBackend::HashTree) {
+            let pairs = candidates.pair_ranks(range.clone());
+            let ranks = || {
+                let owned = pairs.clone();
+                let owned = owned.filter(|&(r, i, j)| keep(r, &[f1[i as usize], f1[j as usize]]));
+                owned.map(|(_, i, j)| (i, j))
+            };
+            if let Some(pairs) = PairCounter::from_share(f1, ranks) {
+                return Box::new(pairs);
+            }
+        }
+        let rows = || {
+            let rows = range.clone().zip(candidates.rows(range.clone()));
+            let owned = rows.filter(|(r, row)| keep(*r, row.as_ref()));
+            owned.map(|(_, row)| row)
+        };
+        // Counted first, so that the table's arena is allocated once.
+        let share = ExactLen {
+            len: rows().count(),
+            rows: rows(),
+        };
+        self.index(tree, CandidateTable::new(candidates.k(), share))
+    }
+
     /// The one dispatch behind [`build`](Self::build) and the serial pass.
     pub(crate) fn index(
         self,
@@ -461,6 +524,11 @@ impl CounterBackend {
         } else {
             table
         };
+        self.structure(tree, table)
+    }
+
+    /// The backend's own structure over `table`, never the pair table.
+    fn structure(self, tree: HashTreeParams, table: CandidateTable) -> Box<dyn CandidateCounter> {
         match self {
             CounterBackend::HashTree => Box::new(HashTree::from_table(tree, table)),
             CounterBackend::Trie => Box::new(CandidateTrie::from_table(table)),
@@ -484,6 +552,26 @@ impl CounterBackend {
             CounterBackend::Trie => "trie",
             CounterBackend::Vertical => "vertical",
         }
+    }
+}
+
+/// An iterator that yields exactly `len` rows, saying so in its size hint.
+struct ExactLen<I> {
+    rows: I,
+    len: usize,
+}
+
+impl<I: Iterator> Iterator for ExactLen<I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        let row = self.rows.next()?;
+        self.len -= 1;
+        Some(row)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len, Some(self.len))
     }
 }
 

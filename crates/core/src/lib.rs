@@ -50,6 +50,7 @@
 pub mod apriori;
 pub mod binpack;
 pub mod bitmap;
+pub mod candidates;
 pub mod counter;
 pub mod dataset;
 pub mod hashtree;

@@ -1,48 +1,65 @@
-//! Direct pass-2 counting: one table probe per item pair.
+//! Direct pass-2 counting: one table probe per item pair, and no pair
+//! stored.
 //!
 //! At `k = 2` a candidate is just a pair of items, so no search structure
-//! is needed to find it. The candidates' distinct items are *ranked*
-//! (ascending, so rank order is item order), and each first-item rank
-//! keeps a *row*: the span `lo .. lo + len` of second-item ranks its
-//! candidates cover, laid out from `start` in one flat cell vector. A cell
-//! holds the candidate's table slot or [`NONE`]. Counting
-//! a transaction ranks its items once and then, for every item pair,
-//! does one subtraction, one compare and one cell load — against the
-//! trie's merge scan of a several-hundred-entry child list per first item
-//! and the vertical counter's bitmap AND per *candidate*.
+//! is needed to find it. The counter's items — `F₁` when a miner builds it
+//! from `C₂ = F₁ × F₁` and a share, the candidates' distinct items when it
+//! is given rows — are *ranked* (ascending, so rank order is item order).
+//! Only the items some candidate of the share uses get a rank lookup, and
+//! each first-item rank keeps a *row*: the span `lo .. lo + len` of
+//! second-item ranks its candidates cover. A row comes in one of two
+//! kinds:
 //!
-//! Rows are spans, not full triangle rows, so a share of `C₂` costs only
-//! the cells it covers: IDD's first-item partition has rows for owned
-//! first items only, and a DD-style contiguous chunk starts its first row
-//! at the chunk's first second item, not at `rank + 1`.
+//! - **Dense**: every pair in the span is a candidate, and their slots run
+//!   on from `start` in rank order, so a probe's slot is
+//!   `start + (rank − lo)`, with no memory per pair at all. Every row of
+//!   CD's `C₂`, of a contiguous chunk of it, and of IDD's and HD's
+//!   first-item shares is dense.
+//! - **Sparse**: the span's cells, from `start` in one flat cell vector,
+//!   hold each pair's slot or [`NONE`]. DD's round-robin shares, hash-owned
+//!   and bucket-pruned candidates and split first items of a two-level
+//!   partition have such rows.
 //!
-//! The counter is never named outside [`CounterBackend::build`], which
-//! builds it in place of the trie or the vertical counter at `k = 2`;
-//! [`PairCounter::from_table`] hands the candidates back when the cells
-//! would far outnumber them.
+//! So the counter holds one count per candidate, one row per item, a rank
+//! lookup and the cells of its sparse rows; its candidates are decoded
+//! from ranks when asked for. Counting a transaction ranks its items once
+//! and then, for every item pair, does one subtraction, one compare and
+//! (sparse rows) one cell load — against the trie's merge scan of a
+//! several-hundred-entry child list per first item and the vertical
+//! counter's bitmap AND per *candidate*.
 //!
-//! Ledger mapping onto [`CounterStats`]: every item of a transaction with
-//! at least two items is one `traversal_steps` unit when it is ranked,
-//! every probe that lands inside a row's span is one more, and every
-//! increment is one `distinct_leaf_visits` + one `candidate_checks` (a
-//! cell is reached by exactly one pair, like a trie path).
-//! `intersection_words` stays zero.
+//! The counter is never named outside [`CounterBackend`], which builds it
+//! in place of the trie or the vertical counter at `k = 2`, from rows
+//! ([`PairCounter::from_table`]) or from `F₁` and a share
+//! ([`PairCounter::from_share`]); both decline when the rank lookup and the
+//! cells a row layout without dense rows would need far outnumber the
+//! candidates.
 //!
-//! [`CounterBackend::build`]: crate::counter::CounterBackend::build
+//! Ledger mapping onto [`CounterStats`], unchanged by the dense rows:
+//! every item of a transaction with at least two items is one
+//! `traversal_steps` unit when it is ranked, every probe that lands inside
+//! a row's span is one more, and every increment is one
+//! `distinct_leaf_visits` + one `candidate_checks` (a slot is reached by
+//! exactly one pair, like a trie path). `intersection_words` stays zero.
+//!
+//! [`CounterBackend`]: crate::counter::CounterBackend
 //! [`CounterStats`]: crate::counter::CounterStats
 
 use crate::counter::{CandidateCounter, CandidateTable};
 use crate::hashtree::OwnershipFilter;
 use crate::item::Item;
+use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
 
 /// "No rank" in `rank_of`, "no candidate" in `cells`.
 const NONE: u32 = u32::MAX;
 
-/// The density fallback: above this many `u32` cells (rank table plus
-/// rows) per candidate the table is declined. A full `F₁ × F₁` costs
-/// about one cell per candidate; a hash-thinned `C₂` whose survivors are
-/// scattered over a huge universe can cost thousands.
+/// The density fallback: above this many `u32` cells (rank lookup plus a
+/// cell for every span position of every row) per candidate the counter
+/// is declined. A full `F₁ × F₁` costs about one cell per candidate; a
+/// hash-thinned `C₂` whose survivors are scattered over a huge universe
+/// can cost thousands. Dense rows spare the cells but not the test, so
+/// whether a counter is declined does not depend on them.
 const MAX_CELLS_PER_CANDIDATE: usize = 8;
 
 /// The span of second-item ranks one first item's candidates cover.
@@ -52,86 +69,65 @@ struct Row {
     lo: u32,
     /// Number of ranks covered; zero when no candidate starts here.
     len: u32,
-    /// Offset of the row's first cell.
+    /// Slot of the pair at `lo` (dense), or offset of the first cell.
     start: u32,
+    /// Whether the span's pairs are all candidates, in consecutive slots.
+    dense: bool,
 }
 
 /// The direct pair counter (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct PairCounter {
+    /// Counts and ledger; no candidate rows (they are implicit).
     table: CandidateTable,
-    /// Item id → rank among the candidates' distinct items, or [`NONE`].
+    /// Rank → item.
+    items: Vec<Item>,
+    /// Item id → rank, or [`NONE`] for items no candidate uses.
     rank_of: Vec<u32>,
     /// One row per rank, indexed by first-item rank.
     rows: Vec<Row>,
-    /// Candidate slot per (first, second) rank pair inside a row's span.
+    /// Candidate slot per (first, second) rank pair inside a sparse row.
     cells: Vec<u32>,
+    /// A transaction's ranked items; sized once for the most it can hold.
+    ranked: Vec<(Item, u32)>,
 }
 
 impl PairCounter {
-    /// Indexes a table of size-2 candidates, or returns it untouched when
-    /// that would need more than [`MAX_CELLS_PER_CANDIDATE`] cells per
-    /// candidate.
+    /// Indexes a table of size-2 candidates and drops its rows, or returns
+    /// it untouched when the counter is declined (see
+    /// [`MAX_CELLS_PER_CANDIDATE`]).
     // `Err` is the declined table handed back by move, not an error report.
     #[allow(clippy::result_large_err)]
-    pub(crate) fn from_table(table: CandidateTable) -> Result<PairCounter, CandidateTable> {
+    pub(crate) fn from_table(mut table: CandidateTable) -> Result<PairCounter, CandidateTable> {
         debug_assert_eq!(table.k, 2);
-        // Capped so that every cell offset and candidate slot fits `u32`.
-        let budget = (MAX_CELLS_PER_CANDIDATE * table.len()).min(NONE as usize);
-        let pairs = || table.items.chunks_exact(2);
-        let universe = pairs().map(|pair| pair[1].index() + 1).max().unwrap_or(0);
-        if universe > budget {
+        let mut items = table.items.clone();
+        items.sort_unstable();
+        items.dedup();
+        let rank = |item: &Item| items.binary_search(item).expect("a candidate item") as u32;
+        let ranks = || {
+            table
+                .items
+                .chunks_exact(2)
+                .map(|p| (rank(&p[0]), rank(&p[1])))
+        };
+        let Some(layout) = Layout::new(&items, ranks) else {
             return Err(table);
-        }
+        };
+        table.items = Vec::new();
+        Ok(layout.into_counter(table, items))
+    }
 
-        let mut rank_of = vec![NONE; universe];
-        for item in &table.items {
-            rank_of[item.index()] = 0;
-        }
-        let mut num_ranks = 0u32;
-        for rank in rank_of.iter_mut().filter(|rank| **rank != NONE) {
-            *rank = num_ranks;
-            num_ranks += 1;
-        }
-
-        // First as (lo, one past hi), then as (lo, len, start).
-        let mut rows = vec![
-            Row {
-                lo: NONE,
-                len: 0,
-                start: 0,
-            };
-            num_ranks as usize
-        ];
-        let ranks = |pair: &[Item]| (rank_of[pair[0].index()], rank_of[pair[1].index()]);
-        for pair in pairs() {
-            let (first, second) = ranks(pair);
-            let row = &mut rows[first as usize];
-            row.lo = row.lo.min(second);
-            row.len = row.len.max(second + 1);
-        }
-        let mut total = universe;
-        for row in &mut rows {
-            row.len = row.len.saturating_sub(row.lo);
-            row.start = (total - universe) as u32;
-            total += row.len as usize;
-            if total > budget {
-                return Err(table);
-            }
-        }
-
-        let mut cells = vec![NONE; total - universe];
-        for (slot, pair) in pairs().enumerate() {
-            let (first, second) = ranks(pair);
-            let row = rows[first as usize];
-            cells[(row.start + (second - row.lo)) as usize] = slot as u32;
-        }
-        Ok(PairCounter {
-            table,
-            rank_of,
-            rows,
-            cells,
-        })
+    /// The counter of the pairs of `f1` that `ranks` yields — as ranks in
+    /// `f1`, in slot order, with no repeats — or `None` when it is
+    /// declined. `ranks` is read up to three times; nothing it yields is
+    /// stored.
+    pub(crate) fn from_share<I: Iterator<Item = (u32, u32)>>(
+        f1: &[Item],
+        ranks: impl Fn() -> I,
+    ) -> Option<PairCounter> {
+        let layout = Layout::new(f1, ranks)?;
+        let table = CandidateTable::counts_only(2, layout.slots);
+        Some(layout.into_counter(table, f1.to_vec()))
     }
 
     fn rank(&self, item: Item) -> Option<u32> {
@@ -140,14 +136,158 @@ impl PairCounter {
             .copied()
             .filter(|&rank| rank != NONE)
     }
+
+    /// The slot of the pair of ranks `(first, second)`, if a candidate.
+    fn slot(&self, first: u32, second: u32) -> Option<usize> {
+        let row = self.rows[first as usize];
+        let at = second.wrapping_sub(row.lo);
+        if at >= row.len {
+            return None;
+        }
+        let slot = if row.dense {
+            row.start + at
+        } else {
+            self.cells[(row.start + at) as usize]
+        };
+        (slot != NONE).then_some(slot as usize)
+    }
+
+    /// Every candidate as `(slot, first rank, second rank)`, row by row.
+    fn candidates(&self) -> impl Iterator<Item = (usize, u32, u32)> + '_ {
+        (0..).zip(&self.rows).flat_map(move |(first, row)| {
+            (row.lo..row.lo.wrapping_add(row.len))
+                .filter_map(move |second| Some((self.slot(first, second)?, first, second)))
+        })
+    }
+
+    /// The candidate of the ranks `(first, second)`.
+    fn pair(&self, first: u32, second: u32) -> ItemSet {
+        ItemSet::from_sorted(vec![
+            self.items[first as usize],
+            self.items[second as usize],
+        ])
+    }
 }
 
-/// Counts the pairs `(first, second)` that one row's `cells`, starting at
-/// second-item rank `lo`, hold for every `second` in `rest`: the probes
-/// that land in the row, and the hits. Out of line, with nothing else live,
-/// so the loop keeps its values in registers.
+/// The rows a pair counter needs, worked out from its candidates' ranks.
+struct Layout {
+    rows: Vec<Row>,
+    cells: Vec<u32>,
+    slots: usize,
+    /// The rank of each used item, by item id.
+    rank_of: Vec<u32>,
+    /// How many ranks are used: the most one transaction can rank.
+    most_ranked: usize,
+}
+
+impl Layout {
+    /// Lays out the pairs `ranks` yields (slot order, ranks into `items`),
+    /// or `None` when the density test declines them.
+    fn new<I: Iterator<Item = (u32, u32)>>(
+        items: &[Item],
+        ranks: impl Fn() -> I,
+    ) -> Option<Layout> {
+        let empty = Row {
+            lo: NONE,
+            len: 0,
+            start: 0,
+            dense: true,
+        };
+        // First each row as (lo, one past hi, slot of the pair at lo).
+        let mut rows = vec![empty; items.len()];
+        let mut pairs_in = vec![0u32; items.len()];
+        let mut used = vec![false; items.len()];
+        let mut slots = 0usize;
+        for (first, second) in ranks() {
+            let row = &mut rows[first as usize];
+            if second < row.lo {
+                row.lo = second;
+                row.start = slots as u32;
+            }
+            row.len = row.len.max(second + 1);
+            pairs_in[first as usize] += 1;
+            used[first as usize] = true;
+            used[second as usize] = true;
+            slots += 1;
+        }
+
+        // The density test, on the cells a layout of sparse rows over the
+        // used ranks alone would take: the rank lookup plus every row's
+        // span. Capped so that every cell offset and slot fits `u32`.
+        let budget = (MAX_CELLS_PER_CANDIDATE * slots).min(NONE as usize);
+        let universe = (0..items.len())
+            .rfind(|&r| used[r])
+            .map_or(0, |r| items[r].index() + 1);
+        let mut used_below = Vec::with_capacity(items.len() + 1);
+        used_below.push(0u32);
+        for &u in &used {
+            used_below.push(used_below[used_below.len() - 1] + u32::from(u));
+        }
+        let spans = rows.iter().filter(|row| row.len > 0);
+        let sparse_cells: usize = spans
+            .map(|row| (used_below[row.len as usize] - used_below[row.lo as usize]) as usize)
+            .sum();
+        if universe + sparse_cells > budget {
+            return None;
+        }
+
+        // A row is dense if its span is full and its slots run on from
+        // `lo`'s; the cells of the others are laid out one after another.
+        for (row, &pairs) in rows.iter_mut().zip(&pairs_in) {
+            row.len = row.len.saturating_sub(row.lo);
+            row.dense = pairs == row.len;
+        }
+        for (slot, (first, second)) in ranks().enumerate() {
+            let row = &mut rows[first as usize];
+            row.dense &= slot as u32 == row.start + (second - row.lo);
+        }
+        let mut num_cells = 0usize;
+        for row in rows.iter_mut().filter(|row| !row.dense) {
+            row.start = num_cells as u32;
+            num_cells += row.len as usize;
+        }
+        let mut cells = vec![NONE; num_cells];
+        if num_cells > 0 {
+            for (slot, (first, second)) in ranks().enumerate() {
+                let row = rows[first as usize];
+                if !row.dense {
+                    cells[(row.start + (second - row.lo)) as usize] = slot as u32;
+                }
+            }
+        }
+
+        let mut rank_of = vec![NONE; universe];
+        for (rank, item) in items.iter().enumerate().filter(|&(r, _)| used[r]) {
+            rank_of[item.index()] = rank as u32;
+        }
+        Some(Layout {
+            rows,
+            cells,
+            slots,
+            rank_of,
+            most_ranked: used_below[items.len()] as usize,
+        })
+    }
+
+    fn into_counter(self, table: CandidateTable, items: Vec<Item>) -> PairCounter {
+        debug_assert_eq!(table.len(), self.slots);
+        PairCounter {
+            table,
+            items,
+            rank_of: self.rank_of,
+            rows: self.rows,
+            cells: self.cells,
+            ranked: Vec::with_capacity(self.most_ranked),
+        }
+    }
+}
+
+/// Counts the pairs `(first, second)` of one sparse row's `cells`,
+/// starting at second-item rank `lo`, for every `second` in `rest`: the
+/// probes that land in the row, and the hits. Out of line, with nothing
+/// else live, so the loop keeps its values in registers.
 #[inline(never)]
-fn count_row(
+fn count_sparse_row(
     cells: &[u32],
     lo: u32,
     first: Item,
@@ -170,6 +310,30 @@ fn count_row(
     (steps, hits)
 }
 
+/// [`count_sparse_row`] for a dense row: `counts` holds the slots of
+/// second-item ranks `lo ..` directly.
+#[inline(never)]
+fn count_dense_row(
+    counts: &mut [u64],
+    lo: u32,
+    first: Item,
+    rest: &[(Item, u32)],
+    filter: &OwnershipFilter,
+) -> (u64, u64) {
+    let (mut steps, mut hits) = (0, 0);
+    for &(second, rank) in rest {
+        let Some(count) = counts.get_mut(rank.wrapping_sub(lo) as usize) else {
+            continue;
+        };
+        steps += 1;
+        if filter.allows_second(first, second) {
+            hits += 1;
+            *count += 1;
+        }
+    }
+    (steps, hits)
+}
+
 impl CandidateCounter for PairCounter {
     fn table(&self) -> &CandidateTable {
         &self.table
@@ -180,14 +344,22 @@ impl CandidateCounter for PairCounter {
     }
 
     /// The filter prunes first items per row and (first, second) pairs per
-    /// occupied cell — the trie's depth-0 and depth-1 checks.
+    /// candidate — the trie's depth-0 and depth-1 checks.
     fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
-        if self.table.len() == 0 {
+        let PairCounter {
+            table,
+            rank_of,
+            rows,
+            cells,
+            ranked,
+            ..
+        } = self;
+        if table.len() == 0 {
             return;
         }
-        let mut stats = self.table.stats;
+        let mut stats = table.stats;
         let mut hits = 0u64;
-        let mut ranked: Vec<(Item, u32)> = Vec::new();
+        let rank = |item: Item| rank_of.get(item.index()).copied().filter(|&r| r != NONE);
         for t in transactions {
             stats.transactions += 1;
             let items = t.items();
@@ -196,35 +368,68 @@ impl CandidateCounter for PairCounter {
             }
             stats.traversal_steps += items.len() as u64;
             ranked.clear();
-            ranked.extend(
-                items
-                    .iter()
-                    .filter_map(|&item| Some((item, self.rank(item)?))),
-            );
+            ranked.extend(items.iter().filter_map(|&item| Some((item, rank(item)?))));
             for (i, &(first, rank)) in ranked.iter().enumerate() {
-                let row = self.rows[rank as usize];
+                let row = rows[rank as usize];
                 let rest = &ranked[i + 1..];
                 if row.len == 0 || rest.is_empty() || !filter.allows_root(first) {
                     continue;
                 }
                 stats.root_starts += 1;
-                let cells = &self.cells[row.start as usize..][..row.len as usize];
-                let (steps, row_hits) =
-                    count_row(cells, row.lo, first, rest, filter, &mut self.table.counts);
+                let span = row.start as usize..(row.start + row.len) as usize;
+                let (steps, row_hits) = if row.dense {
+                    let counts = &mut table.counts[span];
+                    count_dense_row(counts, row.lo, first, rest, filter)
+                } else {
+                    let cells = &cells[span];
+                    count_sparse_row(cells, row.lo, first, rest, filter, &mut table.counts)
+                };
                 stats.traversal_steps += steps;
                 hits += row_hits;
             }
         }
         stats.distinct_leaf_visits += hits;
         stats.candidate_checks += hits;
-        self.table.stats = stats;
+        table.stats = stats;
+    }
+
+    fn count_of(&self, set: &ItemSet) -> Option<u64> {
+        let &[first, second] = set.items() else {
+            return None;
+        };
+        let slot = self.slot(self.rank(first)?, self.rank(second)?)?;
+        Some(self.table.counts[slot])
+    }
+
+    /// Decoded straight into the level when the rows come in slot order
+    /// (whenever the offer was ascending); sorted by slot first otherwise.
+    fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
+        let counts = &self.table.counts;
+        let survivors = || {
+            let candidates = self.candidates();
+            candidates.filter(move |&(slot, _, _)| counts[slot] >= min_count)
+        };
+        let pair = |(slot, first, second)| (self.pair(first, second), counts[slot]);
+        let (mut n, mut last, mut in_order) = (0, None, true);
+        for (slot, _, _) in survivors() {
+            in_order &= last < Some(slot);
+            last = Some(slot);
+            n += 1;
+        }
+        if !in_order {
+            let mut sorted: Vec<(usize, u32, u32)> = survivors().collect();
+            sorted.sort_unstable();
+            return sorted.into_iter().map(pair).collect();
+        }
+        let mut level = Vec::with_capacity(n);
+        level.extend(survivors().map(pair));
+        level
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::itemset::ItemSet;
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from(ids)
@@ -240,16 +445,47 @@ mod tests {
 
     #[test]
     fn rows_are_spans_not_triangle_rows() {
-        // Ranks: 1→0, 2→1, 5→2, 6→3, 7→4. Row 0 covers ranks 2..=4 only.
+        // Ranks: 1→0, 2→1, 5→2, 6→3, 7→4. Row 0 covers ranks 2..=4 only,
+        // with a hole at {1, 6}: sparse, one cell per span position. Row 1
+        // is the one pair {2, 6}: dense, no cell.
         let pc = build(vec![set(&[1, 5]), set(&[1, 7]), set(&[2, 6])]).unwrap();
-        assert_eq!(pc.cells.len(), 3 + 1);
-        assert_eq!((pc.rows[0].lo, pc.rows[0].len), (2, 3));
-        assert_eq!((pc.rows[1].lo, pc.rows[1].len), (3, 1));
+        assert_eq!(pc.cells.len(), 3);
+        assert_eq!(
+            (pc.rows[0].lo, pc.rows[0].len, pc.rows[0].dense),
+            (2, 3, false)
+        );
+        assert_eq!(
+            (pc.rows[1].lo, pc.rows[1].len, pc.rows[1].dense),
+            (3, 1, true)
+        );
         assert_eq!(pc.rows[2].len, 0);
         // {1, 6} falls inside row 0's span but is no candidate.
         assert_eq!(pc.count_of(&set(&[1, 6])), None);
         assert_eq!(pc.count_of(&set(&[1, 2])), None);
         assert_eq!(pc.count_of(&set(&[1, 7])), Some(0));
+        assert_eq!(pc.count_of(&set(&[2, 6])), Some(0));
+    }
+
+    /// All of `F₁ × F₁` takes no cell, and an out-of-order offer's full
+    /// spans stay sparse unless their slots run on in rank order.
+    #[test]
+    fn full_spans_in_slot_order_are_dense() {
+        let all: Vec<ItemSet> = (0..6u32)
+            .flat_map(|a| (a + 1..6).map(move |b| set(&[a, b])))
+            .collect();
+        let pc = build(all.clone()).unwrap();
+        assert!(pc.cells.is_empty() && pc.rows[..5].iter().all(|row| row.dense));
+        let mut swapped = all;
+        swapped.swap(0, 1);
+        let pc = build(swapped.clone()).unwrap();
+        assert_eq!((pc.rows[0].dense, pc.rows[1].dense), (false, true));
+        assert_eq!(pc.cells.len(), 5);
+        let mut counted = pc.clone();
+        counted.count_all(&[tx(0, &[0, 1, 2, 3, 4, 5])], &OwnershipFilter::all());
+        assert_eq!(
+            counted.frequent(1),
+            swapped.iter().map(|s| (s.clone(), 1)).collect::<Vec<_>>()
+        );
     }
 
     #[test]

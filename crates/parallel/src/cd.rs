@@ -9,23 +9,24 @@
 //! per-processor memory capacity, partitions the tree and rescans the
 //! database once per partition (the Figure 12 penalty).
 
-use crate::common::{build_counter_charged, count_batch_charged, PassResult, RankCtx};
+use crate::common::{
+    build_counter_charged, count_batch_charged, reduce_counts, PassResult, RankCtx,
+};
 use crate::config::ParallelParams;
+use armine_core::candidates::Candidates;
 use armine_core::counter::CounterStats;
 use armine_core::hashtree::OwnershipFilter;
-use armine_core::Item;
 use armine_mpsim::{Comm, RecvFault};
 
-/// One CD counting pass over `candidates`, `C_k` as a `k`-strided arena.
+/// One CD counting pass over `candidates`, the run's `C_k`.
 pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
-    k: usize,
-    candidates: &[Item],
+    candidates: &Candidates,
     params: &ParallelParams,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
-    let total = candidates.len() / k;
+    let total = candidates.len();
     let cap = params.memory_capacity.unwrap_or(usize::MAX).max(1);
     let mut level = Vec::new();
     let mut stats = CounterStats::default();
@@ -36,8 +37,9 @@ pub(crate) fn count_pass(
         let end = (idx + cap).min(total);
         // Replicated counter over this chunk. apriori_gen is charged once.
         let gen_charge = if first_chunk { total } else { 0 };
-        let rows = candidates[idx * k..end * k].chunks_exact(k);
-        let mut counter = build_counter_charged(comm, k, params, rows, gen_charge);
+        let all = |_: usize, _: &[_]| true;
+        let mut counter =
+            build_counter_charged(comm, params, candidates, idx..end, all, gen_charge);
         first_chunk = false;
         // Each scan (re-)reads the local slice of the database.
         comm.charge_io(ctx.local_bytes());
@@ -47,15 +49,13 @@ pub(crate) fn count_pass(
             &ctx.local,
             &OwnershipFilter::all(),
         ));
-        // Global reduction: sum the chunk's count vector across all ranks.
-        let mut counts = counter.count_vector();
-        ctx.world(comm).try_allreduce_sum_u64(&mut counts)?;
-        counter.set_count_vector(&counts);
+        // Global reduction: sum the chunk's counts across all ranks.
+        reduce_counts(&mut ctx.world(comm), &mut *counter)?;
         level.extend(counter.frequent(ctx.min_count));
         scans += 1;
         idx = end;
     }
-    // Chunks are contiguous row ranges of the sorted arena, so the
+    // Chunks are contiguous row ranges of the sorted `C_k`, so the
     // concatenated level is already lexicographically sorted.
     Ok(PassResult {
         level,

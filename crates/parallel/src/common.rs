@@ -4,7 +4,7 @@
 //! (slices, pages, re-balanced shares), and the ring pipeline of Figure 6.
 
 use crate::config::{ParallelParams, PlacementPolicy};
-use armine_core::apriori::candidate_arena;
+use armine_core::candidates::Candidates;
 use armine_core::counter::{CandidateCounter, CounterStats};
 use armine_core::hashtree::OwnershipFilter;
 use armine_core::{Item, ItemSet, Transaction};
@@ -175,16 +175,17 @@ pub(crate) struct PassResult {
 pub(crate) type Level = Arc<Vec<(ItemSet, u64)>>;
 
 /// What a run's ranks hold once: each pass's `C_k`, generated by the first
-/// rank to ask as one `k`-strided arena of items, and `F_k`, kept from the
-/// first to commit. Recovery cannot tell, nor can the model, which charges
-/// every rank for all of `C_k`.
+/// rank to ask (`F₁ × F₁` read from `F₁` at `k = 2`, one `k`-strided arena
+/// of items after), and `F_k`, kept from the first to commit. Recovery
+/// cannot tell, nor can the model, which charges every rank for all of
+/// `C_k`.
 #[derive(Default)]
 pub(crate) struct RunShare {
     passes: Mutex<Vec<Arc<PassShare>>>,
 }
 
 /// Pass `k`'s `C_k` and committed `F_k`, each set once, at `passes[k - 1]`.
-type PassShare = (OnceLock<Arc<Vec<Item>>>, OnceLock<Level>);
+type PassShare = (OnceLock<Arc<Candidates>>, OnceLock<Level>);
 
 impl RunShare {
     fn pass(&self, k: usize) -> Arc<PassShare> {
@@ -197,8 +198,8 @@ impl RunShare {
 
     /// `C_k`, its rows ascending, generated straight from `prev`, the
     /// committed `F_{k-1}`.
-    pub(crate) fn candidates(&self, k: usize, prev: &[(ItemSet, u64)]) -> Arc<Vec<Item>> {
-        let generate = || Arc::new(candidate_arena(prev, |(set, _)| set.items(), |_| {}));
+    pub(crate) fn candidates(&self, k: usize, prev: &[(ItemSet, u64)]) -> Arc<Candidates> {
+        let generate = || Arc::new(Candidates::generate(k, prev, |(set, _)| set.items()));
         Arc::clone(self.pass(k).0.get_or_init(generate))
     }
 
@@ -378,17 +379,19 @@ fn rebalance_pages(
     Ok(())
 }
 
-/// Builds the configured counting structure over `local_candidates` (all
-/// of `C_k` or this rank's share, rows lent out of the run's one arena),
-/// charging `apriori_gen` work for the **full** candidate set (in the model
-/// every processor regenerates all of `C_k` before keeping its share —
-/// Section III-C) plus insertion work for the local share only. Returns
-/// the counter with clean work counters.
+/// Builds the configured counting structure over this rank's share of
+/// the run's `C_k`: the rows of `range` that `keep(row, items)` admits,
+/// read in place ([`armine_core::counter::CounterBackend::build_share`]).
+/// Charges `apriori_gen` work for `total_candidates`, the **full** candidate
+/// set (in the model every processor regenerates all of `C_k` before keeping
+/// its share — Section III-C), plus insertion work for the share only.
+/// Returns the counter with clean work counters.
 pub(crate) fn build_counter_charged(
     comm: &mut Comm,
-    k: usize,
     params: &ParallelParams,
-    local_candidates: impl IntoIterator<Item: AsRef<[Item]>>,
+    candidates: &Candidates,
+    range: Range<usize>,
+    keep: impl Fn(usize, &[Item]) -> bool,
     total_candidates: usize,
 ) -> Box<dyn CandidateCounter> {
     let (t_gen, t_insert) = {
@@ -396,10 +399,28 @@ pub(crate) fn build_counter_charged(
         (m.t_gen, m.t_insert)
     };
     comm.advance(total_candidates as f64 * t_gen);
-    let mut counter = params.counter.build(k, params.tree, local_candidates);
+    let mut counter = params
+        .counter
+        .build_share(params.tree, candidates, range, keep);
     comm.advance(counter.stats().inserts as f64 * t_insert);
     counter.reset_stats();
     counter
+}
+
+/// Sums the counter's counts across `scope`: in place when its slots are
+/// in insertion order, through a count-vector copy otherwise (a hash tree
+/// that split). Either way the wire carries the same vector.
+pub(crate) fn reduce_counts(
+    scope: &mut Scope<'_>,
+    counter: &mut dyn CandidateCounter,
+) -> Result<(), RecvFault> {
+    if let Some(counts) = counter.counts_mut() {
+        return scope.try_allreduce_sum_u64(counts);
+    }
+    let mut counts = counter.count_vector();
+    scope.try_allreduce_sum_u64(&mut counts)?;
+    counter.set_count_vector(&counts);
+    Ok(())
 }
 
 /// Counts one batch of transactions through the counter, charges the
@@ -571,7 +592,7 @@ pub(crate) fn cannot_fail<T>(received: Result<T, RecvFault>) -> T {
 /// The shared multi-pass driver: pass 1 then repeated candidate generation
 /// → algorithm-specific counting, until a pass yields no frequent itemsets,
 /// with `C_k` and `F_k` held once in the run's `share`. `count_pass` gets
-/// `C_k` as its `k`-strided arena of items.
+/// the run's `C_k` and the committed `F_{k−1}`.
 ///
 /// Under a crash-injecting fault plan each pass becomes an
 /// attempt/sync/retry loop: a failed attempt floods abort notifications,
@@ -605,8 +626,7 @@ pub(crate) fn run_rank(
     mut count_pass: impl FnMut(
         &mut Comm,
         &RankCtx,
-        usize,
-        &[Item],
+        &Candidates,
         &[(ItemSet, u64)],
     ) -> Result<PassResult, RecvFault>,
 ) -> RankOutput {
@@ -634,7 +654,7 @@ pub(crate) fn run_rank(
         };
         let total = candidates
             .as_deref()
-            .map_or(ctx.num_items as _, |c| c.len() / k);
+            .map_or(ctx.num_items as _, Candidates::len);
         let result = loop {
             comm.enter_pass(k);
             comm.set_epoch(ctx.epoch);
@@ -647,7 +667,7 @@ pub(crate) fn run_rank(
                     candidate_imbalance: 0.0,
                     counted_candidates: None,
                 }),
-                Some(c) => count_pass(comm, &ctx, k, c, prev_level),
+                Some(c) => count_pass(comm, &ctx, c, prev_level),
             };
             if !recoverable {
                 // Single attempt, no sync, epoch stays 0.

@@ -23,27 +23,26 @@ use crate::common::{
 };
 use crate::config::ParallelParams;
 use armine_core::binpack::partition_round_robin;
+use armine_core::candidates::Candidates;
 use armine_core::counter::CounterStats;
 use armine_core::hashtree::OwnershipFilter;
-use armine_core::Item;
 use armine_mpsim::{Comm, RecvFault};
 
-/// One DD counting pass over `candidates`, `C_k` as a `k`-strided arena:
-/// the original naive all-to-all, P−1 point-to-point sends per page.
+/// One DD counting pass over `candidates`, the run's `C_k`: the original
+/// naive all-to-all, P−1 point-to-point sends per page.
 #[allow(clippy::needless_range_loop)] // loop variables are peer ranks
 pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
-    k: usize,
-    candidates: &[Item],
+    candidates: &Candidates,
     params: &ParallelParams,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
     let me = ctx.my_index;
-    let total = candidates.len() / k;
-    let part = partition_round_robin(candidates.chunks_exact(k), p);
-    let mine = part.share(candidates.chunks_exact(k), me);
-    let mut counter = build_counter_charged(comm, k, params, mine, total);
+    let total = candidates.len();
+    let part = partition_round_robin(candidates.rows(0..total), p);
+    let mine = |r: usize, row: &[_]| part.owns(me, r, row);
+    let mut counter = build_counter_charged(comm, params, candidates, 0..total, mine, total);
     comm.charge_io(ctx.local_bytes());
 
     let my_pages = paginate(&ctx.local, ctx.page_size);

@@ -26,12 +26,13 @@
 //! the partition plan they hand it.
 
 use crate::common::{
-    build_counter_charged, exchange_level, paginate, ring_shift_count, PassResult, RankCtx,
+    build_counter_charged, exchange_level, paginate, reduce_counts, ring_shift_count, PassResult,
+    RankCtx,
 };
 use crate::config::ParallelParams;
 use crate::idd::make_partition;
 use armine_core::binpack::CandidatePartition;
-use armine_core::Item;
+use armine_core::candidates::Candidates;
 use armine_mpsim::{Comm, RecvFault};
 
 /// Scope-id namespaces for the grid's sub-communicators.
@@ -57,18 +58,16 @@ pub fn choose_grid(p: usize, m_total: usize, m: usize) -> (usize, usize) {
     (g, p / g)
 }
 
-/// One HD counting pass over `candidates`, `C_k` as a `k`-strided arena:
-/// choose the grid, plan the candidates over its rows, run the partitioned
-/// pass.
+/// One HD counting pass over `candidates`, the run's `C_k`: choose the
+/// grid, plan the candidates over its rows, run the partitioned pass.
 pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
-    k: usize,
-    candidates: &[Item],
+    candidates: &Candidates,
     params: &ParallelParams,
     group_threshold: usize,
 ) -> Result<PassResult, RecvFault> {
-    let (g, cols) = choose_grid(ctx.size(), candidates.len() / k, group_threshold);
+    let (g, cols) = choose_grid(ctx.size(), candidates.len(), group_threshold);
     // A row's effective capacity is its *slowest* member's: the row's
     // candidate subset is counted in parallel by one rank per column, so
     // the slowest column finishes last. Uniform capacities collapse to
@@ -78,37 +77,36 @@ pub(crate) fn count_pass(
         .chunks(cols)
         .map(|row| row.iter().copied().fold(f64::INFINITY, f64::min))
         .collect();
-    let plan = make_partition(k, candidates, ctx.num_items, &row_caps, params);
-    partitioned_pass(comm, ctx, k, candidates, params, &plan, (g, cols))
+    let plan = make_partition(candidates, ctx.num_items, &row_caps, params);
+    partitioned_pass(comm, ctx, candidates, params, &plan, (g, cols))
 }
 
 /// One partitioned counting pass on a `g × cols` grid (`g · cols` = the
 /// membership): `plan` splits the candidates over the `g` rows, identically
 /// in every column. Each rank builds its counter straight from its row's
-/// share of the `C_k` arena's rows (lent by the plan, never copied out),
-/// ring-shifts its column's pages past it, sums counts along its row, and
-/// the column reassembles `F_k`.
+/// share of the run's `C_k` (read in place through the plan, never copied
+/// out), ring-shifts its column's pages past it, sums counts along its
+/// row, and the column reassembles `F_k`.
 pub(crate) fn partitioned_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
-    k: usize,
-    candidates: &[Item],
+    candidates: &Candidates,
     params: &ParallelParams,
     plan: &CandidatePartition,
     (g, cols): (usize, usize),
 ) -> Result<PassResult, RecvFault> {
     debug_assert_eq!((g * cols, plan.num_procs()), (ctx.size(), g));
     let me = ctx.my_index;
-    let total = candidates.len() / k;
+    let total = candidates.len();
     let (my_row, my_col) = (me / cols, me % cols);
     // Grid positions are member-list indices, mapped to global ranks so
     // the sub-scopes stay valid after a recovery shrinks the membership.
     let col_members: Vec<usize> = (0..g).map(|r| ctx.members[r * cols + my_col]).collect();
     let row_members: Vec<usize> = (0..cols).map(|c| ctx.members[my_row * cols + c]).collect();
 
-    let mine = plan.share(candidates.chunks_exact(k), my_row);
+    let mine = |r: usize, row: &[_]| plan.owns(my_row, r, row);
     let filter = &plan.filters[my_row];
-    let mut counter = build_counter_charged(comm, k, params, mine, total);
+    let mut counter = build_counter_charged(comm, params, candidates, 0..total, mine, total);
     comm.charge_io(ctx.local_bytes());
 
     // Step 1 — IDD within the column: shift the column's transactions
@@ -130,10 +128,9 @@ pub(crate) fn partitioned_pass(
     // candidate subset; summing gives global counts. A row of one (every
     // `(P, 1)` caller) already holds them, and the all-reduce returns at
     // once.
-    let mut counts = counter.count_vector();
-    comm.scope(ctx.scope_id(SCOPE_ROW + my_row as u64), row_members)
-        .try_allreduce_sum_u64(&mut counts)?;
-    counter.set_count_vector(&counts);
+    let mut row = comm.scope(ctx.scope_id(SCOPE_ROW + my_row as u64), row_members);
+    reduce_counts(&mut row, &mut *counter)?;
+    drop(row);
     let mine_frequent = counter.frequent(ctx.min_count);
 
     // Step 3 — all-to-all broadcast along the column: reassemble F_k.

@@ -34,30 +34,32 @@
 //! never shipped.
 
 use crate::common::{exchange_level, paginate, PassResult, RankCtx, TAG_DATA};
+use armine_core::candidates::Candidates;
 use armine_core::counter::CounterStats;
 use armine_core::stable_hash::owner_of;
 use armine_core::{Item, ItemSet};
 use armine_mpsim::{Comm, RecvFault};
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 
-/// One HPA counting pass over `candidates`, `C_k` as the run's shared
-/// `k`-strided arena, counted by row of that arena. All addressing is by
-/// member index within the current attempt's scope, so the pass re-runs
-/// cleanly under a shrunken membership (candidate ownership simply
-/// re-hashes over the survivors).
+/// One HPA counting pass over `candidates`, the run's shared `C_k`,
+/// counted by row of it (each subset found by [`Candidates::row_of`]: a
+/// binary search of the arena, or the triangular index of `F₁ × F₁`). All
+/// addressing is by member index within the current attempt's scope, so
+/// the pass re-runs cleanly under a shrunken membership (candidate
+/// ownership simply re-hashes over the survivors).
 #[allow(clippy::needless_range_loop)] // loop variables are peer ranks
 pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
-    k: usize,
-    candidates: &[Item],
+    candidates: &Candidates,
     prev_level: &[(ItemSet, u64)],
     eld_permille: u32,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
     let me = ctx.my_index;
-    let total = candidates.len() / k;
-    let row = |r: usize| &candidates[r * k..][..k];
+    let k = candidates.k();
+    let total = candidates.len();
+    let row = |r: usize| candidates.row(r);
     let machine = comm.machine().clone();
 
     // Every processor regenerates the full candidate set (as in IDD).
@@ -81,7 +83,7 @@ pub(crate) fn count_pass(
                 .binary_search_by(by_items)
                 .map_or(0, |i| prev_level[i].1)
         };
-        let bound = |r| (0..k).map(|d| support_without(row(r), d)).min();
+        let bound = |r| (0..k).map(|d| support_without(row(r).as_ref(), d)).min();
         let mut order: Vec<usize> = (0..total).collect();
         order.sort_by_cached_key(|&r| Reverse(bound(r)));
         for r in order.into_iter().take(eld_count) {
@@ -97,7 +99,7 @@ pub(crate) fn count_pass(
     let mut loads = vec![0u64; p];
     let mut owned = vec![false; total];
     for r in (0..total).filter(|&r| !hot[r]) {
-        let owner = owner_of(row(r), p);
+        let owner = owner_of(row(r).as_ref(), p);
         loads[owner] += 1;
         owned[r] = owner == me;
     }
@@ -131,7 +133,7 @@ pub(crate) fn count_pass(
                 stats.transactions += 1;
                 t.for_each_k_subset(k, |subset| {
                     generated += 1;
-                    let found = row_of(candidates, k, subset);
+                    let found = candidates.row_of(subset);
                     let owner = match found {
                         Some(r) if hot[r] => me,
                         _ => owner_of(subset, p),
@@ -205,7 +207,7 @@ pub(crate) fn count_pass(
     let mine_frequent = (0..total)
         .filter(|&r| owned[r] || (hot[r] && me == 0))
         .filter(|&r| counts[r] >= ctx.min_count)
-        .map(|r| (ItemSet::from_sorted(row(r).to_vec()), counts[r]))
+        .map(|r| (ItemSet::from_sorted(row(r).as_ref().to_vec()), counts[r]))
         .collect();
     Ok(PassResult {
         level: exchange_level(&mut ctx.world(comm), mine_frequent)?,
@@ -215,21 +217,6 @@ pub(crate) fn count_pass(
         candidate_imbalance,
         counted_candidates: None,
     })
-}
-
-/// The row of `candidates` (a `k`-strided arena, rows ascending) that
-/// holds `set`, by binary search.
-fn row_of(candidates: &[Item], k: usize, set: &[Item]) -> Option<usize> {
-    let (mut lo, mut hi) = (0, candidates.len() / k);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        match candidates[mid * k..][..k].cmp(set) {
-            Ordering::Less => lo = mid + 1,
-            Ordering::Greater => hi = mid,
-            Ordering::Equal => return Some(mid),
-        }
-    }
-    None
 }
 
 fn imbalance_of(loads: &[u64]) -> f64 {
@@ -243,7 +230,8 @@ fn imbalance_of(loads: &[u64]) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::{imbalance_of, row_of};
+    use super::imbalance_of;
+    use armine_core::candidates::Candidates;
     use armine_core::{Item, Transaction};
 
     #[test]
@@ -259,9 +247,10 @@ mod tests {
         assert!((imbalance_of(&[20, 10, 0]) - 1.0).abs() < 1e-12);
     }
 
-    /// Over every k-subset of a universe, the binary search finds exactly
-    /// what a linear scan finds: each kept set at its own row, nothing for
-    /// a dropped one, and nothing in an empty arena.
+    /// Over every k-subset of a universe, the row lookup HPA routes by
+    /// finds exactly what a linear scan of the rows finds: each kept set at
+    /// its own row, nothing for a dropped one, and nothing in an empty set
+    /// — in an arena, and (k = 2, nothing dropped) in `F₁ × F₁`.
     #[test]
     fn row_of_finds_exactly_the_rows_of_the_arena() {
         let universe = Transaction::new(0, (0..9).map(Item).collect());
@@ -274,11 +263,18 @@ mod tests {
                     }
                     all.push(set.to_vec());
                 });
-                for set in &all {
-                    let want = arena.chunks_exact(k).position(|row| row == &set[..]);
-                    assert_eq!(row_of(&arena, k, set), want, "k={k} thin={thin} {set:?}");
+                let mut sets = vec![Candidates::from_arena(k, arena.clone())];
+                if k == 2 && thin == 1 {
+                    sets.push(Candidates::pairs(universe.items().to_vec()));
                 }
-                assert_eq!(row_of(&[], k, &all[0]), None);
+                for candidates in &sets {
+                    for set in &all {
+                        let want = arena.chunks_exact(k).position(|row| row == &set[..]);
+                        assert_eq!(candidates.row_of(set), want, "k={k} thin={thin} {set:?}");
+                    }
+                }
+                let empty = Candidates::from_arena(k, Vec::new());
+                assert_eq!(empty.row_of(&all[0]), None);
             }
         }
     }

@@ -24,23 +24,22 @@ use crate::common::{
 };
 use crate::config::ParallelParams;
 use armine_core::binpack::{partition_by_first_item, partition_two_level, CandidatePartition};
+use armine_core::candidates::Candidates;
 use armine_core::counter::CounterStats;
-use armine_core::Item;
 use armine_mpsim::{Comm, RecvFault};
 
-/// Builds IDD's candidate partition of `candidates`, `C_k` as a
-/// `k`-strided arena: bin-packed single-level by default, two-level when a
-/// split threshold is configured. `capacities` are the placement seam's
-/// relative bin speeds (one per processor) — uniform under static
-/// placement, re-scored per pass under adaptive.
+/// Builds IDD's candidate partition of `candidates`, the run's `C_k`:
+/// bin-packed single-level by default, two-level when a split threshold is
+/// configured. `capacities` are the placement seam's relative bin speeds
+/// (one per processor) — uniform under static placement, re-scored per
+/// pass under adaptive.
 pub(crate) fn make_partition(
-    k: usize,
-    candidates: &[Item],
+    candidates: &Candidates,
     num_items: u32,
     capacities: &[f64],
     params: &ParallelParams,
 ) -> CandidatePartition {
-    let rows = candidates.chunks_exact(k);
+    let rows = candidates.rows(0..candidates.len());
     match params.split_threshold {
         Some(t) => partition_two_level(rows, num_items, capacities, t),
         None => partition_by_first_item(rows, num_items, capacities),
@@ -63,22 +62,21 @@ pub(crate) fn make_partition(
 pub(crate) fn count_pass_single_source(
     comm: &mut Comm,
     ctx: &RankCtx,
-    k: usize,
-    candidates: &[Item],
+    candidates: &Candidates,
     params: &ParallelParams,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
     let me = ctx.my_index;
-    let total = candidates.len() / k;
-    let part = make_partition(k, candidates, ctx.num_items, &ctx.capacities, params);
+    let total = candidates.len();
+    let part = make_partition(candidates, ctx.num_items, &ctx.capacities, params);
     if ctx.members[0] != 0 {
         // The source is dead and its pages now live on several survivors:
         // circulate them with the ring instead of the broken chain.
-        return crate::hd::partitioned_pass(comm, ctx, k, candidates, params, &part, (p, 1));
+        return crate::hd::partitioned_pass(comm, ctx, candidates, params, &part, (p, 1));
     }
-    let mine = part.share(candidates.chunks_exact(k), me);
+    let mine = |r: usize, row: &[_]| part.owns(me, r, row);
     let filter = &part.filters[me];
-    let mut counter = build_counter_charged(comm, k, params, mine, total);
+    let mut counter = build_counter_charged(comm, params, candidates, 0..total, mine, total);
     if me == 0 {
         comm.charge_io(ctx.local_bytes());
     }

@@ -245,49 +245,43 @@ impl ParallelMiner {
                 &share,
                 &params_copy,
                 mobile_pages,
-                |comm, ctx, k, candidates, prev| match algorithm {
-                    Algorithm::Cd => cd::count_pass(comm, ctx, k, candidates, &params_copy),
-                    Algorithm::Dd => dd::count_pass(comm, ctx, k, candidates, &params_copy),
+                |comm, ctx, candidates, prev| match algorithm {
+                    Algorithm::Cd => cd::count_pass(comm, ctx, candidates, &params_copy),
+                    Algorithm::Dd => dd::count_pass(comm, ctx, candidates, &params_copy),
                     // DD+comm and IDD are HD's pass at grid (P, 1): one
                     // column of everybody, differing only in the plan.
                     Algorithm::DdComm => {
-                        let plan = partition_round_robin(candidates.chunks_exact(k), ctx.size());
+                        let rows = candidates.rows(0..candidates.len());
+                        let plan = partition_round_robin(rows, ctx.size());
                         let grid = (ctx.size(), 1);
-                        hd::partitioned_pass(comm, ctx, k, candidates, &params_copy, &plan, grid)
+                        hd::partitioned_pass(comm, ctx, candidates, &params_copy, &plan, grid)
                     }
                     Algorithm::Idd => {
                         let plan = idd::make_partition(
-                            k,
                             candidates,
                             ctx.num_items,
                             &ctx.capacities,
                             &params_copy,
                         );
                         let grid = (ctx.size(), 1);
-                        hd::partitioned_pass(comm, ctx, k, candidates, &params_copy, &plan, grid)
+                        hd::partitioned_pass(comm, ctx, candidates, &params_copy, &plan, grid)
                     }
                     Algorithm::Hd { group_threshold } => {
-                        hd::count_pass(comm, ctx, k, candidates, &params_copy, group_threshold)
+                        hd::count_pass(comm, ctx, candidates, &params_copy, group_threshold)
                     }
                     Algorithm::Hpa { eld_permille } => {
-                        hpa::count_pass(comm, ctx, k, candidates, prev, eld_permille)
+                        hpa::count_pass(comm, ctx, candidates, prev, eld_permille)
                     }
                     Algorithm::IddSingleSource => {
-                        idd::count_pass_single_source(comm, ctx, k, candidates, &params_copy)
+                        idd::count_pass_single_source(comm, ctx, candidates, &params_copy)
                     }
-                    Algorithm::Npa => npa::count_pass(comm, ctx, k, candidates, &params_copy),
+                    Algorithm::Npa => npa::count_pass(comm, ctx, candidates, &params_copy),
                     Algorithm::Pdm {
                         buckets,
                         filter_passes,
-                    } => pdm::count_pass(
-                        comm,
-                        ctx,
-                        k,
-                        candidates,
-                        &params_copy,
-                        buckets,
-                        filter_passes,
-                    ),
+                    } => {
+                        pdm::count_pass(comm, ctx, candidates, &params_copy, buckets, filter_passes)
+                    }
                 },
             )
         });
@@ -852,14 +846,16 @@ mod tests {
                 let ctx = RankCtx::new(local, dataset.num_items(), 9, 50, me, procs);
                 // Where each pass's candidates lie, as this rank counts them.
                 let mut c_k = std::collections::BTreeMap::new();
-                let count_pass =
-                    |comm: &mut armine_mpsim::Comm, ctx: &RankCtx, k, c: &[Item], _: &[_]| {
-                        c_k.insert(k, c.as_ptr() as usize);
-                        match procs {
-                            2 => cd::count_pass(comm, ctx, k, c, &params),
-                            _ => hd::count_pass(comm, ctx, k, c, &params, 40),
-                        }
-                    };
+                let count_pass = |comm: &mut armine_mpsim::Comm,
+                                  ctx: &RankCtx,
+                                  c: &armine_core::candidates::Candidates,
+                                  _: &[_]| {
+                    c_k.insert(c.k(), std::ptr::from_ref(c) as usize);
+                    match procs {
+                        2 => cd::count_pass(comm, ctx, c, &params),
+                        _ => hd::count_pass(comm, ctx, c, &params, 40),
+                    }
+                };
                 let output = run_rank(comm, ctx, &db, &cuts, &share, &params, false, count_pass);
                 (output, c_k, start)
             });

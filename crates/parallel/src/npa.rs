@@ -12,22 +12,22 @@
 
 use crate::common::{build_counter_charged, count_batch_charged, PassResult, RankCtx};
 use crate::config::ParallelParams;
+use armine_core::candidates::Candidates;
 use armine_core::hashtree::OwnershipFilter;
-use armine_core::{Item, ItemSet};
+use armine_core::ItemSet;
 use armine_mpsim::{Comm, RecvFault};
 
-/// One NPA counting pass over `candidates`, `C_k` as a `k`-strided arena.
+/// One NPA counting pass over `candidates`, the run's `C_k`.
 pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
-    k: usize,
-    candidates: &[Item],
+    candidates: &Candidates,
     params: &ParallelParams,
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
-    let total = candidates.len() / k;
-    let rows = candidates.chunks_exact(k);
-    let mut counter = build_counter_charged(comm, k, params, rows, total);
+    let total = candidates.len();
+    let all = |_: usize, _: &[_]| true;
+    let mut counter = build_counter_charged(comm, params, candidates, 0..total, all, total);
     comm.charge_io(ctx.local_bytes());
     let stats = count_batch_charged(comm, &mut *counter, &ctx.local, &OwnershipFilter::all());
 

@@ -20,24 +20,24 @@
 use crate::cd;
 use crate::common::{PassResult, RankCtx};
 use crate::config::ParallelParams;
+use armine_core::candidates::Candidates;
 use armine_core::stable_hash::owner_of;
-use armine_core::Item;
 use armine_mpsim::{Comm, RecvFault};
 
-/// One PDM counting pass over `candidates`, `C_k` as a `k`-strided arena.
+/// One PDM counting pass over `candidates`, the run's `C_k`.
 /// `filter_passes` bounds which passes build and apply a hash filter (the
 /// original uses it for pass 2, where `|C_2|` dominates).
 pub(crate) fn count_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
-    k: usize,
-    candidates: &[Item],
+    candidates: &Candidates,
     params: &ParallelParams,
     buckets: usize,
     filter_passes: usize,
 ) -> Result<PassResult, RecvFault> {
-    let pruned: Vec<Item>;
-    let candidates = if k >= 2 && k <= 1 + filter_passes {
+    let k = candidates.k();
+    let pruned: Candidates;
+    let candidates = if k <= 1 + filter_passes {
         assert!(buckets >= 1, "need at least one bucket");
         // Build the local bucket table for this pass's subset size over
         // the local slice.
@@ -54,17 +54,22 @@ pub(crate) fn count_pass(
         // Global reduction of the bucket table (the PDM-specific traffic).
         ctx.world(comm).try_allreduce_sum_u64(&mut table)?;
         // Prune: identical on every rank (global counts, same candidates),
-        // the surviving rows copied into this rank's arena. A bucket sums
-        // every subset hashed there, so it never refuses a frequent `c`.
-        let rows = candidates.chunks_exact(k);
-        let admitted = rows.filter(|c| table[owner_of(c, buckets)] >= ctx.min_count);
-        pruned = admitted.flatten().copied().collect();
+        // only the surviving rows copied into this rank's arena. A bucket
+        // sums every subset hashed there, so it never refuses a frequent
+        // `c`.
+        let mut survivors = Vec::new();
+        for row in candidates.rows(0..candidates.len()) {
+            if table[owner_of(row.as_ref(), buckets)] >= ctx.min_count {
+                survivors.extend_from_slice(row.as_ref());
+            }
+        }
+        pruned = Candidates::from_arena(k, survivors);
         &pruned
     } else {
         candidates
     };
-    let counted = candidates.len() / k;
-    let mut result = cd::count_pass(comm, ctx, k, candidates, params)?;
+    let counted = candidates.len();
+    let mut result = cd::count_pass(comm, ctx, candidates, params)?;
     result.counted_candidates = Some(counted);
     Ok(result)
 }

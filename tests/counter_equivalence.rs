@@ -4,10 +4,16 @@
 //! under ownership filters, and end-to-end through every parallel
 //! formulation on both the simulated and the native execution backend.
 
-use armine::core::binpack::{partition_by_first_item, partition_two_level, CandidatePartition};
-use armine::core::counter::{CounterBackend, CounterStats};
+use armine::core::binpack::{
+    partition_by_first_item, partition_round_robin, partition_two_level, CandidatePartition,
+};
+use armine::core::candidates::Candidates;
+use armine::core::counter::{CandidateCounter, CounterBackend, CounterStats};
 use armine::core::hashtree::{HashTreeParams, OwnershipFilter};
 use armine::core::rules::generate_rules;
+use armine::core::stable_hash::owner_of;
+use armine::core::trie::CandidateTrie;
+use armine::core::vertical::VerticalCounter;
 use armine::core::{Item, ItemSet, Transaction};
 use armine::datagen::QuestParams;
 use armine::mpsim::ExecBackend;
@@ -338,6 +344,152 @@ fn pass2_equals_brute_force_on_every_share_shape() {
                 "{shape}: {} did not build the pair table",
                 backend.name()
             );
+        }
+    }
+}
+
+/// A share of `C₂` as a driver reads it: a range of its rows and the
+/// rank's predicate, with the filter its counter counts under.
+type Share<'a> = (
+    String,
+    std::ops::Range<usize>,
+    Box<dyn Fn(usize, &[Item]) -> bool + 'a>,
+    OwnershipFilter,
+);
+
+/// Every shape of share the drivers cut from `C₂`: all of it (CD, NPA),
+/// contiguous slot ranges (CD under a memory capacity), first-item bitmap
+/// shares (IDD, HD), two-level shares with split first items, round-robin
+/// shares (DD), hash-owned shares (HPA) and bucket-pruned survivors (PDM).
+/// `partitioned` leaves out the bitmap partitions, which cost a bit per
+/// item id of the universe.
+fn every_share<'a>(c2: &'a Candidates, txs: &[Transaction], partitioned: bool) -> Vec<Share<'a>> {
+    let (procs, len) = (3, c2.len());
+    let all = OwnershipFilter::all;
+    let mut out: Vec<Share<'a>> = vec![("all".into(), 0..len, Box::new(|_, _| true), all())];
+    for start in (0..len).step_by(7) {
+        let range = start..len.min(start + 7);
+        out.push((
+            format!("slots {range:?}"),
+            range,
+            Box::new(|_, _| true),
+            all(),
+        ));
+    }
+    let rows = || c2.rows(0..len);
+    let universe = rows()
+        .map(|row| row.as_ref()[1].id() + 1)
+        .max()
+        .unwrap_or(0);
+    let capacities = vec![1.0; procs];
+    let mut plans = vec![("round-robin", partition_round_robin(rows(), procs))];
+    if partitioned {
+        plans.push((
+            "first-item",
+            partition_by_first_item(rows(), universe, &capacities),
+        ));
+        plans.push((
+            "two-level",
+            partition_two_level(rows(), universe, &capacities, 3),
+        ));
+    }
+    for (name, plan) in plans {
+        let plan = std::rc::Rc::new(plan);
+        for proc in 0..procs {
+            let filter = plan.filters[proc].clone();
+            let plan = std::rc::Rc::clone(&plan);
+            let keep = Box::new(move |r: usize, row: &[Item]| plan.owns(proc, r, row));
+            out.push((format!("{name} {proc}"), 0..len, keep, filter));
+        }
+    }
+    for proc in 0..procs {
+        let keep = Box::new(move |_: usize, row: &[Item]| owner_of(row, procs) == proc);
+        out.push((format!("hash-owned {proc}"), 0..len, keep, all()));
+    }
+    let buckets = 4099;
+    let mut table = vec![0u64; buckets];
+    for t in txs {
+        t.for_each_k_subset(2, |pair| table[owner_of(pair, buckets)] += 1);
+    }
+    let survives = Box::new(move |_: usize, row: &[Item]| table[owner_of(row, buckets)] >= 3);
+    out.push(("bucket-pruned".into(), 0..len, survives, all()));
+    out
+}
+
+/// The pair table built from `F₁` and a share — no pair written down —
+/// against brute force, against the trie over the share's rows, and
+/// against the same backend built from those rows (counts, `count_of`,
+/// `frequent`'s order and the whole ledger), on every share shape a driver
+/// cuts, for |F₁| from 0 up. With an `F₁` item at [`Item::MAX_ID`] the
+/// pair table is declined and each backend's own structure counts.
+#[test]
+fn pair_table_from_f1_and_a_share_matches_brute_force_and_the_trie() {
+    let txs = pass2_transactions();
+    let top = Item(Item::MAX_ID);
+    let mut f1s: Vec<(Vec<Item>, bool)> =
+        (0..=3).map(|n| (odd_items()[..n].to_vec(), true)).collect();
+    f1s.push((odd_items(), true));
+    f1s.push((vec![Item(3), Item(9), Item(40), top], false));
+    let with_top: Vec<Transaction> = txs
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let extra = (i % 3 == 0).then_some(top);
+            Transaction::new(t.tid(), t.items().iter().copied().chain(extra).collect())
+        })
+        .collect();
+    let tree = HashTreeParams::default();
+    for (f1, partitioned) in f1s {
+        let txs = if partitioned { &txs } else { &with_top };
+        let c2 = Candidates::pairs(f1.clone());
+        assert_eq!(c2.len(), f1.len() * f1.len().saturating_sub(1) / 2);
+        for (shape, range, keep, filter) in every_share(&c2, txs, partitioned) {
+            let on = format!("|F1| = {}, {shape}", f1.len());
+            let rows: Vec<ItemSet> = range
+                .clone()
+                .zip(c2.rows(range.clone()))
+                .filter(|(r, row)| keep(*r, row.as_ref()))
+                .map(|(_, row)| ItemSet::from_sorted(row.as_ref().to_vec()))
+                .collect();
+            if shape == "bucket-pruned" && f1 == odd_items() {
+                assert!(
+                    !rows.is_empty() && rows.len() < c2.len(),
+                    "{on}: {}",
+                    rows.len()
+                );
+            }
+            let want = brute_force(&rows, txs, &filter);
+            let mut trie = CandidateTrie::build(2, rows.clone());
+            trie.count_all(txs, &filter);
+            assert_eq!(trie.count_vector(), want, "{on}: the trie");
+            for backend in CounterBackend::ALL {
+                let on = format!("{on} on {}", backend.name());
+                let mut share = backend.build_share(tree, &c2, range.clone(), &keep);
+                let mut given = backend.build(2, tree, &rows);
+                assert_eq!(share.stats().inserts, rows.len() as u64, "{on}");
+                for counter in [&mut share, &mut given] {
+                    counter.count_all(txs, &filter);
+                }
+                assert_eq!(share.count_vector(), want, "{on}");
+                assert_eq!(share.stats(), given.stats(), "{on}: the ledger moved");
+                assert_eq!(share.frequent(2), trie.frequent(2), "{on}");
+                assert_eq!(share.frequent(0), given.frequent(0), "{on}");
+                for (set, &count) in rows.iter().zip(&want) {
+                    assert_eq!(share.count_of(set), Some(count), "{on}: {set}");
+                }
+                assert_eq!(share.count_of(&ItemSet::from([4, 6])), None, "{on}");
+                if !partitioned && backend != CounterBackend::HashTree {
+                    // Declined: the backend's own structure, told apart
+                    // from the pair table by its ledger.
+                    let mut own = match backend {
+                        CounterBackend::Trie => Box::new(CandidateTrie::build(2, rows.clone())),
+                        _ => Box::new(VerticalCounter::build(2, rows.clone()))
+                            as Box<dyn CandidateCounter>,
+                    };
+                    own.count_all(txs, &filter);
+                    assert_eq!(share.stats(), own.stats(), "{on}: no fallback");
+                }
+            }
         }
     }
 }
