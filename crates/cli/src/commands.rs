@@ -7,7 +7,7 @@ use armine_core::io::{read_transactions_auto, write_transaction_stream};
 use armine_core::model::{
     cd_time, dd_time, hd_beats_cd_window, hd_time, idd_time, serial_time, CostParams, Workload,
 };
-use armine_core::rules::{for_each_rule, Rule};
+use armine_core::rules::top_rules;
 use armine_core::stats::dataset_stats;
 use armine_core::summaries::{closed_itemsets, maximal_itemsets};
 use armine_core::ItemSet;
@@ -223,56 +223,13 @@ fn cmd_mine(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
         )?;
     }
     if let Some(conf) = rules_conf {
-        let mut best = BestRules::new(top);
-        for_each_rule(&run.frequent, conf, |rule| best.offer(rule));
-        best.cut();
-        let count = best.seen;
+        let (count, best) = top_rules(&run.frequent, conf, top);
         writeln!(out, "{count} rules at confidence >= {:.0}%:", conf * 100.0)?;
-        for (_, rule) in &best.held {
+        for rule in &best {
             writeln!(out, "  {rule}")?;
         }
     }
     Ok(())
-}
-
-/// The `top` best rules of a stream, best first: by confidence, then by
-/// support count, then in generation order — the head of a stable sort of
-/// all of them. It holds at most `2·top + 64` rules: when full, a
-/// selection keeps the best `top` of those seen so far.
-struct BestRules {
-    top: usize,
-    seen: usize,
-    /// `(generation index, rule)`.
-    held: Vec<(usize, Rule)>,
-}
-
-impl BestRules {
-    fn new(top: usize) -> Self {
-        let held = Vec::new();
-        BestRules { top, seen: 0, held }
-    }
-
-    fn offer(&mut self, rule: Rule) {
-        self.held.push((self.seen, rule));
-        self.seen += 1;
-        if self.held.len() >= self.top.saturating_mul(2).saturating_add(64) {
-            self.cut();
-        }
-    }
-
-    /// Keeps the best `top` rules held, best first.
-    fn cut(&mut self) {
-        let best_first = |a: &(usize, Rule), b: &(usize, Rule)| {
-            (b.1.confidence.total_cmp(&a.1.confidence))
-                .then(b.1.support_count.cmp(&a.1.support_count))
-                .then(a.0.cmp(&b.0))
-        };
-        if self.top < self.held.len() {
-            self.held.select_nth_unstable_by(self.top, best_first);
-            self.held.truncate(self.top);
-        }
-        self.held.sort_unstable_by(best_first);
-    }
 }
 
 type MakeAlgorithm = fn(&Args) -> Result<Algorithm, ArgError>;
@@ -593,7 +550,8 @@ mod tests {
         dir.join(name).to_string_lossy().into_owned()
     }
 
-    /// The most rules `BestRules` may hold at `--top top`.
+    /// The most unbuilt rules `top_rules` holds at `--top top`: where its
+    /// selection cuts back.
     fn bound(top: usize) -> usize {
         2 * top + 64
     }
@@ -743,36 +701,6 @@ mod tests {
         assert!(rules.iter().all(|r| r.confidence == 1.0));
         assert!(rules.len() > 20 * bound(1));
         assert_top_is_the_head_of_a_stable_sort(&db, "2", 0.5);
-    }
-
-    /// Streaming 10K rules with heavy ties, the selection never holds more
-    /// than its bound and ends with the head of a stable sort.
-    #[test]
-    fn best_rules_holds_at_most_its_bound() {
-        let rule = |i: usize| Rule {
-            antecedent: ItemSet::from([1]),
-            consequent: ItemSet::from([2]),
-            support_count: (i * 7 % 5) as u64,
-            support: i as f64,
-            confidence: [0.5, 1.0, 0.75][i * 13 % 3],
-            antecedent_support: 0.0,
-            consequent_support: 0.0,
-        };
-        let mut want: Vec<Rule> = (0..10_000).map(rule).collect();
-        want.sort_by(|a, b| {
-            (b.confidence.total_cmp(&a.confidence)).then(b.support_count.cmp(&a.support_count))
-        });
-        for top in [0, 1, 63, 64, 65, 130, 3_000, 20_000] {
-            let mut best = BestRules::new(top);
-            for i in 0..10_000 {
-                best.offer(rule(i));
-                assert!(best.held.len() <= bound(top), "--top {top}");
-            }
-            best.cut();
-            assert_eq!(best.seen, 10_000);
-            let got: Vec<Rule> = best.held.into_iter().map(|(_, rule)| rule).collect();
-            assert_eq!(got[..], want[..top.min(want.len())], "--top {top}");
-        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! item (more than `M/P`, increasingly likely as `P` grows), the paper's
 //! refinement splits that item by **second** item; `partition_two_level`
 //! implements it. A partitioner returns a plan, not lists: each processor
-//! reads its share out of the one candidate set ([`CandidatePartition::share`]).
-//! Partitioners and shares read candidates as rows of items: item sets, or
-//! the rows of a `k`-strided arena such as a parallel run's `C_k`.
+//! picks its share out of the one candidate set by
+//! [`CandidatePartition::owns`]. Partitioners and plans read candidates as
+//! rows of items: item sets, or the rows of a `k`-strided arena such as a
+//! parallel run's `C_k`.
 //!
 //! The packer is the classic Longest-Processing-Time greedy (the paper
 //! cites bin-packing [Papadimitriou & Steiglitz]; LPT's 4/3 bound is ample
@@ -112,8 +113,8 @@ pub fn pack_lpt_weighted(weights: &[u64], capacities: &[f64]) -> Packing {
 /// A plan for partitioning a candidate set across `P` processors: the
 /// ownership filter each processor applies at the hash-tree root, and the
 /// balance of the shares. The plan holds no candidates — a processor
-/// reads its own share through [`CandidatePartition::share`] and nobody
-/// else's. Every candidate falls in exactly one share.
+/// picks its own share by [`CandidatePartition::owns`] and nobody else's.
+/// Every candidate falls in exactly one share.
 #[derive(Debug, Clone)]
 pub struct CandidatePartition {
     /// Per-processor root filters (bitmap or two-level).
@@ -131,24 +132,10 @@ impl CandidatePartition {
         self.filters.len()
     }
 
-    /// Processor `proc`'s share of `candidates` (the set the plan was made
-    /// for: item sets, or the rows of a `k`-strided arena), lent in the
-    /// order they appear there — so a share of a sorted candidate list is
-    /// sorted. Round-robin: the stride `proc, proc + P, …`; otherwise the
-    /// candidates `filters[proc]` owns.
-    pub fn share<'a, C: AsRef<[Item]> + 'a>(
-        &'a self,
-        candidates: impl IntoIterator<Item = C, IntoIter: 'a>,
-        proc: usize,
-    ) -> impl Iterator<Item = C> + 'a {
-        let mine = candidates.into_iter().enumerate();
-        let mine = mine.filter(move |(i, c)| self.owns(proc, *i, c.as_ref()));
-        mine.map(|(_, c)| c)
-    }
-
     /// Whether processor `proc`'s share holds `candidate`, found at
-    /// `position` in the candidate set: the predicate [`share`](Self::share)
-    /// filters by.
+    /// `position` in the candidate set the plan was made for (item sets,
+    /// or the rows of a `k`-strided arena). Round-robin: the stride
+    /// `proc, proc + P, …`; otherwise the candidates `filters[proc]` owns.
     pub fn owns(&self, proc: usize, position: usize, candidate: &[Item]) -> bool {
         if self.by_position {
             position % self.num_procs() == proc
@@ -427,11 +414,17 @@ mod tests {
         ]
     }
 
+    /// The positions of processor `proc`'s share of `cands`, ascending.
+    fn positions(part: &CandidatePartition, cands: &[ItemSet], proc: usize) -> Vec<usize> {
+        let owned = |&i: &usize| part.owns(proc, i, cands[i].items());
+        (0..cands.len()).filter(owned).collect()
+    }
+
     /// Every processor's share, as the drivers would cut them.
     fn shares(part: &CandidatePartition, cands: &[ItemSet]) -> Vec<Vec<ItemSet>> {
-        (0..part.num_procs())
-            .map(|proc| part.share(cands, proc).cloned().collect())
-            .collect()
+        let share = |proc| positions(part, cands, proc).into_iter();
+        let share = |proc| share(proc).map(|i| cands[i].clone()).collect();
+        (0..part.num_procs()).map(share).collect()
     }
 
     fn total_candidates(part: &CandidatePartition, cands: &[ItemSet]) -> usize {
@@ -566,21 +559,13 @@ mod tests {
             for p in shares(&part, &cands) {
                 assert!(p.windows(2).all(|w| w[0] < w[1]), "share not sorted: {p:?}");
             }
-            // A share lends elements of the list itself, in list order, and
-            // the shares are disjoint and cover it: every list position is
-            // lent exactly once.
-            let mut lent = Vec::new();
-            for proc in 0..part.num_procs() {
-                let at = |c: &ItemSet| cands.iter().position(|own| std::ptr::eq(own, c));
-                let positions: Vec<usize> = part
-                    .share(&cands, proc)
-                    .map(|c| at(c).expect("a share lends, it does not copy"))
-                    .collect();
-                assert!(positions.windows(2).all(|w| w[0] < w[1]), "{positions:?}");
-                lent.extend(positions);
-            }
-            lent.sort_unstable();
-            assert_eq!(lent, (0..cands.len()).collect::<Vec<_>>());
+            // The shares are disjoint and cover the list: every list
+            // position is owned exactly once.
+            let mut owned: Vec<usize> = (0..part.num_procs())
+                .flat_map(|proc| positions(&part, &cands, proc))
+                .collect();
+            owned.sort_unstable();
+            assert_eq!(owned, (0..cands.len()).collect::<Vec<_>>());
         }
     }
 }

@@ -108,6 +108,11 @@ impl OwnershipFilter {
         })
     }
 
+    /// Whether this filter prunes second items: two-level mode.
+    pub(crate) fn prunes_second(&self) -> bool {
+        matches!(self.mode, Mode::TwoLevel { .. })
+    }
+
     /// Whether this filter prunes anything at all.
     pub fn is_all(&self) -> bool {
         matches!(self.mode, Mode::All)

@@ -180,12 +180,13 @@ fn parse_line(
     Ok(Some(tid))
 }
 
-/// The line the writer writes, at the start of `bytes`: `tid:` then ` id`
-/// per item and `\n`, every number plain digits, the tid below 10^18, the
-/// ids strictly ascending and at most [`Item::MAX_ID`]. Its tid, with its
-/// items in `items`, and where it ends past the newline; `None` for any
-/// other line, and for one that `bytes` cuts off. What it accepts,
-/// [`parse_line`] parses the same.
+/// The line the writer writes, at the start of `bytes`, in any item
+/// order: `tid:` then ` id` per item and `\n`, every number plain digits,
+/// the tid below 10^18, the ids at most [`Item::MAX_ID`]. Its tid, with
+/// its items in `items` (sorted and deduplicated as [`parse_line`] does,
+/// when they are not strictly ascending already), and where it ends past
+/// the newline; `None` for any other line, and for one that `bytes` cuts
+/// off. What it accepts, [`parse_line`] parses the same.
 #[inline]
 fn parse_canonical(bytes: &[u8], items: &mut Vec<Item>) -> Option<(u64, usize)> {
     let (colon, tid) = digits(bytes, 0, TID_CAP);
@@ -193,17 +194,26 @@ fn parse_canonical(bytes: &[u8], items: &mut Vec<Item>) -> Option<(u64, usize)> 
         return None;
     }
     items.clear();
+    let mut ascending = true;
     let mut at = colon + 1;
     while bytes.get(at) == Some(&b' ') {
         let (end, id) = digits(bytes, at + 1, ID_CAP);
-        let ascending = items.last().is_none_or(|last| (last.id() as u64) < id);
-        if end == at + 1 || id == ID_CAP || !ascending {
+        if end == at + 1 || id == ID_CAP {
             return None;
         }
-        items.push(Item(id as u32));
+        let item = Item(id as u32);
+        ascending &= items.last().is_none_or(|&last| last < item);
+        items.push(item);
         at = end;
     }
-    (bytes.get(at) == Some(&b'\n')).then_some((tid, at + 1))
+    if bytes.get(at) != Some(&b'\n') {
+        return None;
+    }
+    if !ascending {
+        items.sort_unstable();
+        items.dedup();
+    }
+    Some((tid, at + 1))
 }
 
 /// The text reader's state between lines: the transactions so far, the
@@ -888,6 +898,8 @@ mod tests {
             "999999999999999999: 1\n".to_string(),
             format!("5: 1 {max}\n"),
             "12: 007 100000000 0134217727\n".to_string(),
+            "1: 3 2\n".to_string(),
+            "1: 2 2\n".to_string(),
         ];
         let other = [
             "1: 2 3".to_string(),
@@ -897,8 +909,6 @@ mod tests {
             "1:\t2\n".to_string(),
             " 1: 2\n".to_string(),
             "1 : 2\n".to_string(),
-            "1: 3 2\n".to_string(),
-            "1: 2 2\n".to_string(),
             "2 3\n".to_string(),
             "\n".to_string(),
             "# 1: 2\n".to_string(),

@@ -7,8 +7,10 @@
 # diff their stdout without the host timings; then four malformed inputs
 # and seven at the edges of the reader's fast path (CRLF, a line over
 # 64 KB, tabs, a comment between lines, the item-id limit and one past it,
-# no final newline), comparing stdout, stderr and exit code. With the same
-# binary on both sides it is a determinism check.
+# no final newline), and two whose lines it takes out of order (unsorted
+# and repeated ids; a 20K file with its item ids permuted), comparing
+# stdout, stderr and exit code. With the same binary on both sides it is a
+# determinism check.
 #
 # usage: scripts/io_cmp.sh OLD_ARMINE NEW_ARMINE
 set -uo pipefail
@@ -104,6 +106,16 @@ printf '1: 1 2\n2: 1 134217728\n' > "$tmp/max-id-plus-one.txt"
 printf '1: 1 2\n2: 1 3\n3: 2 3' > "$tmp/no-final-newline.txt"
 for name in crlf.txt long-line.txt tabs.txt comment.txt max-id-plus-one.txt \
     no-final-newline.txt; do
+    read_both "$name" "$tmp/$name"
+done
+# Lines the fast path takes out of order: unsorted and repeated ids, and a
+# generated 20K file with its item ids relabelled by a permutation of the
+# 250 ids (id -> (97 id + 13) mod 250), as the benchmark relabels its
+# inputs, so that most lines are out of order.
+printf '1: 3 2 1\n2: 2 2 5\n3: 5 1 5 3\n4: 9 8 7 9\n5: 2 1 2 1\n' > "$tmp/unsorted.txt"
+awk '{ printf "%s", $1; for (i = 2; i <= NF; i++) printf " %d", (97 * $i + 13) % 250;
+       printf "\n" }' "$tmp/new-dense-7.text" > "$tmp/permuted.txt"
+for name in unsorted.txt permuted.txt; do
     read_both "$name" "$tmp/$name"
 done
 # Only the serial readers: the simulated count exchange over 2^27 items

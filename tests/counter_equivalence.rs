@@ -51,9 +51,12 @@ fn to_itemsets(raw: &[Vec<u32>]) -> Vec<ItemSet> {
 
 /// Every processor's share of `cands` under `part`.
 fn shares(part: &CandidatePartition, cands: &[ItemSet]) -> Vec<Vec<ItemSet>> {
-    (0..part.num_procs())
-        .map(|proc| part.share(cands, proc).cloned().collect())
-        .collect()
+    let owned = |proc: usize| {
+        let mine = cands.iter().enumerate();
+        let mine = mine.filter(move |(i, c)| part.owns(proc, *i, c.items()));
+        mine.map(|(_, c)| c.clone()).collect()
+    };
+    (0..part.num_procs()).map(owned).collect()
 }
 
 /// The reference semantics both backends must implement: candidate `c` is

@@ -56,9 +56,12 @@ fn dense_candidates(universe: u32, k: usize, thin: usize) -> Vec<ItemSet> {
 /// Every processor's share of `cands` under `part`, cut the way the
 /// parallel drivers cut their own.
 fn shares(part: &CandidatePartition, cands: &[ItemSet]) -> Vec<Vec<ItemSet>> {
-    (0..part.num_procs())
-        .map(|proc| part.share(cands, proc).cloned().collect())
-        .collect()
+    let owned = |proc: usize| {
+        let mine = cands.iter().enumerate();
+        let mine = mine.filter(move |(i, c)| part.owns(proc, *i, c.items()));
+        mine.map(|(_, c)| c.clone()).collect()
+    };
+    (0..part.num_procs()).map(owned).collect()
 }
 
 fn brute_counts(cands: &[ItemSet], txs: &[Transaction]) -> Vec<u64> {
@@ -467,8 +470,8 @@ fn transient_plan_bites_under_adaptive_placement() {
 
 /// A plan built from the rows of a `k`-strided arena, as the parallel
 /// drivers build theirs from `C_k`, is the plan built from the boxed list of
-/// the same candidates: the same filters and imbalance, and `share` lends
-/// the same rows in the same order. Seeded; `k` from 2 to 5, first items
+/// the same candidates: the same filters and imbalance, and `owns` takes
+/// the same rows. Seeded; `k` from 2 to 5, first items
 /// skewed toward small ids so that two-level plans split some of them,
 /// round-robin, first-item and two-level plans at several split
 /// thresholds, uniform and skewed capacities.
@@ -520,10 +523,13 @@ fn plans_from_arena_rows_equal_plans_from_item_sets() {
                     assert_eq!(from_rows.filters, boxed.filters, "{on}");
                     assert_eq!(from_rows.imbalance, boxed.imbalance, "{on}");
                     for proc in 0..procs {
-                        let lent: Vec<&[Item]> = from_rows.share(rows(), proc).collect();
-                        let want: Vec<&[Item]> =
-                            boxed.share(&cands, proc).map(ItemSet::items).collect();
-                        assert_eq!(lent, want, "{on}, proc {proc}");
+                        let by_rows: Vec<bool> = (rows().enumerate())
+                            .map(|(i, row)| from_rows.owns(proc, i, row))
+                            .collect();
+                        let by_sets: Vec<bool> = (cands.iter().enumerate())
+                            .map(|(i, set)| boxed.owns(proc, i, set.items()))
+                            .collect();
+                        assert_eq!(by_rows, by_sets, "{on}, proc {proc}");
                     }
                 }
             }
