@@ -380,9 +380,9 @@ fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>>
                 started.elapsed().as_secs_f64(),
                 run.frequent.len()
             )?;
-            let counting: f64 = run.wall.iter().map(|w| w.counting).sum();
-            let exchange: f64 = run.wall.iter().map(|w| w.exchange).sum();
-            let io: f64 = run.wall.iter().map(|w| w.io).sum();
+            let counting: f64 = run.ranks.iter().map(|r| r.busy).sum();
+            let exchange: f64 = run.ranks.iter().map(|r| r.idle).sum();
+            let io: f64 = run.ranks.iter().map(|r| r.io).sum();
             writeln!(
                 out,
                 "  per-rank wall time: {:.3} ms counting, {:.3} ms exchange, {:.3} ms io (summed)",

@@ -12,9 +12,7 @@
 //!      "labels": {"algorithm": "CD", "rank": "0", "pass": "2"},
 //!      "value": 1234},
 //!     {"name": "armine.run.response_seconds", "kind": "gauge",
-//!      "labels": {"algorithm": "CD"}, "value": 0.0375},
-//!     {"name": "armine.run.rank_clock_seconds", "kind": "histogram",
-//!      "labels": {}, "count": 8, "sum": 0.29, "min": 0.031, "max": 0.04}
+//!      "labels": {"algorithm": "CD"}, "value": 0.0375}
 //!   ]
 //! }
 //! ```
@@ -207,29 +205,19 @@ impl BenchDocument {
                         .map(|(k, v)| (k.to_owned(), JsonValue::Str(v.to_owned())))
                         .collect(),
                 );
-                let mut fields = vec![
+                let value = match series.value {
+                    MetricValue::Counter(v) => JsonValue::UInt(v),
+                    MetricValue::Gauge(v) => JsonValue::Float(v),
+                };
+                JsonValue::Object(vec![
                     ("name".to_owned(), JsonValue::Str(series.name.clone())),
                     (
                         "kind".to_owned(),
                         JsonValue::Str(series.value.kind().to_owned()),
                     ),
                     ("labels".to_owned(), labels),
-                ];
-                match series.value {
-                    MetricValue::Counter(v) => {
-                        fields.push(("value".to_owned(), JsonValue::UInt(v)));
-                    }
-                    MetricValue::Gauge(v) => {
-                        fields.push(("value".to_owned(), JsonValue::Float(v)));
-                    }
-                    MetricValue::Histogram(h) => {
-                        fields.push(("count".to_owned(), JsonValue::UInt(h.count)));
-                        fields.push(("sum".to_owned(), JsonValue::Float(h.sum)));
-                        fields.push(("min".to_owned(), JsonValue::Float(h.min)));
-                        fields.push(("max".to_owned(), JsonValue::Float(h.max)));
-                    }
-                }
-                JsonValue::Object(fields)
+                    ("value".to_owned(), value),
+                ])
             })
             .collect();
         JsonValue::Object(vec![
@@ -269,9 +257,6 @@ mod tests {
         shard.incr("c", at(10), u64::MAX);
         shard.incr("c", at(9), (1 << 53) + 1);
         shard.set_gauge("g", Labels::new(), 1e-7);
-        for v in [0.1, 1.0 / 3.0, 2.5e-9] {
-            shard.observe("h", Labels::new(), v);
-        }
         let snapshot = shard.snapshot(&Labels::new().with("algorithm", "CD"));
         let doc = BenchDocument::new("q\"b\\s/\n\t\r\u{1}\u{1f}é😀", snapshot)
             .with_context("big", JsonValue::UInt(u64::MAX))
@@ -329,17 +314,6 @@ mod tests {
         "algorithm": "CD"
       },
       "value": 0.0000001
-    },
-    {
-      "name": "h",
-      "kind": "histogram",
-      "labels": {
-        "algorithm": "CD"
-      },
-      "count": 3,
-      "sum": 0.43333333583333333,
-      "min": 0.0000000025,
-      "max": 0.3333333333333333
     }
   ]
 }

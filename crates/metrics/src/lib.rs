@@ -12,8 +12,8 @@
 //! **hierarchical labels** drawn from the fixed taxonomy [`LABEL_KEYS`]
 //! (`algorithm`, `backend`, `counter`, `fault_plan`, `procs`,
 //! `scenario`, `rank`, `pass`). A series is one `(name, labels)` pair
-//! carrying a [`MetricValue`]: a monotone `u64` [counter], an `f64`
-//! [gauge], or a summary [histogram].
+//! carrying a [`MetricValue`]: a monotone `u64` [counter] or an `f64`
+//! [gauge].
 //!
 //! Recording is **lock-free by ownership**: a [`MetricShard`] is owned
 //! by exactly one thread (no atomics, no mutexes). A parallel run's rank
@@ -30,13 +30,11 @@
 //!
 //! [counter]: MetricValue::Counter
 //! [gauge]: MetricValue::Gauge
-//! [histogram]: MetricValue::Histogram
 
 pub mod json;
 pub mod names;
 
 use std::cmp::Ordering;
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// The label taxonomy, in canonical serialization order: run-scoped keys
@@ -173,47 +171,6 @@ impl Ord for Labels {
     }
 }
 
-/// Summary of an observed distribution: count, sum, and range. Enough
-/// for mean/min/max joins without retaining every observation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSummary {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations (accumulated in recording order).
-    pub sum: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-}
-
-impl HistogramSummary {
-    fn observe(value: f64) -> Self {
-        HistogramSummary {
-            count: 1,
-            sum: value,
-            min: value,
-            max: value,
-        }
-    }
-
-    fn absorb(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 /// The value one series carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MetricValue {
@@ -221,17 +178,14 @@ pub enum MetricValue {
     Counter(u64),
     /// A point-in-time measurement (last write wins).
     Gauge(f64),
-    /// A summary over observations.
-    Histogram(HistogramSummary),
 }
 
 impl MetricValue {
-    /// The kind name as serialized ("counter" / "gauge" / "histogram").
+    /// The kind name as serialized ("counter" / "gauge").
     pub fn kind(&self) -> &'static str {
         match self {
             MetricValue::Counter(_) => "counter",
             MetricValue::Gauge(_) => "gauge",
-            MetricValue::Histogram(_) => "histogram",
         }
     }
 }
@@ -281,26 +235,6 @@ impl MetricShard {
         {
             MetricValue::Gauge(v) => *v = value,
             other => panic!("{name} already recorded as a {}", other.kind()),
-        }
-    }
-
-    /// Adds one observation to the histogram `(name, labels)`. Panics if
-    /// the series exists with a different kind, or on a non-finite value
-    /// — the JSON schema has no NaN/Inf, so rejecting at recording time
-    /// keeps every snapshot serializable.
-    pub fn observe(&mut self, name: &str, labels: Labels, value: f64) {
-        assert!(
-            value.is_finite(),
-            "histogram {name} observed non-finite value {value} — JSON has no NaN/Inf"
-        );
-        match self.series.entry((name.to_owned(), labels)) {
-            Entry::Vacant(slot) => {
-                slot.insert(MetricValue::Histogram(HistogramSummary::observe(value)));
-            }
-            Entry::Occupied(mut slot) => match slot.get_mut() {
-                MetricValue::Histogram(h) => h.absorb(value),
-                other => panic!("{name} already recorded as a {}", other.kind()),
-            },
         }
     }
 
@@ -409,20 +343,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The single histogram named `name` matching `filter`.
-    pub fn histogram(&self, name: &str, filter: &[(&str, &str)]) -> Option<&HistogramSummary> {
-        let mut matches = self.select(name, filter);
-        let first = matches.next()?;
-        assert!(
-            matches.next().is_none(),
-            "histogram {name} matched more than one series for {filter:?}"
-        );
-        match &first.value {
-            MetricValue::Histogram(h) => Some(h),
-            other => panic!("{name} is a {}, not a histogram", other.kind()),
-        }
-    }
-
     /// Distinct values of label `key` across all series, sorted
     /// numeric-aware.
     pub fn label_values(&self, key: &str) -> Vec<String> {
@@ -517,33 +437,10 @@ mod tests {
     }
 
     #[test]
-    fn repeated_equal_observations_all_count() {
-        // Regression: the old "freshly inserted" guard in observe matched
-        // a pre-existing single-entry histogram with an equal value and
-        // silently dropped the second observation.
-        let mut s = MetricShard::new();
-        s.observe("h", Labels::new(), 3.5);
-        s.observe("h", Labels::new(), 3.5);
-        s.observe("h", Labels::new(), 3.5);
-        let snap = s.snapshot(&Labels::new());
-        let h = snap.histogram("h", &[]).unwrap();
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum, 10.5);
-        assert_eq!((h.min, h.max), (3.5, 3.5));
-    }
-
-    #[test]
     #[should_panic(expected = "non-finite")]
     fn non_finite_gauge_panics() {
         let mut s = MetricShard::new();
         s.set_gauge("g", Labels::new(), f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite")]
-    fn non_finite_observation_panics() {
-        let mut s = MetricShard::new();
-        s.observe("h", Labels::new(), f64::INFINITY);
     }
 
     #[test]
@@ -560,21 +457,6 @@ mod tests {
         s.incr("c", a, 1);
         s.incr("c", b, 1);
         assert_eq!(s.len(), 2, "distinct label strings must stay distinct");
-    }
-
-    #[test]
-    fn histogram_observations_summarize() {
-        let mut a = MetricShard::new();
-        for v in [2.0, 4.0, 9.0] {
-            a.observe("h", Labels::new(), v);
-        }
-        let snap = a.snapshot(&Labels::new());
-        let h = snap.histogram("h", &[]).unwrap();
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum, 15.0);
-        assert_eq!(h.min, 2.0);
-        assert_eq!(h.max, 9.0);
-        assert_eq!(h.mean(), 5.0);
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! Canonical metric names.
 //!
 //! Naming convention: `armine.<layer>.<noun>[_<unit>]` where `<layer>`
-//! is the ledger a series generalizes — `counting` (the
-//! `CounterStats` op ledger), `rank` (the simulator's `RankStats`),
-//! `wall` (native `WallTimings`), `pass` (per-pass aggregates), `run`
-//! (whole-run scalars). Units are spelled in the name (`_seconds`,
-//! `_bytes`) so a reader never guesses; unitless counts carry none.
+//! is the ledger a series generalizes — `counting` (the `CounterStats`
+//! op ledger), `rank` (the simulator's `RankStats`, the one per-rank time
+//! record: virtual seconds on sim, wall seconds on native), `pass`
+//! (per-pass aggregates), `run` (whole-run scalars). Units are spelled in
+//! the name (`_seconds`, `_bytes`) so a reader never guesses; unitless
+//! counts carry none.
 
 /// Prefix for `CounterStats` fields: `armine.counting.<field>`.
 pub const COUNTING_PREFIX: &str = "armine.counting.";
 /// Prefix for `RankStats` series: `armine.rank.<field>[_seconds]`.
 pub const RANK_PREFIX: &str = "armine.rank.";
-/// Prefix for native `WallTimings` series: `armine.wall.<field>_seconds`.
-pub const WALL_PREFIX: &str = "armine.wall.";
 
-/// Per-(rank, pass) native wall time of one pass (gauge, seconds).
-pub const WALL_PASS_SECONDS: &str = "armine.wall.pass_seconds";
+/// Per-(rank, pass) time of one committed pass, from the rank's previous
+/// commit to this one (gauge, seconds; virtual on sim, wall on native).
+pub const RANK_PASS_SECONDS: &str = "armine.rank.pass_seconds";
 
 /// Candidates generated in a pass (counter, labeled `pass`).
 pub const PASS_CANDIDATES: &str = "armine.pass.candidates";
@@ -32,8 +32,6 @@ pub const PASS_CANDIDATE_IMBALANCE: &str = "armine.pass.candidate_imbalance";
 
 /// Whole-run response time: the slowest rank's clock (gauge, seconds).
 pub const RUN_RESPONSE_SECONDS: &str = "armine.run.response_seconds";
-/// Distribution of final per-rank clocks (histogram, seconds).
-pub const RUN_RANK_CLOCK_SECONDS: &str = "armine.run.rank_clock_seconds";
 /// Total frequent itemsets in the mined lattice (counter).
 pub const RUN_FREQUENT: &str = "armine.run.frequent_itemsets";
 /// Run-total retransmitted messages under a fault plan (counter).
@@ -58,9 +56,4 @@ pub fn rank_time(field: &str) -> String {
 /// `armine.rank.<field>` for a `RankStats` counter field.
 pub fn rank_counter(field: &str) -> String {
     format!("{RANK_PREFIX}{field}")
-}
-
-/// `armine.wall.<field>_seconds` for a `WallTimings` category.
-pub fn wall_time(field: &str) -> String {
-    format!("{WALL_PREFIX}{field}_seconds")
 }

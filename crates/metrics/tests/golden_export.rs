@@ -11,7 +11,7 @@ const FIXTURE: &str = include_str!("fixtures/bench_golden.json");
 
 /// The fixture's document: one of everything — a counter beyond 2^53
 /// (exactness past f64), a gauge with a non-terminating binary fraction,
-/// a histogram, multi-label series, and context fields.
+/// multi-label series, and context fields.
 fn golden_document() -> BenchDocument {
     let mut shard = MetricShard::new();
     shard.incr(
@@ -29,8 +29,6 @@ fn golden_document() -> BenchDocument {
         Labels::new().with("algorithm", "CD").with("procs", 4),
         0.1, // non-terminating in binary: must print as the shortest digits
     );
-    shard.observe("armine.run.rank_clock_seconds", Labels::new(), 0.25);
-    shard.observe("armine.run.rank_clock_seconds", Labels::new(), 0.125);
     let snapshot = shard.snapshot(&Labels::new().with("backend", "sim"));
     BenchDocument::new("golden_fixture", snapshot)
         .with_context("workload", JsonValue::Str("T15.I6".into()))

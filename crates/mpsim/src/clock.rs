@@ -17,7 +17,7 @@
 
 use crate::machine::MachineProfile;
 use crate::stats::RankStats;
-use crate::wall::{ExecBackend, WallTimings};
+use crate::wall::ExecBackend;
 use std::time::{Duration, Instant};
 
 /// What a charge point pays for.
@@ -58,7 +58,12 @@ struct Wall {
     origin: Instant,
     /// Elapsed seconds at the previous charge point.
     last_mark: f64,
-    timings: WallTimings,
+    /// Seconds bracketed by compute charge points (`busy`).
+    counting: f64,
+    /// Seconds bracketed by exchange charge points (`idle`).
+    exchange: f64,
+    /// Seconds bracketed by I/O charge points (`io`).
+    io: f64,
 }
 
 impl Wall {
@@ -72,9 +77,9 @@ impl Wall {
         let now = self.elapsed();
         let bracket = (now - self.last_mark).max(0.0);
         match category {
-            Category::Compute => self.timings.counting += bracket,
-            Category::Exchange => self.timings.exchange += bracket,
-            Category::Io => self.timings.io += bracket,
+            Category::Compute => self.counting += bracket,
+            Category::Exchange => self.exchange += bracket,
+            Category::Io => self.io += bracket,
         }
         self.last_mark = now;
         bracket
@@ -101,7 +106,9 @@ impl Clock {
             ExecBackend::Native => Kind::Wall(Wall {
                 origin,
                 last_mark: 0.0,
-                timings: WallTimings::default(),
+                counting: 0.0,
+                exchange: 0.0,
+                io: 0.0,
             }),
         };
         Clock { slowdown, kind }
@@ -276,15 +283,6 @@ impl Clock {
         }
     }
 
-    /// Records a pass boundary (wall clock only) and returns its time.
-    pub fn enter_pass(&mut self, pass: usize) -> f64 {
-        let at = self.now();
-        if let Kind::Wall(w) = &mut self.kind {
-            w.timings.pass_starts.push((pass, at));
-        }
-        at
-    }
-
     /// Fills the time fields of `stats`: the virtual buckets, or the wall
     /// brackets under their sim names (`busy` = counting, `idle` =
     /// exchange).
@@ -296,28 +294,9 @@ impl Clock {
                 idle,
                 io,
             } => (*now, *busy, *idle, *io),
-            Kind::Wall(w) => (
-                w.elapsed(),
-                w.timings.counting,
-                w.timings.exchange,
-                w.timings.io,
-            ),
+            Kind::Wall(w) => (w.elapsed(), w.counting, w.exchange, w.io),
         };
         (stats.clock, stats.busy, stats.idle, stats.io) = t;
-    }
-
-    /// Stops the clock: the final [`Clock::times`], plus the wall timings
-    /// of a native run. One reading serves both, so a native rank's
-    /// `stats.clock` equals its `WallTimings::total` exactly.
-    pub fn finish(self, stats: &mut RankStats) -> Option<WallTimings> {
-        self.times(stats);
-        match self.kind {
-            Kind::Virtual { .. } => None,
-            Kind::Wall(w) => Some(WallTimings {
-                total: stats.clock,
-                ..w.timings
-            }),
-        }
     }
 }
 
@@ -333,10 +312,9 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         c.charge(Category::Exchange, 0.0);
         let mut stats = RankStats::default();
-        let t = c.finish(&mut stats).expect("wall clock yields timings");
-        assert!(t.counting >= 4e-3, "counting bracket lost: {t:?}");
-        assert!(t.exchange >= 4e-3, "exchange bracket lost: {t:?}");
-        assert!(t.total >= t.counting + t.exchange - 1e-9);
-        assert_eq!(stats.clock.to_bits(), t.total.to_bits());
+        c.times(&mut stats);
+        assert!(stats.busy >= 4e-3, "counting bracket lost: {stats:?}");
+        assert!(stats.idle >= 4e-3, "exchange bracket lost: {stats:?}");
+        assert!(stats.clock >= stats.busy + stats.idle + stats.io - 1e-9);
     }
 }

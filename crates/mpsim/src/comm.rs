@@ -7,7 +7,7 @@ use crate::machine::{CountingWork, MachineProfile};
 use crate::message::{Envelope, MatchKey, Packet};
 use crate::stats::RankStats;
 use crate::topology::Topology;
-use crate::wall::{ExecBackend, WallTimings};
+use crate::wall::ExecBackend;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -161,12 +161,12 @@ impl Comm {
         }
     }
 
-    /// Stops the clock and hands the run's record to the runtime: final
-    /// accounting and the wall timings of a native run.
-    pub(crate) fn finish(self) -> (RankStats, Option<WallTimings>) {
+    /// Stops the clock and hands the rank's final accounting to the
+    /// runtime.
+    pub(crate) fn finish(self) -> RankStats {
         let mut stats = self.stats;
-        let wall = self.clock.finish(&mut stats);
-        (stats, wall)
+        self.clock.times(&mut stats);
+        stats
     }
 
     /// This rank's id in `0..size`.
@@ -233,11 +233,10 @@ impl Comm {
     }
 
     /// Declares that this rank is entering mining pass `pass` (1-based):
-    /// records the pass boundary (native runs report per-pass wall time)
-    /// and fires a scheduled [`crate::CrashPoint::AtPass`] crash.
+    /// fires a scheduled [`crate::CrashPoint::AtPass`] crash.
     pub fn enter_pass(&mut self, pass: usize) {
-        let at = self.clock.enter_pass(pass);
         if self.crash_pass == Some(pass) {
+            let at = self.clock.now();
             self.crash_now_at(at);
         }
     }

@@ -70,10 +70,12 @@
 //! ([`ExecBackend::Native`]) where the same rank threads run at full
 //! hardware speed: the rank's clock measures instead of pricing, so each
 //! charge point attributes the real time elapsed since the previous one
-//! to its counting/exchange/io category, and per-rank [`WallTimings`] land
-//! in [`SimResult::wall`]. Mined results are identical across backends,
-//! and fault plans run on both: injected faults are real on the native one
-//! (thread deaths, sleeps, wall-clock retransmit timers).
+//! to its compute/exchange/io category, and each rank's [`RankStats`]
+//! in [`SimResult::ranks`] report those wall seconds as `busy`/`idle`/`io`
+//! — the same record a sim run fills with virtual seconds. Mined results
+//! are identical across backends, and fault plans run on both: injected
+//! faults are real on the native one (thread deaths, sleeps, wall-clock
+//! retransmit timers).
 
 mod clock;
 mod comm;

@@ -7,7 +7,7 @@ use crate::machine::{ClusterProfile, MachineProfile};
 use crate::message::Envelope;
 use crate::stats::{imbalance, RankStats};
 use crate::topology::Topology;
-use crate::wall::{ExecBackend, WallTimings};
+use crate::wall::ExecBackend;
 use crossbeam::channel::unbounded;
 use std::any::Any;
 use std::sync::{Arc, Once};
@@ -59,7 +59,7 @@ impl Simulator {
 
     /// Selects the execution backend: [`ExecBackend::Sim`] (virtual time,
     /// the default) or [`ExecBackend::Native`] (full-speed wall-clock
-    /// execution with per-rank [`WallTimings`] in [`SimResult::wall`]).
+    /// execution: each rank's [`RankStats`] then hold measured seconds).
     /// Fault plans run on either backend; on native, injected faults are
     /// real (thread panics, sleeps, wall-clock retransmit timers).
     pub fn backend(mut self, backend: ExecBackend) -> Self {
@@ -143,7 +143,6 @@ impl Simulator {
                 .map(|v| v.expect("no rank can crash without a crashing fault plan"))
                 .collect(),
             ranks: r.ranks,
-            wall: r.wall,
         }
     }
 
@@ -166,7 +165,7 @@ impl Simulator {
         let wall_origin = std::time::Instant::now();
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..p).map(|_| unbounded::<Envelope>()).unzip();
-        type RankResult<T> = (Option<T>, RankStats, Option<WallTimings>);
+        type RankResult<T> = (Option<T>, RankStats);
         type RankOutcome<T> = Result<RankResult<T>, Box<dyn Any + Send>>;
         let mut outputs: Vec<Option<RankResult<T>>> = (0..p).map(|_| None).collect();
         let mut primary_panic: Option<Box<dyn Any + Send>> = None;
@@ -208,8 +207,7 @@ impl Simulator {
                             return Err(payload);
                         }
                     };
-                    let (stats, wall) = comm.finish();
-                    Ok((value, stats, wall))
+                    Ok((value, comm.finish()))
                 }));
             }
             for (rank, handle) in handles.into_iter().enumerate() {
@@ -235,20 +233,11 @@ impl Simulator {
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        let mut results = Vec::with_capacity(p);
-        let mut ranks = Vec::with_capacity(p);
-        let mut wall = Vec::new();
-        for tuple in outputs {
-            let (value, stats, rank_wall) = tuple.unwrap();
-            results.push(value);
-            ranks.push(stats);
-            wall.extend(rank_wall);
-        }
-        SimResult {
-            results,
-            ranks,
-            wall,
-        }
+        let (results, ranks) = outputs
+            .into_iter()
+            .map(|o| o.expect("a rank that did not report re-raised its panic above"))
+            .unzip();
+        SimResult { results, ranks }
     }
 }
 
@@ -257,11 +246,9 @@ impl Simulator {
 pub struct SimResult<T> {
     /// Per-rank return values, indexed by rank.
     pub results: Vec<T>,
-    /// Per-rank time/traffic accounting.
+    /// Per-rank time/traffic accounting: virtual seconds on the sim
+    /// backend, measured wall seconds on the native one.
     pub ranks: Vec<RankStats>,
-    /// Per-rank wall-clock timings, indexed by rank; empty unless the
-    /// native backend ran.
-    pub wall: Vec<WallTimings>,
 }
 
 impl<T> SimResult<T> {
@@ -753,18 +740,11 @@ mod tests {
         let sim = t3e(4).run(workload);
         let native = t3e(4).backend(ExecBackend::Native).run(workload);
         assert_eq!(sim.results, native.results, "mined values must agree");
-        // Sim: virtual clocks, no wall timings. Native: the reverse.
-        assert!(sim.wall.is_empty());
-        assert_eq!(native.wall.len(), 4);
-        for w in &native.wall {
-            assert!(w.total > 0.0);
-            assert_eq!(w.pass_starts.len(), 1);
-            assert!(w.counting + w.exchange + w.io <= w.total + 1e-9);
-        }
-        // Native stats mirror the wall accounting.
-        for (s, w) in native.ranks.iter().zip(&native.wall) {
-            assert_eq!(s.clock.to_bits(), w.total.to_bits());
-            assert_eq!(s.busy.to_bits(), w.counting.to_bits());
+        // One time record per rank on both backends: the brackets fit in
+        // the clock, virtual on sim and measured on native.
+        for s in sim.ranks.iter().chain(&native.ranks) {
+            assert!(s.clock > 0.0);
+            assert!(s.busy + s.idle + s.io <= s.clock + 1e-9, "{s:?}");
         }
         assert!(native.response_time() > 0.0);
         // Traffic accounting is backend-independent.
@@ -814,9 +794,9 @@ mod tests {
         // Each retransmit slept at least one base RTO of real time.
         let min_wall = r.ranks[0].retransmits as f64 * 2e-4;
         assert!(
-            r.wall[0].total >= min_wall,
+            r.ranks[0].clock >= min_wall,
             "sender wall {} < {} (RTO sleeps missing)",
-            r.wall[0].total,
+            r.ranks[0].clock,
             min_wall
         );
     }
@@ -848,34 +828,31 @@ mod tests {
         let fault = r.results[0].unwrap().unwrap_err();
         assert_eq!(fault, RecvFault::Dead { rank: 1, at: 2e-3 });
         assert_eq!(r.ranks[0].timeouts, 1);
-        // The crashed rank's wall timings still exist (time up to death).
-        assert_eq!(r.wall.len(), 2);
+        // The crashed rank's record still exists (time up to death).
+        assert_eq!(r.ranks.len(), 2);
+        assert!(r.ranks[1].clock >= 2e-3, "{:?}", r.ranks[1]);
     }
 
     #[test]
     fn native_pass_boundary_crash_fires_on_enter_pass() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let passed = [AtomicUsize::new(0), AtomicUsize::new(0)];
         let r = t3e(2)
             .backend(ExecBackend::Native)
             .fault_plan(FaultPlan::new().crash(0, CrashPoint::AtPass(2)))
             .run_with_faults(|comm| {
-                comm.enter_pass(1);
-                comm.advance(0.0);
-                comm.enter_pass(2);
-                comm.advance(0.0);
+                for k in 1..=2 {
+                    comm.enter_pass(k);
+                    comm.advance(0.0);
+                    passed[comm.rank()].store(k, Ordering::Relaxed);
+                }
                 comm.rank()
             });
         assert!(r.results[0].is_none());
         assert_eq!(r.results[1], Some(1));
-        // The dead rank entered pass 2 (the boundary is recorded before
-        // the crash fires) but never finished it.
-        assert_eq!(
-            r.wall[0]
-                .pass_starts
-                .iter()
-                .map(|&(k, _)| k)
-                .collect::<Vec<_>>(),
-            vec![1, 2]
-        );
+        // The dead rank finished pass 1 and died entering pass 2.
+        assert_eq!(passed[0].load(Ordering::Relaxed), 1);
+        assert_eq!(passed[1].load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -1060,7 +1037,7 @@ mod tests {
                 comm.rank()
             });
         assert_eq!(r.results, vec![0, 1]);
-        assert!(r.wall[1].counting >= 9e-3, "5ms bracket + 5ms pad expected");
+        assert!(r.ranks[1].busy >= 9e-3, "5ms bracket + 5ms pad expected");
     }
 
     #[test]

@@ -1,9 +1,14 @@
-//! Per-rank accounting of virtual time and traffic.
+//! Per-rank accounting of time and traffic.
 
-/// Where one rank's virtual time went, plus its traffic counters.
+/// Where one rank's time went, plus its traffic counters: the one
+/// per-rank time record on both backends. The seconds are virtual on the
+/// sim backend; on the native backend they are the wall brackets the
+/// clock measured, `busy` for compute charge points, `idle` for message
+/// exchange (blocking waits plus send and receive handling) and `io` for
+/// I/O charge points.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RankStats {
-    /// Final virtual clock (response time of this rank).
+    /// Final clock (response time of this rank).
     pub clock: f64,
     /// Time spent in explicit compute charges.
     pub busy: f64,

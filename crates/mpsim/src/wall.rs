@@ -1,13 +1,13 @@
-//! The execution-backend selector and the native backend's report.
+//! The execution-backend selector.
 //!
 //! The simulator's second mode of operation: ranks are still one real OS
 //! thread each exchanging owned messages over channels, but the rank's
 //! clock (see the `clock` module) measures instead of pricing. The result
 //! is a run at full hardware speed whose mined output is identical to the
 //! sim backend's (message matching is by `(scope, src, tag)`, never by
-//! arrival time) and whose [`WallTimings`] report where the host's time
-//! actually went: sends and receive completions attribute to `exchange`,
-//! compute charges to `counting`, I/O charges to `io`.
+//! arrival time) and whose [`crate::RankStats`] report where the host's
+//! time actually went: sends and receive completions attribute to `idle`
+//! (exchange), compute charges to `busy`, I/O charges to `io`.
 
 /// Which execution backend a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,51 +44,17 @@ impl std::fmt::Display for ExecBackend {
     }
 }
 
-/// Where one rank's real (wall-clock) time went during a native run.
-/// All values are seconds since the rank's thread started.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A native rank's compute and exchange brackets under the names the
+/// benchmark probe reads: `counting` is [`crate::RankStats::busy`],
+/// `exchange` is [`crate::RankStats::idle`]. Kept only for the probe's
+/// `ParallelRun::wall`; every other reader uses `RankStats`.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
 pub struct WallTimings {
-    /// Total wall time of the rank, thread start to closure return.
-    pub total: f64,
-    /// Wall time attributed to candidate counting and other compute
-    /// charge points.
+    /// Wall seconds attributed to compute charge points.
     pub counting: f64,
-    /// Wall time attributed to message exchange: blocking receive waits
-    /// plus send/receive handling.
+    /// Wall seconds attributed to message exchange.
     pub exchange: f64,
-    /// Wall time attributed to I/O charge points (database scans).
-    pub io: f64,
-    /// `(pass, wall seconds at pass entry)` for every
-    /// [`crate::Comm::enter_pass`] call, in order.
-    pub pass_starts: Vec<(usize, f64)>,
-}
-
-impl WallTimings {
-    /// The per-category totals as `(name, seconds)` pairs — the
-    /// metric-name suffixes the registry records under
-    /// `armine.wall.<name>_seconds`.
-    pub fn named_times(&self) -> [(&'static str, f64); 4] {
-        [
-            ("total", self.total),
-            ("counting", self.counting),
-            ("exchange", self.exchange),
-            ("io", self.io),
-        ]
-    }
-
-    /// Per-pass wall durations `(pass, seconds)`: each pass runs from its
-    /// entry to the next pass's entry (the last until `total`).
-    pub fn pass_durations(&self) -> Vec<(usize, f64)> {
-        let mut out = Vec::with_capacity(self.pass_starts.len());
-        for (i, &(pass, start)) in self.pass_starts.iter().enumerate() {
-            let end = self
-                .pass_starts
-                .get(i + 1)
-                .map_or(self.total, |&(_, next)| next);
-            out.push((pass, (end - start).max(0.0)));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -101,16 +67,5 @@ mod tests {
             assert_eq!(b.to_string(), b.name());
         }
         assert_eq!(ExecBackend::default(), ExecBackend::Sim);
-    }
-
-    #[test]
-    fn pass_durations_partition_the_run() {
-        let t = WallTimings {
-            total: 10.0,
-            pass_starts: vec![(1, 0.0), (2, 4.0), (3, 7.0)],
-            ..WallTimings::default()
-        };
-        assert_eq!(t.pass_durations(), vec![(1, 4.0), (2, 3.0), (3, 3.0)]);
-        assert!(WallTimings::default().pass_durations().is_empty());
     }
 }

@@ -54,13 +54,15 @@ pub struct ParallelRun {
     /// Response time of the whole run: max final clock (seconds). Virtual
     /// time on the sim backend, measured wall time on the native backend.
     pub response_time: f64,
-    /// Per-rank time/traffic accounting.
+    /// Per-rank time/traffic accounting: virtual seconds on the sim
+    /// backend, measured wall seconds on the native backend.
     pub ranks: Vec<RankStats>,
     /// The resolved absolute minimum support count.
     pub min_count: u64,
-    /// Per-rank wall-clock timings, indexed by rank; empty unless the run
-    /// used [`armine_mpsim::ExecBackend::Native`].
-    pub wall: Vec<WallTimings>,
+    /// `ranks`' `busy` and `idle` under the probe's names, one per rank
+    /// on the native backend, empty on sim.
+    #[doc(hidden)]
+    pub wall: Vec<WallTimings>, // benchmark-contract shim
     /// The run's labeled metrics snapshot: every ledger above, re-plumbed
     /// as named series (see `armine_metrics::names`) under the run's base
     /// labels.

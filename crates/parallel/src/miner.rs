@@ -12,6 +12,7 @@ use armine_core::counter::CounterStats;
 use armine_core::Dataset;
 use armine_mpsim::{
     ClusterProfile, ExecBackend, FaultPlan, MachineProfile, SimResult, Simulator, Topology,
+    WallTimings,
 };
 use std::sync::Arc;
 
@@ -129,7 +130,7 @@ impl ParallelMiner {
 
     /// Selects the execution backend: virtual-time simulation (the
     /// default) or native wall-clock execution, where the same pass
-    /// drivers run at full hardware speed and [`ParallelRun::wall`]
+    /// drivers run at full hardware speed and [`ParallelRun::ranks`]
     /// carries per-rank measured timings. Fault plans run on both
     /// backends: injected on the virtual clock under sim, for real
     /// (thread deaths, sleeps, retransmit timers) under native.
@@ -317,12 +318,7 @@ fn assemble(
     result: SimResult<Option<RankOutput>>,
 ) -> Option<ParallelRun> {
     let response_time = result.response_time();
-    let SimResult {
-        results,
-        ranks,
-        wall,
-        ..
-    } = result;
+    let SimResult { results, ranks } = result;
     // `(rank, output)` of every survivor: the registry labels each
     // counting ledger with the rank that kept it.
     let mut survivors: Vec<(usize, RankOutput)> = results
@@ -371,7 +367,6 @@ fn assemble(
         &meta,
         &survivors,
         &ranks,
-        &wall,
         &passes,
         response_time,
         frequent.len(),
@@ -382,9 +377,19 @@ fn assemble(
         frequent,
         passes,
         response_time,
-        ranks,
         min_count,
-        wall,
+        // Filled before `ranks` moves in.
+        wall: match meta.backend {
+            ExecBackend::Sim => Vec::new(),
+            ExecBackend::Native => ranks
+                .iter()
+                .map(|r| WallTimings {
+                    counting: r.busy,
+                    exchange: r.idle,
+                })
+                .collect(),
+        },
+        ranks,
         metrics,
     })
 }

@@ -2,10 +2,11 @@
 //!
 //! There is one recording site: after the join, [`finish_snapshot`]
 //! records everything the host assembles anyway — the survivors'
-//! per-(rank, pass) counting ledgers (`RankPass::stats`, kept only for
-//! **committed** passes, so aborted crash-recovery attempts never
-//! pollute the series), per-rank `RankStats`, native `WallTimings`,
-//! per-pass aggregates, and whole-run scalars. The result is one
+//! per-(rank, pass) counting ledgers and pass times (`RankPass::stats`
+//! and `RankPass::clock_end`, kept only for **committed** passes, so
+//! aborted crash-recovery attempts never pollute the series), per-rank
+//! `RankStats` (the one per-rank time record, virtual on sim and wall on
+//! native), per-pass aggregates, and whole-run scalars. The result is one
 //! [`MetricsSnapshot`] whose base labels identify the run (`algorithm`,
 //! `backend`, `counter`, `fault_plan`, `procs`).
 //!
@@ -18,7 +19,7 @@ use crate::common::RankOutput;
 use crate::metrics::ParallelPassMetrics;
 use armine_core::counter::CounterBackend;
 use armine_metrics::{names, Labels, MetricShard, MetricsSnapshot};
-use armine_mpsim::{ExecBackend, RankStats, WallTimings};
+use armine_mpsim::{ExecBackend, RankStats};
 
 /// The run-identifying base labels stamped onto every series.
 pub(crate) struct RunMeta {
@@ -36,29 +37,30 @@ pub(crate) struct RunMeta {
 /// `survivors` pairs each surviving rank's index with its output. All
 /// seven ledger fields are recorded per (rank, pass), zeros included,
 /// so the series set is identical across backends and the conformance
-/// suite can reconcile field-for-field. Crashed ranks contribute no
-/// ledger (matching the survivor-only `CounterStats` aggregation), but
-/// their [`RankStats`] — like every rank's — are recorded here, so fault
-/// counters and traffic totals cover the whole machine.
+/// suite can reconcile field-for-field, and so is the pass's time: from
+/// the rank's previous commit (0 for the first pass) to this one.
+/// Crashed ranks contribute no ledger (matching the survivor-only
+/// `CounterStats` aggregation), but their [`RankStats`] — like every
+/// rank's — are recorded here, so fault counters and traffic totals
+/// cover the whole machine.
 pub(crate) fn finish_snapshot(
     meta: &RunMeta,
     survivors: &[(usize, RankOutput)],
     ranks: &[RankStats],
-    wall: &[WallTimings],
     passes: &[ParallelPassMetrics],
     response_time: f64,
     total_frequent: usize,
 ) -> MetricsSnapshot {
     let mut shard = MetricShard::new();
     for (rank, output) in survivors {
+        let mut prev_end = 0.0;
         for pass in &output.passes {
+            let at = || Labels::new().with("rank", rank).with("pass", pass.k);
             for (field, value) in pass.stats.named_fields() {
-                shard.incr(
-                    &names::counting(field),
-                    Labels::new().with("rank", rank).with("pass", pass.k),
-                    value,
-                );
+                shard.incr(&names::counting(field), at(), value);
             }
+            shard.set_gauge(names::RANK_PASS_SECONDS, at(), pass.clock_end - prev_end);
+            prev_end = pass.clock_end;
         }
     }
     for (rank, rs) in ranks.iter().enumerate() {
@@ -68,25 +70,6 @@ pub(crate) fn finish_snapshot(
         }
         for (field, count) in rs.named_counters() {
             shard.incr(&names::rank_counter(field), at(), count);
-        }
-        shard.observe(names::RUN_RANK_CLOCK_SECONDS, Labels::new(), rs.clock);
-    }
-    for (rank, wt) in wall.iter().enumerate() {
-        for (field, seconds) in wt.named_times() {
-            shard.set_gauge(
-                &names::wall_time(field),
-                Labels::new().with("rank", rank),
-                seconds,
-            );
-        }
-        // A crash-retried pass appears twice in pass_starts; the gauge
-        // keeps the last (committed) attempt's duration.
-        for (pass, seconds) in wt.pass_durations() {
-            shard.set_gauge(
-                names::WALL_PASS_SECONDS,
-                Labels::new().with("rank", rank).with("pass", pass),
-                seconds,
-            );
         }
     }
     for p in passes {

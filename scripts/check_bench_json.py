@@ -5,9 +5,9 @@ Checks the schema contract of ``armine_metrics::json::BenchDocument``:
 
 * ``schema_version`` is exactly 1;
 * ``benchmark`` is a non-empty string and ``metrics`` a non-empty list;
-* every series has a name, a known kind, and canonical label keys only;
-* counters are non-negative integers, gauges are numbers, histograms
-  carry ``count``/``sum``/``min``/``max``;
+* every series has a name and canonical label keys only;
+* the kind is ``counter`` or ``gauge``, the only two the registry has;
+* counters are non-negative integers, gauges are numbers;
 * with ``--require-run-labels``, every series also carries the
   run-identifying base labels a ``ParallelRun`` snapshot stamps
   (``algorithm``, ``backend``, ``counter``, ``fault_plan``, ``procs``).
@@ -30,7 +30,7 @@ LABEL_KEYS = [
     "pass",
 ]
 RUN_BASE_LABELS = {"algorithm", "backend", "counter", "fault_plan", "procs"}
-KINDS = {"counter", "gauge", "histogram"}
+KINDS = {"counter", "gauge"}
 
 
 def fail(msg):
@@ -57,13 +57,8 @@ def check_series(i, m):
         v = m.get("value")
         if not isinstance(v, int) or v < 0:
             fail(f"{where}: counter value must be a non-negative integer, got {v!r}")
-    elif kind == "gauge":
-        if not isinstance(m.get("value"), (int, float)):
-            fail(f"{where}: gauge value must be a number")
-    else:
-        for field in ("count", "sum", "min", "max"):
-            if field not in m:
-                fail(f"{where}: histogram missing {field!r}")
+    elif not isinstance(m.get("value"), (int, float)):
+        fail(f"{where}: gauge value must be a number")
     return labels
 
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""The simplicity scoreboard: production lines, test lines and public items.
+"""The simplicity scoreboard: production lines, test lines, public items and
+benchmark-contract shims.
 
 With no arguments, one row per workspace crate (`crates/*` and the root
 package) and a total. With paths, one row per given `.rs` file and a total.
@@ -9,6 +10,8 @@ impl, up to its closing brace); the rest are test lines, and so is every line
 of a file whose own `mod` declaration is `#[cfg(test)]`-gated and of
 everything under a crate's `tests/`. Public items are
 `pub fn|struct|enum|trait|mod|const` declarations in the production part.
+Shims are production lines marked `// benchmark-contract shim`: items kept
+only because `benchmark/` still calls them, a legacy twin each.
 """
 import re
 import sys
@@ -16,6 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PUB_ITEM = re.compile(r"^\s*pub (?:const )?(?:unsafe )?(fn|struct|enum|trait|mod|const)\b")
+SHIM = "// benchmark-contract shim"
 MOD = re.compile(r"^\s*(?:pub(?:\([^)]*\))? )?mod (\w+)\s*([;{])")
 
 
@@ -53,14 +57,15 @@ def gated_items(lines):
 
 
 def score(path, all_test=False):
-    """(production lines, test lines, public items) of one source file."""
+    """(production lines, test lines, public items, shims) of one source file."""
     lines = path.read_text().splitlines()
     opens_test_mod = (n for n, _, body in gated_mods(lines) if body)
     cut = 0 if all_test else next(opens_test_mod, len(lines))
     gated = {n for item in gated_items(lines[:cut]) for n in item}
     production = [line for n, line in enumerate(lines[:cut]) if n not in gated]
     public = sum(1 for line in production if PUB_ITEM.match(line))
-    return len(production), len(lines) - len(production), public
+    shims = sum(1 for line in production if SHIM in line)
+    return len(production), len(lines) - len(production), public, shims
 
 
 def test_only_files(src):
@@ -93,9 +98,9 @@ def main(paths):
         rows = list(crate_rows())
     rows.append(("total", tuple(map(sum, zip(*(r[1] for r in rows))))))
     width = max(len(name) for name, _ in rows)
-    print(f"{'':{width}}  {'production':>10}  {'test':>7}  {'pub items':>9}")
-    for name, (production, test, public) in rows:
-        print(f"{name:{width}}  {production:>10}  {test:>7}  {public:>9}")
+    print(f"{'':{width}}  {'production':>10}  {'test':>7}  {'pub items':>9}  {'shims':>5}")
+    for name, (production, test, public, shims) in rows:
+        print(f"{name:{width}}  {production:>10}  {test:>7}  {public:>9}  {shims:>5}")
 
 
 if __name__ == "__main__":

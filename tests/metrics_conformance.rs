@@ -1,19 +1,19 @@
 //! Metrics-registry conformance: every parallel run's labeled snapshot
 //! must reconcile **exactly** — bit-for-bit on floats, count-for-count
 //! on integers — with the legacy ledgers it is a view over
-//! (`RankStats`, per-pass `CounterStats`, `WallTimings`, the run
-//! scalars), across all nine formulations and both execution backends.
+//! (`RankStats`, per-pass `CounterStats`, the run scalars), across all
+//! nine formulations and both execution backends.
 //!
-//! The suite also pins the label discipline: every series carries the
-//! run's base labels (`algorithm`, `backend`, `counter`, `fault_plan`,
-//! `procs`), uses only canonical label keys, and the whole snapshot
-//! serializes through the schema-versioned exporter.
+//! The suite also pins the vocabulary: every series carries the run's
+//! base labels (`algorithm`, `backend`, `counter`, `fault_plan`,
+//! `procs`), uses only canonical label keys and announced names, and the
+//! whole snapshot serializes through the schema-versioned exporter.
 
 use armine::core::counter::CounterBackend;
 use armine::core::Dataset;
 use armine::datagen::QuestParams;
 use armine::metrics::json::BenchDocument;
-use armine::metrics::{names, LABEL_KEYS};
+use armine::metrics::{names, MetricsSnapshot, LABEL_KEYS};
 use armine::mpsim::{imbalance, CrashPoint, ExecBackend, FaultPlan};
 use armine::parallel::{Algorithm, ParallelMiner, ParallelParams, ParallelRun};
 use proptest::prelude::*;
@@ -32,6 +32,26 @@ const ALL_ALGORITHMS: [Algorithm; 9] = [
         filter_passes: 1,
     },
 ];
+
+/// Every whole series name `armine::metrics::names` declares.
+const ANNOUNCED_NAMES: [&str; 13] = [
+    names::RANK_PASS_SECONDS,
+    names::PASS_CANDIDATES,
+    names::PASS_COUNTED_CANDIDATES,
+    names::PASS_FREQUENT,
+    names::PASS_DB_SCANS,
+    names::PASS_TIME_SECONDS,
+    names::PASS_CANDIDATE_IMBALANCE,
+    names::RUN_RESPONSE_SECONDS,
+    names::RUN_FREQUENT,
+    names::RUN_RETRANSMITS,
+    names::RUN_TIMEOUTS,
+    names::RUN_RECOVERIES,
+    names::RUN_OVERHEAD_PCT,
+];
+
+/// The name prefixes `armine::metrics::names` declares for ledger fields.
+const ANNOUNCED_PREFIXES: [&str; 2] = [names::COUNTING_PREFIX, names::RANK_PREFIX];
 
 fn quest(n: usize, items: u32, patterns: usize, seed: u64) -> Dataset {
     QuestParams::paper_t15_i6()
@@ -65,6 +85,16 @@ fn assert_conforms(
         for (key, _) in series.labels.iter() {
             assert!(LABEL_KEYS.contains(&key), "non-canonical label {key:?}");
         }
+        let name = series.name.as_str();
+        assert!(
+            ANNOUNCED_NAMES.contains(&name)
+                || ANNOUNCED_PREFIXES.iter().any(|p| name.starts_with(p)),
+            "unannounced series name {name:?}"
+        );
+        assert!(
+            !name.starts_with("armine.wall.") && name != "armine.run.rank_clock_seconds",
+            "a second time record is back: {name:?}"
+        );
     }
 
     // Per-rank RankStats — every rank, crashed ones included.
@@ -91,13 +121,7 @@ fn assert_conforms(
         }
     }
 
-    // The rank-clock histogram covers every rank and brackets the ledger.
-    let clocks = snap
-        .histogram(names::RUN_RANK_CLOCK_SECONDS, &[])
-        .expect("rank-clock histogram missing");
-    assert_eq!(clocks.count, procs as u64);
-    let max_clock = run.ranks.iter().map(|r| r.clock).fold(f64::MIN, f64::max);
-    assert_eq!(clocks.max.to_bits(), max_clock.to_bits());
+    assert_pass_seconds_partition_the_survivors_clocks(run, snap);
 
     // Per-pass aggregates and the counting ledger.
     assert!(!run.passes.is_empty());
@@ -160,31 +184,66 @@ fn assert_conforms(
         legacy_imbalance.to_bits()
     );
 
-    // Wall-clock gauges exist exactly when the native backend ran.
-    if matches!(backend, ExecBackend::Native) {
-        assert_eq!(run.wall.len(), procs);
-        for (rank, wt) in run.wall.iter().enumerate() {
-            let r = rank.to_string();
-            for (field, seconds) in wt.named_times() {
-                assert_eq!(
-                    snap.gauge(&names::wall_time(field), &[("rank", &r)])
-                        .unwrap()
-                        .to_bits(),
-                    seconds.to_bits(),
-                    "rank {r} wall {field}"
-                );
-            }
-        }
-    } else {
-        assert!(snap
-            .gauge(&names::wall_time("total"), &[("rank", "0")])
-            .is_none());
-    }
-
     // The schema-versioned JSON exporter takes the whole snapshot: no
-    // value it refuses (non-finite), one entry per series.
+    // value it refuses (non-finite), one entry per series, and only the
+    // two kinds the registry has.
     let json = BenchDocument::new("conformance", snap.clone()).to_json();
     assert_eq!(json.matches("\n      \"name\": ").count(), snap.len());
+    let kinds =
+        json.matches("\"kind\": \"counter\"").count() + json.matches("\"kind\": \"gauge\"").count();
+    assert_eq!(kinds, snap.len(), "a series of another kind was exported");
+}
+
+/// `armine.rank.pass_seconds{rank, pass}` holds one time per committed
+/// pass of each survivor, on both backends: the rank's clock from its
+/// previous commit (0 before the first) to this one. So a survivor's
+/// passes sum to its last commit, which is no later than its final
+/// clock, and the slowest survivor's running sum is where the per-pass
+/// aggregate `ParallelPassMetrics::time` puts each pass's end. Sums are
+/// compared with a tolerance: the differences do not telescope exactly
+/// in `f64`.
+fn assert_pass_seconds_partition_the_survivors_clocks(run: &ParallelRun, snap: &MetricsSnapshot) {
+    let keys = |name: &str| -> Vec<(usize, usize)> {
+        snap.select(name, &[])
+            .map(|s| {
+                let label = |key| s.labels.get(key).unwrap().parse().unwrap();
+                (label("rank"), label("pass"))
+            })
+            .collect()
+    };
+    // The same (rank, pass) pairs as the survivors' counting ledgers.
+    let timed = keys(names::RANK_PASS_SECONDS);
+    assert_eq!(timed, keys(&names::counting("inserts")));
+    let mut survivors: Vec<usize> = timed.iter().map(|&(rank, _)| rank).collect();
+    survivors.dedup();
+    let mut pass_ends = vec![0.0f64; run.passes.len()];
+    for rank in survivors {
+        let r = rank.to_string();
+        let mut end = 0.0;
+        for (p, pass_end) in run.passes.iter().zip(&mut pass_ends) {
+            let k = p.k.to_string();
+            let seconds = snap
+                .gauge(names::RANK_PASS_SECONDS, &[("rank", &r), ("pass", &k)])
+                .unwrap_or_else(|| panic!("rank {r} has no time for pass {k}"));
+            assert!(seconds >= 0.0, "rank {r} pass {k}: {seconds}");
+            end += seconds;
+            *pass_end = pass_end.max(end);
+        }
+        let clock = run.ranks[rank].clock;
+        assert!(
+            end <= clock + 1e-9,
+            "rank {r}: passes {end} > clock {clock}"
+        );
+    }
+    let mut end = 0.0;
+    for (p, &slowest) in run.passes.iter().zip(&pass_ends) {
+        end += p.time;
+        assert!(
+            (slowest - end).abs() <= 1e-9 * end.max(1.0),
+            "pass {}: slowest rank {slowest} vs aggregate {end}",
+            p.k
+        );
+    }
 }
 
 proptest! {
