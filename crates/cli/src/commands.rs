@@ -1,4 +1,5 @@
-//! The `gen`, `mine`, `parallel`, and `model` subcommands.
+//! The `gen`, `mine`, `parallel`, `model`, `stats`, and `summary`
+//! subcommands.
 
 use crate::args::{ArgError, Args};
 use armine_core::apriori::{Apriori, AprioriParams, FrequentItemsets, MinSupport};
@@ -100,6 +101,22 @@ fn in_range<T: std::fmt::Display>(
 
 fn fraction(flag: &str, value: f64) -> Result<f64, ArgError> {
     in_range(flag, value, |f| (0.0..=1.0).contains(f), "0.0 to 1.0")
+}
+
+/// The most ranks `parallel` runs: every rank is an OS thread.
+const MAX_PROCS: usize = 1024;
+
+/// The largest PDM bucket table: every rank holds one `u64` per bucket.
+const MAX_BUCKETS: usize = 1 << 24;
+
+/// A count from 1 to `max`.
+fn one_to(flag: &str, value: usize, max: usize) -> Result<usize, ArgError> {
+    in_range(
+        flag,
+        value,
+        |v| (1..=max).contains(v),
+        &format!("1 to {max}"),
+    )
 }
 
 fn at_least_one<T: std::fmt::Display + PartialOrd + From<u8>>(
@@ -256,7 +273,7 @@ const ALGORITHMS: [Named<MakeAlgorithm>; 9] = [
     }),
     ("pdm", |args| {
         Ok(Algorithm::Pdm {
-            buckets: at_least_one("buckets", args.or_default("buckets", 1usize << 15)?)?,
+            buckets: one_to("buckets", args.or_default("buckets", 1 << 15)?, MAX_BUCKETS)?,
             filter_passes: args.or_default("filter-passes", 1)?,
         })
     }),
@@ -294,8 +311,8 @@ fn parse_counter(args: &Args) -> Result<CounterBackend, ArgError> {
 }
 
 fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
+    let procs = one_to("procs", args.required("procs")?, MAX_PROCS)?;
     let input: String = args.required("input")?;
-    let procs: usize = at_least_one("procs", args.required("procs")?)?;
     let algorithm = parse_algorithm(args)?;
     let machine_arg: Option<String> = args.optional("machine")?;
     let cluster_path: Option<String> = args.optional("cluster")?;
@@ -915,6 +932,28 @@ mod tests {
                 ],
                 "--eld-permille",
                 "5000",
+            ),
+            (
+                with(
+                    &pdm,
+                    &[
+                        "--procs",
+                        "2",
+                        "--min-count",
+                        "3",
+                        "--buckets",
+                        "18446744073709551615",
+                    ],
+                ),
+                "--buckets",
+                "18446744073709551615",
+            ),
+            // No input: a bound that let 1025 through would fail on the
+            // message before it started a rank.
+            (
+                vec!["parallel", "--algorithm", "cd", "--procs", "1025"],
+                "--procs",
+                "1025",
             ),
         ];
         for (parts, flag, value) in &cases {

@@ -7,6 +7,8 @@
 //! armine mine     --input db.txt --min-support 0.01 [--rules 0.8] [--max-k 4] ...
 //! armine parallel --input db.txt --algorithm hd --procs 64 --min-support 0.01 ...
 //! armine model    --n 1300000 --m 700000 --c 455 --s 16 --procs 64
+//! armine stats    --input db.txt [--top 10]
+//! armine summary  --input db.txt --min-support 0.01 [--kind closed]
 //! ```
 //!
 //! The argument parser is hand-rolled (and unit-tested) to keep the

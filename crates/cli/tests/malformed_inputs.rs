@@ -94,8 +94,9 @@ fn malformed_datasets_exit_2_with_an_error_line() {
 /// rank thread), a support count of zero, limits of zero and a per-mille
 /// above 1000 that were silently read as another value, three plan
 /// timers that reached the metrics registry's finiteness check, and plan
-/// and cluster values too large for the native clock to sleep out, on
-/// both backends.
+/// and cluster values too large for the native clock to sleep out, and a
+/// bucket table and a rank count too large to allocate or start, on both
+/// backends.
 #[test]
 fn out_of_range_flags_and_plan_timers_exit_2_with_an_error_line() {
     let dir = std::env::temp_dir().join("armine_cli_malformed_flags");
@@ -112,7 +113,10 @@ fn out_of_range_flags_and_plan_timers_exit_2_with_an_error_line() {
     let mut cases = vec![format!("{gen} --patterns 0")];
     cases.extend(["0", "-1", "nan", "inf"].map(|mean| format!("{gen} --avg-len {mean}")));
     cases.extend(["0", "-4", "nan"].map(|procs| format!("{model} --procs {procs}")));
-    cases.extend(backends.map(|b| format!("{parallel} --algorithm pdm --buckets 0 --backend {b}")));
+    for buckets in ["0", "18446744073709551615"] {
+        let pdm = format!("{parallel} --algorithm pdm --buckets {buckets}");
+        cases.extend(backends.map(|b| format!("{pdm} --backend {b}")));
+    }
     // Support 0 makes every id of the universe "frequent".
     let zero = format!("--input {db} --min-count 0");
     cases.extend(["mine", "summary"].map(|sub| format!("{sub} {zero}")));
@@ -128,6 +132,17 @@ fn out_of_range_flags_and_plan_timers_exit_2_with_an_error_line() {
     cases.push(format!("{parallel} --algorithm hpa --eld-permille 5000"));
     for case in &cases {
         assert_refused(armine().args(case.split_whitespace()), case);
+    }
+    // No input: a bound that let 1025 through would name `--input` instead
+    // of starting 1025 rank threads.
+    for backend in backends {
+        let case =
+            format!("parallel --algorithm cd --procs 1025 --min-count 1 --backend {backend}");
+        let stderr = assert_refused(armine().args(case.split_whitespace()), &case);
+        assert!(
+            stderr.contains("--procs: invalid value 1025"),
+            "{case}: {stderr}"
+        );
     }
 
     // The last five passed validation, and the native clock panicked

@@ -148,7 +148,7 @@ impl FrequentItemsets {
     /// The support count of the itemset with these strictly ascending
     /// items, `None` if not frequent: a binary search in
     /// `F_{items.len()}`, with no `ItemSet` built to ask.
-    pub fn support_of(&self, items: &[Item]) -> Option<u64> {
+    fn support_of(&self, items: &[Item]) -> Option<u64> {
         Some(self.level(items.len())[self.position(items)?].1)
     }
 
@@ -371,7 +371,7 @@ pub(crate) fn count_candidates(
 /// anti-monotonicity prune). The output is lexicographically sorted, so
 /// candidate *indices* mean the same candidate on every processor and CD's
 /// count reduction can sum plain vectors. (The miners write the same rows
-/// straight into one arena with [`candidate_arena`] instead of boxing them.)
+/// straight into one arena with `candidate_arena` instead of boxing them.)
 pub fn apriori_gen(prev: &[ItemSet]) -> Vec<ItemSet> {
     let mut sets = Vec::new();
     candidate_arena(prev, ItemSet::items, |row| {
@@ -385,7 +385,7 @@ pub fn apriori_gen(prev: &[ItemSet]) -> Vec<ItemSet> {
 /// join goes to the tail, is pruned there and is truncated if it fails.
 /// `keep` sees the arena after each survivor (its last `k` items), and may
 /// take it or truncate that row away.
-pub fn candidate_arena<T>(
+pub(crate) fn candidate_arena<T>(
     prev: &[T],
     items: impl Fn(&T) -> &[Item],
     mut keep: impl FnMut(&mut Vec<Item>),
@@ -442,6 +442,7 @@ mod tests {
     use super::*;
     use crate::dataset::Dataset;
     use crate::transaction::k_subsets;
+    use proptest::prelude::*;
     use std::collections::{HashMap, HashSet};
 
     fn set(ids: &[u32]) -> ItemSet {
@@ -797,5 +798,42 @@ mod tests {
         let run = Apriori::new(AprioriParams::with_min_support_count(1)).mine(&[tx(1, &[2, 4, 6])]);
         assert_eq!(run.frequent.len(), 7, "all 2^3 - 1 subsets frequent");
         assert_eq!(run.frequent.max_len(), 3);
+    }
+
+    /// Strategy: a transaction as a set of item ids below `universe`.
+    fn arb_transaction(universe: u32, max_len: usize) -> impl Strategy<Value = Vec<u32>> {
+        prop::collection::btree_set(0..universe, 0..=max_len).prop_map(|s| s.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Support is anti-monotone over the discovered lattice:
+        /// X ⊆ Y ⇒ σ(X) ≥ σ(Y).
+        #[test]
+        fn support_anti_monotonicity(
+            raw_txs in prop::collection::vec(arb_transaction(12, 8), 1..30),
+            min_count in 1u64..4,
+        ) {
+            let txs: Vec<Transaction> = raw_txs
+                .iter()
+                .enumerate()
+                .map(|(i, ids)| tx(i as u64, ids))
+                .collect();
+            let run = Apriori::new(AprioriParams::with_min_support_count(min_count)).mine(&txs);
+            let all: Vec<(&ItemSet, u64)> = run.frequent.iter().collect();
+            for (x, cx) in &all {
+                for (y, cy) in &all {
+                    if x.is_subset_of(y) {
+                        prop_assert!(cx >= cy, "{} ⊆ {} but {} < {}", x, y, cx, cy);
+                    }
+                }
+            }
+            // And every frequent count is the true count.
+            for (s, c) in &all {
+                let want = txs.iter().filter(|t| t.contains_set(s)).count() as u64;
+                prop_assert_eq!(*c, want);
+            }
+        }
     }
 }

@@ -23,11 +23,11 @@ use std::collections::HashSet;
 
 /// The result of packing weighted units into bins.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Packing {
+pub(crate) struct Packing {
     /// `assignment[u]` = bin of unit `u`.
-    pub assignment: Vec<usize>,
+    pub(crate) assignment: Vec<usize>,
     /// Total weight per bin.
-    pub loads: Vec<u64>,
+    pub(crate) loads: Vec<u64>,
 }
 
 impl Packing {
@@ -37,7 +37,7 @@ impl Packing {
     /// bins, so a packing where one bin holds everything and the rest are
     /// unused (e.g. more processors than first-item groups) reports 0, not
     /// `P − 1`.
-    pub fn imbalance(&self) -> f64 {
+    pub(crate) fn imbalance(&self) -> f64 {
         let total: u64 = self.loads.iter().sum();
         if total == 0 || self.loads.is_empty() {
             return 0.0;
@@ -52,7 +52,7 @@ impl Packing {
 /// Longest-Processing-Time greedy packing: sort units by weight descending,
 /// repeatedly assign to the least-loaded bin. Deterministic: ties broken by
 /// unit index then bin index.
-pub fn pack_lpt(weights: &[u64], bins: usize) -> Packing {
+pub(crate) fn pack_lpt(weights: &[u64], bins: usize) -> Packing {
     assert!(bins > 0, "need at least one bin");
     let mut order: Vec<usize> = (0..weights.len()).collect();
     order.sort_by_key(|&u| (std::cmp::Reverse(weights[u]), u));
@@ -82,7 +82,7 @@ pub fn pack_lpt(weights: &[u64], bins: usize) -> Packing {
 /// the uniform case is detected and routed through the integer
 /// `(load, bin)` comparison, so no float division can perturb a
 /// homogeneous packing.
-pub fn pack_lpt_weighted(weights: &[u64], capacities: &[f64]) -> Packing {
+pub(crate) fn pack_lpt_weighted(weights: &[u64], capacities: &[f64]) -> Packing {
     assert!(!capacities.is_empty(), "need at least one bin");
     assert!(
         capacities.iter().all(|&c| c.is_finite() && c > 0.0),
@@ -288,6 +288,7 @@ pub fn partition_two_level(
 mod tests {
     use super::*;
     use crate::itemset::ItemSet;
+    use proptest::prelude::*;
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from(ids)
@@ -566,6 +567,115 @@ mod tests {
                 .collect();
             owned.sort_unstable();
             assert_eq!(owned, (0..cands.len()).collect::<Vec<_>>());
+        }
+    }
+
+    /// Strategy: a sorted candidate itemset of exactly `k` distinct items.
+    fn arb_candidate(universe: u32, k: usize) -> impl Strategy<Value = Vec<u32>> {
+        prop::collection::btree_set(0..universe, k).prop_map(|s| s.into_iter().collect())
+    }
+
+    fn to_itemsets(raw: &[Vec<u32>]) -> Vec<ItemSet> {
+        let mut sets: Vec<ItemSet> = raw
+            .iter()
+            .map(|ids| ItemSet::new(ids.iter().map(|&x| Item(x)).collect()))
+            .collect();
+        sets.sort();
+        sets.dedup();
+        sets
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A partition plan's shares cover every candidate exactly once,
+        /// whatever the strategy, the capacities and the split threshold:
+        /// pairwise disjoint, union `C_k`, each sorted. A share is exactly
+        /// what its filter owns (the ownership partitioners; round-robin's
+        /// filters own everything and its shares are the strides), and the
+        /// plan's imbalance is the one the share lengths give.
+        #[test]
+        fn partitions_are_exact_covers(
+            raw_cands in prop::collection::vec(arb_candidate(20, 3), 1..60),
+            procs in 1usize..9,
+            skew in prop::collection::vec(1u32..6, 8),
+            skewed in 0u8..2,
+            split_threshold in 0u64..6,
+        ) {
+            let cands = to_itemsets(&raw_cands);
+            let capacities: Vec<f64> = (0..procs)
+                .map(|i| if skewed == 1 { f64::from(skew[i]) / 2.0 } else { 1.0 })
+                .collect();
+            let plans = [
+                (partition_round_robin(&cands, procs), false),
+                (partition_by_first_item(&cands, 20, &capacities), true),
+                (partition_two_level(&cands, 20, &capacities, split_threshold), true),
+            ];
+            for (part, by_ownership) in plans {
+                prop_assert_eq!(part.num_procs(), procs);
+                let shares = shares(&part, &cands);
+                for (proc, share) in shares.iter().enumerate() {
+                    prop_assert!(share.windows(2).all(|w| w[0] < w[1]), "unsorted: {:?}", share);
+                    if by_ownership {
+                        let owned: Vec<ItemSet> =
+                            cands.iter().filter(|c| part.filters[proc].owns(c.items())).cloned().collect();
+                        prop_assert_eq!(share, &owned);
+                    } else {
+                        let stride: Vec<ItemSet> =
+                            cands.iter().skip(proc).step_by(procs).cloned().collect();
+                        prop_assert_eq!(share, &stride);
+                        prop_assert!(part.filters[proc].is_all());
+                    }
+                }
+                // Sorted and duplicate-free once merged: disjoint, union C_k.
+                let mut all: Vec<ItemSet> = shares.iter().flatten().cloned().collect();
+                all.sort();
+                prop_assert_eq!(&all, &cands);
+                let loads = shares.iter().map(|s| s.len() as u64).collect();
+                let by_length = Packing { assignment: Vec::new(), loads }.imbalance();
+                prop_assert_eq!(part.imbalance, by_length);
+            }
+        }
+
+        /// LPT packing never loses weight and respects the 4/3 OPT bound
+        /// against the trivial lower bounds max(w_max, total/bins).
+        #[test]
+        fn lpt_bounds(
+            weights in prop::collection::vec(0u64..1000, 1..50),
+            bins in 1usize..10,
+        ) {
+            let p = pack_lpt(&weights, bins);
+            let total: u64 = weights.iter().sum();
+            prop_assert_eq!(p.loads.iter().sum::<u64>(), total);
+            let lower = (*weights.iter().max().unwrap()).max(total.div_ceil(bins as u64));
+            let max_load = *p.loads.iter().max().unwrap();
+            // LPT ≤ 4/3·OPT + ... ; use the safe bound 4/3·lower + max weight.
+            prop_assert!(
+                max_load * 3 <= lower * 4 + 3 * *weights.iter().max().unwrap(),
+                "max load {} vs lower bound {}",
+                max_load,
+                lower
+            );
+        }
+
+        /// Capacity-weighted packing is an exact cover for any positive
+        /// capacities, and uniform capacities reproduce plain LPT bit for bit
+        /// (the homogeneous-goldens guarantee).
+        #[test]
+        fn weighted_packing_covers_and_degenerates_to_lpt(
+            weights in prop::collection::vec(0u64..1000, 1..50),
+            caps in prop::collection::vec(1u32..16, 1..10),
+            uniform_cap in 1u32..16,
+        ) {
+            let caps: Vec<f64> = caps.iter().map(|&c| f64::from(c)).collect();
+            let p = pack_lpt_weighted(&weights, &caps);
+            prop_assert_eq!(p.loads.iter().sum::<u64>(), weights.iter().sum::<u64>());
+            prop_assert_eq!(p.assignment.len(), weights.len());
+            let bins = caps.len();
+            let u = pack_lpt_weighted(&weights, &vec![f64::from(uniform_cap); bins]);
+            let plain = pack_lpt(&weights, bins);
+            prop_assert_eq!(u.assignment, plain.assignment);
+            prop_assert_eq!(u.loads, plain.loads);
         }
     }
 }

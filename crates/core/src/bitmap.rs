@@ -8,14 +8,14 @@ use crate::item::Item;
 
 /// A fixed-universe bit set indexed by [`Item`] id.
 #[derive(Clone, PartialEq, Eq)]
-pub struct ItemBitmap {
+pub(crate) struct ItemBitmap {
     words: Vec<u64>,
     num_items: u32,
 }
 
 impl ItemBitmap {
     /// An all-zero bitmap over `0..num_items`.
-    pub fn new(num_items: u32) -> Self {
+    pub(crate) fn new(num_items: u32) -> Self {
         ItemBitmap {
             words: vec![0; (num_items as usize).div_ceil(64)],
             num_items,
@@ -23,7 +23,8 @@ impl ItemBitmap {
     }
 
     /// Builds a bitmap with the given items set.
-    pub fn from_items<I: IntoIterator<Item = Item>>(num_items: u32, items: I) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_items<I: IntoIterator<Item = Item>>(num_items: u32, items: I) -> Self {
         let mut bm = ItemBitmap::new(num_items);
         for item in items {
             bm.insert(item);
@@ -32,7 +33,7 @@ impl ItemBitmap {
     }
 
     /// The universe size.
-    pub fn num_items(&self) -> u32 {
+    pub(crate) fn num_items(&self) -> u32 {
         self.num_items
     }
 
@@ -40,7 +41,7 @@ impl ItemBitmap {
     ///
     /// # Panics
     /// If `item` is outside the universe.
-    pub fn insert(&mut self, item: Item) {
+    pub(crate) fn insert(&mut self, item: Item) {
         assert!(item.id() < self.num_items, "item {item} out of universe");
         self.words[item.index() / 64] |= 1u64 << (item.index() % 64);
     }
@@ -48,7 +49,7 @@ impl ItemBitmap {
     /// Whether the bit for `item` is set. Items outside the universe are
     /// never contained.
     #[inline]
-    pub fn contains(&self, item: Item) -> bool {
+    pub(crate) fn contains(&self, item: Item) -> bool {
         if item.id() >= self.num_items {
             return false;
         }
@@ -56,17 +57,19 @@ impl ItemBitmap {
     }
 
     /// Number of set bits.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether no bits are set.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 
     /// Iterates over the set items in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = Item> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Item> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &word)| {
             let mut w = word;
             std::iter::from_fn(move || {
@@ -79,12 +82,6 @@ impl ItemBitmap {
             })
         })
     }
-
-    /// Size in bytes when shipped between processors (what broadcasting the
-    /// ownership bitmaps costs in the IDD setup phase).
-    pub fn wire_size(&self) -> usize {
-        8 * self.words.len() + 4
-    }
 }
 
 /// Wide-word kernels over raw `u64` blocks — the inner loops of the
@@ -93,33 +90,33 @@ impl ItemBitmap {
 /// a support count is one popcount sweep. All kernels return or consume
 /// plain slices so callers can account the touched word count exactly
 /// (that count is what `CounterStats::intersection_words` prices).
-pub mod words {
+pub(crate) mod words {
     /// Number of `u64` words needed to hold `bits` bits.
-    pub fn words_for(bits: usize) -> usize {
+    pub(crate) fn words_for(bits: usize) -> usize {
         bits.div_ceil(64)
     }
 
     /// Sets bit `i` in a block.
     #[inline]
-    pub fn set_bit(block: &mut [u64], i: usize) {
+    pub(crate) fn set_bit(block: &mut [u64], i: usize) {
         block[i / 64] |= 1u64 << (i % 64);
     }
 
     /// Whether bit `i` is set in a block.
     #[inline]
-    pub fn test_bit(block: &[u64], i: usize) -> bool {
+    pub(crate) fn test_bit(block: &[u64], i: usize) -> bool {
         block[i / 64] & (1u64 << (i % 64)) != 0
     }
 
     /// `a AND b` into a fresh block. Blocks must be the same length.
-    pub fn and(a: &[u64], b: &[u64]) -> Vec<u64> {
+    pub(crate) fn and(a: &[u64], b: &[u64]) -> Vec<u64> {
         debug_assert_eq!(a.len(), b.len(), "block length mismatch");
         a.iter().zip(b).map(|(&x, &y)| x & y).collect()
     }
 
     /// Popcount of `a AND b` without materializing the intersection — the
     /// final step of a candidate evaluation.
-    pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
+    pub(crate) fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
         debug_assert_eq!(a.len(), b.len(), "block length mismatch");
         a.iter()
             .zip(b)
@@ -128,7 +125,7 @@ pub mod words {
     }
 
     /// Popcount of one block.
-    pub fn popcount(block: &[u64]) -> u64 {
+    pub(crate) fn popcount(block: &[u64]) -> u64 {
         block.iter().map(|w| w.count_ones() as u64).sum()
     }
 }
@@ -175,13 +172,6 @@ mod tests {
         let bm = ItemBitmap::from_items(200, [Item(5), Item(190), Item(63), Item(64)]);
         let items: Vec<u32> = bm.iter().map(Item::id).collect();
         assert_eq!(items, vec![5, 63, 64, 190]);
-    }
-
-    #[test]
-    fn wire_size_rounds_to_words() {
-        assert_eq!(ItemBitmap::new(1).wire_size(), 12);
-        assert_eq!(ItemBitmap::new(64).wire_size(), 12);
-        assert_eq!(ItemBitmap::new(65).wire_size(), 20);
     }
 
     #[test]

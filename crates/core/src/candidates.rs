@@ -61,7 +61,7 @@ impl AsRef<[Item]> for Row<'_> {
 impl Candidates {
     /// `C_k` generated from `prev`, the sorted `F_{k−1}` (rows read by
     /// `items`): `F₁ × F₁` at `k = 2`, the join + prune arena of
-    /// [`candidate_arena`] after.
+    /// `candidate_arena` after.
     ///
     /// # Panics
     /// If `k < 2`.

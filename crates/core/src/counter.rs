@@ -92,20 +92,9 @@ pub struct CounterStats {
 }
 
 impl CounterStats {
-    /// The ledger's field names, in declaration order — the metric-name
-    /// suffixes the registry records under `armine.counting.<field>`.
-    pub const FIELD_NAMES: [&'static str; 7] = [
-        "inserts",
-        "transactions",
-        "root_starts",
-        "traversal_steps",
-        "distinct_leaf_visits",
-        "candidate_checks",
-        "intersection_words",
-    ];
-
-    /// Every field as a `(name, value)` pair, names matching
-    /// [`FIELD_NAMES`](Self::FIELD_NAMES). The exhaustive destructure
+    /// Every field as a `(name, value)` pair, in declaration order: the
+    /// names are the metric-name suffixes the registry records under
+    /// `armine.counting.<field>`. The exhaustive destructure
     /// makes forgetting a newly added field a compile error, the same
     /// guarantee [`merged`](Self::merged) gives the aggregation path.
     pub fn named_fields(&self) -> [(&'static str, u64); 7] {

@@ -177,7 +177,7 @@ impl Dataset {
     /// Per-item occurrence counts over the whole database — the first pass
     /// of Apriori (`F_1` computation) and the input to the IDD bin-packing
     /// partitioner's first-item statistics.
-    pub fn item_counts(&self) -> Vec<u64> {
+    pub(crate) fn item_counts(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.num_items as usize];
         for t in self.transactions.iter() {
             for item in t.items() {

@@ -172,6 +172,7 @@ impl Arena {
         self.leaves.len()
     }
 
+    #[cfg(test)]
     pub(super) fn occupied_leaves(&self) -> usize {
         self.leaves.iter().filter(|l| l.start < l.end).count()
     }

@@ -42,7 +42,7 @@ impl OwnershipFilter {
     }
 
     /// A first-item bitmap filter (IDD).
-    pub fn first_item(bitmap: ItemBitmap) -> Self {
+    pub(crate) fn first_item(bitmap: ItemBitmap) -> Self {
         OwnershipFilter {
             mode: Mode::FirstItem(bitmap),
         }
@@ -51,7 +51,7 @@ impl OwnershipFilter {
     /// A two-level filter: `owned_first` items are owned outright;
     /// `owned_pairs` enumerates the (first, second) combinations owned for
     /// first items that were split across processors.
-    pub fn two_level(owned_first: ItemBitmap, owned_pairs: HashSet<(Item, Item)>) -> Self {
+    pub(crate) fn two_level(owned_first: ItemBitmap, owned_pairs: HashSet<(Item, Item)>) -> Self {
         let num_items = owned_first.num_items();
         let mut split_first = ItemBitmap::new(num_items);
         for &(first, _) in &owned_pairs {
@@ -68,7 +68,7 @@ impl OwnershipFilter {
 
     /// Whether a candidate path may *start* with `item` at the tree root.
     #[inline]
-    pub fn allows_root(&self, item: Item) -> bool {
+    pub(crate) fn allows_root(&self, item: Item) -> bool {
         match &self.mode {
             Mode::All => true,
             Mode::FirstItem(bm) => bm.contains(item),
@@ -84,7 +84,7 @@ impl OwnershipFilter {
     /// at depth 1. Always true except for split first items in two-level
     /// mode.
     #[inline]
-    pub fn allows_second(&self, first: Item, second: Item) -> bool {
+    pub(crate) fn allows_second(&self, first: Item, second: Item) -> bool {
         match &self.mode {
             Mode::All | Mode::FirstItem(_) => true,
             Mode::TwoLevel {
@@ -114,7 +114,7 @@ impl OwnershipFilter {
     }
 
     /// Whether this filter prunes anything at all.
-    pub fn is_all(&self) -> bool {
+    pub(crate) fn is_all(&self) -> bool {
         matches!(self.mode, Mode::All)
     }
 }

@@ -117,8 +117,8 @@ const BATCH: usize = u64::BITS as usize;
 ///     ItemSet::from([1, 2]),
 ///     ItemSet::from([2, 5]),
 /// ]);
-/// tree.subset(&Transaction::new(1, vec![Item(1), Item(2), Item(3)]),
-///             &OwnershipFilter::all());
+/// let t = Transaction::new(1, vec![Item(1), Item(2), Item(3)]);
+/// tree.count_all(&[t], &OwnershipFilter::all());
 /// assert_eq!(tree.count_of(&ItemSet::from([1, 2])), Some(1));
 /// assert_eq!(tree.count_of(&ItemSet::from([2, 5])), Some(0));
 /// ```
@@ -172,7 +172,8 @@ impl HashTree {
     }
 
     /// Average candidates per non-empty leaf (`S` of the analysis).
-    pub fn avg_leaf_occupancy(&self) -> f64 {
+    #[cfg(test)]
+    fn avg_leaf_occupancy(&self) -> f64 {
         match self.arena.occupied_leaves() {
             0 => 0.0,
             occupied => self.table.len() as f64 / occupied as f64,
@@ -185,7 +186,8 @@ impl HashTree {
     /// `filter` prunes starting items at the root (and optionally second
     /// items), implementing IDD's bitmap check. Use
     /// [`OwnershipFilter::all`] for the serial algorithm and CD/DD.
-    pub fn subset(&mut self, t: &Transaction, filter: &OwnershipFilter) {
+    #[cfg(test)]
+    fn subset(&mut self, t: &Transaction, filter: &OwnershipFilter) {
         self.count_batch(std::slice::from_ref(t), filter);
     }
 
@@ -413,7 +415,7 @@ mod tests {
     fn bitmap_filter_skips_non_owned_roots() {
         // Figure 8: processor owns candidates starting with 1, 3, 5 only.
         let mut owned = paper_tree();
-        let bitmap = crate::ItemBitmap::from_items(10, [Item(1), Item(3), Item(5)]);
+        let bitmap = ItemBitmap::from_items(10, [Item(1), Item(3), Item(5)]);
         let filter = OwnershipFilter::first_item(bitmap);
         let t = tx(&[1, 2, 3, 5, 6]);
         owned.subset(&t, &filter);
@@ -951,5 +953,51 @@ mod tests {
         assert_eq!(pinned.fan_out(2, 232_903), 3);
         let tree = HashTree::build(2, sized, (0..600).map(|i| set(&[i, i + 1])).collect());
         assert_eq!(tree.branching(), 9);
+    }
+
+    /// Section IV holds `S`, the candidates per leaf, constant as `M` grows.
+    /// The sized default must too: over uniform random pairs, a hundredfold
+    /// `M` leaves both the average leaf occupancy and the candidates checked
+    /// per visited leaf where they were (a fixed fan-out of 8 multiplies both
+    /// by a hundred).
+    #[test]
+    fn sized_fan_out_holds_leaf_occupancy_constant() {
+        use rand::prelude::*;
+        let params = HashTreeParams::default();
+        let mut rng = StdRng::seed_from_u64(1997);
+        let universe = 1000u32;
+        let txs: Vec<Transaction> = (0..200)
+            .map(|tid| {
+                let items = (0..15).map(|_| Item(rng.gen_range(0..universe))).collect();
+                Transaction::new(tid, items)
+            })
+            .collect();
+        let checks_per_visit: Vec<f64> = [1_000usize, 10_000, 100_000]
+            .into_iter()
+            .map(|m| {
+                let mut pairs = std::collections::BTreeSet::new();
+                while pairs.len() < m {
+                    let (a, b) = (rng.gen_range(0..universe), rng.gen_range(0..universe));
+                    if a != b {
+                        pairs.insert(ItemSet::from([a.min(b), a.max(b)]));
+                    }
+                }
+                let mut tree = HashTree::build(2, params, pairs.into_iter().collect());
+                assert!(
+                    tree.avg_leaf_occupancy() <= params.max_leaf as f64,
+                    "M = {m}: S = {}",
+                    tree.avg_leaf_occupancy()
+                );
+                tree.count_all(&txs, &OwnershipFilter::all());
+                let stats = tree.stats();
+                stats.candidate_checks as f64 / stats.distinct_leaf_visits as f64
+            })
+            .collect();
+        for (small, large) in checks_per_visit.iter().zip(&checks_per_visit[1..]) {
+            assert!(
+                *large <= params.max_leaf as f64 && *large <= 1.25 * small,
+                "candidates checked per visited leaf grew with M: {checks_per_visit:?}"
+            );
+        }
     }
 }

@@ -428,7 +428,7 @@ pub fn write_transactions_binary<W: Write>(writer: W, dataset: &Dataset) -> std:
 }
 
 /// Reads a dataset written by [`write_transactions_binary`].
-pub fn read_transactions_binary<R: Read>(reader: R) -> Result<Dataset, ReadError> {
+pub(crate) fn read_transactions_binary<R: Read>(reader: R) -> Result<Dataset, ReadError> {
     let mut buf = BufReader::new(reader);
     // Not a text line: line 0, and what is wrong in place of a token.
     let malformed = |what: String| ReadError::Parse {

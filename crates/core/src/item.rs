@@ -84,7 +84,7 @@ impl ItemInterner {
     }
 
     /// Returns the item for `name`, interning it if new.
-    pub fn intern(&mut self, name: &str) -> Item {
+    pub(crate) fn intern(&mut self, name: &str) -> Item {
         if let Some(&item) = self.by_name.get(name) {
             return item;
         }

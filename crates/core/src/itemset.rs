@@ -39,7 +39,8 @@ impl ItemSet {
     }
 
     /// The empty itemset.
-    pub fn empty() -> Self {
+    #[cfg(test)]
+    pub(crate) fn empty() -> Self {
         ItemSet {
             items: Box::new([]),
         }
@@ -76,9 +77,9 @@ impl ItemSet {
         self.items.first().copied()
     }
 
-    /// The second item, used by the two-level partition refinement.
-    #[inline]
-    pub fn second(&self) -> Option<Item> {
+    /// The second item.
+    #[cfg(test)]
+    pub(crate) fn second(&self) -> Option<Item> {
         self.items.get(1).copied()
     }
 
@@ -94,7 +95,7 @@ impl ItemSet {
     }
 
     /// Whether `self ⊆ other`, both sorted: linear merge scan.
-    pub fn is_subset_of_items(&self, other: &[Item]) -> bool {
+    pub(crate) fn is_subset_of_items(&self, other: &[Item]) -> bool {
         if self.len() > other.len() {
             return false;
         }
@@ -116,12 +117,14 @@ impl ItemSet {
     }
 
     /// Whether `self ⊆ other`.
-    pub fn is_subset_of(&self, other: &ItemSet) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_subset_of(&self, other: &ItemSet) -> bool {
         self.is_subset_of_items(other.items())
     }
 
-    /// Set union (used when assembling rules: X ∪ Y).
-    pub fn union(&self, other: &ItemSet) -> ItemSet {
+    /// Set union `self ∪ other`.
+    #[cfg(test)]
+    pub(crate) fn union(&self, other: &ItemSet) -> ItemSet {
         let mut merged = Vec::with_capacity(self.len() + other.len());
         let (mut a, mut b) = (0, 0);
         while a < self.items.len() && b < other.items.len() {
@@ -146,8 +149,9 @@ impl ItemSet {
         ItemSet::from_sorted(merged)
     }
 
-    /// Set difference `self \ other` (used for rule consequents).
-    pub fn difference(&self, other: &ItemSet) -> ItemSet {
+    /// Set difference `self \ other`.
+    #[cfg(test)]
+    pub(crate) fn difference(&self, other: &ItemSet) -> ItemSet {
         let kept: Vec<Item> = self
             .items
             .iter()
@@ -159,7 +163,7 @@ impl ItemSet {
 
     /// The itemset with item at `pos` removed: the `k` subsets of size
     /// `k-1`, which the `apriori_gen` prune step checks against `F_{k-1}`.
-    pub fn without_index(&self, pos: usize) -> ItemSet {
+    fn without_index(&self, pos: usize) -> ItemSet {
         let mut items = Vec::with_capacity(self.items.len() - 1);
         items.extend_from_slice(&self.items[..pos]);
         items.extend_from_slice(&self.items[pos + 1..]);

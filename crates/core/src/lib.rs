@@ -49,7 +49,7 @@
 
 pub mod apriori;
 pub mod binpack;
-pub mod bitmap;
+mod bitmap;
 pub mod candidates;
 pub mod counter;
 pub mod dataset;
@@ -67,7 +67,6 @@ pub mod transaction;
 pub mod trie;
 pub mod vertical;
 
-pub use bitmap::ItemBitmap;
 pub use dataset::Dataset;
 pub use item::Item;
 pub use itemset::ItemSet;

@@ -27,34 +27,6 @@ pub struct Rule {
     pub support: f64,
     /// Confidence `σ(X ∪ Y)/σ(X)`.
     pub confidence: f64,
-    /// Relative support of the antecedent, `σ(X)/|T|`.
-    pub antecedent_support: f64,
-    /// Relative support of the consequent, `σ(Y)/|T|`.
-    pub consequent_support: f64,
-}
-
-impl Rule {
-    /// Lift: `conf(X⟹Y) / supp(Y)` — how much more often X and Y co-occur
-    /// than if independent. 1.0 means independence; > 1 positive
-    /// association.
-    pub fn lift(&self) -> f64 {
-        self.confidence / self.consequent_support
-    }
-
-    /// Leverage (Piatetsky-Shapiro): `supp(X∪Y) − supp(X)·supp(Y)`.
-    pub fn leverage(&self) -> f64 {
-        self.support - self.antecedent_support * self.consequent_support
-    }
-
-    /// Conviction: `(1 − supp(Y)) / (1 − conf)`; ∞ for exact implications.
-    pub fn conviction(&self) -> f64 {
-        let denom = 1.0 - self.confidence;
-        if denom <= 0.0 {
-            f64::INFINITY
-        } else {
-            (1.0 - self.consequent_support) / denom
-        }
-    }
 }
 
 impl std::fmt::Display for Rule {
@@ -92,7 +64,7 @@ pub fn generate_rules(frequent: &FrequentItemsets, min_confidence: f64) -> Vec<R
     let index = SupportIndex::new(frequent);
     let mut rules = Vec::new();
     for_each_confident(frequent, &index, min_confidence, |found| {
-        rules.push(found.build(&index, frequent));
+        rules.push(found.build(frequent));
     });
     rules
 }
@@ -102,7 +74,7 @@ pub fn generate_rules(frequent: &FrequentItemsets, min_confidence: f64) -> Vec<R
 /// [`generate_rules`]' order — the head of a stable sort of all of them.
 ///
 /// Rules are ranked before they are built: the ranking holds at most
-/// `2·top + 64` unbuilt rules (an itemset, a consequent mask, two counts
+/// `2·top + 64` unbuilt rules (an itemset, a consequent mask, its count
 /// and the confidence), and once `top` are held, a rule that does not
 /// beat the `top`-th best outright is counted and dropped (a tie loses on
 /// generation order). Only the `top` rules returned are built.
@@ -118,7 +90,7 @@ pub fn top_rules(
     });
     let count = ranking.seen;
     let best = ranking.into_best().into_iter();
-    (count, best.map(|f| f.build(&index, frequent)).collect())
+    (count, best.map(|f| f.build(frequent)).collect())
 }
 
 /// A word-at-a-time hasher for the support index's keys: every item id is
@@ -185,13 +157,12 @@ struct Found<'a> {
     items: &'a [Item],
     consequent: u64,
     count: u64,
-    antecedent_count: u64,
     confidence: f64,
 }
 
 impl Found<'_> {
     /// The rule itself, both sides boxed.
-    fn build(&self, index: &SupportIndex, frequent: &FrequentItemsets) -> Rule {
+    fn build(&self, frequent: &FrequentItemsets) -> Rule {
         let mut sides = [Item(0); 64];
         let (antecedent, consequent) = split_sides(self.items, self.consequent, &mut sides);
         let n = frequent.num_transactions().max(1) as f64;
@@ -201,8 +172,6 @@ impl Found<'_> {
             support_count: self.count,
             support: self.count as f64 / n,
             confidence: self.confidence,
-            antecedent_support: self.antecedent_count as f64 / n,
-            consequent_support: index.support(consequent) as f64 / n,
         }
     }
 }
@@ -272,15 +241,13 @@ impl Growth {
             let mut sides = [Item(0); 64];
             let (antecedent, _) = split_sides(items, consequent, &mut sides);
             debug_assert!(!antecedent.is_empty());
-            let antecedent_count = index.support(antecedent);
-            let confidence = count as f64 / antecedent_count as f64;
+            let confidence = count as f64 / index.support(antecedent) as f64;
             let confident = confidence >= min_confidence;
             if confident {
                 sink(Found {
                     items,
                     consequent,
                     count,
-                    antecedent_count,
                     confidence,
                 });
             }
@@ -411,7 +378,7 @@ mod tests {
         let count = frequent.support(itemset).unwrap();
         let index = SupportIndex::new(frequent);
         let mut out = Vec::new();
-        let sink = &mut |found: Found| out.push(found.build(&index, frequent));
+        let sink = &mut |found: Found| out.push(found.build(frequent));
         let growth = &mut Growth::default();
         let evaluated = growth.grow(&index, itemset.items(), count, min_confidence, sink);
         (out, evaluated)
@@ -431,7 +398,6 @@ mod tests {
         let try_rule = |consequent: &ItemSet| {
             let antecedent = itemset.difference(consequent);
             let antecedent_count = frequent.support(&antecedent).unwrap();
-            let consequent_count = frequent.support(consequent).unwrap();
             let confidence = count as f64 / antecedent_count as f64;
             (confidence >= min_confidence).then(|| Rule {
                 antecedent,
@@ -439,8 +405,6 @@ mod tests {
                 support_count: count,
                 support: count as f64 / n,
                 confidence,
-                antecedent_support: antecedent_count as f64 / n,
-                consequent_support: consequent_count as f64 / n,
             })
         };
         let mut out = Vec::new();
@@ -470,14 +434,8 @@ mod tests {
     }
 
     /// Every field of a rule, its `f64`s as bits.
-    fn exactly(rule: &Rule) -> (ItemSet, ItemSet, u64, [u64; 4]) {
-        let measures = [
-            rule.support,
-            rule.confidence,
-            rule.antecedent_support,
-            rule.consequent_support,
-        ];
-        let bits = measures.map(f64::to_bits);
+    fn exactly(rule: &Rule) -> (ItemSet, ItemSet, u64, [u64; 2]) {
+        let bits = [rule.support, rule.confidence].map(f64::to_bits);
         (
             rule.antecedent.clone(),
             rule.consequent.clone(),
@@ -532,12 +490,11 @@ mod tests {
         let items = [Item(1), Item(2)];
         let found = |i: usize| Found {
             items: &items,
-            consequent: 0b10,
+            consequent: i as u64,
             count: (i * 7 % 5) as u64,
-            antecedent_count: i as u64,
             confidence: [0.5, 1.0, 0.75][i * 13 % 3],
         };
-        let key = |f: &Found| (f.confidence.to_bits(), f.count, f.antecedent_count);
+        let key = |f: &Found| (f.confidence.to_bits(), f.count, f.consequent);
         let mut want: Vec<Found> = (0..10_000).map(found).collect();
         want.sort_by(|a, b| (b.confidence.total_cmp(&a.confidence)).then(b.count.cmp(&a.count)));
         for top in [0, 1, 63, 64, 65, 130, 3_000, 20_000] {
@@ -745,44 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn interest_measures_on_the_paper_rule() {
-        // {Diaper, Milk} => {Beer}: supp 2/5, conf 2/3, supp(X)=3/5,
-        // supp(Y)=3/5.
-        let d = table1();
-        let run = Apriori::new(AprioriParams::with_min_support_count(2)).mine(d.transactions());
-        let rules = generate_rules(&run.frequent, 0.5);
-        let dm = d.itemset(&["Diaper", "Milk"]).unwrap();
-        let beer = d.itemset(&["Beer"]).unwrap();
-        let r = rules
-            .iter()
-            .find(|r| r.antecedent == dm && r.consequent == beer)
-            .unwrap();
-        assert!((r.antecedent_support - 0.6).abs() < 1e-12);
-        assert!((r.consequent_support - 0.6).abs() < 1e-12);
-        // lift = (2/3) / (3/5) = 10/9.
-        assert!((r.lift() - 10.0 / 9.0).abs() < 1e-12);
-        // leverage = 2/5 - (3/5)(3/5) = 0.04.
-        assert!((r.leverage() - 0.04).abs() < 1e-12);
-        // conviction = (1 - 0.6) / (1 - 2/3) = 1.2.
-        assert!((r.conviction() - 1.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn conviction_of_exact_implication_is_infinite() {
-        let r = Rule {
-            antecedent: ItemSet::from([1]),
-            consequent: ItemSet::from([2]),
-            support_count: 5,
-            support: 0.5,
-            confidence: 1.0,
-            antecedent_support: 0.5,
-            consequent_support: 0.7,
-        };
-        assert!(r.conviction().is_infinite());
-        assert!(r.lift() > 1.0);
-    }
-
-    #[test]
     fn no_frequent_itemsets_no_rules() {
         let run = Apriori::new(AprioriParams::with_min_support_count(100)).mine(&[]);
         assert!(generate_rules(&run.frequent, 0.5).is_empty());
@@ -849,8 +768,6 @@ mod tests {
             support_count: 2,
             support: 0.4,
             confidence: 0.5,
-            antecedent_support: 0.8,
-            consequent_support: 0.5,
         };
         assert_eq!(r.to_string(), "{1} => {2} (sup 40.0%, conf 50.0%)");
     }

@@ -12,27 +12,16 @@ use crate::item::Item;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a byte slice.
+/// FNV-1a over a byte sequence.
 #[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let step = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(FNV_PRIME);
+    bytes.into_iter().fold(FNV_OFFSET, step)
 }
 
 /// Stable hash of an itemset's items: FNV-1a over the little-endian ids.
-pub fn hash_itemset(set: &[Item]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for item in set {
-        for b in item.id().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+fn hash_itemset(set: &[Item]) -> u64 {
+    fnv1a(set.iter().flat_map(|item| item.id().to_le_bytes()))
 }
 
 /// The processor owning the itemset `set` under hash partitioning over
@@ -58,8 +47,8 @@ mod tests {
     #[test]
     fn known_fnv_vector() {
         // FNV-1a("a") = 0xaf63dc4c8601ec8c.
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b""), FNV_OFFSET);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a([]), FNV_OFFSET);
     }
 
     #[test]

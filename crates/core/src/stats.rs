@@ -64,7 +64,7 @@ pub fn dataset_stats(dataset: &Dataset, top_k: usize) -> DatasetStats {
 }
 
 /// Gini coefficient of a set of non-negative weights (0 = all equal).
-pub fn gini(weights: &[u64]) -> f64 {
+fn gini(weights: &[u64]) -> f64 {
     if weights.is_empty() {
         return 0.0;
     }

@@ -68,22 +68,22 @@ fn uncovered(frequent: &FrequentItemsets, same_count: bool) -> Vec<(ItemSet, u64
     out
 }
 
-/// Recovers the support of an arbitrary frequent itemset from the closed
-/// summary: the count of its smallest superset among the closed sets
-/// (`None` if the set is not frequent at all).
-pub fn support_from_closed(closed: &[(ItemSet, u64)], query: &ItemSet) -> Option<u64> {
-    closed
-        .iter()
-        .filter(|(c, _)| query.is_subset_of(c))
-        .map(|(_, count)| *count)
-        .max()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::apriori::{Apriori, AprioriParams};
     use crate::dataset::Dataset;
+
+    /// Recovers the support of an arbitrary frequent itemset from the closed
+    /// summary: the count of its smallest superset among the closed sets
+    /// (`None` if the set is not frequent at all).
+    fn support_from_closed(closed: &[(ItemSet, u64)], query: &ItemSet) -> Option<u64> {
+        closed
+            .iter()
+            .filter(|(c, _)| query.is_subset_of(c))
+            .map(|(_, count)| *count)
+            .max()
+    }
 
     fn table1() -> Dataset {
         Dataset::from_named_transactions(&[

@@ -96,7 +96,7 @@ mod tests {
         assert_eq!(idx.support(&set(&[4, 2])), 3, "σ(Diaper, Milk)");
         assert_eq!(idx.support(&set(&[4, 2, 3])), 2, "σ(Diaper, Milk, Beer)");
         assert_eq!(idx.support(&set(&[0])), 3);
-        assert_eq!(idx.support(&ItemSet::empty()), 5);
+        assert_eq!(idx.support(&ItemSet::new(Vec::new())), 5);
     }
 
     #[test]
@@ -158,6 +158,6 @@ mod tests {
         let idx = TidListIndex::build(&[]);
         assert_eq!(idx.num_transactions(), 0);
         assert_eq!(idx.support(&set(&[1])), 0);
-        assert_eq!(idx.support(&ItemSet::empty()), 0);
+        assert_eq!(idx.support(&ItemSet::new(Vec::new())), 0);
     }
 }

@@ -75,7 +75,8 @@ impl Transaction {
     /// The number of size-`k` potential candidates this transaction
     /// generates: `C(|t|, k)` — the binomial coefficient the paper calls
     /// `C` in Section IV. Saturates at `u64::MAX`.
-    pub fn potential_candidates(&self, k: usize) -> u64 {
+    #[cfg(test)]
+    fn potential_candidates(&self, k: usize) -> u64 {
         binomial(self.items.len() as u64, k as u64)
     }
 

@@ -85,8 +85,9 @@ impl CandidateTrie {
         CandidateTrie { table, nodes }
     }
 
-    /// Number of trie nodes (diagnostics).
-    pub fn num_nodes(&self) -> usize {
+    /// Number of trie nodes.
+    #[cfg(test)]
+    fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 

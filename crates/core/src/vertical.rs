@@ -14,7 +14,7 @@
 //!
 //! Tid sets are adaptive: high-density items become dense `u64` bitmap
 //! blocks intersected with the wide-word kernels of
-//! [`crate::bitmap::words`]; low-density items stay sorted `u32` tid
+//! `bitmap::words`; low-density items stay sorted `u32` tid
 //! lists intersected by a merge, galloping for skewed sizes (a bitmap
 //! with a handful of set bits would waste both memory and sweep time).
 //!

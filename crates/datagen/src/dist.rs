@@ -8,8 +8,7 @@ use rand::Rng;
 /// Poisson sampler (Knuth's product-of-uniforms for small means, which is
 /// all the generator uses: `|T| ≈ 15`, `|I| ≈ 6`).
 #[derive(Debug, Clone, Copy)]
-pub struct Poisson {
-    mean: f64,
+pub(crate) struct Poisson {
     /// `exp(-mean)`: where Knuth's running product stops.
     threshold: f64,
 }
@@ -20,24 +19,18 @@ impl Poisson {
     /// # Panics
     /// If `mean` is not finite and positive, or large enough to make
     /// Knuth's method degenerate (> 700).
-    pub fn new(mean: f64) -> Self {
+    pub(crate) fn new(mean: f64) -> Self {
         assert!(
             mean.is_finite() && mean > 0.0 && mean <= 700.0,
             "Poisson mean out of supported range: {mean}"
         );
         Poisson {
-            mean,
             threshold: (-mean).exp(),
         }
     }
 
-    /// The configured mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
     /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let mut k = 0u64;
         let mut product: f64 = 1.0;
         loop {
@@ -52,13 +45,13 @@ impl Poisson {
 
 /// Exponential sampler by inversion: `-mean · ln(1 - u)`.
 #[derive(Debug, Clone, Copy)]
-pub struct Exponential {
+pub(crate) struct Exponential {
     mean: f64,
 }
 
 impl Exponential {
     /// An exponential distribution with the given mean.
-    pub fn new(mean: f64) -> Self {
+    pub(crate) fn new(mean: f64) -> Self {
         assert!(
             mean.is_finite() && mean > 0.0,
             "Exponential mean must be positive"
@@ -67,7 +60,7 @@ impl Exponential {
     }
 
     /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // 1 - u ∈ (0, 1]: ln never sees 0.
         -self.mean * (1.0 - rng.gen::<f64>()).ln()
     }
@@ -76,14 +69,14 @@ impl Exponential {
 /// Normal sampler via Box–Muller (one value per call; the spare is
 /// discarded to keep the sampler stateless and `Copy`).
 #[derive(Debug, Clone, Copy)]
-pub struct Normal {
+pub(crate) struct Normal {
     mean: f64,
     sd: f64,
 }
 
 impl Normal {
     /// A normal distribution with the given mean and standard deviation.
-    pub fn new(mean: f64, sd: f64) -> Self {
+    pub(crate) fn new(mean: f64, sd: f64) -> Self {
         assert!(
             sd.is_finite() && sd >= 0.0,
             "standard deviation must be non-negative"
@@ -92,7 +85,7 @@ impl Normal {
     }
 
     /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u1: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
         let u2: f64 = rng.gen();
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();

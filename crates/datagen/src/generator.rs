@@ -304,7 +304,7 @@ mod tests {
             let mut streamed = Vec::new();
             write_transaction_stream(&mut streamed, None, |sink| params.stream(sink)).unwrap();
             assert_eq!(
-                (streamed.len(), fnv1a(&streamed)),
+                (streamed.len(), fnv1a(streamed.iter().copied())),
                 (bytes, hash),
                 "{params:?}"
             );

@@ -38,6 +38,4 @@ mod dist;
 mod generator;
 mod patterns;
 
-pub use dist::{Exponential, Normal, Poisson};
 pub use generator::QuestParams;
-pub use patterns::{Pattern, PatternPool};

@@ -14,21 +14,21 @@ use rand::Rng;
 
 /// One maximal potentially large itemset.
 #[derive(Debug, Clone)]
-pub struct Pattern {
+pub(crate) struct Pattern {
     /// The items, sorted ascending.
-    pub items: Vec<Item>,
+    pub(crate) items: Vec<Item>,
     /// Selection probability (all weights sum to 1 across the pool).
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Corruption level: while `uniform(0,1) < corruption`, an item is
     /// dropped from the pattern instance added to a transaction.
-    pub corruption: f64,
+    pub(crate) corruption: f64,
 }
 
 /// The pattern pool plus its roulette wheel: the cumulative weights and a
 /// guide table over them, so that a draw is an O(1) lookup (Chen and Asau's
 /// indexed search) rather than a binary search over `|L|` floats.
 #[derive(Debug, Clone)]
-pub struct PatternPool {
+pub(crate) struct PatternPool {
     patterns: Vec<Pattern>,
     cumulative: Vec<f64>,
     /// `guide[j]` is the first index whose cumulative weight is `≥ j / G`,
@@ -46,7 +46,7 @@ impl PatternPool {
     ///   pattern (exponentially distributed per pattern).
     /// * `corruption_mean`/`corruption_sd` — the clamped-normal corruption
     ///   level distribution (the original tool uses mean 0.5, variance 0.1).
-    pub fn build<R: Rng + ?Sized>(
+    pub(crate) fn build<R: Rng + ?Sized>(
         rng: &mut R,
         num_patterns: usize,
         num_items: u32,
@@ -129,22 +129,19 @@ impl PatternPool {
     }
 
     /// The patterns.
-    pub fn patterns(&self) -> &[Pattern] {
+    #[cfg(test)]
+    pub(crate) fn patterns(&self) -> &[Pattern] {
         &self.patterns
     }
 
     /// Number of patterns (`|L|`).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.patterns.len()
     }
 
-    /// Whether the pool is empty (never true post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.patterns.is_empty()
-    }
-
     /// Roulette-selects a pattern index by weight: one uniform draw.
-    pub fn pick<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn pick<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         self.index_of(rng.gen())
     }
 
@@ -162,7 +159,7 @@ impl PatternPool {
     /// the caller reuses: items are removed while `uniform(0,1) <
     /// corruption` (so a corruption level of 0 keeps the whole pattern;
     /// higher levels keep less). At least one item is always kept.
-    pub fn corrupted_instance<R: Rng + ?Sized>(
+    pub(crate) fn corrupted_instance<R: Rng + ?Sized>(
         &self,
         idx: usize,
         rng: &mut R,

@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// The schema version this crate writes.
-pub const SCHEMA_VERSION: u64 = 1;
+const SCHEMA_VERSION: u64 = 1;
 
 /// A JSON value to render: the tree [`BenchDocument::to_json`] builds,
 /// and the type of a document's context fields.
@@ -42,7 +42,7 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// Integers keep their exact representation: [`UInt`](JsonValue::UInt)
 /// renders a `u64` counter digit for digit beyond 2^53,
 /// [`Int`](JsonValue::Int) a negative integer, and
-/// [`Float`](JsonValue::Float) goes through [`fmt_f64`].
+/// [`Float`](JsonValue::Float) an `f64` in its shortest round-trip form.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -156,7 +156,7 @@ fn render_string(s: &str, out: &mut String) {
 /// document `scripts/check_bench_json.py` rejects. The recording guards in
 /// [`MetricShard`](crate::MetricShard) keep such values out of
 /// snapshots in the first place.
-pub fn fmt_f64(v: f64) -> String {
+fn fmt_f64(v: f64) -> String {
     assert!(v.is_finite(), "cannot serialize non-finite f64 {v} as JSON");
     format!("{v}")
 }

@@ -128,11 +128,6 @@ impl Labels {
         self.entries.is_empty()
     }
 
-    /// Whether every `(key, value)` pair of `filter` is present here.
-    pub fn matches(&self, filter: &[(&str, &str)]) -> bool {
-        filter.iter().all(|(k, v)| self.get(k) == Some(*v))
-    }
-
     /// The union of `self` and `base`. Panics when a key appears in both
     /// — a base-label collision means the recorder mislabeled a series.
     #[must_use]
@@ -288,7 +283,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// A snapshot over the given series (sorted here; duplicates panic).
-    pub fn from_series(mut series: Vec<MetricSeries>) -> Self {
+    fn from_series(mut series: Vec<MetricSeries>) -> Self {
         series.sort_by(|a, b| a.name.cmp(&b.name).then_with(|| a.labels.cmp(&b.labels)));
         for w in series.windows(2) {
             assert!(

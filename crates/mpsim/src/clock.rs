@@ -136,7 +136,7 @@ impl Clock {
     /// CPU, not a slow disk or link) — multiplied on the virtual clock,
     /// slept out on the wall one, where a slowdown-`s` rank sleeps `(s−1)×`
     /// the measured bracket so its passes really take `s×` as long.
-    pub fn charge(&mut self, category: Category, seconds: f64) {
+    pub(crate) fn charge(&mut self, category: Category, seconds: f64) {
         match &mut self.kind {
             Kind::Virtual { now, busy, io, .. } => {
                 let seconds = match category {
@@ -170,7 +170,7 @@ impl Clock {
     /// an aborter's timestamp): the virtual clock jumps there and books
     /// the gap as idle, the wall clock sleeps out what remains and books
     /// the bracket as exchange.
-    pub fn wait_until(&mut self, t: f64) {
+    pub(crate) fn wait_until(&mut self, t: f64) {
         match &mut self.kind {
             Kind::Virtual { now, idle, .. } => {
                 if t > *now {
@@ -192,7 +192,7 @@ impl Clock {
     /// Synchronizes with this rank's own link occupancy ending at `t` (a
     /// pending send's completion). Not idle time: the interface is busy.
     /// The wall clock never models occupancy, so nothing to wait for.
-    pub fn occupy_until(&mut self, t: f64) {
+    pub(crate) fn occupy_until(&mut self, t: f64) {
         if let Kind::Virtual { now, .. } = &mut self.kind {
             if t > *now {
                 *now = t;
@@ -204,7 +204,7 @@ impl Clock {
     /// `lost_copy` plus the ack-timeout `timer`, charged to the virtual
     /// clock; on the wall clock the copy cost whatever it really cost and
     /// the timer is slept out.
-    pub fn backoff(&mut self, lost_copy: f64, timer: f64) {
+    pub(crate) fn backoff(&mut self, lost_copy: f64, timer: f64) {
         match &mut self.kind {
             Kind::Virtual { now, .. } => *now += lost_copy + timer,
             Kind::Wall(_) => sleep(timer),
@@ -276,7 +276,7 @@ impl Clock {
     /// How long a blocked thread may sleep before `t` comes due on its
     /// own. `None` on the virtual clock, where time stands still while the
     /// thread blocks.
-    pub fn real_time_until(&self, t: f64) -> Option<Duration> {
+    pub(crate) fn real_time_until(&self, t: f64) -> Option<Duration> {
         match &self.kind {
             Kind::Virtual { .. } => None,
             Kind::Wall(w) => Some(Duration::from_secs_f64((t - w.elapsed()).max(0.0))),

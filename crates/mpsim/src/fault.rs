@@ -134,12 +134,12 @@ impl FaultPlan {
     }
 
     /// The compute slowdown factor of `rank` (1.0 when not a straggler).
-    pub fn slowdown_of(&self, rank: usize) -> f64 {
+    pub(crate) fn slowdown_of(&self, rank: usize) -> f64 {
         self.slowdowns.get(&rank).copied().unwrap_or(1.0)
     }
 
     /// The scheduled crash of `rank`, if any.
-    pub fn crash_of(&self, rank: usize) -> Option<CrashPoint> {
+    pub(crate) fn crash_of(&self, rank: usize) -> Option<CrashPoint> {
         self.crashes.get(&rank).copied()
     }
 
@@ -182,7 +182,7 @@ impl FaultPlan {
 
     /// Checks the plan's parameters; returns a human-readable complaint
     /// for out-of-range values.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(0.0..=0.95).contains(&self.drop_rate) {
             return Err(format!(
                 "drop_rate must be in [0, 0.95], got {}",
@@ -246,11 +246,12 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Checks the plan against a concrete rank count: every crashed or
-    /// slowed rank must exist in a `procs`-rank run. [`FaultPlan::validate`]
-    /// is P-agnostic (a plan file is reusable across run sizes); this is
-    /// the check a runner applies once P is known, so `crash 99 = pass:2`
-    /// on a P=8 run errors instead of being silently inert.
+    /// Checks the plan, and then against a concrete rank count: every
+    /// crashed or slowed rank must exist in a `procs`-rank run. The plan's
+    /// own checks are P-agnostic (a plan file is reusable across run
+    /// sizes); this is the check a runner applies once P is known, so
+    /// `crash 99 = pass:2` on a P=8 run errors instead of being silently
+    /// inert.
     pub fn validate_for_procs(&self, procs: usize) -> Result<(), String> {
         self.validate()?;
         if let Some(&rank) = self.crashes.keys().find(|&&r| r >= procs) {

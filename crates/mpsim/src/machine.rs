@@ -136,7 +136,7 @@ impl MachineProfile {
     /// Looks up a preset profile by its short key (`t3e`, `sp2`,
     /// `ideal`), case-insensitively — the spelling the CLI's `--machine`
     /// flag and the [`ClusterProfile`] text format use.
-    pub fn by_key(key: &str) -> Option<Self> {
+    pub(crate) fn by_key(key: &str) -> Option<Self> {
         Self::PRESETS
             .iter()
             .find(|&&(k, _)| k.eq_ignore_ascii_case(key))
@@ -164,7 +164,7 @@ impl MachineProfile {
     /// trailing `+ 0.0` to a non-negative sum leaves its bit pattern
     /// untouched, so the default-backend goldens survive the vertical
     /// backend's arrival unchanged.
-    pub fn counting_time(&self, work: &CountingWork) -> f64 {
+    pub(crate) fn counting_time(&self, work: &CountingWork) -> f64 {
         work.inserts as f64 * self.t_insert
             + work.transactions as f64 * self.t_trans
             + work.traversal_steps as f64 * self.t_travers
@@ -227,7 +227,7 @@ impl ClusterProfile {
     }
 
     /// The base profile shared by every rank: the per-rank speed is
-    /// applied as a charge multiplier ([`Self::slowdown_of`]), not baked
+    /// applied as a charge multiplier (the rank's slowdown), not baked
     /// into the constants, so reports can still name one machine.
     pub fn base(&self) -> &MachineProfile {
         &self.base
@@ -236,7 +236,7 @@ impl ClusterProfile {
     /// The compute-charge multiplier of `rank`: `1 / speed`. Exactly 1.0
     /// for non-overridden ranks, so homogeneous clusters charge through
     /// the same literal constant as before the cluster seam existed.
-    pub fn slowdown_of(&self, rank: usize) -> f64 {
+    pub(crate) fn slowdown_of(&self, rank: usize) -> f64 {
         match self.speeds.get(&rank) {
             Some(&s) => 1.0 / s,
             None => 1.0,
@@ -260,7 +260,7 @@ impl ClusterProfile {
 
     /// Checks the profile's parameters; returns a human-readable
     /// complaint for out-of-range values.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (&rank, &factor) in &self.speeds {
             if !(factor.is_finite() && factor >= 1.0 / MAX_SLOWDOWN) {
                 return Err(format!(
@@ -272,10 +272,10 @@ impl ClusterProfile {
         Ok(())
     }
 
-    /// Checks the profile against a concrete rank count: every overridden
-    /// rank must exist in a `procs`-rank run. [`ClusterProfile::validate`]
-    /// is P-agnostic (a cluster file is reusable across run sizes); this
-    /// is the check a runner applies once P is known.
+    /// Checks the profile, and then against a concrete rank count: every
+    /// overridden rank must exist in a `procs`-rank run. The profile's own
+    /// checks are P-agnostic (a cluster file is reusable across run
+    /// sizes); this is the check a runner applies once P is known.
     pub fn validate_for_procs(&self, procs: usize) -> Result<(), String> {
         self.validate()?;
         if let Some(&rank) = self.speeds.keys().find(|&&r| r >= procs) {

@@ -61,7 +61,7 @@ pub(crate) struct Envelope {
 
 impl Envelope {
     /// Whether this envelope carries user data (vs. a control packet).
-    pub fn is_data(&self) -> bool {
+    pub(crate) fn is_data(&self) -> bool {
         matches!(self.packet, Packet::Data(_))
     }
 }

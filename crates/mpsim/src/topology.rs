@@ -36,7 +36,7 @@ pub enum Topology {
 
 impl Topology {
     /// Number of network hops between two ranks (0 for self).
-    pub fn hops(&self, from: usize, to: usize, size: usize) -> usize {
+    pub(crate) fn hops(&self, from: usize, to: usize, size: usize) -> usize {
         if from == to {
             return 0;
         }

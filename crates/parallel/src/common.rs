@@ -134,7 +134,7 @@ impl RankCtx {
     }
 
     /// Wire bytes of this rank's whole local slice.
-    pub fn local_bytes(&self) -> usize {
+    pub(crate) fn local_bytes(&self) -> usize {
         page_bytes(&self.local)
     }
 
@@ -145,7 +145,7 @@ impl RankCtx {
 
     /// Namespaces a scope id by the recovery epoch. Epoch 0 maps `base`
     /// to itself, so fault-free runs use exactly the historical ids.
-    pub fn scope_id(&self, base: u64) -> u64 {
+    pub(crate) fn scope_id(&self, base: u64) -> u64 {
         debug_assert!(base < 1 << 40, "scope base collides with epoch bits");
         (self.epoch << 40) | base
     }

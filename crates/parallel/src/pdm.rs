@@ -37,7 +37,7 @@ pub(crate) fn count_pass(
 ) -> Result<PassResult, RecvFault> {
     let k = candidates.k();
     let pruned: Candidates;
-    let candidates = if k <= 1 + filter_passes {
+    let candidates = if k - 1 <= filter_passes {
         assert!(buckets >= 1, "need at least one bucket");
         // Build the local bucket table for this pass's subset size over
         // the local slice.
@@ -193,5 +193,26 @@ mod tests {
             assert_eq!(a.counted_candidates, b.counted_candidates);
         }
         assert_eq!(cd.frequent.len(), pdm.frequent.len());
+    }
+
+    /// A filter bound past every pass filters every pass, up to the
+    /// largest bound `--filter-passes` accepts: no overflow wraps it to
+    /// "filter none".
+    #[test]
+    fn pdm_filters_every_pass_at_the_largest_filter_bound() {
+        let dataset = quest(200, 60, 71);
+        let params = ParallelParams::with_min_support_count(8).max_k(4);
+        let miner = ParallelMiner::new(4);
+        let pdm = |filter_passes| {
+            let algorithm = Algorithm::Pdm {
+                buckets: 64,
+                filter_passes,
+            };
+            miner.mine(algorithm, &dataset, &params)
+        };
+        let (widest, deep) = (pdm(usize::MAX), pdm(64));
+        assert!(deep.passes.len() >= 3, "{} passes", deep.passes.len());
+        assert_eq!(format!("{:?}", widest.passes), format!("{:?}", deep.passes));
+        assert_eq!(widest.response_time.to_bits(), deep.response_time.to_bits());
     }
 }

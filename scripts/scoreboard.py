@@ -1,25 +1,46 @@
 #!/usr/bin/env python3
-"""The simplicity scoreboard: production lines, test lines, public items and
-benchmark-contract shims.
+"""The simplicity scoreboard: production lines, test lines, public items,
+unshared public items and benchmark-contract shims.
 
 With no arguments, one row per workspace crate (`crates/*` and the root
-package) and a total. With paths, one row per given `.rs` file and a total.
+package) and a total, and exit status 1 when a crate has more unshared items
+than its ceiling in `UNSHARED_CEILING`. With paths, one row per given `.rs`
+file and a total.
 A file's production lines are those above its first `#[cfg(test)]` that opens
 a `mod`, less any other `#[cfg(test)]` item above it (a helper function or
 impl, up to its closing brace); the rest are test lines, and so is every line
 of a file whose own `mod` declaration is `#[cfg(test)]`-gated and of
 everything under a crate's `tests/`. Public items are
 `pub fn|struct|enum|trait|mod|const` declarations in the production part.
-Shims are production lines marked `// benchmark-contract shim`: items kept
-only because `benchmark/` still calls them, a legacy twin each.
+A public item is unshared when no caller outside its crate names it: no
+word of the code (string literals and `//` comments left out) of another
+workspace crate's production lines, of `benchmark/probe/src` or of
+`examples/` is its name. Shims are production lines marked
+`// benchmark-contract shim`: items kept only because `benchmark/` still
+calls them, a legacy twin each.
 """
 import re
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PUB_ITEM = re.compile(r"^\s*pub (?:const )?(?:unsafe )?(fn|struct|enum|trait|mod|const)\b")
+PUB_ITEM = re.compile(r"^\s*pub (?:const )?(?:unsafe )?(?:fn|struct|enum|trait|mod|const)\s+(\w+)")
+# Callers besides the workspace crates' production sources.
+CALLERS = ("benchmark/probe/src", "examples")
+# The most unshared items each crate may hold (a crate not listed, none);
+# each survivor's reason is in CHANGES.md. Lower a ceiling when an item goes.
+UNSHARED_CEILING = {
+    "armine-bench": 0,
+    "armine-cli": 0,
+    "armine-core": 19,
+    "armine-datagen": 0,
+    "armine-metrics": 9,
+    "armine-mpsim": 5,
+    "armine-parallel": 2,
+    "armine": 0,
+}
 SHIM = "// benchmark-contract shim"
+STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 MOD = re.compile(r"^\s*(?:pub(?:\([^)]*\))? )?mod (\w+)\s*([;{])")
 
 
@@ -56,16 +77,24 @@ def gated_items(lines):
         n = end + 1
 
 
-def score(path, all_test=False):
-    """(production lines, test lines, public items, shims) of one source file."""
+def production_lines(path, all_test=False):
+    """(production lines, number of all lines) of one source file."""
     lines = path.read_text().splitlines()
     opens_test_mod = (n for n, _, body in gated_mods(lines) if body)
     cut = 0 if all_test else next(opens_test_mod, len(lines))
     gated = {n for item in gated_items(lines[:cut]) for n in item}
-    production = [line for n, line in enumerate(lines[:cut]) if n not in gated]
-    public = sum(1 for line in production if PUB_ITEM.match(line))
+    return [line for n, line in enumerate(lines[:cut]) if n not in gated], len(lines)
+
+
+def score(path, shared, all_test=False):
+    """(production lines, test lines, public items, unshared items, shims) of
+    one source file, where `shared` holds the words callers outside its crate
+    use."""
+    production, total = production_lines(path, all_test)
+    public = [found.group(1) for found in map(PUB_ITEM.match, production) if found]
+    unshared = sum(1 for name in public if name not in shared)
     shims = sum(1 for line in production if SHIM in line)
-    return len(production), len(lines) - len(production), public, shims
+    return len(production), total - len(production), len(public), unshared, shims
 
 
 def test_only_files(src):
@@ -81,27 +110,65 @@ def test_only_files(src):
                 yield from (p for p in (home / f"{name}.rs", home / name / "mod.rs") if p.exists())
 
 
-def crate_rows():
+def crates():
+    """(name, directory) of each workspace crate."""
     for manifest in sorted(ROOT.glob("crates/*/Cargo.toml")) + [ROOT / "Cargo.toml"]:
         name = re.search(r'^name = "(.+)"', manifest.read_text(), re.M).group(1)
-        crate = manifest.parent
+        yield name, manifest.parent
+
+
+def words(lines):
+    """The words of `lines`' code: a string literal or a `//` comment that
+    spells a name does not call it."""
+    code = (STRING.sub("", line).split("//", 1)[0] for line in lines)
+    return {word for line in code for word in re.findall(r"\w+", line)}
+
+
+def shared_outside(home):
+    """The words of every caller outside the crate at `home`."""
+    outside = [words(production_lines(p)[0]) for d in CALLERS for p in (ROOT / d).rglob("*.rs")]
+    for _, crate in crates():
+        if crate != home:
+            test_only = set(test_only_files(crate / "src"))
+            files = (crate / "src").rglob("*.rs")
+            outside += [words(production_lines(p, p in test_only)[0]) for p in files]
+    return set().union(*outside)
+
+
+def crate_rows():
+    for name, crate in crates():
+        shared = shared_outside(crate)
         test_only = set(test_only_files(crate / "src"))
-        scores = [score(p, p in test_only) for p in sorted((crate / "src").rglob("*.rs"))]
-        scores += [score(p, all_test=True) for p in sorted((crate / "tests").rglob("*.rs"))]
+        src = sorted((crate / "src").rglob("*.rs"))
+        scores = [score(p, shared, p in test_only) for p in src]
+        scores += [score(p, shared, all_test=True) for p in sorted((crate / "tests").rglob("*.rs"))]
         yield name, tuple(map(sum, zip(*scores)))
+
+
+def home_of(path):
+    """The crate directory holding `path`: its nearest `Cargo.toml`."""
+    return next(d for d in path.resolve().parents if (d / "Cargo.toml").exists())
 
 
 def main(paths):
     if paths:
-        rows = [(p, score(Path(p))) for p in paths]
+        rows = [(p, score(Path(p), shared_outside(home_of(Path(p))))) for p in paths]
+        over = []
     else:
         rows = list(crate_rows())
+        over = [(name, row[3]) for name, row in rows if row[3] > UNSHARED_CEILING.get(name, 0)]
     rows.append(("total", tuple(map(sum, zip(*(r[1] for r in rows))))))
     width = max(len(name) for name, _ in rows)
-    print(f"{'':{width}}  {'production':>10}  {'test':>7}  {'pub items':>9}  {'shims':>5}")
-    for name, (production, test, public, shims) in rows:
-        print(f"{name:{width}}  {production:>10}  {test:>7}  {public:>9}  {shims:>5}")
+    head = f"{'production':>10}  {'test':>7}  {'pub items':>9}  {'unshared':>8}  {'shims':>5}"
+    print(f"{'':{width}}  {head}")
+    for name, (production, test, public, unshared, shims) in rows:
+        counts = f"{production:>10}  {test:>7}  {public:>9}  {unshared:>8}  {shims:>5}"
+        print(f"{name:{width}}  {counts}")
+    for name, unshared in over:
+        ceiling = UNSHARED_CEILING.get(name, 0)
+        print(f"{name}: {unshared} unshared items, above its ceiling of {ceiling}")
+    return 1 if over else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -70,11 +70,7 @@ fn brute_force(
     candidates
         .iter()
         .map(|c| {
-            let first = c.first().unwrap();
-            if !filter.allows_root(first) {
-                return 0;
-            }
-            if c.len() >= 2 && !filter.allows_second(first, c.items()[1]) {
+            if !filter.owns(c.items()) {
                 return 0;
             }
             transactions.iter().filter(|t| t.contains_set(c)).count() as u64

@@ -2,8 +2,7 @@
 
 use armine::core::apriori::{apriori_gen, Apriori, AprioriParams};
 use armine::core::binpack::{
-    pack_lpt, pack_lpt_weighted, partition_by_first_item, partition_round_robin,
-    partition_two_level, CandidatePartition, Packing,
+    partition_by_first_item, partition_round_robin, partition_two_level, CandidatePartition,
 };
 use armine::core::counter::CandidateCounter;
 use armine::core::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
@@ -139,30 +138,6 @@ proptest! {
         }
     }
 
-    /// Support is anti-monotone over the discovered lattice:
-    /// X ⊆ Y ⇒ σ(X) ≥ σ(Y).
-    #[test]
-    fn support_anti_monotonicity(
-        raw_txs in prop::collection::vec(arb_transaction(12, 8), 1..30),
-        min_count in 1u64..4,
-    ) {
-        let txs = to_transactions(&raw_txs);
-        let run = Apriori::new(AprioriParams::with_min_support_count(min_count)).mine(&txs);
-        let all: Vec<(&ItemSet, u64)> = run.frequent.iter().collect();
-        for (x, cx) in &all {
-            for (y, cy) in &all {
-                if x.is_subset_of(y) {
-                    prop_assert!(cx >= cy, "{} ⊆ {} but {} < {}", x, y, cx, cy);
-                }
-            }
-        }
-        // And every frequent count is the true count.
-        for (s, c) in &all {
-            let want = txs.iter().filter(|t| t.contains_set(s)).count() as u64;
-            prop_assert_eq!(*c, want);
-        }
-    }
-
     /// apriori_gen output is sorted, deduplicated, of size k, and exactly
     /// the sets whose (k-1)-subsets are all present.
     #[test]
@@ -191,76 +166,6 @@ proptest! {
         }
     }
 
-    /// A partition plan's shares cover every candidate exactly once,
-    /// whatever the strategy, the capacities and the split threshold:
-    /// pairwise disjoint, union `C_k`, each sorted. A share is exactly
-    /// what its filter owns (the ownership partitioners; round-robin's
-    /// filters own everything and its shares are the strides), and the
-    /// plan's imbalance is the one the share lengths give.
-    #[test]
-    fn partitions_are_exact_covers(
-        raw_cands in prop::collection::vec(arb_candidate(20, 3), 1..60),
-        procs in 1usize..9,
-        skew in prop::collection::vec(1u32..6, 8),
-        skewed in 0u8..2,
-        split_threshold in 0u64..6,
-    ) {
-        let cands = to_itemsets(&raw_cands);
-        let capacities: Vec<f64> = (0..procs)
-            .map(|i| if skewed == 1 { f64::from(skew[i]) / 2.0 } else { 1.0 })
-            .collect();
-        let plans = [
-            (partition_round_robin(&cands, procs), false),
-            (partition_by_first_item(&cands, 20, &capacities), true),
-            (partition_two_level(&cands, 20, &capacities, split_threshold), true),
-        ];
-        for (part, by_ownership) in plans {
-            prop_assert_eq!(part.num_procs(), procs);
-            let shares = shares(&part, &cands);
-            for (proc, share) in shares.iter().enumerate() {
-                prop_assert!(share.windows(2).all(|w| w[0] < w[1]), "unsorted: {:?}", share);
-                if by_ownership {
-                    let owned: Vec<ItemSet> =
-                        cands.iter().filter(|c| part.filters[proc].owns(c.items())).cloned().collect();
-                    prop_assert_eq!(share, &owned);
-                } else {
-                    let stride: Vec<ItemSet> =
-                        cands.iter().skip(proc).step_by(procs).cloned().collect();
-                    prop_assert_eq!(share, &stride);
-                    prop_assert!(part.filters[proc].is_all());
-                }
-            }
-            // Sorted and duplicate-free once merged: disjoint, union C_k.
-            let mut all: Vec<ItemSet> = shares.iter().flatten().cloned().collect();
-            all.sort();
-            prop_assert_eq!(&all, &cands);
-            let loads = shares.iter().map(|s| s.len() as u64).collect();
-            let by_length = Packing { assignment: Vec::new(), loads }.imbalance();
-            prop_assert_eq!(part.imbalance, by_length);
-        }
-    }
-
-    /// LPT packing never loses weight and respects the 4/3 OPT bound
-    /// against the trivial lower bounds max(w_max, total/bins).
-    #[test]
-    fn lpt_bounds(
-        weights in prop::collection::vec(0u64..1000, 1..50),
-        bins in 1usize..10,
-    ) {
-        let p = pack_lpt(&weights, bins);
-        let total: u64 = weights.iter().sum();
-        prop_assert_eq!(p.loads.iter().sum::<u64>(), total);
-        let lower = (*weights.iter().max().unwrap()).max(total.div_ceil(bins as u64));
-        let max_load = *p.loads.iter().max().unwrap();
-        // LPT ≤ 4/3·OPT + ... ; use the safe bound 4/3·lower + max weight.
-        prop_assert!(
-            max_load * 3 <= lower * 4 + 3 * *weights.iter().max().unwrap(),
-            "max load {} vs lower bound {}",
-            max_load,
-            lower
-        );
-    }
-
     /// V(i,j) stays within [1, min(i,j)] and is monotone in i.
     #[test]
     fn v_model_bounds(i in 1u32..500, j in 1u32..500) {
@@ -285,26 +190,6 @@ proptest! {
         for (set, count) in run.frequent.iter() {
             prop_assert_eq!(index.support(set), count, "{}", set);
         }
-    }
-
-    /// Capacity-weighted packing is an exact cover for any positive
-    /// capacities, and uniform capacities reproduce plain LPT bit for bit
-    /// (the homogeneous-goldens guarantee).
-    #[test]
-    fn weighted_packing_covers_and_degenerates_to_lpt(
-        weights in prop::collection::vec(0u64..1000, 1..50),
-        caps in prop::collection::vec(1u32..16, 1..10),
-        uniform_cap in 1u32..16,
-    ) {
-        let caps: Vec<f64> = caps.iter().map(|&c| f64::from(c)).collect();
-        let p = pack_lpt_weighted(&weights, &caps);
-        prop_assert_eq!(p.loads.iter().sum::<u64>(), weights.iter().sum::<u64>());
-        prop_assert_eq!(p.assignment.len(), weights.len());
-        let bins = caps.len();
-        let u = pack_lpt_weighted(&weights, &vec![f64::from(uniform_cap); bins]);
-        let plain = pack_lpt(&weights, bins);
-        prop_assert_eq!(u.assignment, plain.assignment);
-        prop_assert_eq!(u.loads, plain.loads);
     }
 
     /// A heterogeneous cluster never changes the mined lattice — under
@@ -380,52 +265,6 @@ proptest! {
                 prop_assert_eq!(tree.count_of(c), Some(want));
             }
         }
-    }
-}
-
-/// Section IV holds `S`, the candidates per leaf, constant as `M` grows.
-/// The sized default must too: over uniform random pairs, a hundredfold
-/// `M` leaves both the average leaf occupancy and the candidates checked
-/// per visited leaf where they were (a fixed fan-out of 8 multiplies both
-/// by a hundred).
-#[test]
-fn sized_fan_out_holds_leaf_occupancy_constant() {
-    use rand::prelude::*;
-    let params = HashTreeParams::default();
-    let mut rng = StdRng::seed_from_u64(1997);
-    let universe = 1000u32;
-    let txs: Vec<Transaction> = (0..200)
-        .map(|tid| {
-            let items = (0..15).map(|_| Item(rng.gen_range(0..universe))).collect();
-            Transaction::new(tid, items)
-        })
-        .collect();
-    let checks_per_visit: Vec<f64> = [1_000usize, 10_000, 100_000]
-        .into_iter()
-        .map(|m| {
-            let mut pairs = std::collections::BTreeSet::new();
-            while pairs.len() < m {
-                let (a, b) = (rng.gen_range(0..universe), rng.gen_range(0..universe));
-                if a != b {
-                    pairs.insert(ItemSet::from([a.min(b), a.max(b)]));
-                }
-            }
-            let mut tree = HashTree::build(2, params, pairs.into_iter().collect());
-            assert!(
-                tree.avg_leaf_occupancy() <= params.max_leaf as f64,
-                "M = {m}: S = {}",
-                tree.avg_leaf_occupancy()
-            );
-            tree.count_all(&txs, &OwnershipFilter::all());
-            let stats = tree.stats();
-            stats.candidate_checks as f64 / stats.distinct_leaf_visits as f64
-        })
-        .collect();
-    for (small, large) in checks_per_visit.iter().zip(&checks_per_visit[1..]) {
-        assert!(
-            *large <= params.max_leaf as f64 && *large <= 1.25 * small,
-            "candidates checked per visited leaf grew with M: {checks_per_visit:?}"
-        );
     }
 }
 
