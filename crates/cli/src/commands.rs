@@ -109,6 +109,10 @@ const MAX_PROCS: usize = 1024;
 /// The largest PDM bucket table: every rank holds one `u64` per bucket.
 const MAX_BUCKETS: usize = 1 << 24;
 
+/// The most PDM bucket counts all ranks hold together (512 MiB of `u64`s):
+/// the default 2^15 buckets fit at [`MAX_PROCS`] ranks.
+const MAX_BUCKET_COUNTS: usize = 1 << 26;
+
 /// A count from 1 to `max`.
 fn one_to(flag: &str, value: usize, max: usize) -> Result<usize, ArgError> {
     in_range(
@@ -314,6 +318,11 @@ fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>>
     let procs = one_to("procs", args.required("procs")?, MAX_PROCS)?;
     let input: String = args.required("input")?;
     let algorithm = parse_algorithm(args)?;
+    if let Algorithm::Pdm { buckets, .. } = algorithm {
+        let most = MAX_BUCKET_COUNTS / procs;
+        let valid = format!("1 to {most} at --procs {procs}");
+        in_range("buckets", buckets, |b| *b <= most, &valid)?;
+    }
     let machine_arg: Option<String> = args.optional("machine")?;
     let cluster_path: Option<String> = args.optional("cluster")?;
     let support = min_support(args)?;
@@ -947,6 +956,23 @@ mod tests {
                 ),
                 "--buckets",
                 "18446744073709551615",
+            ),
+            // Each bound alone admits these, but every rank would hold
+            // 2^24 bucket counts: 128 GiB over 1,024 ranks.
+            (
+                with(
+                    &pdm,
+                    &[
+                        "--procs",
+                        "1024",
+                        "--min-count",
+                        "3",
+                        "--buckets",
+                        "16777216",
+                    ],
+                ),
+                "--buckets",
+                "16777216",
             ),
             // No input: a bound that let 1025 through would fail on the
             // message before it started a rank.

@@ -14,10 +14,12 @@
 //! implementations (Borgelt's, Bodon's), and the Eclat-style
 //! [`VerticalCounter`], which pivots
 //! each batch into per-item tid bitmaps and counts by AND + popcount
-//! instead of walking transaction subsets at all. At `k = 2` the latter two
-//! share one direct pair table (one probe per item pair, the classic
-//! Apriori pass-2 specialisation), which only [`CounterBackend`] knows
-//! about. Structure choice dominating
+//! instead of walking transaction subsets at all. At `k = 2` all three
+//! count through one direct pair table (one probe per item pair, the
+//! classic Apriori pass-2 specialisation), which only [`CounterBackend`]
+//! knows about: the latter two in place of their own structure, the hash
+//! tree under its own shape, which each transaction still walks for the
+//! ledger the model prices. Structure choice dominating
 //! Apriori runtime is the point of Singh et al. (arXiv:1511.07017);
 //! making it a measured experiment instead of an architectural fact is
 //! the point of this seam.
@@ -30,10 +32,11 @@
 //! structure owns a table plus its own index into the table's slots — hash
 //! nodes, trie nodes, a lexicographic sweep order, pair cells — and its
 //! `count_all` kernel; everything else [`CandidateCounter`] offers is a
-//! provided method over the table. Only the hash tree reorders the table
-//! (leaf by leaf, so a leaf check scans contiguous memory) and so only it
-//! carries a slot → insertion-index permutation; the other indexes point
-//! at slots in insertion order.
+//! provided method over the table. Only a hash tree that holds its
+//! candidates (past pass 2) reorders the table (leaf by leaf, so a leaf
+//! check scans contiguous memory) and so only it carries a slot →
+//! insertion-index permutation; the other indexes point at slots in
+//! insertion order.
 //!
 //! The serial pass hands the table the arena candidate generation wrote,
 //! adopted without a copy. [`CounterBackend::build`] only reads its offer,
@@ -45,7 +48,7 @@
 //! written down (DESIGN.md §5.7).
 
 use crate::candidates::Candidates;
-use crate::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
+use crate::hashtree::{HashTree, HashTreeParams, OwnershipFilter, PairTree};
 use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::pairs::PairCounter;
@@ -168,7 +171,8 @@ impl CounterStats {
 /// counting structure that does not depend on how it finds a candidate.
 ///
 /// A *slot* is a position in the table. Slots are in insertion order
-/// unless the owning structure has permuted them (only the hash tree does).
+/// unless the owning structure has permuted them (only a hash tree that
+/// holds its candidates does).
 #[derive(Debug, Clone)]
 pub struct CandidateTable {
     pub(crate) k: usize,
@@ -445,12 +449,14 @@ impl CounterBackend {
     /// or lend a `&[ItemSet]`, an iterator of `&ItemSet` or the rows of a
     /// `k`-strided arena (`arena.chunks_exact(k)`) and keep them.
     ///
-    /// At `k = 2` the trie and the vertical backend count through the
-    /// direct pair table of the `pairs` module (one probe per item pair)
-    /// in place of their own structure, unless the candidates are so
-    /// sparse over their item universe that the table would dwarf them.
-    /// The hash tree is built at every `k`: it is the paper's model, and
-    /// the virtual-time goldens are priced from its ledger.
+    /// At `k = 2` every backend counts through the direct pair table of
+    /// the `pairs` module (one probe per item pair), unless the candidates
+    /// are so sparse over their item universe that the table would dwarf
+    /// them: the trie and the vertical backend in place of their own
+    /// structure, the hash tree under its shape alone (slots and leaf
+    /// sizes, no candidate placed). Each transaction still walks that
+    /// shape, so the hash tree's ledger, from which the virtual-time
+    /// goldens are priced, is the full tree's at every `k`.
     pub fn build(
         self,
         k: usize,
@@ -463,10 +469,11 @@ impl CounterBackend {
     /// Builds the selected structure over a share of `candidates`: the
     /// rows in `range` that `keep(row, items)` admits, read in place.
     ///
-    /// On `C₂ = F₁ × F₁` the trie and the vertical backend build the pair
-    /// table straight from `F₁` and the share, so no pair is stored; every
-    /// other structure (and a declined pair table) is built over a copy of
-    /// the share's rows, as [`build`](Self::build) would build it.
+    /// On `C₂ = F₁ × F₁` every backend builds the pair table straight from
+    /// `F₁` and the share, so no pair is stored (the hash tree counts its
+    /// shape from the table's pairs); a deeper pass, and a declined pair
+    /// table, is built over a copy of the share's rows, as
+    /// [`build`](Self::build) would build it.
     pub fn build_share(
         self,
         tree: HashTreeParams,
@@ -474,8 +481,7 @@ impl CounterBackend {
         range: Range<usize>,
         keep: impl Fn(usize, &[Item]) -> bool,
     ) -> Box<dyn CandidateCounter> {
-        let f1 = candidates.pair_items();
-        if let Some(f1) = f1.filter(|_| self != CounterBackend::HashTree) {
+        if let Some(f1) = candidates.pair_items() {
             let pairs = candidates.pair_ranks(range.clone());
             let ranks = || {
                 let owned = pairs.clone();
@@ -483,7 +489,7 @@ impl CounterBackend {
                 owned.map(|(_, i, j)| (i, j))
             };
             if let Some(pairs) = PairCounter::from_share(f1, ranks) {
-                return Box::new(pairs);
+                return self.over_pairs(tree, pairs);
             }
         }
         let rows = || {
@@ -505,15 +511,24 @@ impl CounterBackend {
         tree: HashTreeParams,
         table: CandidateTable,
     ) -> Box<dyn CandidateCounter> {
-        let table = if table.k == 2 && self != CounterBackend::HashTree {
+        let table = if table.k == 2 {
             match PairCounter::from_table(table) {
-                Ok(pairs) => return Box::new(pairs),
+                Ok(pairs) => return self.over_pairs(tree, pairs),
                 Err(too_sparse) => too_sparse,
             }
         } else {
             table
         };
         self.structure(tree, table)
+    }
+
+    /// The backend's pass-2 counter over the pair table: the table itself,
+    /// or for the hash tree the table under the tree's shape.
+    fn over_pairs(self, tree: HashTreeParams, pairs: PairCounter) -> Box<dyn CandidateCounter> {
+        match self {
+            CounterBackend::HashTree => Box::new(PairTree::new(tree, pairs)),
+            CounterBackend::Trie | CounterBackend::Vertical => Box::new(pairs),
+        }
     }
 
     /// The backend's own structure over `table`, never the pair table.

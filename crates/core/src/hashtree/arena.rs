@@ -4,6 +4,9 @@
 //! [`Arena::walk`] is one transaction's descent over them: it only marks
 //! the leaves it reaches. [`Arena::score`] then checks each leaf a batch of
 //! transactions reached, once per batch, against its per-item masks.
+//! [`Arena::pair_shape`] builds a pass-2 tree's nodes and leaf sizes with
+//! no candidate behind them: its walk only charges the ledger, and
+//! [`Arena::clear_visits`] forgets the marks.
 
 use super::filter::OwnershipFilter;
 use crate::counter::CounterStats;
@@ -83,11 +86,85 @@ impl Arena {
         candidates: &[Item],
     ) -> (Arena, Vec<u32>) {
         let num_candidates = candidates.len() / k;
+        let mut arena = Arena::empty(branching, num_candidates);
+        let mut order: Vec<u32> = (0..num_candidates as u32).collect();
+        let mut scratch = vec![0u32; order.len()];
+        let root = arena.partition(candidates, &mut order, &mut scratch, 0, 0, k, max_leaf);
+        (arena.rooted(root), order)
+    }
+
+    /// The shape [`build`](Self::build) gives a tree over the pairs that
+    /// `pairs` yields (read at most twice, as ranks into `items`), worked
+    /// out from hash counts alone: a root bucket that at most `max_leaf`
+    /// pairs reach is a leaf, a fuller one a node whose cells, the pairs
+    /// counted by their second item's bucket, are leaves. Every slot and
+    /// leaf size is the one `build` gives; no candidate is placed, so the
+    /// leaves are only ever walked, never scored.
+    pub(super) fn pair_shape<I: Iterator<Item = (u32, u32)>>(
+        branching: usize,
+        max_leaf: usize,
+        items: &[Item],
+        pairs: impl Fn() -> I,
+    ) -> Arena {
+        let modulus = Modulus::new(branching);
+        let bucket: Vec<u32> = items.iter().map(|&item| modulus.bucket(item)).collect();
+        let mut row_sizes = vec![0usize; branching];
+        // `for_each`, not `for`: a flattened iterator folds in tight loops.
+        pairs().for_each(|(first, _)| row_sizes[bucket[first as usize] as usize] += 1);
+        let num_pairs: usize = row_sizes.iter().sum();
+        let mut arena = Arena::empty(branching, num_pairs);
+        if num_pairs <= max_leaf {
+            let root = arena.leaf(0, num_pairs);
+            return arena.rooted(root);
+        }
+        // The root's slots, then one block per full bucket, in bucket
+        // order as `partition` allocates them. A full bucket's root slot
+        // names its node, and the node's slots count its cells.
+        let b = branching;
+        arena.slots = vec![NONE; b];
+        for (h, _) in row_sizes.iter().enumerate().filter(|&(_, &n)| n > max_leaf) {
+            arena.slots[h] = (arena.slots.len() / b) as u32;
+            arena.slots.resize(arena.slots.len() + b, 0);
+        }
+        pairs().for_each(|(first, second)| {
+            let node = arena.slots[bucket[first as usize] as usize];
+            if node != NONE {
+                arena.slots[node as usize * b + bucket[second as usize] as usize] += 1;
+            }
+        });
+        // The leaves, in the depth-first order `partition` pushes them.
+        let leaf_rows = row_sizes.iter().filter(|&&n| 0 < n && n <= max_leaf);
+        let leaf_cells = arena.slots[b..].iter().filter(|&&n| n > 0);
+        arena
+            .leaves
+            .reserve_exact(leaf_rows.count() + leaf_cells.count());
+        let mut offset = 0;
+        for (h, &size) in row_sizes.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            if size <= max_leaf {
+                arena.slots[h] = arena.leaf(offset, size);
+                offset += size;
+                continue;
+            }
+            let base = arena.slots[h] as usize * b;
+            for cell in base..base + b {
+                let size = arena.slots[cell] as usize;
+                arena.slots[cell] = match size {
+                    0 => NONE,
+                    _ => arena.leaf(offset, size),
+                };
+                offset += size;
+            }
+        }
+        arena.rooted(0)
+    }
+
+    /// A tree with no node yet, for `num_candidates` candidates.
+    fn empty(branching: usize, num_candidates: usize) -> Arena {
         assert!(
             num_candidates < LEAF as usize,
             "too many candidates for one tree"
         );
-        let mut arena = Arena {
+        Arena {
             branching,
             modulus: Modulus::new(branching),
             slots: Vec::new(),
@@ -96,12 +173,25 @@ impl Arena {
             touched: Vec::new(),
             reached: 0,
             buckets: Vec::new(),
-        };
-        let mut order: Vec<u32> = (0..num_candidates as u32).collect();
-        let mut scratch = vec![0u32; order.len()];
-        arena.root = arena.partition(candidates, &mut order, &mut scratch, 0, 0, k, max_leaf);
-        arena.touched = vec![0; arena.leaves.len() + 1];
-        (arena, order)
+        }
+    }
+
+    /// The tree with `root` as its root slot, ready to walk.
+    fn rooted(mut self, root: u32) -> Arena {
+        self.root = root;
+        self.touched = vec![0; self.leaves.len() + 1];
+        self
+    }
+
+    /// Adds the leaf over candidates `start..start + len` of the leaf
+    /// order and returns its slot.
+    fn leaf(&mut self, start: usize, len: usize) -> u32 {
+        self.leaves.push(Leaf {
+            start: start as u32,
+            end: (start + len) as u32,
+            visited: 0,
+        });
+        LEAF | (self.leaves.len() - 1) as u32
     }
 
     /// Builds the subtree over `order` (candidates `offset..` of the leaf
@@ -120,12 +210,7 @@ impl Arena {
         // At depth `k` every item is consumed; hashing further is
         // impossible, so the leaf keeps whatever reached it.
         if order.len() <= max_leaf || depth == k {
-            self.leaves.push(Leaf {
-                start: offset as u32,
-                end: (offset + order.len()) as u32,
-                visited: 0,
-            });
-            return LEAF | (self.leaves.len() - 1) as u32;
+            return self.leaf(offset, order.len());
         }
         // Stable counting sort on the hash of the `depth`-th item.
         let (b, modulus) = (self.branching, self.modulus);
@@ -177,10 +262,26 @@ impl Arena {
         self.leaves.iter().filter(|l| l.start < l.end).count()
     }
 
+    /// The root slot, every node's slots and every leaf's candidate range.
+    #[cfg(test)]
+    pub(super) fn shape(&self) -> (u32, &[u32], Vec<(u32, u32)>) {
+        let leaves = self.leaves.iter().map(|l| (l.start, l.end)).collect();
+        (self.root, &self.slots, leaves)
+    }
+
     /// Whether no leaf holds a visit bit and none awaits scoring.
     #[cfg(test)]
     pub(super) fn is_clean(&self) -> bool {
         self.reached == 0 && self.leaves.iter().all(|l| l.visited == 0)
+    }
+
+    /// Zeroes the visit bits of every leaf the batch reached, for a tree
+    /// whose leaves are walked but never scored.
+    pub(super) fn clear_visits(&mut self) {
+        let reached = std::mem::take(&mut self.reached);
+        for &index in &self.touched[..reached] {
+            self.leaves[index as usize].visited = 0;
+        }
     }
 
     /// Checks every leaf the batch reached against the batch, once: a

@@ -39,6 +39,17 @@
 //! A transaction item above every candidate item has no mask and can
 //! match nothing, but the walk still hashes it and descends where a child
 //! exists: the ledger counts the paper's walk, not the cheapest one.
+//!
+//! Pass 2 needs no tree to find a candidate: a pair is found by one probe
+//! of the direct pair table (`crate::pairs`). So at `k = 2`
+//! [`CounterBackend`](crate::counter::CounterBackend) builds a
+//! `PairTree`: the pair table counts, and the tree keeps only its shape,
+//! the slots and leaf sizes that counting the pairs into hash cells gives
+//! (`Arena::pair_shape`: by first item's bucket, then by second item's
+//! within each bucket too full to be a leaf), with no candidate row, leaf
+//! order or mask. Each transaction walks the shape as above, charging the
+//! full tree's ledger, and the batch's visit bits are cleared instead of
+//! scored. [`HashTree::build`] is always the full tree.
 
 mod arena;
 mod filter;
@@ -48,6 +59,7 @@ pub use filter::OwnershipFilter;
 use crate::counter::{CandidateCounter, CandidateTable};
 use crate::item::Item;
 use crate::itemset::ItemSet;
+use crate::pairs::PairCounter;
 use crate::transaction::Transaction;
 use arena::Arena;
 
@@ -101,6 +113,15 @@ impl HashTreeParams {
             .find(|b| b.checked_pow(exponent).is_none_or(|c| c >= cells))
             .expect("some fan-out reaches any cell count")
     }
+
+    /// [`fan_out`](Self::fan_out), refusing degenerate params (branching
+    /// 1, max_leaf 0).
+    fn checked_fan_out(&self, k: usize, num_candidates: usize) -> usize {
+        assert!(self.max_leaf >= 1, "max_leaf must be at least 1");
+        let branching = self.fan_out(k, num_candidates);
+        assert!(branching >= 2, "branching must be at least 2");
+        branching
+    }
 }
 
 /// Transactions per batch: one bit of a `u64` each.
@@ -144,9 +165,7 @@ impl HashTree {
     }
 
     pub(crate) fn from_table(params: HashTreeParams, mut table: CandidateTable) -> Self {
-        assert!(params.max_leaf >= 1, "max_leaf must be at least 1");
-        let branching = params.fan_out(table.k, table.len());
-        assert!(branching >= 2, "branching must be at least 2");
+        let branching = params.checked_fan_out(table.k, table.len());
         let (arena, order) = Arena::build(table.k, branching, params.max_leaf, &table.items);
         table.permute(order);
         let largest = table.items.iter().max();
@@ -200,6 +219,8 @@ impl HashTree {
         }
         self.table.stats.transactions += batch.len() as u64;
         let k = self.table.k;
+        // Bit `j` set when the batch's `j`-th transaction set its masks.
+        let mut walked = 0u64;
         for (j, t) in batch.iter().enumerate() {
             let titems = t.items();
             if titems.len() < k {
@@ -211,6 +232,7 @@ impl HashTree {
                 continue;
             };
             let bit = 1 << j;
+            walked |= bit;
             for &item in self.inside(titems) {
                 self.masks[item.index()] |= bit;
             }
@@ -222,7 +244,11 @@ impl HashTree {
         }
         let (items, counts) = (&self.table.items, &mut self.table.counts);
         self.arena.score(items, counts, &self.masks, k);
-        for t in batch {
+        let walked = batch
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| walked >> j & 1 != 0);
+        for (_, t) in walked {
             for &item in self.inside(t.items()) {
                 self.masks[item.index()] = 0;
             }
@@ -249,6 +275,75 @@ impl CandidateCounter for HashTree {
         for batch in transactions.chunks(BATCH) {
             self.count_batch(batch, filter);
         }
+    }
+}
+
+/// The hash tree of pass 2 as [`CounterBackend`](crate::counter::CounterBackend)
+/// builds it: the direct pair table counts, and the tree keeps only its
+/// shape — slots and leaf sizes, no candidate placed — which each
+/// transaction walks for the ledger the model prices. The counts and the
+/// ledger are the full tree's ([`HashTree::build`] over the same pairs),
+/// for every candidate the walk's filter owns.
+pub(crate) struct PairTree {
+    pairs: PairCounter,
+    arena: Arena,
+}
+
+impl PairTree {
+    /// The tree [`HashTree::from_table`] would build over the candidates
+    /// of `pairs`, as a shape over them.
+    ///
+    /// # Panics
+    /// If the params are degenerate (branching 1, max_leaf 0).
+    pub(crate) fn new(params: HashTreeParams, pairs: PairCounter) -> Self {
+        let branching = params.checked_fan_out(2, pairs.num_candidates());
+        let items = pairs.ranked_items();
+        let arena = Arena::pair_shape(branching, params.max_leaf, items, || pairs.ranked_pairs());
+        PairTree { pairs, arena }
+    }
+}
+
+impl CandidateCounter for PairTree {
+    fn table(&self) -> &CandidateTable {
+        self.pairs.table()
+    }
+
+    fn table_mut(&mut self) -> &mut CandidateTable {
+        self.pairs.table_mut()
+    }
+
+    /// Walks the shape 64 transactions at a time, as [`HashTree`] does,
+    /// and probes the pair table with each transaction the walk starts:
+    /// one with no starting item the filter owns holds no owned pair.
+    fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
+        if self.is_empty() {
+            return;
+        }
+        let mut stats = self.stats();
+        for batch in transactions.chunks(BATCH) {
+            stats.transactions += batch.len() as u64;
+            for (j, t) in batch.iter().enumerate() {
+                let titems = t.items();
+                if titems.len() < 2 {
+                    continue;
+                }
+                let Some(from) = self.arena.first_start(titems, 2, filter) else {
+                    continue;
+                };
+                self.arena.walk(titems, from, 2, 1 << j, filter, &mut stats);
+                self.pairs.probe(titems, filter);
+            }
+            self.arena.clear_visits();
+        }
+        self.table_mut().stats = stats;
+    }
+
+    fn count_of(&self, set: &ItemSet) -> Option<u64> {
+        self.pairs.count_of(set)
+    }
+
+    fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
+        self.pairs.frequent(min_count)
     }
 }
 
@@ -932,6 +1027,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The shape of a pass-2 tree, built from hash-cell counts, is the
+    /// one `Arena::build` partitions from the same pairs: every slot, and
+    /// every leaf's size and place in the leaf order, for seeded random
+    /// pair sets offered in any order, under the sized fan-out, a pinned
+    /// `8 × 16` and a narrow `3 × 2`, from a root that is a leaf up to
+    /// thousands of pairs.
+    #[test]
+    fn the_pair_shape_is_the_partitioned_shape() {
+        use crate::counter::CandidateTable;
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(42);
+        let pinned = HashTreeParams {
+            branching: 8,
+            max_leaf: 16,
+        };
+        let narrow = HashTreeParams {
+            branching: 3,
+            max_leaf: 2,
+        };
+        let mut seen_root_leaf = false;
+        for trial in 0..48 {
+            let wanted = match trial % 4 {
+                0 => rng.gen_range(0..=16usize),
+                1 => rng.gen_range(17..200),
+                _ => rng.gen_range(200..6000),
+            };
+            // Dense enough over its ids that the pair table takes it.
+            let universe = rng.gen_range(2..=4 + 2 * (wanted as f64).sqrt() as u32);
+            let mut pairs = std::collections::BTreeSet::new();
+            for _ in 0..wanted {
+                let (a, b) = (rng.gen_range(0..universe), rng.gen_range(0..universe));
+                if a != b {
+                    pairs.insert(set(&[a.min(b), a.max(b)]));
+                }
+            }
+            let mut pairs: Vec<ItemSet> = pairs.into_iter().collect();
+            if trial % 3 == 0 {
+                pairs.shuffle(&mut rng);
+            }
+            for params in [HashTreeParams::default(), pinned, narrow] {
+                let on = format!("trial {trial}, {} pairs, {params:?}", pairs.len());
+                let tree = HashTree::build(2, params, pairs.clone());
+                let table = CandidateTable::new(2, pairs.clone());
+                let counter = PairCounter::from_table(table).expect("dense enough to take");
+                let shaped = PairTree::new(params, counter);
+                assert_eq!(shaped.arena.shape(), tree.arena.shape(), "{on}");
+                assert_eq!(shaped.arena.branching(), tree.branching(), "{on}");
+                seen_root_leaf |= pairs.len() <= params.max_leaf;
+            }
+        }
+        assert!(seen_root_leaf, "no root was a leaf");
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //! counter's bitmap AND per *candidate*.
 //!
 //! The counter is never named outside [`CounterBackend`], which builds it
-//! in place of the trie or the vertical counter at `k = 2`, from rows
+//! at `k = 2` in place of the trie or the vertical counter, or under the
+//! hash tree's shape (`hashtree::PairTree`, which counts through
+//! [`PairCounter::probe`] and walks the shape for its ledger), from rows
 //! ([`PairCounter::from_table`]) or from `F₁` and a share
 //! ([`PairCounter::from_share`]); both decline when the rank lookup and the
 //! cells a row layout without dense rows would need far outnumber the
@@ -167,6 +169,67 @@ impl PairCounter {
             self.items[second as usize],
         ])
     }
+
+    /// Counts the candidates `items` (sorted, at least two) holds under
+    /// `filter`, leaving the ledger to the caller: ranks the items once,
+    /// then probes every pair whose first item's row `filter` admits.
+    #[inline]
+    pub(crate) fn probe(&mut self, items: &[Item], filter: &OwnershipFilter) -> Probed {
+        let PairCounter {
+            table,
+            rank_of,
+            rows,
+            cells,
+            ranked,
+            ..
+        } = self;
+        let rank = |item: Item| rank_of.get(item.index()).copied().filter(|&r| r != NONE);
+        ranked.clear();
+        ranked.extend(items.iter().filter_map(|&item| Some((item, rank(item)?))));
+        let mut probed = Probed {
+            root_starts: 0,
+            steps: 0,
+            hits: 0,
+        };
+        for (i, &(first, rank)) in ranked.iter().enumerate() {
+            let row = rows[rank as usize];
+            let rest = &ranked[i + 1..];
+            if row.len == 0 || rest.is_empty() || !filter.allows_root(first) {
+                continue;
+            }
+            probed.root_starts += 1;
+            let span = row.start as usize..(row.start + row.len) as usize;
+            let (steps, hits) = if row.dense {
+                let counts = &mut table.counts[span];
+                count_dense_row(counts, row.lo, first, rest, filter)
+            } else {
+                let cells = &cells[span];
+                count_sparse_row(cells, row.lo, first, rest, filter, &mut table.counts)
+            };
+            probed.steps += steps;
+            probed.hits += hits;
+        }
+        probed
+    }
+
+    /// Rank → item: what the ranks of [`ranked_pairs`](Self::ranked_pairs)
+    /// index.
+    pub(crate) fn ranked_items(&self) -> &[Item] {
+        &self.items
+    }
+
+    /// Every candidate as its `(first, second)` ranks, row by row.
+    pub(crate) fn ranked_pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.candidates().map(|(_, first, second)| (first, second))
+    }
+}
+
+/// The work of counting one transaction: first items whose row was
+/// entered, probes that landed inside a row's span, and increments.
+pub(crate) struct Probed {
+    root_starts: u64,
+    steps: u64,
+    hits: u64,
 }
 
 /// The rows a pair counter needs, worked out from its candidates' ranks.
@@ -346,51 +409,25 @@ impl CandidateCounter for PairCounter {
     /// The filter prunes first items per row and (first, second) pairs per
     /// candidate — the trie's depth-0 and depth-1 checks.
     fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
-        let PairCounter {
-            table,
-            rank_of,
-            rows,
-            cells,
-            ranked,
-            ..
-        } = self;
-        if table.len() == 0 {
+        if self.table.len() == 0 {
             return;
         }
-        let mut stats = table.stats;
+        let mut stats = self.table.stats;
         let mut hits = 0u64;
-        let rank = |item: Item| rank_of.get(item.index()).copied().filter(|&r| r != NONE);
         for t in transactions {
             stats.transactions += 1;
             let items = t.items();
             if items.len() < 2 {
                 continue;
             }
-            stats.traversal_steps += items.len() as u64;
-            ranked.clear();
-            ranked.extend(items.iter().filter_map(|&item| Some((item, rank(item)?))));
-            for (i, &(first, rank)) in ranked.iter().enumerate() {
-                let row = rows[rank as usize];
-                let rest = &ranked[i + 1..];
-                if row.len == 0 || rest.is_empty() || !filter.allows_root(first) {
-                    continue;
-                }
-                stats.root_starts += 1;
-                let span = row.start as usize..(row.start + row.len) as usize;
-                let (steps, row_hits) = if row.dense {
-                    let counts = &mut table.counts[span];
-                    count_dense_row(counts, row.lo, first, rest, filter)
-                } else {
-                    let cells = &cells[span];
-                    count_sparse_row(cells, row.lo, first, rest, filter, &mut table.counts)
-                };
-                stats.traversal_steps += steps;
-                hits += row_hits;
-            }
+            let probed = self.probe(items, filter);
+            stats.root_starts += probed.root_starts;
+            stats.traversal_steps += items.len() as u64 + probed.steps;
+            hits += probed.hits;
         }
         stats.distinct_leaf_visits += hits;
         stats.candidate_checks += hits;
-        table.stats = stats;
+        self.table.stats = stats;
     }
 
     fn count_of(&self, set: &ItemSet) -> Option<u64> {

@@ -10,7 +10,8 @@
 //!   `k = 2`, whose per-batch pivot allocates with the batch.
 //! - **Pass 2 holds only its counts.** `C₂ = F₁ × F₁` is never written
 //!   down, so pass 2's peak live bytes above the input stay within one
-//!   count per candidate plus what `F₁` and a reduction cost.
+//!   count per candidate plus what `F₁` and a reduction cost, and for the
+//!   hash tree its shape.
 //! - **The rule step holds its index and its top rules.** `top_rules`
 //!   builds only the rules it returns, so its allocations and peak live
 //!   bytes do not grow with the number of rules.
@@ -183,15 +184,27 @@ const PER_F1_ITEM: usize = 64;
 /// set's 8-byte box.
 const PER_LEVEL_ENTRY: usize = 32;
 
+/// Bytes per cell of the hash tree's pass-2 shape, `b` root slots plus `b`
+/// for each split root bucket: its slot (4), at most one leaf (16) and the
+/// leaf's entry in the walk's touched list (4).
+const PER_SHAPE_CELL: usize = 24;
+
 /// Pass 2 of serial `mine` with the trie and with the vertical backend
 /// holds one count per candidate, its result and `F₁`-sized indexes, and
-/// not one pair of `C₂`. Measured when set: 1,080,940 bytes for
-/// |F₁| = 460, |C₂| = 105,570, |F₂| = 6,396, against a budget of 1,095,056.
+/// not one pair of `C₂`; with the hash tree, that plus the tree's shape.
+/// Measured when set: 1,080,940 bytes (trie, vertical) and 1,397,912
+/// (hash tree, fan-out 115) for |F₁| = 460, |C₂| = 105,570, |F₂| = 6,396,
+/// against budgets of 1,095,056 and 1,415,216.
 #[test]
 fn serial_pass_two_holds_its_counts() {
     let _serial = serial();
     let dataset = sparse(4_000);
-    for backend in [CounterBackend::Trie, CounterBackend::Vertical] {
+    let backends = [
+        CounterBackend::Trie,
+        CounterBackend::Vertical,
+        CounterBackend::HashTree,
+    ];
+    for backend in backends {
         let params = AprioriParams::with_min_support_count(12).max_k(2);
         let miner = Apriori::new(params.counter(backend));
         let (run, peak) = peak_above(|| miner.mine(dataset.transactions()));
@@ -201,7 +214,14 @@ fn serial_pass_two_holds_its_counts() {
             run.passes[1].frequent,
         );
         assert!(c2 > 100_000, "too few candidates to see: {c2}");
-        let budget = 8 * c2 + PER_LEVEL_ENTRY * f2 + PER_F1_ITEM * f1 + 16 * 1024;
+        let shape = match backend {
+            CounterBackend::HashTree => {
+                let b = HashTreeParams::default().fan_out(2, c2);
+                PER_SHAPE_CELL * b * (b + 1)
+            }
+            CounterBackend::Trie | CounterBackend::Vertical => 0,
+        };
+        let budget = 8 * c2 + PER_LEVEL_ENTRY * f2 + PER_F1_ITEM * f1 + 16 * 1024 + shape;
         assert!(
             peak <= budget,
             "{}: pass 2 peaked {peak} bytes above the input, over its budget of {budget} \

@@ -9,7 +9,7 @@ use armine::core::binpack::{
 };
 use armine::core::candidates::Candidates;
 use armine::core::counter::{CandidateCounter, CounterBackend, CounterStats};
-use armine::core::hashtree::{HashTreeParams, OwnershipFilter};
+use armine::core::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
 use armine::core::rules::generate_rules;
 use armine::core::stable_hash::owner_of;
 use armine::core::trie::CandidateTrie;
@@ -578,6 +578,102 @@ fn pass2_ledger_and_insertion_order_are_pinned() {
         );
         assert_eq!(counter.count_of(&ItemSet::from([1, 5])), Some(0));
         assert_eq!(counter.count_of(&ItemSet::from([1, 4])), None);
+    }
+}
+
+/// The hash tree's pass 2 as `CounterBackend` builds it — the pair table
+/// counting, the tree's shape walked for the ledger — against the full
+/// tree (`HashTree::build`, its leaves scored): the seven ledger fields,
+/// `count_vector`, `frequent` and `count_of` are equal on every share a
+/// driver cuts from `C₂` ([`every_share`]: all of it, memory-capped
+/// contiguous chunks, DD's round-robin sparse rows, first-item and
+/// two-level shares, hash-owned and bucket-pruned ones), each counted
+/// under `all` and under the filter that owns it, for the sized and the
+/// pinned fan-out, over an `F₁` whose tree stays narrow and one wide
+/// enough to widen the sized fan-out. The full tree's count of a
+/// candidate its filter does not own depends on which hash buckets
+/// collide, so no share here holds one; no driver builds one either.
+#[test]
+fn pass2_hash_tree_counts_and_charges_what_the_full_tree_does() {
+    let mut rng = StdRng::seed_from_u64(42);
+    let wide: Vec<Item> = (0..160).map(|i| Item(2 * i + 1)).collect();
+    let wide_txs: Vec<Transaction> = (0..400u64)
+        .map(|tid| {
+            let len = rng.gen_range(0..=24usize);
+            let ids: BTreeSet<u32> = (0..len).map(|_| rng.gen_range(0..330)).collect();
+            Transaction::new(tid, ids.into_iter().map(Item).collect())
+        })
+        .collect();
+    let narrow_txs = pass2_transactions();
+    let pinned = HashTreeParams {
+        branching: 8,
+        max_leaf: 16,
+    };
+    let all = OwnershipFilter::all();
+    for (f1, txs) in [(odd_items(), &narrow_txs), (wide, &wide_txs)] {
+        let c2 = Candidates::pairs(f1.clone());
+        for (shape, range, keep, own) in every_share(&c2, txs, true) {
+            let owned: Vec<ItemSet> = range
+                .clone()
+                .zip(c2.rows(range.clone()))
+                .filter(|(r, row)| keep(*r, row.as_ref()))
+                .map(|(_, row)| ItemSet::from_sorted(row.as_ref().to_vec()))
+                .collect();
+            assert!(!owned.is_empty(), "{shape}: an empty share");
+            for tree in [HashTreeParams::default(), pinned] {
+                for filter in [&all, &own] {
+                    let on = format!("|F1| = {}, {shape}, {tree:?}, {filter:?}", f1.len());
+                    let mut full = HashTree::build(2, tree, owned.clone());
+                    let mut share =
+                        CounterBackend::HashTree.build_share(tree, &c2, range.clone(), &keep);
+                    let mut given = CounterBackend::HashTree.build(2, tree, &owned);
+                    full.count_all(txs, filter);
+                    for counter in [&mut share, &mut given] {
+                        counter.count_all(txs, filter);
+                        assert_eq!(counter.stats(), full.stats(), "{on}");
+                        assert_eq!(counter.count_vector(), full.count_vector(), "{on}");
+                        assert_eq!(counter.frequent(2), full.frequent(2), "{on}");
+                        for set in &owned {
+                            assert_eq!(counter.count_of(set), full.count_of(set), "{on}: {set}");
+                        }
+                        assert_eq!(counter.count_of(&ItemSet::from([4, 6])), None, "{on}");
+                    }
+                    assert!(full.stats().candidate_checks > 0, "{on}: nothing checked");
+                }
+            }
+        }
+    }
+
+    // Repeats and rows out of order, as pinned for the pair table below.
+    let offered: Vec<ItemSet> = [[3, 4], [1, 5], [1, 3], [1, 5], [4, 5]]
+        .into_iter()
+        .map(ItemSet::from)
+        .collect();
+    let txs = to_transactions(&[
+        vec![1, 2, 3, 4],
+        vec![1, 4, 5, 9],
+        vec![3],
+        vec![3, 5],
+        vec![1, 3],
+    ]);
+    let splitting = HashTreeParams {
+        branching: 2,
+        max_leaf: 1,
+    };
+    for tree in [HashTreeParams::default(), pinned, splitting] {
+        let mut full = HashTree::build(2, tree, offered.clone());
+        let mut pairs = CounterBackend::HashTree.build(2, tree, offered.clone());
+        full.count_all(&txs, &all);
+        pairs.count_all(&txs, &all);
+        assert_eq!(pairs.stats(), full.stats(), "{tree:?}");
+        assert_eq!(pairs.stats().inserts, 5, "{tree:?}");
+        assert_eq!(pairs.count_vector(), vec![1, 1, 2, 1], "{tree:?}");
+        assert_eq!(pairs.count_vector(), full.count_vector(), "{tree:?}");
+        pairs.set_count_vector(&[7, 0, 9, 2]);
+        full.set_count_vector(&[7, 0, 9, 2]);
+        assert_eq!(pairs.frequent(2), full.frequent(2), "{tree:?}");
+        assert_eq!(pairs.count_of(&ItemSet::from([1, 5])), Some(0));
+        assert_eq!(pairs.count_of(&ItemSet::from([1, 4])), None);
     }
 }
 
