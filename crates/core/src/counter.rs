@@ -10,9 +10,9 @@
 //! run time. Three production backends exist — the paper's
 //! [`HashTree`] (the default, its fan-out
 //! sized from the candidate count), the item-indexed
-//! [`CandidateTrie`] of later Apriori
-//! implementations (Borgelt's, Bodon's), and the Eclat-style
-//! [`VerticalCounter`], which pivots
+//! trie of later Apriori
+//! implementations (Borgelt's, Bodon's; the `trie` module), and the
+//! Eclat-style vertical counter (the `vertical` module), which pivots
 //! each batch into per-item tid bitmaps and counts by AND + popcount
 //! instead of walking transaction subsets at all. At `k = 2` all three
 //! count through one direct pair table (one probe per item pair, the
@@ -27,16 +27,16 @@
 //! The structures differ only in how a transaction *finds* a candidate.
 //! What a candidate and its count *are* is the same for all of them and
 //! lives here, once, in [`CandidateTable`]: the candidate items in one
-//! arena strided by `k`, the counts, the work ledger, and the rule that a
-//! repeated candidate is dropped (the first occurrence keeps its slot). A
-//! structure owns a table plus its own index into the table's slots — hash
-//! nodes, trie nodes, a lexicographic sweep order, pair cells — and its
-//! `count_all` kernel; everything else [`CandidateCounter`] offers is a
-//! provided method over the table. Only a hash tree that holds its
+//! arena strided by `k`, the counts and the work ledger. Its one input
+//! contract is the one [`Candidates`] guarantees by construction: strictly
+//! ascending, distinct `k`-item rows, checked where rows enter a table (an
+//! offer that breaks it panics). A structure owns a table plus its own
+//! index into the table's slots — hash nodes, trie nodes, pair cells — and
+//! its `count_all` kernel; everything else [`CandidateCounter`] offers is
+//! a provided method over the table. Only a hash tree that holds its
 //! candidates (past pass 2) reorders the table (leaf by leaf, so a leaf
-//! check scans contiguous memory) and so only it carries a slot →
-//! insertion-index permutation; the other indexes point at slots in
-//! insertion order.
+//! check scans contiguous memory) and so only it carries a slot → row
+//! permutation; the other indexes point at slots in row order.
 //!
 //! The serial pass hands the table the arena candidate generation wrote,
 //! adopted without a copy. [`CounterBackend::build`] only reads its offer,
@@ -170,9 +170,10 @@ impl CounterStats {
 /// One pass's size-`k` candidates and their counts: everything about a
 /// counting structure that does not depend on how it finds a candidate.
 ///
-/// A *slot* is a position in the table. Slots are in insertion order
-/// unless the owning structure has permuted them (only a hash tree that
-/// holds its candidates does).
+/// A *slot* is a position in the table. Slots are in row order — the
+/// order of the strictly ascending rows the table was built from — unless
+/// the owning structure has permuted them (only a hash tree that holds
+/// its candidates does).
 #[derive(Debug, Clone)]
 pub struct CandidateTable {
     pub(crate) k: usize,
@@ -181,71 +182,56 @@ pub struct CandidateTable {
     pub(crate) items: Vec<Item>,
     /// Running support counts, in slot order.
     pub(crate) counts: Vec<u64>,
-    /// Slot → insertion index; `None` is the identity.
+    /// Slot → row index; `None` is the identity.
     ids: Option<Vec<u32>>,
     pub(crate) stats: CounterStats,
 }
 
 impl CandidateTable {
     /// Copies `candidates` (given or lent: item sets, or rows of an arena)
-    /// into the arena, dropping every repeat of an earlier candidate (the
-    /// first occurrence keeps its slot; `stats.inserts` counts the whole
-    /// offer).
-    ///
-    /// Every offer the miners make is strictly ascending, which the copy
-    /// itself confirms by comparing each candidate with the one before
-    /// it; only an offer that is not pays for a sort to find its repeats.
+    /// into the arena and adopts it (see [`from_arena`](Self::from_arena)).
     ///
     /// # Panics
-    /// If `k == 0` or a candidate does not have exactly `k` items.
+    /// If `k == 0`, a candidate does not have exactly `k` items, or the
+    /// candidates are not strictly ascending.
     pub(crate) fn new(k: usize, candidates: impl IntoIterator<Item: AsRef<[Item]>>) -> Self {
         assert!(k >= 1, "candidate size must be at least 1");
         let candidates = candidates.into_iter();
         let mut items: Vec<Item> = Vec::with_capacity(k * candidates.size_hint().0);
-        let mut ascending = true;
         for set in candidates {
             let set = set.as_ref();
             assert_eq!(set.len(), k, "candidate {set:?} has wrong size for k={k}");
-            ascending &= items.len() < k || items[items.len() - k..] < *set;
             items.extend_from_slice(set);
         }
-        let inserts = (items.len() / k) as u64;
-        if !ascending {
-            drop_repeats(&mut items, k);
-        }
-        Self::with_arena(k, items, inserts)
+        Self::from_arena(k, items)
     }
 
     /// Adopts `items`, `k`-strided and strictly ascending as candidate
-    /// generation writes them (or panics), as the arena without a copy.
+    /// generation writes them (or panics), as the arena without a copy:
+    /// the one place the seam's input contract is checked.
     pub(crate) fn from_arena(k: usize, items: Vec<Item>) -> Self {
         assert_eq!(items.len() % k, 0, "arena is not strided by k={k}");
         let rows = || items.chunks_exact(k);
         let ascending = rows().zip(rows().skip(1)).all(|(a, b)| a < b);
-        assert!(ascending, "arena candidates must be strictly ascending");
-        let inserts = (items.len() / k) as u64;
-        Self::with_arena(k, items, inserts)
+        assert!(ascending, "candidates must be strictly ascending");
+        let n = items.len() / k;
+        CandidateTable {
+            items,
+            ..Self::counts_only(k, n)
+        }
     }
 
     /// A table of `n` counts with no candidate rows, for a structure that
     /// keeps its candidates implicit (the pair counter).
     pub(crate) fn counts_only(k: usize, n: usize) -> Self {
-        CandidateTable {
-            counts: vec![0; n],
-            ..Self::with_arena(k, Vec::new(), n as u64)
-        }
-    }
-
-    /// The table over `items`, built from an offer of `inserts` candidates.
-    fn with_arena(k: usize, items: Vec<Item>, inserts: u64) -> Self {
         let stats = CounterStats {
-            inserts,
+            inserts: n as u64,
             ..CounterStats::default()
         };
         CandidateTable {
             k,
-            counts: vec![0; items.len() / k],
-            items,
+            items: Vec::new(),
+            counts: vec![0; n],
             ids: None,
             stats,
         }
@@ -261,14 +247,14 @@ impl CandidateTable {
         &self.items[slot * self.k..][..self.k]
     }
 
-    /// Where the candidate in `slot` stood in the offer, repeats aside.
-    fn insertion_index(&self, slot: usize) -> usize {
+    /// The row the candidate in `slot` was built from.
+    fn row_index(&self, slot: usize) -> usize {
         self.ids.as_ref().map_or(slot, |ids| ids[slot] as usize)
     }
 
     /// Moves the candidate in slot `order[i]` to slot `i`, for a structure
-    /// whose kernel wants its own layout. Extraction stays in insertion
-    /// order. Call before anything is counted, on a table not yet permuted.
+    /// whose kernel wants its own layout. Extraction stays in row order.
+    /// Call before anything is counted, on a table not yet permuted.
     pub(crate) fn permute(&mut self, order: Vec<u32>) {
         debug_assert!(self.ids.is_none() && order.len() == self.len());
         self.items = order
@@ -278,26 +264,6 @@ impl CandidateTable {
             .collect();
         self.ids = Some(order);
     }
-}
-
-/// Removes from a `k`-strided arena every candidate equal to an earlier
-/// one, keeping the rest in place order.
-fn drop_repeats(items: &mut Vec<Item>, k: usize) {
-    let n = items.len() / k;
-    let at = |i: u32| &items[i as usize * k..][..k];
-    // The sort is stable, so the first occurrence leads each run of equals.
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| at(a).cmp(at(b)));
-    let mut repeat = vec![false; n];
-    for pair in order.windows(2) {
-        repeat[pair[1] as usize] = at(pair[0]) == at(pair[1]);
-    }
-    let mut kept = 0;
-    for slot in (0..n).filter(|&slot| !repeat[slot]) {
-        items.copy_within(slot * k..(slot + 1) * k, kept * k);
-        kept += 1;
-    }
-    items.truncate(kept * k);
 }
 
 /// The contract every candidate-counting structure satisfies.
@@ -315,10 +281,10 @@ fn drop_repeats(items: &mut Vec<Item>, k: usize) {
 /// reduction and DD/IDD's `frequent` exchange depend on them):
 ///
 /// 1. [`count_vector`](Self::count_vector) /
-///    [`set_count_vector`](Self::set_count_vector) index the distinct
-///    candidates in **insertion order** — identical across ranks because
-///    `apriori_gen` is deterministic and sorted.
-/// 2. [`frequent`](Self::frequent) returns survivors in insertion order.
+///    [`set_count_vector`](Self::set_count_vector) index the candidates
+///    in **row order**, which is ascending — identical across ranks
+///    because `apriori_gen` is deterministic and sorted.
+/// 2. [`frequent`](Self::frequent) returns survivors in row order.
 pub trait CandidateCounter {
     /// The candidates and counts this structure indexes.
     fn table(&self) -> &CandidateTable;
@@ -335,7 +301,7 @@ pub trait CandidateCounter {
         self.table().k
     }
 
-    /// Number of (distinct) candidates stored.
+    /// Number of candidates stored.
     fn num_candidates(&self) -> usize {
         self.table().len()
     }
@@ -355,19 +321,19 @@ pub trait CandidateCounter {
         Some(table.counts[slot])
     }
 
-    /// Per-candidate counts in insertion order (what CD's global
-    /// reduction sums).
+    /// Per-candidate counts in row order (what CD's global reduction
+    /// sums).
     fn count_vector(&self) -> Vec<u64> {
         let table = self.table();
         let mut out = vec![0; table.len()];
         for (slot, &count) in table.counts.iter().enumerate() {
-            out[table.insertion_index(slot)] = count;
+            out[table.row_index(slot)] = count;
         }
         out
     }
 
-    /// The per-candidate counts themselves, when their slots are in
-    /// insertion order (every structure but a hash tree that split): what
+    /// The per-candidate counts themselves, when their slots are in row
+    /// order (every structure but a hash tree that split): what
     /// CD's reduction sums in place. `None` means "go through
     /// [`count_vector`](Self::count_vector)".
     fn counts_mut(&mut self) -> Option<&mut [u64]> {
@@ -383,16 +349,16 @@ pub trait CandidateCounter {
         let table = self.table_mut();
         assert_eq!(counts.len(), table.len(), "count vector length mismatch");
         for slot in 0..table.len() {
-            table.counts[slot] = counts[table.insertion_index(slot)];
+            table.counts[slot] = counts[table.row_index(slot)];
         }
     }
 
-    /// Candidates with `count >= min_count`, insertion order.
+    /// Candidates with `count >= min_count`, row order.
     fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
         let table = self.table();
         let mut survivors: Vec<(usize, usize)> = (0..table.len())
             .filter(|&slot| table.counts[slot] >= min_count)
-            .map(|slot| (table.insertion_index(slot), slot))
+            .map(|slot| (table.row_index(slot), slot))
             .collect();
         survivors.sort_unstable();
         survivors
@@ -444,10 +410,11 @@ impl CounterBackend {
     ];
 
     /// Builds the selected structure over one pass's size-`k`
-    /// candidates. `tree` shapes the hash tree and is ignored by the
-    /// other backends. The candidates are only read: give a `Vec<ItemSet>`,
-    /// or lend a `&[ItemSet]`, an iterator of `&ItemSet` or the rows of a
-    /// `k`-strided arena (`arena.chunks_exact(k)`) and keep them.
+    /// candidates, strictly ascending as candidate generation writes them.
+    /// `tree` shapes the hash tree and is ignored by the other backends.
+    /// The candidates are only read: give a `Vec<ItemSet>`, or lend a
+    /// `&[ItemSet]`, an iterator of `&ItemSet` or the rows of a `k`-strided
+    /// arena (`arena.chunks_exact(k)`) and keep them.
     ///
     /// At `k = 2` every backend counts through the direct pair table of
     /// the `pairs` module (one probe per item pair), unless the candidates
@@ -457,6 +424,11 @@ impl CounterBackend {
     /// sizes, no candidate placed). Each transaction still walks that
     /// shape, so the hash tree's ledger, from which the virtual-time
     /// goldens are priced, is the full tree's at every `k`.
+    ///
+    /// # Panics
+    /// If `k == 0`, a candidate does not have exactly `k` items, or the
+    /// candidates are not strictly ascending (an unsorted or a repeated
+    /// row).
     pub fn build(
         self,
         k: usize,
@@ -471,9 +443,10 @@ impl CounterBackend {
     ///
     /// On `C₂ = F₁ × F₁` every backend builds the pair table straight from
     /// `F₁` and the share, so no pair is stored (the hash tree counts its
-    /// shape from the table's pairs); a deeper pass, and a declined pair
-    /// table, is built over a copy of the share's rows, as
-    /// [`build`](Self::build) would build it.
+    /// shape from the table's pairs); a deeper pass, a `C₂` held as an
+    /// arena (PDM's bucket-pruned survivors) and a declined pair table are
+    /// built over a copy of the share's rows, as [`build`](Self::build)
+    /// would build them.
     pub fn build_share(
         self,
         tree: HashTreeParams,
@@ -505,20 +478,19 @@ impl CounterBackend {
         self.index(tree, CandidateTable::new(candidates.k(), share))
     }
 
-    /// The one dispatch behind [`build`](Self::build) and the serial pass.
+    /// The one dispatch behind [`build`](Self::build) and the serial pass:
+    /// at `k = 2` the pair table over the table's rows, unless it is
+    /// declined and the table goes to the backend's own structure.
     pub(crate) fn index(
         self,
         tree: HashTreeParams,
         table: CandidateTable,
     ) -> Box<dyn CandidateCounter> {
-        let table = if table.k == 2 {
-            match PairCounter::from_table(table) {
-                Ok(pairs) => return self.over_pairs(tree, pairs),
-                Err(too_sparse) => too_sparse,
+        if table.k == 2 {
+            if let Some(pairs) = PairCounter::from_rows(&table.items) {
+                return self.over_pairs(tree, pairs);
             }
-        } else {
-            table
-        };
+        }
         self.structure(tree, table)
     }
 
@@ -714,7 +686,8 @@ mod tests {
 
     /// Everything the table does, through every backend and `k` (`k = 2`
     /// reaches the pair table). The hash tree splits down to one candidate
-    /// per leaf, so its leaf order differs from the insertion order.
+    /// per leaf, so its leaf order differs from the row order. An offer
+    /// that is not strictly ascending is refused.
     #[test]
     fn table_bookkeeping_is_the_same_behind_every_backend() {
         let splitting = HashTreeParams {
@@ -744,9 +717,13 @@ mod tests {
                 .collect();
             sets.sort();
             let want: Vec<u64> = sets.iter().map(support).collect();
-            // Out of order, with two candidates offered twice.
-            let shuffled: Vec<ItemSet> = [2, 0, 2, 3, 1, 0].map(|i| sets[i].clone()).into();
-            let distinct: Vec<ItemSet> = [2, 0, 3, 1].map(|i| sets[i].clone()).into();
+            // Out of order, and in order with one candidate offered twice.
+            let unsorted: Vec<ItemSet> = [1, 0, 2].map(|i| sets[i].clone()).into();
+            let repeated: Vec<ItemSet> = [0, 1, 1, 2].map(|i| sets[i].clone()).into();
+            for offer in [&unsorted, &repeated] {
+                let message = panic_message(|| drop(HashTree::build(k, splitting, offer.clone())));
+                assert!(message.contains("strictly ascending"), "k={k}: {message}");
+            }
 
             for backend in CounterBackend::ALL {
                 let on = format!("{} at k={k}", backend.name());
@@ -758,7 +735,7 @@ mod tests {
                 );
                 assert_eq!(counter.stats().inserts, sets.len() as u64, "{on}");
 
-                // Count vector: insertion order, round trip, arity check.
+                // Count vector: row order, round trip, arity check.
                 counter.count_all(&txs, &all);
                 assert_eq!(counter.count_vector(), want, "{on}");
                 let doubled: Vec<u64> = want.iter().map(|c| c * 2).collect();
@@ -778,7 +755,7 @@ mod tests {
                 assert_eq!(counter.count_of(&ItemSet::new(absent)), None, "{on}");
                 assert_eq!(counter.count_of(&ItemSet::empty()), None, "{on}");
 
-                // `frequent`: filtered, insertion order.
+                // `frequent`: filtered, row order.
                 let survivors = |min: u64| -> Vec<(ItemSet, u64)> {
                     let pairs = sets.iter().cloned().zip(doubled.iter().copied());
                     pairs.filter(|&(_, count)| count >= min).collect()
@@ -806,53 +783,150 @@ mod tests {
                 assert_eq!(empty.stats(), CounterStats::default(), "{on}");
                 assert!(empty.count_vector().is_empty() && empty.frequent(0).is_empty());
 
-                // Repeats are dropped; the first occurrence keeps its slot.
-                let mut counter = backend.build(k, splitting, shuffled.clone());
-                assert_eq!(counter.stats().inserts, shuffled.len() as u64, "{on}");
-                assert_eq!(counter.num_candidates(), distinct.len(), "{on}");
-                counter.count_all(&txs, &all);
-                let want: Vec<u64> = distinct.iter().map(support).collect();
-                assert_eq!(counter.count_vector(), want, "{on}");
-                let want: Vec<(ItemSet, u64)> = distinct.iter().cloned().zip(want).collect();
-                assert_eq!(counter.frequent(1), want, "{on}");
+                // An unsorted offer and a repeated one are refused.
+                for offer in [&unsorted, &repeated] {
+                    let message =
+                        panic_message(|| drop(backend.build(k, splitting, offer.clone())));
+                    assert!(message.contains("strictly ascending"), "{on}: {message}");
+                }
 
                 // The offer is only read: lending it, as a slice, as an
                 // iterator of references (filtered, so of unknown length,
                 // like a partitioned rank's share) or as the rows of a
                 // `k`-strided arena (as the parallel drivers lend `C_k`),
                 // builds what giving it builds — slot for slot, which for
-                // the hash tree is leaf for leaf.
-                for offer in [&sets, &shuffled] {
-                    let mut given = backend.build(k, splitting, offer.clone());
-                    given.count_all(&txs, &all);
-                    let slice = backend.build(k, splitting, &offer[..]);
-                    let refs = backend.build(k, splitting, offer.iter().filter(|_| true));
-                    let arena = flat(offer);
-                    let rows = backend.build(k, splitting, arena.chunks_exact(k));
-                    // An ascending offer's arena is adopted as it stands.
-                    let adopted = (offer == &sets).then(|| {
-                        backend.index(splitting, CandidateTable::from_arena(k, flat(offer)))
-                    });
-                    let lent = [Some(slice), Some(refs), Some(rows), adopted];
-                    for mut lent in lent.into_iter().flatten() {
-                        assert_eq!(lent.stats().inserts, offer.len() as u64, "{on}");
-                        lent.count_all(&txs, &all);
-                        assert_eq!(lent.stats(), given.stats(), "{on}");
-                        assert_eq!(lent.num_candidates(), given.num_candidates(), "{on}");
-                        assert_eq!(lent.table().items, given.table().items, "{on}");
-                        assert_eq!(lent.count_vector(), given.count_vector(), "{on}");
-                        assert_eq!(lent.frequent(1), given.frequent(1), "{on}");
-                    }
+                // the hash tree is leaf for leaf. The serial pass's arena
+                // is adopted as it stands.
+                let mut given = backend.build(k, splitting, sets.clone());
+                given.count_all(&txs, &all);
+                let slice = backend.build(k, splitting, &sets[..]);
+                let refs = backend.build(k, splitting, sets.iter().filter(|_| true));
+                let arena = flat(&sets);
+                let rows = backend.build(k, splitting, arena.chunks_exact(k));
+                let adopted = backend.index(splitting, CandidateTable::from_arena(k, flat(&sets)));
+                for mut lent in [slice, refs, rows, adopted] {
+                    assert_eq!(lent.stats().inserts, sets.len() as u64, "{on}");
+                    lent.count_all(&txs, &all);
+                    assert_eq!(lent.stats(), given.stats(), "{on}");
+                    assert_eq!(lent.num_candidates(), given.num_candidates(), "{on}");
+                    assert_eq!(lent.table().items, given.table().items, "{on}");
+                    assert_eq!(lent.count_vector(), given.count_vector(), "{on}");
+                    assert_eq!(lent.frequent(1), given.frequent(1), "{on}");
                 }
             }
 
             // An arena is adopted only if it is strided by `k` and ascending.
-            let message = panic_message(|| drop(CandidateTable::from_arena(k, flat(&shuffled))));
-            assert!(message.contains("strictly ascending"), "k={k}: {message}");
+            for offer in [&unsorted, &repeated] {
+                let message = panic_message(|| drop(CandidateTable::from_arena(k, flat(offer))));
+                assert!(message.contains("strictly ascending"), "k={k}: {message}");
+            }
             let ragged = flat(&sets)[1..].to_vec();
             if k > 1 {
                 let message = panic_message(|| drop(CandidateTable::from_arena(k, ragged)));
                 assert!(message.contains("not strided"), "k={k}: {message}");
+            }
+        }
+    }
+
+    /// The pair table a backend builds at `k = 2` from `F₁` and a share
+    /// counts, and orders its level, as the trie's own structure does over
+    /// the share's rows: all of `C₂`, contiguous runs of it, round-robin,
+    /// first-item and two-level shares (each under its own filter) and
+    /// hash-owned ones. With an `F₁` item at [`Item::MAX_ID`] the pair
+    /// table is declined, and each backend's own structure counts and
+    /// charges what it does when built directly (for the hash tree, the
+    /// full tree, whose ledger its pass-2 shape charges in any case).
+    #[test]
+    fn pair_table_matches_the_trie_and_a_declined_one_is_the_backends_own() {
+        use crate::binpack::{partition_by_first_item, partition_round_robin, partition_two_level};
+        use crate::candidates::Row;
+        use crate::stable_hash::owner_of;
+        use crate::trie::CandidateTrie;
+        use rand::prelude::*;
+
+        let top = Item(Item::MAX_ID);
+        let mut rng = StdRng::seed_from_u64(1997);
+        let txs: Vec<Transaction> = (0..300u64)
+            .map(|tid| {
+                let mut ids: Vec<u32> = (0..70).chain([Item::MAX_ID]).collect();
+                ids.shuffle(&mut rng);
+                let len = rng.gen_range(0..=16usize);
+                Transaction::new(tid, ids[..len].iter().map(|&id| Item(id)).collect())
+            })
+            .collect();
+        let odd: Vec<Item> = (3..62).step_by(2).map(Item).collect();
+        let tree = HashTreeParams::default();
+        for (f1, declined) in [(odd, false), (vec![Item(3), Item(9), Item(40), top], true)] {
+            let c2 = Candidates::pairs(f1.clone());
+            let len = c2.len();
+            let rows = || c2.rows(0..len);
+            type Keep<'a> = Box<dyn Fn(usize, &[Item]) -> bool + 'a>;
+            let mut shares: Vec<(String, Range<usize>, Keep, OwnershipFilter)> = vec![
+                (
+                    "all".into(),
+                    0..len,
+                    Box::new(|_, _| true),
+                    OwnershipFilter::all(),
+                ),
+                (
+                    "run".into(),
+                    len / 3..len / 2,
+                    Box::new(|_, _| true),
+                    OwnershipFilter::all(),
+                ),
+            ];
+            let mut plans = vec![("round-robin", partition_round_robin(rows(), 3))];
+            if !declined {
+                plans.push(("first-item", partition_by_first_item(rows(), 64, &[1.0; 3])));
+                plans.push(("two-level", partition_two_level(rows(), 64, &[1.0; 3], 20)));
+            }
+            for (name, plan) in plans {
+                let plan = std::rc::Rc::new(plan);
+                for proc in 0..3 {
+                    let owns = std::rc::Rc::clone(&plan);
+                    let keep: Keep = Box::new(move |r, row| owns.owns(proc, r, row));
+                    shares.push((
+                        format!("{name} {proc}"),
+                        0..len,
+                        keep,
+                        plan.filters[proc].clone(),
+                    ));
+                }
+            }
+            let hashed: Keep = Box::new(|_, row| owner_of(row, 3) == 1);
+            shares.push(("hash-owned".into(), 0..len, hashed, OwnershipFilter::all()));
+
+            for (shape, range, keep, filter) in shares {
+                let on = format!("|F1| = {}, {shape}", f1.len());
+                let owned: Vec<Row> = range
+                    .clone()
+                    .zip(c2.rows(range.clone()))
+                    .filter(|(r, row)| keep(*r, row.as_ref()))
+                    .map(|(_, row)| row)
+                    .collect();
+                let table = || CandidateTable::new(2, &owned);
+                let mut trie = CandidateTrie::from_table(table());
+                trie.count_all(&txs, &filter);
+                assert!(
+                    trie.count_vector().iter().any(|&c| c > 0),
+                    "{on}: nothing counted"
+                );
+                for backend in CounterBackend::ALL {
+                    let on = format!("{on} on {}", backend.name());
+                    let mut share = backend.build_share(tree, &c2, range.clone(), &keep);
+                    share.count_all(&txs, &filter);
+                    assert_eq!(share.count_vector(), trie.count_vector(), "{on}");
+                    assert_eq!(share.frequent(2), trie.frequent(2), "{on}");
+                    let mut own: Box<dyn CandidateCounter> = match backend {
+                        CounterBackend::HashTree => Box::new(HashTree::from_table(tree, table())),
+                        CounterBackend::Trie => Box::new(CandidateTrie::from_table(table())),
+                        CounterBackend::Vertical => Box::new(VerticalCounter::from_table(table())),
+                    };
+                    own.count_all(&txs, &filter);
+                    // The hash tree's pass-2 ledger is the full tree's anyway.
+                    let same = declined || backend == CounterBackend::HashTree;
+                    assert_eq!(share.stats() == own.stats(), same, "{on}: the ledger");
+                }
             }
         }
     }

@@ -17,8 +17,8 @@
 //! - [`counter`] — the pluggable candidate-counting seam: the
 //!   [`CandidateCounter`](counter::CandidateCounter) trait, the
 //!   structure-agnostic work ledger, and the backend knob selecting the
-//!   hash tree, the [`trie::CandidateTrie`], or the Eclat-style
-//!   [`vertical::VerticalCounter`].
+//!   hash tree, an item-indexed candidate trie, or an Eclat-style
+//!   vertical (tid-bitmap) counter.
 //! - [`apriori`] — `apriori_gen` (join + prune) and the multi-pass mining
 //!   loop.
 //! - [`rules`] — rule generation from frequent itemsets (the second step).
@@ -64,8 +64,8 @@ pub mod stable_hash;
 pub mod stats;
 pub mod summaries;
 pub mod transaction;
-pub mod trie;
-pub mod vertical;
+mod trie;
+mod vertical;
 
 pub use dataset::Dataset;
 pub use item::Item;

@@ -31,11 +31,14 @@
 //! The counter is never named outside [`CounterBackend`], which builds it
 //! at `k = 2` in place of the trie or the vertical counter, or under the
 //! hash tree's shape (`hashtree::PairTree`, which counts through
-//! [`PairCounter::probe`] and walks the shape for its ledger), from rows
-//! ([`PairCounter::from_table`]) or from `F₁` and a share
-//! ([`PairCounter::from_share`]); both decline when the rank lookup and the
-//! cells a row layout without dense rows would need far outnumber the
-//! candidates.
+//! [`PairCounter::probe`] and walks the shape for its ledger), from `F₁`
+//! and a share ([`PairCounter::from_share`]) or from rows
+//! ([`PairCounter::from_rows`], which ranks the rows' distinct items and
+//! goes through the same constructor). Either way the pairs come strictly
+//! ascending, the seam's one input contract, so a row's pairs take
+//! consecutive slots in rank order and a row is dense exactly when its
+//! span is full. Both decline when the rank lookup and the cells a row
+//! layout without dense rows would need far outnumber the candidates.
 //!
 //! Ledger mapping onto [`CounterStats`], unchanged by the dense rows:
 //! every item of a transaction with at least two items is one
@@ -95,34 +98,35 @@ pub(crate) struct PairCounter {
 }
 
 impl PairCounter {
-    /// Indexes a table of size-2 candidates and drops its rows, or returns
-    /// it untouched when the counter is declined (see
-    /// [`MAX_CELLS_PER_CANDIDATE`]).
-    // `Err` is the declined table handed back by move, not an error report.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn from_table(mut table: CandidateTable) -> Result<PairCounter, CandidateTable> {
-        debug_assert_eq!(table.k, 2);
-        let mut items = table.items.clone();
+    /// The counter of `rows`, pairs strided by 2 and strictly ascending
+    /// (as a [`CandidateTable`] holds them), or `None` when it is declined
+    /// (see [`MAX_CELLS_PER_CANDIDATE`]); the rows are only read. The rows'
+    /// distinct items are ranked through an item id → rank vector.
+    pub(crate) fn from_rows(rows: &[Item]) -> Option<PairCounter> {
+        let universe = rows.iter().max().map_or(0, |item| item.index() + 1);
+        // Rank + 1 per item id, 0 for an id no row holds: zeroed, so only
+        // the pages of the rows' own ids are ever written.
+        let mut rank_of = vec![0u32; universe];
+        let mut items = Vec::new();
+        for &item in rows {
+            if rank_of[item.index()] == 0 {
+                rank_of[item.index()] = 1;
+                items.push(item);
+            }
+        }
         items.sort_unstable();
-        items.dedup();
-        let rank = |item: &Item| items.binary_search(item).expect("a candidate item") as u32;
-        let ranks = || {
-            table
-                .items
-                .chunks_exact(2)
-                .map(|p| (rank(&p[0]), rank(&p[1])))
-        };
-        let Some(layout) = Layout::new(&items, ranks) else {
-            return Err(table);
-        };
-        table.items = Vec::new();
-        Ok(layout.into_counter(table, items))
+        for (rank, item) in (1..).zip(&items) {
+            rank_of[item.index()] = rank;
+        }
+        let rank = |item: Item| rank_of[item.index()] - 1;
+        Self::from_share(&items, || {
+            rows.chunks_exact(2).map(|p| (rank(p[0]), rank(p[1])))
+        })
     }
 
     /// The counter of the pairs of `f1` that `ranks` yields — as ranks in
-    /// `f1`, in slot order, with no repeats — or `None` when it is
-    /// declined. `ranks` is read up to three times; nothing it yields is
-    /// stored.
+    /// `f1`, strictly ascending — or `None` when it is declined. `ranks`
+    /// is read at most twice; nothing it yields is stored.
     pub(crate) fn from_share<I: Iterator<Item = (u32, u32)>>(
         f1: &[Item],
         ranks: impl Fn() -> I,
@@ -244,8 +248,8 @@ struct Layout {
 }
 
 impl Layout {
-    /// Lays out the pairs `ranks` yields (slot order, ranks into `items`),
-    /// or `None` when the density test declines them.
+    /// Lays out the pairs `ranks` yields (strictly ascending, ranks into
+    /// `items`), or `None` when the density test declines them.
     fn new<I: Iterator<Item = (u32, u32)>>(
         items: &[Item],
         ranks: impl Fn() -> I,
@@ -256,18 +260,19 @@ impl Layout {
             start: 0,
             dense: true,
         };
-        // First each row as (lo, one past hi, slot of the pair at lo).
+        // First each row as (lo, one past hi, slot of the pair at lo): a
+        // row's pairs come one after another, second ranks ascending.
         let mut rows = vec![empty; items.len()];
         let mut pairs_in = vec![0u32; items.len()];
         let mut used = vec![false; items.len()];
         let mut slots = 0usize;
         for (first, second) in ranks() {
             let row = &mut rows[first as usize];
-            if second < row.lo {
+            if row.lo == NONE {
                 row.lo = second;
                 row.start = slots as u32;
             }
-            row.len = row.len.max(second + 1);
+            row.len = second + 1;
             pairs_in[first as usize] += 1;
             used[first as usize] = true;
             used[second as usize] = true;
@@ -294,15 +299,11 @@ impl Layout {
             return None;
         }
 
-        // A row is dense if its span is full and its slots run on from
-        // `lo`'s; the cells of the others are laid out one after another.
+        // A row is dense if its span is full (its slots then run on from
+        // `lo`'s); the cells of the others are laid out one after another.
         for (row, &pairs) in rows.iter_mut().zip(&pairs_in) {
             row.len = row.len.saturating_sub(row.lo);
             row.dense = pairs == row.len;
-        }
-        for (slot, (first, second)) in ranks().enumerate() {
-            let row = &mut rows[first as usize];
-            row.dense &= slot as u32 == row.start + (second - row.lo);
         }
         let mut num_cells = 0usize;
         for row in rows.iter_mut().filter(|row| !row.dense) {
@@ -438,28 +439,18 @@ impl CandidateCounter for PairCounter {
         Some(self.table.counts[slot])
     }
 
-    /// Decoded straight into the level when the rows come in slot order
-    /// (whenever the offer was ascending); sorted by slot first otherwise.
+    /// Decoded straight into the level: rows and spans run in rank order,
+    /// which is slot order.
     fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
         let counts = &self.table.counts;
         let survivors = || {
             let candidates = self.candidates();
             candidates.filter(move |&(slot, _, _)| counts[slot] >= min_count)
         };
-        let pair = |(slot, first, second)| (self.pair(first, second), counts[slot]);
-        let (mut n, mut last, mut in_order) = (0, None, true);
-        for (slot, _, _) in survivors() {
-            in_order &= last < Some(slot);
-            last = Some(slot);
-            n += 1;
-        }
-        if !in_order {
-            let mut sorted: Vec<(usize, u32, u32)> = survivors().collect();
-            sorted.sort_unstable();
-            return sorted.into_iter().map(pair).collect();
-        }
-        let mut level = Vec::with_capacity(n);
-        level.extend(survivors().map(pair));
+        let mut level = Vec::with_capacity(survivors().count());
+        level.extend(
+            survivors().map(|(slot, first, second)| (self.pair(first, second), counts[slot])),
+        );
         level
     }
 }
@@ -477,7 +468,7 @@ mod tests {
     }
 
     fn build(candidates: Vec<ItemSet>) -> Option<PairCounter> {
-        PairCounter::from_table(CandidateTable::new(2, candidates)).ok()
+        PairCounter::from_rows(&CandidateTable::new(2, candidates).items)
     }
 
     #[test]
@@ -503,8 +494,9 @@ mod tests {
         assert_eq!(pc.count_of(&set(&[2, 6])), Some(0));
     }
 
-    /// All of `F₁ × F₁` takes no cell, and an out-of-order offer's full
-    /// spans stay sparse unless their slots run on in rank order.
+    /// All of `F₁ × F₁` takes no cell; with one pair taken out, only the
+    /// row whose span it holed is sparse, and the slots still run in rank
+    /// order.
     #[test]
     fn full_spans_in_slot_order_are_dense() {
         let all: Vec<ItemSet> = (0..6u32)
@@ -512,25 +504,26 @@ mod tests {
             .collect();
         let pc = build(all.clone()).unwrap();
         assert!(pc.cells.is_empty() && pc.rows[..5].iter().all(|row| row.dense));
-        let mut swapped = all;
-        swapped.swap(0, 1);
-        let pc = build(swapped.clone()).unwrap();
+        let mut holed = all;
+        holed.retain(|s| *s != set(&[0, 2]));
+        let mut pc = build(holed.clone()).unwrap();
         assert_eq!((pc.rows[0].dense, pc.rows[1].dense), (false, true));
         assert_eq!(pc.cells.len(), 5);
-        let mut counted = pc.clone();
-        counted.count_all(&[tx(0, &[0, 1, 2, 3, 4, 5])], &OwnershipFilter::all());
+        pc.count_all(&[tx(0, &[0, 1, 2, 3, 4, 5])], &OwnershipFilter::all());
         assert_eq!(
-            counted.frequent(1),
-            swapped.iter().map(|s| (s.clone(), 1)).collect::<Vec<_>>()
+            pc.frequent(1),
+            holed.iter().map(|s| (s.clone(), 1)).collect::<Vec<_>>()
         );
     }
 
+    /// A declined counter leaves the rows with their caller, which counts
+    /// them with the backend's own structure.
     #[test]
     fn sparse_candidates_are_handed_back() {
         // One pair over a 1,001-item id space: 1,002 cells for 1 candidate.
-        let sparse = vec![set(&[3, 1000])];
-        let handed_back = PairCounter::from_table(CandidateTable::new(2, sparse)).unwrap_err();
-        assert_eq!(handed_back.items, [Item(3), Item(1000)]);
+        let sparse = CandidateTable::new(2, vec![set(&[3, 1000])]);
+        assert!(PairCounter::from_rows(&sparse.items).is_none());
+        assert_eq!(sparse.items, [Item(3), Item(1000)]);
         // Rows alone can exceed the budget too: the rank table fits it
         // (151 ≤ 8 · 200), but 50 first items each span 100 ranks for two
         // candidates.

@@ -4,7 +4,9 @@
 //! Later Apriori implementations (Borgelt's, Bodon's) replaced the hash
 //! tree with an item-indexed trie: every path from the root spells a
 //! candidate prefix, depth-`k` nodes carry the counts, and counting walks
-//! the trie and the (sorted) transaction in lockstep. Compared to the
+//! the trie and the (sorted) transaction in lockstep. The candidates come
+//! as its table's rows, strictly ascending (the seam's one input
+//! contract), so each is one distinct path. Compared to the
 //! hash tree there is no hashing, no leaf checking against the whole
 //! transaction, and no revisit bookkeeping — each candidate contained in
 //! the transaction is reached by exactly one path.
@@ -20,7 +22,6 @@
 use crate::counter::{CandidateCounter, CandidateTable, CounterStats};
 use crate::hashtree::OwnershipFilter;
 use crate::item::Item;
-use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
 
 /// Arena-allocated trie node: sorted child list + optional candidate slot.
@@ -33,49 +34,27 @@ struct TrieNode {
 }
 
 /// A counting trie for candidates of a fixed size `k`.
-///
-/// ```
-/// use armine_core::counter::CandidateCounter;
-/// use armine_core::trie::CandidateTrie;
-/// use armine_core::hashtree::OwnershipFilter;
-/// use armine_core::{ItemSet, Transaction, Item};
-///
-/// let mut trie = CandidateTrie::build(2, vec![ItemSet::from([1, 3])]);
-/// trie.count(
-///     &Transaction::new(1, vec![Item(1), Item(2), Item(3)]),
-///     &OwnershipFilter::all(),
-/// );
-/// assert_eq!(trie.count_of(&ItemSet::from([1, 3])), Some(1));
-/// ```
 #[derive(Debug, Clone)]
-pub struct CandidateTrie {
+pub(crate) struct CandidateTrie {
     table: CandidateTable,
     nodes: Vec<TrieNode>,
 }
 
 impl CandidateTrie {
-    /// Builds a trie over size-`k` candidates.
-    ///
-    /// # Panics
-    /// If any candidate's size differs from `k`, or `k == 0`.
-    pub fn build(k: usize, candidates: Vec<ItemSet>) -> Self {
-        Self::from_table(CandidateTable::new(k, candidates))
-    }
-
+    /// The trie over `table`'s rows. They are strictly ascending, so a
+    /// row's item either continues its node's last child or starts a new,
+    /// larger one: the child lists come out sorted.
     pub(crate) fn from_table(table: CandidateTable) -> Self {
         let mut nodes = vec![TrieNode::default()];
         for slot in 0..table.len() {
             let mut node = 0usize;
             for &item in table.candidate(slot) {
-                let pos = nodes[node]
-                    .children
-                    .binary_search_by_key(&item, |&(i, _)| i);
-                node = match pos {
-                    Ok(p) => nodes[node].children[p].1 as usize,
-                    Err(p) => {
+                node = match nodes[node].children.last() {
+                    Some(&(last, child)) if last == item => child as usize,
+                    _ => {
                         nodes.push(TrieNode::default());
                         let fresh = nodes.len() - 1;
-                        nodes[node].children.insert(p, (item, fresh as u32));
+                        nodes[node].children.push((item, fresh as u32));
                         fresh
                     }
                 };
@@ -96,7 +75,7 @@ impl CandidateTrie {
     /// visited exactly once. The filter prunes first items at the root and
     /// (first, second) pairs at depth 1, exactly like the hash tree's
     /// `subset`.
-    pub fn count(&mut self, t: &Transaction, filter: &OwnershipFilter) {
+    fn count(&mut self, t: &Transaction, filter: &OwnershipFilter) {
         if self.table.len() == 0 {
             return;
         }
@@ -193,11 +172,16 @@ mod tests {
     use super::*;
     use crate::bitmap::ItemBitmap;
     use crate::hashtree::{HashTree, HashTreeParams};
+    use crate::itemset::ItemSet;
     use rand::prelude::*;
     use std::collections::HashSet;
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from(ids)
+    }
+
+    fn build(k: usize, candidates: Vec<ItemSet>) -> CandidateTrie {
+        CandidateTrie::from_table(CandidateTable::new(k, candidates))
     }
 
     fn tx(tid: u64, ids: &[u32]) -> Transaction {
@@ -211,10 +195,10 @@ mod tests {
         let cands = vec![
             set(&[1, 2, 5]),
             set(&[1, 3, 6]),
-            set(&[3, 5, 6]),
             set(&[1, 4, 5]),
+            set(&[3, 5, 6]),
         ];
-        let mut trie = CandidateTrie::build(3, cands);
+        let mut trie = build(3, cands);
         trie.count(&tx(0, &[1, 2, 3, 5, 6]), &ALL());
         assert_eq!(trie.count_of(&set(&[1, 2, 5])), Some(1));
         assert_eq!(trie.count_of(&set(&[1, 3, 6])), Some(1));
@@ -245,7 +229,7 @@ mod tests {
                     tx(tid, &ids[..len])
                 })
                 .collect();
-            let mut trie = CandidateTrie::build(k, cands.clone());
+            let mut trie = build(k, cands.clone());
             trie.count_all(&txs, &ALL());
             let mut tree = HashTree::build(k, HashTreeParams::default(), cands.clone());
             tree.count_all(&txs, &ALL());
@@ -258,7 +242,7 @@ mod tests {
     #[test]
     fn first_item_filter_prunes_roots() {
         let cands = vec![set(&[1, 2]), set(&[3, 4]), set(&[5, 6])];
-        let mut trie = CandidateTrie::build(2, cands);
+        let mut trie = build(2, cands);
         // Own only first item 3: candidates starting at 1 or 5 must not
         // be counted even though the transaction contains them.
         let filter = OwnershipFilter::first_item(ItemBitmap::from_items(10, [Item(3)]));
@@ -272,8 +256,8 @@ mod tests {
 
     #[test]
     fn two_level_filter_prunes_second_items() {
-        let cands = vec![set(&[4, 5, 8]), set(&[4, 6, 8]), set(&[1, 2, 3])];
-        let mut trie = CandidateTrie::build(3, cands);
+        let cands = vec![set(&[1, 2, 3]), set(&[4, 5, 8]), set(&[4, 6, 8])];
+        let mut trie = build(3, cands);
         // Item 1 owned outright; item 4 split, owning only the (4, 5) pair.
         let owned_first = ItemBitmap::from_items(10, [Item(1)]);
         let pairs: HashSet<(Item, Item)> = [(Item(4), Item(5))].into_iter().collect();
@@ -286,7 +270,7 @@ mod tests {
 
     #[test]
     fn stats_ledger_accrues_and_resets() {
-        let mut trie = CandidateTrie::build(2, vec![set(&[1, 2]), set(&[1, 3])]);
+        let mut trie = build(2, vec![set(&[1, 2]), set(&[1, 3])]);
         assert_eq!(trie.stats().inserts, 2);
         trie.count(&tx(0, &[1, 2, 3]), &ALL());
         trie.count(&tx(1, &[9]), &ALL()); // short: counted as a transaction only
@@ -304,14 +288,14 @@ mod tests {
 
     #[test]
     fn empty_trie_counts_no_transactions() {
-        let mut trie = CandidateTrie::build(2, Vec::new());
+        let mut trie = build(2, Vec::new());
         trie.count(&tx(0, &[1, 2, 3]), &ALL());
         assert_eq!(trie.stats().transactions, 0);
     }
 
     #[test]
     fn count_vector_round_trips() {
-        let mut trie = CandidateTrie::build(2, vec![set(&[1, 2]), set(&[2, 3])]);
+        let mut trie = build(2, vec![set(&[1, 2]), set(&[2, 3])]);
         trie.count_all(&[tx(0, &[1, 2]), tx(1, &[1, 2, 3])], &ALL());
         assert_eq!(trie.count_vector(), vec![2, 1]);
         trie.set_count_vector(&[7, 9]);
@@ -322,21 +306,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "count vector length mismatch")]
     fn count_vector_arity_checked() {
-        let mut trie = CandidateTrie::build(2, vec![set(&[1, 2])]);
+        let mut trie = build(2, vec![set(&[1, 2])]);
         trie.set_count_vector(&[1, 2]);
     }
 
     #[test]
-    fn duplicate_insert_is_idempotent() {
-        let mut trie = CandidateTrie::build(2, vec![set(&[1, 2]), set(&[1, 2])]);
-        assert_eq!(trie.num_candidates(), 1);
-        trie.count(&tx(0, &[1, 2, 3]), &ALL());
-        assert_eq!(trie.count_of(&set(&[1, 2])), Some(1));
-    }
-
-    #[test]
     fn frequent_filters() {
-        let mut trie = CandidateTrie::build(1, vec![set(&[3]), set(&[7])]);
+        let mut trie = build(1, vec![set(&[3]), set(&[7])]);
         trie.count_all(&[tx(0, &[3]), tx(1, &[3, 7]), tx(2, &[3])], &ALL());
         assert_eq!(trie.frequent(3), vec![(set(&[3]), 3)]);
         assert_eq!(trie.frequent(1).len(), 2);
@@ -344,7 +320,7 @@ mod tests {
 
     #[test]
     fn short_transactions_skipped() {
-        let mut trie = CandidateTrie::build(3, vec![set(&[1, 2, 3])]);
+        let mut trie = build(3, vec![set(&[1, 2, 3])]);
         trie.count(&tx(0, &[1, 2]), &ALL());
         assert_eq!(trie.count_of(&set(&[1, 2, 3])), Some(0));
     }
@@ -353,13 +329,13 @@ mod tests {
     fn node_sharing_compresses_prefixes() {
         // {1,2,3} and {1,2,4} share the 1→2 path: 1 root + 2 shared + 2
         // leaves = 5 nodes.
-        let trie = CandidateTrie::build(3, vec![set(&[1, 2, 3]), set(&[1, 2, 4])]);
+        let trie = build(3, vec![set(&[1, 2, 3]), set(&[1, 2, 4])]);
         assert_eq!(trie.num_nodes(), 5);
     }
 
     #[test]
     #[should_panic(expected = "wrong size")]
     fn arity_checked() {
-        CandidateTrie::build(3, vec![set(&[1, 2])]);
+        build(3, vec![set(&[1, 2])]);
     }
 }

@@ -6,7 +6,8 @@
 //! batch of transactions is first pivoted into per-item tid sets (which
 //! transactions contain item `i`), and a candidate's support is the size
 //! of the intersection of its members' tid sets. Candidates are evaluated
-//! in lexicographic order with a prefix stack, so a k-candidate costs one
+//! in their table's row order, which is lexicographic (the seam's one input
+//! contract), with a prefix stack, so a k-candidate costs one
 //! AND + popcount against its cached (k−1)-prefix — shared prefixes are
 //! intersected once, exactly like Eclat's equivalence-class processing
 //! (Zaki et al., the "entirely different nature" algorithms the paper
@@ -30,7 +31,6 @@ use crate::bitmap::words;
 use crate::counter::{CandidateCounter, CandidateTable};
 use crate::hashtree::OwnershipFilter;
 use crate::item::Item;
-use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
 
 /// A set of transaction positions within one batch, in the cheaper of the
@@ -110,50 +110,21 @@ impl TidSet {
 }
 
 /// The vertical counting backend for candidates of a fixed size `k`.
-///
-/// ```
-/// use armine_core::counter::CandidateCounter;
-/// use armine_core::vertical::VerticalCounter;
-/// use armine_core::hashtree::OwnershipFilter;
-/// use armine_core::{ItemSet, Transaction, Item};
-///
-/// let mut vc = VerticalCounter::build(2, vec![ItemSet::from([1, 3])]);
-/// vc.count_all(
-///     &[Transaction::new(1, vec![Item(1), Item(2), Item(3)])],
-///     &OwnershipFilter::all(),
-/// );
-/// assert_eq!(vc.count_of(&ItemSet::from([1, 3])), Some(1));
-/// ```
 #[derive(Debug, Clone)]
-pub struct VerticalCounter {
+pub(crate) struct VerticalCounter {
+    /// The candidates, in row order: lexicographic, so neighbours share
+    /// prefixes.
     table: CandidateTable,
-    /// Table slots in lexicographic order (prefix sharing).
-    order: Vec<u32>,
     /// Distinct items appearing in any candidate, ascending.
     items: Vec<Item>,
 }
 
 impl VerticalCounter {
-    /// Builds the counter over size-`k` candidates.
-    ///
-    /// # Panics
-    /// If any candidate's size differs from `k`, or `k == 0`.
-    pub fn build(k: usize, candidates: Vec<ItemSet>) -> Self {
-        Self::from_table(CandidateTable::new(k, candidates))
-    }
-
     pub(crate) fn from_table(table: CandidateTable) -> Self {
-        // One comparison pass when the table is already ascending.
-        let mut order: Vec<u32> = (0..table.len() as u32).collect();
-        order.sort_by_key(|&slot| table.candidate(slot as usize));
         let mut items = table.items.clone();
         items.sort_unstable();
         items.dedup();
-        VerticalCounter {
-            table,
-            order,
-            items,
-        }
+        VerticalCounter { table, items }
     }
 }
 
@@ -211,8 +182,7 @@ impl CandidateCounter for VerticalCounter {
         // Sweep candidates lexicographically; `stack[d]` caches the
         // intersection of the current candidate's first `d + 1` items.
         let mut stack: Vec<(Item, TidSet)> = Vec::new();
-        for &ci in &self.order {
-            let items = &candidates[ci as usize * *k..][..*k];
+        for (items, count) in candidates.chunks_exact(*k).zip(counts.iter_mut()) {
             let first = items[0];
             if !filter.allows_root(first) {
                 continue;
@@ -243,7 +213,7 @@ impl CandidateCounter for VerticalCounter {
             }
             // Final step: count without materializing.
             let last = items[items.len() - 1];
-            let (count, work) = if items.len() == 1 {
+            let (hits, work) = if items.len() == 1 {
                 base_of(last).len_counted()
             } else {
                 stack[items.len() - 2].1.intersect_count(base_of(last))
@@ -251,7 +221,7 @@ impl CandidateCounter for VerticalCounter {
             stats.intersection_words += work;
             stats.distinct_leaf_visits += 1;
             stats.candidate_checks += 1;
-            counts[ci as usize] += count;
+            *count += hits;
         }
     }
 }
@@ -301,11 +271,16 @@ mod tests {
     use crate::bitmap::ItemBitmap;
     use crate::counter::CounterStats;
     use crate::hashtree::{HashTree, HashTreeParams};
+    use crate::itemset::ItemSet;
     use rand::prelude::*;
     use std::collections::HashSet;
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from(ids)
+    }
+
+    fn build(k: usize, candidates: Vec<ItemSet>) -> VerticalCounter {
+        VerticalCounter::from_table(CandidateTable::new(k, candidates))
     }
 
     #[test]
@@ -329,10 +304,10 @@ mod tests {
         let cands = vec![
             set(&[1, 2, 5]),
             set(&[1, 3, 6]),
-            set(&[3, 5, 6]),
             set(&[1, 4, 5]),
+            set(&[3, 5, 6]),
         ];
-        let mut vc = VerticalCounter::build(3, cands);
+        let mut vc = build(3, cands);
         vc.count_all(&[tx(0, &[1, 2, 3, 5, 6])], &ALL());
         assert_eq!(vc.count_of(&set(&[1, 2, 5])), Some(1));
         assert_eq!(vc.count_of(&set(&[1, 3, 6])), Some(1));
@@ -363,7 +338,7 @@ mod tests {
                     tx(tid, &ids[..len])
                 })
                 .collect();
-            let mut vc = VerticalCounter::build(k, cands.clone());
+            let mut vc = build(k, cands.clone());
             vc.count_all(&txs, &ALL());
             let mut tree = HashTree::build(k, HashTreeParams::default(), cands.clone());
             tree.count_all(&txs, &ALL());
@@ -387,9 +362,9 @@ mod tests {
                 tx(tid, &ids[..len])
             })
             .collect();
-        let mut whole = VerticalCounter::build(2, cands.clone());
+        let mut whole = build(2, cands.clone());
         whole.count_all(&txs, &ALL());
-        let mut paged = VerticalCounter::build(2, cands);
+        let mut paged = build(2, cands);
         for chunk in txs.chunks(7) {
             paged.count_all(chunk, &ALL());
         }
@@ -399,7 +374,7 @@ mod tests {
     #[test]
     fn first_item_filter_prunes_candidates() {
         let cands = vec![set(&[1, 2]), set(&[3, 4]), set(&[5, 6])];
-        let mut vc = VerticalCounter::build(2, cands);
+        let mut vc = build(2, cands);
         let filter = OwnershipFilter::first_item(ItemBitmap::from_items(10, [Item(3)]));
         vc.count_all(&[tx(0, &[1, 2, 3, 4, 5, 6])], &filter);
         assert_eq!(vc.count_of(&set(&[1, 2])), Some(0));
@@ -411,8 +386,8 @@ mod tests {
 
     #[test]
     fn two_level_filter_prunes_second_items() {
-        let cands = vec![set(&[4, 5, 8]), set(&[4, 6, 8]), set(&[1, 2, 3])];
-        let mut vc = VerticalCounter::build(3, cands);
+        let cands = vec![set(&[1, 2, 3]), set(&[4, 5, 8]), set(&[4, 6, 8])];
+        let mut vc = build(3, cands);
         let owned_first = ItemBitmap::from_items(10, [Item(1)]);
         let pairs: HashSet<(Item, Item)> = [(Item(4), Item(5))].into_iter().collect();
         let filter = OwnershipFilter::two_level(owned_first, pairs);
@@ -424,7 +399,7 @@ mod tests {
 
     #[test]
     fn stats_ledger_accrues_and_resets() {
-        let mut vc = VerticalCounter::build(2, vec![set(&[1, 2]), set(&[1, 3])]);
+        let mut vc = build(2, vec![set(&[1, 2]), set(&[1, 3])]);
         assert_eq!(vc.stats().inserts, 2);
         vc.count_all(&[tx(0, &[1, 2, 3]), tx(1, &[9])], &ALL());
         let s = vc.stats();
@@ -472,7 +447,7 @@ mod tests {
         cands.push(set(&[38, 39])); // sparse ∧ sparse
         cands.sort();
         cands.dedup();
-        let mut vc = VerticalCounter::build(2, cands.clone());
+        let mut vc = build(2, cands.clone());
         vc.count_all(&txs, &ALL());
         for c in &cands {
             let want = txs.iter().filter(|t| t.contains_set(c)).count() as u64;
@@ -482,7 +457,7 @@ mod tests {
 
     #[test]
     fn singleton_candidates_count_supports() {
-        let mut vc = VerticalCounter::build(1, vec![set(&[3]), set(&[7])]);
+        let mut vc = build(1, vec![set(&[3]), set(&[7])]);
         vc.count_all(&[tx(0, &[3]), tx(1, &[3, 7]), tx(2, &[3])], &ALL());
         assert_eq!(vc.frequent(3), vec![(set(&[3]), 3)]);
         assert_eq!(vc.frequent(1).len(), 2);
@@ -490,7 +465,7 @@ mod tests {
 
     #[test]
     fn count_vector_round_trips() {
-        let mut vc = VerticalCounter::build(2, vec![set(&[1, 2]), set(&[2, 3])]);
+        let mut vc = build(2, vec![set(&[1, 2]), set(&[2, 3])]);
         vc.count_all(&[tx(0, &[1, 2]), tx(1, &[1, 2, 3])], &ALL());
         assert_eq!(vc.count_vector(), vec![2, 1]);
         vc.set_count_vector(&[7, 9]);
@@ -501,48 +476,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "count vector length mismatch")]
     fn count_vector_arity_checked() {
-        let mut vc = VerticalCounter::build(2, vec![set(&[1, 2])]);
+        let mut vc = build(2, vec![set(&[1, 2])]);
         vc.set_count_vector(&[1, 2]);
     }
 
     #[test]
-    fn duplicate_insert_is_idempotent() {
-        let mut vc = VerticalCounter::build(2, vec![set(&[1, 2]), set(&[1, 2])]);
-        assert_eq!(vc.num_candidates(), 1);
-        vc.count_all(&[tx(0, &[1, 2, 3])], &ALL());
-        assert_eq!(vc.count_of(&set(&[1, 2])), Some(1));
-    }
-
-    /// Duplicates scattered through the offer keep their first slot, and
-    /// the survivors stay in insertion order with a consistent sweep order.
-    #[test]
-    fn interleaved_duplicates_keep_first_slot_and_insertion_order() {
-        let offered = vec![
-            set(&[2, 3, 4]),
-            set(&[1, 2, 3]),
-            set(&[2, 3, 4]),
-            set(&[1, 3, 4]),
-            set(&[1, 2, 3]),
-        ];
-        let mut vc = VerticalCounter::build(3, offered);
-        assert_eq!(vc.stats().inserts, 5);
-        assert_eq!(vc.num_candidates(), 3);
-        assert_eq!(vc.order, vec![1, 2, 0]);
-        vc.count_all(&[tx(0, &[1, 2, 3]), tx(1, &[1, 2, 3, 4])], &ALL());
-        assert_eq!(vc.count_vector(), vec![1, 2, 1]);
-        assert_eq!(
-            vc.frequent(1),
-            vec![
-                (set(&[2, 3, 4]), 1),
-                (set(&[1, 2, 3]), 2),
-                (set(&[1, 3, 4]), 1)
-            ]
-        );
-    }
-
-    #[test]
     fn empty_counter_counts_no_transactions() {
-        let mut vc = VerticalCounter::build(2, Vec::new());
+        let mut vc = build(2, Vec::new());
         vc.count_all(&[tx(0, &[1, 2, 3])], &ALL());
         assert_eq!(vc.stats().transactions, 0);
     }
@@ -550,7 +490,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "wrong size")]
     fn arity_checked() {
-        VerticalCounter::build(3, vec![set(&[1, 2])]);
+        build(3, vec![set(&[1, 2])]);
     }
 
     /// The prefix stack must re-derive shared prefixes correctly even
@@ -576,7 +516,7 @@ mod tests {
             .into_iter()
             .collect();
         let filter = OwnershipFilter::two_level(owned_first, pairs);
-        let mut vc = VerticalCounter::build(3, cands);
+        let mut vc = build(3, cands);
         vc.count_all(&txs, &filter);
         assert_eq!(vc.count_of(&set(&[1, 2, 3])), Some(1));
         assert_eq!(vc.count_of(&set(&[1, 2, 4])), Some(2));

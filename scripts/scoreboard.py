@@ -32,7 +32,7 @@ CALLERS = ("benchmark/probe/src", "examples")
 UNSHARED_CEILING = {
     "armine-bench": 0,
     "armine-cli": 0,
-    "armine-core": 19,
+    "armine-core": 17,
     "armine-datagen": 0,
     "armine-metrics": 9,
     "armine-mpsim": 5,

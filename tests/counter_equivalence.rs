@@ -12,8 +12,6 @@ use armine::core::counter::{CandidateCounter, CounterBackend, CounterStats};
 use armine::core::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
 use armine::core::rules::generate_rules;
 use armine::core::stable_hash::owner_of;
-use armine::core::trie::CandidateTrie;
-use armine::core::vertical::VerticalCounter;
 use armine::core::{Item, ItemSet, Transaction};
 use armine::datagen::QuestParams;
 use armine::mpsim::ExecBackend;
@@ -264,9 +262,9 @@ fn pass2_transactions() -> Vec<Transaction> {
 
 /// Pass 2 through the seam, for every shape of `C₂` share the parallel
 /// formulations hand a rank: all of `F₁ × F₁`, a first-item partition, a
-/// partition with split first items, DD's contiguous chunks, and an offer
-/// with duplicates. Both pair-table backends must equal brute force in
-/// counts, in `count_of`, and in the insertion order of `frequent`.
+/// partition with split first items and DD's contiguous chunks. Both
+/// pair-table backends must equal brute force in counts, in `count_of`,
+/// and in the row order of `frequent`.
 #[test]
 fn pass2_equals_brute_force_on_every_share_shape() {
     let full = k_sets(odd_items(), 2);
@@ -284,11 +282,9 @@ fn pass2_equals_brute_force_on_every_share_shape() {
         split_firsts > odd_items().len() - 1,
         "no first item was split"
     );
-    let twice: Vec<ItemSet> = full.iter().chain(full.iter().rev()).cloned().collect();
 
     let all = OwnershipFilter::all();
-    let mut shares: Vec<(&str, &[ItemSet], &OwnershipFilter)> =
-        vec![("full", &full, &all), ("duplicates", &twice, &all)];
+    let mut shares: Vec<(&str, &[ItemSet], &OwnershipFilter)> = vec![("full", &full, &all)];
     shares.extend(
         by_first_shares
             .iter()
@@ -306,11 +302,8 @@ fn pass2_equals_brute_force_on_every_share_shape() {
     shares.extend(full.chunks(100).map(|chunk| ("dd-chunk", chunk, &all)));
 
     for (shape, offered, filter) in shares {
-        let mut distinct = offered.to_vec();
-        let mut seen = BTreeSet::new();
-        distinct.retain(|c| seen.insert(c.clone()));
-        let want = brute_force(&distinct, &txs, filter);
-        let want_frequent: Vec<(ItemSet, u64)> = distinct
+        let want = brute_force(offered, &txs, filter);
+        let want_frequent: Vec<(ItemSet, u64)> = offered
             .iter()
             .cloned()
             .zip(want.iter().copied())
@@ -319,7 +312,7 @@ fn pass2_equals_brute_force_on_every_share_shape() {
         for backend in PAIR_TABLE_BACKENDS {
             let mut counter = backend.build(2, HashTreeParams::default(), offered.to_vec());
             assert_eq!(counter.stats().inserts, offered.len() as u64, "{shape}");
-            assert_eq!(counter.num_candidates(), distinct.len(), "{shape}");
+            assert_eq!(counter.num_candidates(), offered.len(), "{shape}");
             counter.count_all(&txs, filter);
             assert_eq!(
                 counter.count_vector(),
@@ -333,7 +326,7 @@ fn pass2_equals_brute_force_on_every_share_shape() {
                 "{shape} on {}",
                 backend.name()
             );
-            for (c, w) in distinct.iter().zip(&want) {
+            for (c, w) in offered.iter().zip(&want) {
                 assert_eq!(counter.count_of(c), Some(*w), "{shape}: {c}");
             }
             assert_eq!(counter.count_of(&ItemSet::from([4, 5])), None);
@@ -416,11 +409,13 @@ fn every_share<'a>(c2: &'a Candidates, txs: &[Transaction], partitioned: bool) -
 }
 
 /// The pair table built from `F₁` and a share — no pair written down —
-/// against brute force, against the trie over the share's rows, and
-/// against the same backend built from those rows (counts, `count_of`,
+/// against brute force, against `--counter trie` over the share's rows,
+/// and against the same backend built from those rows (counts, `count_of`,
 /// `frequent`'s order and the whole ledger), on every share shape a driver
-/// cuts, for |F₁| from 0 up. With an `F₁` item at [`Item::MAX_ID`] the
-/// pair table is declined and each backend's own structure counts.
+/// cuts, for |F₁| from 0 up. With an `F₁` item at [`Item::MAX_ID`] the pair
+/// table is declined and each backend's own structure counts (held to that
+/// structure built directly by `armine-core`'s unit test
+/// `pair_table_matches_the_trie_and_a_declined_one_is_the_backends_own`).
 #[test]
 fn pair_table_from_f1_and_a_share_matches_brute_force_and_the_trie() {
     let txs = pass2_transactions();
@@ -458,7 +453,7 @@ fn pair_table_from_f1_and_a_share_matches_brute_force_and_the_trie() {
                 );
             }
             let want = brute_force(&rows, txs, &filter);
-            let mut trie = CandidateTrie::build(2, rows.clone());
+            let mut trie = CounterBackend::Trie.build(2, tree, &rows);
             trie.count_all(txs, &filter);
             assert_eq!(trie.count_vector(), want, "{on}: the trie");
             for backend in CounterBackend::ALL {
@@ -477,17 +472,6 @@ fn pair_table_from_f1_and_a_share_matches_brute_force_and_the_trie() {
                     assert_eq!(share.count_of(set), Some(count), "{on}: {set}");
                 }
                 assert_eq!(share.count_of(&ItemSet::from([4, 6])), None, "{on}");
-                if !partitioned && backend != CounterBackend::HashTree {
-                    // Declined: the backend's own structure, told apart
-                    // from the pair table by its ledger.
-                    let mut own = match backend {
-                        CounterBackend::Trie => Box::new(CandidateTrie::build(2, rows.clone())),
-                        _ => Box::new(VerticalCounter::build(2, rows.clone()))
-                            as Box<dyn CandidateCounter>,
-                    };
-                    own.count_all(txs, &filter);
-                    assert_eq!(share.stats(), own.stats(), "{on}: no fallback");
-                }
             }
         }
     }
@@ -531,12 +515,13 @@ fn sparse_pass2_candidates_fall_back_to_the_backends_own_structure() {
 /// span, `distinct_leaf_visits` = `candidate_checks` = increments,
 /// `inserts` = candidates offered, no `intersection_words`. And the
 /// seam's ordering guarantees: `count_vector`, `set_count_vector` and
-/// `frequent` index the distinct candidates in insertion order.
+/// `frequent` index the candidates in row order.
 #[test]
 fn pass2_ledger_and_insertion_order_are_pinned() {
     // Ranks 1→0, 3→1, 4→2, 5→3. Row of 1 spans {3, 4, 5} with a hole at
-    // {1, 4}; rows of 3 and 4 hold one cell each.
-    let offered: Vec<ItemSet> = [[3, 4], [1, 5], [1, 3], [1, 5], [4, 5]]
+    // {1, 4}: sparse, a cell each. Rows of 3 and 4 hold one pair each, a
+    // full span: dense.
+    let offered: Vec<ItemSet> = [[1, 3], [1, 5], [3, 4], [4, 5]]
         .into_iter()
         .map(ItemSet::from)
         .collect();
@@ -554,7 +539,7 @@ fn pass2_ledger_and_insertion_order_are_pinned() {
         assert_eq!(
             counter.stats(),
             CounterStats {
-                inserts: 5,
+                inserts: 4,
                 transactions: 5,
                 root_starts: 6,
                 traversal_steps: (4 + 4 + 2 + 2) + (3 + 3 + 1),
@@ -565,14 +550,14 @@ fn pass2_ledger_and_insertion_order_are_pinned() {
             "backend {}",
             backend.name()
         );
-        assert_eq!(counter.count_vector(), vec![1, 1, 2, 1]);
-        counter.set_count_vector(&[7, 0, 9, 2]);
-        assert_eq!(counter.count_vector(), vec![7, 0, 9, 2]);
+        assert_eq!(counter.count_vector(), vec![2, 1, 1, 1]);
+        counter.set_count_vector(&[9, 0, 7, 2]);
+        assert_eq!(counter.count_vector(), vec![9, 0, 7, 2]);
         assert_eq!(
             counter.frequent(2),
             vec![
-                (ItemSet::from([3, 4]), 7),
                 (ItemSet::from([1, 3]), 9),
+                (ItemSet::from([3, 4]), 7),
                 (ItemSet::from([4, 5]), 2)
             ]
         );
@@ -644,8 +629,8 @@ fn pass2_hash_tree_counts_and_charges_what_the_full_tree_does() {
         }
     }
 
-    // Repeats and rows out of order, as pinned for the pair table below.
-    let offered: Vec<ItemSet> = [[3, 4], [1, 5], [1, 3], [1, 5], [4, 5]]
+    // The offer pinned for the pair table below.
+    let offered: Vec<ItemSet> = [[1, 3], [1, 5], [3, 4], [4, 5]]
         .into_iter()
         .map(ItemSet::from)
         .collect();
@@ -666,11 +651,11 @@ fn pass2_hash_tree_counts_and_charges_what_the_full_tree_does() {
         full.count_all(&txs, &all);
         pairs.count_all(&txs, &all);
         assert_eq!(pairs.stats(), full.stats(), "{tree:?}");
-        assert_eq!(pairs.stats().inserts, 5, "{tree:?}");
-        assert_eq!(pairs.count_vector(), vec![1, 1, 2, 1], "{tree:?}");
+        assert_eq!(pairs.stats().inserts, 4, "{tree:?}");
+        assert_eq!(pairs.count_vector(), vec![2, 1, 1, 1], "{tree:?}");
         assert_eq!(pairs.count_vector(), full.count_vector(), "{tree:?}");
-        pairs.set_count_vector(&[7, 0, 9, 2]);
-        full.set_count_vector(&[7, 0, 9, 2]);
+        pairs.set_count_vector(&[9, 0, 7, 2]);
+        full.set_count_vector(&[9, 0, 7, 2]);
         assert_eq!(pairs.frequent(2), full.frequent(2), "{tree:?}");
         assert_eq!(pairs.count_of(&ItemSet::from([1, 5])), Some(0));
         assert_eq!(pairs.count_of(&ItemSet::from([1, 4])), None);

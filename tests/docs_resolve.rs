@@ -5,6 +5,9 @@
 //!   exists (a glob matches one);
 //! - every backticked path of `::`-joined names (a type's item, a
 //!   module's item) names identifiers the workspace's sources define;
+//! - every `--flag` of an `armine …` command, backticked or run through
+//!   `cargo run -p armine-cli --` in a code block, appears in `armine
+//!   help`'s text (the CLI's `USAGE`);
 //! - no `file.rs:N` line reference appears: prose cites names, which do not
 //!   drift when the lines around them move.
 
@@ -70,8 +73,9 @@ fn rust_sources() -> Vec<PathBuf> {
     all
 }
 
-/// Each doc's name and text with its fenced code blocks removed.
-fn docs() -> Vec<(String, String)> {
+/// Each doc's name, its text with its fenced code blocks removed, and the
+/// lines of those blocks.
+fn docs() -> Vec<(String, String, String)> {
     let mut docs: Vec<(String, String)> = DOCS
         .iter()
         .map(|name| {
@@ -90,19 +94,22 @@ fn docs() -> Vec<(String, String)> {
             docs.push((name, module_doc.join("\n")));
         }
     }
-    for (_, text) in &mut docs {
-        let mut fenced = false;
-        let kept: Vec<&str> = text
-            .lines()
-            .filter(|line| {
+    docs.into_iter()
+        .map(|(name, text)| {
+            let (mut prose, mut code) = (Vec::new(), Vec::new());
+            let mut fenced = false;
+            for line in text.lines() {
                 let fence = line.trim_start().starts_with("```");
                 fenced ^= fence;
-                !fence && !fenced
-            })
-            .collect();
-        *text = kept.join("\n");
-    }
-    docs
+                match (fence, fenced) {
+                    (true, _) => {}
+                    (false, true) => code.push(line),
+                    (false, false) => prose.push(line),
+                }
+            }
+            (name, prose.join("\n"), code.join("\n"))
+        })
+        .collect()
 }
 
 /// The contents of each single-backtick span, a span wrapped over lines
@@ -266,7 +273,7 @@ fn backticked_repository_paths_exist() {
         .map(|p| p.strip_prefix(root()).unwrap().display().to_string())
         .collect();
     let mut missing = Vec::new();
-    for (doc, text) in docs() {
+    for (doc, text, _) in docs() {
         for span in spans(&text) {
             if let Some(path) = as_path(&span) {
                 if !resolves(path, &all) {
@@ -286,7 +293,7 @@ fn backticked_repository_paths_exist() {
 fn backticked_item_paths_name_workspace_identifiers() {
     let defined = defined();
     let mut unknown = Vec::new();
-    for (doc, text) in docs() {
+    for (doc, text, _) in docs() {
         for span in spans(&text) {
             for path in item_paths(&span) {
                 if FOREIGN.contains(&path[0].as_str()) {
@@ -310,10 +317,67 @@ fn backticked_item_paths_name_workspace_identifiers() {
     );
 }
 
+/// `armine help`'s text: the `USAGE` const of the CLI's `commands.rs`.
+fn usage() -> String {
+    let source = std::fs::read_to_string(root().join("crates/cli/src/commands.rs")).unwrap();
+    let head = "const USAGE: &str = \"";
+    let start = source.find(head).expect("commands.rs defines USAGE") + head.len();
+    let len = source[start..].find("\";").expect("USAGE ends");
+    source[start..start + len].to_string()
+}
+
+/// The arguments of each `armine` command of a doc: a backticked span of
+/// `prose` that starts `armine `, and what follows `-p armine-cli --` in a
+/// span or a line of `code` (a line ending in `\` goes on in the next).
+fn armine_commands(prose: &str, code: &str) -> Vec<String> {
+    let code = code.replace("\\\n", " ");
+    let spans = spans(prose);
+    let mut out: Vec<String> = spans
+        .iter()
+        .filter(|span| span.starts_with("armine "))
+        .cloned()
+        .collect();
+    for piece in spans.iter().map(String::as_str).chain(code.lines()) {
+        if let Some((_, args)) = piece.split_once("-p armine-cli --") {
+            out.push(args.to_string());
+        }
+    }
+    out
+}
+
+/// The `--flag`s of `text`.
+fn flags(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|word| word.len() > 2 && word.starts_with("--"))
+}
+
+#[test]
+fn backticked_armine_commands_use_flags_armine_help_lists() {
+    let usage = usage();
+    let listed: HashSet<&str> = flags(&usage).collect();
+    assert!(listed.contains("--min-support"), "USAGE was not read");
+    let (mut checked, mut unknown) = (0, Vec::new());
+    for (doc, prose, code) in docs() {
+        for command in armine_commands(&prose, &code) {
+            checked += flags(&command).count();
+            let missing: Vec<&str> = flags(&command).filter(|f| !listed.contains(f)).collect();
+            if !missing.is_empty() {
+                unknown.push(format!("{doc}: `{command}` ({missing:?})"));
+            }
+        }
+    }
+    assert!(checked > 20, "only {checked} flags in backticked commands");
+    assert!(
+        unknown.is_empty(),
+        "flags `armine help` does not list:\n{}",
+        unknown.join("\n")
+    );
+}
+
 #[test]
 fn no_doc_cites_a_line_number() {
     let mut cited = Vec::new();
-    for (doc, text) in docs() {
+    for (doc, text, _) in docs() {
         for word in text.split(|c: char| c.is_whitespace() || "`()[],;".contains(c)) {
             if let Some((file, line)) = word.split_once(".rs:") {
                 let number = line.chars().take_while(char::is_ascii_digit).count();
