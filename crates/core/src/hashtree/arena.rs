@@ -1,12 +1,14 @@
 //! The hash tree's nodes, flat: every interior node is a block of
 //! `branching` child slots in one `Vec<u32>`, every leaf a range of the
-//! tree's leaf-ordered candidate arrays plus the batch's visit bits.
-//! [`Arena::walk`] is one transaction's descent over them: it only marks
-//! the leaves it reaches. [`Arena::score`] then checks each leaf a batch of
-//! transactions reached, once per batch, against its per-item masks.
-//! [`Arena::pair_shape`] builds a pass-2 tree's nodes and leaf sizes with
-//! no candidate behind them: its walk only charges the ledger, and
-//! [`Arena::clear_visits`] forgets the marks.
+//! tree's leaf-ordered candidates. [`Arena::walk`] is one transaction's
+//! descent over them, level by level: it charges the ledger and reports
+//! each leaf it reaches, and the caller keeps the marks (the full tree's
+//! visit bits, one per transaction of a batch, or the pass-2 shape's last
+//! visitor per leaf). [`Arena::score`] then sweeps the leaves in leaf
+//! order once per batch and checks each one the batch reached against
+//! per-item masks. [`Arena::pair_shape`] builds a pass-2 tree's nodes and
+//! leaf sizes with no candidate behind them, to be walked and never
+//! scored.
 
 use super::filter::OwnershipFilter;
 use crate::counter::CounterStats;
@@ -44,33 +46,47 @@ impl Modulus {
 
 /// A child slot with no subtree behind it.
 const NONE: u32 = u32::MAX;
-/// Tag bit of a slot that names a leaf; the other bits index `leaves`.
+/// Tag bit of a slot that names a leaf; the other bits index the leaves.
 /// Without it the slot indexes an interior node.
 const LEAF: u32 = 1 << 31;
 
-/// Candidates `start..end` of the leaf-ordered arrays, plus which
-/// transactions of the current batch reached them: bit `j` for the batch's
-/// `j`-th (the revisit suppression, and the scoring's starting mask).
-struct Leaf {
-    start: u32,
-    end: u32,
-    visited: u64,
+/// Transactions per batch: one bit each of a [`Bits`].
+pub(super) const BATCH: usize = 256;
+const WORDS: usize = BATCH / u64::BITS as usize;
+/// A bit per transaction of a batch, bit `j` for its `j`-th: which of them
+/// reached a leaf, hold an item, or were walked.
+pub(super) type Bits = [u64; WORDS];
+/// The batch's `j`-th transaction's place in a [`Bits`]: its word, and its
+/// bit in that word.
+pub(super) fn bit(j: usize) -> (usize, u64) {
+    (j / u64::BITS as usize, 1 << (j % u64::BITS as usize))
 }
+
+/// Entries a frontier level, or the arrival list, holds before the walk
+/// drains it: the walk's memory is `k` chunks however many paths a
+/// transaction has, 1 KB a level.
+pub(super) const CHUNK: usize = 128;
 
 pub(super) struct Arena {
     branching: usize,
     modulus: Modulus,
+    k: usize,
     /// Interior node `n` owns `slots[n * branching..][..branching]`.
     slots: Vec<u32>,
-    leaves: Vec<Leaf>,
+    /// Leaf `i` holds candidates `bounds[i]..bounds[i + 1]` of the leaf
+    /// order.
+    bounds: Vec<u32>,
     root: u32,
-    /// The leaves the current batch reached, each once, in arrival order:
-    /// the first `reached` of one slot per leaf, plus one that a walk may
-    /// write past them.
-    touched: Vec<u32>,
-    reached: usize,
     /// The walked transaction's hash buckets, one per item.
     buckets: Vec<u32>,
+    /// Frontier level `d` (of interior nodes at depth `d`, `1..k`) is the
+    /// chunk `frontier[(d - 1) * CHUNK..][..CHUNK]` of `(node, start)`
+    /// entries, its first `queued[d]` waiting. Nothing is ever queued at
+    /// depth `k`, where every node is a leaf.
+    frontier: Vec<(u32, u32)>,
+    queued: Vec<usize>,
+    /// The leaves a walk reached and has not yet marked.
+    arrivals: Vec<u32>,
 }
 
 impl Arena {
@@ -86,7 +102,7 @@ impl Arena {
         candidates: &[Item],
     ) -> (Arena, Vec<u32>) {
         let num_candidates = candidates.len() / k;
-        let mut arena = Arena::empty(branching, num_candidates);
+        let mut arena = Arena::empty(k, branching, num_candidates);
         let mut order: Vec<u32> = (0..num_candidates as u32).collect();
         let mut scratch = vec![0u32; order.len()];
         let root = arena.partition(candidates, &mut order, &mut scratch, 0, 0, k, max_leaf);
@@ -112,7 +128,7 @@ impl Arena {
         // `for_each`, not `for`: a flattened iterator folds in tight loops.
         pairs().for_each(|(first, _)| row_sizes[bucket[first as usize] as usize] += 1);
         let num_pairs: usize = row_sizes.iter().sum();
-        let mut arena = Arena::empty(branching, num_pairs);
+        let mut arena = Arena::empty(2, branching, num_pairs);
         if num_pairs <= max_leaf {
             let root = arena.leaf(0, num_pairs);
             return arena.rooted(root);
@@ -136,7 +152,7 @@ impl Arena {
         let leaf_rows = row_sizes.iter().filter(|&&n| 0 < n && n <= max_leaf);
         let leaf_cells = arena.slots[b..].iter().filter(|&&n| n > 0);
         arena
-            .leaves
+            .bounds
             .reserve_exact(leaf_rows.count() + leaf_cells.count());
         let mut offset = 0;
         for (h, &size) in row_sizes.iter().enumerate().filter(|&(_, &n)| n > 0) {
@@ -158,8 +174,9 @@ impl Arena {
         arena.rooted(0)
     }
 
-    /// A tree with no node yet, for `num_candidates` candidates.
-    fn empty(branching: usize, num_candidates: usize) -> Arena {
+    /// A tree of size-`k` candidates with no node yet, for
+    /// `num_candidates` of them.
+    fn empty(k: usize, branching: usize, num_candidates: usize) -> Arena {
         assert!(
             num_candidates < LEAF as usize,
             "too many candidates for one tree"
@@ -167,31 +184,34 @@ impl Arena {
         Arena {
             branching,
             modulus: Modulus::new(branching),
+            k,
             slots: Vec::new(),
-            leaves: Vec::new(),
+            bounds: vec![0],
             root: NONE,
-            touched: Vec::new(),
-            reached: 0,
             buckets: Vec::new(),
+            frontier: Vec::new(),
+            queued: Vec::new(),
+            arrivals: Vec::new(),
         }
     }
 
-    /// The tree with `root` as its root slot, ready to walk.
+    /// The tree with `root` as its root slot, ready to walk: a frontier
+    /// level per interior depth below the root and the arrival list, each
+    /// [`CHUNK`] entries, whatever the transactions.
     fn rooted(mut self, root: u32) -> Arena {
         self.root = root;
-        self.touched = vec![0; self.leaves.len() + 1];
+        self.frontier = vec![(0, 0); (self.k - 1) * CHUNK];
+        self.queued = vec![0; self.k + 1];
+        self.arrivals = vec![0; CHUNK];
         self
     }
 
-    /// Adds the leaf over candidates `start..start + len` of the leaf
-    /// order and returns its slot.
+    /// Adds the leaf over the next `len` candidates of the leaf order,
+    /// which starts at `start`, and returns its slot.
     fn leaf(&mut self, start: usize, len: usize) -> u32 {
-        self.leaves.push(Leaf {
-            start: start as u32,
-            end: (start + len) as u32,
-            visited: 0,
-        });
-        LEAF | (self.leaves.len() - 1) as u32
+        debug_assert_eq!(self.bounds.last(), Some(&(start as u32)));
+        self.bounds.push((start + len) as u32);
+        LEAF | (self.bounds.len() - 2) as u32
     }
 
     /// Builds the subtree over `order` (candidates `offset..` of the leaf
@@ -254,122 +274,151 @@ impl Arena {
     }
 
     pub(super) fn num_leaves(&self) -> usize {
-        self.leaves.len()
+        self.bounds.len() - 1
     }
 
     #[cfg(test)]
     pub(super) fn occupied_leaves(&self) -> usize {
-        self.leaves.iter().filter(|l| l.start < l.end).count()
+        self.bounds.windows(2).filter(|w| w[0] < w[1]).count()
     }
 
     /// The root slot, every node's slots and every leaf's candidate range.
     #[cfg(test)]
     pub(super) fn shape(&self) -> (u32, &[u32], Vec<(u32, u32)>) {
-        let leaves = self.leaves.iter().map(|l| (l.start, l.end)).collect();
+        let leaves = self.bounds.windows(2).map(|w| (w[0], w[1])).collect();
         (self.root, &self.slots, leaves)
     }
 
-    /// Whether no leaf holds a visit bit and none awaits scoring.
-    #[cfg(test)]
-    pub(super) fn is_clean(&self) -> bool {
-        self.reached == 0 && self.leaves.iter().all(|l| l.visited == 0)
-    }
-
-    /// Zeroes the visit bits of every leaf the batch reached, for a tree
-    /// whose leaves are walked but never scored.
-    pub(super) fn clear_visits(&mut self) {
-        let reached = std::mem::take(&mut self.reached);
-        for &index in &self.touched[..reached] {
-            self.leaves[index as usize].visited = 0;
+    /// Checks every leaf the batch reached against the batch, sweeping the
+    /// leaves in leaf order: a candidate's count grows by the number of
+    /// transactions that both reached its leaf and hold all its items, the
+    /// popcount of the leaf's `visited` bits ANDed with each item's mask.
+    /// `items` and `counts` are the candidates in leaf order, `ranks` maps
+    /// each of their item ids to its row of `masks`. Leaves `visited` zero
+    /// for the next batch.
+    pub(super) fn score(
+        &self,
+        items: &[Item],
+        counts: &mut [u64],
+        visited: &mut [Bits],
+        ranks: &[u32],
+        masks: &[Bits],
+    ) {
+        let leaves = Leaves {
+            bounds: &self.bounds,
+            items,
+            ranks,
+            masks,
+        };
+        match self.k {
+            1 => leaves.score::<1>(1, counts, visited),
+            2 => leaves.score::<2>(2, counts, visited),
+            3 => leaves.score::<3>(3, counts, visited),
+            4 => leaves.score::<4>(4, counts, visited),
+            5 => leaves.score::<5>(5, counts, visited),
+            6 => leaves.score::<6>(6, counts, visited),
+            7 => leaves.score::<7>(7, counts, visited),
+            8 => leaves.score::<8>(8, counts, visited),
+            k => leaves.score::<0>(k, counts, visited),
         }
     }
+}
 
-    /// Checks every leaf the batch reached against the batch, once: a
-    /// candidate's count grows by the number of transactions that both
-    /// reached its leaf and hold all its items, the popcount of the
-    /// leaf's visit bits ANDed with each item's mask. `masks` needs a word
-    /// per item id up to the largest candidate item. Leaves the visit bits
-    /// zero for the next batch.
-    pub(super) fn score(&mut self, items: &[Item], counts: &mut [u64], masks: &[u64], k: usize) {
-        let reached = std::mem::take(&mut self.reached);
-        for &index in &self.touched[..reached] {
-            let leaf = &mut self.leaves[index as usize];
-            let visited = std::mem::take(&mut leaf.visited);
-            let (start, end) = (leaf.start as usize, leaf.end as usize);
-            let candidates = items[start * k..end * k].chunks_exact(k);
+/// What scoring reads: the leaf bounds, the candidates and the masks.
+struct Leaves<'a> {
+    bounds: &'a [u32],
+    items: &'a [Item],
+    ranks: &'a [u32],
+    masks: &'a [Bits],
+}
+
+impl Leaves<'_> {
+    /// The scoring kernel for candidates of `K` items, or of `k` when `K`
+    /// is 0: a constant `K` unrolls the AND of a candidate's masks.
+    fn score<const K: usize>(&self, k: usize, counts: &mut [u64], visited: &mut [Bits]) {
+        let k = if K == 0 { k } else { K };
+        for (bounds, seen) in self.bounds.windows(2).zip(visited) {
+            if *seen == [0; WORDS] {
+                continue;
+            }
+            let seen = std::mem::take(seen);
+            let (start, end) = (bounds[0] as usize, bounds[1] as usize);
+            let candidates = self.items[start * k..end * k].chunks_exact(k);
             for (candidate, count) in candidates.zip(&mut counts[start..end]) {
                 // No early exit on an empty mask: the branch costs more
-                // than the `k` ANDs it would save.
-                let hits = candidate
-                    .iter()
-                    .fold(visited, |hits, item| hits & masks[item.index()]);
-                *count += u64::from(hits.count_ones());
+                // than the ANDs it would save.
+                let hits = candidate.iter().fold(seen, |mut hits, item| {
+                    let mask = &self.masks[self.ranks[item.index()] as usize];
+                    for (hit, word) in hits.iter_mut().zip(mask) {
+                        *hit &= word;
+                    }
+                    hits
+                });
+                *count += hits.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
             }
         }
     }
 }
 
-/// Always true: the filter of every walk step below the ones a filter
-/// prunes.
-fn any_item(_: Item) -> bool {
-    true
-}
-
 impl Arena {
     /// Where the walk of `titems` (sorted, at least `k` of them) starts:
     /// its first starting item `filter` owns, or `None` if it has none, so
-    /// that the walk would mark no leaf and charge no work. A tree whose
+    /// that the walk would reach no leaf and charge no work. A tree whose
     /// root is a leaf is reached by every such transaction, filter or not.
-    pub(super) fn first_start(
-        &self,
-        titems: &[Item],
-        k: usize,
-        filter: &OwnershipFilter,
-    ) -> Option<usize> {
+    pub(super) fn first_start(&self, titems: &[Item], filter: &OwnershipFilter) -> Option<usize> {
         if filter.is_all() || self.root & LEAF != 0 {
             return Some(0);
         }
-        titems[..=titems.len() - k]
+        titems[..=titems.len() - self.k]
             .iter()
             .position(|&item| filter.allows_root(item))
     }
 
     /// The subset operation of Section II for one transaction of at least
     /// `k` items, from its starting item `titems[from]` on (see
-    /// [`first_start`](Self::first_start)): marks every leaf it reaches
-    /// with `bit` and charges `stats` the walk the model prices.
+    /// [`first_start`](Self::first_start)): charges `stats` the walk the
+    /// model prices, and calls `first_arrival` with each leaf it reaches,
+    /// which answers whether this is the transaction's first arrival there
+    /// (only that one is charged a visit and the leaf's checks).
     pub(super) fn walk(
         &mut self,
         titems: &[Item],
         from: usize,
-        k: usize,
-        bit: u64,
         filter: &OwnershipFilter,
         stats: &mut CounterStats,
+        first_arrival: impl FnMut(usize) -> bool,
     ) {
         let modulus = self.modulus;
         self.buckets.clear();
-        self.buckets
-            .extend(titems.iter().map(|&item| modulus.bucket(item)));
+        if self.root & LEAF == 0 {
+            self.buckets
+                .extend(titems.iter().map(|&item| modulus.bucket(item)));
+        }
         let mut walk = Walk {
             slots: &self.slots,
-            leaves: &mut self.leaves,
-            touched: &mut self.touched,
-            reached: &mut self.reached,
+            bounds: &self.bounds,
             buckets: &self.buckets,
             titems,
+            k: self.k,
             branching: self.branching,
-            bit,
+            filter,
+            frontier: &mut self.frontier,
+            queued: &mut self.queued,
+            arrivals: &mut self.arrivals,
+            arrived: 0,
+            first_arrival,
             root_starts: 0,
             traversal_steps: 0,
             distinct_leaf_visits: 0,
             candidate_checks: 0,
         };
         if self.root & LEAF != 0 {
-            walk.arrive(self.root);
+            walk.arrivals[0] = self.root & !LEAF;
+            walk.arrived = 1;
         } else {
-            walk.start(self.root, from, k, filter);
+            walk.start(self.root, from);
         }
+        walk.mark();
         stats.root_starts += walk.root_starts;
         stats.traversal_steps += walk.traversal_steps;
         stats.distinct_leaf_visits += walk.distinct_leaf_visits;
@@ -380,116 +429,260 @@ impl Arena {
 /// One transaction's subset walk: the arena's parts borrowed side by side,
 /// and the work it charges, summed here and added to the tree's ledger
 /// once the walk is done.
-struct Walk<'a> {
+struct Walk<'a, F> {
     slots: &'a [u32],
-    leaves: &'a mut [Leaf],
-    touched: &'a mut [u32],
-    reached: &'a mut usize,
+    bounds: &'a [u32],
     /// The hash bucket of each of the transaction's items.
     buckets: &'a [u32],
     /// The whole (sorted) transaction.
     titems: &'a [Item],
+    k: usize,
     branching: usize,
-    /// The transaction's bit in the batch: `1 << j` for the `j`-th.
-    bit: u64,
+    filter: &'a OwnershipFilter,
+    frontier: &'a mut [(u32, u32)],
+    queued: &'a mut [usize],
+    arrivals: &'a mut [u32],
+    arrived: usize,
+    first_arrival: F,
     root_starts: u64,
     traversal_steps: u64,
     distinct_leaf_visits: u64,
     candidate_checks: u64,
 }
 
-impl Walk<'_> {
-    /// The root's loop, the one that owns the filter's first-item test
-    /// and the `root_starts` charge. A starting item needs `k − 1` items
-    /// after it. Only a two-level filter prunes second items, so only its
-    /// walk tests them.
-    fn start(&mut self, root: u32, from: usize, k: usize, filter: &OwnershipFilter) {
-        let all = filter.is_all();
-        let prunes_second = filter.prunes_second();
-        let base = root as usize * self.branching;
-        for p in from..=self.titems.len() - k {
-            let first = self.titems[p];
+impl<F: FnMut(usize) -> bool> Walk<'_, F> {
+    /// The root, the one node that owns the filter's first-item test and
+    /// the `root_starts` charge (a starting item needs `k − 1` items after
+    /// it), then every level below it.
+    fn start(&mut self, root: u32, from: usize) {
+        let last = self.titems.len() - self.k;
+        if self.filter.is_all() {
+            self.root_starts += (last + 1 - from) as u64;
+            self.chunked(0, root, from, last);
+        } else {
             // IDD's bitmap check at the root: skip starting items whose
             // candidates live on other processors.
-            if !all && !filter.allows_root(first) {
-                continue;
+            for p in from..=last {
+                if self.filter.allows_root(self.titems[p]) {
+                    self.root_starts += 1;
+                    self.chunked(0, root, p, p);
+                }
             }
-            self.root_starts += 1;
-            let child = self.slots[base + self.buckets[p] as usize];
-            if child == NONE {
-                continue;
-            }
-            self.traversal_steps += 1;
-            if child & LEAF != 0 {
-                self.arrive(child);
-            } else if prunes_second {
-                let allows = |second| filter.allows_second(first, second);
-                self.descend(child, p + 1, k - 1, allows);
-            } else {
-                self.descend(child, p + 1, k - 1, any_item);
-            }
+        }
+        if self.queued[1] > 0 {
+            self.level(1);
         }
     }
 
-    /// The walk below the root at interior node `node`: each item from
-    /// `titems[start]` on that leaves the `needed − 1` more a candidate
-    /// path takes, and that `allows` admits, descends by its bucket.
-    fn descend(&mut self, node: u32, start: usize, needed: usize, allows: impl Fn(Item) -> bool) {
-        let base = node as usize * self.branching;
-        let slots = &self.slots[base..base + self.branching];
-        let last = self.titems.len() - needed;
-        let rest = self.titems[start..=last]
-            .iter()
-            .zip(&self.buckets[start..=last]);
-        for (p, (&item, &bucket)) in (start..).zip(rest) {
+    /// Expands every entry queued at depth `d` (`1..k`), then the level
+    /// below. Only a two-level filter tests second items.
+    fn level(&mut self, d: usize) {
+        let queued = std::mem::take(&mut self.queued[d]);
+        // An entry at depth `d` needs `k − d` more items, its own included.
+        let last = self.titems.len() - (self.k - d);
+        let mut i = 0;
+        loop {
+            // At depth `k − 1` every child is a leaf.
+            i = match (d == 1 && self.filter.prunes_second(), d + 1 == self.k) {
+                (false, false) => self.fitting::<false, false>(d, i..queued, last),
+                (false, true) => self.fitting::<false, true>(d, i..queued, last),
+                (true, false) => self.fitting::<true, false>(d, i..queued, last),
+                (true, true) => self.fitting::<true, true>(d, i..queued, last),
+            };
+            if i == queued {
+                break;
+            }
+            let (node, start) = self.frontier[(d - 1) * CHUNK + i];
+            self.chunked(d, node, start as usize, last);
+            i += 1;
+        }
+        if self.queued[d + 1] > 0 {
+            self.level(d + 1);
+        }
+    }
+
+    /// Expands entries `entries` of level `d` over their items up to
+    /// `last`, for as long as the next level and the arrival list have
+    /// room for all of an entry's items, and returns the first entry that
+    /// did not fit (or the end). With `SECOND`, each item is tested as
+    /// the second item of a path whose first is the one before the
+    /// entry's start; with `LEAVES`, every child is a leaf.
+    #[inline(always)]
+    fn fitting<const SECOND: bool, const LEAVES: bool>(
+        &mut self,
+        d: usize,
+        entries: std::ops::Range<usize>,
+        last: usize,
+    ) -> usize {
+        let (titems, buckets, filter) = (self.titems, self.buckets, self.filter);
+        let (here, below) = self.frontier.split_at_mut(d * CHUNK);
+        let mut lists = Lists {
+            next: if LEAVES { &mut [] } else { &mut below[..CHUNK] },
+            queued: self.queued[d + 1],
+            arrivals: self.arrivals,
+            arrived: self.arrived,
+        };
+        let mut steps = 0;
+        let mut stop = entries.end;
+        for i in entries {
+            let (node, start) = here[(d - 1) * CHUNK + i];
+            let start = start as usize;
+            if start + CHUNK - lists.queued.max(lists.arrived) <= last {
+                stop = i;
+                break;
+            }
+            let slots = node_slots(self.slots, self.branching, node);
+            let (items, buckets) = (&titems[start..=last], &buckets[start..=last]);
+            steps += if SECOND {
+                let first = titems[start - 1];
+                let allows = |second| filter.allows_second(first, second);
+                lists.expand::<LEAVES>(slots, start, items, buckets, allows)
+            } else {
+                lists.expand::<LEAVES>(slots, start, items, buckets, |_| true)
+            };
+        }
+        self.traversal_steps += steps;
+        self.queued[d + 1] = lists.queued;
+        self.arrived = lists.arrived;
+        stop
+    }
+
+    /// Expands node `node`, at depth `d`, over the items `start..=last` in
+    /// chunks of as many items as the next level and the arrival list both
+    /// have room for: a full next level is expanded, and full arrivals are
+    /// marked, before the next chunk, so the walk's memory stays `k`
+    /// chunks however many paths the transaction has.
+    #[inline(never)]
+    fn chunked(&mut self, d: usize, node: u32, start: usize, last: usize) {
+        let (titems, buckets, filter) = (self.titems, self.buckets, self.filter);
+        let second = d == 1 && filter.prunes_second();
+        let first = titems[start.max(1) - 1];
+        let allows = |item| !second || filter.allows_second(first, item);
+        let slots = node_slots(self.slots, self.branching, node);
+        let mut from = start;
+        while from <= last {
+            let room = CHUNK - self.queued[d + 1].max(self.arrived);
+            if room == 0 {
+                if self.queued[d + 1] == CHUNK {
+                    self.level(d + 1);
+                }
+                if self.arrived == CHUNK {
+                    self.mark();
+                }
+                continue;
+            }
+            let to = last.min(from + room - 1);
+            let leaves = d + 1 == self.k;
+            let mut lists = Lists {
+                next: if leaves {
+                    &mut []
+                } else {
+                    &mut self.frontier[d * CHUNK..][..CHUNK]
+                },
+                queued: self.queued[d + 1],
+                arrivals: self.arrivals,
+                arrived: self.arrived,
+            };
+            let (items, buckets) = (&titems[from..=to], &buckets[from..=to]);
+            self.traversal_steps += if leaves {
+                lists.expand::<true>(slots, from, items, buckets, allows)
+            } else {
+                lists.expand::<false>(slots, from, items, buckets, allows)
+            };
+            self.queued[d + 1] = lists.queued;
+            self.arrived = lists.arrived;
+            from = to + 1;
+        }
+    }
+
+    /// Charges the arrivals so far: a leaf's first arrival in this
+    /// transaction is one `t_check` visit and a comparison per candidate
+    /// there; a revisit is free. Without a branch: the charges are added
+    /// times 0 or 1.
+    fn mark(&mut self) {
+        for &leaf in &self.arrivals[..self.arrived] {
+            let leaf = leaf as usize;
+            let first = u64::from((self.first_arrival)(leaf));
+            let size = self.bounds[leaf + 1] - self.bounds[leaf];
+            self.distinct_leaf_visits += first;
+            self.candidate_checks += first * u64::from(size);
+        }
+        self.arrived = 0;
+    }
+}
+
+/// The child slots of interior node `node`.
+#[inline(always)]
+fn node_slots(slots: &[u32], branching: usize, node: u32) -> &[u32] {
+    let base = node as usize * branching;
+    &slots[base..base + branching]
+}
+
+/// Where one expansion puts what it reaches: interior children queued
+/// for the next level, leaves on the arrival list.
+struct Lists<'l> {
+    next: &'l mut [(u32, u32)],
+    queued: usize,
+    arrivals: &'l mut [u32],
+    arrived: usize,
+}
+
+impl Lists<'_> {
+    /// Descends from a node with child slots `slots` by the bucket of each
+    /// of `items` (from the transaction's position `start` on) that
+    /// `allows` admits, and returns the steps: each child that exists is
+    /// one; a leaf joins the arrivals and an interior node the next level,
+    /// with the items after its own. Without a branch per item: both lists
+    /// are always written, and each keeps the entry only when the child is
+    /// of its kind. With `LEAVES` (a node at depth `k − 1`) every child is
+    /// a leaf and the next level is not written. The caller leaves room
+    /// for every item.
+    #[inline(always)]
+    fn expand<const LEAVES: bool>(
+        &mut self,
+        slots: &[u32],
+        start: usize,
+        items: &[Item],
+        buckets: &[u32],
+        allows: impl Fn(Item) -> bool,
+    ) -> u64 {
+        let (mut queued, mut arrived) = (self.queued, self.arrived);
+        let mut steps = 0;
+        for (p, (&item, &bucket)) in (start as u32 + 1..).zip(items.iter().zip(buckets)) {
             if !allows(item) {
                 continue;
             }
             let child = slots[bucket as usize];
-            if child == NONE {
+            let exists = child != NONE;
+            steps += u64::from(exists);
+            self.arrivals[arrived] = child & !LEAF;
+            if LEAVES {
+                arrived += usize::from(exists);
                 continue;
             }
-            self.traversal_steps += 1;
-            if child & LEAF != 0 {
-                self.arrive(child);
-            } else {
-                self.descend(child, p + 1, needed - 1, any_item);
-            }
+            arrived += usize::from(exists & (child & LEAF != 0));
+            self.next[queued] = (child, p);
+            queued += usize::from(child & LEAF == 0);
         }
-    }
-
-    /// Marks the leaf `slot` names as reached by this transaction and
-    /// charges its check (one `t_check` visit, a comparison per
-    /// candidate), but only on the first arrival per transaction: revisits
-    /// are free. The check itself waits for [`Arena::score`]. Without a
-    /// branch: whether this is the transaction's first arrival, or the
-    /// batch's, is as likely one way as the other, so the charges are
-    /// added times 0 or 1, and the leaf is always written to the next
-    /// touched slot, which only a batch's first arrival keeps.
-    #[inline]
-    fn arrive(&mut self, slot: u32) {
-        let index = slot & !LEAF;
-        let leaf = &mut self.leaves[index as usize];
-        let first = u64::from(leaf.visited & self.bit == 0);
-        self.touched[*self.reached] = index;
-        *self.reached += usize::from(leaf.visited == 0);
-        leaf.visited |= self.bit;
-        self.distinct_leaf_visits += first;
-        self.candidate_checks += first * u64::from(leaf.end - leaf.start);
+        self.queued = queued;
+        self.arrived = arrived;
+        steps
     }
 }
 
 /// The recursive walk the one above replaced, kept as its reference: one
 /// function for every depth, the filter tested by depth, `%` for the
-/// bucket, the ledger charged step by step. It marks leaves as
-/// [`Arena::walk`] does, so [`Arena::score`] scores either.
+/// bucket, the ledger charged step by step. It sets the visit bit of the
+/// batch's `j`-th transaction in the leaves it reaches, as the full tree's
+/// walk does, so [`Arena::score`] scores either.
 #[cfg(test)]
 pub(super) struct ReferenceWalk<'a> {
-    pub arena: &'a mut Arena,
+    pub arena: &'a Arena,
+    pub visited: &'a mut [Bits],
     pub stats: &'a mut CounterStats,
     pub titems: &'a [Item],
     pub k: usize,
-    pub bit: u64,
+    pub j: usize,
     pub filter: &'a OwnershipFilter,
 }
 
@@ -497,15 +690,24 @@ pub(super) struct ReferenceWalk<'a> {
 impl ReferenceWalk<'_> {
     pub(super) fn run(&mut self) {
         let b = self.arena.branching;
-        let buckets = &mut self.arena.buckets;
-        buckets.clear();
-        buckets.extend(self.titems.iter().map(|&item| (item.index() % b) as u32));
-        self.descend(self.arena.root, 0, 0, None);
+        let buckets: Vec<u32> = self
+            .titems
+            .iter()
+            .map(|&item| (item.index() % b) as u32)
+            .collect();
+        self.descend(&buckets, self.arena.root, 0, 0, None);
     }
 
-    fn descend(&mut self, node: u32, start: usize, depth: usize, path_first: Option<Item>) {
+    fn descend(
+        &mut self,
+        buckets: &[u32],
+        node: u32,
+        start: usize,
+        depth: usize,
+        path_first: Option<Item>,
+    ) {
         if node & LEAF != 0 {
-            self.visit_leaf(node & !LEAF);
+            self.visit_leaf((node & !LEAF) as usize);
             return;
         }
         let needed = self.k - depth;
@@ -529,27 +731,25 @@ impl ReferenceWalk<'_> {
                     }
                 }
             }
-            let child = self.arena.slots[base + self.arena.buckets[p] as usize];
+            let child = self.arena.slots[base + buckets[p] as usize];
             if child != NONE {
                 self.stats.traversal_steps += 1;
                 let first = if depth == 0 { Some(item) } else { path_first };
-                self.descend(child, p + 1, depth + 1, first);
+                self.descend(buckets, child, p + 1, depth + 1, first);
             }
         }
     }
 
-    fn visit_leaf(&mut self, index: u32) {
-        let leaf = &mut self.arena.leaves[index as usize];
-        if leaf.visited & self.bit != 0 {
+    fn visit_leaf(&mut self, index: usize) {
+        let (word, bit) = bit(self.j);
+        let visited = &mut self.visited[index][word];
+        if *visited & bit != 0 {
             return;
         }
-        if leaf.visited == 0 {
-            self.arena.touched[self.arena.reached] = index;
-            self.arena.reached += 1;
-        }
-        leaf.visited |= self.bit;
+        *visited |= bit;
+        let bounds = &self.arena.bounds;
         self.stats.distinct_leaf_visits += 1;
-        self.stats.candidate_checks += u64::from(leaf.end - leaf.start);
+        self.stats.candidate_checks += u64::from(bounds[index + 1] - bounds[index]);
     }
 }
 

@@ -25,20 +25,27 @@
 //! split-on-overflow insertion grows, so the work ledger for a given
 //! `(branching, max_leaf)` does not depend on how the tree is stored.
 //!
-//! Nor does it depend on how a leaf candidate is compared. `count_all`
-//! walks transactions 64 at a time, one bit of a `u64` each: the walk of
-//! the batch's `j`-th transaction only sets bit `j` on each leaf it
-//! reaches (a leaf whose bit is already set is the paper's revisit, and
-//! is neither charged nor marked again), and sets bit `j` in the mask of
-//! each of its items. After the batch every leaf it reached is checked
-//! once: a candidate gains the popcount of the leaf's visit bits ANDed
-//! with the masks of its `k` items, without a branch. The masks take a
-//! `u64` per item id up to the tree's largest candidate item, 8 bytes an
-//! item: 2 KB over 250 items, 1 GiB at [`Item::MAX_ID`](crate::Item::MAX_ID),
-//! the size of the pass-1 count vector such an input already allocates.
-//! A transaction item above every candidate item has no mask and can
-//! match nothing, but the walk still hashes it and descends where a child
-//! exists: the ledger counts the paper's walk, not the cheapest one.
+//! Nor does it depend on how the host executes each charged step.
+//! `count_all` counts transactions 256 at a time, one bit each of a
+//! `[u64; 4]`. The walk of the batch's `j`-th transaction goes level by
+//! level: the `(node, start)` entries of one depth are expanded together,
+//! interior children queued for the next depth and leaves for an arrival
+//! list, each in chunks of fixed size, so the walk's memory does not grow
+//! with the transaction's paths. Each arrival then sets bit `j` of its
+//! leaf's visit bits (a leaf whose bit is already set is the paper's
+//! revisit, and is neither charged nor marked again), and the transaction
+//! sets bit `j` in the mask of each of its items. After the batch one
+//! sweep over the leaves, in leaf order, checks every leaf the batch
+//! reached: a candidate gains the popcount of the leaf's visit bits ANDed
+//! with the masks of its `k` items, without a branch, in a kernel
+//! specialised by `k`. The masks are one `[u64; 4]` per distinct
+//! candidate item, found through a `u32` item id → rank index up to the
+//! tree's largest candidate item: 1 KB of index over 250 items, 512 MiB
+//! at [`Item::MAX_ID`](crate::Item::MAX_ID), allocated zeroed so only the
+//! pages of ids that occur are touched, and half the pass-1 count vector
+//! such an input already allocates. A transaction item no candidate holds
+//! matches nothing, but the walk still hashes it and descends where a
+//! child exists: the ledger counts the paper's walk, not the cheapest one.
 //!
 //! Pass 2 needs no tree to find a candidate: a pair is found by one probe
 //! of the direct pair table (`crate::pairs`). So at `k = 2`
@@ -47,9 +54,10 @@
 //! the slots and leaf sizes that counting the pairs into hash cells gives
 //! (`Arena::pair_shape`: by first item's bucket, then by second item's
 //! within each bucket too full to be a leaf), with no candidate row, leaf
-//! order or mask. Each transaction walks the shape as above, charging the
-//! full tree's ledger, and the batch's visit bits are cleared instead of
-//! scored. [`HashTree::build`] is always the full tree.
+//! order, visit bits or mask. Each transaction walks the shape with the
+//! same walk, charging the full tree's ledger, and a leaf records only
+//! the last transaction that reached it, which is all a revisit needs.
+//! [`HashTree::build`] is always the full tree.
 
 mod arena;
 mod filter;
@@ -61,7 +69,7 @@ use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::pairs::PairCounter;
 use crate::transaction::Transaction;
-use arena::Arena;
+use arena::{bit, Arena, Bits, BATCH};
 
 /// Configuration for a [`HashTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,9 +132,6 @@ impl HashTreeParams {
     }
 }
 
-/// Transactions per batch: one bit of a `u64` each.
-const BATCH: usize = u64::BITS as usize;
-
 /// A candidate hash tree for candidates of a fixed size `k`.
 ///
 /// ```
@@ -147,9 +152,16 @@ pub struct HashTree {
     /// The candidates, in leaf order.
     table: CandidateTable,
     arena: Arena,
-    /// Per item id up to the largest candidate item, bit `j` set when the
-    /// batch's `j`-th transaction holds it; all zero between batches.
-    masks: Vec<u64>,
+    /// Item id → row of `masks`, up to the largest candidate item: `1..`
+    /// for the candidate items, 0 for any other id.
+    ranks: Vec<u32>,
+    /// Per ranked item, bit `j` set when the batch's `j`-th transaction
+    /// holds it (row 0 takes the bits of items no candidate holds, and no
+    /// candidate reads it); all zero between batches.
+    masks: Vec<Bits>,
+    /// Per leaf, bit `j` set when the batch's `j`-th transaction reached
+    /// it; all zero between batches.
+    visited: Vec<Bits>,
 }
 
 impl HashTree {
@@ -175,10 +187,21 @@ impl HashTree {
             let ids = item.id().checked_add(1);
             ids.expect("candidate item ids stay below u32::MAX") as usize
         });
+        let mut ranks = vec![0u32; universe];
+        let mut ranked = 0;
+        for item in &table.items {
+            let rank = &mut ranks[item.index()];
+            if *rank == 0 {
+                ranked += 1;
+                *rank = ranked;
+            }
+        }
         HashTree {
+            visited: vec![Bits::default(); arena.num_leaves()],
             table,
             arena,
-            masks: vec![0; universe],
+            ranks,
+            masks: vec![Bits::default(); ranked as usize + 1],
         }
     }
 
@@ -212,8 +235,8 @@ impl HashTree {
         self.count_batch(std::slice::from_ref(t), filter);
     }
 
-    /// `subset` for up to 64 transactions: walks each, then scores every
-    /// leaf the batch reached once.
+    /// `subset` for up to [`BATCH`] transactions: walks each, then scores
+    /// every leaf the batch reached once.
     fn count_batch(&mut self, batch: &[Transaction], filter: &OwnershipFilter) {
         debug_assert!(batch.len() <= BATCH);
         if self.table.len() == 0 {
@@ -222,44 +245,50 @@ impl HashTree {
         self.table.stats.transactions += batch.len() as u64;
         let k = self.table.k;
         // Bit `j` set when the batch's `j`-th transaction set its masks.
-        let mut walked = 0u64;
+        let mut walked = Bits::default();
         for (j, t) in batch.iter().enumerate() {
             let titems = t.items();
             if titems.len() < k {
                 continue;
             }
-            // A transaction with no starting item the filter owns marks no
-            // leaf: it sets no mask and hashes nothing.
-            let Some(from) = self.arena.first_start(titems, k, filter) else {
+            // A transaction with no starting item the filter owns reaches
+            // no leaf: it sets no mask and hashes nothing.
+            let Some(from) = self.arena.first_start(titems, filter) else {
                 continue;
             };
-            let bit = 1 << j;
-            walked |= bit;
+            let (word, bit) = bit(j);
+            walked[word] |= bit;
             for &item in self.inside(titems) {
-                self.masks[item.index()] |= bit;
+                self.masks[self.ranks[item.index()] as usize][word] |= bit;
             }
-            // Items above every candidate item have no mask and match
-            // nothing, but the walk still hashes them: the ledger is the
-            // model.
+            // Items no candidate holds match nothing, but the walk still
+            // hashes them: the ledger is the model.
+            let visited = &mut self.visited;
             let stats = &mut self.table.stats;
-            self.arena.walk(titems, from, k, bit, filter, stats);
+            self.arena.walk(titems, from, filter, stats, |leaf| {
+                let seen = &mut visited[leaf][word];
+                let first = *seen & bit == 0;
+                *seen |= bit;
+                first
+            });
         }
         let (items, counts) = (&self.table.items, &mut self.table.counts);
-        self.arena.score(items, counts, &self.masks, k);
-        let walked = batch
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| walked >> j & 1 != 0);
+        self.arena
+            .score(items, counts, &mut self.visited, &self.ranks, &self.masks);
+        let walked = batch.iter().enumerate().filter(|&(j, _)| {
+            let (word, bit) = bit(j);
+            walked[word] & bit != 0
+        });
         for (_, t) in walked {
             for &item in self.inside(t.items()) {
-                self.masks[item.index()] = 0;
+                self.masks[self.ranks[item.index()] as usize] = Bits::default();
             }
         }
     }
 
-    /// The prefix of a sorted transaction that has masks.
+    /// The prefix of a sorted transaction that has a rank.
     fn inside<'t>(&self, titems: &'t [Item]) -> &'t [Item] {
-        &titems[..titems.partition_point(|item| item.index() < self.masks.len())]
+        &titems[..titems.partition_point(|item| item.index() < self.ranks.len())]
     }
 }
 
@@ -272,7 +301,8 @@ impl CandidateCounter for HashTree {
         &mut self.table
     }
 
-    /// Runs `subset` for every transaction of a slice, 64 at a time.
+    /// Runs `subset` for every transaction of a slice, [`BATCH`] at a
+    /// time.
     fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
         for batch in transactions.chunks(BATCH) {
             self.count_batch(batch, filter);
@@ -289,6 +319,11 @@ impl CandidateCounter for HashTree {
 pub(crate) struct PairTree {
     pairs: PairCounter,
     arena: Arena,
+    /// Per leaf, the walked transaction that last reached it, numbered
+    /// from 1 by `walked`: the revisit suppression, and all a leaf that is
+    /// never scored needs.
+    last_visitor: Vec<u64>,
+    walked: u64,
 }
 
 impl PairTree {
@@ -301,7 +336,12 @@ impl PairTree {
         let branching = params.checked_fan_out(2, pairs.num_candidates());
         let items = pairs.ranked_items();
         let arena = Arena::pair_shape(branching, params.max_leaf, items, || pairs.ranked_pairs());
-        PairTree { pairs, arena }
+        PairTree {
+            last_visitor: vec![0; arena.num_leaves()],
+            walked: 0,
+            pairs,
+            arena,
+        }
     }
 }
 
@@ -314,28 +354,29 @@ impl CandidateCounter for PairTree {
         self.pairs.table_mut()
     }
 
-    /// Walks the shape 64 transactions at a time, as [`HashTree`] does,
-    /// and probes the pair table with each transaction the walk starts:
-    /// one with no starting item the filter owns holds no owned pair.
+    /// Walks the shape for each transaction, as [`HashTree`] does, and
+    /// probes the pair table with each transaction the walk starts: one
+    /// with no starting item the filter owns holds no owned pair.
     fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
         if self.is_empty() {
             return;
         }
         let mut stats = self.stats();
-        for batch in transactions.chunks(BATCH) {
-            stats.transactions += batch.len() as u64;
-            for (j, t) in batch.iter().enumerate() {
-                let titems = t.items();
-                if titems.len() < 2 {
-                    continue;
-                }
-                let Some(from) = self.arena.first_start(titems, 2, filter) else {
-                    continue;
-                };
-                self.arena.walk(titems, from, 2, 1 << j, filter, &mut stats);
-                self.pairs.probe(titems, filter);
+        stats.transactions += transactions.len() as u64;
+        for t in transactions {
+            let titems = t.items();
+            if titems.len() < 2 {
+                continue;
             }
-            self.arena.clear_visits();
+            let Some(from) = self.arena.first_start(titems, filter) else {
+                continue;
+            };
+            self.walked += 1;
+            let (last_visitor, walked) = (&mut self.last_visitor, self.walked);
+            self.arena.walk(titems, from, filter, &mut stats, |leaf| {
+                std::mem::replace(&mut last_visitor[leaf], walked) != walked
+            });
+            self.pairs.probe(titems, filter);
         }
         self.table_mut().stats = stats;
     }
@@ -364,6 +405,7 @@ impl std::fmt::Debug for HashTree {
 mod tests {
     use super::*;
     use crate::bitmap::ItemBitmap;
+    use crate::counter::CounterBackend;
     use crate::transaction::k_subsets;
 
     fn set(ids: &[u32]) -> ItemSet {
@@ -784,12 +826,13 @@ mod tests {
 
     /// Whether every mask and visit bit is zero, as between any two calls.
     fn is_clean(tree: &HashTree) -> bool {
-        tree.arena.is_clean() && tree.masks.iter().all(|&mask| mask == 0)
+        let zero = |bits: &Bits| *bits == Bits::default();
+        tree.visited.iter().all(zero) && tree.masks.iter().all(zero)
     }
 
     /// The masks and visit bits are clean between any two calls: `subset`
     /// and `count_all` interleaved over page views of one slab, in pages
-    /// on both sides of the 64-transaction batch, count and charge what
+    /// on both sides of the 256-transaction batch, count and charge what
     /// one sweep does under every filter, and a page counted twice counts
     /// exactly double.
     #[test]
@@ -822,7 +865,7 @@ mod tests {
             assert!(whole.count_vector().iter().any(|&c| c > 0), "{name}");
             assert!(is_clean(&whole), "{name}");
 
-            for size in [1, 63, 64, 65, 128] {
+            for size in [1, 63, 64, 65, 255, 256, 257] {
                 let mut paged = build();
                 for (i, page) in slab.chunks(size).enumerate() {
                     if i % 3 == 2 {
@@ -848,6 +891,62 @@ mod tests {
         let doubled: Vec<u64> = once.count_vector().iter().map(|c| 2 * c).collect();
         assert_eq!(twice.count_vector(), doubled);
         assert!(doubled.iter().any(|&c| c > 0));
+    }
+
+    /// Counting a page in one call counts and charges what counting it
+    /// split at seeded points does: the counts and all seven ledger
+    /// fields, for the pass-2 shape over the pair table and the full tree
+    /// at k = 3 and 4, under every filter, over a page that spans two
+    /// batches.
+    #[test]
+    fn a_page_counts_alike_whole_and_split_at_seeded_points() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(256);
+        let slab = ledger_transactions();
+        let odd_first = ItemBitmap::from_items(48, (1..48).step_by(2).map(Item));
+        let split_pairs = (0..48)
+            .step_by(4)
+            .flat_map(|a| (a + 1..48).step_by(2).map(move |b| (Item(a), Item(b))))
+            .collect();
+        let filters = [
+            ("all", OwnershipFilter::all()),
+            ("first-item", OwnershipFilter::first_item(odd_first.clone())),
+            (
+                "two-level",
+                OwnershipFilter::two_level(odd_first, split_pairs),
+            ),
+        ];
+        for k in [2, 3, 4] {
+            let mut cands: Vec<ItemSet> = slab[..4].iter().flat_map(|t| k_subsets(t, k)).collect();
+            cands.sort();
+            cands.dedup();
+            for (name, filter) in &filters {
+                let owned: Vec<ItemSet> = cands
+                    .iter()
+                    .filter(|c| filter.owns(c.items()))
+                    .cloned()
+                    .collect();
+                let params = HashTreeParams::default();
+                let build = || CounterBackend::HashTree.build(k, params, &owned);
+                let mut whole = build();
+                whole.count_all(&slab, filter);
+                assert!(whole.count_vector().iter().any(|&c| c > 0), "k={k}, {name}");
+                for trial in 0..8 {
+                    let mut cuts: Vec<usize> = (0..rng.gen_range(1..6))
+                        .map(|_| rng.gen_range(0..=slab.len()))
+                        .chain([0, slab.len()])
+                        .collect();
+                    cuts.sort_unstable();
+                    let mut split = build();
+                    for piece in cuts.windows(2) {
+                        split.count_all(&slab[piece[0]..piece[1]], filter);
+                    }
+                    let on = format!("k={k}, {name}, cuts {cuts:?} (trial {trial})");
+                    assert_eq!(split.count_vector(), whole.count_vector(), "{on}");
+                    assert_eq!(split.stats(), whole.stats(), "{on}");
+                }
+            }
+        }
     }
 
     /// One batch that mixes transactions shorter than `k` (which walk
@@ -884,12 +983,14 @@ mod tests {
 
     impl HashTree {
         /// `count_all` through the reference walk, one transaction at a
-        /// time within each 64-transaction batch, none skipped.
-        fn count_all_by_reference(&mut self, txs: &[Transaction], filter: &OwnershipFilter) {
+        /// time within each batch, none skipped. Returns the most steps
+        /// one transaction's walk charged.
+        fn count_all_by_reference(&mut self, txs: &[Transaction], filter: &OwnershipFilter) -> u64 {
             let k = self.table.k;
+            let mut most_steps = 0;
             for batch in txs.chunks(BATCH) {
                 if self.table.len() == 0 {
-                    return;
+                    return 0;
                 }
                 self.table.stats.transactions += batch.len() as u64;
                 for (j, t) in batch.iter().enumerate() {
@@ -897,45 +998,54 @@ mod tests {
                     if titems.len() < k {
                         continue;
                     }
-                    let bit = 1 << j;
+                    let (word, bit) = bit(j);
                     for &item in self.inside(titems) {
-                        self.masks[item.index()] |= bit;
+                        self.masks[self.ranks[item.index()] as usize][word] |= bit;
                     }
+                    let before = self.table.stats.traversal_steps;
                     arena::ReferenceWalk {
-                        arena: &mut self.arena,
+                        arena: &self.arena,
+                        visited: &mut self.visited,
                         stats: &mut self.table.stats,
                         titems,
                         k,
-                        bit,
+                        j,
                         filter,
                     }
                     .run();
+                    most_steps = most_steps.max(self.table.stats.traversal_steps - before);
                 }
                 let (items, counts) = (&self.table.items, &mut self.table.counts);
-                self.arena.score(items, counts, &self.masks, k);
+                self.arena
+                    .score(items, counts, &mut self.visited, &self.ranks, &self.masks);
                 for t in batch {
                     for &item in self.inside(t.items()) {
-                        self.masks[item.index()] = 0;
+                        self.masks[self.ranks[item.index()] as usize] = Bits::default();
                     }
                 }
             }
+            most_steps
         }
     }
 
     /// The walk counts and charges exactly what the recursive walk it
-    /// replaced does: seeded trees of k = 1…5 under sized and pinned
+    /// replaced does: seeded trees of k = 1…6 under sized and pinned
     /// fan-outs (down to a root that is a leaf), each holding what its
     /// filter owns, or every candidate, under `all`, `first_item` and
-    /// `two_level`, counting seeded pages of 1 to 64 transactions, among
-    /// them transactions with no owned starting item and items above every
-    /// candidate item.
+    /// `two_level`, counting pages of 1, 63, 64, 65, 255, 256, 257 and 600
+    /// transactions, among them transactions with no owned starting item,
+    /// items above every candidate item, and 40 items or more, whose walks
+    /// take more steps than `k` chunks hold, so the frontier and the
+    /// arrivals are drained mid-walk.
     #[test]
     fn the_walk_charges_and_counts_what_the_reference_walk_does() {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(39);
         let universe = 40u32;
+        let pages = [1, 63, 64, 65, 255, 256, 257, 600];
+        let mut chunked = 0;
         for trial in 0..60 {
-            let k = 1 + trial % 5;
+            let k = 1 + trial % 6;
             let params = match trial % 4 {
                 0 => HashTreeParams::default(),
                 1 => HashTreeParams {
@@ -981,20 +1091,22 @@ mod tests {
                     OwnershipFilter::two_level(owned_first.clone(), split_pairs),
                 ),
             ];
-            let txs: Vec<Transaction> = (0..rng.gen_range(1..300))
+            let txs: Vec<Transaction> = (0..rng.gen_range(1..700))
                 .map(|tid| {
-                    let mut ids: Vec<u32> = match rng.gen_range(0..8) {
+                    let mut ids: Vec<u32> = match rng.gen_range(0..64) {
                         // Only starting items nobody here owns.
-                        0 => (0..universe)
+                        0..=7 => (0..universe)
                             .filter(|&i| !owned_first.contains(Item(i)))
                             .filter(|_| rng.gen_bool(0.3))
                             .collect(),
                         // Items above every candidate item, the largest
                         // legal one among them.
-                        1 => (0..rng.gen_range(0..12))
+                        8..=15 => (0..rng.gen_range(0..12))
                             .map(|_| rng.gen_range(0..universe + 30))
                             .chain([Item::MAX_ID])
                             .collect(),
+                        // Long: every candidate item, and more above.
+                        16 => (0..universe + rng.gen_range(0..8u32)).collect(),
                         _ => (0..rng.gen_range(0..16))
                             .map(|_| rng.gen_range(0..universe))
                             .collect(),
@@ -1017,9 +1129,11 @@ mod tests {
                     let mut reference = HashTree::build(k, params, candidates);
                     let mut at = 0;
                     while at < txs.len() {
-                        let page = &txs[at..txs.len().min(at + rng.gen_range(1..=64usize))];
+                        let page =
+                            &txs[at..txs.len().min(at + pages[rng.gen_range(0..pages.len())])];
                         walked.count_all(page, filter);
-                        reference.count_all_by_reference(page, filter);
+                        let most = reference.count_all_by_reference(page, filter);
+                        chunked += usize::from(most > (k * arena::CHUNK) as u64);
                         at += page.len();
                     }
                     let on = format!("trial {trial}, k={k}, {params:?}, {name}, {held}");
@@ -1029,6 +1143,7 @@ mod tests {
                 }
             }
         }
+        assert!(chunked > 0, "no walk outgrew its chunks");
     }
 
     /// The shape of a pass-2 tree, built from hash-cell counts, is the

@@ -260,7 +260,7 @@ impl Clock {
     /// Whether the clock has reached `t` (a scheduled crash). The virtual
     /// clock is clamped back to exactly `t`, so the crash timestamp does
     /// not depend on which charge crossed it.
-    pub fn reached(&mut self, t: f64) -> bool {
+    pub(crate) fn reached(&mut self, t: f64) -> bool {
         match &mut self.kind {
             Kind::Virtual { now, .. } => {
                 let due = *now >= t;

@@ -5,9 +5,10 @@
 //!
 //! - **Kernels do not allocate per transaction.** With a counter built,
 //!   counting `N` transactions and counting `2N` take the same number of
-//!   allocations, for every backend at `k = 2` and `k = 3`, in one call
-//!   and in 100-transaction pages — except the vertical backend past
-//!   `k = 2`, whose per-batch pivot allocates with the batch.
+//!   allocations, for every backend at `k = 2` and `k = 3` and the hash
+//!   tree at `k = 4`, in one call and in 100-transaction pages — except
+//!   the vertical backend past `k = 2`, whose per-batch pivot allocates
+//!   with the batch.
 //! - **Pass 2 holds only its counts.** `C₂ = F₁ × F₁` is never written
 //!   down, so pass 2's peak live bytes above the input stay within one
 //!   count per candidate plus what `F₁` and a reduction cost, and for the
@@ -127,17 +128,18 @@ fn sparse(n: usize) -> Dataset {
 
 /// Counting `N` and `2N` transactions with a built counter allocate alike,
 /// for every backend at `k = 2` (the pair table for the trie and the
-/// vertical backend) and the hash tree and the trie at `k = 3`, whole and
-/// in 100-transaction pages, on counters built from rows and from a share
-/// of `C_k` alike.
+/// vertical backend), the hash tree and the trie at `k = 3`, and the hash
+/// tree at `k = 4`, where its walk has the most levels, whole and in
+/// 100-transaction pages, on counters built from rows and from a share of
+/// `C_k` alike.
 #[test]
 fn kernels_allocate_nothing_per_transaction() {
     let _serial = serial();
     let dataset = sparse(2_000);
     let db = dataset.transactions();
     let n = db.len() / 2;
-    let run = Apriori::new(AprioriParams::with_min_support_count(20).max_k(2)).mine(db);
-    for k in [2, 3] {
+    let run = Apriori::new(AprioriParams::with_min_support_count(20).max_k(3)).mine(db);
+    for k in [2, 3, 4] {
         let prev = run.frequent.level(k - 1);
         let candidates = Candidates::generate(k, prev, |(set, _): &(ItemSet, u64)| set.items());
         assert!(candidates.len() > 1_000, "k={k}: too few candidates");
@@ -150,6 +152,9 @@ fn kernels_allocate_nothing_per_transaction() {
                 // Past the pair table, the vertical counter pivots each
                 // batch into tid lists and sets sized by the batch, so its
                 // allocations follow the batch's contents.
+                continue;
+            }
+            if backend != CounterBackend::HashTree && k > 3 {
                 continue;
             }
             let tree = HashTreeParams::default();
@@ -185,16 +190,16 @@ const PER_F1_ITEM: usize = 64;
 const PER_LEVEL_ENTRY: usize = 32;
 
 /// Bytes per cell of the hash tree's pass-2 shape, `b` root slots plus `b`
-/// for each split root bucket: its slot (4), at most one leaf (16) and the
-/// leaf's entry in the walk's touched list (4).
-const PER_SHAPE_CELL: usize = 24;
+/// for each split root bucket: its slot (4) and at most one leaf, the
+/// leaf's bound (4) and the last transaction that reached it (8).
+const PER_SHAPE_CELL: usize = 16;
 
 /// Pass 2 of serial `mine` with the trie and with the vertical backend
 /// holds one count per candidate, its result and `F₁`-sized indexes, and
 /// not one pair of `C₂`; with the hash tree, that plus the tree's shape.
-/// Measured when set: 1,080,940 bytes (trie, vertical) and 1,397,912
+/// Measured when set: 1,080,940 bytes (trie, vertical) and 1,300,016
 /// (hash tree, fan-out 115) for |F₁| = 460, |C₂| = 105,570, |F₂| = 6,396,
-/// against budgets of 1,095,056 and 1,415,216.
+/// against budgets of 1,095,056 and 1,308,496.
 #[test]
 fn serial_pass_two_holds_its_counts() {
     let _serial = serial();

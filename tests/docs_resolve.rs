@@ -8,6 +8,9 @@
 //! - every `--flag` of an `armine …` command, backticked or run through
 //!   `cargo run -p armine-cli --` in a code block, appears in `armine
 //!   help`'s text (the CLI's `USAGE`);
+//! - every experiment an `exp -- NAME` of README.md, DESIGN.md or
+//!   EXPERIMENTS.md runs is one the `exp` binary lists (or `all`, or
+//!   `--list`);
 //! - no `file.rs:N` line reference appears: prose cites names, which do not
 //!   drift when the lines around them move.
 
@@ -370,6 +373,63 @@ fn backticked_armine_commands_use_flags_armine_help_lists() {
     assert!(
         unknown.is_empty(),
         "flags `armine help` does not list:\n{}",
+        unknown.join("\n")
+    );
+}
+
+/// The names of the `exp` binary's experiments: the first string of each
+/// entry of `EXPERIMENTS` in `crates/bench/src/lib.rs`, on the entry's
+/// line or the next.
+fn experiments() -> HashSet<String> {
+    let source = std::fs::read_to_string(root().join("crates/bench/src/lib.rs")).unwrap();
+    let head = "const EXPERIMENTS: &[(&str, Args)] = &[";
+    let start = source.find(head).expect("lib.rs defines EXPERIMENTS") + head.len();
+    let len = source[start..].find("\n];").expect("EXPERIMENTS ends");
+    let mut lines = source[start..start + len].lines().map(str::trim);
+    let mut names = HashSet::new();
+    while let Some(line) = lines.next() {
+        let entry = match line {
+            "(" => lines.next(),
+            _ => line.strip_prefix('('),
+        };
+        let name = entry.and_then(|e| e.strip_prefix('"')?.split_once('"'));
+        if let Some((name, _)) = name {
+            names.insert(name.to_string());
+        }
+    }
+    names
+}
+
+#[test]
+fn exp_commands_name_experiments_the_binary_runs() {
+    let mut known = experiments();
+    assert!(known.contains("fig10"), "EXPERIMENTS was not read");
+    known.extend(["all".to_string(), "--list".to_string()]);
+    let (mut checked, mut unknown) = (0, Vec::new());
+    let read = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
+    for (doc, prose, code) in docs()
+        .into_iter()
+        .filter(|(doc, ..)| read.contains(&&**doc))
+    {
+        let text = format!("{prose}\n{code}");
+        for (_, rest) in text
+            .match_indices("exp -- ")
+            .map(|(at, m)| text.split_at(at + m.len()))
+        {
+            let name = rest
+                .split(|c: char| c.is_whitespace() || c == '`')
+                .next()
+                .unwrap();
+            checked += 1;
+            if !known.contains(name) {
+                unknown.push(format!("{doc}: exp -- {name}"));
+            }
+        }
+    }
+    assert!(checked > 20, "only {checked} `exp -- NAME` commands");
+    assert!(
+        unknown.is_empty(),
+        "experiments `exp` does not run:\n{}",
         unknown.join("\n")
     );
 }

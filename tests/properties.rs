@@ -91,11 +91,11 @@ proptest! {
     /// The sized default counts like brute force where its rule widens
     /// the tree (k = 2 and k = 3, fan-out above 8): unfiltered, and on
     /// two ranks' shares under IDD's first-item and two-level filters.
-    /// Up to 199 transactions, so most cases span several 64-transaction
-    /// batches.
+    /// Up to 599 transactions, so most cases span two or three
+    /// 256-transaction batches.
     #[test]
     fn sized_hashtree_equals_brute_force(
-        raw_txs in prop::collection::vec(arb_transaction(46, 14), 1..200),
+        raw_txs in prop::collection::vec(arb_transaction(46, 14), 1..600),
         k in 2usize..4,
         thin in 3usize..8,
         split_threshold in 0u64..3,
@@ -120,11 +120,11 @@ proptest! {
 
     /// The hash tree counts exactly like brute-force subset containment,
     /// for arbitrary candidates, transactions, and tree shapes, on either
-    /// side of the 64-transaction batch.
+    /// side of the 256-transaction batch.
     #[test]
     fn hashtree_equals_brute_force(
         raw_cands in prop::collection::vec(arb_candidate(24, 3), 1..40),
-        raw_txs in prop::collection::vec(arb_transaction(24, 10), 0..200),
+        raw_txs in prop::collection::vec(arb_transaction(24, 10), 0..600),
         branching in 2usize..9,
         max_leaf in 1usize..6,
     ) {
