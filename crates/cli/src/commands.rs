@@ -11,7 +11,7 @@ use armine_core::model::{
 use armine_core::rules::top_rules;
 use armine_core::stats::dataset_stats;
 use armine_core::summaries::{closed_itemsets, maximal_itemsets};
-use armine_core::ItemSet;
+use armine_core::{Dataset, ItemSet};
 use armine_datagen::QuestParams;
 use armine_mpsim::{ClusterProfile, ExecBackend, FaultPlan, MachineProfile};
 use armine_parallel::{Algorithm, ParallelMiner, ParallelParams, PlacementPolicy};
@@ -204,6 +204,14 @@ fn min_support(args: &Args) -> Result<MinSupport, ArgError> {
     }
 }
 
+/// Leaves `dataset` to the process's exit instead of freeing it: a loaded
+/// dataset is a million boxed transactions at `io_roundtrip`'s size, and
+/// freeing them one by one costs about 0.1 s, while the kernel takes every
+/// page back at exit at once. Called after the dataset's last use.
+fn keep_until_exit(dataset: Dataset) {
+    std::mem::forget(dataset);
+}
+
 fn cmd_mine(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let input: String = args.required("input")?;
     let support = min_support(args)?;
@@ -223,10 +231,12 @@ fn cmd_mine(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     params.counter = counter;
     let started = std::time::Instant::now();
     let run = Apriori::new(params).mine(dataset.transactions());
+    let transactions = dataset.len();
+    keep_until_exit(dataset);
     writeln!(
         out,
         "{} transactions, min count {}: {} frequent itemsets in {} passes ({:.2}s)",
-        dataset.len(),
+        transactions,
         run.min_count,
         run.frequent.len(),
         run.passes.len(),
@@ -371,16 +381,14 @@ fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>>
         Some(plan) => miner.mine_with_faults(algorithm, &dataset, &params, Some(plan))?,
         None => miner.mine(algorithm, &dataset, &params),
     };
+    let transactions = dataset.len();
+    keep_until_exit(dataset);
     match backend {
         ExecBackend::Sim => {
             writeln!(
                 out,
                 "{} on {} simulated {} processors ({} transactions, min count {}):",
-                run.algorithm,
-                procs,
-                machine_name,
-                dataset.len(),
-                run.min_count
+                run.algorithm, procs, machine_name, transactions, run.min_count
             )?;
             writeln!(
                 out,
@@ -394,10 +402,7 @@ fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>>
             writeln!(
                 out,
                 "{} on {} native worker threads ({} transactions, min count {}):",
-                run.algorithm,
-                procs,
-                dataset.len(),
-                run.min_count
+                run.algorithm, procs, transactions, run.min_count
             )?;
             writeln!(
                 out,
@@ -452,7 +457,7 @@ fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>>
             .with_context("input", armine_metrics::json::JsonValue::Str(input.clone()))
             .with_context(
                 "transactions",
-                armine_metrics::json::JsonValue::UInt(dataset.len() as u64),
+                armine_metrics::json::JsonValue::UInt(transactions as u64),
             );
         doc.write_to(std::path::Path::new(path))?;
         writeln!(out, "  metrics snapshot written to {path}")?;
@@ -518,7 +523,9 @@ fn cmd_stats(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let top: usize = args.or_default("top", 10)?;
     args.finish()?;
     let dataset = read_transactions_auto(&input)?;
-    writeln!(out, "{}", dataset_stats(&dataset, top))?;
+    let stats = dataset_stats(&dataset, top);
+    keep_until_exit(dataset);
+    writeln!(out, "{stats}")?;
     Ok(())
 }
 
@@ -540,6 +547,7 @@ fn cmd_summary(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> 
     params.min_support = support;
     params.max_k = max_k;
     let run = Apriori::new(params).mine(dataset.transactions());
+    keep_until_exit(dataset);
     let summary = summarize(&run.frequent);
     writeln!(
         out,

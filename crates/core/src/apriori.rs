@@ -348,7 +348,10 @@ pub(crate) fn count_candidates(
     }
     let mut counter = match candidates.into_arena() {
         Ok(arena) => backend.index(tree_params, CandidateTable::from_arena(k, arena)),
-        Err(pairs) => backend.build_share(tree_params, &pairs, 0..total, |_, _| true),
+        Err(pairs) => {
+            let all = OwnershipFilter::all();
+            backend.build_share(tree_params, &pairs, 0..total, all)
+        }
     };
     counter.count_all(transactions, &OwnershipFilter::all());
     let level = counter.frequent(min_count);

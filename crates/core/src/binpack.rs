@@ -143,6 +143,15 @@ impl CandidatePartition {
             self.filters[proc].owns(candidate)
         }
     }
+
+    /// Whether processor `proc` owns every candidate starting with
+    /// `first` (`Some(true)`) or none of them (`Some(false)`); `None` when
+    /// [`owns`](Self::owns) must be asked candidate by candidate (a
+    /// round-robin plan, or a split first item).
+    pub fn owns_from(&self, proc: usize, first: Item) -> Option<bool> {
+        let owned = self.filters[proc].owns_from(first);
+        owned.filter(|_| !self.by_position)
+    }
 }
 
 /// Counts, for each possible first item, how many of `candidates` start

@@ -108,10 +108,12 @@ pub(crate) mod words {
         block[i / 64] & (1u64 << (i % 64)) != 0
     }
 
-    /// `a AND b` into a fresh block. Blocks must be the same length.
-    pub(crate) fn and(a: &[u64], b: &[u64]) -> Vec<u64> {
+    /// `a AND b` into `out`, replacing what it held. Blocks must be the
+    /// same length.
+    pub(crate) fn and_into(out: &mut Vec<u64>, a: &[u64], b: &[u64]) {
         debug_assert_eq!(a.len(), b.len(), "block length mismatch");
-        a.iter().zip(b).map(|(&x, &y)| x & y).collect()
+        out.clear();
+        out.extend(a.iter().zip(b).map(|(&x, &y)| x & y));
     }
 
     /// Popcount of `a AND b` without materializing the intersection — the
@@ -197,7 +199,8 @@ mod tests {
             .filter(|i| set_b.contains(i))
             .collect();
         assert_eq!(words::and_popcount(&a, &b), both.len() as u64);
-        let anded = words::and(&a, &b);
+        let mut anded = vec![u64::MAX; 9];
+        words::and_into(&mut anded, &a, &b);
         assert_eq!(words::popcount(&anded), both.len() as u64);
         for &i in &both {
             assert!(words::test_bit(&anded, i));
@@ -211,7 +214,9 @@ mod tests {
         assert_eq!(words::words_for(65), 2);
         assert_eq!(words::popcount(&[]), 0);
         assert_eq!(words::and_popcount(&[], &[]), 0);
-        assert!(words::and(&[], &[]).is_empty());
+        let mut anded = vec![1];
+        words::and_into(&mut anded, &[], &[]);
+        assert!(anded.is_empty());
     }
 
     #[test]

@@ -202,7 +202,7 @@ impl Candidates {
     ///
     /// # Panics
     /// If this is not `F₁ × F₁`.
-    pub(crate) fn pair_ranks(&self, range: Range<usize>) -> PairRanks {
+    fn pair_ranks(&self, range: Range<usize>) -> PairRanks {
         let Layout::Pairs { items, offsets } = &self.layout else {
             panic!("not a pair set");
         };
@@ -222,6 +222,31 @@ impl Candidates {
             i: i as u32,
             j: j as u32,
         }
+    }
+    /// The rows of `range` of `F₁ × F₁` first item by first item, as
+    /// `(row, i, js)`: the pairs of rank `i` with each rank of `js` (never
+    /// empty), whose first is at `row`.
+    ///
+    /// # Panics
+    /// If this is not `F₁ × F₁`.
+    pub(crate) fn pair_rows(
+        &self,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = (usize, u32, Range<u32>)> + '_ {
+        let Layout::Pairs { items, offsets } = &self.layout else {
+            panic!("not a pair set");
+        };
+        let n = items.len();
+        let first = offsets
+            .partition_point(|&o| o <= range.start)
+            .saturating_sub(1);
+        let rows = (first..n).map_while(move |i| {
+            let (start, end) = (offsets[i], offsets[i] + (n - 1 - i));
+            let (lo, hi) = (start.max(range.start), end.min(range.end));
+            let js = (i + 1 + (lo - start)) as u32..(i + 1 + (hi.max(lo) - start)) as u32;
+            (start < range.end).then_some((lo, i as u32, js))
+        });
+        rows.filter(|(_, _, js)| !js.is_empty())
     }
 }
 

@@ -51,7 +51,7 @@ use crate::candidates::Candidates;
 use crate::hashtree::{HashTree, HashTreeParams, OwnershipFilter, PairTree};
 use crate::item::Item;
 use crate::itemset::ItemSet;
-use crate::pairs::PairCounter;
+use crate::pairs::{Emit, PairCounter};
 use crate::transaction::Transaction;
 use crate::trie::CandidateTrie;
 use crate::vertical::VerticalCounter;
@@ -439,35 +439,47 @@ impl CounterBackend {
     }
 
     /// Builds the selected structure over a share of `candidates`: the
-    /// rows in `range` that `keep(row, items)` admits, read in place.
+    /// rows in `range` that `share` holds, read in place.
     ///
     /// On `C₂ = F₁ × F₁` every backend builds the pair table straight from
     /// `F₁` and the share, so no pair is stored (the hash tree counts its
-    /// shape from the table's pairs); a deeper pass, a `C₂` held as an
-    /// arena (PDM's bucket-pruned survivors) and a declined pair table are
-    /// built over a copy of the share's rows, as [`build`](Self::build)
-    /// would build them.
+    /// shape from the table's pairs). A first item's row that the share
+    /// holds whole, or not at all, is laid out in one step
+    /// ([`Share::holds_from`]); only the rows it splits are read pair by
+    /// pair. A deeper pass, a `C₂` held as an arena (PDM's bucket-pruned
+    /// survivors) and a declined pair table are built over a copy of the
+    /// share's rows, as [`build`](Self::build) would build them.
     pub fn build_share(
         self,
         tree: HashTreeParams,
         candidates: &Candidates,
         range: Range<usize>,
-        keep: impl Fn(usize, &[Item]) -> bool,
+        share: impl Share,
     ) -> Box<dyn CandidateCounter> {
         if let Some(f1) = candidates.pair_items() {
-            let pairs = candidates.pair_ranks(range.clone());
-            let ranks = || {
-                let owned = pairs.clone();
-                let owned = owned.filter(|&(r, i, j)| keep(r, &[f1[i as usize], f1[j as usize]]));
-                owned.map(|(_, i, j)| (i, j))
+            let runs = |emit: Emit| {
+                for (row, i, js) in candidates.pair_rows(range.clone()) {
+                    let first = f1[i as usize];
+                    match share.holds_from(first) {
+                        Some(true) => emit(i, js),
+                        Some(false) => {}
+                        None => {
+                            for (r, j) in (row..).zip(js) {
+                                if share.holds(r, &[first, f1[j as usize]]) {
+                                    emit(i, j..j + 1);
+                                }
+                            }
+                        }
+                    }
+                }
             };
-            if let Some(pairs) = PairCounter::from_share(f1, ranks) {
+            if let Some(pairs) = PairCounter::from_share(f1, runs) {
                 return self.over_pairs(tree, pairs);
             }
         }
         let rows = || {
             let rows = range.clone().zip(candidates.rows(range.clone()));
-            let owned = rows.filter(|(r, row)| keep(*r, row.as_ref()));
+            let owned = rows.filter(|(r, row)| share.holds(*r, row.as_ref()));
             owned.map(|(_, row)| row)
         };
         // Counted first, so that the table's arena is allocated once.
@@ -528,6 +540,39 @@ impl CounterBackend {
             CounterBackend::Trie => "trie",
             CounterBackend::Vertical => "vertical",
         }
+    }
+}
+
+/// The rows of a candidate set that one counter is built over
+/// ([`CounterBackend::build_share`]). A `Fn(row, items) -> bool` is asked
+/// row by row; an [`OwnershipFilter`] holds the rows it owns, and knows
+/// from a first item alone whether it owns every row starting there.
+pub trait Share {
+    /// Whether the share holds row `r`, whose items are `items`.
+    fn holds(&self, r: usize, items: &[Item]) -> bool;
+
+    /// Whether the share holds every row starting with `first`
+    /// (`Some(true)`) or none of them (`Some(false)`); `None` when it must
+    /// be asked row by row. Never `Some` for a share some of whose rows
+    /// [`holds`](Self::holds) would answer differently.
+    fn holds_from(&self, _first: Item) -> Option<bool> {
+        None
+    }
+}
+
+impl<F: Fn(usize, &[Item]) -> bool> Share for F {
+    fn holds(&self, r: usize, items: &[Item]) -> bool {
+        self(r, items)
+    }
+}
+
+impl Share for OwnershipFilter {
+    fn holds(&self, _: usize, items: &[Item]) -> bool {
+        self.owns(items)
+    }
+
+    fn holds_from(&self, first: Item) -> Option<bool> {
+        self.owns_from(first)
     }
 }
 
@@ -828,6 +873,44 @@ mod tests {
         }
     }
 
+    /// A share whose rows are laid out whole where its filter owns a first
+    /// item's row whole ([`Share::holds_from`]) builds the counter that
+    /// asking it pair by pair builds: the same counts, level and ledger,
+    /// over all of `C₂` and over a run of it.
+    fn by_rows_or_pairs(
+        c2: &Candidates,
+        txs: &[Transaction],
+        name: &str,
+        plan: &crate::binpack::CandidatePartition,
+        proc: usize,
+    ) {
+        struct ByRows<'a>(&'a crate::binpack::CandidatePartition, usize);
+        impl Share for ByRows<'_> {
+            fn holds(&self, r: usize, items: &[Item]) -> bool {
+                self.0.owns(self.1, r, items)
+            }
+            fn holds_from(&self, first: Item) -> Option<bool> {
+                self.0.owns_from(self.1, first)
+            }
+        }
+        let filter = &plan.filters[proc];
+        let tree = HashTreeParams::default();
+        let len = c2.len();
+        for range in [0..len, len / 3..len * 2 / 3] {
+            for backend in CounterBackend::ALL {
+                let on = format!("{name} {proc}, rows {range:?} on {}", backend.name());
+                let pairwise = |r: usize, row: &[Item]| plan.owns(proc, r, row);
+                let mut want = backend.build_share(tree, c2, range.clone(), pairwise);
+                let mut got = backend.build_share(tree, c2, range.clone(), ByRows(plan, proc));
+                want.count_all(txs, filter);
+                got.count_all(txs, filter);
+                assert_eq!(got.count_vector(), want.count_vector(), "{on}");
+                assert_eq!(got.frequent(1), want.frequent(1), "{on}");
+                assert_eq!(got.stats(), want.stats(), "{on}");
+            }
+        }
+    }
+
     /// The pair table a backend builds at `k = 2` from `F₁` and a share
     /// counts, and orders its level, as the trie's own structure does over
     /// the share's rows: all of `C₂`, contiguous runs of it, round-robin,
@@ -883,6 +966,7 @@ mod tests {
             for (name, plan) in plans {
                 let plan = std::rc::Rc::new(plan);
                 for proc in 0..3 {
+                    by_rows_or_pairs(&c2, &txs, name, &plan, proc);
                     let owns = std::rc::Rc::clone(&plan);
                     let keep: Keep = Box::new(move |r, row| owns.owns(proc, r, row));
                     shares.push((

@@ -12,7 +12,7 @@
 
 use super::filter::OwnershipFilter;
 use crate::counter::CounterStats;
-use crate::item::Item;
+use crate::item::{Item, ItemIndex};
 
 /// The hash function of the tree, `id % branching`: items are hashed on
 /// their integer value (Figure 2 uses `mod 3`: buckets {1,4,7}, {2,5,8},
@@ -293,21 +293,21 @@ impl Arena {
     /// leaves in leaf order: a candidate's count grows by the number of
     /// transactions that both reached its leaf and hold all its items, the
     /// popcount of the leaf's `visited` bits ANDed with each item's mask.
-    /// `items` and `counts` are the candidates in leaf order, `ranks` maps
-    /// each of their item ids to its row of `masks`. Leaves `visited` zero
+    /// `items` and `counts` are the candidates in leaf order, and an item's
+    /// row of `masks` is its `index` slot. Leaves `visited` zero
     /// for the next batch.
     pub(super) fn score(
         &self,
         items: &[Item],
         counts: &mut [u64],
         visited: &mut [Bits],
-        ranks: &[u32],
+        index: &ItemIndex,
         masks: &[Bits],
     ) {
         let leaves = Leaves {
             bounds: &self.bounds,
             items,
-            ranks,
+            index,
             masks,
         };
         match self.k {
@@ -328,7 +328,7 @@ impl Arena {
 struct Leaves<'a> {
     bounds: &'a [u32],
     items: &'a [Item],
-    ranks: &'a [u32],
+    index: &'a ItemIndex,
     masks: &'a [Bits],
 }
 
@@ -348,7 +348,7 @@ impl Leaves<'_> {
                 // No early exit on an empty mask: the branch costs more
                 // than the ANDs it would save.
                 let hits = candidate.iter().fold(seen, |mut hits, item| {
-                    let mask = &self.masks[self.ranks[item.index()] as usize];
+                    let mask = &self.masks[self.index.slot(*item)];
                     for (hit, word) in hits.iter_mut().zip(mask) {
                         *hit &= word;
                     }

@@ -108,6 +108,25 @@ impl OwnershipFilter {
         })
     }
 
+    /// Whether this filter owns every candidate starting with `first`
+    /// (`Some(true)`), none of them (`Some(false)`), or some, to be asked
+    /// by [`owns`](Self::owns) (`None`: a split first item).
+    pub(crate) fn owns_from(&self, first: Item) -> Option<bool> {
+        match &self.mode {
+            Mode::All => Some(true),
+            Mode::FirstItem(bm) => Some(bm.contains(first)),
+            Mode::TwoLevel {
+                owned_first,
+                split_first,
+                ..
+            } => match (owned_first.contains(first), split_first.contains(first)) {
+                (true, _) => Some(true),
+                (false, true) => None,
+                (false, false) => Some(false),
+            },
+        }
+    }
+
     /// Whether this filter prunes second items: two-level mode.
     pub(crate) fn prunes_second(&self) -> bool {
         matches!(self.mode, Mode::TwoLevel { .. })

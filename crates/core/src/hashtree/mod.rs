@@ -65,7 +65,7 @@ mod filter;
 pub use filter::OwnershipFilter;
 
 use crate::counter::{CandidateCounter, CandidateTable};
-use crate::item::Item;
+use crate::item::ItemIndex;
 use crate::itemset::ItemSet;
 use crate::pairs::PairCounter;
 use crate::transaction::Transaction;
@@ -152,9 +152,9 @@ pub struct HashTree {
     /// The candidates, in leaf order.
     table: CandidateTable,
     arena: Arena,
-    /// Item id → row of `masks`, up to the largest candidate item: `1..`
-    /// for the candidate items, 0 for any other id.
-    ranks: Vec<u32>,
+    /// Item id → rank of the candidate items; a rank's row of `masks` is
+    /// its [`ItemIndex::slot`], and row 0 takes every other id.
+    index: ItemIndex,
     /// Per ranked item, bit `j` set when the batch's `j`-th transaction
     /// holds it (row 0 takes the bits of items no candidate holds, and no
     /// candidate reads it); all zero between batches.
@@ -182,26 +182,13 @@ impl HashTree {
         let branching = params.checked_fan_out(table.k, table.len());
         let (arena, order) = Arena::build(table.k, branching, params.max_leaf, &table.items);
         table.permute(order);
-        let largest = table.items.iter().max();
-        let universe = largest.map_or(0, |item| {
-            let ids = item.id().checked_add(1);
-            ids.expect("candidate item ids stay below u32::MAX") as usize
-        });
-        let mut ranks = vec![0u32; universe];
-        let mut ranked = 0;
-        for item in &table.items {
-            let rank = &mut ranks[item.index()];
-            if *rank == 0 {
-                ranked += 1;
-                *rank = ranked;
-            }
-        }
+        let (index, ranked) = ItemIndex::distinct(&table.items);
         HashTree {
             visited: vec![Bits::default(); arena.num_leaves()],
             table,
             arena,
-            ranks,
-            masks: vec![Bits::default(); ranked as usize + 1],
+            index,
+            masks: vec![Bits::default(); ranked.len() + 1],
         }
     }
 
@@ -258,8 +245,8 @@ impl HashTree {
             };
             let (word, bit) = bit(j);
             walked[word] |= bit;
-            for &item in self.inside(titems) {
-                self.masks[self.ranks[item.index()] as usize][word] |= bit;
+            for &item in titems {
+                self.masks[self.index.slot(item)][word] |= bit;
             }
             // Items no candidate holds match nothing, but the walk still
             // hashes them: the ledger is the model.
@@ -274,21 +261,16 @@ impl HashTree {
         }
         let (items, counts) = (&self.table.items, &mut self.table.counts);
         self.arena
-            .score(items, counts, &mut self.visited, &self.ranks, &self.masks);
+            .score(items, counts, &mut self.visited, &self.index, &self.masks);
         let walked = batch.iter().enumerate().filter(|&(j, _)| {
             let (word, bit) = bit(j);
             walked[word] & bit != 0
         });
         for (_, t) in walked {
-            for &item in self.inside(t.items()) {
-                self.masks[self.ranks[item.index()] as usize] = Bits::default();
+            for &item in t.items() {
+                self.masks[self.index.slot(item)] = Bits::default();
             }
         }
-    }
-
-    /// The prefix of a sorted transaction that has a rank.
-    fn inside<'t>(&self, titems: &'t [Item]) -> &'t [Item] {
-        &titems[..titems.partition_point(|item| item.index() < self.ranks.len())]
     }
 }
 
@@ -406,6 +388,7 @@ mod tests {
     use super::*;
     use crate::bitmap::ItemBitmap;
     use crate::counter::CounterBackend;
+    use crate::item::Item;
     use crate::transaction::k_subsets;
 
     fn set(ids: &[u32]) -> ItemSet {
@@ -999,8 +982,8 @@ mod tests {
                         continue;
                     }
                     let (word, bit) = bit(j);
-                    for &item in self.inside(titems) {
-                        self.masks[self.ranks[item.index()] as usize][word] |= bit;
+                    for &item in titems {
+                        self.masks[self.index.slot(item)][word] |= bit;
                     }
                     let before = self.table.stats.traversal_steps;
                     arena::ReferenceWalk {
@@ -1017,10 +1000,10 @@ mod tests {
                 }
                 let (items, counts) = (&self.table.items, &mut self.table.counts);
                 self.arena
-                    .score(items, counts, &mut self.visited, &self.ranks, &self.masks);
+                    .score(items, counts, &mut self.visited, &self.index, &self.masks);
                 for t in batch {
-                    for &item in self.inside(t.items()) {
-                        self.masks[self.ranks[item.index()] as usize] = Bits::default();
+                    for &item in t.items() {
+                        self.masks[self.index.slot(item)] = Bits::default();
                     }
                 }
             }

@@ -67,6 +67,99 @@ impl fmt::Display for Item {
     }
 }
 
+/// Item id → dense rank over one counter's candidate items: how every
+/// counting structure finds a transaction's items, in one load per item.
+///
+/// It holds one `u32` per id up to the largest indexed item: the item's
+/// rank plus one, or 0 for an id no candidate holds. The vector is
+/// allocated zeroed, so only the pages of indexed ids are ever written:
+/// an index reaching [`Item::MAX_ID`] reserves 512 MiB of address space
+/// and touches a page or two of it. An id past the last indexed one reads
+/// as 0 too.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ItemIndex {
+    slots: Vec<u32>,
+}
+
+impl ItemIndex {
+    /// The index of the `(item, rank)` pairs `ranked` yields (read twice;
+    /// each item once, every rank below `u32::MAX`).
+    ///
+    /// # Panics
+    /// If an item's id is `u32::MAX`, which leaves no room for the index
+    /// (the readers stop at [`Item::MAX_ID`]).
+    pub(crate) fn from_ranked(ranked: impl Iterator<Item = (Item, u32)> + Clone) -> ItemIndex {
+        let largest = ranked.clone().map(|(item, _)| item).max();
+        let mut slots = vec![0u32; largest.map_or(0, Self::span)];
+        for (item, rank) in ranked {
+            slots[item.index()] = rank + 1;
+        }
+        ItemIndex { slots }
+    }
+
+    /// The distinct items of `items`, ascending, and the index ranking them
+    /// `0, 1, …` in that order.
+    ///
+    /// # Panics
+    /// As [`from_ranked`](Self::from_ranked).
+    pub(crate) fn distinct(items: &[Item]) -> (ItemIndex, Vec<Item>) {
+        let largest = items.iter().copied().max();
+        let mut slots = vec![0u32; largest.map_or(0, Self::span)];
+        let mut distinct = Vec::new();
+        for &item in items {
+            let slot = &mut slots[item.index()];
+            if *slot == 0 {
+                *slot = 1;
+                distinct.push(item);
+            }
+        }
+        distinct.sort_unstable();
+        for (rank, item) in (1..).zip(&distinct) {
+            slots[item.index()] = rank;
+        }
+        (ItemIndex { slots }, distinct)
+    }
+
+    /// Ids an index whose largest item is `largest` spans.
+    fn span(largest: Item) -> usize {
+        let ids = largest.id().checked_add(1);
+        ids.expect("candidate item ids stay below u32::MAX") as usize
+    }
+
+    /// `item`'s rank plus one, or 0 when no candidate holds it: a row of a
+    /// per-rank table whose row 0 is a sink.
+    #[inline]
+    pub(crate) fn slot(&self, item: Item) -> usize {
+        self.slots
+            .get(item.index())
+            .map_or(0, |&slot| slot as usize)
+    }
+
+    /// `item`'s rank, if a candidate holds it.
+    #[inline]
+    pub(crate) fn rank(&self, item: Item) -> Option<u32> {
+        self.slot(item).checked_sub(1).map(|rank| rank as u32)
+    }
+}
+
+/// Runs `build` and fails if it left more than 256 MiB more resident (as
+/// `/proc/self/statm` reads it, where there is one): an [`ItemIndex`] up to
+/// [`Item::MAX_ID`] that wrote every slot would leave 512 MiB.
+#[cfg(test)]
+pub(crate) fn touching_few_pages<T>(build: impl FnOnce() -> T) -> T {
+    let resident = || {
+        let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
+        statm.split_whitespace().nth(1)?.parse::<u64>().ok()
+    };
+    let before = resident();
+    let built = build();
+    if let (Some(before), Some(after)) = (before, resident()) {
+        let grown = after.saturating_sub(before) * 4096;
+        assert!(grown < 256 << 20, "building touched {grown} bytes");
+    }
+    built
+}
+
 /// Maps item names (e.g. `"Diaper"`) to dense [`Item`] ids and back.
 ///
 /// The mining pipeline works on integer ids only; this interner exists for
@@ -159,6 +252,32 @@ mod tests {
         assert_eq!(interner.get("Wine"), None);
         assert_eq!(interner.name(beer), Some("Beer"));
         assert_eq!(interner.name(Item(99)), None);
+    }
+
+    #[test]
+    fn index_ranks_distinct_items_ascending_and_nothing_else() {
+        let items = [9, 2, 9, 5, 2].map(Item);
+        let (index, distinct) = ItemIndex::distinct(&items);
+        assert_eq!(distinct, [2, 5, 9].map(Item));
+        let ranks: Vec<_> = (0..12).map(|id| index.rank(Item(id))).collect();
+        let mut want = vec![None; 12];
+        (want[2], want[5], want[9]) = (Some(0), Some(1), Some(2));
+        assert_eq!(ranks, want);
+        assert_eq!((index.slot(Item(9)), index.slot(Item(7))), (3, 0));
+        let empty = ItemIndex::distinct(&[]).0;
+        assert_eq!(
+            (empty.rank(Item(0)), empty.slot(Item::MAX_ID.into())),
+            (None, 0)
+        );
+    }
+
+    #[test]
+    fn index_keeps_the_ranks_it_is_given() {
+        let index = ItemIndex::from_ranked([(Item(4), 7), (Item(1), 0)].into_iter());
+        assert_eq!(index.rank(Item(4)), Some(7));
+        assert_eq!(index.rank(Item(1)), Some(0));
+        assert_eq!(index.rank(Item(2)), None);
+        assert_eq!(index.rank(Item(u32::MAX)), None);
     }
 
     #[test]

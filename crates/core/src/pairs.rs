@@ -52,11 +52,12 @@
 
 use crate::counter::{CandidateCounter, CandidateTable};
 use crate::hashtree::OwnershipFilter;
-use crate::item::Item;
+use crate::item::{Item, ItemIndex};
 use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
+use std::ops::Range;
 
-/// "No rank" in `rank_of`, "no candidate" in `cells`.
+/// "No candidate" in `cells`, and a row with no pair's `lo`.
 const NONE: u32 = u32::MAX;
 
 /// The density fallback: above this many `u32` cells (rank lookup plus a
@@ -87,8 +88,8 @@ pub(crate) struct PairCounter {
     table: CandidateTable,
     /// Rank → item.
     items: Vec<Item>,
-    /// Item id → rank, or [`NONE`] for items no candidate uses.
-    rank_of: Vec<u32>,
+    /// Item id → rank, for the items some candidate uses.
+    index: ItemIndex,
     /// One row per rank, indexed by first-item rank.
     rows: Vec<Row>,
     /// Candidate slot per (first, second) rank pair inside a sparse row.
@@ -101,46 +102,28 @@ impl PairCounter {
     /// The counter of `rows`, pairs strided by 2 and strictly ascending
     /// (as a [`CandidateTable`] holds them), or `None` when it is declined
     /// (see [`MAX_CELLS_PER_CANDIDATE`]); the rows are only read. The rows'
-    /// distinct items are ranked through an item id → rank vector.
+    /// distinct items are ranked through an [`ItemIndex`].
     pub(crate) fn from_rows(rows: &[Item]) -> Option<PairCounter> {
-        let universe = rows.iter().max().map_or(0, |item| item.index() + 1);
-        // Rank + 1 per item id, 0 for an id no row holds: zeroed, so only
-        // the pages of the rows' own ids are ever written.
-        let mut rank_of = vec![0u32; universe];
-        let mut items = Vec::new();
-        for &item in rows {
-            if rank_of[item.index()] == 0 {
-                rank_of[item.index()] = 1;
-                items.push(item);
+        let (index, items) = ItemIndex::distinct(rows);
+        let rank = |item: Item| index.rank(item).expect("a row's items are ranked");
+        Self::from_share(&items, |emit| {
+            for pair in rows.chunks_exact(2) {
+                let second = rank(pair[1]);
+                emit(rank(pair[0]), second..second + 1);
             }
-        }
-        items.sort_unstable();
-        for (rank, item) in (1..).zip(&items) {
-            rank_of[item.index()] = rank;
-        }
-        let rank = |item: Item| rank_of[item.index()] - 1;
-        Self::from_share(&items, || {
-            rows.chunks_exact(2).map(|p| (rank(p[0]), rank(p[1])))
         })
     }
 
-    /// The counter of the pairs of `f1` that `ranks` yields — as ranks in
-    /// `f1`, strictly ascending — or `None` when it is declined. `ranks`
-    /// is read at most twice; nothing it yields is stored.
-    pub(crate) fn from_share<I: Iterator<Item = (u32, u32)>>(
-        f1: &[Item],
-        ranks: impl Fn() -> I,
-    ) -> Option<PairCounter> {
-        let layout = Layout::new(f1, ranks)?;
+    /// The counter of the pairs of `f1` that `runs` hands its `emit` — as
+    /// `(first, seconds)`: every pair of the rank `first` with a rank of
+    /// `seconds`, in ranks of `f1`, all strictly ascending — or `None` when
+    /// it is declined. `runs` is called at most twice; nothing it emits is
+    /// stored. A share that holds a first item's row whole emits it as one
+    /// run, so laying it out costs one step, not one per pair.
+    pub(crate) fn from_share(f1: &[Item], runs: impl Fn(Emit)) -> Option<PairCounter> {
+        let layout = Layout::new(f1, runs)?;
         let table = CandidateTable::counts_only(2, layout.slots);
         Some(layout.into_counter(table, f1.to_vec()))
-    }
-
-    fn rank(&self, item: Item) -> Option<u32> {
-        self.rank_of
-            .get(item.index())
-            .copied()
-            .filter(|&rank| rank != NONE)
     }
 
     /// The slot of the pair of ranks `(first, second)`, if a candidate.
@@ -181,15 +164,18 @@ impl PairCounter {
     pub(crate) fn probe(&mut self, items: &[Item], filter: &OwnershipFilter) -> Probed {
         let PairCounter {
             table,
-            rank_of,
+            index,
             rows,
             cells,
             ranked,
             ..
         } = self;
-        let rank = |item: Item| rank_of.get(item.index()).copied().filter(|&r| r != NONE);
         ranked.clear();
-        ranked.extend(items.iter().filter_map(|&item| Some((item, rank(item)?))));
+        ranked.extend(
+            items
+                .iter()
+                .filter_map(|&item| Some((item, index.rank(item)?))),
+        );
         let mut probed = Probed {
             root_starts: 0,
             steps: 0,
@@ -236,24 +222,25 @@ pub(crate) struct Probed {
     hits: u64,
 }
 
-/// The rows a pair counter needs, worked out from its candidates' ranks.
+/// What a pair counter's constructor hands its runs to: `(first, seconds)`,
+/// the pairs of rank `first` with each rank of `seconds`.
+pub(crate) type Emit<'a> = &'a mut dyn FnMut(u32, Range<u32>);
+
+/// The rows a pair counter needs, worked out from its candidates' runs.
 struct Layout {
     rows: Vec<Row>,
     cells: Vec<u32>,
     slots: usize,
-    /// The rank of each used item, by item id.
-    rank_of: Vec<u32>,
+    /// The rank of each used item.
+    index: ItemIndex,
     /// How many ranks are used: the most one transaction can rank.
     most_ranked: usize,
 }
 
 impl Layout {
-    /// Lays out the pairs `ranks` yields (strictly ascending, ranks into
+    /// Lays out the pairs `runs` emits (strictly ascending, ranks into
     /// `items`), or `None` when the density test declines them.
-    fn new<I: Iterator<Item = (u32, u32)>>(
-        items: &[Item],
-        ranks: impl Fn() -> I,
-    ) -> Option<Layout> {
+    fn new(items: &[Item], runs: impl Fn(Emit)) -> Option<Layout> {
         let empty = Row {
             lo: NONE,
             len: 0,
@@ -261,23 +248,34 @@ impl Layout {
             dense: true,
         };
         // First each row as (lo, one past hi, slot of the pair at lo): a
-        // row's pairs come one after another, second ranks ascending.
+        // row's pairs come one after another, second ranks ascending. A
+        // rank is used when it starts a pair or a run covers it: `covers`
+        // counts the runs that start at a rank less those that end there.
         let mut rows = vec![empty; items.len()];
         let mut pairs_in = vec![0u32; items.len()];
-        let mut used = vec![false; items.len()];
+        let mut firsts = vec![false; items.len()];
+        let mut covers = vec![0i64; items.len() + 1];
         let mut slots = 0usize;
-        for (first, second) in ranks() {
+        runs(&mut |first, seconds| {
             let row = &mut rows[first as usize];
             if row.lo == NONE {
-                row.lo = second;
+                row.lo = seconds.start;
                 row.start = slots as u32;
             }
-            row.len = second + 1;
-            pairs_in[first as usize] += 1;
-            used[first as usize] = true;
-            used[second as usize] = true;
-            slots += 1;
-        }
+            row.len = seconds.end;
+            pairs_in[first as usize] += seconds.len() as u32;
+            firsts[first as usize] = true;
+            covers[seconds.start as usize] += 1;
+            covers[seconds.end as usize] -= 1;
+            slots += seconds.len();
+        });
+        let mut covered = 0;
+        let used: Vec<bool> = (covers.iter().zip(&firsts))
+            .map(|(&runs, &first)| {
+                covered += runs;
+                first || covered > 0
+            })
+            .collect();
 
         // The density test, on the cells a layout of sparse rows over the
         // used ranks alone would take: the rank lookup plus every row's
@@ -312,23 +310,24 @@ impl Layout {
         }
         let mut cells = vec![NONE; num_cells];
         if num_cells > 0 {
-            for (slot, (first, second)) in ranks().enumerate() {
+            let mut slot = 0u32;
+            runs(&mut |first, seconds| {
                 let row = rows[first as usize];
-                if !row.dense {
-                    cells[(row.start + (second - row.lo)) as usize] = slot as u32;
+                for (second, at) in seconds.clone().zip(slot..) {
+                    if !row.dense {
+                        cells[(row.start + (second - row.lo)) as usize] = at;
+                    }
                 }
-            }
+                slot += seconds.len() as u32;
+            });
         }
 
-        let mut rank_of = vec![NONE; universe];
-        for (rank, item) in items.iter().enumerate().filter(|&(r, _)| used[r]) {
-            rank_of[item.index()] = rank as u32;
-        }
+        let ranked = items.iter().zip(0..).filter(|&(_, r)| used[r as usize]);
         Some(Layout {
             rows,
             cells,
             slots,
-            rank_of,
+            index: ItemIndex::from_ranked(ranked.map(|(&item, rank)| (item, rank))),
             most_ranked: used_below[items.len()] as usize,
         })
     }
@@ -338,7 +337,7 @@ impl Layout {
         PairCounter {
             table,
             items,
-            rank_of: self.rank_of,
+            index: self.index,
             rows: self.rows,
             cells: self.cells,
             ranked: Vec::with_capacity(self.most_ranked),
@@ -435,7 +434,7 @@ impl CandidateCounter for PairCounter {
         let &[first, second] = set.items() else {
             return None;
         };
-        let slot = self.slot(self.rank(first)?, self.rank(second)?)?;
+        let slot = self.slot(self.index.rank(first)?, self.index.rank(second)?)?;
         Some(self.table.counts[slot])
     }
 

@@ -3,13 +3,24 @@
 //!
 //! Later Apriori implementations (Borgelt's, Bodon's) replaced the hash
 //! tree with an item-indexed trie: every path from the root spells a
-//! candidate prefix, depth-`k` nodes carry the counts, and counting walks
-//! the trie and the (sorted) transaction in lockstep. The candidates come
-//! as its table's rows, strictly ascending (the seam's one input
-//! contract), so each is one distinct path. Compared to the
-//! hash tree there is no hashing, no leaf checking against the whole
-//! transaction, and no revisit bookkeeping — each candidate contained in
-//! the transaction is reached by exactly one path.
+//! candidate prefix, depth-`k` nodes carry the counts, and counting
+//! follows the transaction's items down the trie. The candidates come as
+//! its table's rows, strictly ascending (the seam's one input contract),
+//! so each is one distinct path. Compared to the hash tree there is no
+//! hashing, no leaf checking against the whole transaction, and no revisit
+//! bookkeeping — each candidate contained in the transaction is reached by
+//! exactly one path.
+//!
+//! Nothing is searched for. The nodes sit in one arena, level by level and
+//! each level in row order, so a node's children are one contiguous run;
+//! a node keeps only its item's rank in the trie's [`ItemIndex`], and the
+//! depth-`k` nodes are the table's slots in order. A transaction is read
+//! once into a position table, rank → position, and then every start
+//! position `p ≤ |t| − k` finds its root child by rank, and every deeper
+//! child is probed in the table: it matches when its item sits at a
+//! position `q` past its parent's with `q + remaining ≤ |t|`, which are
+//! the matches the lockstep merge of trie and transaction (Bodon's walk)
+//! finds.
 //!
 //! The trie is a full [`CandidateCounter`] backend: it honors the
 //! [`OwnershipFilter`]'s root and second-level pruning (so IDD/HD
@@ -21,76 +32,160 @@
 
 use crate::counter::{CandidateCounter, CandidateTable, CounterStats};
 use crate::hashtree::OwnershipFilter;
-use crate::item::Item;
+use crate::item::{Item, ItemIndex};
 use crate::transaction::Transaction;
 
-/// Arena-allocated trie node: sorted child list + optional candidate slot.
-#[derive(Debug, Default, Clone)]
-struct TrieNode {
-    /// `(item, child index)`, ascending by item.
-    children: Vec<(Item, u32)>,
-    /// The candidate's table slot when a candidate *ends* here.
-    candidate: Option<u32>,
-}
+/// "No root child" in `roots`.
+const NONE: u32 = u32::MAX;
 
 /// A counting trie for candidates of a fixed size `k`.
 #[derive(Debug, Clone)]
 pub(crate) struct CandidateTrie {
     table: CandidateTable,
-    nodes: Vec<TrieNode>,
+    index: ItemIndex,
+    /// Per rank, the root's child for that item, or [`NONE`].
+    roots: Vec<u32>,
+    /// Per node, its item's rank (the root's is unused).
+    rank: Vec<u32>,
+    /// Per node and one past the last, where its children start: node
+    /// `n`'s are `children[n] .. children[n + 1]` (at depth `k`, empty).
+    children: Vec<u32>,
+    /// The first depth-`k` node: node `leaves + s` ends the candidate of
+    /// slot `s`.
+    leaves: u32,
+    /// Per rank, the position + 1 of its item in the transaction being
+    /// counted, 0 otherwise; all 0 between transactions.
+    position: Vec<u32>,
+    /// The ranks the transaction being counted set in `position`, with
+    /// their positions, ascending.
+    held: Vec<(u32, u32)>,
 }
 
 impl CandidateTrie {
-    /// The trie over `table`'s rows. They are strictly ascending, so a
-    /// row's item either continues its node's last child or starts a new,
-    /// larger one: the child lists come out sorted.
+    /// The trie over `table`'s rows. They are strictly ascending, so the
+    /// distinct `d`-item prefixes of the rows, in row order, are the nodes
+    /// of depth `d`, and a node's children are consecutive among those
+    /// of the next depth.
     pub(crate) fn from_table(table: CandidateTable) -> Self {
-        let mut nodes = vec![TrieNode::default()];
-        for slot in 0..table.len() {
-            let mut node = 0usize;
-            for &item in table.candidate(slot) {
-                node = match nodes[node].children.last() {
-                    Some(&(last, child)) if last == item => child as usize,
-                    _ => {
-                        nodes.push(TrieNode::default());
-                        let fresh = nodes.len() - 1;
-                        nodes[node].children.push((item, fresh as u32));
-                        fresh
-                    }
-                };
+        let (index, items) = ItemIndex::distinct(&table.items);
+        let k = table.k;
+        let rows = || table.items.chunks_exact(k);
+        // The depth from which each row leaves its predecessor's path.
+        let fresh =
+            |prev: &[Item], row: &[Item]| prev.iter().zip(row).take_while(|(a, b)| a == b).count();
+        let mut at_depth = vec![0u32; k + 1];
+        at_depth[0] = 1;
+        let mut prev: &[Item] = &[];
+        for row in rows() {
+            for count in &mut at_depth[fresh(prev, row) + 1..] {
+                *count += 1;
             }
-            nodes[node].candidate = Some(slot as u32);
+            prev = row;
         }
-        CandidateTrie { table, nodes }
+        let mut next = Vec::with_capacity(k + 1);
+        let mut nodes = 0u32;
+        for &count in &at_depth {
+            next.push(nodes);
+            nodes += count;
+        }
+        let leaves = next[k];
+        let mut rank = vec![0u32; nodes as usize];
+        let mut children = vec![nodes; nodes as usize + 1];
+        // `path[d]` is the node of depth `d` on the current row's path.
+        let mut path = vec![0u32; k + 1];
+        let mut prev: &[Item] = &[];
+        for row in rows() {
+            for depth in fresh(prev, row) + 1..=k {
+                let (parent, node) = (path[depth - 1], next[depth]);
+                next[depth] += 1;
+                if children[parent as usize] == nodes {
+                    children[parent as usize] = node;
+                }
+                rank[node as usize] = index
+                    .rank(row[depth - 1])
+                    .expect("a row's items are ranked");
+                path[depth] = node;
+            }
+            prev = row;
+        }
+        let mut roots = vec![NONE; items.len()];
+        for node in 1..1 + at_depth[1] {
+            roots[rank[node as usize] as usize] = node;
+        }
+        CandidateTrie {
+            table,
+            index,
+            roots,
+            rank,
+            children,
+            leaves,
+            position: vec![0; items.len()],
+            held: Vec::with_capacity(items.len()),
+        }
     }
 
     /// Number of trie nodes.
     #[cfg(test)]
     fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.rank.len()
     }
 
-    /// Counts the candidates contained in one transaction: a lockstep walk
-    /// of the trie and the sorted item list — each contained candidate is
-    /// visited exactly once. The filter prunes first items at the root and
-    /// (first, second) pairs at depth 1, exactly like the hash tree's
-    /// `subset`.
+    /// Counts the candidates contained in one transaction: each contained
+    /// candidate is reached exactly once. The filter prunes first items at
+    /// the root and (first, second) pairs at depth 1, exactly like the
+    /// hash tree's walk.
     fn count(&mut self, t: &Transaction, filter: &OwnershipFilter) {
         if self.table.len() == 0 {
             return;
         }
         self.table.stats.transactions += 1;
-        let items = t.items();
-        if items.len() < self.table.k {
+        let (items, k) = (t.items(), self.table.k);
+        if items.len() < k {
             return;
         }
+        let CandidateTrie {
+            table,
+            index,
+            roots,
+            rank,
+            children,
+            leaves,
+            position,
+            held,
+        } = self;
+        held.clear();
+        for (p, &item) in (0..).zip(items) {
+            if let Some(r) = index.rank(item) {
+                position[r as usize] = p + 1;
+                held.push((p, r));
+            }
+        }
         let mut walker = Walker {
-            nodes: &self.nodes,
-            counts: &mut self.table.counts,
-            stats: &mut self.table.stats,
+            items,
+            rank,
+            children,
+            leaves: *leaves,
+            position,
+            counts: &mut table.counts,
+            stats: &mut table.stats,
             filter,
         };
-        walker.walk(0, items, self.table.k, 0, Item(0));
+        for &(p, r) in held.iter() {
+            if p as usize + k > items.len() {
+                break;
+            }
+            let node = roots[r as usize];
+            let first = items[p as usize];
+            if node == NONE || !filter.allows_root(first) {
+                continue;
+            }
+            walker.stats.root_starts += 1;
+            walker.stats.traversal_steps += 1;
+            walker.descend(node, 1, p + 1, k - 1, first);
+        }
+        for &(_, r) in held.iter() {
+            position[r as usize] = 0;
+        }
     }
 }
 
@@ -110,59 +205,49 @@ impl CandidateCounter for CandidateTrie {
     }
 }
 
-/// The recursive lockstep walk, split out so the node arena is borrowed
-/// shared while counts and stats are borrowed mutably (the old method
-/// recursion had to clone every child list to appease the borrow
-/// checker).
+/// One transaction's walk below the root, split out so the arena is
+/// borrowed shared while counts and stats are borrowed mutably.
 struct Walker<'a> {
-    nodes: &'a [TrieNode],
+    items: &'a [Item],
+    rank: &'a [u32],
+    children: &'a [u32],
+    leaves: u32,
+    position: &'a [u32],
     counts: &'a mut [u64],
     stats: &'a mut CounterStats,
     filter: &'a OwnershipFilter,
 }
 
 impl Walker<'_> {
-    fn walk(&mut self, node: u32, suffix: &[Item], remaining: usize, depth: usize, first: Item) {
-        let nodes = self.nodes;
+    /// Arrives at `node`, of depth `depth`, reached through the
+    /// transaction's items before position `from`, with `remaining` items
+    /// still to match (the path's first item is `first`).
+    fn descend(&mut self, node: u32, depth: usize, from: u32, remaining: usize, first: Item) {
         if remaining == 0 {
             // A depth-k arrival: the trie's analogue of a distinct leaf
             // visit (paths are unique, so it is distinct by construction).
             self.stats.distinct_leaf_visits += 1;
-            if let Some(c) = nodes[node as usize].candidate {
-                self.stats.candidate_checks += 1;
-                self.counts[c as usize] += 1;
-            }
+            self.stats.candidate_checks += 1;
+            self.counts[(node - self.leaves) as usize] += 1;
             return;
         }
-        if suffix.len() < remaining {
+        let len = self.items.len();
+        if len < from as usize + remaining {
             return;
         }
-        // Merge-intersect the child list with the transaction suffix.
-        let children = &nodes[node as usize].children;
-        let (mut ci, mut si) = (0usize, 0usize);
-        while ci < children.len() && si + remaining <= suffix.len() {
-            let (item, child) = children[ci];
-            match item.cmp(&suffix[si]) {
-                std::cmp::Ordering::Less => ci += 1,
-                std::cmp::Ordering::Greater => si += 1,
-                std::cmp::Ordering::Equal => {
-                    let allowed = match depth {
-                        0 => self.filter.allows_root(item),
-                        1 => self.filter.allows_second(first, item),
-                        _ => true,
-                    };
-                    if allowed {
-                        if depth == 0 {
-                            self.stats.root_starts += 1;
-                        }
-                        self.stats.traversal_steps += 1;
-                        let start = if depth == 0 { item } else { first };
-                        self.walk(child, &suffix[si + 1..], remaining - 1, depth + 1, start);
-                    }
-                    ci += 1;
-                    si += 1;
-                }
+        let span = self.children[node as usize]..self.children[node as usize + 1];
+        for child in span {
+            let Some(at) = self.position[self.rank[child as usize] as usize].checked_sub(1) else {
+                continue;
+            };
+            if at < from || at as usize + remaining > len {
+                continue;
             }
+            if depth == 1 && !self.filter.allows_second(first, self.items[at as usize]) {
+                continue;
+            }
+            self.stats.traversal_steps += 1;
+            self.descend(child, depth + 1, at + 1, remaining - 1, first);
         }
     }
 }
@@ -331,6 +416,133 @@ mod tests {
         // leaves = 5 nodes.
         let trie = build(3, vec![set(&[1, 2, 3]), set(&[1, 2, 4])]);
         assert_eq!(trie.num_nodes(), 5);
+    }
+
+    /// A candidate item at [`Item::MAX_ID`] is indexed, found and counted,
+    /// and its index writes only the pages of the ids it holds.
+    #[test]
+    fn largest_legal_item_id_is_a_countable_candidate_item() {
+        let top = Item::MAX_ID;
+        let cands = vec![
+            set(&[3, 4, 5]),
+            set(&[3, 4, top]),
+            set(&[top - 2, top - 1, top]),
+        ];
+        let txs = [
+            tx(0, &[3, 4, top]),
+            tx(1, &[3, 4, 5, top - 2, top - 1, top]),
+            tx(2, &[top - 1, top]),
+            tx(3, &[]),
+        ];
+        let mut trie = crate::item::touching_few_pages(|| build(3, cands));
+        trie.count_all(&txs, &ALL());
+        assert_eq!(trie.count_vector(), [1, 2, 1]);
+        assert_eq!(trie.stats().transactions, 4);
+        assert_eq!(trie.stats().root_starts, 1 + 2, "short ones never start");
+    }
+
+    /// The three filters of the ledger tests: none, first items `0..12`
+    /// owned, and those plus first item 12 split by second item.
+    fn filters() -> Vec<OwnershipFilter> {
+        let owned = ItemBitmap::from_items(30, (0..12).map(Item));
+        let pairs: HashSet<(Item, Item)> =
+            (13..30).step_by(2).map(|s| (Item(12), Item(s))).collect();
+        vec![
+            ALL(),
+            OwnershipFilter::first_item(owned.clone()),
+            OwnershipFilter::two_level(owned, pairs),
+        ]
+    }
+
+    /// Seeded candidates of size `k` over items `0..30` and transactions
+    /// of up to 14 items.
+    fn seeded(seed: u64, k: usize) -> (Vec<ItemSet>, Vec<Transaction>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ids: Vec<u32> = (0..30).collect();
+        let mut cands: Vec<ItemSet> = (0..150)
+            .map(|_| {
+                ids.shuffle(&mut rng);
+                set(&ids[..k])
+            })
+            .collect();
+        cands.sort();
+        cands.dedup();
+        let txs = (0..200)
+            .map(|tid| {
+                ids.shuffle(&mut rng);
+                tx(tid, &ids[..rng.gen_range(0..=14)])
+            })
+            .collect();
+        (cands, txs)
+    }
+
+    /// The ledger is the paper's walk, counted one reachable prefix at a
+    /// time: a distinct `d`-item candidate prefix the filter admits, all
+    /// of whose items the transaction holds, with its last item at a
+    /// position `q` where `q + (k − d) < |t|`, is one traversal step (and,
+    /// at `d = 1`, one root start, at `d = k` one leaf visit and check).
+    #[test]
+    fn ledger_counts_each_reachable_prefix_once() {
+        for (seed, filter) in (0..).zip(filters()) {
+            for k in 1..=4 {
+                let (cands, txs) = seeded(40 + seed, k);
+                let mut trie = build(k, cands.clone());
+                trie.count_all(&txs, &filter);
+                let mut prefixes: Vec<&[Item]> = (1..=k)
+                    .flat_map(|d| cands.iter().map(move |c| &c.items()[..d]))
+                    .filter(|p| filter.owns(p))
+                    .collect();
+                prefixes.sort();
+                prefixes.dedup();
+                let mut want = CounterStats {
+                    inserts: cands.len() as u64,
+                    transactions: txs.len() as u64,
+                    ..CounterStats::default()
+                };
+                for t in txs.iter().filter(|t| t.len() >= k) {
+                    for p in &prefixes {
+                        let at = |item| t.items().binary_search(item).ok();
+                        let Some(q) = p.iter().map(at).collect::<Option<Vec<_>>>() else {
+                            continue;
+                        };
+                        if q[p.len() - 1] + (k - p.len()) < t.len() {
+                            want.traversal_steps += 1;
+                            want.root_starts += u64::from(p.len() == 1);
+                            want.distinct_leaf_visits += u64::from(p.len() == k);
+                            want.candidate_checks += u64::from(p.len() == k);
+                        }
+                    }
+                }
+                assert_eq!(trie.stats(), want, "k={k}, filter {seed}");
+            }
+        }
+    }
+
+    /// A page counted whole counts and charges what the same page split at
+    /// seeded points does, under every filter.
+    #[test]
+    fn a_page_split_anywhere_counts_and_charges_what_it_does_whole() {
+        let mut rng = StdRng::seed_from_u64(61);
+        for (seed, filter) in (0..).zip(filters()) {
+            for k in 2..=4 {
+                let (cands, txs) = seeded(50 + seed, k);
+                let mut whole = build(k, cands.clone());
+                whole.count_all(&txs, &filter);
+                let mut split = build(k, cands);
+                let mut cuts: Vec<usize> = (0..5).map(|_| rng.gen_range(0..=txs.len())).collect();
+                cuts.extend([0, txs.len()]);
+                cuts.sort_unstable();
+                for cut in cuts.windows(2) {
+                    split.count_all(&txs[cut[0]..cut[1]], &filter);
+                }
+                assert_eq!(
+                    split.count_vector(),
+                    whole.count_vector(),
+                    "k={k}, {cuts:?}"
+                );
+                assert_eq!(split.stats(), whole.stats(), "k={k}, {cuts:?}");
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! lists intersected by a merge, galloping for skewed sizes (a bitmap
 //! with a handful of set bits would waste both memory and sweep time).
 //!
+//! The pivot finds each item occurrence's candidate item through the
+//! counter's [`ItemIndex`] and lays the batch out by a counting sort:
+//! every rank's tids in one vector, rank after rank, and the dense ranks'
+//! blocks in another. Those vectors and the prefix stack's are kept from
+//! batch to batch, so once they have grown to a batch's size, counting a
+//! batch allocates nothing.
+//!
 //! Ledger mapping onto [`CounterStats`](crate::counter::CounterStats): each item occurrence scanned
 //! while pivoting a batch is a `traversal_steps` unit, each
 //! filter-admitted candidate is one `root_starts`, its final evaluation
@@ -30,82 +37,202 @@
 use crate::bitmap::words;
 use crate::counter::{CandidateCounter, CandidateTable};
 use crate::hashtree::OwnershipFilter;
-use crate::item::Item;
+use crate::item::{Item, ItemIndex};
 use crate::transaction::Transaction;
 
-/// A set of transaction positions within one batch, in the cheaper of the
-/// two representations for its density.
-#[derive(Debug, Clone)]
-enum TidSet {
+/// "A sparse tid set" in [`Pivot::block_of`].
+const SPARSE: u32 = u32::MAX;
+
+/// A set of transaction positions within one batch, lent from the
+/// counter's buffers, in the cheaper of the two representations for its
+/// density.
+#[derive(Debug, Clone, Copy)]
+enum Tids<'a> {
     /// Bit per transaction, packed 64 per word.
-    Dense(Vec<u64>),
+    Dense(&'a [u64]),
     /// Ascending transaction positions.
-    Sparse(Vec<u32>),
+    Sparse(&'a [u32]),
 }
 
-impl TidSet {
-    /// Chooses the representation: dense once the bitmap is no larger
-    /// than the `u32` list (32 tids per 64-bit word break even).
-    fn from_list(tids: Vec<u32>, num_tids: usize) -> TidSet {
-        if tids.len() * 32 >= num_tids {
-            let mut block = vec![0u64; words::words_for(num_tids)];
-            for &t in &tids {
-                words::set_bit(&mut block, t as usize);
-            }
-            TidSet::Dense(block)
-        } else {
-            TidSet::Sparse(tids)
-        }
-    }
-
-    /// Intersection plus the touched-unit count (words for dense
-    /// operands, element probes for sparse ones).
-    fn intersect(&self, other: &TidSet) -> (TidSet, u64) {
+impl Tids<'_> {
+    /// `self ∩ other` into `out` (dense when both are dense), plus the
+    /// touched-unit count (words for dense operands, element probes for
+    /// sparse ones).
+    fn intersect_into(self, other: Tids<'_>, out: &mut TidBuf) -> u64 {
         match (self, other) {
-            (TidSet::Dense(a), TidSet::Dense(b)) => {
-                (TidSet::Dense(words::and(a, b)), a.len() as u64)
+            (Tids::Dense(a), Tids::Dense(b)) => {
+                out.dense = true;
+                words::and_into(&mut out.words, a, b);
+                a.len() as u64
             }
-            (TidSet::Dense(block), TidSet::Sparse(list))
-            | (TidSet::Sparse(list), TidSet::Dense(block)) => {
-                let out: Vec<u32> = list
-                    .iter()
-                    .copied()
-                    .filter(|&t| words::test_bit(block, t as usize))
-                    .collect();
-                (TidSet::Sparse(out), list.len() as u64)
+            (Tids::Dense(block), Tids::Sparse(list)) | (Tids::Sparse(list), Tids::Dense(block)) => {
+                out.dense = false;
+                out.tids.clear();
+                let held = list.iter().filter(|&&t| words::test_bit(block, t as usize));
+                out.tids.extend(held);
+                list.len() as u64
             }
-            (TidSet::Sparse(a), TidSet::Sparse(b)) => {
-                let work = a.len().min(b.len()) as u64;
-                (TidSet::Sparse(intersect_sorted(a, b)), work)
+            (Tids::Sparse(a), Tids::Sparse(b)) => {
+                out.dense = false;
+                out.tids.clear();
+                intersect_sorted(a, b, |t| out.tids.push(t));
+                a.len().min(b.len()) as u64
             }
         }
     }
 
     /// `|self ∩ other|` without materializing, plus the touched units.
-    fn intersect_count(&self, other: &TidSet) -> (u64, u64) {
+    fn intersect_count(self, other: Tids<'_>) -> (u64, u64) {
         match (self, other) {
-            (TidSet::Dense(a), TidSet::Dense(b)) => (words::and_popcount(a, b), a.len() as u64),
-            (TidSet::Dense(block), TidSet::Sparse(list))
-            | (TidSet::Sparse(list), TidSet::Dense(block)) => {
+            (Tids::Dense(a), Tids::Dense(b)) => (words::and_popcount(a, b), a.len() as u64),
+            (Tids::Dense(block), Tids::Sparse(list)) | (Tids::Sparse(list), Tids::Dense(block)) => {
                 let count = list
                     .iter()
                     .filter(|&&t| words::test_bit(block, t as usize))
                     .count() as u64;
                 (count, list.len() as u64)
             }
-            (TidSet::Sparse(a), TidSet::Sparse(b)) => {
-                let work = a.len().min(b.len()) as u64;
-                (intersect_sorted(a, b).len() as u64, work)
+            (Tids::Sparse(a), Tids::Sparse(b)) => {
+                let mut count = 0;
+                intersect_sorted(a, b, |_| count += 1);
+                (count, a.len().min(b.len()) as u64)
             }
         }
     }
 
     /// Cardinality plus the touched units.
-    fn len_counted(&self) -> (u64, u64) {
+    fn len_counted(self) -> (u64, u64) {
         match self {
-            TidSet::Dense(block) => (words::popcount(block), block.len() as u64),
-            TidSet::Sparse(list) => (list.len() as u64, list.len() as u64),
+            Tids::Dense(block) => (words::popcount(block), block.len() as u64),
+            Tids::Sparse(list) => (list.len() as u64, list.len() as u64),
         }
+    }
+}
+
+/// An owned tid set whose buffers are kept from batch to batch: one level
+/// of the prefix stack.
+#[derive(Debug, Clone, Default)]
+struct TidBuf {
+    dense: bool,
+    words: Vec<u64>,
+    tids: Vec<u32>,
+}
+
+impl TidBuf {
+    fn view(&self) -> Tids<'_> {
+        if self.dense {
+            Tids::Dense(&self.words)
+        } else {
+            Tids::Sparse(&self.tids)
+        }
+    }
+}
+
+/// One batch pivoted into per-rank tid sets, in buffers kept from batch to
+/// batch: every rank's ascending tid list in one vector, rank after rank,
+/// and the bitmap blocks of the dense ranks in another.
+#[derive(Debug, Clone, Default)]
+struct Pivot {
+    /// Per slot (rank + 1), where its tids start in `tids`; the last entry
+    /// ends the last rank's. Slot 0 counts the occurrences of items no
+    /// candidate holds while pivoting, and is then empty.
+    starts: Vec<u32>,
+    /// Per slot, the next free position of its tids while pivoting.
+    fill: Vec<u32>,
+    tids: Vec<u32>,
+    /// Per rank, the offset of its block in `blocks`, or [`SPARSE`].
+    block_of: Vec<u32>,
+    blocks: Vec<u64>,
+    /// Words per block: one bit per transaction of the batch.
+    block_words: usize,
+}
+
+impl Pivot {
+    /// Pivots `transactions`, finding their items through `index` (which
+    /// ranks `ranks` items): returns the item occurrences scanned.
+    fn build(&mut self, index: &ItemIndex, ranks: usize, transactions: &[Transaction]) -> u64 {
+        let num_tids = transactions.len();
+        let Pivot {
+            starts,
+            fill,
+            tids,
+            block_of,
+            blocks,
+            block_words,
+        } = self;
+        starts.clear();
+        starts.resize(ranks + 2, 0);
+        let mut scanned = 0;
+        for t in transactions {
+            scanned += t.items().len() as u64;
+            for &item in t.items() {
+                starts[index.slot(item) + 1] += 1;
+            }
+        }
+        // Occurrences per slot → where each slot's run ends (a prefix
+        // sum), with slot 0's run of unindexed items taken out.
+        starts[1] = 0;
+        for slot in 1..starts.len() {
+            starts[slot] += starts[slot - 1];
+        }
+        let held = starts[ranks + 1] as usize;
+        fill.clear();
+        fill.extend_from_slice(starts);
+        room(tids, held);
+        tids.resize(held, 0);
+        for (pos, t) in (0u32..).zip(transactions) {
+            for &item in t.items() {
+                let slot = index.slot(item);
+                if slot != 0 {
+                    tids[fill[slot] as usize] = pos;
+                    fill[slot] += 1;
+                }
+            }
+        }
+        // Dense once the bitmap is no larger than the `u32` list (32 tids
+        // per 64-bit word break even).
+        *block_words = words::words_for(num_tids);
+        block_of.clear();
+        let mut dense = 0u32;
+        for rank in 0..ranks {
+            let len = (starts[rank + 2] - starts[rank + 1]) as usize;
+            if len * 32 >= num_tids {
+                block_of.push(dense * *block_words as u32);
+                dense += 1;
+            } else {
+                block_of.push(SPARSE);
+            }
+        }
+        room(blocks, dense as usize * *block_words);
+        blocks.resize(dense as usize * *block_words, 0);
+        for (rank, &at) in block_of.iter().enumerate().filter(|&(_, &at)| at != SPARSE) {
+            let block = &mut blocks[at as usize..][..*block_words];
+            for &t in &tids[starts[rank + 1] as usize..starts[rank + 2] as usize] {
+                words::set_bit(block, t as usize);
+            }
+        }
+        scanned
+    }
+
+    /// The tid set of the item of rank `rank`.
+    fn base(&self, rank: usize) -> Tids<'_> {
+        match self.block_of[rank] {
+            SPARSE => Tids::Sparse(&self.tids[self.starts[rank + 1] as usize..][..self.len(rank)]),
+            at => Tids::Dense(&self.blocks[at as usize..][..self.block_words]),
+        }
+    }
+
+    fn len(&self, rank: usize) -> usize {
+        (self.starts[rank + 2] - self.starts[rank + 1]) as usize
+    }
+}
+
+/// Clears `buf` and makes room for `len` elements, in powers of two, so
+/// that batches of about one size share one allocation.
+fn room<T>(buf: &mut Vec<T>, len: usize) {
+    buf.clear();
+    if buf.capacity() < len {
+        buf.reserve(len.next_power_of_two());
     }
 }
 
@@ -115,16 +242,28 @@ pub(crate) struct VerticalCounter {
     /// The candidates, in row order: lexicographic, so neighbours share
     /// prefixes.
     table: CandidateTable,
-    /// Distinct items appearing in any candidate, ascending.
-    items: Vec<Item>,
+    /// Item id → rank of the candidate items.
+    index: ItemIndex,
+    /// Number of ranked items.
+    ranks: usize,
+    pivot: Pivot,
+    /// The prefix stack: `levels[d]`, for `d ≥ 1`, caches the
+    /// intersection of the current candidate's first `d + 1` items (the
+    /// first item's set is the pivot's own, and `levels[0]` stays empty).
+    levels: Vec<TidBuf>,
 }
 
 impl VerticalCounter {
     pub(crate) fn from_table(table: CandidateTable) -> Self {
-        let mut items = table.items.clone();
-        items.sort_unstable();
-        items.dedup();
-        VerticalCounter { table, items }
+        let (index, items) = ItemIndex::distinct(&table.items);
+        let levels = vec![TidBuf::default(); table.k.saturating_sub(1)];
+        VerticalCounter {
+            table,
+            index,
+            ranks: items.len(),
+            pivot: Pivot::default(),
+            levels,
+        }
     }
 }
 
@@ -142,81 +281,64 @@ impl CandidateCounter for VerticalCounter {
     /// The filter prunes whole candidates before any intersection — a
     /// candidate is evaluated iff its first item passes the root filter
     /// and its (first, second) pair passes the depth-1 filter, exactly
-    /// the paths a horizontal subset walk would admit.
+    /// the paths a horizontal subset walk would admit. Once its buffers
+    /// have grown to a batch's size, a batch allocates nothing.
     fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
+        let VerticalCounter {
+            table,
+            index,
+            ranks,
+            pivot,
+            levels,
+        } = self;
         let CandidateTable {
             k,
             items: candidates,
             counts,
             stats,
             ..
-        } = &mut self.table;
+        } = table;
         if counts.is_empty() || transactions.is_empty() {
             return;
         }
+        let k = *k;
         stats.transactions += transactions.len() as u64;
-        let num_tids = transactions.len();
-        // Pivot: horizontal batch → per-item tid lists (ascending by
-        // construction — positions are visited in order).
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); self.items.len()];
-        for (pos, t) in transactions.iter().enumerate() {
-            for item in t.items() {
-                stats.traversal_steps += 1;
-                if let Ok(slot) = self.items.binary_search(item) {
-                    lists[slot].push(pos as u32);
-                }
-            }
+        stats.traversal_steps += pivot.build(index, *ranks, transactions);
+        for level in levels.iter_mut().skip(1) {
+            room(&mut level.words, pivot.block_words);
+            room(&mut level.tids, transactions.len());
         }
-        let base: Vec<TidSet> = lists
-            .into_iter()
-            .map(|l| TidSet::from_list(l, num_tids))
-            .collect();
-        let base_of = |item: Item| -> &TidSet {
-            let slot = self
-                .items
-                .binary_search(&item)
-                .expect("candidate items are indexed");
-            &base[slot]
-        };
+        let rank = |item: Item| index.rank(item).expect("candidate items are indexed") as usize;
 
-        // Sweep candidates lexicographically; `stack[d]` caches the
-        // intersection of the current candidate's first `d + 1` items.
-        let mut stack: Vec<(Item, TidSet)> = Vec::new();
-        for (items, count) in candidates.chunks_exact(*k).zip(counts.iter_mut()) {
+        // Sweep candidates lexicographically, keeping the longest cached
+        // prefix each shares with the last one evaluated, `prev`.
+        let mut prev: &[Item] = &[];
+        for (items, count) in candidates.chunks_exact(k).zip(counts.iter_mut()) {
             let first = items[0];
             if !filter.allows_root(first) {
                 continue;
             }
-            if items.len() >= 2 && !filter.allows_second(first, items[1]) {
+            if k >= 2 && !filter.allows_second(first, items[1]) {
                 continue;
             }
             stats.root_starts += 1;
-            // Keep the longest cached prefix this candidate shares with
-            // its predecessor.
-            let shared = stack
-                .iter()
-                .zip(items.iter().take(items.len() - 1))
-                .take_while(|((cached, _), item)| cached == *item)
-                .count();
-            stack.truncate(shared);
-            while stack.len() < items.len() - 1 {
-                let depth = stack.len();
-                let item = items[depth];
-                let ts = if depth == 0 {
-                    base_of(item).clone()
-                } else {
-                    let (ts, work) = stack[depth - 1].1.intersect(base_of(item));
-                    stats.intersection_words += work;
-                    ts
+            let cached = prev.iter().zip(&items[..k - 1]).take_while(|(a, b)| a == b);
+            for depth in cached.count().max(1)..k - 1 {
+                let (lower, upper) = levels.split_at_mut(depth);
+                let below = match depth {
+                    1 => pivot.base(rank(items[0])),
+                    _ => lower[depth - 1].view(),
                 };
-                stack.push((item, ts));
+                let work = below.intersect_into(pivot.base(rank(items[depth])), &mut upper[0]);
+                stats.intersection_words += work;
             }
+            prev = items;
             // Final step: count without materializing.
-            let last = items[items.len() - 1];
-            let (hits, work) = if items.len() == 1 {
-                base_of(last).len_counted()
-            } else {
-                stack[items.len() - 2].1.intersect_count(base_of(last))
+            let last = pivot.base(rank(items[k - 1]));
+            let (hits, work) = match k {
+                1 => last.len_counted(),
+                2 => pivot.base(rank(items[0])).intersect_count(last),
+                _ => levels[k - 2].view().intersect_count(last),
             };
             stats.intersection_words += work;
             stats.distinct_leaf_visits += 1;
@@ -226,18 +348,18 @@ impl CandidateCounter for VerticalCounter {
     }
 }
 
-/// Intersection of two ascending id lists (galloping for skewed sizes):
-/// the kernel of the sparse tid sets of low-density items.
-fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
+/// Hands `hit` each id of two ascending lists that both hold (galloping
+/// for skewed sizes): the kernel of the sparse tid sets of low-density
+/// items.
+fn intersect_sorted(a: &[u32], b: &[u32], mut hit: impl FnMut(u32)) {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     // Gallop when the size ratio is extreme; merge otherwise.
     if large.len() / small.len().max(1) >= 16 {
-        let mut out = Vec::with_capacity(small.len());
         let mut lo = 0;
         for &x in small {
             match large[lo..].binary_search(&x) {
                 Ok(pos) => {
-                    out.push(x);
+                    hit(x);
                     lo += pos + 1;
                 }
                 Err(pos) => lo += pos,
@@ -246,22 +368,19 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
                 break;
             }
         }
-        out
     } else {
-        let mut out = Vec::with_capacity(small.len());
         let (mut i, mut j) = (0, 0);
         while i < small.len() && j < large.len() {
             match small[i].cmp(&large[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    out.push(small[i]);
+                    hit(small[i]);
                     i += 1;
                     j += 1;
                 }
             }
         }
-        out
     }
 }
 
@@ -288,9 +407,14 @@ mod tests {
         // Ratio >= 16 triggers the binary-search path.
         let small = vec![5u32, 100, 900];
         let large: Vec<u32> = (0..1000).collect();
-        assert_eq!(intersect_sorted(&small, &large), small);
+        let both = |a: &[u32], b: &[u32]| {
+            let mut out = Vec::new();
+            intersect_sorted(a, b, |t| out.push(t));
+            out
+        };
+        assert_eq!(both(&small, &large), small);
         let disjoint: Vec<u32> = (1000..2000).collect();
-        assert!(intersect_sorted(&small, &disjoint).is_empty());
+        assert!(both(&small, &disjoint).is_empty());
     }
 
     fn tx(tid: u64, ids: &[u32]) -> Transaction {
@@ -485,6 +609,78 @@ mod tests {
         let mut vc = build(2, Vec::new());
         vc.count_all(&[tx(0, &[1, 2, 3])], &ALL());
         assert_eq!(vc.stats().transactions, 0);
+    }
+
+    /// A candidate item at [`Item::MAX_ID`] is indexed, pivoted and
+    /// counted, and its index writes only the pages of the ids it holds.
+    #[test]
+    fn largest_legal_item_id_is_a_countable_candidate_item() {
+        let top = Item::MAX_ID;
+        let cands = vec![
+            set(&[3, 4, 5]),
+            set(&[3, 4, top]),
+            set(&[top - 2, top - 1, top]),
+        ];
+        let txs = [
+            tx(0, &[3, 4, top]),
+            tx(1, &[3, 4, 5, top - 2, top - 1, top]),
+            tx(2, &[top - 1, top]),
+            tx(3, &[]),
+        ];
+        let mut vc = crate::item::touching_few_pages(|| build(3, cands));
+        vc.count_all(&txs, &ALL());
+        assert_eq!(vc.count_vector(), [1, 2, 1]);
+        assert_eq!(vc.stats().transactions, 4);
+        assert_eq!(vc.stats().traversal_steps, 3 + 6 + 2, "one probe per item");
+    }
+
+    /// The vertical counter pivots per call by design, so what a split
+    /// keeps is the counts and the per-transaction ledger: a page counted
+    /// whole and split at seeded points counts alike and charges the same
+    /// transactions and traversal steps, under every filter.
+    #[test]
+    fn a_page_split_anywhere_counts_what_it_does_whole() {
+        let mut rng = StdRng::seed_from_u64(67);
+        let owned = ItemBitmap::from_items(30, (0..12).map(Item));
+        let pairs: HashSet<(Item, Item)> =
+            (13..30).step_by(2).map(|s| (Item(12), Item(s))).collect();
+        let filters = [
+            ALL(),
+            OwnershipFilter::first_item(owned.clone()),
+            OwnershipFilter::two_level(owned, pairs),
+        ];
+        let mut ids: Vec<u32> = (0..30).collect();
+        for filter in &filters {
+            for k in 2..=4 {
+                let mut cands: Vec<ItemSet> = (0..150)
+                    .map(|_| {
+                        ids.shuffle(&mut rng);
+                        set(&ids[..k])
+                    })
+                    .collect();
+                cands.sort();
+                cands.dedup();
+                let txs: Vec<Transaction> = (0..300)
+                    .map(|tid| {
+                        ids.shuffle(&mut rng);
+                        tx(tid, &ids[..rng.gen_range(0..=14)])
+                    })
+                    .collect();
+                let mut whole = build(k, cands.clone());
+                whole.count_all(&txs, filter);
+                let mut split = build(k, cands);
+                let mut cuts: Vec<usize> = (0..5).map(|_| rng.gen_range(0..=txs.len())).collect();
+                cuts.extend([0, txs.len()]);
+                cuts.sort_unstable();
+                for cut in cuts.windows(2) {
+                    split.count_all(&txs[cut[0]..cut[1]], filter);
+                }
+                let on = format!("k={k}, {cuts:?}");
+                assert_eq!(split.count_vector(), whole.count_vector(), "{on}");
+                let ledger = |s: CounterStats| (s.transactions, s.traversal_steps);
+                assert_eq!(ledger(split.stats()), ledger(whole.stats()), "{on}");
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub(crate) fn count_pass(
         let end = (idx + cap).min(total);
         // Replicated counter over this chunk. apriori_gen is charged once.
         let gen_charge = if first_chunk { total } else { 0 };
-        let all = |_: usize, _: &[_]| true;
+        let all = OwnershipFilter::all();
         let mut counter =
             build_counter_charged(comm, params, candidates, idx..end, all, gen_charge);
         first_chunk = false;

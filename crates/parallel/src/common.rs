@@ -4,8 +4,9 @@
 //! (slices, pages, re-balanced shares), and the ring pipeline of Figure 6.
 
 use crate::config::{ParallelParams, PlacementPolicy};
+use armine_core::binpack::CandidatePartition;
 use armine_core::candidates::Candidates;
-use armine_core::counter::{CandidateCounter, CounterStats};
+use armine_core::counter::{CandidateCounter, CounterStats, Share};
 use armine_core::hashtree::OwnershipFilter;
 use armine_core::{Item, ItemSet, Transaction};
 use armine_mpsim::{Comm, CountingWork, FaultPlan, RecvFault, Scope};
@@ -379,9 +380,32 @@ fn rebalance_pages(
     Ok(())
 }
 
+/// One processor's share of a candidate plan, for
+/// [`build_counter_charged`]: the candidates `plan` gives `proc`, whole
+/// first-item rows at a time where its filter owns them whole.
+pub(crate) struct PlanShare<'a> {
+    plan: &'a CandidatePartition,
+    proc: usize,
+}
+
+impl<'a> PlanShare<'a> {
+    pub(crate) fn new(plan: &'a CandidatePartition, proc: usize) -> Self {
+        PlanShare { plan, proc }
+    }
+}
+
+impl Share for PlanShare<'_> {
+    fn holds(&self, r: usize, items: &[Item]) -> bool {
+        self.plan.owns(self.proc, r, items)
+    }
+
+    fn holds_from(&self, first: Item) -> Option<bool> {
+        self.plan.owns_from(self.proc, first)
+    }
+}
+
 /// Builds the configured counting structure over this rank's share of
-/// the run's `C_k`: the rows of `range` that `keep(row, items)` admits,
-/// read in place ([`armine_core::counter::CounterBackend::build_share`]).
+/// the run's `C_k`: the rows of `range` that `share` holds, read in place ([`armine_core::counter::CounterBackend::build_share`]).
 /// Charges `apriori_gen` work for `total_candidates`, the **full** candidate
 /// set (in the model every processor regenerates all of `C_k` before keeping
 /// its share — Section III-C), plus insertion work for the share only.
@@ -391,7 +415,7 @@ pub(crate) fn build_counter_charged(
     params: &ParallelParams,
     candidates: &Candidates,
     range: Range<usize>,
-    keep: impl Fn(usize, &[Item]) -> bool,
+    share: impl Share,
     total_candidates: usize,
 ) -> Box<dyn CandidateCounter> {
     let (t_gen, t_insert) = {
@@ -401,7 +425,7 @@ pub(crate) fn build_counter_charged(
     comm.advance(total_candidates as f64 * t_gen);
     let mut counter = params
         .counter
-        .build_share(params.tree, candidates, range, keep);
+        .build_share(params.tree, candidates, range, share);
     comm.advance(counter.stats().inserts as f64 * t_insert);
     counter.reset_stats();
     counter

@@ -19,7 +19,7 @@
 
 use crate::common::{
     build_counter_charged, count_batch_charged, exchange_level, page_bytes, paginate, PassResult,
-    RankCtx, TransactionPage, TAG_DATA,
+    PlanShare, RankCtx, TransactionPage, TAG_DATA,
 };
 use crate::config::ParallelParams;
 use armine_core::binpack::partition_round_robin;
@@ -41,7 +41,7 @@ pub(crate) fn count_pass(
     let me = ctx.my_index;
     let total = candidates.len();
     let part = partition_round_robin(candidates.rows(0..total), p);
-    let mine = |r: usize, row: &[_]| part.owns(me, r, row);
+    let mine = PlanShare::new(&part, me);
     let mut counter = build_counter_charged(comm, params, candidates, 0..total, mine, total);
     comm.charge_io(ctx.local_bytes());
 

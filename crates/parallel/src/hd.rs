@@ -27,7 +27,7 @@
 
 use crate::common::{
     build_counter_charged, exchange_level, paginate, reduce_counts, ring_shift_count, PassResult,
-    RankCtx,
+    PlanShare, RankCtx,
 };
 use crate::config::ParallelParams;
 use crate::idd::make_partition;
@@ -104,7 +104,7 @@ pub(crate) fn partitioned_pass(
     let col_members: Vec<usize> = (0..g).map(|r| ctx.members[r * cols + my_col]).collect();
     let row_members: Vec<usize> = (0..cols).map(|c| ctx.members[my_row * cols + c]).collect();
 
-    let mine = |r: usize, row: &[_]| plan.owns(my_row, r, row);
+    let mine = PlanShare::new(plan, my_row);
     let filter = &plan.filters[my_row];
     let mut counter = build_counter_charged(comm, params, candidates, 0..total, mine, total);
     comm.charge_io(ctx.local_bytes());

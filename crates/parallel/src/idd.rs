@@ -20,7 +20,7 @@
 
 use crate::common::{
     build_counter_charged, count_batch_charged, exchange_level, page_bytes, paginate, PassResult,
-    RankCtx, TransactionPage, TAG_DATA,
+    PlanShare, RankCtx, TransactionPage, TAG_DATA,
 };
 use crate::config::ParallelParams;
 use armine_core::binpack::{partition_by_first_item, partition_two_level, CandidatePartition};
@@ -74,7 +74,7 @@ pub(crate) fn count_pass_single_source(
         // circulate them with the ring instead of the broken chain.
         return crate::hd::partitioned_pass(comm, ctx, candidates, params, &part, (p, 1));
     }
-    let mine = |r: usize, row: &[_]| part.owns(me, r, row);
+    let mine = PlanShare::new(&part, me);
     let filter = &part.filters[me];
     let mut counter = build_counter_charged(comm, params, candidates, 0..total, mine, total);
     if me == 0 {

@@ -26,7 +26,7 @@ pub(crate) fn count_pass(
 ) -> Result<PassResult, RecvFault> {
     let p = ctx.size();
     let total = candidates.len();
-    let all = |_: usize, _: &[_]| true;
+    let all = OwnershipFilter::all();
     let mut counter = build_counter_charged(comm, params, candidates, 0..total, all, total);
     comm.charge_io(ctx.local_bytes());
     let stats = count_batch_charged(comm, &mut *counter, &ctx.local, &OwnershipFilter::all());

@@ -5,10 +5,9 @@
 //!
 //! - **Kernels do not allocate per transaction.** With a counter built,
 //!   counting `N` transactions and counting `2N` take the same number of
-//!   allocations, for every backend at `k = 2` and `k = 3` and the hash
-//!   tree at `k = 4`, in one call and in 100-transaction pages — except
-//!   the vertical backend past `k = 2`, whose per-batch pivot allocates
-//!   with the batch.
+//!   allocations, for every backend at `k = 2, 3, 4`, in one call and in
+//!   100-transaction pages: the vertical backend pivots each batch into
+//!   buffers it keeps.
 //! - **Pass 2 holds only its counts.** `C₂ = F₁ × F₁` is never written
 //!   down, so pass 2's peak live bytes above the input stay within one
 //!   count per candidate plus what `F₁` and a reduction cost, and for the
@@ -128,8 +127,8 @@ fn sparse(n: usize) -> Dataset {
 
 /// Counting `N` and `2N` transactions with a built counter allocate alike,
 /// for every backend at `k = 2` (the pair table for the trie and the
-/// vertical backend), the hash tree and the trie at `k = 3`, and the hash
-/// tree at `k = 4`, where its walk has the most levels, whole and in
+/// vertical backend), `k = 3` and `k = 4`, where the walks have the most
+/// levels and the vertical prefix stack is deepest, whole and in
 /// 100-transaction pages, on counters built from rows and from a share of
 /// `C_k` alike.
 #[test]
@@ -148,20 +147,12 @@ fn kernels_allocate_nothing_per_transaction() {
             .map(|row| ItemSet::from_sorted(row.as_ref().to_vec()))
             .collect();
         for backend in CounterBackend::ALL {
-            if backend == CounterBackend::Vertical && k > 2 {
-                // Past the pair table, the vertical counter pivots each
-                // batch into tid lists and sets sized by the batch, so its
-                // allocations follow the batch's contents.
-                continue;
-            }
-            if backend != CounterBackend::HashTree && k > 3 {
-                continue;
-            }
             let tree = HashTreeParams::default();
             let builds: [(&str, &dyn Fn() -> _); 2] = [
                 ("rows", &|| backend.build(k, tree, &rows)),
                 ("share", &|| {
-                    backend.build_share(tree, &candidates, 0..candidates.len(), |_, _| true)
+                    let all = OwnershipFilter::all();
+                    backend.build_share(tree, &candidates, 0..candidates.len(), all)
                 }),
             ];
             for (built_from, build) in builds {
