@@ -23,7 +23,8 @@ impl std::error::Error for ArgError {}
 #[derive(Debug)]
 pub(crate) struct Args {
     values: HashMap<String, String>,
-    consumed: std::cell::RefCell<Vec<String>>,
+    /// Every key asked for, given or not.
+    pub(crate) consumed: std::cell::RefCell<Vec<String>>,
 }
 
 impl Args {

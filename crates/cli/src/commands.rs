@@ -34,7 +34,7 @@ USAGE:
                   [--max-k K] [--rules MIN_CONF] [--top N]
                   [--counter hashtree|trie|vertical]
   armine parallel --input FILE --algorithm ALGO --procs P --min-support FRAC
-                  [--machine t3e|sp2|ideal] [--group-threshold M]
+                  [--min-count N] [--machine t3e|sp2|ideal] [--group-threshold M]
                   [--page-size N] [--memory-capacity N] [--max-k K]
                   [--eld-permille N] [--buckets B] [--filter-passes N]
                   [--counter hashtree|trie|vertical] [--backend sim|native]
@@ -49,7 +49,8 @@ USAGE:
                                          snapshot as schema-versioned JSON)
   armine model    --n N --m M --c C --s S --procs P [--g G] [--machine t3e|sp2]
   armine stats    --input FILE [--top N]
-  armine summary  --input FILE --min-support FRAC [--max-k K] [--kind maximal|closed]
+  armine summary  --input FILE --min-support FRAC [--min-count N]
+                  [--max-k K] [--kind maximal|closed]
   armine help
 
 ALGO: cd | npa | dd | dd-comm | idd | idd-1src | hd | hpa | pdm
@@ -73,10 +74,7 @@ pub(crate) fn dispatch(argv: &[String], out: Out) -> Result<(), Box<dyn std::err
         "model" => cmd_model(&Args::parse(rest)?, out),
         "stats" => cmd_stats(&Args::parse(rest)?, out),
         "summary" => cmd_summary(&Args::parse(rest)?, out),
-        "help" | "--help" | "-h" => {
-            write!(out, "{USAGE}")?;
-            Ok(())
-        }
+        "help" | "--help" | "-h" => Ok(write!(out, "{USAGE}")?),
         other => Err(ArgError(format!("unknown subcommand {other:?}")).into()),
     }
 }
@@ -566,6 +564,7 @@ mod tests {
     use super::*;
     use crate::args::argv;
     use armine_core::rules::generate_rules;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn run_ok(parts: &[&str]) -> String {
         let mut out = Vec::new();
@@ -645,6 +644,63 @@ mod tests {
     #[test]
     fn help_prints_usage() {
         assert!(run_ok(&["help"]).contains("USAGE"));
+    }
+
+    /// Each subcommand's `help` lines list exactly the flags it reads. A
+    /// subcommand asks `Args` for every key it knows, given or not, before
+    /// it touches a file, so each runs on its required flags alone and an
+    /// input that does not exist (`parallel` once per algorithm, whose
+    /// flags differ).
+    #[test]
+    fn help_lists_exactly_the_flags_each_subcommand_reads() {
+        type Command = fn(&Args, Out) -> Result<(), Box<dyn std::error::Error>>;
+        let nowhere = temp("no-such-dir/input.txt");
+        let file = ["--input", &nowhere];
+        let mut runs: Vec<(&str, Command, Vec<&str>)> = vec![
+            (
+                "gen",
+                cmd_gen,
+                vec!["--out", &nowhere, "--transactions", "1"],
+            ),
+            (
+                "mine",
+                cmd_mine,
+                [&file[..], &["--min-support", "0.5"]].concat(),
+            ),
+            ("stats", cmd_stats, file.to_vec()),
+            (
+                "summary",
+                cmd_summary,
+                [&file[..], &["--min-support", "0.5"]].concat(),
+            ),
+            (
+                "model",
+                cmd_model,
+                vec![
+                    "--n", "1", "--m", "1", "--c", "1", "--s", "1", "--procs", "1",
+                ],
+            ),
+        ];
+        for (name, _) in ALGORITHMS {
+            let flags = ["--algorithm", name, "--procs", "1", "--min-support", "0.5"];
+            runs.push(("parallel", cmd_parallel, [&file[..], &flags].concat()));
+        }
+        let mut read: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+        for (name, command, flags) in runs {
+            let args = Args::parse(&argv(&flags)).unwrap();
+            let _ = command(&args, &mut std::io::sink());
+            read.entry(name).or_default().extend(args.consumed.take());
+        }
+        for (name, read) in read {
+            let head = format!("  armine {name} ");
+            let mut lines = USAGE.lines().skip_while(|line| !line.starts_with(&head));
+            let first = lines.next().into_iter();
+            let block = first.chain(lines.take_while(|line| line.starts_with("    ")));
+            let words = block.flat_map(str::split_whitespace);
+            let flags = words.filter_map(|word| word.trim_start_matches('[').strip_prefix("--"));
+            let listed: BTreeSet<String> = flags.map(|f| f.trim_end_matches(']').into()).collect();
+            assert_eq!(read, listed, "armine {name}: read, and listed by help");
+        }
     }
 
     #[test]

@@ -475,19 +475,21 @@ impl<F: FnMut(usize) -> bool> Walk<'_, F> {
     }
 
     /// Expands every entry queued at depth `d` (`1..k`), then the level
-    /// below. Only a two-level filter tests second items.
+    /// below. Only a two-level filter tests second items, and only
+    /// [`chunked`](Self::chunked) tests them: at depth 1 under such a
+    /// filter, every entry goes through it.
     fn level(&mut self, d: usize) {
         let queued = std::mem::take(&mut self.queued[d]);
         // An entry at depth `d` needs `k − d` more items, its own included.
         let last = self.titems.len() - (self.k - d);
+        let second = d == 1 && self.filter.prunes_second();
         let mut i = 0;
         loop {
             // At depth `k − 1` every child is a leaf.
-            i = match (d == 1 && self.filter.prunes_second(), d + 1 == self.k) {
-                (false, false) => self.fitting::<false, false>(d, i..queued, last),
-                (false, true) => self.fitting::<false, true>(d, i..queued, last),
-                (true, false) => self.fitting::<true, false>(d, i..queued, last),
-                (true, true) => self.fitting::<true, true>(d, i..queued, last),
+            i = match (second, d + 1 == self.k) {
+                (true, _) => i,
+                (false, false) => self.fitting::<false>(d, i..queued, last),
+                (false, true) => self.fitting::<true>(d, i..queued, last),
             };
             if i == queued {
                 break;
@@ -504,17 +506,15 @@ impl<F: FnMut(usize) -> bool> Walk<'_, F> {
     /// Expands entries `entries` of level `d` over their items up to
     /// `last`, for as long as the next level and the arrival list have
     /// room for all of an entry's items, and returns the first entry that
-    /// did not fit (or the end). With `SECOND`, each item is tested as
-    /// the second item of a path whose first is the one before the
-    /// entry's start; with `LEAVES`, every child is a leaf.
+    /// did not fit (or the end). With `LEAVES`, every child is a leaf.
     #[inline(always)]
-    fn fitting<const SECOND: bool, const LEAVES: bool>(
+    fn fitting<const LEAVES: bool>(
         &mut self,
         d: usize,
         entries: std::ops::Range<usize>,
         last: usize,
     ) -> usize {
-        let (titems, buckets, filter) = (self.titems, self.buckets, self.filter);
+        let (titems, buckets) = (self.titems, self.buckets);
         let (here, below) = self.frontier.split_at_mut(d * CHUNK);
         let mut lists = Lists {
             next: if LEAVES { &mut [] } else { &mut below[..CHUNK] },
@@ -533,13 +533,7 @@ impl<F: FnMut(usize) -> bool> Walk<'_, F> {
             }
             let slots = node_slots(self.slots, self.branching, node);
             let (items, buckets) = (&titems[start..=last], &buckets[start..=last]);
-            steps += if SECOND {
-                let first = titems[start - 1];
-                let allows = |second| filter.allows_second(first, second);
-                lists.expand::<LEAVES>(slots, start, items, buckets, allows)
-            } else {
-                lists.expand::<LEAVES>(slots, start, items, buckets, |_| true)
-            };
+            steps += lists.expand::<LEAVES>(slots, start, items, buckets, |_| true);
         }
         self.traversal_steps += steps;
         self.queued[d + 1] = lists.queued;

@@ -387,7 +387,6 @@ impl std::fmt::Debug for HashTree {
 mod tests {
     use super::*;
     use crate::bitmap::ItemBitmap;
-    use crate::counter::CounterBackend;
     use crate::item::Item;
     use crate::transaction::k_subsets;
 
@@ -400,33 +399,13 @@ mod tests {
     }
 
     /// The worked example of Figures 2 and 3: branching 3, the fifteen
-    /// 3-candidates of the paper, transaction {1 2 3 5 6}.
+    /// 3-candidates of the paper.
     fn paper_tree() -> HashTree {
-        let cands = [
-            [1, 2, 4],
-            [1, 2, 5],
-            [1, 3, 6],
-            [1, 4, 5],
-            [1, 5, 9],
-            [2, 3, 4],
-            [3, 4, 5],
-            [3, 5, 6],
-            [3, 5, 7],
-            [3, 6, 7],
-            [3, 6, 8],
-            [4, 5, 7],
-            [4, 5, 8],
-            [5, 6, 7],
-            [6, 8, 9],
-        ];
-        HashTree::build(
-            3,
-            HashTreeParams {
-                branching: 3,
-                max_leaf: 3,
-            },
-            cands.iter().map(|c| set(c)).collect(),
-        )
+        let params = HashTreeParams {
+            branching: 3,
+            max_leaf: 3,
+        };
+        HashTree::build(3, params, crate::counter::tests::paper_candidates())
     }
 
     /// Brute-force reference: count subset containment directly.
@@ -437,150 +416,20 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn paper_example_counts_candidates_in_transaction() {
-        let mut tree = paper_tree();
-        tree.subset(&tx(&[1, 2, 3, 5, 6]), &OwnershipFilter::all());
-        // Candidates contained in {1 2 3 5 6}: {1 2 5}, {1 3 6}, {3 5 6}.
-        assert_eq!(tree.count_of(&set(&[1, 2, 5])), Some(1));
-        assert_eq!(tree.count_of(&set(&[1, 3, 6])), Some(1));
-        assert_eq!(tree.count_of(&set(&[3, 5, 6])), Some(1));
-        let total: u64 = tree.count_vector().iter().sum();
-        assert_eq!(total, 3, "exactly three candidates are subsets");
-    }
-
-    #[test]
-    fn matches_brute_force_on_random_data() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(42);
-        for trial in 0..20 {
-            let k = 2 + trial % 3;
-            let num_items = 30u32;
-            let mut cands: Vec<ItemSet> = (0..80)
-                .map(|_| {
-                    let mut ids: Vec<u32> = (0..num_items).collect();
-                    ids.shuffle(&mut rng);
-                    set(&ids[..k])
-                })
-                .collect();
-            cands.sort();
-            cands.dedup();
-            let transactions: Vec<Transaction> = (0..60)
-                .map(|tid| {
-                    let len = rng.gen_range(0..=12);
-                    let mut ids: Vec<u32> = (0..num_items).collect();
-                    ids.shuffle(&mut rng);
-                    Transaction::new(tid, ids[..len].iter().map(|&i| Item(i)).collect())
-                })
-                .collect();
-            let mut tree = HashTree::build(
-                k,
-                HashTreeParams {
-                    branching: 3,
-                    max_leaf: 2,
-                },
-                cands.clone(),
-            );
-            tree.count_all(&transactions, &OwnershipFilter::all());
-            let expected = brute_counts(&cands, &transactions);
-            for (c, want) in cands.iter().zip(&expected) {
-                assert_eq!(
-                    tree.count_of(c),
-                    Some(*want),
-                    "k={k} candidate {c} miscounted"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn leaf_split_keeps_counts_correct() {
-        // Force deep splitting with max_leaf=1.
-        let cands: Vec<ItemSet> = (0..9)
-            .flat_map(|a| (a + 1..10).map(move |b| set(&[a, b])))
-            .collect();
-        let mut tree = HashTree::build(
-            2,
-            HashTreeParams {
-                branching: 2,
-                max_leaf: 1,
-            },
-            cands.clone(),
-        );
-        assert_eq!(tree.num_candidates(), 45);
-        let t = tx(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        tree.subset(&t, &OwnershipFilter::all());
-        for c in &cands {
-            assert_eq!(tree.count_of(c), Some(1));
-        }
-    }
-
-    #[test]
-    fn distinct_leaf_visits_are_counted_once_per_transaction() {
-        let mut tree = paper_tree();
-        tree.subset(&tx(&[1, 2, 3, 5, 6]), &OwnershipFilter::all());
-        let stats = tree.stats();
-        assert_eq!(stats.transactions, 1);
-        assert!(stats.distinct_leaf_visits >= 1);
-        assert!(
-            stats.distinct_leaf_visits <= tree.num_leaves() as u64,
-            "cannot visit more distinct leaves than exist"
-        );
-        // A second identical transaction doubles the visit count exactly:
-        // the visit bits reset between transactions.
-        let first = stats.distinct_leaf_visits;
-        tree.subset(&tx(&[1, 2, 3, 5, 6]), &OwnershipFilter::all());
-        assert_eq!(tree.stats().distinct_leaf_visits, 2 * first);
-    }
-
-    #[test]
-    fn bitmap_filter_skips_non_owned_roots() {
-        // Figure 8: processor owns candidates starting with 1, 3, 5 only.
-        let mut owned = paper_tree();
-        let bitmap = ItemBitmap::from_items(10, [Item(1), Item(3), Item(5)]);
-        let filter = OwnershipFilter::first_item(bitmap);
-        let t = tx(&[1, 2, 3, 5, 6]);
-        owned.subset(&t, &filter);
-        // Counting is still correct for owned candidates...
-        assert_eq!(owned.count_of(&set(&[1, 2, 5])), Some(1));
-        assert_eq!(owned.count_of(&set(&[3, 5, 6])), Some(1));
-        // ...and the filtered run does strictly less root work than the
-        // unfiltered one.
-        let filtered_starts = owned.stats().root_starts;
-        let mut unfiltered = paper_tree();
-        unfiltered.subset(&t, &OwnershipFilter::all());
-        assert!(filtered_starts < unfiltered.stats().root_starts);
-    }
-
-    #[test]
-    fn count_vector_roundtrip() {
-        let mut tree = paper_tree();
-        tree.subset(&tx(&[1, 2, 3, 5, 6]), &OwnershipFilter::all());
-        let v = tree.count_vector();
-        assert_eq!(v.len(), 15);
-        let doubled: Vec<u64> = v.iter().map(|c| c * 2).collect();
-        tree.set_count_vector(&doubled);
-        assert_eq!(tree.count_of(&set(&[1, 2, 5])), Some(2));
-    }
-
-    #[test]
-    fn frequent_filters_by_min_count() {
-        let mut tree = paper_tree();
-        for _ in 0..3 {
-            tree.subset(&tx(&[1, 2, 3, 5, 6]), &OwnershipFilter::all());
-        }
-        tree.subset(&tx(&[1, 2, 5]), &OwnershipFilter::all());
-        let f = tree.frequent(4);
-        assert_eq!(f, vec![(set(&[1, 2, 5]), 4)]);
-        let f3 = tree.frequent(3);
-        assert_eq!(f3.len(), 3);
-    }
-
-    #[test]
-    fn short_transaction_counts_nothing() {
-        let mut tree = paper_tree();
-        tree.subset(&tx(&[1, 2]), &OwnershipFilter::all());
-        assert!(tree.count_vector().iter().all(|&c| c == 0));
+    crate::counter::tests::run_on! { HashTree:
+        paper_example_counts_candidates_in_transaction => paper_example,
+        matches_brute_force_on_random_data => brute_force,
+        k1_tree_works => brute_force,
+        leaf_split_keeps_counts_correct => brute_force,
+        count_vector_roundtrip => bookkeeping,
+        frequent_filters_by_min_count => bookkeeping,
+        #[should_panic(expected = "wrong size")]
+        build_rejects_wrong_arity => wrong_size,
+        bitmap_filter_skips_non_owned_roots => filters_prune,
+        distinct_leaf_visits_are_counted_once_per_transaction => ledger_accrues_and_resets,
+        short_transaction_counts_nothing => empty_and_short,
+        largest_legal_item_id_is_a_countable_candidate_item => largest_item_id,
+        a_page_counts_alike_whole_and_split_at_seeded_points => page_split,
     }
 
     #[test]
@@ -598,28 +447,6 @@ mod tests {
         assert_eq!(tree.stats().transactions, 0);
         assert_eq!(tree.num_leaves(), 1, "empty root leaf");
         assert_eq!(tree.avg_leaf_occupancy(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong size")]
-    fn build_rejects_wrong_arity() {
-        HashTree::build(3, HashTreeParams::default(), vec![set(&[1, 2])]);
-    }
-
-    #[test]
-    fn k1_tree_works() {
-        let mut tree = HashTree::build(
-            1,
-            HashTreeParams {
-                branching: 2,
-                max_leaf: 1,
-            },
-            vec![set(&[0]), set(&[1]), set(&[2]), set(&[3])],
-        );
-        tree.subset(&tx(&[1, 3]), &OwnershipFilter::all());
-        assert_eq!(tree.count_of(&set(&[1])), Some(1));
-        assert_eq!(tree.count_of(&set(&[0])), Some(0));
-        assert_eq!(tree.count_of(&set(&[3])), Some(1));
     }
 
     /// 400 seeded transactions over 48 items: two of six 7-item patterns
@@ -785,28 +612,6 @@ mod tests {
         assert!(high_stats.candidate_checks > low_stats.candidate_checks);
     }
 
-    #[test]
-    fn largest_legal_item_id_is_a_countable_candidate_item() {
-        let top = Item::MAX_ID;
-        let cands = vec![set(&[3, 4]), set(&[3, top]), set(&[top - 1, top])];
-        let txs = [
-            tx(&[3, top]),
-            tx(&[3, 4, top - 1, top]),
-            tx(&[top]),
-            tx(&[]),
-        ];
-        let params = HashTreeParams {
-            branching: 8,
-            max_leaf: 1,
-        };
-        let mut tree = HashTree::build(2, params, cands.clone());
-        tree.count_all(&txs, &OwnershipFilter::all());
-        assert_eq!(tree.count_vector(), brute_counts(&cands, &txs));
-        assert_eq!(tree.count_vector(), [1, 2, 1]);
-        assert_eq!(tree.stats().transactions, 4);
-        assert_eq!(tree.stats().root_starts, 1 + 3, "short ones never start");
-    }
-
     /// Whether every mask and visit bit is zero, as between any two calls.
     fn is_clean(tree: &HashTree) -> bool {
         let zero = |bits: &Bits| *bits == Bits::default();
@@ -874,62 +679,6 @@ mod tests {
         let doubled: Vec<u64> = once.count_vector().iter().map(|c| 2 * c).collect();
         assert_eq!(twice.count_vector(), doubled);
         assert!(doubled.iter().any(|&c| c > 0));
-    }
-
-    /// Counting a page in one call counts and charges what counting it
-    /// split at seeded points does: the counts and all seven ledger
-    /// fields, for the pass-2 shape over the pair table and the full tree
-    /// at k = 3 and 4, under every filter, over a page that spans two
-    /// batches.
-    #[test]
-    fn a_page_counts_alike_whole_and_split_at_seeded_points() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(256);
-        let slab = ledger_transactions();
-        let odd_first = ItemBitmap::from_items(48, (1..48).step_by(2).map(Item));
-        let split_pairs = (0..48)
-            .step_by(4)
-            .flat_map(|a| (a + 1..48).step_by(2).map(move |b| (Item(a), Item(b))))
-            .collect();
-        let filters = [
-            ("all", OwnershipFilter::all()),
-            ("first-item", OwnershipFilter::first_item(odd_first.clone())),
-            (
-                "two-level",
-                OwnershipFilter::two_level(odd_first, split_pairs),
-            ),
-        ];
-        for k in [2, 3, 4] {
-            let mut cands: Vec<ItemSet> = slab[..4].iter().flat_map(|t| k_subsets(t, k)).collect();
-            cands.sort();
-            cands.dedup();
-            for (name, filter) in &filters {
-                let owned: Vec<ItemSet> = cands
-                    .iter()
-                    .filter(|c| filter.owns(c.items()))
-                    .cloned()
-                    .collect();
-                let params = HashTreeParams::default();
-                let build = || CounterBackend::HashTree.build(k, params, &owned);
-                let mut whole = build();
-                whole.count_all(&slab, filter);
-                assert!(whole.count_vector().iter().any(|&c| c > 0), "k={k}, {name}");
-                for trial in 0..8 {
-                    let mut cuts: Vec<usize> = (0..rng.gen_range(1..6))
-                        .map(|_| rng.gen_range(0..=slab.len()))
-                        .chain([0, slab.len()])
-                        .collect();
-                    cuts.sort_unstable();
-                    let mut split = build();
-                    for piece in cuts.windows(2) {
-                        split.count_all(&slab[piece[0]..piece[1]], filter);
-                    }
-                    let on = format!("k={k}, {name}, cuts {cuts:?} (trial {trial})");
-                    assert_eq!(split.count_vector(), whole.count_vector(), "{on}");
-                    assert_eq!(split.stats(), whole.stats(), "{on}");
-                }
-            }
-        }
     }
 
     /// One batch that mixes transactions shorter than `k` (which walk

@@ -470,6 +470,13 @@ mod tests {
         PairCounter::from_rows(&CandidateTable::new(2, candidates).items)
     }
 
+    // The pair table is the trie's pass 2 (and the vertical counter's).
+    crate::counter::tests::run_on! { Trie:
+        #[should_panic(expected = "wrong size")]
+        arity_checked => wrong_size,
+        empty_counter_counts_no_transactions => empty_and_short,
+    }
+
     #[test]
     fn rows_are_spans_not_triangle_rows() {
         // Ranks: 1→0, 2→1, 5→2, 6→3, 7→4. Row 0 covers ranks 2..=4 only,
@@ -532,19 +539,5 @@ mod tests {
             .collect();
         assert_eq!(wide.len(), 200);
         assert!(build(wide).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong size")]
-    fn arity_checked() {
-        let _ = build(vec![set(&[1, 2, 3])]);
-    }
-
-    #[test]
-    fn empty_counter_counts_no_transactions() {
-        let mut pc = build(Vec::new()).unwrap();
-        pc.count_all(&[tx(0, &[1, 2, 3])], &OwnershipFilter::all());
-        assert_eq!(pc.stats().transactions, 0);
-        assert!(pc.is_empty());
     }
 }

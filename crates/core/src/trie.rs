@@ -255,11 +255,8 @@ impl Walker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitmap::ItemBitmap;
-    use crate::hashtree::{HashTree, HashTreeParams};
+    use crate::counter::tests::{candidates, filters, slab};
     use crate::itemset::ItemSet;
-    use rand::prelude::*;
-    use std::collections::HashSet;
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from(ids)
@@ -269,145 +266,22 @@ mod tests {
         CandidateTrie::from_table(CandidateTable::new(k, candidates))
     }
 
-    fn tx(tid: u64, ids: &[u32]) -> Transaction {
-        Transaction::new(tid, ids.iter().map(|&i| Item(i)).collect())
-    }
-
-    const ALL: fn() -> OwnershipFilter = OwnershipFilter::all;
-
-    #[test]
-    fn counts_paper_example() {
-        let cands = vec![
-            set(&[1, 2, 5]),
-            set(&[1, 3, 6]),
-            set(&[1, 4, 5]),
-            set(&[3, 5, 6]),
-        ];
-        let mut trie = build(3, cands);
-        trie.count(&tx(0, &[1, 2, 3, 5, 6]), &ALL());
-        assert_eq!(trie.count_of(&set(&[1, 2, 5])), Some(1));
-        assert_eq!(trie.count_of(&set(&[1, 3, 6])), Some(1));
-        assert_eq!(trie.count_of(&set(&[3, 5, 6])), Some(1));
-        assert_eq!(trie.count_of(&set(&[1, 4, 5])), Some(0));
-        assert_eq!(trie.count_of(&set(&[9, 9, 9])), None);
-    }
-
-    #[test]
-    fn equivalent_to_hash_tree_on_random_data() {
-        let mut rng = StdRng::seed_from_u64(23);
-        for trial in 0..10 {
-            let k = 2 + trial % 3;
-            let mut cands: Vec<ItemSet> = (0..120)
-                .map(|_| {
-                    let mut ids: Vec<u32> = (0..25).collect();
-                    ids.shuffle(&mut rng);
-                    set(&ids[..k])
-                })
-                .collect();
-            cands.sort();
-            cands.dedup();
-            let txs: Vec<Transaction> = (0..80)
-                .map(|tid| {
-                    let len = rng.gen_range(0..=12);
-                    let mut ids: Vec<u32> = (0..25).collect();
-                    ids.shuffle(&mut rng);
-                    tx(tid, &ids[..len])
-                })
-                .collect();
-            let mut trie = build(k, cands.clone());
-            trie.count_all(&txs, &ALL());
-            let mut tree = HashTree::build(k, HashTreeParams::default(), cands.clone());
-            tree.count_all(&txs, &ALL());
-            for c in &cands {
-                assert_eq!(trie.count_of(c), tree.count_of(c), "candidate {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn first_item_filter_prunes_roots() {
-        let cands = vec![set(&[1, 2]), set(&[3, 4]), set(&[5, 6])];
-        let mut trie = build(2, cands);
-        // Own only first item 3: candidates starting at 1 or 5 must not
-        // be counted even though the transaction contains them.
-        let filter = OwnershipFilter::first_item(ItemBitmap::from_items(10, [Item(3)]));
-        trie.count(&tx(0, &[1, 2, 3, 4, 5, 6]), &filter);
-        assert_eq!(trie.count_of(&set(&[1, 2])), Some(0));
-        assert_eq!(trie.count_of(&set(&[3, 4])), Some(1));
-        assert_eq!(trie.count_of(&set(&[5, 6])), Some(0));
-        // Exactly one root start survived the bitmap.
-        assert_eq!(trie.stats().root_starts, 1);
-    }
-
-    #[test]
-    fn two_level_filter_prunes_second_items() {
-        let cands = vec![set(&[1, 2, 3]), set(&[4, 5, 8]), set(&[4, 6, 8])];
-        let mut trie = build(3, cands);
-        // Item 1 owned outright; item 4 split, owning only the (4, 5) pair.
-        let owned_first = ItemBitmap::from_items(10, [Item(1)]);
-        let pairs: HashSet<(Item, Item)> = [(Item(4), Item(5))].into_iter().collect();
-        let filter = OwnershipFilter::two_level(owned_first, pairs);
-        trie.count(&tx(0, &[1, 2, 3, 4, 5, 6, 8]), &filter);
-        assert_eq!(trie.count_of(&set(&[1, 2, 3])), Some(1));
-        assert_eq!(trie.count_of(&set(&[4, 5, 8])), Some(1));
-        assert_eq!(trie.count_of(&set(&[4, 6, 8])), Some(0));
-    }
-
-    #[test]
-    fn stats_ledger_accrues_and_resets() {
-        let mut trie = build(2, vec![set(&[1, 2]), set(&[1, 3])]);
-        assert_eq!(trie.stats().inserts, 2);
-        trie.count(&tx(0, &[1, 2, 3]), &ALL());
-        trie.count(&tx(1, &[9]), &ALL()); // short: counted as a transaction only
-        let s = trie.stats();
-        assert_eq!(s.transactions, 2);
-        assert_eq!(s.root_starts, 1); // single descent from the root via item 1
-        assert_eq!(s.distinct_leaf_visits, 2); // {1,2} and {1,3} both reached
-        assert_eq!(s.candidate_checks, 2);
-        assert!(s.traversal_steps >= 3); // 1→2, 1→3 plus the root descent
-        trie.reset_stats();
-        assert_eq!(trie.stats(), CounterStats::default());
-        // Counts survive a stats reset.
-        assert_eq!(trie.count_of(&set(&[1, 2])), Some(1));
-    }
-
-    #[test]
-    fn empty_trie_counts_no_transactions() {
-        let mut trie = build(2, Vec::new());
-        trie.count(&tx(0, &[1, 2, 3]), &ALL());
-        assert_eq!(trie.stats().transactions, 0);
-    }
-
-    #[test]
-    fn count_vector_round_trips() {
-        let mut trie = build(2, vec![set(&[1, 2]), set(&[2, 3])]);
-        trie.count_all(&[tx(0, &[1, 2]), tx(1, &[1, 2, 3])], &ALL());
-        assert_eq!(trie.count_vector(), vec![2, 1]);
-        trie.set_count_vector(&[7, 9]);
-        assert_eq!(trie.count_of(&set(&[1, 2])), Some(7));
-        assert_eq!(trie.count_of(&set(&[2, 3])), Some(9));
-    }
-
-    #[test]
-    #[should_panic(expected = "count vector length mismatch")]
-    fn count_vector_arity_checked() {
-        let mut trie = build(2, vec![set(&[1, 2])]);
-        trie.set_count_vector(&[1, 2]);
-    }
-
-    #[test]
-    fn frequent_filters() {
-        let mut trie = build(1, vec![set(&[3]), set(&[7])]);
-        trie.count_all(&[tx(0, &[3]), tx(1, &[3, 7]), tx(2, &[3])], &ALL());
-        assert_eq!(trie.frequent(3), vec![(set(&[3]), 3)]);
-        assert_eq!(trie.frequent(1).len(), 2);
-    }
-
-    #[test]
-    fn short_transactions_skipped() {
-        let mut trie = build(3, vec![set(&[1, 2, 3])]);
-        trie.count(&tx(0, &[1, 2]), &ALL());
-        assert_eq!(trie.count_of(&set(&[1, 2, 3])), Some(0));
+    crate::counter::tests::run_on! { Trie:
+        counts_paper_example => paper_example,
+        equivalent_to_hash_tree_on_random_data => brute_force,
+        frequent_filters => bookkeeping,
+        count_vector_round_trips => bookkeeping,
+        #[should_panic(expected = "count vector length mismatch")]
+        count_vector_arity_checked => wrong_length,
+        #[should_panic(expected = "wrong size")]
+        arity_checked => wrong_size,
+        first_item_filter_prunes_roots => filters_prune,
+        two_level_filter_prunes_second_items => filters_prune,
+        stats_ledger_accrues_and_resets => ledger_accrues_and_resets,
+        empty_trie_counts_no_transactions => empty_and_short,
+        short_transactions_skipped => empty_and_short,
+        largest_legal_item_id_is_a_countable_candidate_item => largest_item_id,
+        a_page_split_anywhere_counts_and_charges_what_it_does_whole => page_split,
     }
 
     #[test]
@@ -418,74 +292,18 @@ mod tests {
         assert_eq!(trie.num_nodes(), 5);
     }
 
-    /// A candidate item at [`Item::MAX_ID`] is indexed, found and counted,
-    /// and its index writes only the pages of the ids it holds.
-    #[test]
-    fn largest_legal_item_id_is_a_countable_candidate_item() {
-        let top = Item::MAX_ID;
-        let cands = vec![
-            set(&[3, 4, 5]),
-            set(&[3, 4, top]),
-            set(&[top - 2, top - 1, top]),
-        ];
-        let txs = [
-            tx(0, &[3, 4, top]),
-            tx(1, &[3, 4, 5, top - 2, top - 1, top]),
-            tx(2, &[top - 1, top]),
-            tx(3, &[]),
-        ];
-        let mut trie = crate::item::touching_few_pages(|| build(3, cands));
-        trie.count_all(&txs, &ALL());
-        assert_eq!(trie.count_vector(), [1, 2, 1]);
-        assert_eq!(trie.stats().transactions, 4);
-        assert_eq!(trie.stats().root_starts, 1 + 2, "short ones never start");
-    }
-
-    /// The three filters of the ledger tests: none, first items `0..12`
-    /// owned, and those plus first item 12 split by second item.
-    fn filters() -> Vec<OwnershipFilter> {
-        let owned = ItemBitmap::from_items(30, (0..12).map(Item));
-        let pairs: HashSet<(Item, Item)> =
-            (13..30).step_by(2).map(|s| (Item(12), Item(s))).collect();
-        vec![
-            ALL(),
-            OwnershipFilter::first_item(owned.clone()),
-            OwnershipFilter::two_level(owned, pairs),
-        ]
-    }
-
-    /// Seeded candidates of size `k` over items `0..30` and transactions
-    /// of up to 14 items.
-    fn seeded(seed: u64, k: usize) -> (Vec<ItemSet>, Vec<Transaction>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut ids: Vec<u32> = (0..30).collect();
-        let mut cands: Vec<ItemSet> = (0..150)
-            .map(|_| {
-                ids.shuffle(&mut rng);
-                set(&ids[..k])
-            })
-            .collect();
-        cands.sort();
-        cands.dedup();
-        let txs = (0..200)
-            .map(|tid| {
-                ids.shuffle(&mut rng);
-                tx(tid, &ids[..rng.gen_range(0..=14)])
-            })
-            .collect();
-        (cands, txs)
-    }
-
     /// The ledger is the paper's walk, counted one reachable prefix at a
     /// time: a distinct `d`-item candidate prefix the filter admits, all
     /// of whose items the transaction holds, with its last item at a
     /// position `q` where `q + (k − d) < |t|`, is one traversal step (and,
-    /// at `d = 1`, one root start, at `d = k` one leaf visit and check).
+    /// at `d = 1`, one root start, at `d = k` one leaf visit and check),
+    /// on the counting contract's seeded data.
     #[test]
     fn ledger_counts_each_reachable_prefix_once() {
-        for (seed, filter) in (0..).zip(filters()) {
+        let txs = slab();
+        for (name, filter) in filters() {
             for k in 1..=4 {
-                let (cands, txs) = seeded(40 + seed, k);
+                let cands = candidates(k, &txs);
                 let mut trie = build(k, cands.clone());
                 trie.count_all(&txs, &filter);
                 let mut prefixes: Vec<&[Item]> = (1..=k)
@@ -513,41 +331,8 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(trie.stats(), want, "k={k}, filter {seed}");
+                assert_eq!(trie.stats(), want, "k={k}, {name}");
             }
         }
-    }
-
-    /// A page counted whole counts and charges what the same page split at
-    /// seeded points does, under every filter.
-    #[test]
-    fn a_page_split_anywhere_counts_and_charges_what_it_does_whole() {
-        let mut rng = StdRng::seed_from_u64(61);
-        for (seed, filter) in (0..).zip(filters()) {
-            for k in 2..=4 {
-                let (cands, txs) = seeded(50 + seed, k);
-                let mut whole = build(k, cands.clone());
-                whole.count_all(&txs, &filter);
-                let mut split = build(k, cands);
-                let mut cuts: Vec<usize> = (0..5).map(|_| rng.gen_range(0..=txs.len())).collect();
-                cuts.extend([0, txs.len()]);
-                cuts.sort_unstable();
-                for cut in cuts.windows(2) {
-                    split.count_all(&txs[cut[0]..cut[1]], &filter);
-                }
-                assert_eq!(
-                    split.count_vector(),
-                    whole.count_vector(),
-                    "k={k}, {cuts:?}"
-                );
-                assert_eq!(split.stats(), whole.stats(), "k={k}, {cuts:?}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong size")]
-    fn arity_checked() {
-        build(3, vec![set(&[1, 2])]);
     }
 }

@@ -388,8 +388,6 @@ fn intersect_sorted(a: &[u32], b: &[u32], mut hit: impl FnMut(u32)) {
 mod tests {
     use super::*;
     use crate::bitmap::ItemBitmap;
-    use crate::counter::CounterStats;
-    use crate::hashtree::{HashTree, HashTreeParams};
     use crate::itemset::ItemSet;
     use rand::prelude::*;
     use std::collections::HashSet;
@@ -423,108 +421,32 @@ mod tests {
 
     const ALL: fn() -> OwnershipFilter = OwnershipFilter::all;
 
-    #[test]
-    fn counts_paper_example() {
-        let cands = vec![
-            set(&[1, 2, 5]),
-            set(&[1, 3, 6]),
-            set(&[1, 4, 5]),
-            set(&[3, 5, 6]),
-        ];
-        let mut vc = build(3, cands);
-        vc.count_all(&[tx(0, &[1, 2, 3, 5, 6])], &ALL());
-        assert_eq!(vc.count_of(&set(&[1, 2, 5])), Some(1));
-        assert_eq!(vc.count_of(&set(&[1, 3, 6])), Some(1));
-        assert_eq!(vc.count_of(&set(&[3, 5, 6])), Some(1));
-        assert_eq!(vc.count_of(&set(&[1, 4, 5])), Some(0));
-        assert_eq!(vc.count_of(&set(&[9, 9, 9])), None);
+    crate::counter::tests::run_on! { Vertical:
+        counts_paper_example => paper_example,
+        equivalent_to_hash_tree_on_random_data => brute_force,
+        singleton_candidates_count_supports => brute_force,
+        count_vector_round_trips => bookkeeping,
+        #[should_panic(expected = "count vector length mismatch")]
+        count_vector_arity_checked => wrong_length,
+        #[should_panic(expected = "wrong size")]
+        arity_checked => wrong_size,
+        first_item_filter_prunes_candidates => filters_prune,
+        two_level_filter_prunes_second_items => filters_prune,
+        stats_ledger_accrues_and_resets => ledger_accrues_and_resets,
+        empty_counter_counts_no_transactions => empty_and_short,
+        largest_legal_item_id_is_a_countable_candidate_item => largest_item_id,
+        a_page_split_anywhere_counts_what_it_does_whole => page_split,
+        batched_counting_accumulates => page_split,
     }
 
+    /// The vertical counter's own ledger: a traversal step per item of
+    /// each transaction it pivots, and a root start, a leaf visit and a
+    /// check per candidate it admits; an intersection is charged the words
+    /// of a bitmap, or the shorter list's elements. An item's tids are a
+    /// bitmap once it is no larger than their list.
     #[test]
-    fn equivalent_to_hash_tree_on_random_data() {
-        let mut rng = StdRng::seed_from_u64(29);
-        for trial in 0..10 {
-            let k = 1 + trial % 4;
-            let mut cands: Vec<ItemSet> = (0..120)
-                .map(|_| {
-                    let mut ids: Vec<u32> = (0..25).collect();
-                    ids.shuffle(&mut rng);
-                    set(&ids[..k])
-                })
-                .collect();
-            cands.sort();
-            cands.dedup();
-            let txs: Vec<Transaction> = (0..80)
-                .map(|tid| {
-                    let len = rng.gen_range(0..=12);
-                    let mut ids: Vec<u32> = (0..25).collect();
-                    ids.shuffle(&mut rng);
-                    tx(tid, &ids[..len])
-                })
-                .collect();
-            let mut vc = build(k, cands.clone());
-            vc.count_all(&txs, &ALL());
-            let mut tree = HashTree::build(k, HashTreeParams::default(), cands.clone());
-            tree.count_all(&txs, &ALL());
-            for c in &cands {
-                assert_eq!(vc.count_of(c), tree.count_of(c), "candidate {c}");
-            }
-        }
-    }
-
-    /// Splitting one batch into many must not change any count — the
-    /// pivot is per batch but the counts accumulate.
-    #[test]
-    fn batched_counting_accumulates() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let cands: Vec<ItemSet> = vec![set(&[0, 1]), set(&[0, 2]), set(&[1, 2]), set(&[3, 4])];
-        let txs: Vec<Transaction> = (0..50)
-            .map(|tid| {
-                let len = rng.gen_range(0..=5);
-                let mut ids: Vec<u32> = (0..6).collect();
-                ids.shuffle(&mut rng);
-                tx(tid, &ids[..len])
-            })
-            .collect();
-        let mut whole = build(2, cands.clone());
-        whole.count_all(&txs, &ALL());
-        let mut paged = build(2, cands);
-        for chunk in txs.chunks(7) {
-            paged.count_all(chunk, &ALL());
-        }
-        assert_eq!(whole.count_vector(), paged.count_vector());
-    }
-
-    #[test]
-    fn first_item_filter_prunes_candidates() {
-        let cands = vec![set(&[1, 2]), set(&[3, 4]), set(&[5, 6])];
-        let mut vc = build(2, cands);
-        let filter = OwnershipFilter::first_item(ItemBitmap::from_items(10, [Item(3)]));
-        vc.count_all(&[tx(0, &[1, 2, 3, 4, 5, 6])], &filter);
-        assert_eq!(vc.count_of(&set(&[1, 2])), Some(0));
-        assert_eq!(vc.count_of(&set(&[3, 4])), Some(1));
-        assert_eq!(vc.count_of(&set(&[5, 6])), Some(0));
-        // Exactly one candidate was admitted past the bitmap.
-        assert_eq!(vc.stats().root_starts, 1);
-    }
-
-    #[test]
-    fn two_level_filter_prunes_second_items() {
-        let cands = vec![set(&[1, 2, 3]), set(&[4, 5, 8]), set(&[4, 6, 8])];
-        let mut vc = build(3, cands);
-        let owned_first = ItemBitmap::from_items(10, [Item(1)]);
-        let pairs: HashSet<(Item, Item)> = [(Item(4), Item(5))].into_iter().collect();
-        let filter = OwnershipFilter::two_level(owned_first, pairs);
-        vc.count_all(&[tx(0, &[1, 2, 3, 4, 5, 6, 8])], &filter);
-        assert_eq!(vc.count_of(&set(&[1, 2, 3])), Some(1));
-        assert_eq!(vc.count_of(&set(&[4, 5, 8])), Some(1));
-        assert_eq!(vc.count_of(&set(&[4, 6, 8])), Some(0));
-    }
-
-    #[test]
-    fn stats_ledger_accrues_and_resets() {
+    fn the_ledger_charges_a_probe_per_item_and_a_check_per_candidate() {
         let mut vc = build(2, vec![set(&[1, 2]), set(&[1, 3])]);
-        assert_eq!(vc.stats().inserts, 2);
         vc.count_all(&[tx(0, &[1, 2, 3]), tx(1, &[9])], &ALL());
         let s = vc.stats();
         assert_eq!(s.transactions, 2);
@@ -533,9 +455,23 @@ mod tests {
         assert_eq!(s.candidate_checks, 2);
         assert_eq!(s.traversal_steps, 4, "one probe per item occurrence");
         assert!(s.intersection_words > 0, "intersections were performed");
-        vc.reset_stats();
-        assert_eq!(vc.stats(), CounterStats::default());
-        assert_eq!(vc.count_of(&set(&[1, 2])), Some(1));
+
+        // Over 64 transactions, items 1 and 2 in two each: one bitmap word
+        // each (a list of two `u32`s is as large). Over 100, item 1 in
+        // three and item 2 in two: lists.
+        for (n, with_one, want) in [(64, 2, 1), (100, 3, 2)] {
+            let txs: Vec<Transaction> = (0..n)
+                .map(|tid| match tid {
+                    0 | 1 => tx(tid, &[1, 2]),
+                    tid if tid < with_one => tx(tid, &[1]),
+                    tid => tx(tid, &[]),
+                })
+                .collect();
+            let mut vc = build(2, vec![set(&[1, 2])]);
+            vc.count_all(&txs, &ALL());
+            assert_eq!(vc.count_vector(), [2], "{n} transactions");
+            assert_eq!(vc.stats().intersection_words, want, "{n} transactions");
+        }
     }
 
     /// Both tid-set representations and their mixed intersections agree
@@ -577,116 +513,6 @@ mod tests {
             let want = txs.iter().filter(|t| t.contains_set(c)).count() as u64;
             assert_eq!(vc.count_of(c), Some(want), "candidate {c}");
         }
-    }
-
-    #[test]
-    fn singleton_candidates_count_supports() {
-        let mut vc = build(1, vec![set(&[3]), set(&[7])]);
-        vc.count_all(&[tx(0, &[3]), tx(1, &[3, 7]), tx(2, &[3])], &ALL());
-        assert_eq!(vc.frequent(3), vec![(set(&[3]), 3)]);
-        assert_eq!(vc.frequent(1).len(), 2);
-    }
-
-    #[test]
-    fn count_vector_round_trips() {
-        let mut vc = build(2, vec![set(&[1, 2]), set(&[2, 3])]);
-        vc.count_all(&[tx(0, &[1, 2]), tx(1, &[1, 2, 3])], &ALL());
-        assert_eq!(vc.count_vector(), vec![2, 1]);
-        vc.set_count_vector(&[7, 9]);
-        assert_eq!(vc.count_of(&set(&[1, 2])), Some(7));
-        assert_eq!(vc.count_of(&set(&[2, 3])), Some(9));
-    }
-
-    #[test]
-    #[should_panic(expected = "count vector length mismatch")]
-    fn count_vector_arity_checked() {
-        let mut vc = build(2, vec![set(&[1, 2])]);
-        vc.set_count_vector(&[1, 2]);
-    }
-
-    #[test]
-    fn empty_counter_counts_no_transactions() {
-        let mut vc = build(2, Vec::new());
-        vc.count_all(&[tx(0, &[1, 2, 3])], &ALL());
-        assert_eq!(vc.stats().transactions, 0);
-    }
-
-    /// A candidate item at [`Item::MAX_ID`] is indexed, pivoted and
-    /// counted, and its index writes only the pages of the ids it holds.
-    #[test]
-    fn largest_legal_item_id_is_a_countable_candidate_item() {
-        let top = Item::MAX_ID;
-        let cands = vec![
-            set(&[3, 4, 5]),
-            set(&[3, 4, top]),
-            set(&[top - 2, top - 1, top]),
-        ];
-        let txs = [
-            tx(0, &[3, 4, top]),
-            tx(1, &[3, 4, 5, top - 2, top - 1, top]),
-            tx(2, &[top - 1, top]),
-            tx(3, &[]),
-        ];
-        let mut vc = crate::item::touching_few_pages(|| build(3, cands));
-        vc.count_all(&txs, &ALL());
-        assert_eq!(vc.count_vector(), [1, 2, 1]);
-        assert_eq!(vc.stats().transactions, 4);
-        assert_eq!(vc.stats().traversal_steps, 3 + 6 + 2, "one probe per item");
-    }
-
-    /// The vertical counter pivots per call by design, so what a split
-    /// keeps is the counts and the per-transaction ledger: a page counted
-    /// whole and split at seeded points counts alike and charges the same
-    /// transactions and traversal steps, under every filter.
-    #[test]
-    fn a_page_split_anywhere_counts_what_it_does_whole() {
-        let mut rng = StdRng::seed_from_u64(67);
-        let owned = ItemBitmap::from_items(30, (0..12).map(Item));
-        let pairs: HashSet<(Item, Item)> =
-            (13..30).step_by(2).map(|s| (Item(12), Item(s))).collect();
-        let filters = [
-            ALL(),
-            OwnershipFilter::first_item(owned.clone()),
-            OwnershipFilter::two_level(owned, pairs),
-        ];
-        let mut ids: Vec<u32> = (0..30).collect();
-        for filter in &filters {
-            for k in 2..=4 {
-                let mut cands: Vec<ItemSet> = (0..150)
-                    .map(|_| {
-                        ids.shuffle(&mut rng);
-                        set(&ids[..k])
-                    })
-                    .collect();
-                cands.sort();
-                cands.dedup();
-                let txs: Vec<Transaction> = (0..300)
-                    .map(|tid| {
-                        ids.shuffle(&mut rng);
-                        tx(tid, &ids[..rng.gen_range(0..=14)])
-                    })
-                    .collect();
-                let mut whole = build(k, cands.clone());
-                whole.count_all(&txs, filter);
-                let mut split = build(k, cands);
-                let mut cuts: Vec<usize> = (0..5).map(|_| rng.gen_range(0..=txs.len())).collect();
-                cuts.extend([0, txs.len()]);
-                cuts.sort_unstable();
-                for cut in cuts.windows(2) {
-                    split.count_all(&txs[cut[0]..cut[1]], filter);
-                }
-                let on = format!("k={k}, {cuts:?}");
-                assert_eq!(split.count_vector(), whole.count_vector(), "{on}");
-                let ledger = |s: CounterStats| (s.transactions, s.traversal_steps);
-                assert_eq!(ledger(split.stats()), ledger(whole.stats()), "{on}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong size")]
-    fn arity_checked() {
-        build(3, vec![set(&[1, 2])]);
     }
 
     /// The prefix stack must re-derive shared prefixes correctly even
