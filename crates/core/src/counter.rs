@@ -27,16 +27,13 @@
 //! The structures differ only in how a transaction *finds* a candidate.
 //! What a candidate and its count *are* is the same for all of them and
 //! lives here, once, in [`CandidateTable`]: the candidate items in one
-//! arena strided by `k`, the counts and the work ledger. Its one input
-//! contract is the one [`Candidates`] guarantees by construction: strictly
-//! ascending, distinct `k`-item rows, checked where rows enter a table (an
-//! offer that breaks it panics). A structure owns a table plus its own
-//! index into the table's slots — hash nodes, trie nodes, pair cells — and
-//! its `count_all` kernel; everything else [`CandidateCounter`] offers is
-//! a provided method over the table. Only a hash tree that holds its
-//! candidates (past pass 2) reorders the table (leaf by leaf, so a leaf
-//! check scans contiguous memory) and so only it carries a slot → row
-//! permutation; the other indexes point at slots in row order.
+//! arena strided by `k`, the counts and the work ledger, all in row order.
+//! Its one input contract is the one [`Candidates`] guarantees by
+//! construction: strictly ascending, distinct `k`-item rows, checked where
+//! rows enter a table (an offer that breaks it panics). A structure owns a
+//! table plus its own index into the table's rows — hash leaves, trie
+//! nodes, pair cells — and its `count_all` kernel; everything else
+//! [`CandidateCounter`] offers is a provided method over the table.
 //!
 //! The serial pass hands the table the arena candidate generation wrote,
 //! adopted without a copy. [`CounterBackend::build`] only reads its offer,
@@ -170,20 +167,17 @@ impl CounterStats {
 /// One pass's size-`k` candidates and their counts: everything about a
 /// counting structure that does not depend on how it finds a candidate.
 ///
-/// A *slot* is a position in the table. Slots are in row order — the
-/// order of the strictly ascending rows the table was built from — unless
-/// the owning structure has permuted them (only a hash tree that holds
-/// its candidates does).
+/// A candidate's place in the table is its *row*: its place among the
+/// strictly ascending rows the table was built from. Every structure keeps
+/// the table in that order and indexes into it.
 #[derive(Debug, Clone)]
 pub struct CandidateTable {
     pub(crate) k: usize,
-    /// Candidate items, strided by `k`, in slot order; empty for the pair
+    /// Candidate items, strided by `k`, in row order; empty for the pair
     /// counter, whose candidates are implicit.
     pub(crate) items: Vec<Item>,
-    /// Running support counts, in slot order.
+    /// Running support counts, in row order.
     pub(crate) counts: Vec<u64>,
-    /// Slot → row index; `None` is the identity.
-    ids: Option<Vec<u32>>,
     pub(crate) stats: CounterStats,
 }
 
@@ -232,7 +226,6 @@ impl CandidateTable {
             k,
             items: Vec::new(),
             counts: vec![0; n],
-            ids: None,
             stats,
         }
     }
@@ -242,27 +235,9 @@ impl CandidateTable {
         self.counts.len()
     }
 
-    /// The candidate in `slot`.
-    pub(crate) fn candidate(&self, slot: usize) -> &[Item] {
-        &self.items[slot * self.k..][..self.k]
-    }
-
-    /// The row the candidate in `slot` was built from.
-    fn row_index(&self, slot: usize) -> usize {
-        self.ids.as_ref().map_or(slot, |ids| ids[slot] as usize)
-    }
-
-    /// Moves the candidate in slot `order[i]` to slot `i`, for a structure
-    /// whose kernel wants its own layout. Extraction stays in row order.
-    /// Call before anything is counted, on a table not yet permuted.
-    pub(crate) fn permute(&mut self, order: Vec<u32>) {
-        debug_assert!(self.ids.is_none() && order.len() == self.len());
-        self.items = order
-            .iter()
-            .flat_map(|&slot| self.candidate(slot as usize))
-            .copied()
-            .collect();
-        self.ids = Some(order);
+    /// The candidate in `row`.
+    pub(crate) fn candidate(&self, row: usize) -> &[Item] {
+        &self.items[row * self.k..][..self.k]
     }
 }
 
@@ -314,31 +289,23 @@ pub trait CandidateCounter {
     /// The accumulated count for `set`, or `None` if never inserted.
     fn count_of(&self, set: &ItemSet) -> Option<u64> {
         let table = self.table();
-        let slot = table
+        let row = table
             .items
             .chunks_exact(table.k)
             .position(|candidate| candidate == set.items())?;
-        Some(table.counts[slot])
+        Some(table.counts[row])
     }
 
     /// Per-candidate counts in row order (what CD's global reduction
-    /// sums).
+    /// sums), copied.
     fn count_vector(&self) -> Vec<u64> {
-        let table = self.table();
-        let mut out = vec![0; table.len()];
-        for (slot, &count) in table.counts.iter().enumerate() {
-            out[table.row_index(slot)] = count;
-        }
-        out
+        self.table().counts.clone()
     }
 
-    /// The per-candidate counts themselves, when their slots are in row
-    /// order (every structure but a hash tree that split): what
-    /// CD's reduction sums in place. `None` means "go through
-    /// [`count_vector`](Self::count_vector)".
-    fn counts_mut(&mut self) -> Option<&mut [u64]> {
-        let table = self.table_mut();
-        table.ids.is_none().then_some(&mut table.counts[..])
+    /// The per-candidate counts themselves, in row order: what CD's
+    /// reduction sums in place.
+    fn counts_mut(&mut self) -> &mut [u64] {
+        &mut self.table_mut().counts
     }
 
     /// Overwrites the per-candidate counts (after a reduction).
@@ -348,24 +315,17 @@ pub trait CandidateCounter {
     fn set_count_vector(&mut self, counts: &[u64]) {
         let table = self.table_mut();
         assert_eq!(counts.len(), table.len(), "count vector length mismatch");
-        for slot in 0..table.len() {
-            table.counts[slot] = counts[table.row_index(slot)];
-        }
+        table.counts.copy_from_slice(counts);
     }
 
     /// Candidates with `count >= min_count`, row order.
     fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
         let table = self.table();
-        let mut survivors: Vec<(usize, usize)> = (0..table.len())
-            .filter(|&slot| table.counts[slot] >= min_count)
-            .map(|slot| (table.row_index(slot), slot))
-            .collect();
-        survivors.sort_unstable();
-        survivors
-            .into_iter()
-            .map(|(_, slot)| {
-                let set = ItemSet::from_sorted(table.candidate(slot).to_vec());
-                (set, table.counts[slot])
+        (0..table.len())
+            .filter(|&row| table.counts[row] >= min_count)
+            .map(|row| {
+                let set = ItemSet::from_sorted(table.candidate(row).to_vec());
+                (set, table.counts[row])
             })
             .collect()
     }
@@ -1008,9 +968,10 @@ pub(crate) mod tests {
         });
     }
 
-    /// Row order, the count vector's round trip, `count_of`, `frequent`, an
-    /// offer of the wrong size and one that is not strictly ascending, and
-    /// an offer lent in every form the drivers lend it.
+    /// Row order, in place and copied, the count vector's round trip,
+    /// `count_of`, `frequent`, an offer of the wrong size and one that is
+    /// not strictly ascending, and an offer lent in every form the drivers
+    /// lend it.
     pub(crate) fn bookkeeping(backend: CounterBackend) {
         let txs = ["1234", "123", "234", "13", "4", "12345", "25"].map(|t| tx(&ids(t)));
         let flat = |offer: &[ItemSet]| -> Vec<Item> {
@@ -1033,9 +994,12 @@ pub(crate) mod tests {
             );
             assert!(!counter.is_empty(), "{on}");
 
-            // Count vector: row order, round trip, arity check.
+            // Count vector: row order, in place as copied (for the
+            // splitting hash tree too, whose leaf order is not the row
+            // order), round trip, arity check.
             counter.count_all(&txs, &all);
             assert_eq!(counter.count_vector(), want, "{on}");
+            assert_eq!(counter.counts_mut(), want, "{on}");
             charges_as_the_full_tree(subject, k, &*counter, &sets, &txs);
             let doubled: Vec<u64> = want.iter().map(|c| c * 2).collect();
             counter.set_count_vector(&doubled);
@@ -1091,9 +1055,8 @@ pub(crate) mod tests {
             // iterator of references (filtered, so of unknown length, like
             // a partitioned rank's share) or as the rows of a `k`-strided
             // arena (as the parallel drivers lend `C_k`), builds what
-            // giving it builds — slot for slot, which for the hash tree is
-            // leaf for leaf. The serial pass's arena is adopted as it
-            // stands.
+            // giving it builds — row for row. The serial pass's arena is
+            // adopted as it stands.
             let (backend, tree) = (subject.backend, subject.tree);
             let mut given = backend.build(k, tree, sets.clone());
             given.count_all(&txs, &all);

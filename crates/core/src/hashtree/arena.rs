@@ -6,42 +6,22 @@
 //! visit bits, one per transaction of a batch, or the pass-2 shape's last
 //! visitor per leaf). [`Arena::score`] then sweeps the leaves in leaf
 //! order once per batch and checks each one the batch reached against
-//! per-item masks. [`Arena::pair_shape`] builds a pass-2 tree's nodes and
+//! per-item masks, adding to each candidate's count at its row: the leaf
+//! order is the tree's own, and the counts stay in row order.
+//! [`Arena::pair_shape`] builds a pass-2 tree's nodes and
 //! leaf sizes with no candidate behind them, to be walked and never
 //! scored.
 
 use super::filter::OwnershipFilter;
 use crate::counter::CounterStats;
-use crate::item::{Item, ItemIndex};
+use crate::item::Item;
 
 /// The hash function of the tree, `id % branching`: items are hashed on
 /// their integer value (Figure 2 uses `mod 3`: buckets {1,4,7}, {2,5,8},
-/// {3,6,9}). The remainder is computed without a divide, by the
-/// multiply-shift of Lemire, Kaser and Kurz, "Faster remainder by direct
-/// computation" (2019): with `m = ⌊(2^64 − 1)/b⌋ + 1`, the high word of
-/// `b · (m · id mod 2^64)` is `id % b` for every 32-bit `id` and `b`.
-#[derive(Debug, Clone, Copy)]
-struct Modulus {
-    branching: u64,
-    magic: u64,
-}
-
-impl Modulus {
-    fn new(branching: usize) -> Self {
-        assert!(branching >= 2, "branching must be at least 2");
-        let branching = u64::from(u32::try_from(branching).expect("branching fits in 32 bits"));
-        Modulus {
-            branching,
-            magic: u64::MAX / branching + 1,
-        }
-    }
-
-    /// `item.id() % branching`.
-    #[inline]
-    fn bucket(self, item: Item) -> u32 {
-        let low = self.magic.wrapping_mul(u64::from(item.id()));
-        ((u128::from(low) * u128::from(self.branching)) >> 64) as u32
-    }
+/// {3,6,9}). `branching` fits in 32 bits ([`Arena::empty`] checks it).
+#[inline]
+fn hash(item: Item, branching: usize) -> u32 {
+    item.id() % branching as u32
 }
 
 /// A child slot with no subtree behind it.
@@ -69,7 +49,6 @@ pub(super) const CHUNK: usize = 128;
 
 pub(super) struct Arena {
     branching: usize,
-    modulus: Modulus,
     k: usize,
     /// Interior node `n` owns `slots[n * branching..][..branching]`.
     slots: Vec<u32>,
@@ -94,7 +73,7 @@ impl Arena {
     /// inserting them one by one would grow: a node is interior exactly
     /// when more than `max_leaf` candidates reach it above depth `k`, and
     /// a child exists exactly when a candidate hashes to it. Returns the
-    /// arena and the leaf order (candidate ids, ascending within each leaf).
+    /// arena and the leaf order (candidate rows, ascending within each leaf).
     pub(super) fn build(
         k: usize,
         branching: usize,
@@ -122,8 +101,7 @@ impl Arena {
         items: &[Item],
         pairs: impl Fn() -> I,
     ) -> Arena {
-        let modulus = Modulus::new(branching);
-        let bucket: Vec<u32> = items.iter().map(|&item| modulus.bucket(item)).collect();
+        let bucket: Vec<u32> = items.iter().map(|&item| hash(item, branching)).collect();
         let mut row_sizes = vec![0usize; branching];
         // `for_each`, not `for`: a flattened iterator folds in tight loops.
         pairs().for_each(|(first, _)| row_sizes[bucket[first as usize] as usize] += 1);
@@ -181,9 +159,9 @@ impl Arena {
             num_candidates < LEAF as usize,
             "too many candidates for one tree"
         );
+        assert!(branching <= u32::MAX as usize, "branching fits in 32 bits");
         Arena {
             branching,
-            modulus: Modulus::new(branching),
             k,
             slots: Vec::new(),
             bounds: vec![0],
@@ -233,8 +211,8 @@ impl Arena {
             return self.leaf(offset, order.len());
         }
         // Stable counting sort on the hash of the `depth`-th item.
-        let (b, modulus) = (self.branching, self.modulus);
-        let bucket = |id: u32| modulus.bucket(candidates[id as usize * k + depth]) as usize;
+        let b = self.branching;
+        let bucket = |id: u32| hash(candidates[id as usize * k + depth], b) as usize;
         let mut bounds = vec![0usize; b + 1];
         for &id in order.iter() {
             bounds[bucket(id) + 1] += 1;
@@ -293,68 +271,35 @@ impl Arena {
     /// leaves in leaf order: a candidate's count grows by the number of
     /// transactions that both reached its leaf and hold all its items, the
     /// popcount of the leaf's `visited` bits ANDed with each item's mask.
-    /// `items` and `counts` are the candidates in leaf order, and an item's
-    /// row of `masks` is its `index` slot. Leaves `visited` zero
-    /// for the next batch.
+    /// Per candidate in leaf order, `rows` holds its row of `counts` and
+    /// `mask_rows` (strided by `k`) the rows of `masks` of its items.
+    /// Leaves `visited` zero for the next batch.
     pub(super) fn score(
         &self,
-        items: &[Item],
+        rows: &[u32],
+        mask_rows: &[u32],
+        masks: &[Bits],
         counts: &mut [u64],
         visited: &mut [Bits],
-        index: &ItemIndex,
-        masks: &[Bits],
     ) {
-        let leaves = Leaves {
-            bounds: &self.bounds,
-            items,
-            index,
-            masks,
-        };
-        match self.k {
-            1 => leaves.score::<1>(1, counts, visited),
-            2 => leaves.score::<2>(2, counts, visited),
-            3 => leaves.score::<3>(3, counts, visited),
-            4 => leaves.score::<4>(4, counts, visited),
-            5 => leaves.score::<5>(5, counts, visited),
-            6 => leaves.score::<6>(6, counts, visited),
-            7 => leaves.score::<7>(7, counts, visited),
-            8 => leaves.score::<8>(8, counts, visited),
-            k => leaves.score::<0>(k, counts, visited),
-        }
-    }
-}
-
-/// What scoring reads: the leaf bounds, the candidates and the masks.
-struct Leaves<'a> {
-    bounds: &'a [u32],
-    items: &'a [Item],
-    index: &'a ItemIndex,
-    masks: &'a [Bits],
-}
-
-impl Leaves<'_> {
-    /// The scoring kernel for candidates of `K` items, or of `k` when `K`
-    /// is 0: a constant `K` unrolls the AND of a candidate's masks.
-    fn score<const K: usize>(&self, k: usize, counts: &mut [u64], visited: &mut [Bits]) {
-        let k = if K == 0 { k } else { K };
+        let k = self.k;
         for (bounds, seen) in self.bounds.windows(2).zip(visited) {
             if *seen == [0; WORDS] {
                 continue;
             }
             let seen = std::mem::take(seen);
             let (start, end) = (bounds[0] as usize, bounds[1] as usize);
-            let candidates = self.items[start * k..end * k].chunks_exact(k);
-            for (candidate, count) in candidates.zip(&mut counts[start..end]) {
+            let candidates = mask_rows[start * k..end * k].chunks_exact(k);
+            for (candidate, &row) in candidates.zip(&rows[start..end]) {
                 // No early exit on an empty mask: the branch costs more
                 // than the ANDs it would save.
-                let hits = candidate.iter().fold(seen, |mut hits, item| {
-                    let mask = &self.masks[self.index.slot(*item)];
-                    for (hit, word) in hits.iter_mut().zip(mask) {
+                let hits = candidate.iter().fold(seen, |mut hits, &m| {
+                    for (hit, word) in hits.iter_mut().zip(&masks[m as usize]) {
                         *hit &= word;
                     }
                     hits
                 });
-                *count += hits.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+                counts[row as usize] += hits.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
             }
         }
     }
@@ -388,11 +333,11 @@ impl Arena {
         stats: &mut CounterStats,
         first_arrival: impl FnMut(usize) -> bool,
     ) {
-        let modulus = self.modulus;
+        let b = self.branching;
         self.buckets.clear();
         if self.root & LEAF == 0 {
             self.buckets
-                .extend(titems.iter().map(|&item| modulus.bucket(item)));
+                .extend(titems.iter().map(|&item| hash(item, b)));
         }
         let mut walk = Walk {
             slots: &self.slots,
@@ -751,10 +696,6 @@ impl ReferenceWalk<'_> {
 mod tests {
     use super::*;
 
-    fn hash(item: Item, branching: usize) -> usize {
-        Modulus::new(branching).bucket(item) as usize
-    }
-
     #[test]
     fn hash_matches_paper_buckets() {
         // Figure 2's hash function groups {1,4,7}, {2,5,8}, {3,6,9} mod 3.
@@ -763,23 +704,6 @@ mod tests {
         assert_eq!(hash(Item(2), 3), hash(Item(5), 3));
         assert_ne!(hash(Item(1), 3), hash(Item(2), 3));
         assert_ne!(hash(Item(2), 3), hash(Item(3), 3));
-    }
-
-    /// The multiply-shift remainder is `%` for every fan-out up to 4096,
-    /// at the edges of each bucket, at the largest legal id and beyond,
-    /// and on seeded random ids.
-    #[test]
-    fn the_divisor_free_remainder_is_the_remainder() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(2019);
-        for b in 2..=4096u32 {
-            let modulus = Modulus::new(b as usize);
-            let edges = [0, 1, b - 1, b, b + 1, 2 * b - 1, Item::MAX_ID, u32::MAX];
-            let random = (0..64).map(|_| rng.gen::<u32>());
-            for id in edges.into_iter().chain(random) {
-                assert_eq!(modulus.bucket(Item(id)), id % b, "{id} mod {b}");
-            }
-        }
     }
 
     #[test]

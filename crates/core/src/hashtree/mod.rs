@@ -20,10 +20,13 @@
 //!
 //! The whole candidate set is known before a pass starts, so the tree is
 //! built in bulk and stored flat: the nodes in one arena (see `arena`),
-//! the candidates in the seam's [`CandidateTable`], permuted leaf by leaf
-//! so a leaf check scans contiguous memory. The shape is exactly the one
-//! split-on-overflow insertion grows, so the work ledger for a given
-//! `(branching, max_leaf)` does not depend on how the tree is stored.
+//! the candidates in the seam's [`CandidateTable`], in row order like
+//! every other structure's. The tree keeps its leaf order to itself: per
+//! candidate in leaf order, its row and the mask rows of its items, so a
+//! leaf check scans contiguous memory and adds to the counts by row. The
+//! shape is exactly the one split-on-overflow insertion grows, so the work
+//! ledger for a given `(branching, max_leaf)` does not depend on how the
+//! tree is stored.
 //!
 //! Nor does it depend on how the host executes each charged step.
 //! `count_all` counts transactions 256 at a time, one bit each of a
@@ -36,11 +39,12 @@
 //! revisit, and is neither charged nor marked again), and the transaction
 //! sets bit `j` in the mask of each of its items. After the batch one
 //! sweep over the leaves, in leaf order, checks every leaf the batch
-//! reached: a candidate gains the popcount of the leaf's visit bits ANDed
-//! with the masks of its `k` items, without a branch, in a kernel
-//! specialised by `k`. The masks are one `[u64; 4]` per distinct
-//! candidate item, found through a `u32` item id → rank index up to the
-//! tree's largest candidate item: 1 KB of index over 250 items, 512 MiB
+//! reached: a candidate's row gains the popcount of the leaf's visit bits
+//! ANDed with the masks of its `k` items, without a branch. The masks are
+//! one `[u64; 4]` per distinct candidate item, each candidate's read
+//! through the mask rows built with the tree; a transaction's are set
+//! through a `u32` item id → rank index up to the tree's largest
+//! candidate item: 1 KB of index over 250 items, 512 MiB
 //! at [`Item::MAX_ID`](crate::Item::MAX_ID), allocated zeroed so only the
 //! pages of ids that occur are touched, and half the pass-1 count vector
 //! such an input already allocates. A transaction item no candidate holds
@@ -149,9 +153,13 @@ impl HashTreeParams {
 /// assert_eq!(tree.count_of(&ItemSet::from([2, 5])), Some(0));
 /// ```
 pub struct HashTree {
-    /// The candidates, in leaf order.
+    /// The candidates, in row order.
     table: CandidateTable,
     arena: Arena,
+    /// Per candidate in leaf order, its row of the table.
+    rows: Vec<u32>,
+    /// Per candidate in leaf order, the rows of `masks` of its `k` items.
+    mask_rows: Vec<u32>,
     /// Item id → rank of the candidate items; a rank's row of `masks` is
     /// its [`ItemIndex::slot`], and row 0 takes every other id.
     index: ItemIndex,
@@ -178,15 +186,21 @@ impl HashTree {
         Self::from_table(params, CandidateTable::new(k, candidates))
     }
 
-    pub(crate) fn from_table(params: HashTreeParams, mut table: CandidateTable) -> Self {
+    pub(crate) fn from_table(params: HashTreeParams, table: CandidateTable) -> Self {
         let branching = params.checked_fan_out(table.k, table.len());
-        let (arena, order) = Arena::build(table.k, branching, params.max_leaf, &table.items);
-        table.permute(order);
+        let (arena, rows) = Arena::build(table.k, branching, params.max_leaf, &table.items);
         let (index, ranked) = ItemIndex::distinct(&table.items);
+        let mut mask_rows = Vec::with_capacity(table.items.len());
+        for &row in &rows {
+            let items = table.candidate(row as usize).iter();
+            mask_rows.extend(items.map(|&item| index.slot(item) as u32));
+        }
         HashTree {
             visited: vec![Bits::default(); arena.num_leaves()],
             table,
             arena,
+            rows,
+            mask_rows,
             index,
             masks: vec![Bits::default(); ranked.len() + 1],
         }
@@ -259,9 +273,13 @@ impl HashTree {
                 first
             });
         }
-        let (items, counts) = (&self.table.items, &mut self.table.counts);
-        self.arena
-            .score(items, counts, &mut self.visited, &self.index, &self.masks);
+        self.arena.score(
+            &self.rows,
+            &self.mask_rows,
+            &self.masks,
+            &mut self.table.counts,
+            &mut self.visited,
+        );
         let walked = batch.iter().enumerate().filter(|&(j, _)| {
             let (word, bit) = bit(j);
             walked[word] & bit != 0
@@ -283,7 +301,7 @@ impl CandidateCounter for HashTree {
         &mut self.table
     }
 
-    /// Runs `subset` for every transaction of a slice, [`BATCH`] at a
+    /// Runs `subset` for every transaction of a slice, 256 (`BATCH`) at a
     /// time.
     fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
         for batch in transactions.chunks(BATCH) {
@@ -747,9 +765,13 @@ mod tests {
                     .run();
                     most_steps = most_steps.max(self.table.stats.traversal_steps - before);
                 }
-                let (items, counts) = (&self.table.items, &mut self.table.counts);
-                self.arena
-                    .score(items, counts, &mut self.visited, &self.index, &self.masks);
+                self.arena.score(
+                    &self.rows,
+                    &self.mask_rows,
+                    &self.masks,
+                    &mut self.table.counts,
+                    &mut self.visited,
+                );
                 for t in batch {
                     for &item in t.items() {
                         self.masks[self.index.slot(item)] = Bits::default();

@@ -9,9 +9,7 @@
 //! per-processor memory capacity, partitions the tree and rescans the
 //! database once per partition (the Figure 12 penalty).
 
-use crate::common::{
-    build_counter_charged, count_batch_charged, reduce_counts, PassResult, RankCtx,
-};
+use crate::common::{build_counter_charged, count_batch_charged, PassResult, RankCtx};
 use crate::config::ParallelParams;
 use armine_core::candidates::Candidates;
 use armine_core::counter::CounterStats;
@@ -50,7 +48,8 @@ pub(crate) fn count_pass(
             &OwnershipFilter::all(),
         ));
         // Global reduction: sum the chunk's counts across all ranks.
-        reduce_counts(&mut ctx.world(comm), &mut *counter)?;
+        ctx.world(comm)
+            .try_allreduce_sum_u64(counter.counts_mut())?;
         level.extend(counter.frequent(ctx.min_count));
         scans += 1;
         idx = end;

@@ -431,22 +431,6 @@ pub(crate) fn build_counter_charged(
     counter
 }
 
-/// Sums the counter's counts across `scope`: in place when its slots are
-/// in insertion order, through a count-vector copy otherwise (a hash tree
-/// that split). Either way the wire carries the same vector.
-pub(crate) fn reduce_counts(
-    scope: &mut Scope<'_>,
-    counter: &mut dyn CandidateCounter,
-) -> Result<(), RecvFault> {
-    if let Some(counts) = counter.counts_mut() {
-        return scope.try_allreduce_sum_u64(counts);
-    }
-    let mut counts = counter.count_vector();
-    scope.try_allreduce_sum_u64(&mut counts)?;
-    counter.set_count_vector(&counts);
-    Ok(())
-}
-
 /// Counts one batch of transactions through the counter, charges the
 /// clock for the work actually performed (everything except insertions,
 /// which [`build_counter_charged`] prices at build time), and returns the

@@ -26,8 +26,8 @@
 //! the partition plan they hand it.
 
 use crate::common::{
-    build_counter_charged, exchange_level, paginate, reduce_counts, ring_shift_count, PassResult,
-    PlanShare, RankCtx,
+    build_counter_charged, exchange_level, paginate, ring_shift_count, PassResult, PlanShare,
+    RankCtx,
 };
 use crate::config::ParallelParams;
 use crate::idd::make_partition;
@@ -129,7 +129,7 @@ pub(crate) fn partitioned_pass(
     // `(P, 1)` caller) already holds them, and the all-reduce returns at
     // once.
     let mut row = comm.scope(ctx.scope_id(SCOPE_ROW + my_row as u64), row_members);
-    reduce_counts(&mut row, &mut *counter)?;
+    row.try_allreduce_sum_u64(counter.counts_mut())?;
     drop(row);
     let mine_frequent = counter.frequent(ctx.min_count);
 

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """The simplicity scoreboard: production lines, test lines, public items,
-unshared public items and benchmark-contract shims.
+unshared public items, benchmark-contract shims and concepts.
 
 With no arguments, one row per workspace crate (`crates/*` and the root
-package) and a total, and exit status 1 when a crate has more unshared items
-than its ceiling in `UNSHARED_CEILING` or more production lines than its
-ceiling in `PRODUCTION_CEILING`, or when DESIGN.md is longer than
-`DESIGN_CEILING` lines. With paths, one row per given `.rs` file and a
-total.
+package), a `workspace` row and a total, and exit status 1 when a crate has
+more unshared items than its ceiling in `UNSHARED_CEILING` or more
+production lines than its ceiling in `PRODUCTION_CEILING`, when a row has
+more concepts than its ceiling in `CONCEPTS_CEILING`, or when DESIGN.md is
+longer than `DESIGN_CEILING` lines. With paths, one row per given `.rs`
+file and a total.
 A file's production lines are those above its first `#[cfg(test)]` that opens
 a `mod`, less any other `#[cfg(test)]` item above it (a helper function or
 impl, up to its closing brace); the rest are test lines, and so is every line
@@ -20,6 +21,11 @@ workspace crate's production lines, of `benchmark/probe/src` or of
 `examples/` is its name. Shims are production lines marked
 `// benchmark-contract shim`: items kept only because `benchmark/` still
 calls them, a legacy twin each.
+Concepts are what a newcomer must hold: per crate, the
+`pub struct|enum|trait|type` declarations in the production part; in the
+`workspace` row, the `armine` subcommands and `--flags` its `USAGE` names,
+the series names `crates/metrics/src/names.rs` declares and the experiment
+names in `EXPERIMENTS` of `crates/bench/src/lib.rs`.
 """
 import re
 import sys
@@ -27,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PUB_ITEM = re.compile(r"^\s*pub (?:const )?(?:unsafe )?(?:fn|struct|enum|trait|mod|const)\s+(\w+)")
+PUB_TYPE = re.compile(r"^\s*pub (?:struct|enum|trait|type)\s+\w+")
 # Callers besides the workspace crates' production sources.
 CALLERS = ("benchmark/probe/src", "examples")
 # The most unshared items each crate may hold (a crate not listed, none);
@@ -48,15 +55,28 @@ UNSHARED_CEILING = {
 PRODUCTION_CEILING = {
     "armine-bench": 1986,
     "armine-cli": 710,
-    "armine-core": 6099,
+    "armine-core": 6022,
     "armine-datagen": 507,
     "armine-metrics": 678,
     "armine-mpsim": 2651,
-    "armine-parallel": 2621,
+    "armine-parallel": 2604,
     "armine": 30,
 }
+# The most concepts each row may hold, at their measured values, under the
+# same rule.
+CONCEPTS_CEILING = {
+    "armine-bench": 0,
+    "armine-cli": 0,
+    "armine-core": 28,
+    "armine-datagen": 1,
+    "armine-metrics": 7,
+    "armine-mpsim": 17,
+    "armine-parallel": 7,
+    "armine": 0,
+    "workspace": 73,
+}
 # The most lines DESIGN.md may hold, under the same rule.
-DESIGN_CEILING = 849
+DESIGN_CEILING = 848
 SHIM = "// benchmark-contract shim"
 STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 MOD = re.compile(r"^\s*(?:pub(?:\([^)]*\))? )?mod (\w+)\s*([;{])")
@@ -105,14 +125,30 @@ def production_lines(path, all_test=False):
 
 
 def score(path, shared, all_test=False):
-    """(production lines, test lines, public items, unshared items, shims) of
-    one source file, where `shared` holds the words callers outside its crate
-    use."""
+    """(production lines, test lines, public items, unshared items, shims,
+    concepts) of one source file, where `shared` holds the words callers
+    outside its crate use."""
     production, total = production_lines(path, all_test)
     public = [found.group(1) for found in map(PUB_ITEM.match, production) if found]
     unshared = sum(1 for name in public if name not in shared)
     shims = sum(1 for line in production if SHIM in line)
-    return len(production), total - len(production), len(public), unshared, shims
+    concepts = sum(1 for line in production if PUB_TYPE.match(line))
+    return len(production), total - len(production), len(public), unshared, shims, concepts
+
+
+def workspace_concepts():
+    """The `armine` subcommands and distinct `--flags` in `USAGE`, the series
+    names of `names.rs` and the experiments of `EXPERIMENTS`."""
+    cli = (ROOT / "crates/cli/src/commands.rs").read_text()
+    usage = cli.split('const USAGE: &str = "', 1)[1].split('";', 1)[0]
+    commands = set(re.findall(r"^  armine (\w+)", usage, re.M))
+    flags = set(re.findall(r"--[\w-]+", usage))
+    names = (ROOT / "crates/metrics/src/names.rs").read_text()
+    series = re.findall(r"^pub const \w+: &str", names, re.M)
+    bench = (ROOT / "crates/bench/src/lib.rs").read_text()
+    table = bench.split("const EXPERIMENTS: &[(&str, Args)] = &[", 1)[1].split("\n];", 1)[0]
+    experiments = re.findall(r'^    \(\s*"([\w-]+)",', table, re.M)
+    return len(commands) + len(flags) + len(series) + len(experiments)
 
 
 def test_only_files(src):
@@ -184,15 +220,21 @@ def main(paths):
             for name, row in rows
             if row[0] > PRODUCTION_CEILING.get(name, 0)
         ]
+        rows.append(("workspace", (0, 0, 0, 0, 0, workspace_concepts())))
+        over += [
+            f"{name}: {row[5]} concepts, above its ceiling of {CONCEPTS_CEILING.get(name, 0)}"
+            for name, row in rows
+            if row[5] > CONCEPTS_CEILING.get(name, 0)
+        ]
         design = len((ROOT / "DESIGN.md").read_text().splitlines())
         if design > DESIGN_CEILING:
             over.append(f"DESIGN.md: {design} lines, above its ceiling of {DESIGN_CEILING}")
     rows.append(("total", tuple(map(sum, zip(*(r[1] for r in rows))))))
     width = max(len(name) for name, _ in rows)
-    head = f"{'production':>10}  {'test':>7}  {'pub items':>9}  {'unshared':>8}  {'shims':>5}"
+    head = f"{'production':>10}  {'test':>7}  {'pub items':>9}  {'unshared':>8}  {'shims':>5}  {'concepts':>8}"
     print(f"{'':{width}}  {head}")
-    for name, (production, test, public, unshared, shims) in rows:
-        counts = f"{production:>10}  {test:>7}  {public:>9}  {unshared:>8}  {shims:>5}"
+    for name, (production, test, public, unshared, shims, concepts) in rows:
+        counts = f"{production:>10}  {test:>7}  {public:>9}  {unshared:>8}  {shims:>5}  {concepts:>8}"
         print(f"{name:{width}}  {counts}")
     for line in over:
         print(line)

@@ -1,9 +1,28 @@
-//! Strategies and conversions shared by the property suites
-//! (`counter_equivalence`, `properties`).
+//! Strategies, conversions, datasets and lattices shared by the root
+//! suites. Each suite uses some of them.
+#![allow(dead_code)]
 
+use armine::core::apriori::FrequentItemsets;
 use armine::core::binpack::CandidatePartition;
-use armine::core::{Item, ItemSet, Transaction};
+use armine::core::{Dataset, Item, ItemSet, Transaction};
+use armine::datagen::QuestParams;
 use proptest::prelude::*;
+
+/// The paper's T15.I6 Quest shape: `n` transactions over `items` items,
+/// drawn from `patterns` patterns.
+pub fn quest(n: usize, items: u32, patterns: usize, seed: u64) -> Dataset {
+    QuestParams::paper_t15_i6()
+        .num_transactions(n)
+        .num_items(items)
+        .num_patterns(patterns)
+        .seed(seed)
+        .generate()
+}
+
+/// Every frequent itemset with its count, in the lattice's order.
+pub fn lattice(frequent: &FrequentItemsets) -> Vec<(ItemSet, u64)> {
+    frequent.iter().map(|(s, c)| (s.clone(), c)).collect()
+}
 
 /// Strategy: a transaction as a set of item ids below `universe`.
 pub fn arb_transaction(universe: u32, max_len: usize) -> impl Strategy<Value = Vec<u32>> {

@@ -2,28 +2,15 @@
 //! workloads, its bucket filter leaves the lattice identical to plain
 //! Apriori/CD while counting strictly fewer candidates.
 
+mod common;
+
 use armine::core::apriori::{Apriori, AprioriParams};
-use armine::core::ItemSet;
-use armine::datagen::QuestParams;
 use armine::parallel::{Algorithm, ParallelMiner, ParallelParams};
-use std::collections::HashMap;
-
-fn quest(n: usize, items: u32, seed: u64) -> armine::core::Dataset {
-    QuestParams::paper_t15_i6()
-        .num_transactions(n)
-        .num_items(items)
-        .num_patterns(60)
-        .seed(seed)
-        .generate()
-}
-
-fn lattice(f: &armine::core::apriori::FrequentItemsets) -> HashMap<ItemSet, u64> {
-    f.iter().map(|(s, c)| (s.clone(), c)).collect()
-}
+use common::{lattice, quest};
 
 #[test]
 fn pdm_equals_cd_equals_serial_under_simulation() {
-    let dataset = quest(600, 150, 203);
+    let dataset = quest(600, 150, 60, 203);
     let params = ParallelParams::with_min_support(0.015)
         .max_k(4)
         .page_size(80);
@@ -57,7 +44,7 @@ fn pdm_equals_cd_equals_serial_under_simulation() {
 
 #[test]
 fn pdm_prunes_more_with_more_buckets() {
-    let dataset = quest(500, 150, 207);
+    let dataset = quest(500, 150, 60, 207);
     let params = ParallelParams::with_min_support(0.015).max_k(2);
     let miner = ParallelMiner::new(4);
     let counted = |buckets: usize| {

@@ -6,12 +6,13 @@
 //! timers under native); and on sim the same plan must reproduce the
 //! same virtual clocks and fault counters.
 
+mod common;
+
 use armine::core::rules::generate_rules;
 use armine::metrics::json::BenchDocument;
 use armine::mpsim::{CrashPoint, ExecBackend, FaultPlan};
 use armine::parallel::{Algorithm, FaultRunError, ParallelMiner, ParallelParams};
-use armine_core::ItemSet;
-use armine_datagen::QuestParams;
+use common::{lattice, quest};
 use proptest::prelude::*;
 
 const PROCS: usize = 4;
@@ -34,22 +35,13 @@ const ALGOS: [Algorithm; 9] = [
 ];
 
 fn dataset() -> armine_core::Dataset {
-    QuestParams::paper_t15_i6()
-        .num_transactions(160)
-        .num_items(50)
-        .num_patterns(20)
-        .seed(23)
-        .generate()
+    quest(160, 50, 20, 23)
 }
 
 fn params() -> ParallelParams {
     ParallelParams::with_min_support_count(6)
         .page_size(30)
         .max_k(3)
-}
-
-fn itemsets(run: &armine::parallel::ParallelRun) -> Vec<(ItemSet, u64)> {
-    run.frequent.iter().map(|(s, c)| (s.clone(), c)).collect()
 }
 
 /// Builds a recoverable fault plan from generated primitives: drops, up
@@ -114,8 +106,8 @@ proptest! {
                 .mine_with_faults(algo, &dataset, &params, Some(&plan))
                 .unwrap_or_else(|e| panic!("{} under {plan}: {e}", algo.name()));
             prop_assert_eq!(
-                itemsets(&faulted),
-                itemsets(&clean),
+                lattice(&faulted.frequent),
+                lattice(&clean.frequent),
                 "{} diverged under plan:\n{}",
                 algo.name(),
                 plan
@@ -167,8 +159,8 @@ proptest! {
                 .mine_with_faults(algo, &dataset, &params, Some(&plan))
                 .unwrap_or_else(|e| panic!("native {} under {plan}: {e}", algo.name()));
             prop_assert_eq!(
-                itemsets(&faulted),
-                itemsets(&clean),
+                lattice(&faulted.frequent),
+                lattice(&clean.frequent),
                 "native {} diverged under plan:\n{}",
                 algo.name(),
                 plan
@@ -196,7 +188,12 @@ fn drops_straggler_and_midpass_crash_reproduce_fault_free_results() {
         let faulted = miner
             .mine_with_faults(algo, &dataset, &params, Some(&plan))
             .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
-        assert_eq!(itemsets(&faulted), itemsets(&clean), "{}", algo.name());
+        assert_eq!(
+            lattice(&faulted.frequent),
+            lattice(&clean.frequent),
+            "{}",
+            algo.name()
+        );
         assert!(
             faulted.total_recoveries() > 0,
             "{} never committed the recovery",
@@ -235,7 +232,7 @@ fn generating_rank_crashes_mine_the_fault_free_lattice() {
         },
     ];
     for algo in algos {
-        let clean = itemsets(&sim.mine(algo, &dataset, &params));
+        let clean = lattice(&sim.mine(algo, &dataset, &params).frequent);
         for plan in &plans {
             let on = format!("{} under {plan}", algo.name());
             let run = || {
@@ -243,14 +240,14 @@ fn generating_rank_crashes_mine_the_fault_free_lattice() {
                     .unwrap_or_else(|e| panic!("{on}: {e}"))
             };
             let (first, second) = (run(), run());
-            assert_eq!(itemsets(&first), clean, "{on}");
+            assert_eq!(lattice(&first.frequent), clean, "{on}");
             assert!(first.total_recoveries() > 0, "{on}: no recovery");
             assert_eq!(metrics_json(&first), metrics_json(&second), "{on}");
             let plan = plan.clone().rto(5e-5).detect_timeout(2e-3);
             let faulted = native
                 .mine_with_faults(algo, &dataset, &params, Some(&plan))
                 .unwrap_or_else(|e| panic!("native {on}: {e}"));
-            assert_eq!(itemsets(&faulted), clean, "native {on}");
+            assert_eq!(lattice(&faulted.frequent), clean, "native {on}");
         }
     }
 }

@@ -9,13 +9,14 @@
 //! `procs`), uses only canonical label keys and announced names, and the
 //! whole snapshot serializes through the schema-versioned exporter.
 
+mod common;
+
 use armine::core::counter::CounterBackend;
-use armine::core::Dataset;
-use armine::datagen::QuestParams;
 use armine::metrics::json::BenchDocument;
 use armine::metrics::{names, MetricsSnapshot, LABEL_KEYS};
 use armine::mpsim::{imbalance, CrashPoint, ExecBackend, FaultPlan};
 use armine::parallel::{Algorithm, ParallelMiner, ParallelParams, ParallelRun};
+use common::quest;
 use proptest::prelude::*;
 
 const ALL_ALGORITHMS: [Algorithm; 9] = [
@@ -52,15 +53,6 @@ const ANNOUNCED_NAMES: [&str; 13] = [
 
 /// The name prefixes `armine::metrics::names` declares for ledger fields.
 const ANNOUNCED_PREFIXES: [&str; 2] = [names::COUNTING_PREFIX, names::RANK_PREFIX];
-
-fn quest(n: usize, items: u32, patterns: usize, seed: u64) -> Dataset {
-    QuestParams::paper_t15_i6()
-        .num_transactions(n)
-        .num_items(items)
-        .num_patterns(patterns)
-        .seed(seed)
-        .generate()
-}
 
 /// Reconciles one run's snapshot against its legacy ledgers. Exact
 /// equality throughout: counters are `u64`s, gauges are compared by

@@ -6,13 +6,15 @@
 //! nondeterminism. Nor does it change what the model counts: every exact
 //! counter of a run is the same on both backends.
 
+mod common;
+
 use armine::core::apriori::{Apriori, AprioriParams};
 use armine::core::rules::generate_rules;
-use armine::core::{Dataset, ItemSet};
 use armine::datagen::QuestParams;
 use armine::metrics::MetricValue;
 use armine::mpsim::ExecBackend;
-use armine::parallel::{Algorithm, FaultRunError, ParallelMiner, ParallelParams, ParallelRun};
+use armine::parallel::{Algorithm, FaultRunError, ParallelMiner, ParallelParams};
+use common::{lattice, quest};
 use proptest::prelude::*;
 
 const ALL_ALGORITHMS: [Algorithm; 9] = [
@@ -29,19 +31,6 @@ const ALL_ALGORITHMS: [Algorithm; 9] = [
         filter_passes: 1,
     },
 ];
-
-fn quest(n: usize, items: u32, patterns: usize, seed: u64) -> Dataset {
-    QuestParams::paper_t15_i6()
-        .num_transactions(n)
-        .num_items(items)
-        .num_patterns(patterns)
-        .seed(seed)
-        .generate()
-}
-
-fn lattice(run: &ParallelRun) -> Vec<(ItemSet, u64)> {
-    run.frequent.iter().map(|(s, c)| (s.clone(), c)).collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -67,8 +56,8 @@ proptest! {
             let sim = run_on(ExecBackend::Sim);
             let native = run_on(ExecBackend::Native);
             prop_assert_eq!(
-                lattice(&sim),
-                lattice(&native),
+                lattice(&sim.frequent),
+                lattice(&native.frequent),
                 "{} lattice diverged across backends",
                 algorithm.name()
             );
@@ -98,7 +87,12 @@ fn native_runs_are_deterministic() {
         };
         let a = run_once();
         let b = run_once();
-        assert_eq!(lattice(&a), lattice(&b), "{} itemsets", algorithm.name());
+        assert_eq!(
+            lattice(&a.frequent),
+            lattice(&b.frequent),
+            "{} itemsets",
+            algorithm.name()
+        );
         assert_eq!(
             generate_rules(&a.frequent, 0.6),
             generate_rules(&b.frequent, 0.6),
@@ -132,8 +126,8 @@ fn native_adaptive_placement_on_a_slow_rank_mines_the_same_lattice() {
                 &params.placement(PlacementPolicy::Adaptive),
             );
         assert_eq!(
-            lattice(&native),
-            lattice(&reference),
+            lattice(&native.frequent),
+            lattice(&reference.frequent),
             "{} diverged",
             algorithm.name()
         );
@@ -159,14 +153,18 @@ fn every_formulation_mines_a_deep_lattice_on_both_backends() {
         .mine(dataset.transactions())
         .frequent;
     assert_eq!(serial.max_len(), 11, "the lattice must be deep");
-    let want: Vec<(ItemSet, u64)> = serial.iter().map(|(s, c)| (s.clone(), c)).collect();
+    let want = lattice(&serial);
     let params = ParallelParams::with_min_support_count(min_count).page_size(40);
     for algorithm in ALL_ALGORITHMS {
         for backend in ExecBackend::ALL {
             let run = ParallelMiner::new(3)
                 .backend(backend)
                 .mine(algorithm, &dataset, &params);
-            assert!(lattice(&run) == want, "{} on {backend}", algorithm.name());
+            assert!(
+                lattice(&run.frequent) == want,
+                "{} on {backend}",
+                algorithm.name()
+            );
         }
     }
 }
@@ -288,7 +286,7 @@ fn native_backend_runs_transient_fault_plans_for_real() {
         .backend(ExecBackend::Native)
         .mine_with_faults(Algorithm::Cd, &dataset, &params, Some(&plan))
         .expect("transient faults never kill a run");
-    assert_eq!(lattice(&faulted), lattice(&clean));
+    assert_eq!(lattice(&faulted.frequent), lattice(&clean.frequent));
     assert!(faulted.total_retransmits() > 0, "drops must really resend");
     assert!(
         faulted

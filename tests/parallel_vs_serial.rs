@@ -3,12 +3,14 @@
 //! any topology, discovers **exactly** the frequent-itemset lattice of
 //! serial Apriori — and therefore exactly the same association rules.
 
+mod common;
+
 use armine::core::apriori::{Apriori, AprioriParams};
 use armine::core::rules::generate_rules;
 use armine::core::{Dataset, ItemSet};
-use armine::datagen::QuestParams;
 use armine::mpsim::{MachineProfile, Topology};
 use armine::parallel::{Algorithm, ParallelMiner, ParallelParams};
+use common::{lattice, quest};
 
 const ALGOS: [Algorithm; 7] = [
     Algorithm::Cd,
@@ -22,28 +24,15 @@ const ALGOS: [Algorithm; 7] = [
     Algorithm::Hpa { eld_permille: 250 },
 ];
 
-fn quest(n: usize, items: u32, seed: u64) -> Dataset {
-    QuestParams::paper_t15_i6()
-        .num_transactions(n)
-        .num_items(items)
-        .num_patterns(40)
-        .seed(seed)
-        .generate()
-}
-
 fn serial_lattice(dataset: &Dataset, min_count: u64, max_k: usize) -> Vec<(ItemSet, u64)> {
     let run = Apriori::new(AprioriParams::with_min_support_count(min_count).max_k(max_k))
         .mine(dataset.transactions());
-    run.frequent.iter().map(|(s, c)| (s.clone(), c)).collect()
-}
-
-fn parallel_lattice(run: &armine::parallel::ParallelRun) -> Vec<(ItemSet, u64)> {
-    run.frequent.iter().map(|(s, c)| (s.clone(), c)).collect()
+    lattice(&run.frequent)
 }
 
 #[test]
 fn every_algorithm_every_proc_count_matches_serial() {
-    let dataset = quest(400, 90, 101);
+    let dataset = quest(400, 90, 40, 101);
     let min_count = 10;
     let want = serial_lattice(&dataset, min_count, 4);
     assert!(
@@ -57,14 +46,14 @@ fn every_algorithm_every_proc_count_matches_serial() {
     for procs in [2, 3, 5, 8] {
         for algo in ALGOS {
             let run = ParallelMiner::new(procs).mine(algo, &dataset, &params);
-            assert_eq!(parallel_lattice(&run), want, "{} at P={procs}", algo.name());
+            assert_eq!(lattice(&run.frequent), want, "{} at P={procs}", algo.name());
         }
     }
 }
 
 #[test]
 fn machine_profile_changes_time_not_answers() {
-    let dataset = quest(300, 70, 103);
+    let dataset = quest(300, 70, 40, 103);
     let params = ParallelParams::with_min_support_count(9).max_k(4);
     let t3e = ParallelMiner::new(4).machine(MachineProfile::cray_t3e());
     let sp2 = ParallelMiner::new(4).machine(MachineProfile::ibm_sp2());
@@ -82,7 +71,7 @@ fn machine_profile_changes_time_not_answers() {
         &dataset,
         &params,
     );
-    assert_eq!(parallel_lattice(&a), parallel_lattice(&b));
+    assert_eq!(lattice(&a.frequent), lattice(&b.frequent));
     assert!(
         b.response_time > 3.0 * a.response_time,
         "the SP2 must be much slower: {} vs {}",
@@ -93,7 +82,7 @@ fn machine_profile_changes_time_not_answers() {
 
 #[test]
 fn topology_changes_time_not_answers() {
-    let dataset = quest(300, 70, 107);
+    let dataset = quest(300, 70, 40, 107);
     let params = ParallelParams::with_min_support_count(9).max_k(3);
     let lattices: Vec<Vec<(ItemSet, u64)>> = [
         Topology::Ring,
@@ -106,7 +95,7 @@ fn topology_changes_time_not_answers() {
         let run = ParallelMiner::new(8)
             .topology(topo)
             .mine(Algorithm::Idd, &dataset, &params);
-        parallel_lattice(&run)
+        lattice(&run.frequent)
     })
     .collect();
     assert!(lattices.windows(2).all(|w| w[0] == w[1]));
@@ -114,7 +103,7 @@ fn topology_changes_time_not_answers() {
 
 #[test]
 fn rules_from_parallel_lattice_match_serial_rules() {
-    let dataset = quest(350, 80, 109);
+    let dataset = quest(350, 80, 40, 109);
     let min_count = 10;
     let serial = Apriori::new(AprioriParams::with_min_support_count(min_count).max_k(4))
         .mine(dataset.transactions());
@@ -141,7 +130,7 @@ fn rules_from_parallel_lattice_match_serial_rules() {
 fn pass_candidate_counts_agree_across_algorithms() {
     // All algorithms generate the same C_k sequence (apriori_gen over the
     // same F_{k-1}); only the counting differs.
-    let dataset = quest(300, 70, 113);
+    let dataset = quest(300, 70, 40, 113);
     let params = ParallelParams::with_min_support_count(9).max_k(4);
     let runs: Vec<_> = ALGOS
         .iter()
@@ -157,7 +146,7 @@ fn pass_candidate_counts_agree_across_algorithms() {
 #[test]
 fn uneven_partition_sizes_still_exact() {
     // 7 processors over a transaction count that doesn't divide evenly.
-    let dataset = quest(311, 60, 127);
+    let dataset = quest(311, 60, 40, 127);
     let min_count = 9;
     let want = serial_lattice(&dataset, min_count, 4);
     let params = ParallelParams::with_min_support_count(min_count)
@@ -165,17 +154,17 @@ fn uneven_partition_sizes_still_exact() {
         .max_k(4);
     for algo in ALGOS {
         let run = ParallelMiner::new(7).mine(algo, &dataset, &params);
-        assert_eq!(parallel_lattice(&run), want, "{}", algo.name());
+        assert_eq!(lattice(&run.frequent), want, "{}", algo.name());
     }
 }
 
 #[test]
 fn more_processors_than_transactions() {
-    let dataset = quest(10, 30, 131);
+    let dataset = quest(10, 30, 40, 131);
     let params = ParallelParams::with_min_support_count(2).max_k(3);
     let want = serial_lattice(&dataset, 2, 3);
     for algo in ALGOS {
         let run = ParallelMiner::new(16).mine(algo, &dataset, &params);
-        assert_eq!(parallel_lattice(&run), want, "{}", algo.name());
+        assert_eq!(lattice(&run.frequent), want, "{}", algo.name());
     }
 }
