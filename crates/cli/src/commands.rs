@@ -375,10 +375,7 @@ fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>>
     };
     let miner = ParallelMiner::new(procs).cluster(cluster).backend(backend);
     let started = std::time::Instant::now();
-    let run = match &plan {
-        Some(plan) => miner.mine_with_faults(algorithm, &dataset, &params, Some(plan))?,
-        None => miner.mine(algorithm, &dataset, &params),
-    };
+    let run = miner.mine_with_faults(algorithm, &dataset, &params, plan.as_ref())?;
     let transactions = dataset.len();
     keep_until_exit(dataset);
     match backend {

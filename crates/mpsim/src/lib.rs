@@ -29,9 +29,10 @@
 //! ## Example
 //!
 //! ```
-//! use armine_mpsim::{Simulator, MachineProfile};
+//! use armine_mpsim::Simulator;
 //!
-//! let sim = Simulator::new(4).machine(MachineProfile::cray_t3e());
+//! // Four ranks of a Cray T3E, the default machine.
+//! let sim = Simulator::new(4);
 //! let result = sim.run(|comm| {
 //!     let mut counts = vec![comm.rank() as u64 + 1; 8];
 //!     let mut world = comm.world();

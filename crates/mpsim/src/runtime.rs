@@ -3,7 +3,7 @@
 use crate::clock::Clock;
 use crate::comm::{Comm, CrashUnwind, SecondaryPanic};
 use crate::fault::FaultPlan;
-use crate::machine::{ClusterProfile, MachineProfile};
+use crate::machine::ClusterProfile;
 use crate::message::Envelope;
 use crate::stats::{imbalance, RankStats};
 use crate::topology::Topology;
@@ -80,13 +80,6 @@ impl Simulator {
         self
     }
 
-    /// Overrides the machine profile (every rank runs it at speed 1.0 —
-    /// shorthand for a uniform [`ClusterProfile`]).
-    pub fn machine(mut self, machine: MachineProfile) -> Self {
-        self.cluster = ClusterProfile::uniform(machine);
-        self
-    }
-
     /// Overrides the whole cluster profile: base machine plus per-rank
     /// relative speeds. Per-rank speeds multiply compute charges (and, on
     /// the native backend, stretch counting brackets with real sleeps)
@@ -112,6 +105,11 @@ impl Simulator {
     /// Number of ranks.
     pub fn procs(&self) -> usize {
         self.procs
+    }
+
+    /// The execution backend runs use.
+    pub fn exec_backend(&self) -> ExecBackend {
+        self.backend
     }
 
     /// Runs `f` on every rank concurrently (one OS thread per rank) and
@@ -276,11 +274,11 @@ mod tests {
     use crate::MachineProfile;
 
     fn ideal(procs: usize) -> Simulator {
-        Simulator::new(procs).machine(MachineProfile::ideal())
+        Simulator::new(procs).cluster(ClusterProfile::uniform(MachineProfile::ideal()))
     }
 
     fn t3e(procs: usize) -> Simulator {
-        Simulator::new(procs).machine(MachineProfile::cray_t3e())
+        Simulator::new(procs)
     }
 
     #[test]
@@ -561,7 +559,7 @@ mod tests {
 
     #[test]
     fn io_charges_accrue() {
-        let sim = Simulator::new(1).machine(MachineProfile::ibm_sp2());
+        let sim = Simulator::new(1).cluster(ClusterProfile::uniform(MachineProfile::ibm_sp2()));
         let r = sim.run(|comm| {
             comm.charge_io(20_000_000); // 20 MB at 20 MB/s = 1 s
         });
@@ -1194,7 +1192,6 @@ mod race_probe {
         }
         for backend in [ExecBackend::Sim, ExecBackend::Native] {
             let r = Simulator::new(3)
-                .machine(MachineProfile::cray_t3e())
                 .backend(backend)
                 .fault_plan(FaultPlan::new().crash(2, CrashPoint::AtPass(1)))
                 .run_with_faults(|comm| {

@@ -3,7 +3,7 @@
 //! produce exactly the mathematical result on every rank — and virtual
 //! time must stay deterministic and causal.
 
-use armine_mpsim::{MachineProfile, Simulator};
+use armine_mpsim::{ClusterProfile, MachineProfile, Simulator};
 use proptest::prelude::*;
 
 proptest! {
@@ -17,7 +17,7 @@ proptest! {
     ) {
         let base_ref = &base;
         let r = Simulator::new(p)
-            .machine(MachineProfile::ideal())
+            .cluster(ClusterProfile::uniform(MachineProfile::ideal()))
             .run(move |comm| {
                 let mut v: Vec<u64> = base_ref
                     .iter()
@@ -37,7 +37,7 @@ proptest! {
     #[test]
     fn allgather_orders_by_rank(p in 1usize..10, salt in 0u64..1000) {
         let r = Simulator::new(p)
-            .machine(MachineProfile::ideal())
+            .cluster(ClusterProfile::uniform(MachineProfile::ideal()))
             .run(move |comm| {
                 let mine = comm.rank() as u64 * 1000 + salt;
                 comm.world().try_allgather(mine, 8).unwrap()
@@ -53,7 +53,7 @@ proptest! {
     fn broadcast_delivers(p in 1usize..10, root_seed in 0usize..100, payload in 0u64..u64::MAX) {
         let root = root_seed % p;
         let r = Simulator::new(p)
-            .machine(MachineProfile::ideal())
+            .cluster(ClusterProfile::uniform(MachineProfile::ideal()))
             .run(move |comm| {
                 let mut w = comm.world();
                 let value = (w.rank() == root).then_some(payload);

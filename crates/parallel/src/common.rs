@@ -1,7 +1,9 @@
 //! Machinery shared by all nine parallel formulations: the per-rank pass
 //! loop and the candidates and levels its ranks share, cost charging,
 //! pass-1 counting, the views every rank holds of the one database slab
-//! (slices, pages, re-balanced shares), and the ring pipeline of Figure 6.
+//! (slices, pages, re-balanced shares), and the three page movements of
+//! the partitioned pass: the ring pipeline of Figure 6, DD's naive
+//! all-to-all and the single-source chain.
 
 use crate::config::{ParallelParams, PlacementPolicy};
 use armine_core::binpack::CandidatePartition;
@@ -537,20 +539,36 @@ fn merge_levels(parts: Vec<Vec<(ItemSet, u64)>>) -> Vec<(ItemSet, u64)> {
     merged
 }
 
+/// How a partitioned pass moves the pages past its ranks (Section III):
+/// the three movements differ in nothing else. Each agrees on how many
+/// pages go round, counts every page it sees exactly once, and returns the
+/// counting work it performed; each fails (for pass-boundary recovery)
+/// when a peer it waits on dies or abandons the attempt.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Movement {
+    /// IDD's ring pipeline ([`ring_shift_count`]).
+    Ring,
+    /// DD's naive all-to-all ([`all_to_all_count`]).
+    AllToAll,
+    /// IDD-1src's chain from member 0 ([`chain_count`]).
+    Chain,
+}
+
 /// The ring-pipelined all-to-all data movement of Figure 6: every member's
 /// pages visit every member exactly once; the in-hand buffer is processed
 /// while the shift is in flight (asynchronous send/recv → compute and
-/// communication overlap in virtual time). Accumulates and returns the
-/// counting work performed; fails (for pass-boundary recovery) when the
-/// left neighbour dies or abandons the attempt mid-ring.
+/// communication overlap in virtual time). Every member loops over the
+/// ring's largest page count, all-gathered first, so the shift pattern
+/// stays aligned.
 pub(crate) fn ring_shift_count(
     scope: &mut Scope<'_>,
     my_pages: &[TransactionPage],
-    max_pages: usize,
     counter: &mut dyn CandidateCounter,
     filter: &OwnershipFilter,
 ) -> Result<CounterStats, RecvFault> {
     let p = scope.size();
+    let page_counts: Vec<u64> = scope.try_allgather(my_pages.len() as u64, 8)?;
+    let max_pages = page_counts.iter().copied().max().unwrap_or(0) as usize;
     let mut stats = CounterStats::default();
     // Members whose slice has fewer pages than the ring's longest member
     // circulate this placeholder instead: the (zero-byte) message must
@@ -587,6 +605,92 @@ pub(crate) fn ring_shift_count(
         }
         // Process the final buffer (travelled the whole ring).
         count_buf(scope, &sbuf, &mut stats);
+    }
+    Ok(stats)
+}
+
+/// DD's naive all-to-all (Section III-B, Figure 5): in round `r` every
+/// member sends its `r`-th page to each of the P−1 others with blocking
+/// sends, then receives the others' `r`-th pages and counts its own page
+/// first, then theirs in member order. The sends serialize on the
+/// single-ported senders and receivers, and the idling follows: DD's first
+/// two problems (its third, redundant traversal, is the round-robin
+/// plan's). The page counts of every peer are all-gathered first, so each
+/// member knows which receives a round holds.
+#[allow(clippy::needless_range_loop)] // loop variables are peer ranks
+pub(crate) fn all_to_all_count(
+    scope: &mut Scope<'_>,
+    my_pages: &[TransactionPage],
+    counter: &mut dyn CandidateCounter,
+    filter: &OwnershipFilter,
+) -> Result<CounterStats, RecvFault> {
+    let (p, me) = (scope.size(), scope.rank());
+    let page_counts: Vec<u64> = scope.try_allgather(my_pages.len() as u64, 8)?;
+    let max_pages = page_counts.iter().copied().max().unwrap_or(0) as usize;
+    let mut stats = CounterStats::default();
+    for round in 0..max_pages {
+        let tag = TAG_DATA | (round as u64) << 8;
+        // Asynchronous in the paper, but the single-ported sender still
+        // serializes the P−1 link occupancies. Each send is a clone of the
+        // same page view; only the charged wire bytes scale with P.
+        let mine = my_pages.get(round);
+        if let Some(page) = mine {
+            let bytes = page_bytes(page);
+            for other in (0..p).filter(|&other| other != me) {
+                scope.send(other, tag, page.clone(), bytes);
+            }
+        }
+        // The paper polls whichever buffer has data; a fixed order moves
+        // the same bytes through the same single port, so totals agree.
+        let mut batch: Vec<TransactionPage> = mine.into_iter().cloned().collect();
+        for other in 0..p {
+            if other != me && round < page_counts[other] as usize {
+                batch.push(scope.try_recv(other, tag)?);
+            }
+        }
+        for page in &batch {
+            let delta = count_batch_charged(scope.comm(), counter, page, filter);
+            stats = stats.merged(&delta);
+        }
+    }
+    Ok(stats)
+}
+
+/// IDD-1src's chain (the paper's conclusion): member 0, the source, holds
+/// every page and broadcasts how many there are; each page then flows
+/// down the member chain, every member but the tail forwarding it
+/// (a page-view refcount bump) before counting it, so downstream members
+/// overlap their counting with its.
+#[allow(clippy::needless_range_loop)] // only the source indexes its pages
+pub(crate) fn chain_count(
+    scope: &mut Scope<'_>,
+    my_pages: &[TransactionPage],
+    counter: &mut dyn CandidateCounter,
+    filter: &OwnershipFilter,
+) -> Result<CounterStats, RecvFault> {
+    let (p, me) = (scope.size(), scope.rank());
+    debug_assert!(
+        me == 0 || my_pages.is_empty(),
+        "only the source holds pages"
+    );
+    let source_pages = (me == 0).then_some(my_pages.len() as u64);
+    let num_pages = scope.try_broadcast(0, source_pages, 8)? as usize;
+    let mut stats = CounterStats::default();
+    for page_idx in 0..num_pages {
+        let tag = TAG_DATA | (page_idx as u64) << 8;
+        let page: TransactionPage = if me == 0 {
+            my_pages[page_idx].clone()
+        } else {
+            scope.try_recv(me - 1, tag)?
+        };
+        let forward = (me + 1 < p).then(|| {
+            let bytes = page_bytes(&page);
+            scope.isend(me + 1, tag, page.clone(), bytes)
+        });
+        stats = stats.merged(&count_batch_charged(scope.comm(), counter, &page, filter));
+        if let Some(sh) = forward {
+            scope.wait_send(sh);
+        }
     }
     Ok(stats)
 }
@@ -835,55 +939,83 @@ mod tests {
         assert_eq!(level_wire_size(&level), 8 + 16 + 12);
     }
 
-    /// Maximally skewed page counts: one ring member owns every page, the
-    /// others own none and circulate empty placeholder buffers. The
-    /// empty buffers must still be *sent* every step (ring causality —
-    /// each member's receive in step `s` matches its left neighbour's
-    /// send in step `s`) but never counted, and every rank must still see
-    /// every transaction exactly once.
+    /// Skewed page counts, under each page movement: rank 0 holds four
+    /// pages, rank 2 one and the others none (the chain's source holds all
+    /// twelve transactions, in four pages). Every rank must see and count every transaction exactly once.
+    /// The ring's members with fewer pages still *send* an empty
+    /// placeholder every step (ring causality — each member's receive in
+    /// step `s` matches its left neighbour's send in step `s`) but never
+    /// count it; the all-to-all sends each page to every peer; the chain
+    /// forwards each page down to the tail, which forwards none.
     #[test]
     fn ring_shift_counts_skewed_pages_once_per_rank() {
         use armine_mpsim::Simulator;
         let p = 4;
-        let result = Simulator::new(p).run(|comm| {
-            let local: Vec<Transaction> = if comm.rank() == 0 {
-                (0..10).map(|i| tx(i, &[1, 2, 3])).collect()
-            } else {
-                Vec::new()
-            };
-            let my_pages = paginate(&local.into(), 3); // rank 0: 4 pages; others: 0.
-            let mut counter = CounterBackend::HashTree.build(
-                2,
-                HashTreeParams::default(),
-                vec![ItemSet::from([1, 2]), ItemSet::from([1, 9])],
-            );
-            counter.reset_stats();
-            let mut world = comm.world();
-            let page_counts: Vec<u64> = world.try_allgather(my_pages.len() as u64, 8).unwrap();
-            let max_pages = page_counts.iter().copied().max().unwrap_or(0) as usize;
-            let stats = ring_shift_count(
-                &mut world,
-                &my_pages,
-                max_pages,
-                &mut *counter,
-                &OwnershipFilter::all(),
-            )
-            .expect("fault-free ring cannot fail");
-            (counter.count_of(&ItemSet::from([1, 2])), stats.transactions)
-        });
-        for (rank, (count, seen)) in result.results.iter().enumerate() {
-            assert_eq!(*count, Some(10), "rank {rank} miscounted");
-            assert_eq!(*seen, 10, "rank {rank} processed a wrong batch total");
+        for movement in [Movement::Ring, Movement::AllToAll, Movement::Chain] {
+            let result = Simulator::new(p).run(|comm| {
+                let local: Vec<Transaction> = match (comm.rank(), movement) {
+                    (0, Movement::Chain) => (0..12).map(|i| tx(i, &[1, 2, 3])).collect(),
+                    (0, _) => (0..10).map(|i| tx(i, &[1, 2, 3])).collect(),
+                    (2, Movement::Ring | Movement::AllToAll) => {
+                        (10..12).map(|i| tx(i, &[1, 2, 3])).collect()
+                    }
+                    _ => Vec::new(),
+                };
+                let my_pages = paginate(&local.into(), 3);
+                let mut counter = CounterBackend::HashTree.build(
+                    2,
+                    HashTreeParams::default(),
+                    vec![ItemSet::from([1, 2]), ItemSet::from([1, 9])],
+                );
+                counter.reset_stats();
+                let count = match movement {
+                    Movement::Ring => ring_shift_count,
+                    Movement::AllToAll => all_to_all_count,
+                    Movement::Chain => chain_count,
+                };
+                let filter = OwnershipFilter::all();
+                let stats = count(&mut comm.world(), &my_pages, &mut *counter, &filter)
+                    .expect("a fault-free movement cannot fail");
+                let pages = my_pages.len() as u64;
+                (
+                    counter.count_of(&ItemSet::from([1, 2])),
+                    stats.transactions,
+                    pages,
+                )
+            });
+            for (rank, (count, seen, _)) in result.results.iter().enumerate() {
+                assert_eq!(*count, Some(12), "{movement:?}: rank {rank} miscounted");
+                assert_eq!(*seen, 12, "{movement:?}: rank {rank} saw a wrong total");
+            }
+            let msgs: Vec<u64> = result.ranks.iter().map(|r| r.messages_sent).collect();
+            let pages: Vec<u64> = result.results.iter().map(|r| r.2).collect();
+            let peers = p as u64 - 1;
+            match movement {
+                // One message per (page, step), empty or not — 4 pages × 3
+                // steps — plus one all-gather contribution per peer round;
+                // no rank may short-circuit.
+                Movement::Ring => {
+                    assert_eq!(msgs, vec![msgs[0]; p], "skew moved the ring's pattern");
+                    assert_eq!(msgs[0], 4 * peers + peers, "ring sends missing");
+                }
+                Movement::AllToAll => {
+                    for rank in 0..p {
+                        let want = pages[rank] * peers + peers;
+                        assert_eq!(msgs[rank], want, "all-to-all sends of rank {rank}");
+                    }
+                }
+                // Every member but the tail forwards each of the source's
+                // pages; the page-count broadcast sends fewer than that.
+                Movement::Chain => {
+                    let forwarded = |m: &u64| *m >= pages[0];
+                    assert!(msgs[..p - 1].iter().all(forwarded), "chain sends: {msgs:?}");
+                    assert!(
+                        msgs[p - 1] < pages[0],
+                        "the tail forwards no page: {msgs:?}"
+                    );
+                }
+            }
         }
-        // Ring causality: every member sends one message per (page, step),
-        // empty or not — 4 pages × 3 steps — plus its one allgather
-        // contribution per peer round; no rank may short-circuit.
-        let msgs: Vec<u64> = result.ranks.iter().map(|r| r.messages_sent).collect();
-        assert!(
-            msgs.iter().all(|&m| m == msgs[0]),
-            "skewed ownership must not change the message pattern: {msgs:?}"
-        );
-        assert!(msgs[0] >= (4 * 3) as u64, "ring sends missing: {msgs:?}");
     }
 
     #[test]

@@ -19,15 +19,16 @@
 //! candidate set is small, growing as `⌈M/m⌉` (rounded to a divisor of P)
 //! when it is large — Table II's configurations.
 //!
-//! "G = P is IDD" is meant literally: [`partitioned_pass`] is the only
-//! driver of the ring pipeline. IDD, DD+comm and the dead-source fallback
-//! of single-source IDD call it at grid `(P, 1)` — one column holding
-//! everybody, rows of one whose reduction is a no-op — and differ only in
-//! the partition plan they hand it.
+//! "G = P is IDD" is meant literally: [`partitioned_pass`] is the one
+//! pass driver of all five partitioned formulations. DD, DD+comm, IDD and
+//! single-source IDD run it at grid `(P, 1)` — one column holding
+//! everybody, rows of one whose reduction returns at once — and they and
+//! HD differ only in the candidate plan, the grid and the page
+//! [`Movement`] they hand it.
 
 use crate::common::{
-    build_counter_charged, exchange_level, paginate, ring_shift_count, PassResult, PlanShare,
-    RankCtx,
+    all_to_all_count, build_counter_charged, chain_count, exchange_level, paginate,
+    ring_shift_count, Movement, PassResult, PlanShare, RankCtx,
 };
 use crate::config::ParallelParams;
 use crate::idd::make_partition;
@@ -58,15 +59,14 @@ pub fn choose_grid(p: usize, m_total: usize, m: usize) -> (usize, usize) {
     (g, p / g)
 }
 
-/// One HD counting pass over `candidates`, the run's `C_k`: choose the
-/// grid, plan the candidates over its rows, run the partitioned pass.
-pub(crate) fn count_pass(
-    comm: &mut Comm,
+/// HD's plan and grid for a pass over `candidates`, the run's `C_k`:
+/// [`choose_grid`]'s grid, and the candidates planned over its rows.
+pub(crate) fn plan_and_grid(
     ctx: &RankCtx,
     candidates: &Candidates,
     params: &ParallelParams,
     group_threshold: usize,
-) -> Result<PassResult, RecvFault> {
+) -> (CandidatePartition, (usize, usize)) {
     let (g, cols) = choose_grid(ctx.size(), candidates.len(), group_threshold);
     // A row's effective capacity is its *slowest* member's: the row's
     // candidate subset is counted in parallel by one rank per column, so
@@ -78,15 +78,15 @@ pub(crate) fn count_pass(
         .map(|row| row.iter().copied().fold(f64::INFINITY, f64::min))
         .collect();
     let plan = make_partition(candidates, ctx.num_items, &row_caps, params);
-    partitioned_pass(comm, ctx, candidates, params, &plan, (g, cols))
+    (plan, (g, cols))
 }
 
 /// One partitioned counting pass on a `g × cols` grid (`g · cols` = the
 /// membership): `plan` splits the candidates over the `g` rows, identically
 /// in every column. Each rank builds its counter straight from its row's
 /// share of the run's `C_k` (read in place through the plan, never copied
-/// out), ring-shifts its column's pages past it, sums counts along its
-/// row, and the column reassembles `F_k`.
+/// out), moves its column's pages past it by `movement`, sums counts along
+/// its row, and the column reassembles `F_k`.
 pub(crate) fn partitioned_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
@@ -94,6 +94,7 @@ pub(crate) fn partitioned_pass(
     params: &ParallelParams,
     plan: &CandidatePartition,
     (g, cols): (usize, usize),
+    movement: Movement,
 ) -> Result<PassResult, RecvFault> {
     debug_assert_eq!((g * cols, plan.num_procs()), (ctx.size(), g));
     let me = ctx.my_index;
@@ -107,27 +108,30 @@ pub(crate) fn partitioned_pass(
     let mine = PlanShare::new(plan, my_row);
     let filter = &plan.filters[my_row];
     let mut counter = build_counter_charged(comm, params, candidates, 0..total, mine, total);
+    // Ranks holding no transactions (the chain's, past its source) charge
+    // nothing here.
     comm.charge_io(ctx.local_bytes());
 
-    // Step 1 — IDD within the column: shift the column's transactions
-    // around the column ring, counting with the row's filter. Everyone
-    // loops over the column's largest page count so the shift pattern
-    // stays aligned.
+    // Step 1 — the column's pages move past every member, each counted
+    // with the row's filter.
     let my_pages = paginate(&ctx.local, ctx.page_size);
     let stats = {
         let mut col = comm.scope(
             ctx.scope_id(SCOPE_COLUMN + my_col as u64),
             col_members.clone(),
         );
-        let page_counts: Vec<u64> = col.try_allgather(my_pages.len() as u64, 8)?;
-        let max_pages = page_counts.iter().copied().max().unwrap_or(0) as usize;
-        ring_shift_count(&mut col, &my_pages, max_pages, &mut *counter, filter)?
+        let count = match movement {
+            Movement::Ring => ring_shift_count,
+            Movement::AllToAll => all_to_all_count,
+            Movement::Chain => chain_count,
+        };
+        count(&mut col, &my_pages, &mut *counter, filter)?
     };
 
     // Step 2 — reduction along the row: processors in a row hold the same
     // candidate subset; summing gives global counts. A row of one (every
-    // `(P, 1)` caller) already holds them, and the all-reduce returns at
-    // once.
+    // `(P, 1)` caller) already holds them, and the all-reduce returns
+    // without a `Comm` call.
     let mut row = comm.scope(ctx.scope_id(SCOPE_ROW + my_row as u64), row_members);
     row.try_allreduce_sum_u64(counter.counts_mut())?;
     drop(row);

@@ -15,18 +15,15 @@
 //!    repeated: `V(C/P, L/P) ≈ V(C, L)/P`.
 //!
 //! IDD has no pass driver of its own: it is the partitioned pass of
-//! [`crate::hd`] at grid `(P, 1)` with [`make_partition`]'s plan. What
-//! lives here is that plan and the single-source chain.
+//! [`crate::hd`] at grid `(P, 1)` with [`make_partition`]'s plan, moving
+//! pages by the ring. Single-source IDD is the same pass moving them by
+//! the chain from rank 0 (the paper's conclusion), or by the ring once
+//! that source has died and its pages live on several survivors. What
+//! lives here is the plan.
 
-use crate::common::{
-    build_counter_charged, count_batch_charged, exchange_level, page_bytes, paginate, PassResult,
-    PlanShare, RankCtx, TransactionPage, TAG_DATA,
-};
 use crate::config::ParallelParams;
 use armine_core::binpack::{partition_by_first_item, partition_two_level, CandidatePartition};
 use armine_core::candidates::Candidates;
-use armine_core::counter::CounterStats;
-use armine_mpsim::{Comm, RecvFault};
 
 /// Builds IDD's candidate partition of `candidates`, the run's `C_k`:
 /// bin-packed single-level by default, two-level when a split threshold is
@@ -44,83 +41,6 @@ pub(crate) fn make_partition(
         Some(t) => partition_two_level(rows, num_items, capacities, t),
         None => partition_by_first_item(rows, num_items, capacities),
     }
-}
-
-/// One IDD counting pass in **single-source** mode — the deployment the
-/// paper's conclusion highlights: "when all the data is coming from a
-/// database server or a single file system, one processor can read data
-/// from the single source and pass the data along the communication
-/// pipeline defined in the algorithm." Global rank 0 holds the whole
-/// database and streams pages down the member chain; every rank counts
-/// each page against its candidate partition as it flows past.
-///
-/// Under crash recovery the source itself can die: its database is then
-/// redistributed across the survivors by adoption, the chain has no head
-/// to stream from, and the pass falls back to the partitioned pass at
-/// grid `(P, 1)` — plain IDD: same candidate partition, same filters,
-/// same `F_k`.
-pub(crate) fn count_pass_single_source(
-    comm: &mut Comm,
-    ctx: &RankCtx,
-    candidates: &Candidates,
-    params: &ParallelParams,
-) -> Result<PassResult, RecvFault> {
-    let p = ctx.size();
-    let me = ctx.my_index;
-    let total = candidates.len();
-    let part = make_partition(candidates, ctx.num_items, &ctx.capacities, params);
-    if ctx.members[0] != 0 {
-        // The source is dead and its pages now live on several survivors:
-        // circulate them with the ring instead of the broken chain.
-        return crate::hd::partitioned_pass(comm, ctx, candidates, params, &part, (p, 1));
-    }
-    let mine = PlanShare::new(&part, me);
-    let filter = &part.filters[me];
-    let mut counter = build_counter_charged(comm, params, candidates, 0..total, mine, total);
-    if me == 0 {
-        comm.charge_io(ctx.local_bytes());
-    }
-    // Page count is known only at the source; broadcast it down the
-    // chain first (the source owns all transactions in this mode).
-    let my_pages = paginate(&ctx.local, ctx.page_size);
-    let num_pages = {
-        let mut world = ctx.world(comm);
-        let value = (me == 0).then_some(my_pages.len() as u64);
-        world.try_broadcast(0, value, 8)? as usize
-    };
-    let mut stats = CounterStats::default();
-    #[allow(clippy::needless_range_loop)] // only the source indexes its pages
-    for page_idx in 0..num_pages {
-        let tag = TAG_DATA | (page_idx as u64) << 8;
-        let mut world = ctx.world(comm);
-        let page: TransactionPage = if me == 0 {
-            my_pages[page_idx].clone()
-        } else {
-            world.try_recv(me - 1, tag)?
-        };
-        // Forward down the chain (a page-view refcount bump) before
-        // counting, so downstream ranks overlap with our subset work.
-        if me + 1 < p {
-            let bytes = page_bytes(&page);
-            let sh = world.isend(me + 1, tag, page.clone(), bytes);
-            drop(world);
-            stats = stats.merged(&count_batch_charged(comm, &mut *counter, &page, filter));
-            ctx.world(comm).wait_send(sh);
-        } else {
-            drop(world);
-            stats = stats.merged(&count_batch_charged(comm, &mut *counter, &page, filter));
-        }
-    }
-
-    let mine_frequent = counter.frequent(ctx.min_count);
-    Ok(PassResult {
-        level: exchange_level(&mut ctx.world(comm), mine_frequent)?,
-        stats,
-        db_scans: 1,
-        grid: (p, 1),
-        candidate_imbalance: part.imbalance,
-        counted_candidates: None,
-    })
 }
 
 #[cfg(test)]

@@ -14,16 +14,17 @@
 //! | [`Algorithm::DdComm`] (DD + comm)      | round-robin partition | IDD's ring pipeline | V, Fig 10 |
 //! | [`Algorithm::Idd`] (Intelligent DD)    | bin-packed by first item + bitmap filter | ring pipeline | III-C |
 //! | [`Algorithm::Hd`] (Hybrid)             | bin-packed within G-row grid columns | ring within columns, reduce along rows | III-D |
-//! | [`Algorithm::IddSingleSource`]         | as IDD | source-to-chain pipeline from rank 0 | VI (conclusion) |
+//! | [`Algorithm::IddSingleSource`]         | as IDD | chain pipeline from rank 0 (the ring once it dies) | VI (conclusion) |
 //! | [`Algorithm::Npa`]                     | full replica | counts funnelled to a coordinator | III-E (related) |
 //! | [`Algorithm::Hpa`] (hash partitioned)  | stable-hash partition | per-transaction k-subsets to owners | III-E (related) |
 //! | [`Algorithm::Pdm`] (parallel DHP)      | full replica, bucket-pruned | counts + bucket tables reduced | III-E (related) |
 //!
 //! All nine run on [`armine_mpsim`]'s virtual-time runtime: results are
 //! exact (tested identical to serial Apriori), response times come from the
-//! calibrated cost model. DD+comm, IDD and HD are one pass driver — HD's
-//! partitioned pass, which the first two run at grid `(P, 1)` with their
-//! own candidate plan (DESIGN.md §5.4).
+//! calibrated cost model. DD, DD+comm, IDD, IDD-1src and HD are one pass
+//! driver — HD's partitioned pass, which the first four run at grid
+//! `(P, 1)` — and differ only in the candidate plan, the grid and the page
+//! movement they give it (DESIGN.md §5.4).
 //!
 //! Runs can also be subjected to deterministic fault injection
 //! ([`armine_mpsim::FaultPlan`]): [`ParallelMiner::mine_with_faults`]
@@ -50,7 +51,6 @@
 mod cd;
 mod common;
 mod config;
-mod dd;
 mod hd;
 mod hpa;
 mod idd;

@@ -2,17 +2,20 @@
 //! count, and mine. The ranks are placed by cut points on the dataset's own
 //! allocation of transactions, which no rank copies.
 
-use crate::common::{run_rank, RankCtx, RankOutput, RunShare, TransactionPage};
+use crate::common::{
+    run_rank, Movement, PassResult, RankCtx, RankOutput, RunShare, TransactionPage,
+};
 use crate::config::ParallelParams;
 use crate::metrics::{ParallelPassMetrics, ParallelRun};
-use crate::{cd, dd, hd, hpa, idd, npa, pdm};
+use crate::{cd, hd, hpa, idd, npa, pdm};
 use armine_core::apriori::FrequentItemsets;
 use armine_core::binpack::partition_round_robin;
+use armine_core::candidates::Candidates;
 use armine_core::counter::CounterStats;
-use armine_core::Dataset;
+use armine_core::{Dataset, ItemSet};
 use armine_mpsim::{
-    ClusterProfile, ExecBackend, FaultPlan, MachineProfile, SimResult, Simulator, Topology,
-    WallTimings,
+    ClusterProfile, Comm, ExecBackend, FaultPlan, MachineProfile, RecvFault, SimResult, Simulator,
+    Topology, WallTimings,
 };
 use std::sync::Arc;
 
@@ -106,14 +109,11 @@ impl std::fmt::Display for FaultRunError {
 
 impl std::error::Error for FaultRunError {}
 
-/// A configured parallel mining engine: processor count + cluster profile
-/// + interconnect.
+/// A configured parallel mining engine: the machine it runs on —
+/// processor count, cluster profile, interconnect and backend.
 #[derive(Debug, Clone)]
 pub struct ParallelMiner {
-    procs: usize,
-    cluster: ClusterProfile,
-    topology: Topology,
-    backend: ExecBackend,
+    sim: Simulator,
 }
 
 impl ParallelMiner {
@@ -121,10 +121,7 @@ impl ParallelMiner {
     /// main testbed).
     pub fn new(procs: usize) -> Self {
         ParallelMiner {
-            procs,
-            cluster: ClusterProfile::uniform(MachineProfile::cray_t3e()),
-            topology: Topology::torus_for(procs),
-            backend: ExecBackend::Sim,
+            sim: Simulator::new(procs),
         }
     }
 
@@ -135,14 +132,14 @@ impl ParallelMiner {
     /// backends: injected on the virtual clock under sim, for real
     /// (thread deaths, sleeps, retransmit timers) under native.
     pub fn backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
+        self.sim = self.sim.backend(backend);
         self
     }
 
     /// Overrides the machine profile (e.g. [`MachineProfile::ibm_sp2`] for
     /// the Figure 12 experiment); every rank runs it at the same speed.
     pub fn machine(mut self, machine: MachineProfile) -> Self {
-        self.cluster = ClusterProfile::uniform(machine);
+        self.sim = self.sim.cluster(ClusterProfile::uniform(machine));
         self
     }
 
@@ -150,20 +147,19 @@ impl ParallelMiner {
     /// relative speed factors (see [`ClusterProfile`]). The mined
     /// itemsets never depend on the cluster — only the virtual (or, on
     /// the native backend, real) time does.
+    ///
+    /// # Panics
+    /// If the profile's parameters are out of range for the miner's
+    /// processor count.
     pub fn cluster(mut self, cluster: ClusterProfile) -> Self {
-        self.cluster = cluster;
+        self.sim = self.sim.cluster(cluster);
         self
     }
 
     /// Overrides the interconnect topology.
     pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
+        self.sim = self.sim.topology(topology);
         self
-    }
-
-    /// Number of simulated processors.
-    pub fn procs(&self) -> usize {
-        self.procs
     }
 
     /// Mines `dataset` with `algorithm`. Transactions are distributed
@@ -198,24 +194,20 @@ impl ParallelMiner {
         params: &ParallelParams,
         plan: Option<&FaultPlan>,
     ) -> Result<ParallelRun, FaultRunError> {
+        let procs = self.sim.procs();
         if let Some(plan) = plan {
-            plan.validate_for_procs(self.procs)
+            plan.validate_for_procs(procs)
                 .map_err(FaultRunError::InvalidPlan)?;
         }
         // The database is one slab, the dataset's own allocation: every
         // rank's slice, page and recovery holding is a range of it.
         let db = TransactionPage::from(Arc::clone(dataset.shared_transactions()));
-        let cuts = cut_points(algorithm, dataset, self.procs);
+        let cuts = cut_points(algorithm, dataset, procs);
         let num_items = dataset.num_items();
         let min_count = params.min_support.resolve(dataset.len());
         let share = RunShare::default();
-        let mut sim = Simulator::new(self.procs)
-            .cluster(self.cluster.clone())
-            .topology(self.topology)
-            .backend(self.backend);
-        if let Some(plan) = plan {
-            sim = sim.fault_plan(plan.clone());
-        }
+        let faulty = plan.map(|plan| self.sim.clone().fault_plan(plan.clone()));
+        let sim = faulty.as_ref().unwrap_or(&self.sim);
         let (db, cuts) = (&db, &cuts[..]);
         let params_copy = *params;
         // Replicated-candidate formulations count their local slice
@@ -246,55 +238,62 @@ impl ParallelMiner {
                 &share,
                 &params_copy,
                 mobile_pages,
-                |comm, ctx, candidates, prev| match algorithm {
-                    Algorithm::Cd => cd::count_pass(comm, ctx, candidates, &params_copy),
-                    Algorithm::Dd => dd::count_pass(comm, ctx, candidates, &params_copy),
-                    // DD+comm and IDD are HD's pass at grid (P, 1): one
-                    // column of everybody, differing only in the plan.
-                    Algorithm::DdComm => {
-                        let rows = candidates.rows(0..candidates.len());
-                        let plan = partition_round_robin(rows, ctx.size());
-                        let grid = (ctx.size(), 1);
-                        hd::partitioned_pass(comm, ctx, candidates, &params_copy, &plan, grid)
-                    }
-                    Algorithm::Idd => {
-                        let plan = idd::make_partition(
-                            candidates,
-                            ctx.num_items,
-                            &ctx.capacities,
-                            &params_copy,
-                        );
-                        let grid = (ctx.size(), 1);
-                        hd::partitioned_pass(comm, ctx, candidates, &params_copy, &plan, grid)
-                    }
-                    Algorithm::Hd { group_threshold } => {
-                        hd::count_pass(comm, ctx, candidates, &params_copy, group_threshold)
-                    }
-                    Algorithm::Hpa { eld_permille } => {
-                        hpa::count_pass(comm, ctx, candidates, prev, eld_permille)
-                    }
-                    Algorithm::IddSingleSource => {
-                        idd::count_pass_single_source(comm, ctx, candidates, &params_copy)
-                    }
-                    Algorithm::Npa => npa::count_pass(comm, ctx, candidates, &params_copy),
-                    Algorithm::Pdm {
-                        buckets,
-                        filter_passes,
-                    } => {
-                        pdm::count_pass(comm, ctx, candidates, &params_copy, buckets, filter_passes)
-                    }
+                |comm, ctx, candidates, prev| {
+                    count_pass(algorithm, comm, ctx, candidates, prev, &params_copy)
                 },
             )
         });
         let meta = crate::registry::RunMeta {
             algorithm: algorithm.name(),
-            procs: self.procs,
-            backend: self.backend,
+            procs,
+            backend: self.sim.exec_backend(),
             counter: params.counter,
             fault_plan: plan.map_or_else(|| "none".to_owned(), FaultPlan::label),
         };
         assemble(meta, dataset.len(), min_count, result).ok_or(FaultRunError::AllRanksCrashed)
     }
+}
+
+/// One counting pass of `algorithm` over `candidates`, the run's `C_k`,
+/// after `prev`, the committed `F_{k−1}`. The five partitioned
+/// formulations are one pass, given a candidate plan, a grid and a page
+/// movement.
+fn count_pass(
+    algorithm: Algorithm,
+    comm: &mut Comm,
+    ctx: &RankCtx,
+    candidates: &Candidates,
+    prev: &[(ItemSet, u64)],
+    params: &ParallelParams,
+) -> Result<PassResult, RecvFault> {
+    let p = ctx.size();
+    let round_robin = || partition_round_robin(candidates.rows(0..candidates.len()), p);
+    let first_item = || idd::make_partition(candidates, ctx.num_items, &ctx.capacities, params);
+    let (plan, grid, movement) = match algorithm {
+        Algorithm::Cd => return cd::count_pass(comm, ctx, candidates, params),
+        Algorithm::Hpa { eld_permille } => {
+            return hpa::count_pass(comm, ctx, candidates, prev, eld_permille)
+        }
+        Algorithm::Npa => return npa::count_pass(comm, ctx, candidates, params),
+        Algorithm::Pdm {
+            buckets,
+            filter_passes,
+        } => return pdm::count_pass(comm, ctx, candidates, params, buckets, filter_passes),
+        Algorithm::Dd => (round_robin(), (p, 1), Movement::AllToAll),
+        Algorithm::DdComm => (round_robin(), (p, 1), Movement::Ring),
+        Algorithm::Idd => (first_item(), (p, 1), Movement::Ring),
+        // Once the source (global rank 0) has died, its pages live on
+        // several survivors: the ring circulates them.
+        Algorithm::IddSingleSource if ctx.members[0] == 0 => {
+            (first_item(), (p, 1), Movement::Chain)
+        }
+        Algorithm::IddSingleSource => (first_item(), (p, 1), Movement::Ring),
+        Algorithm::Hd { group_threshold } => {
+            let (plan, grid) = hd::plan_and_grid(ctx, candidates, params, group_threshold);
+            (plan, grid, Movement::Ring)
+        }
+    };
+    hd::partitioned_pass(comm, ctx, candidates, params, &plan, grid, movement)
 }
 
 /// Where the database slab is cut: rank `r` starts on `cuts[r]..cuts[r + 1]`,
@@ -858,7 +857,10 @@ mod tests {
                     c_k.insert(c.k(), std::ptr::from_ref(c) as usize);
                     match procs {
                         2 => cd::count_pass(comm, ctx, c, &params),
-                        _ => hd::count_pass(comm, ctx, c, &params, 40),
+                        _ => {
+                            let (plan, grid) = hd::plan_and_grid(ctx, c, &params, 40);
+                            hd::partitioned_pass(comm, ctx, c, &params, &plan, grid, Movement::Ring)
+                        }
                     }
                 };
                 let output = run_rank(comm, ctx, &db, &cuts, &share, &params, false, count_pass);

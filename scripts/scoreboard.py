@@ -54,12 +54,12 @@ UNSHARED_CEILING = {
 # ceiling when lines go.
 PRODUCTION_CEILING = {
     "armine-bench": 1986,
-    "armine-cli": 710,
+    "armine-cli": 707,
     "armine-core": 6022,
     "armine-datagen": 507,
     "armine-metrics": 678,
-    "armine-mpsim": 2651,
-    "armine-parallel": 2604,
+    "armine-mpsim": 2650,
+    "armine-parallel": 2529,
     "armine": 30,
 }
 # The most concepts each row may hold, at their measured values, under the
@@ -76,7 +76,7 @@ CONCEPTS_CEILING = {
     "workspace": 73,
 }
 # The most lines DESIGN.md may hold, under the same rule.
-DESIGN_CEILING = 848
+DESIGN_CEILING = 846
 SHIM = "// benchmark-contract shim"
 STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 MOD = re.compile(r"^\s*(?:pub(?:\([^)]*\))? )?mod (\w+)\s*([;{])")
