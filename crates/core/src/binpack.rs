@@ -127,6 +127,15 @@ pub struct CandidatePartition {
 }
 
 impl CandidatePartition {
+    /// The replicated plan (CD, NPA, PDM): one share of every candidate.
+    pub fn whole() -> Self {
+        CandidatePartition {
+            filters: vec![OwnershipFilter::all()],
+            imbalance: 0.0,
+            by_position: false,
+        }
+    }
+
     /// Number of processors.
     pub fn num_procs(&self) -> usize {
         self.filters.len()

@@ -255,10 +255,10 @@ impl CandidateTable {
 /// Two ordering guarantees hold for every backend (CD's count-vector
 /// reduction and DD/IDD's `frequent` exchange depend on them):
 ///
-/// 1. [`count_vector`](Self::count_vector) /
-///    [`set_count_vector`](Self::set_count_vector) index the candidates
-///    in **row order**, which is ascending — identical across ranks
-///    because `apriori_gen` is deterministic and sorted.
+/// 1. [`count_vector`](Self::count_vector) and
+///    [`counts_mut`](Self::counts_mut) index the candidates in **row
+///    order**, which is ascending — identical across ranks because
+///    `apriori_gen` is deterministic and sorted.
 /// 2. [`frequent`](Self::frequent) returns survivors in row order.
 pub trait CandidateCounter {
     /// The candidates and counts this structure indexes.
@@ -296,8 +296,8 @@ pub trait CandidateCounter {
         Some(table.counts[row])
     }
 
-    /// Per-candidate counts in row order (what CD's global reduction
-    /// sums), copied.
+    /// Per-candidate counts in row order (what NPA's coordinator
+    /// gathers), copied.
     fn count_vector(&self) -> Vec<u64> {
         self.table().counts.clone()
     }
@@ -306,16 +306,6 @@ pub trait CandidateCounter {
     /// reduction sums in place.
     fn counts_mut(&mut self) -> &mut [u64] {
         &mut self.table_mut().counts
-    }
-
-    /// Overwrites the per-candidate counts (after a reduction).
-    ///
-    /// # Panics
-    /// If the length differs from [`num_candidates`](Self::num_candidates).
-    fn set_count_vector(&mut self, counts: &[u64]) {
-        let table = self.table_mut();
-        assert_eq!(counts.len(), table.len(), "count vector length mismatch");
-        table.counts.copy_from_slice(counts);
     }
 
     /// Candidates with `count >= min_count`, row order.
@@ -996,19 +986,14 @@ pub(crate) mod tests {
 
             // Count vector: row order, in place as copied (for the
             // splitting hash tree too, whose leaf order is not the row
-            // order), round trip, arity check.
+            // order), round trip.
             counter.count_all(&txs, &all);
             assert_eq!(counter.count_vector(), want, "{on}");
             assert_eq!(counter.counts_mut(), want, "{on}");
             charges_as_the_full_tree(subject, k, &*counter, &sets, &txs);
             let doubled: Vec<u64> = want.iter().map(|c| c * 2).collect();
-            counter.set_count_vector(&doubled);
+            counter.counts_mut().copy_from_slice(&doubled);
             assert_eq!(counter.count_vector(), doubled, "{on}");
-            let message = panic_message(|| counter.set_count_vector(&doubled[1..]));
-            assert!(
-                message.contains("count vector length mismatch"),
-                "{on}: {message}"
-            );
 
             // `count_of`: present, absent, wrong size.
             for (c, &count) in sets.iter().zip(&doubled) {
@@ -1198,12 +1183,6 @@ pub(crate) mod tests {
     /// before the pair table is tried.
     pub(crate) fn wrong_size(backend: CounterBackend) {
         drop(backend.build(2, HashTreeParams::default(), [set(&[1, 2, 3])]));
-    }
-
-    /// Overwriting the counts with a vector of the wrong length panics.
-    pub(crate) fn wrong_length(backend: CounterBackend) {
-        let mut counter = backend.build(2, HashTreeParams::default(), [set(&[1, 2])]);
-        counter.set_count_vector(&[1, 2]);
     }
 
     #[test]

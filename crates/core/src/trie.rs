@@ -271,8 +271,6 @@ mod tests {
         equivalent_to_hash_tree_on_random_data => brute_force,
         frequent_filters => bookkeeping,
         count_vector_round_trips => bookkeeping,
-        #[should_panic(expected = "count vector length mismatch")]
-        count_vector_arity_checked => wrong_length,
         #[should_panic(expected = "wrong size")]
         arity_checked => wrong_size,
         first_item_filter_prunes_roots => filters_prune,

@@ -1,9 +1,10 @@
 //! Machinery shared by all nine parallel formulations: the per-rank pass
 //! loop and the candidates and levels its ranks share, cost charging,
 //! pass-1 counting, the views every rank holds of the one database slab
-//! (slices, pages, re-balanced shares), and the three page movements of
-//! the partitioned pass: the ring pipeline of Figure 6, DD's naive
-//! all-to-all and the single-source chain.
+//! (slices, pages, re-balanced shares), and the four movements and two
+//! reductions of the one counting pass: the local count of the replicated
+//! formulations, the ring pipeline of Figure 6, DD's naive all-to-all and
+//! the single-source chain; the row all-reduce, or NPA's gather.
 
 use crate::config::{ParallelParams, PlacementPolicy};
 use armine_core::binpack::CandidatePartition;
@@ -445,7 +446,7 @@ pub(crate) fn build_counter_charged(
 /// vertical backend's bitmap words pass through as `intersection_words`
 /// (zero for the horizontal backends, which keeps their charge expression
 /// — and the goldens — bit-identical).
-pub(crate) fn count_batch_charged(
+fn count_batch_charged(
     comm: &mut Comm,
     counter: &mut dyn CandidateCounter,
     batch: &[Transaction],
@@ -518,11 +519,15 @@ pub(crate) fn level_wire_size(level: &[(ItemSet, u64)]) -> usize {
 
 /// Ends a partitioned pass: every member of `scope` holds complete counts
 /// for its own (disjoint) candidate share, so an all-to-all broadcast of
-/// the frequent ones assembles the global `F_k` on all of them.
+/// the frequent ones assembles the global `F_k` on all of them. A member
+/// alone holds it already, and is spared the all-gather's copy of it.
 pub(crate) fn exchange_level(
     scope: &mut Scope<'_>,
     mine_frequent: Vec<(ItemSet, u64)>,
 ) -> Result<Vec<(ItemSet, u64)>, RecvFault> {
+    if scope.size() == 1 {
+        return Ok(mine_frequent);
+    }
     let bytes = level_wire_size(&mine_frequent);
     Ok(merge_levels(scope.try_allgather(mine_frequent, bytes)?))
 }
@@ -539,13 +544,16 @@ fn merge_levels(parts: Vec<Vec<(ItemSet, u64)>>) -> Vec<(ItemSet, u64)> {
     merged
 }
 
-/// How a partitioned pass moves the pages past its ranks (Section III):
-/// the three movements differ in nothing else. Each agrees on how many
-/// pages go round, counts every page it sees exactly once, and returns the
-/// counting work it performed; each fails (for pass-boundary recovery)
-/// when a peer it waits on dies or abandons the attempt.
+/// How the counting pass brings the transactions past a rank's counter
+/// (Section III): the four movements differ in nothing else. Each counts
+/// every transaction it sees exactly once and returns the counting work it
+/// performed; each page movement first agrees on how many pages go round,
+/// and fails (for pass-boundary recovery) when a peer it waits on dies or
+/// abandons the attempt.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Movement {
+    /// CD's: the local slice, counted in one batch; no page moves.
+    Local,
     /// IDD's ring pipeline ([`ring_shift_count`]).
     Ring,
     /// DD's naive all-to-all ([`all_to_all_count`]).
@@ -554,13 +562,50 @@ pub(crate) enum Movement {
     Chain,
 }
 
+impl Movement {
+    /// Counts `local`, this member's slice, and whatever `scope`'s other
+    /// members move past it, in pages of `page_size` transactions — except
+    /// [`Movement::Local`], which never paginates: the vertical counter's
+    /// ledger is per call, so pages would change its charges.
+    pub(crate) fn count(
+        self,
+        scope: &mut Scope<'_>,
+        local: &TransactionPage,
+        page_size: usize,
+        counter: &mut dyn CandidateCounter,
+        filter: &OwnershipFilter,
+    ) -> Result<CounterStats, RecvFault> {
+        let count = match self {
+            Movement::Local => {
+                return Ok(count_batch_charged(scope.comm(), counter, local, filter))
+            }
+            Movement::Ring => ring_shift_count,
+            Movement::AllToAll => all_to_all_count,
+            Movement::Chain => chain_count,
+        };
+        count(scope, &paginate(local, page_size), counter, filter)
+    }
+}
+
+/// How the counting pass sums the counts of a row, whose members hold the
+/// same candidates, into the row's frequent ones; the column's
+/// [`exchange_level`] then assembles `F_k`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Reduction {
+    /// CD's: an all-reduce along the row.
+    AllReduce,
+    /// NPA's: a gather to the row's member 0, which sums, keeps the
+    /// frequent ones and broadcasts them ([`crate::npa::gather_sum`]).
+    Gather,
+}
+
 /// The ring-pipelined all-to-all data movement of Figure 6: every member's
 /// pages visit every member exactly once; the in-hand buffer is processed
 /// while the shift is in flight (asynchronous send/recv → compute and
 /// communication overlap in virtual time). Every member loops over the
 /// ring's largest page count, all-gathered first, so the shift pattern
 /// stays aligned.
-pub(crate) fn ring_shift_count(
+fn ring_shift_count(
     scope: &mut Scope<'_>,
     my_pages: &[TransactionPage],
     counter: &mut dyn CandidateCounter,
@@ -618,7 +663,7 @@ pub(crate) fn ring_shift_count(
 /// plan's). The page counts of every peer are all-gathered first, so each
 /// member knows which receives a round holds.
 #[allow(clippy::needless_range_loop)] // loop variables are peer ranks
-pub(crate) fn all_to_all_count(
+fn all_to_all_count(
     scope: &mut Scope<'_>,
     my_pages: &[TransactionPage],
     counter: &mut dyn CandidateCounter,
@@ -662,7 +707,7 @@ pub(crate) fn all_to_all_count(
 /// (a page-view refcount bump) before counting it, so downstream members
 /// overlap their counting with its.
 #[allow(clippy::needless_range_loop)] // only the source indexes its pages
-pub(crate) fn chain_count(
+fn chain_count(
     scope: &mut Scope<'_>,
     my_pages: &[TransactionPage],
     counter: &mut dyn CandidateCounter,
@@ -961,22 +1006,17 @@ mod tests {
                     }
                     _ => Vec::new(),
                 };
-                let my_pages = paginate(&local.into(), 3);
+                let pages = local.len().div_ceil(3) as u64;
                 let mut counter = CounterBackend::HashTree.build(
                     2,
                     HashTreeParams::default(),
                     vec![ItemSet::from([1, 2]), ItemSet::from([1, 9])],
                 );
                 counter.reset_stats();
-                let count = match movement {
-                    Movement::Ring => ring_shift_count,
-                    Movement::AllToAll => all_to_all_count,
-                    Movement::Chain => chain_count,
-                };
                 let filter = OwnershipFilter::all();
-                let stats = count(&mut comm.world(), &my_pages, &mut *counter, &filter)
+                let stats = movement
+                    .count(&mut comm.world(), &local.into(), 3, &mut *counter, &filter)
                     .expect("a fault-free movement cannot fail");
-                let pages = my_pages.len() as u64;
                 (
                     counter.count_of(&ItemSet::from([1, 2])),
                     stats.transactions,
@@ -1014,6 +1054,7 @@ mod tests {
                         "the tail forwards no page: {msgs:?}"
                     );
                 }
+                Movement::Local => unreachable!("moves no page"),
             }
         }
     }

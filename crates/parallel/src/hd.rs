@@ -19,21 +19,25 @@
 //! candidate set is small, growing as `⌈M/m⌉` (rounded to a divisor of P)
 //! when it is large — Table II's configurations.
 //!
-//! "G = P is IDD" is meant literally: [`partitioned_pass`] is the one
-//! pass driver of all five partitioned formulations. DD, DD+comm, IDD and
-//! single-source IDD run it at grid `(P, 1)` — one column holding
-//! everybody, rows of one whose reduction returns at once — and they and
-//! HD differ only in the candidate plan, the grid and the page
-//! [`Movement`] they hand it.
+//! "G = P is IDD" and "G = 1 is CD" are meant literally: [`partitioned_pass`]
+//! is the one pass driver of every formulation but HPA. DD, DD+comm, IDD
+//! and single-source IDD run it at grid `(P, 1)` — one column holding
+//! everybody, rows of one whose reduction returns at once. CD, NPA and
+//! PDM run it at `(1, P)` with the one-share plan and the
+//! [`Movement::Local`] count, NPA with its own [`Reduction`]. HD at
+//! `G = 1` has CD's grid and reduction, and a one-row plan holding every
+//! candidate (by a first-item bitmap), but counts by the ring, page by
+//! page. They differ only in the candidate plan, the grid, the
+//! [`Movement`], the [`Reduction`] and the memory cap they hand it.
 
 use crate::common::{
-    all_to_all_count, build_counter_charged, chain_count, exchange_level, paginate,
-    ring_shift_count, Movement, PassResult, PlanShare, RankCtx,
+    build_counter_charged, exchange_level, Movement, PassResult, PlanShare, RankCtx, Reduction,
 };
 use crate::config::ParallelParams;
 use crate::idd::make_partition;
 use armine_core::binpack::CandidatePartition;
 use armine_core::candidates::Candidates;
+use armine_core::counter::CounterStats;
 use armine_mpsim::{Comm, RecvFault};
 
 /// Scope-id namespaces for the grid's sub-communicators.
@@ -81,12 +85,19 @@ pub(crate) fn plan_and_grid(
     (plan, (g, cols))
 }
 
-/// One partitioned counting pass on a `g × cols` grid (`g · cols` = the
-/// membership): `plan` splits the candidates over the `g` rows, identically
-/// in every column. Each rank builds its counter straight from its row's
-/// share of the run's `C_k` (read in place through the plan, never copied
-/// out), moves its column's pages past it by `movement`, sums counts along
-/// its row, and the column reassembles `F_k`.
+/// The one counting pass of every formulation but HPA, on a `g × cols`
+/// grid (`g · cols` = the membership): `plan` splits the candidates over
+/// the `g` rows, identically in every column. Each rank builds its counter
+/// straight from its row's share of `candidates` (read in place through
+/// the plan, never copied out), counts what `movement` brings past it
+/// down its column, and `reduction` turns the row's counts into `F_k`.
+///
+/// A `cap` (CD's and PDM's `--memory-capacity`) cuts the rows into runs of
+/// at most `cap` candidates, one database scan each (Figure 12): each run
+/// is built, read, counted and reduced in turn, and `apriori_gen` is
+/// charged with the first. The runs are contiguous rows of the sorted
+/// `C_k`, so their levels concatenate in order.
+#[allow(clippy::too_many_arguments)] // the pass's (plan, grid, movement, reduction, cap)
 pub(crate) fn partitioned_pass(
     comm: &mut Comm,
     ctx: &RankCtx,
@@ -95,60 +106,67 @@ pub(crate) fn partitioned_pass(
     plan: &CandidatePartition,
     (g, cols): (usize, usize),
     movement: Movement,
+    reduction: Reduction,
+    cap: Option<usize>,
 ) -> Result<PassResult, RecvFault> {
     debug_assert_eq!((g * cols, plan.num_procs()), (ctx.size(), g));
     let me = ctx.my_index;
     let total = candidates.len();
+    let cap = cap.unwrap_or(usize::MAX).max(1);
     let (my_row, my_col) = (me / cols, me % cols);
     // Grid positions are member-list indices, mapped to global ranks so
     // the sub-scopes stay valid after a recovery shrinks the membership.
     let col_members: Vec<usize> = (0..g).map(|r| ctx.members[r * cols + my_col]).collect();
     let row_members: Vec<usize> = (0..cols).map(|c| ctx.members[my_row * cols + c]).collect();
-
-    let mine = PlanShare::new(plan, my_row);
     let filter = &plan.filters[my_row];
-    let mut counter = build_counter_charged(comm, params, candidates, 0..total, mine, total);
-    // Ranks holding no transactions (the chain's, past its source) charge
-    // nothing here.
-    comm.charge_io(ctx.local_bytes());
+    let mut level = Vec::new();
+    let mut stats = CounterStats::default();
+    for lo in (0..total).step_by(cap) {
+        let mine = PlanShare::new(plan, my_row);
+        let gen_charge = if lo == 0 { total } else { 0 };
+        let rows = lo..(lo + cap).min(total);
+        let mut counter = build_counter_charged(comm, params, candidates, rows, mine, gen_charge);
+        // Ranks holding no transactions (the chain's, past its source)
+        // charge nothing here.
+        comm.charge_io(ctx.local_bytes());
 
-    // Step 1 — the column's pages move past every member, each counted
-    // with the row's filter.
-    let my_pages = paginate(&ctx.local, ctx.page_size);
-    let stats = {
+        // Step 1 — count what the movement brings down the column, with
+        // the row's filter.
         let mut col = comm.scope(
             ctx.scope_id(SCOPE_COLUMN + my_col as u64),
             col_members.clone(),
         );
-        let count = match movement {
-            Movement::Ring => ring_shift_count,
-            Movement::AllToAll => all_to_all_count,
-            Movement::Chain => chain_count,
+        let counted = movement.count(&mut col, &ctx.local, ctx.page_size, &mut *counter, filter)?;
+        stats = stats.merged(&counted);
+
+        // Step 2 — the row holds one candidate subset: reduce its counts
+        // to its frequent ones.
+        let mut row = comm.scope(ctx.scope_id(SCOPE_ROW + my_row as u64), row_members.clone());
+        let row_frequent = match reduction {
+            Reduction::AllReduce => {
+                row.try_allreduce_sum_u64(counter.counts_mut())?;
+                counter.frequent(ctx.min_count)
+            }
+            Reduction::Gather => crate::npa::gather_sum(&mut row, &mut *counter, ctx.min_count)?,
         };
-        count(&mut col, &my_pages, &mut *counter, filter)?
-    };
+        drop(row);
 
-    // Step 2 — reduction along the row: processors in a row hold the same
-    // candidate subset; summing gives global counts. A row of one (every
-    // `(P, 1)` caller) already holds them, and the all-reduce returns
-    // without a `Comm` call.
-    let mut row = comm.scope(ctx.scope_id(SCOPE_ROW + my_row as u64), row_members);
-    row.try_allreduce_sum_u64(counter.counts_mut())?;
-    drop(row);
-    let mine_frequent = counter.frequent(ctx.min_count);
-
-    // Step 3 — all-to-all broadcast along the column: reassemble F_k.
-    let mut col = comm.scope(
-        ctx.scope_id(SCOPE_COLUMN_BCAST + my_col as u64),
-        col_members,
-    );
+        // Step 3 — all-to-all broadcast along the column: reassemble the
+        // run's F_k. A row or column of one (every `(P, 1)` and `(1, P)`
+        // grid's) makes no `Comm` call.
+        let mut col = comm.scope(
+            ctx.scope_id(SCOPE_COLUMN_BCAST + my_col as u64),
+            col_members.clone(),
+        );
+        level.extend(exchange_level(&mut col, row_frequent)?);
+    }
     Ok(PassResult {
-        level: exchange_level(&mut col, mine_frequent)?,
+        level,
         stats,
-        db_scans: 1,
+        db_scans: total.div_ceil(cap).max(1),
         grid: (g, cols),
         candidate_imbalance: plan.imbalance,
-        counted_candidates: None,
+        counted_candidates: Some(total),
     })
 }
 

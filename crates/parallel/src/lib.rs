@@ -21,10 +21,12 @@
 //!
 //! All nine run on [`armine_mpsim`]'s virtual-time runtime: results are
 //! exact (tested identical to serial Apriori), response times come from the
-//! calibrated cost model. DD, DD+comm, IDD, IDD-1src and HD are one pass
-//! driver — HD's partitioned pass, which the first four run at grid
-//! `(P, 1)` — and differ only in the candidate plan, the grid and the page
-//! movement they give it (DESIGN.md §5.4).
+//! calibrated cost model. All but HPA, which moves k-subsets rather than
+//! pages, are one pass driver — HD's partitioned pass, which CD, NPA and
+//! PDM run at grid `(1, P)` and DD, DD+comm, IDD and IDD-1src at `(P, 1)`
+//! — and differ only in the candidate plan, the grid, the movement, the
+//! reduction and the memory cap they give it; PDM first prunes the
+//! candidates (DESIGN.md §5.4).
 //!
 //! Runs can also be subjected to deterministic fault injection
 //! ([`armine_mpsim::FaultPlan`]): [`ParallelMiner::mine_with_faults`]
@@ -48,7 +50,6 @@
 //! println!("HD response time: {:.3} ms", run.response_time * 1e3);
 //! ```
 
-mod cd;
 mod common;
 mod config;
 mod hd;

@@ -3,13 +3,13 @@
 //! allocation of transactions, which no rank copies.
 
 use crate::common::{
-    run_rank, Movement, PassResult, RankCtx, RankOutput, RunShare, TransactionPage,
+    run_rank, Movement, PassResult, RankCtx, RankOutput, Reduction, RunShare, TransactionPage,
 };
 use crate::config::ParallelParams;
 use crate::metrics::{ParallelPassMetrics, ParallelRun};
-use crate::{cd, hd, hpa, idd, npa, pdm};
+use crate::{hd, hpa, idd, pdm};
 use armine_core::apriori::FrequentItemsets;
-use armine_core::binpack::partition_round_robin;
+use armine_core::binpack::{partition_round_robin, CandidatePartition};
 use armine_core::candidates::Candidates;
 use armine_core::counter::CounterStats;
 use armine_core::{Dataset, ItemSet};
@@ -210,13 +210,13 @@ impl ParallelMiner {
         let sim = faulty.as_ref().unwrap_or(&self.sim);
         let (db, cuts) = (&db, &cuts[..]);
         let params_copy = *params;
-        // Replicated-candidate formulations count their local slice
-        // against the full candidate set, so their counting load rides
-        // the data placement — adaptive placement may move transactions
-        // between their ranks at pass boundaries. The partitioned
-        // formulations circulate every page past every rank (their load
-        // rides the candidate partition instead), and single-source IDD
-        // pins the database to rank 0 by definition.
+        // The formulations that count by `Movement::Local` (CD, NPA and
+        // PDM) count their own slice against every candidate, so their
+        // counting load rides the data placement — adaptive placement may
+        // move transactions between their ranks at pass boundaries. The
+        // page movements carry every page past every rank (the load rides
+        // the candidate partition instead), and single-source IDD pins the
+        // database to rank 0 by definition.
         let mobile_pages = matches!(
             algorithm,
             Algorithm::Cd | Algorithm::Npa | Algorithm::Pdm { .. }
@@ -255,9 +255,10 @@ impl ParallelMiner {
 }
 
 /// One counting pass of `algorithm` over `candidates`, the run's `C_k`,
-/// after `prev`, the committed `F_{k−1}`. The five partitioned
-/// formulations are one pass, given a candidate plan, a grid and a page
-/// movement.
+/// after `prev`, the committed `F_{k−1}`. Every formulation but HPA is
+/// the one pass, given a candidate plan, a grid, a movement, a reduction
+/// and, for CD and PDM, the memory cap; PDM first prunes the candidates
+/// it hands that pass.
 fn count_pass(
     algorithm: Algorithm,
     comm: &mut Comm,
@@ -266,34 +267,43 @@ fn count_pass(
     prev: &[(ItemSet, u64)],
     params: &ParallelParams,
 ) -> Result<PassResult, RecvFault> {
-    let p = ctx.size();
-    let round_robin = || partition_round_robin(candidates.rows(0..candidates.len()), p);
-    let first_item = || idd::make_partition(candidates, ctx.num_items, &ctx.capacities, params);
-    let (plan, grid, movement) = match algorithm {
-        Algorithm::Cd => return cd::count_pass(comm, ctx, candidates, params),
-        Algorithm::Hpa { eld_permille } => {
-            return hpa::count_pass(comm, ctx, candidates, prev, eld_permille)
-        }
-        Algorithm::Npa => return npa::count_pass(comm, ctx, candidates, params),
+    use {Movement::*, Reduction::*};
+    let pruned = match algorithm {
         Algorithm::Pdm {
             buckets,
             filter_passes,
-        } => return pdm::count_pass(comm, ctx, candidates, params, buckets, filter_passes),
-        Algorithm::Dd => (round_robin(), (p, 1), Movement::AllToAll),
-        Algorithm::DdComm => (round_robin(), (p, 1), Movement::Ring),
-        Algorithm::Idd => (first_item(), (p, 1), Movement::Ring),
+        } => pdm::prune(comm, ctx, candidates, buckets, filter_passes)?,
+        _ => None,
+    };
+    let candidates = pruned.as_ref().unwrap_or(candidates);
+    let p = ctx.size();
+    let round_robin = || partition_round_robin(candidates.rows(0..candidates.len()), p);
+    let first_item = || idd::make_partition(candidates, ctx.num_items, &ctx.capacities, params);
+    let (whole, cap) = (CandidatePartition::whole, params.memory_capacity);
+    let (plan, grid, movement, reduction, cap) = match algorithm {
+        Algorithm::Hpa { eld_permille } => {
+            return hpa::count_pass(comm, ctx, candidates, prev, eld_permille)
+        }
+        Algorithm::Cd | Algorithm::Pdm { .. } => (whole(), (1, p), Local, AllReduce, cap),
+        Algorithm::Npa => (whole(), (1, p), Local, Gather, None),
+        Algorithm::Dd => (round_robin(), (p, 1), AllToAll, AllReduce, None),
+        Algorithm::DdComm => (round_robin(), (p, 1), Ring, AllReduce, None),
+        Algorithm::Idd => (first_item(), (p, 1), Ring, AllReduce, None),
         // Once the source (global rank 0) has died, its pages live on
         // several survivors: the ring circulates them.
         Algorithm::IddSingleSource if ctx.members[0] == 0 => {
-            (first_item(), (p, 1), Movement::Chain)
+            (first_item(), (p, 1), Chain, AllReduce, None)
         }
-        Algorithm::IddSingleSource => (first_item(), (p, 1), Movement::Ring),
+        Algorithm::IddSingleSource => (first_item(), (p, 1), Ring, AllReduce, None),
+        // The ring at every grid, (1, P) included: HD counts page by page.
         Algorithm::Hd { group_threshold } => {
             let (plan, grid) = hd::plan_and_grid(ctx, candidates, params, group_threshold);
-            (plan, grid, Movement::Ring)
+            (plan, grid, Ring, AllReduce, None)
         }
     };
-    hd::partitioned_pass(comm, ctx, candidates, params, &plan, grid, movement)
+    hd::partitioned_pass(
+        comm, ctx, candidates, params, &plan, grid, movement, reduction, cap,
+    )
 }
 
 /// Where the database slab is cut: rank `r` starts on `cuts[r]..cuts[r + 1]`,
@@ -542,6 +552,57 @@ mod tests {
                         let scans = candidates.div_ceil(cap);
                         assert_eq!(got.db_scans, scans, "{on}: pass {k}");
                     }
+                }
+            }
+        }
+    }
+
+    /// The memory cap cuts CD's and PDM's passes into scans and nobody
+    /// else's: at a cap of one candidate and at one inside the largest
+    /// `C_k`, every other formulation's passes and response time are its
+    /// uncapped run's, under the default counter and under the vertical
+    /// one, whose ledger is per call.
+    #[test]
+    fn the_memory_cap_is_cd_and_pdms_only() {
+        let dataset = quest(300, 80, 11);
+        let params = ParallelParams::with_min_support_count(9)
+            .page_size(50)
+            .max_k(4);
+        let others = [
+            Algorithm::Npa,
+            Algorithm::Dd,
+            Algorithm::DdComm,
+            Algorithm::Idd,
+            Algorithm::IddSingleSource,
+            Algorithm::Hd {
+                group_threshold: 40,
+            },
+            Algorithm::Hpa { eld_permille: 200 },
+        ];
+        let miner = ParallelMiner::new(4);
+        for backend in [CounterBackend::default(), CounterBackend::Vertical] {
+            let params = params.counter(backend);
+            let cd = miner.mine(Algorithm::Cd, &dataset, &params);
+            let largest = cd.passes[1..].iter().map(|p| p.candidates).max();
+            let largest = largest.expect("the data reaches pass 2");
+            for cap in [1, largest / 2] {
+                let capped = params.memory_capacity(cap);
+                let cd = miner.mine(Algorithm::Cd, &dataset, &capped);
+                assert!(
+                    cd.passes.iter().any(|p| p.db_scans > 1),
+                    "cap {cap} cuts CD"
+                );
+                for algo in others {
+                    let on = format!("{} under {} at cap {cap}", algo.name(), backend.name());
+                    let free = miner.mine(algo, &dataset, &params);
+                    let run = miner.mine(algo, &dataset, &capped);
+                    assert_eq!(
+                        format!("{:?}", run.passes),
+                        format!("{:?}", free.passes),
+                        "{on}"
+                    );
+                    let times = [run.response_time, free.response_time].map(f64::to_bits);
+                    assert_eq!(times[0], times[1], "{on}");
                 }
             }
         }
@@ -855,13 +916,17 @@ mod tests {
                                   c: &armine_core::candidates::Candidates,
                                   _: &[_]| {
                     c_k.insert(c.k(), std::ptr::from_ref(c) as usize);
-                    match procs {
-                        2 => cd::count_pass(comm, ctx, c, &params),
+                    let (plan, grid, movement) = match procs {
+                        2 => (CandidatePartition::whole(), (1, 2), Movement::Local),
                         _ => {
                             let (plan, grid) = hd::plan_and_grid(ctx, c, &params, 40);
-                            hd::partitioned_pass(comm, ctx, c, &params, &plan, grid, Movement::Ring)
+                            (plan, grid, Movement::Ring)
                         }
-                    }
+                    };
+                    let reduction = Reduction::AllReduce;
+                    hd::partitioned_pass(
+                        comm, ctx, c, &params, &plan, grid, movement, reduction, None,
+                    )
                 };
                 let output = run_rank(comm, ctx, &db, &cuts, &share, &params, false, count_pass);
                 (output, c_k, start)

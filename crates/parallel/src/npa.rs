@@ -9,64 +9,46 @@
 //! through one port, so NPA's reduction step scales as `O(P·M)` against
 //! CD's `O(M)` — measurably worse at scale (tested below), which is
 //! precisely why CD's authors used a proper reduction.
+//!
+//! NPA runs CD's pass — the one pass of [`crate::hd`] with CD's plan and
+//! local count, but no memory cap — with its own reduction, the
+//! [`gather_sum`] that lives here.
 
-use crate::common::{build_counter_charged, count_batch_charged, PassResult, RankCtx};
-use crate::config::ParallelParams;
-use armine_core::candidates::Candidates;
-use armine_core::hashtree::OwnershipFilter;
+use crate::common::level_wire_size;
+use armine_core::counter::CandidateCounter;
 use armine_core::ItemSet;
-use armine_mpsim::{Comm, RecvFault};
+use armine_mpsim::{RecvFault, Scope};
 
-/// One NPA counting pass over `candidates`, the run's `C_k`.
-pub(crate) fn count_pass(
-    comm: &mut Comm,
-    ctx: &RankCtx,
-    candidates: &Candidates,
-    params: &ParallelParams,
-) -> Result<PassResult, RecvFault> {
-    let p = ctx.size();
-    let total = candidates.len();
-    let all = OwnershipFilter::all();
-    let mut counter = build_counter_charged(comm, params, candidates, 0..total, all, total);
-    comm.charge_io(ctx.local_bytes());
-    let stats = count_batch_charged(comm, &mut *counter, &ctx.local, &OwnershipFilter::all());
-
-    // Funnel the counts to the coordinator — member index 0, so the role
-    // survives the death (and adoption) of any global rank.
+/// NPA's reduction: every member of `scope` sends its counts to member 0
+/// — the coordinator, a member index, so the role survives the death (and
+/// adoption) of any global rank — which sums them into its own, keeps the
+/// candidates counted at least `min_count` times and broadcasts them.
+pub(crate) fn gather_sum(
+    scope: &mut Scope<'_>,
+    counter: &mut dyn CandidateCounter,
+    min_count: u64,
+) -> Result<Vec<(ItemSet, u64)>, RecvFault> {
+    let p = scope.size();
     let counts = counter.count_vector();
     let bytes = counts.len() * 8;
-    let mut world = ctx.world(comm);
-    let gathered = world.try_gather(0, counts, bytes)?;
-    let level: Vec<(ItemSet, u64)> = if let Some(all) = gathered {
-        // Coordinator: sum and filter.
-        let mut sum = vec![0u64; total];
-        for v in &all {
-            for (dst, src) in sum.iter_mut().zip(v) {
-                *dst += src;
-            }
-        }
-        // Coordinator-side summation: (P−1)·M integer adds.
-        let m = world.comm().machine().clone();
-        let t_add = m.t_travers / 8.0; // one add is far cheaper than a tree descent
-        world
-            .comm()
-            .advance(total as f64 * (p as f64 - 1.0) * t_add);
-        counter.set_count_vector(&sum);
-        let level = counter.frequent(ctx.min_count);
-        let level_bytes = crate::common::level_wire_size(&level);
-        world.try_broadcast(0, Some(level.clone()), level_bytes)?;
-        level
-    } else {
-        world.try_broadcast::<Vec<(ItemSet, u64)>>(0, None, 0)?
+    let Some(gathered) = scope.try_gather(0, counts, bytes)? else {
+        return scope.try_broadcast(0, None, 0);
     };
-    Ok(PassResult {
-        level,
-        stats,
-        db_scans: 1,
-        grid: (1, p),
-        candidate_imbalance: 0.0,
-        counted_candidates: None,
-    })
+    // The coordinator's own counts are in place; add the others'.
+    let sum = counter.counts_mut();
+    for counts in &gathered[1..] {
+        for (dst, src) in sum.iter_mut().zip(counts) {
+            *dst += src;
+        }
+    }
+    // Coordinator-side summation: (P−1)·M integer adds, one add far
+    // cheaper than a tree descent.
+    let t_add = scope.comm().machine().t_travers / 8.0;
+    let m = sum.len();
+    scope.comm().advance(m as f64 * (p as f64 - 1.0) * t_add);
+    let level = counter.frequent(min_count);
+    scope.try_broadcast(0, Some(level.clone()), level_wire_size(&level))?;
+    Ok(level)
 }
 
 #[cfg(test)]

@@ -9,69 +9,60 @@
 //!   table; one global reduction sums the tables, and every processor
 //!   prunes the freshly generated `C_k` by the global bucket counts —
 //!   identical pruning everywhere, so candidate order stays aligned.
-//! * Counting then proceeds exactly as CD: replicated hash tree over the
-//!   (pruned) candidates, local counts, global count reduction.
+//! * Counting then is CD's pass over the (pruned) candidates — the one
+//!   pass of [`crate::hd`] with CD's plan, local count, all-reduce and
+//!   memory cap — so what lives here is the [`prune`] step alone.
 //!
 //! Compared to CD, PDM pays an extra `O(B)` reduction (B = bucket count)
 //! and the subset-hashing compute, and saves the tree build + counting
 //! for every pruned candidate. The `exp pdm` experiment measures the
 //! trade.
 
-use crate::cd;
-use crate::common::{PassResult, RankCtx};
-use crate::config::ParallelParams;
+use crate::common::RankCtx;
 use armine_core::candidates::Candidates;
 use armine_core::stable_hash::owner_of;
 use armine_mpsim::{Comm, RecvFault};
 
-/// One PDM counting pass over `candidates`, the run's `C_k`.
+/// PDM's hash filter for a pass over `candidates`, the run's `C_k`: the
+/// surviving candidates, or `None` when the pass is not filtered.
 /// `filter_passes` bounds which passes build and apply a hash filter (the
 /// original uses it for pass 2, where `|C_2|` dominates).
-pub(crate) fn count_pass(
+pub(crate) fn prune(
     comm: &mut Comm,
     ctx: &RankCtx,
     candidates: &Candidates,
-    params: &ParallelParams,
     buckets: usize,
     filter_passes: usize,
-) -> Result<PassResult, RecvFault> {
+) -> Result<Option<Candidates>, RecvFault> {
     let k = candidates.k();
-    let pruned: Candidates;
-    let candidates = if k - 1 <= filter_passes {
-        assert!(buckets >= 1, "need at least one bucket");
-        // Build the local bucket table for this pass's subset size over
-        // the local slice.
-        let machine = comm.machine().clone();
-        let mut table = vec![0u64; buckets];
-        let mut hashed = 0u64;
-        for t in ctx.local.iter() {
-            t.for_each_k_subset(k, |subset| {
-                table[owner_of(subset, buckets)] += 1;
-                hashed += 1;
-            });
+    if k - 1 > filter_passes {
+        return Ok(None);
+    }
+    assert!(buckets >= 1, "need at least one bucket");
+    // Build the local bucket table for this pass's subset size over the
+    // local slice.
+    let t_travers = comm.machine().t_travers;
+    let mut table = vec![0u64; buckets];
+    let mut hashed = 0u64;
+    for t in ctx.local.iter() {
+        t.for_each_k_subset(k, |subset| {
+            table[owner_of(subset, buckets)] += 1;
+            hashed += 1;
+        });
+    }
+    comm.advance(hashed as f64 * t_travers);
+    // Global reduction of the bucket table (the PDM-specific traffic).
+    ctx.world(comm).try_allreduce_sum_u64(&mut table)?;
+    // Prune: identical on every rank (global counts, same candidates),
+    // only the surviving rows copied into this rank's arena. A bucket sums
+    // every subset hashed there, so it never refuses a frequent `c`.
+    let mut survivors = Vec::new();
+    for row in candidates.rows(0..candidates.len()) {
+        if table[owner_of(row.as_ref(), buckets)] >= ctx.min_count {
+            survivors.extend_from_slice(row.as_ref());
         }
-        comm.advance(hashed as f64 * machine.t_travers);
-        // Global reduction of the bucket table (the PDM-specific traffic).
-        ctx.world(comm).try_allreduce_sum_u64(&mut table)?;
-        // Prune: identical on every rank (global counts, same candidates),
-        // only the surviving rows copied into this rank's arena. A bucket
-        // sums every subset hashed there, so it never refuses a frequent
-        // `c`.
-        let mut survivors = Vec::new();
-        for row in candidates.rows(0..candidates.len()) {
-            if table[owner_of(row.as_ref(), buckets)] >= ctx.min_count {
-                survivors.extend_from_slice(row.as_ref());
-            }
-        }
-        pruned = Candidates::from_arena(k, survivors);
-        &pruned
-    } else {
-        candidates
-    };
-    let counted = candidates.len();
-    let mut result = cd::count_pass(comm, ctx, candidates, params)?;
-    result.counted_candidates = Some(counted);
-    Ok(result)
+    }
+    Ok(Some(Candidates::from_arena(k, survivors)))
 }
 
 #[cfg(test)]

@@ -3,11 +3,11 @@
 # the same jobs and compares what each wrote, one row per comparison. With
 # the same binary on both sides it is a determinism check.
 #
-# The model (89 rows):
+# The model (96 rows):
 # - every formulation x counter, every formulation under a crash plan,
-#   CD/IDD/HD under adaptive placement on a two-speed cluster, CD and PDM
-#   with a memory capacity below |C_2|, and HPA with ELD, on the sim
-#   backend, their --metrics-json files compared byte for byte. Virtual
+#   CD/IDD/HD under adaptive placement on a two-speed cluster, every
+#   formulation with a memory capacity below |C_2|, and HPA with ELD, on
+#   the sim backend, their --metrics-json files compared byte for byte. Virtual
 #   time, the work ledger and the message counts are all in there, so a
 #   host-only change leaves every file identical;
 # - CD/IDD/HD x counter and the six other formulations natively on two
@@ -126,8 +126,9 @@ done
 for algorithm in npa pdm dd dd-comm idd-1src hpa; do
     compare_native "$algorithm-native" --algorithm "$algorithm"
 done
-# |C_2| is 28,920 here: a capacity of 5,000 cuts pass 2 into six scans.
-for algorithm in cd pdm; do
+# |C_2| is 28,920 here: a capacity of 5,000 cuts CD's and PDM's pass 2
+# into six scans, and must leave every other formulation's run as it is.
+for algorithm in cd npa pdm dd dd-comm idd idd-1src hd hpa; do
     compare "$algorithm-capped" --algorithm "$algorithm" --memory-capacity 5000
 done
 compare hpa-eld --algorithm hpa --eld-permille 200

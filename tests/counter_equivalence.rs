@@ -481,7 +481,7 @@ fn sparse_pass2_candidates_fall_back_to_the_backends_own_structure() {
 /// transaction with at least two items and one per probe inside a row's
 /// span, `distinct_leaf_visits` = `candidate_checks` = increments,
 /// `inserts` = candidates offered, no `intersection_words`. And the
-/// seam's ordering guarantees: `count_vector`, `set_count_vector` and
+/// seam's ordering guarantees: `count_vector`, `counts_mut` and
 /// `frequent` index the candidates in row order.
 #[test]
 fn pass2_ledger_and_insertion_order_are_pinned() {
@@ -518,7 +518,7 @@ fn pass2_ledger_and_insertion_order_are_pinned() {
             backend.name()
         );
         assert_eq!(counter.count_vector(), vec![2, 1, 1, 1]);
-        counter.set_count_vector(&[9, 0, 7, 2]);
+        counter.counts_mut().copy_from_slice(&[9, 0, 7, 2]);
         assert_eq!(counter.count_vector(), vec![9, 0, 7, 2]);
         assert_eq!(
             counter.frequent(2),
