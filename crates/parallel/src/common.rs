@@ -1,12 +1,15 @@
 //! Machinery shared by all nine parallel formulations: the per-rank pass
 //! loop and the candidates and levels its ranks share, cost charging,
 //! pass-1 counting, the views every rank holds of the one database slab
-//! (slices, pages, re-balanced shares), and the four movements and two
+//! (slices and pages, each rank's slice the view of its holdings in the
+//! one placement record, which adaptive re-balancing and crash recovery
+//! both move), and the four movements and two
 //! reductions of the one counting pass: the local count of the replicated
 //! formulations, the ring pipeline of Figure 6, DD's naive all-to-all and
 //! the single-source chain; the row all-reduce, or NPA's gather.
 
 use crate::config::{ParallelParams, PlacementPolicy};
+use crate::recovery::{cut_pool, held_bytes, hold, initial_holdings, pass_sync, Holding};
 use armine_core::binpack::CandidatePartition;
 use armine_core::candidates::Candidates;
 use armine_core::counter::{CandidateCounter, CounterStats, Share};
@@ -20,10 +23,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// unit of data movement, and the shape of a rank's local slice.
 ///
 /// The database is one slab, the dataset's own allocation
-/// ([`armine_core::Dataset::shared_transactions`]); a rank's slice is a
-/// range of it, [`paginate`]
-/// cuts that into page views, and re-balancing hands a rank the view
-/// covering its new range. Sending a view through the simulator clones it
+/// ([`armine_core::Dataset::shared_transactions`]); a rank's slice is the
+/// view of its holdings ([`TransactionPage::view_of`]) and [`paginate`]
+/// cuts that into page views. Sending a view through the simulator clones it
 /// (a refcount bump), never the transactions. The virtual wire cost is
 /// unaffected — every send still charges the page's full logical
 /// [`page_bytes`] — so this is purely a host-side saving (DESIGN.md §5.6).
@@ -43,16 +45,20 @@ impl TransactionPage {
         }
     }
 
-    /// This view extended over `next`, the adjacent range of the same
-    /// slab; an empty view joins anything.
-    fn join(mut self, next: TransactionPage) -> Self {
-        if self.is_empty() {
-            return next;
+    /// The view of `held`, ranges of this view read in order: the sub-view
+    /// when they are one range (or none), else a re-read copy of them in a
+    /// slab of its own, as a disk read of scattered ranges would make.
+    pub(crate) fn view_of(&self, held: &[Holding]) -> Self {
+        match held {
+            [] => self.slice(0..0),
+            [range] => self.slice(range.clone()),
+            _ => {
+                let reread = held
+                    .iter()
+                    .flat_map(|range| self[range.clone()].iter().cloned());
+                reread.collect::<Vec<_>>().into()
+            }
         }
-        let adjacent = Arc::ptr_eq(&self.slab, &next.slab) && self.range.end == next.range.start;
-        assert!(adjacent, "joined views must be adjacent ranges of one slab");
-        self.range.end = next.range.end;
-        self
     }
 }
 
@@ -91,8 +97,8 @@ pub(crate) const TAG_REBAL: u64 = 1 << 22;
 /// data, and the epoch counts pass-boundary syncs so that message scopes
 /// of abandoned attempts can never cross-deliver into a retry.
 pub(crate) struct RankCtx {
-    /// This rank's slice of the database: a range of the database slab,
-    /// until recovery re-reads a grown one into a slab of its own.
+    /// This rank's slice of the database: the view of its holdings, a
+    /// range of the database slab, or a re-read copy when it holds several.
     pub local: TransactionPage,
     /// Item-universe size.
     pub num_items: u32,
@@ -279,13 +285,17 @@ pub(crate) fn share_bounds(total: usize, capacities: &[f64]) -> Vec<usize> {
 /// unbounded share.
 ///
 /// When `mobile_pages` is set (replicated-candidate formulations, whose
-/// counting load is proportional to the local slice), the members also
-/// re-slice the global transaction sequence to the new capacities and
-/// ship the moved segments — both sides compute the identical transfer
-/// plan from the allgathered counts.
+/// counting load is proportional to the local slice), every member cuts
+/// the members' holdings over the new capacities ([`cut_pool`]) and each
+/// (old owner, new owner) overlap moves in one message charged its
+/// [`page_bytes`], all sends posted before any receive blocks. A failed
+/// receive leaves the placement half moved: the caller carries the fault
+/// into the next attempt, whose abort restores the committed placement.
 pub(crate) fn rebalance_placement(
     comm: &mut Comm,
     ctx: &mut RankCtx,
+    holdings: &mut [Vec<Holding>],
+    db: &TransactionPage,
     mobile_pages: bool,
     busy_mark: &mut f64,
 ) -> Result<(), RecvFault> {
@@ -308,78 +318,39 @@ pub(crate) fn rebalance_placement(
         let n = raw.len() as f64;
         ctx.capacities = raw.iter().map(|&r| r * n / sum).collect();
     }
-    if mobile_pages {
-        let old_counts: Vec<usize> = reports.iter().map(|r| r.1 as usize).collect();
-        rebalance_pages(comm, ctx, &old_counts)?;
-    }
-    Ok(())
-}
-
-/// Moves transactions between members so local-slice sizes match the
-/// current capacities. The global transaction sequence is member 0's
-/// slice, then member 1's, …; old and new assignments are both contiguous
-/// slices of it, so the transfer plan is a deterministic interval
-/// intersection every member computes identically from the allgathered
-/// `old_counts`. Deadlock-free: all sends are posted asynchronously
-/// before any receive blocks.
-fn rebalance_pages(
-    comm: &mut Comm,
-    ctx: &mut RankCtx,
-    old_counts: &[usize],
-) -> Result<(), RecvFault> {
-    let n = old_counts.len();
-    let mut old_start = vec![0usize; n + 1];
-    for i in 0..n {
-        old_start[i + 1] = old_start[i] + old_counts[i];
-    }
-    let bounds = share_bounds(old_start[n], &ctx.capacities);
-    if bounds == old_start {
+    if !mobile_pages {
         return Ok(());
     }
+    // shares[j][i]: what member j takes from member i.
+    let pool: Vec<&[Holding]> = ctx.members.iter().map(|&m| &holdings[m][..]).collect();
+    let shares = cut_pool(&pool, &ctx.capacities);
     let me = ctx.my_index;
-    let (my_old_lo, my_old_hi) = (old_start[me], old_start[me + 1]);
-    let (my_new_lo, my_new_hi) = (bounds[me], bounds[me + 1]);
     let mut world = ctx.world(comm);
-    // Post every outgoing segment (old ∩ peer's new range) first.
     let mut sends = Vec::new();
-    for j in 0..n {
-        if j == me {
-            continue;
-        }
-        let lo = my_old_lo.max(bounds[j]);
-        let hi = my_old_hi.min(bounds[j + 1]);
-        if lo < hi {
-            let seg = ctx.local.slice(lo - my_old_lo..hi - my_old_lo);
-            let bytes = page_bytes(&seg);
-            sends.push(world.isend(j, TAG_REBAL, seg, bytes));
+    for (j, taken) in shares.iter().enumerate() {
+        if j != me && !taken[me].is_empty() {
+            let bytes = held_bytes(db, &taken[me]);
+            sends.push(world.isend(j, TAG_REBAL, taken[me].clone(), bytes));
         }
     }
-    // Collect my new slice in global order: one segment per member whose
-    // old range intersects my new range — received from a peer, kept from
-    // my own slice. The slices tile the database slab in member order, so
-    // the segments are adjacent and the new slice is the view covering
-    // them: the bytes move in the model, nothing moves on the host.
-    let mut covering = ctx.local.slice(0..0);
-    for i in 0..n {
-        let lo = my_new_lo.max(old_start[i]);
-        let hi = my_new_hi.min(old_start[i + 1]);
-        if lo >= hi {
-            continue;
+    for (i, piece) in shares[me].iter().enumerate() {
+        if i != me && !piece.is_empty() {
+            let received: Vec<Holding> = world.try_recv(i, TAG_REBAL)?;
+            debug_assert_eq!(&received, piece, "transfer plans diverged");
         }
-        let seg = if i == me {
-            ctx.local.slice(lo - my_old_lo..hi - my_old_lo)
-        } else {
-            world.try_recv(i, TAG_REBAL)?
-        };
-        debug_assert_eq!(seg.len(), hi - lo, "transfer plans diverged");
-        covering = covering.join(seg);
     }
     for sh in sends {
         world.wait_send(sh);
     }
     drop(world);
-    debug_assert_eq!(covering.len(), my_new_hi - my_new_lo);
-    ctx.local = covering;
+    let mine = holdings[comm.rank()].clone();
+    for (&m, taken) in ctx.members.iter().zip(shares) {
+        holdings[m].clear();
+        hold(&mut holdings[m], taken.concat());
+    }
+    if holdings[comm.rank()] != mine {
+        ctx.local = db.view_of(&holdings[comm.rank()]);
+    }
     Ok(())
 }
 
@@ -765,9 +736,12 @@ pub(crate) fn cannot_fail<T>(received: Result<T, RecvFault>) -> T {
 /// Under [`PlacementPolicy::Adaptive`] every committed pass ends with a
 /// capacity re-scoring ([`rebalance_placement`]); `mobile_pages` enables
 /// the transaction re-slicing arm for formulations whose counting load
-/// rides the local slice. Adaptive placement is skipped when the plan
-/// can crash ranks — crash recovery owns membership and data placement,
-/// and mixing the two re-distribution mechanisms would fight.
+/// rides the local slice. Both move the one placement record, `holdings`.
+/// A fault inside a re-balance fails the next attempt, and the sync after
+/// it aborts that attempt; a re-balance takes effect only if the pass
+/// after it commits, so an abort first restores the placement of the last
+/// committed pass on every survivor. The re-balance after the last pass
+/// has no next attempt: a crash plan settles it with one more sync.
 ///
 /// `db` is the database slab and `cuts[r]..cuts[r + 1]` the range rank `r`
 /// starts on: the stable storage recovery re-reads a dead rank's data from.
@@ -775,7 +749,7 @@ pub(crate) fn cannot_fail<T>(received: Result<T, RecvFault>) -> T {
 pub(crate) fn run_rank(
     comm: &mut Comm,
     mut ctx: RankCtx,
-    db: &[Transaction],
+    db: &TransactionPage,
     cuts: &[usize],
     share: &RunShare,
     params: &ParallelParams,
@@ -788,9 +762,13 @@ pub(crate) fn run_rank(
     ) -> Result<PassResult, RecvFault>,
 ) -> RankOutput {
     let recoverable = comm.fault_plan().is_some_and(FaultPlan::has_crashes);
-    let adaptive = params.placement == PlacementPolicy::Adaptive && !recoverable && ctx.size() > 1;
+    let adaptive = params.placement == PlacementPolicy::Adaptive && ctx.size() > 1;
     let mut busy_mark = 0.0f64;
-    let mut holdings = crate::recovery::initial_holdings(cuts);
+    let mut holdings = initial_holdings(cuts);
+    // The last committed pass's holdings and capacities, while a re-balance
+    // after it waits on the next pass to commit; and that re-balance's fault.
+    let mut committed: Option<(Vec<Vec<Holding>>, Vec<f64>)> = None;
+    let mut rebalanced = Ok(());
     let mut levels: Vec<Level> = Vec::new();
     let mut passes = Vec::new();
     let mut k = 1;
@@ -815,22 +793,28 @@ pub(crate) fn run_rank(
         let result = loop {
             comm.enter_pass(k);
             comm.set_epoch(ctx.epoch);
-            let attempt = match &candidates {
-                None => parallel_pass1(comm, &ctx).map(|level| PassResult {
-                    level,
-                    stats: CounterStats::default(),
-                    db_scans: 1,
-                    grid: (1, ctx.size()),
-                    candidate_imbalance: 0.0,
-                    counted_candidates: None,
-                }),
-                Some(c) => count_pass(comm, &ctx, c, prev_level),
-            };
+            let attempt =
+                std::mem::replace(&mut rebalanced, Ok(())).and_then(|()| match &candidates {
+                    None => parallel_pass1(comm, &ctx).map(|level| PassResult {
+                        level,
+                        stats: CounterStats::default(),
+                        db_scans: 1,
+                        grid: (1, ctx.size()),
+                        candidate_imbalance: 0.0,
+                        counted_candidates: None,
+                    }),
+                    Some(c) => count_pass(comm, &ctx, c, prev_level),
+                });
             if !recoverable {
                 // Single attempt, no sync, epoch stays 0.
                 break cannot_fail(attempt);
             }
-            let outcome = crate::recovery::pass_sync(comm, &ctx, &attempt);
+            let outcome = pass_sync(comm, &ctx, attempt.as_ref().err());
+            if let Some((held, capacities)) = committed.take().filter(|_| outcome.any_abort) {
+                holdings = held;
+                ctx.capacities = capacities;
+                ctx.local = db.view_of(&holdings[comm.rank()]);
+            }
             if !outcome.dead.is_empty() {
                 crate::recovery::adopt(comm, &mut ctx, &mut holdings, db, &outcome.dead);
             }
@@ -857,15 +841,26 @@ pub(crate) fn run_rank(
         });
         levels.push(share.commit(k, result.level));
         if adaptive {
-            // Adaptive placement never coexists with crash plans.
-            cannot_fail(rebalance_placement(
+            if recoverable {
+                committed = Some((holdings.clone(), ctx.capacities.clone()));
+            }
+            // Aborts of the next attempt fail this exchange's receives too.
+            comm.set_epoch(ctx.epoch);
+            rebalanced = rebalance_placement(
                 comm,
                 &mut ctx,
+                &mut holdings,
+                db,
                 mobile_pages,
                 &mut busy_mark,
-            ));
+            );
         }
         k += 1;
+    }
+    if recoverable && adaptive {
+        pass_sync(comm, &ctx, rebalanced.as_ref().err());
+    } else {
+        cannot_fail(rebalanced);
     }
     RankOutput { levels, passes }
 }
@@ -911,8 +906,8 @@ mod tests {
     /// the model only: after every pass boundary each rank's slice is
     /// still a range of the one database slab, the ranges tile it in
     /// member order, and each holds exactly the transactions the
-    /// capacity-proportional re-slicing of the global sequence assigns it
-    /// (what merging cloned segments used to produce).
+    /// capacity-proportional re-slicing of the global sequence assigns it,
+    /// which is also what every rank's copy of the holdings records.
     #[test]
     fn rebalanced_slices_are_ranges_of_the_database_slab() {
         use armine_mpsim::{ClusterProfile, MachineProfile, Simulator};
@@ -928,16 +923,19 @@ mod tests {
         let result = Simulator::new(p).cluster(two_speed).run(|comm| {
             let me = comm.rank();
             let mut ctx = RankCtx::new(db.slice(cuts[me]..cuts[me + 1]), 201, 1, 10, me, p);
+            let mut holdings = initial_holdings(&cuts);
             let mut busy_mark = 0.0;
             let mut moved = 0u64;
             for _pass in 0..3 {
                 // Counting work that rides the slice, as CD's does.
                 comm.advance(ctx.local.len() as f64 * 1e-6);
                 let before = comm.stats().bytes_sent;
-                cannot_fail(rebalance_placement(comm, &mut ctx, true, &mut busy_mark));
+                let rebalanced =
+                    rebalance_placement(comm, &mut ctx, &mut holdings, &db, true, &mut busy_mark);
+                cannot_fail(rebalanced);
                 moved += comm.stats().bytes_sent - before;
             }
-            (ctx.local, ctx.capacities, moved)
+            (ctx.local, ctx.capacities, moved, holdings)
         });
         let capacities = &result.results[0].1;
         assert!(
@@ -946,8 +944,13 @@ mod tests {
         );
         let bounds = share_bounds(n, capacities);
         assert_ne!(bounds, cuts, "the re-balance must have moved something");
-        for (rank, (local, caps, moved)) in result.results.iter().enumerate() {
+        let tiling = initial_holdings(&bounds);
+        for (rank, (local, caps, moved, holdings)) in result.results.iter().enumerate() {
             assert_eq!(caps, capacities, "rank {rank}");
+            assert_eq!(
+                holdings, &tiling,
+                "rank {rank}: the record is not the slices"
+            );
             assert!(Arc::ptr_eq(&local.slab, &slab), "rank {rank} left the slab");
             // The cut points tile `0..n` in member order.
             assert_eq!(local.range, bounds[rank]..bounds[rank + 1], "rank {rank}");
@@ -956,14 +959,6 @@ mod tests {
             // each peer per boundary, and the page bytes on top.
             assert!(*moved > 3 * 3 * 16, "rank {rank} sent no segment: {moved}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "adjacent ranges of one slab")]
-    fn views_of_different_slabs_do_not_join() {
-        let a = TransactionPage::from(vec![tx(0, &[1])]);
-        let b = TransactionPage::from(vec![tx(1, &[2])]);
-        let _ = a.join(b);
     }
 
     #[test]

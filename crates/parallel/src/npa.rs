@@ -29,12 +29,16 @@ pub(crate) fn gather_sum(
     min_count: u64,
 ) -> Result<Vec<(ItemSet, u64)>, RecvFault> {
     let p = scope.size();
-    let counts = counter.count_vector();
-    let bytes = counts.len() * 8;
+    let bytes = counter.num_candidates() * 8;
+    // The coordinator's own counts are in place: it contributes nothing.
+    let counts = match scope.rank() {
+        0 => Vec::new(),
+        _ => counter.count_vector(),
+    };
     let Some(gathered) = scope.try_gather(0, counts, bytes)? else {
         return scope.try_broadcast(0, None, 0);
     };
-    // The coordinator's own counts are in place; add the others'.
+    // Add the others' counts to the coordinator's.
     let sum = counter.counts_mut();
     for counts in &gathered[1..] {
         for (dst, src) in sum.iter_mut().zip(counts) {

@@ -15,6 +15,10 @@
 //!    and a [`Holding`] is a range of it, so adoption charges I/O, not
 //!    messages, and copies what it re-reads as a disk read would).
 //!
+//! The per-member holdings are the one placement record: adoption and
+//! adaptive re-balancing ([`crate::common::rebalance_placement`]) both
+//! cut them with [`cut_pool`], and a rank's slice is the view of its own.
+//!
 //! The decision rule is deliberately conservative: if **any** member
 //! aborted the pass, everyone discards the attempt and re-executes it
 //! under the shrunken membership; only a unanimously completed pass
@@ -35,7 +39,7 @@
 //! left uncommitted; the next pass deterministically re-observes it (the
 //! dead rank's tombstone is persistent) and commits it then.
 
-use crate::common::{page_bytes, share_bounds, PassResult, RankCtx};
+use crate::common::{page_bytes, share_bounds, RankCtx, TransactionPage};
 use armine_core::Transaction;
 use armine_mpsim::{Comm, RecvFault};
 use std::collections::BTreeSet;
@@ -69,22 +73,19 @@ pub(crate) fn initial_holdings(cuts: &[usize]) -> Vec<Vec<Holding>> {
 }
 
 /// Two-round membership sync at a pass boundary. Every member floods
-/// `(aborted?, dead-ranks-observed)` words; a failed attempt first sends
-/// abort notifications so peers still blocked inside the pass fail their
+/// `(aborted?, dead-ranks-observed)` words; a member whose attempt (or the
+/// re-balance before it) failed with `fault` first sends abort
+/// notifications so peers still blocked inside the pass fail their
 /// receives and join the sync instead of waiting forever.
 ///
 /// Deterministic and symmetric: all survivors return the same outcome.
-pub(crate) fn pass_sync(
-    comm: &mut Comm,
-    ctx: &RankCtx,
-    attempt: &Result<PassResult, RecvFault>,
-) -> SyncOutcome {
+pub(crate) fn pass_sync(comm: &mut Comm, ctx: &RankCtx, fault: Option<&RecvFault>) -> SyncOutcome {
     let mut dead: BTreeSet<usize> = BTreeSet::new();
-    let mut any_abort = attempt.is_err();
-    if let Err(RecvFault::Dead { rank, .. }) = attempt {
+    let mut any_abort = fault.is_some();
+    if let Some(RecvFault::Dead { rank, .. }) = fault {
         dead.insert(*rank);
     }
-    if attempt.is_err() {
+    if any_abort {
         let me = comm.rank();
         let peers: Vec<usize> = ctx.members.iter().copied().filter(|&r| r != me).collect();
         comm.send_abort(&peers, ctx.epoch);
@@ -151,18 +152,16 @@ fn exchange_round(
     (union, abort, failures)
 }
 
-/// Commits a shrunken membership: the dead ranks' holdings are split
-/// contiguously among the survivors (identically computed everywhere,
-/// through the placement seam's [`share_bounds`] — crash plans always
-/// run with uniform capacities, which that seam maps to the exact even
-/// split), each survivor re-reads its newly adopted transactions from
-/// stable storage (an I/O charge — the database `db` outlives every
-/// rank), and the rank context is rebuilt for the next attempt.
+/// Commits a shrunken membership: each dead rank's holdings are cut over
+/// the survivors by their capacities ([`cut_pool`], identically computed
+/// everywhere), each survivor re-reads its newly adopted transactions from
+/// stable storage (an I/O charge — the database `db` outlives every rank),
+/// and the rank context is rebuilt for the next attempt.
 pub(crate) fn adopt(
     comm: &mut Comm,
     ctx: &mut RankCtx,
     holdings: &mut [Vec<Holding>],
-    db: &[Transaction],
+    db: &TransactionPage,
     dead: &BTreeSet<usize>,
 ) {
     let me = comm.rank();
@@ -180,34 +179,20 @@ pub(crate) fn adopt(
         .filter(|&(r, _)| !dead.contains(r))
         .map(|(_, &c)| c)
         .collect();
-    let kept = holdings[me].len();
+    let mut adopted_bytes = 0;
     for &d in dead {
         debug_assert!(ctx.members.contains(&d), "committed dead ranks are members");
         let freed = std::mem::take(&mut holdings[d]);
-        let total: usize = freed.iter().map(Range::len).sum();
-        let bounds = share_bounds(total, &survivor_caps);
-        for (i, &sv) in survivors.iter().enumerate() {
-            let (a, b) = (bounds[i], bounds[i + 1]);
-            if b > a {
-                holdings[sv].extend(slice_ranges(&freed, a, b));
-            }
+        for (&sv, mut taken) in survivors.iter().zip(cut_pool(&[&freed], &survivor_caps)) {
+            let taken = taken.pop().expect("one share per owner");
+            adopted_bytes += if sv == me { held_bytes(db, &taken) } else { 0 };
+            hold(&mut holdings[sv], taken);
         }
     }
-    let adopted_bytes: usize = holdings[me][kept..]
-        .iter()
-        .map(|held| page_bytes(&db[held.clone()]))
-        .sum();
     if adopted_bytes > 0 {
         comm.charge_io(adopted_bytes);
     }
-    // Holdings are scattered ranges of the database: re-reading them
-    // from stable storage copies the grown slice into a slab of its own,
-    // as the disk read it models would.
-    let reread: Vec<Transaction> = holdings[me]
-        .iter()
-        .flat_map(|held| db[held.clone()].iter().cloned())
-        .collect();
-    ctx.local = reread.into();
+    ctx.local = db.view_of(&holdings[me]);
     ctx.members = survivors;
     ctx.capacities = survivor_caps;
     ctx.my_index = ctx
@@ -216,6 +201,50 @@ pub(crate) fn adopt(
         .position(|&r| r == me)
         .expect("survivor stays a member");
     comm.note_recovery();
+}
+
+/// Cuts `pool`, the holdings of a list of owners read in order as one
+/// sequence, into one share per capacity, in proportion to `capacities`
+/// ([`share_bounds`]): `shares[j][i]` is what share `j` takes from owner
+/// `i`. Adoption cuts a dead member's holdings over the survivors;
+/// re-balancing cuts every member's over the members.
+pub(crate) fn cut_pool(pool: &[&[Holding]], capacities: &[f64]) -> Vec<Vec<Vec<Holding>>> {
+    let lens: Vec<usize> = pool
+        .iter()
+        .map(|held| held.iter().map(Range::len).sum())
+        .collect();
+    let bounds = share_bounds(lens.iter().sum(), capacities);
+    let share = |w: &[usize]| {
+        let mut start = 0;
+        let piece = |(held, len): (&&[Holding], &usize)| {
+            start += len;
+            slice_ranges(
+                held,
+                w[0].saturating_sub(start - len),
+                w[1].saturating_sub(start - len),
+            )
+        };
+        pool.iter().zip(&lens).map(piece).collect()
+    };
+    bounds.windows(2).map(share).collect()
+}
+
+/// The logical bytes of `held`, ranges of `db`.
+pub(crate) fn held_bytes(db: &[Transaction], held: &[Holding]) -> usize {
+    held.iter().map(|r| page_bytes(&db[r.clone()])).sum()
+}
+
+/// Appends `pieces` to `held`, extending the last range where a piece
+/// continues it (and replacing it where it is empty), so a rank whose
+/// holdings tile one run of the slab holds one range.
+pub(crate) fn hold(held: &mut Vec<Holding>, pieces: Vec<Holding>) {
+    for piece in pieces {
+        match held.last_mut() {
+            Some(last) if last.start == last.end => *last = piece,
+            Some(last) if last.end == piece.start => last.end = piece.end,
+            _ => held.push(piece),
+        }
+    }
 }
 
 /// The sub-ranges of `ranges` (a logical concatenation) covering the
@@ -246,6 +275,32 @@ mod tests {
         assert_eq!(slice_ranges(&ranges, 3, 5), vec![3..4, 10..11]);
         assert_eq!(slice_ranges(&ranges, 4, 7), vec![10..13]);
         assert!(slice_ranges(&ranges, 5, 5).is_empty());
+    }
+
+    /// A pool of two owners cut over three capacities: each share takes
+    /// its run of the owners' ranges read in order, and `hold` joins the
+    /// pieces that continue one another.
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)] // one-range holdings
+    fn cut_pool_splits_owners_in_order() {
+        let (a, b) = (vec![0..4, 10..12], vec![4..6]); // lengths 6 + 2
+        let shares = cut_pool(&[&a, &b], &[1.0; 3]);
+        assert_eq!(
+            shares,
+            [
+                vec![vec![0..2], vec![]],
+                vec![vec![2..4, 10..11], vec![]],
+                vec![vec![11..12], vec![4..6]]
+            ]
+        );
+        let mut held = vec![7..7];
+        hold(&mut held, vec![0..2, 2..4, 10..11]);
+        assert_eq!(held, [0..4, 10..11]);
+        let skewed = cut_pool(&[&a, &b], &[3.0, 1.0]);
+        assert_eq!(
+            skewed,
+            [vec![vec![0..4, 10..12], vec![]], vec![vec![], vec![4..6]]]
+        );
     }
 
     #[test]

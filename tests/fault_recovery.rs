@@ -1,7 +1,8 @@
 //! Fault injection end-to-end: every recoverable fault plan — message
 //! drops, stragglers, and up to one rank crash — must leave the mined
 //! frequent itemsets and association rules **bit-identical** to a
-//! fault-free run, for every formulation, on **both** execution backends
+//! fault-free run, for every formulation, under either placement policy,
+//! on **both** execution backends
 //! (virtual-time injection under sim, real thread deaths and wall-clock
 //! timers under native); and on sim the same plan must reproduce the
 //! same virtual clocks and fault counters.
@@ -10,8 +11,8 @@ mod common;
 
 use armine::core::rules::generate_rules;
 use armine::metrics::json::BenchDocument;
-use armine::mpsim::{CrashPoint, ExecBackend, FaultPlan};
-use armine::parallel::{Algorithm, FaultRunError, ParallelMiner, ParallelParams};
+use armine::mpsim::{ClusterProfile, CrashPoint, ExecBackend, FaultPlan, MachineProfile};
+use armine::parallel::{Algorithm, FaultRunError, ParallelMiner, ParallelParams, PlacementPolicy};
 use common::{lattice, quest};
 use proptest::prelude::*;
 
@@ -42,6 +43,18 @@ fn params() -> ParallelParams {
     ParallelParams::with_min_support_count(6)
         .page_size(30)
         .max_k(3)
+}
+
+/// The miner and parameters of one placement: static on a uniform
+/// cluster, or adaptive on one whose rank 1 runs at half speed, so the
+/// re-balance after each pass moves work.
+fn placed(miner: ParallelMiner, adaptive: bool) -> (ParallelMiner, ParallelParams) {
+    if !adaptive {
+        return (miner, params());
+    }
+    let two_speed = ClusterProfile::uniform(MachineProfile::cray_t3e()).speed(1, 0.5);
+    let params = params().placement(PlacementPolicy::Adaptive);
+    (miner.cluster(two_speed), params)
 }
 
 /// Builds a recoverable fault plan from generated primitives: drops, up
@@ -77,9 +90,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The golden-fingerprint guarantee: any recoverable plan yields the
-    /// fault-free lattice, for every formulation.
+    /// fault-free lattice, for every formulation, under either placement.
     #[test]
     fn recoverable_plans_preserve_the_lattice(
+        placement in 0u32..2, // 1: adaptive on a two-speed cluster
         seed in 0u64..1_000_000,
         drop_permille in 0u32..250,
         straggler_ranks in prop::collection::btree_set(0usize..PROCS, 0..=2),
@@ -97,19 +111,21 @@ proptest! {
             crash_pass,
             crash_time_micros,
         );
+        let adaptive = placement == 1;
         let dataset = dataset();
-        let params = params();
-        let miner = ParallelMiner::new(PROCS);
+        let clean = ParallelMiner::new(PROCS);
+        let (miner, placed_params) = placed(ParallelMiner::new(PROCS), adaptive);
         for algo in ALGOS {
-            let clean = miner.mine(algo, &dataset, &params);
+            let clean = clean.mine(algo, &dataset, &params());
             let faulted = miner
-                .mine_with_faults(algo, &dataset, &params, Some(&plan))
+                .mine_with_faults(algo, &dataset, &placed_params, Some(&plan))
                 .unwrap_or_else(|e| panic!("{} under {plan}: {e}", algo.name()));
             prop_assert_eq!(
                 lattice(&faulted.frequent),
                 lattice(&clean.frequent),
-                "{} diverged under plan:\n{}",
+                "{} (adaptive: {}) diverged under plan:\n{}",
                 algo.name(),
+                adaptive,
                 plan
             );
         }
@@ -128,6 +144,7 @@ proptest! {
     /// burn real milliseconds here.
     #[test]
     fn recoverable_plans_preserve_the_lattice_natively(
+        placement in 0u32..2, // 1: adaptive on a two-speed cluster
         seed in 0u64..1_000_000,
         drop_permille in 0u32..120,
         straggler_ranks in prop::collection::btree_set(0usize..PROCS, 0..=1),
@@ -149,20 +166,22 @@ proptest! {
         )
         .rto(5e-5)
         .detect_timeout(2e-3);
+        let adaptive = placement == 1;
         let dataset = dataset();
-        let params = params();
         let sim = ParallelMiner::new(PROCS);
         let native = ParallelMiner::new(PROCS).backend(ExecBackend::Native);
+        let (native, placed_params) = placed(native, adaptive);
         for algo in ALGOS {
-            let clean = sim.mine(algo, &dataset, &params);
+            let clean = sim.mine(algo, &dataset, &params());
             let faulted = native
-                .mine_with_faults(algo, &dataset, &params, Some(&plan))
+                .mine_with_faults(algo, &dataset, &placed_params, Some(&plan))
                 .unwrap_or_else(|e| panic!("native {} under {plan}: {e}", algo.name()));
             prop_assert_eq!(
                 lattice(&faulted.frequent),
                 lattice(&clean.frequent),
-                "native {} diverged under plan:\n{}",
+                "native {} (adaptive: {}) diverged under plan:\n{}",
                 algo.name(),
+                adaptive,
                 plan
             );
         }
@@ -204,6 +223,37 @@ fn drops_straggler_and_midpass_crash_reproduce_fault_free_results() {
         let clean_rules = generate_rules(&clean.frequent, 0.5);
         let faulted_rules = generate_rules(&faulted.frequent, 0.5);
         assert_eq!(faulted_rules, clean_rules, "{}", algo.name());
+    }
+}
+
+/// Crashes aimed at the adaptive re-balance: under the adaptive placement
+/// of [`placed`], each rank in turn crashes at the end of each pass of the
+/// fault-free adaptive run and every 50 µs for 300 µs after it, the span
+/// of the re-balancing exchange that follows the pass (its all-gather
+/// alone takes three 16 µs message setups at P = 4), so some crashes land
+/// inside it, the last pass's included. Every formulation mines the
+/// fault-free lattice, on the sim backend, deterministically.
+#[test]
+fn adaptive_crashes_at_pass_ends_mine_the_fault_free_lattice() {
+    let dataset = dataset();
+    let (miner, params) = placed(ParallelMiner::new(PROCS), true);
+    for algo in ALGOS {
+        let clean = miner.mine(algo, &dataset, &params);
+        let want = lattice(&clean.frequent);
+        let mut end = 0.0;
+        for pass in &clean.passes {
+            end += pass.time;
+            for at in (0..=6).map(|step| end + f64::from(step) * 50e-6) {
+                for rank in 0..PROCS {
+                    let plan = FaultPlan::new().seed(5).crash(rank, CrashPoint::AtTime(at));
+                    let on = format!("{} under {plan}", algo.name());
+                    let run = miner
+                        .mine_with_faults(algo, &dataset, &params, Some(&plan))
+                        .unwrap_or_else(|e| panic!("{on}: {e}"));
+                    assert_eq!(lattice(&run.frequent), want, "{on}");
+                }
+            }
+        }
     }
 }
 

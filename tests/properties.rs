@@ -33,8 +33,8 @@ fn brute_counts(cands: &[ItemSet], txs: &[Transaction]) -> Vec<u64> {
         .collect()
 }
 
-/// Drops and delays only: transient faults cost time, never answers, and
-/// (with no crash to recover from) leave adaptive placement switched on.
+/// Drops and delays only: transient faults cost time, never answers,
+/// under either placement policy.
 fn transient_plan(seed: u64) -> armine::mpsim::FaultPlan {
     armine::mpsim::FaultPlan::new()
         .seed(seed)
@@ -156,8 +156,7 @@ proptest! {
     }
 
     /// A heterogeneous cluster never changes the mined lattice — under
-    /// either placement policy, with or without transient faults (which,
-    /// having no crashes, leave adaptive re-balancing on), every
+    /// either placement policy, with or without transient faults, every
     /// formulation returns bit-identical itemsets to the homogeneous
     /// fault-free run. Speeds, placement and lost messages move work and
     /// time, never answers.
