@@ -1,10 +1,9 @@
 //! Machinery shared by all nine parallel formulations: the per-rank pass
 //! loop and the candidates and levels its ranks share, cost charging,
 //! pass-1 counting, the views every rank holds of the one database slab
-//! (slices and pages, each rank's slice the view of its holdings in the
-//! one placement record, which adaptive re-balancing and crash recovery
-//! both move), and the four movements and two
-//! reductions of the one counting pass: the local count of the replicated
+//! (pages, and each slice the view of its rank's holdings, the placement
+//! record that re-balancing and recovery move), and the four movements and
+//! two reductions of the one counting pass: the local count of the replicated
 //! formulations, the ring pipeline of Figure 6, DD's naive all-to-all and
 //! the single-source chain; the row all-reduce, or NPA's gather.
 
@@ -302,17 +301,16 @@ pub(crate) fn rebalance_placement(
     let busy = comm.stats().busy;
     let spent = (busy - *busy_mark).max(0.0);
     *busy_mark = busy;
-    let reports: Vec<(f64, u64)> = ctx
-        .world(comm)
-        .try_allgather((spent, ctx.local.len() as u64), 16)?;
-    let t_max = reports.iter().map(|r| r.0).fold(0.0f64, f64::max);
+    // Each member's busy time for the pass, charged 16 bytes on the wire.
+    let times: Vec<f64> = ctx.world(comm).try_allgather(spent, 16)?;
+    let t_max = times.iter().copied().fold(0.0f64, f64::max);
     if t_max > 0.0 {
         let floor = t_max * 1e-2;
         let raw: Vec<f64> = ctx
             .capacities
             .iter()
-            .zip(&reports)
-            .map(|(&cap, &(t, _))| cap / t.max(floor))
+            .zip(&times)
+            .map(|(&cap, &t)| cap / t.max(floor))
             .collect();
         let sum: f64 = raw.iter().sum();
         let n = raw.len() as f64;
@@ -342,15 +340,11 @@ pub(crate) fn rebalance_placement(
     for sh in sends {
         world.wait_send(sh);
     }
-    drop(world);
-    let mine = holdings[comm.rank()].clone();
     for (&m, taken) in ctx.members.iter().zip(shares) {
         holdings[m].clear();
         hold(&mut holdings[m], taken.concat());
     }
-    if holdings[comm.rank()] != mine {
-        ctx.local = db.view_of(&holdings[comm.rank()]);
-    }
+    ctx.local = db.view_of(&holdings[comm.rank()]);
     Ok(())
 }
 
@@ -737,11 +731,9 @@ pub(crate) fn cannot_fail<T>(received: Result<T, RecvFault>) -> T {
 /// capacity re-scoring ([`rebalance_placement`]); `mobile_pages` enables
 /// the transaction re-slicing arm for formulations whose counting load
 /// rides the local slice. Both move the one placement record, `holdings`.
-/// A fault inside a re-balance fails the next attempt, and the sync after
-/// it aborts that attempt; a re-balance takes effect only if the pass
-/// after it commits, so an abort first restores the placement of the last
-/// committed pass on every survivor. The re-balance after the last pass
-/// has no next attempt: a crash plan settles it with one more sync.
+/// A re-balance's fault fails the next attempt; a re-balance takes effect
+/// only if that pass commits, so an abort first restores the last committed
+/// placement on every survivor. One more sync settles the last re-balance.
 ///
 /// `db` is the database slab and `cuts[r]..cuts[r + 1]` the range rank `r`
 /// starts on: the stable storage recovery re-reads a dead rank's data from.
@@ -765,8 +757,8 @@ pub(crate) fn run_rank(
     let adaptive = params.placement == PlacementPolicy::Adaptive && ctx.size() > 1;
     let mut busy_mark = 0.0f64;
     let mut holdings = initial_holdings(cuts);
-    // The last committed pass's holdings and capacities, while a re-balance
-    // after it waits on the next pass to commit; and that re-balance's fault.
+    // The last committed placement while the re-balance after it waits on
+    // the next pass to commit; and that re-balance's fault.
     let mut committed: Option<(Vec<Vec<Holding>>, Vec<f64>)> = None;
     let mut rebalanced = Ok(());
     let mut levels: Vec<Level> = Vec::new();
@@ -810,9 +802,8 @@ pub(crate) fn run_rank(
                 break cannot_fail(attempt);
             }
             let outcome = pass_sync(comm, &ctx, attempt.as_ref().err());
-            if let Some((held, capacities)) = committed.take().filter(|_| outcome.any_abort) {
-                holdings = held;
-                ctx.capacities = capacities;
+            if let Some(placement) = committed.take().filter(|_| outcome.any_abort) {
+                (holdings, ctx.capacities) = placement;
                 ctx.local = db.view_of(&holdings[comm.rank()]);
             }
             if !outcome.dead.is_empty() {
@@ -841,9 +832,7 @@ pub(crate) fn run_rank(
         });
         levels.push(share.commit(k, result.level));
         if adaptive {
-            if recoverable {
-                committed = Some((holdings.clone(), ctx.capacities.clone()));
-            }
+            committed = recoverable.then(|| (holdings.clone(), ctx.capacities.clone()));
             // Aborts of the next attempt fail this exchange's receives too.
             comm.set_epoch(ctx.epoch);
             rebalanced = rebalance_placement(

@@ -165,41 +165,26 @@ pub(crate) fn adopt(
     dead: &BTreeSet<usize>,
 ) {
     let me = comm.rank();
-    let survivors: Vec<usize> = ctx
-        .members
-        .iter()
-        .copied()
-        .filter(|r| !dead.contains(r))
-        .collect();
-    debug_assert!(survivors.contains(&me), "a dead rank cannot recover");
-    let survivor_caps: Vec<f64> = ctx
-        .members
-        .iter()
-        .zip(&ctx.capacities)
+    debug_assert!(dead.iter().all(|d| ctx.members.contains(d)));
+    (ctx.members, ctx.capacities) = (ctx.members.iter().zip(&ctx.capacities))
         .filter(|&(r, _)| !dead.contains(r))
-        .map(|(_, &c)| c)
-        .collect();
+        .unzip();
+    let position = ctx.members.iter().position(|&r| r == me);
+    ctx.my_index = position.expect("a dead rank cannot recover");
     let mut adopted_bytes = 0;
     for &d in dead {
-        debug_assert!(ctx.members.contains(&d), "committed dead ranks are members");
         let freed = std::mem::take(&mut holdings[d]);
-        for (&sv, mut taken) in survivors.iter().zip(cut_pool(&[&freed], &survivor_caps)) {
-            let taken = taken.pop().expect("one share per owner");
-            adopted_bytes += if sv == me { held_bytes(db, &taken) } else { 0 };
-            hold(&mut holdings[sv], taken);
+        for (&sv, taken) in ctx.members.iter().zip(cut_pool(&[&freed], &ctx.capacities)) {
+            if sv == me {
+                adopted_bytes += held_bytes(db, &taken[0]);
+            }
+            hold(&mut holdings[sv], taken.concat());
         }
     }
     if adopted_bytes > 0 {
         comm.charge_io(adopted_bytes);
     }
     ctx.local = db.view_of(&holdings[me]);
-    ctx.members = survivors;
-    ctx.capacities = survivor_caps;
-    ctx.my_index = ctx
-        .members
-        .iter()
-        .position(|&r| r == me)
-        .expect("survivor stays a member");
     comm.note_recovery();
 }
 
@@ -209,24 +194,16 @@ pub(crate) fn adopt(
 /// `i`. Adoption cuts a dead member's holdings over the survivors;
 /// re-balancing cuts every member's over the members.
 pub(crate) fn cut_pool(pool: &[&[Holding]], capacities: &[f64]) -> Vec<Vec<Vec<Holding>>> {
-    let lens: Vec<usize> = pool
-        .iter()
-        .map(|held| held.iter().map(Range::len).sum())
-        .collect();
-    let bounds = share_bounds(lens.iter().sum(), capacities);
+    let lens = pool.iter().flat_map(|held| held.iter().map(Range::len));
     let share = |w: &[usize]| {
-        let mut start = 0;
-        let piece = |(held, len): (&&[Holding], &usize)| {
-            start += len;
-            slice_ranges(
-                held,
-                w[0].saturating_sub(start - len),
-                w[1].saturating_sub(start - len),
-            )
-        };
-        pool.iter().zip(&lens).map(piece).collect()
+        let mut offset = 0;
+        let piece = |held: &&[Holding]| slice_ranges(held, &mut offset, w[0], w[1]);
+        pool.iter().map(piece).collect()
     };
-    bounds.windows(2).map(share).collect()
+    share_bounds(lens.sum(), capacities)
+        .windows(2)
+        .map(share)
+        .collect()
 }
 
 /// The logical bytes of `held`, ranges of `db`.
@@ -247,18 +224,18 @@ pub(crate) fn hold(held: &mut Vec<Holding>, pieces: Vec<Holding>) {
     }
 }
 
-/// The sub-ranges of `ranges` (a logical concatenation) covering the
-/// half-open interval `[a, b)` of its combined length.
-fn slice_ranges(ranges: &[Holding], a: usize, b: usize) -> Vec<Holding> {
+/// The sub-ranges of `ranges`, a run of a logical concatenation starting at
+/// its position `offset`, covering the half-open interval `[a, b)` of it;
+/// `offset` is advanced past the run.
+fn slice_ranges(ranges: &[Holding], offset: &mut usize, a: usize, b: usize) -> Vec<Holding> {
     let mut out = Vec::new();
-    let mut offset = 0;
     for held in ranges {
-        let start = a.clamp(offset, offset + held.len());
-        let end = b.clamp(offset, offset + held.len());
+        let start = a.clamp(*offset, *offset + held.len());
+        let end = b.clamp(*offset, *offset + held.len());
         if end > start {
-            out.push(held.start + (start - offset)..held.start + (end - offset));
+            out.push(held.start + (start - *offset)..held.start + (end - *offset));
         }
-        offset += held.len();
+        *offset += held.len();
     }
     out
 }
@@ -270,11 +247,11 @@ mod tests {
     #[test]
     fn slice_ranges_spans_boundaries() {
         let ranges = vec![0..4, 10..13]; // lengths 4 + 3
-        assert_eq!(slice_ranges(&ranges, 0, 7), ranges);
-        assert_eq!(slice_ranges(&ranges, 0, 2), vec![0..2]);
-        assert_eq!(slice_ranges(&ranges, 3, 5), vec![3..4, 10..11]);
-        assert_eq!(slice_ranges(&ranges, 4, 7), vec![10..13]);
-        assert!(slice_ranges(&ranges, 5, 5).is_empty());
+        assert_eq!(slice_ranges(&ranges, &mut 0, 0, 7), ranges);
+        assert_eq!(slice_ranges(&ranges, &mut 0, 0, 2), vec![0..2]);
+        assert_eq!(slice_ranges(&ranges, &mut 0, 3, 5), vec![3..4, 10..11]);
+        assert_eq!(slice_ranges(&ranges, &mut 0, 4, 7), vec![10..13]);
+        assert!(slice_ranges(&ranges, &mut 0, 5, 5).is_empty());
     }
 
     /// A pool of two owners cut over three capacities: each share takes

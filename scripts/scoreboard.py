@@ -59,7 +59,7 @@ PRODUCTION_CEILING = {
     "armine-datagen": 507,
     "armine-metrics": 678,
     "armine-mpsim": 2650,
-    "armine-parallel": 2509,
+    "armine-parallel": 2503,
     "armine": 30,
 }
 # The most concepts each row may hold, at their measured values, under the
