@@ -8,15 +8,16 @@
 //! refinement splits that item by **second** item; `partition_two_level`
 //! implements it. A partitioner returns a plan, not lists: each processor
 //! picks its share out of the one candidate set by
-//! [`CandidatePartition::owns`]. Partitioners and plans read candidates as
-//! rows of items: item sets, or the rows of a `k`-strided arena such as a
-//! parallel run's `C_k`.
+//! [`CandidatePartition::owns`]. Partitioners read a pass's [`Candidates`]:
+//! round-robin its length, the packers its first-item histogram (from
+//! `F₁ × F₁`'s row lengths, or one read per arena row); plans read rows.
 //!
 //! The packer is the classic Longest-Processing-Time greedy (the paper
 //! cites bin-packing [Papadimitriou & Steiglitz]; LPT's 4/3 bound is ample
 //! here — the paper itself reports 1.3–2.3% candidate imbalance).
 
 use crate::bitmap::ItemBitmap;
+use crate::candidates::Candidates;
 use crate::hashtree::OwnershipFilter;
 use crate::item::Item;
 use std::collections::HashSet;
@@ -166,28 +167,25 @@ impl CandidatePartition {
 /// Counts, for each possible first item, how many of `candidates` start
 /// with it — the statistic the IDD bin-packing partitioner consumes. The
 /// paper notes candidates need not be stored for this; only the counts.
-fn first_item_histogram(
-    candidates: impl IntoIterator<Item: AsRef<[Item]>>,
-    num_items: u32,
-) -> Vec<u64> {
+/// `F₁ × F₁` holds them already: its `i`-th item starts `|F₁| − 1 − i`
+/// pairs. An arena is read once per row.
+fn first_item_histogram(candidates: &Candidates, num_items: u32) -> Vec<u64> {
     let mut hist = vec![0u64; num_items as usize];
-    for c in candidates {
-        if let Some(first) = c.as_ref().first() {
-            hist[first.index()] += 1;
-        }
+    match candidates.pair_items() {
+        // Counted from the last item, which starts no pair.
+        Some(f1) => (f1.iter().rev().zip(0..).skip(1)).for_each(|(i, n)| hist[i.index()] = n),
+        None => (candidates.rows(0..candidates.len()))
+            .for_each(|row| hist[row.as_ref()[0].index()] += 1),
     }
     hist
 }
 
-/// DD's round-robin partition: candidate `i` goes to processor `i mod P`.
-/// No ownership filter exists (DD cannot prune at the root — that is its
-/// redundant-work problem).
-pub fn partition_round_robin(
-    candidates: impl IntoIterator<Item: AsRef<[Item]>>,
-    p: usize,
-) -> CandidatePartition {
+/// DD's round-robin partition of `num_candidates` candidates: candidate
+/// `i` goes to processor `i mod P`. No ownership filter exists (DD cannot
+/// prune at the root — that is its redundant-work problem).
+pub fn partition_round_robin(num_candidates: usize, p: usize) -> CandidatePartition {
     assert!(p > 0);
-    let n = candidates.into_iter().count();
+    let n = num_candidates;
     let loads = (0..p).map(|i| (n / p + usize::from(i < n % p)) as u64);
     let imbalance = Packing {
         assignment: Vec::new(),
@@ -207,7 +205,7 @@ pub fn partition_round_robin(
 /// shares), and give each processor the matching bitmap filter. Uniform
 /// capacities reproduce the classic equal-share packing bit for bit.
 pub fn partition_by_first_item(
-    candidates: impl IntoIterator<Item: AsRef<[Item]>>,
+    candidates: &Candidates,
     num_items: u32,
     capacities: &[f64],
 ) -> CandidatePartition {
@@ -232,26 +230,27 @@ pub fn partition_by_first_item(
 /// The two-level refinement: first items whose candidate count exceeds
 /// `split_threshold` are split by second item, so a single hot first item
 /// can be spread over several processors. Candidates must have at least two
-/// items (the refinement only matters for k ≥ 2 passes). They are read
-/// twice: once for the first-item counts, once for the split items' pairs.
+/// items (the refinement only matters for k ≥ 2 passes). Only the rows of
+/// the split first items are read, for their (first, second) counts: the
+/// rows are ascending, so a first item's rows are the run the histogram
+/// places them at.
 pub fn partition_two_level(
-    candidates: impl IntoIterator<Item: AsRef<[Item]>, IntoIter: Clone>,
+    candidates: &Candidates,
     num_items: u32,
     capacities: &[f64],
     split_threshold: u64,
 ) -> CandidatePartition {
     let p = capacities.len();
     assert!(p > 0);
-    let candidates = candidates.into_iter();
     assert!(
-        candidates.clone().all(|c| c.as_ref().len() >= 2),
+        candidates.k() >= 2,
         "two-level partitioning requires candidates of size >= 2"
     );
-    let hist = first_item_histogram(candidates.clone(), num_items);
+    let hist = first_item_histogram(candidates, num_items);
 
     /// A packable unit: a whole first-item group, or one (first, second)
     /// subgroup of a split first item.
-    #[derive(Clone, Copy)]
+    #[derive(Clone, Copy, PartialEq)]
     enum Unit {
         First(Item),
         Pair(Item, Item),
@@ -259,29 +258,33 @@ pub fn partition_two_level(
 
     let mut units: Vec<Unit> = Vec::new();
     let mut weights: Vec<u64> = Vec::new();
-    let split: Vec<bool> = hist.iter().map(|&c| c > split_threshold).collect();
+    let split = |item: u32| hist[item as usize] > split_threshold;
     // Whole groups.
     for item in 0..num_items {
         let c = hist[item as usize];
-        if c > 0 && !split[item as usize] {
+        if c > 0 && !split(item) {
             units.push(Unit::First(Item(item)));
             weights.push(c);
         }
     }
-    // Split groups: one unit per (first, second) pair.
-    let mut pair_hist: std::collections::HashMap<(Item, Item), u64> =
-        std::collections::HashMap::new();
-    for c in candidates {
-        let (first, second) = (c.as_ref()[0], c.as_ref()[1]);
-        if split[first.index()] {
-            *pair_hist.entry((first, second)).or_insert(0) += 1;
+    // Split groups: one unit per (first, second) pair, ascending, from the
+    // runs of equal second items in each split first item's rows.
+    let mut at = 0;
+    for item in 0..num_items {
+        let rows = at..at + hist[item as usize] as usize;
+        at = rows.end;
+        if !split(item) {
+            continue;
         }
-    }
-    let mut pairs: Vec<((Item, Item), u64)> = pair_hist.into_iter().collect();
-    pairs.sort(); // determinism
-    for (pair, w) in pairs {
-        units.push(Unit::Pair(pair.0, pair.1));
-        weights.push(w);
+        for row in candidates.rows(rows) {
+            let unit = Unit::Pair(Item(item), row.as_ref()[1]);
+            if units.last() == Some(&unit) {
+                *weights.last_mut().expect("a weight per unit") += 1;
+            } else {
+                units.push(unit);
+                weights.push(1);
+            }
+        }
     }
 
     let packing = pack_lpt_weighted(&weights, capacities);
@@ -419,6 +422,12 @@ mod tests {
         pack_lpt_weighted(&[1], &[1.0, 0.0]);
     }
 
+    /// Strictly ascending item sets of one size as the arena of a `C_k`.
+    fn arena(cands: &[ItemSet]) -> Candidates {
+        let k = cands.first().map_or(1, ItemSet::len);
+        Candidates::from_arena(k, cands.iter().flat_map(ItemSet::items).copied().collect())
+    }
+
     fn sample_candidates() -> Vec<ItemSet> {
         // First-item histogram: item 0 → 4 candidates, 1 → 2, 2 → 1, 5 → 1.
         vec![
@@ -453,7 +462,7 @@ mod tests {
     #[test]
     fn round_robin_covers_all_candidates() {
         let cands = sample_candidates();
-        let part = partition_round_robin(&cands, 3);
+        let part = partition_round_robin(cands.len(), 3);
         assert_eq!(total_candidates(&part, &cands), cands.len());
         assert_eq!(part.num_procs(), 3);
         // Round robin: shares have sizes 3, 3, 2.
@@ -470,7 +479,7 @@ mod tests {
     #[test]
     fn first_item_partition_is_exact_and_filtered() {
         let cands = sample_candidates();
-        let part = partition_by_first_item(&cands, 8, &[1.0; 2]);
+        let part = partition_by_first_item(&arena(&cands), 8, &[1.0; 2]);
         assert_eq!(total_candidates(&part, &cands), cands.len());
         // All candidates with the same first item land on one processor,
         // and that processor's filter admits the first item.
@@ -492,7 +501,7 @@ mod tests {
     fn first_item_partition_balances_weights() {
         // 100 first items with equal candidate counts pack evenly.
         let cands: Vec<ItemSet> = (0..100u32).map(|i| set(&[i, i + 100])).collect();
-        let part = partition_by_first_item(&cands, 200, &[1.0; 4]);
+        let part = partition_by_first_item(&arena(&cands), 200, &[1.0; 4]);
         assert!(part.imbalance < 1e-9);
         for p in shares(&part, &cands) {
             assert_eq!(p.len(), 25);
@@ -506,9 +515,9 @@ mod tests {
         let mut cands: Vec<ItemSet> = (1..=90u32).map(|s| set(&[0, s])).collect();
         cands.push(set(&[1, 2]));
         cands.push(set(&[2, 3]));
-        let single = partition_by_first_item(&cands, 100, &[1.0; 4]);
+        let single = partition_by_first_item(&arena(&cands), 100, &[1.0; 4]);
         assert!(single.imbalance > 1.0, "hot item forces imbalance");
-        let double = partition_two_level(&cands, 100, &[1.0; 4], 10);
+        let double = partition_two_level(&arena(&cands), 100, &[1.0; 4], 10);
         assert!(
             double.imbalance < 0.3,
             "two-level split restores balance, got {}",
@@ -521,7 +530,7 @@ mod tests {
     fn two_level_filters_route_correctly() {
         let mut cands: Vec<ItemSet> = (1..=20u32).map(|s| set(&[0, s])).collect();
         cands.push(set(&[3, 4]));
-        let part = partition_two_level(&cands, 30, &[1.0; 3], 5);
+        let part = partition_two_level(&arena(&cands), 30, &[1.0; 3], 5);
         for (proc, cand_list) in shares(&part, &cands).iter().enumerate() {
             for c in cand_list {
                 let first = c.first().unwrap();
@@ -547,21 +556,36 @@ mod tests {
     #[test]
     #[should_panic(expected = "size >= 2")]
     fn two_level_rejects_singletons() {
-        partition_two_level(&[set(&[1])], 10, &[1.0; 2], 1);
+        partition_two_level(&arena(&[set(&[1])]), 10, &[1.0; 2], 1);
     }
 
     #[test]
     fn partition_single_processor() {
         let cands = sample_candidates();
-        let part = partition_by_first_item(&cands, 8, &[1.0; 1]);
+        let part = partition_by_first_item(&arena(&cands), 8, &[1.0; 1]);
         assert_eq!(shares(&part, &cands), [cands]);
         assert_eq!(part.imbalance, 0.0);
     }
 
+    /// An arena is counted row by row; `F₁ × F₁` from its row lengths,
+    /// which are what counting its rows gives.
     #[test]
     fn first_item_histogram_counts() {
         let cands = vec![set(&[0, 5]), set(&[0, 7]), set(&[3, 4])];
-        assert_eq!(first_item_histogram(&cands, 6), vec![2, 0, 0, 1, 0, 0]);
+        assert_eq!(
+            first_item_histogram(&arena(&cands), 8),
+            [2, 0, 0, 1, 0, 0, 0, 0]
+        );
+        let f1 = [1, 2, 4, 7].map(Item);
+        let every_pair: Vec<ItemSet> = (0..4)
+            .flat_map(|i| (i + 1..4).map(move |j| ItemSet::from_sorted(vec![f1[i], f1[j]])))
+            .collect();
+        let by_rows = first_item_histogram(&arena(&every_pair), 8);
+        assert_eq!(by_rows, [0, 3, 2, 0, 1, 0, 0, 0]);
+        assert_eq!(
+            first_item_histogram(&Candidates::pairs(f1.into()), 8),
+            by_rows
+        );
     }
 
     #[test]
@@ -571,9 +595,9 @@ mod tests {
         // deterministic candidate order for reductions.
         let cands = sample_candidates();
         for part in [
-            partition_round_robin(&cands, 3),
-            partition_by_first_item(&cands, 8, &[1.0; 3]),
-            partition_two_level(&cands, 8, &[1.0; 3], 2),
+            partition_round_robin(cands.len(), 3),
+            partition_by_first_item(&arena(&cands), 8, &[1.0; 3]),
+            partition_two_level(&arena(&cands), 8, &[1.0; 3], 2),
         ] {
             for p in shares(&part, &cands) {
                 assert!(p.windows(2).all(|w| w[0] < w[1]), "share not sorted: {p:?}");
@@ -625,9 +649,9 @@ mod tests {
                 .map(|i| if skewed == 1 { f64::from(skew[i]) / 2.0 } else { 1.0 })
                 .collect();
             let plans = [
-                (partition_round_robin(&cands, procs), false),
-                (partition_by_first_item(&cands, 20, &capacities), true),
-                (partition_two_level(&cands, 20, &capacities, split_threshold), true),
+                (partition_round_robin(cands.len(), procs), false),
+                (partition_by_first_item(&arena(&cands), 20, &capacities), true),
+                (partition_two_level(&arena(&cands), 20, &capacities, split_threshold), true),
             ];
             for (part, by_ownership) in plans {
                 prop_assert_eq!(part.num_procs(), procs);

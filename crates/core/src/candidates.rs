@@ -149,7 +149,12 @@ impl Candidates {
             Layout::Arena(items) => RowsInner::Arena(
                 items[range.start * self.k..range.end * self.k].chunks_exact(self.k),
             ),
-            Layout::Pairs { items, .. } => RowsInner::Pairs(items, self.pair_ranks(range)),
+            Layout::Pairs { items, .. } => {
+                let first = self.pair_rows(range.clone()).next();
+                let (i, j) = first.map_or((0, 0), |(_, i, js)| (i, js.start));
+                let (n, left) = (items.len() as u32, range.len());
+                RowsInner::Pairs(items, PairRanks { n, left, i, j })
+            }
         };
         Rows { inner }
     }
@@ -197,32 +202,6 @@ impl Candidates {
         }
     }
 
-    /// The rows of `range` of `F₁ × F₁` as `(row, i, j)`: the row and the
-    /// ranks in `F₁` of its two items.
-    ///
-    /// # Panics
-    /// If this is not `F₁ × F₁`.
-    fn pair_ranks(&self, range: Range<usize>) -> PairRanks {
-        let Layout::Pairs { items, offsets } = &self.layout else {
-            panic!("not a pair set");
-        };
-        let n = items.len() as u32;
-        // The last item whose pairs start at or before `range.start`.
-        let i = offsets
-            .partition_point(|&o| o <= range.start)
-            .saturating_sub(1);
-        let j = match offsets.get(i) {
-            Some(&o) => i + 1 + (range.start - o),
-            None => 0,
-        };
-        PairRanks {
-            n,
-            row: range.start,
-            end: range.end,
-            i: i as u32,
-            j: j as u32,
-        }
-    }
     /// The rows of `range` of `F₁ × F₁` first item by first item, as
     /// `(row, i, js)`: the pairs of rank `i` with each rank of `js` (never
     /// empty), whose first is at `row`.
@@ -269,7 +248,7 @@ impl<'a> Iterator for Rows<'a> {
         match &mut self.inner {
             RowsInner::Arena(rows) => rows.next().map(Row::Arena),
             RowsInner::Pairs(items, ranks) => {
-                let (_, i, j) = ranks.next()?;
+                let (i, j) = ranks.next()?;
                 Some(Row::Pair([items[i as usize], items[j as usize]]))
             }
         }
@@ -285,26 +264,23 @@ impl<'a> Iterator for Rows<'a> {
 
 impl ExactSizeIterator for Rows<'_> {}
 
-/// `(row, i, j)` over a range of `F₁ × F₁` ([`Candidates::pair_ranks`]).
+/// The ranks in `F₁` of each pair's items, `(i, j)`, over the `left` rows
+/// of `F₁ × F₁` from `(i, j)` on ([`Candidates::rows`]).
 #[derive(Debug, Clone)]
 pub(crate) struct PairRanks {
     n: u32,
-    row: usize,
-    end: usize,
+    left: usize,
     i: u32,
     j: u32,
 }
 
 impl Iterator for PairRanks {
-    type Item = (usize, u32, u32);
+    type Item = (u32, u32);
 
     #[inline]
-    fn next(&mut self) -> Option<(usize, u32, u32)> {
-        if self.row == self.end {
-            return None;
-        }
-        let out = (self.row, self.i, self.j);
-        self.row += 1;
+    fn next(&mut self) -> Option<(u32, u32)> {
+        self.left = self.left.checked_sub(1)?;
+        let out = (self.i, self.j);
         self.j += 1;
         if self.j == self.n {
             self.i += 1;
@@ -314,8 +290,7 @@ impl Iterator for PairRanks {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.end - self.row;
-        (left, Some(left))
+        (self.left, Some(self.left))
     }
 }
 

@@ -433,11 +433,10 @@ impl CounterBackend {
             owned.map(|(_, row)| row)
         };
         // Counted first, so that the table's arena is allocated once.
-        let share = ExactLen {
-            len: rows().count(),
-            rows: rows(),
-        };
-        self.index(tree, CandidateTable::new(candidates.k(), share))
+        let k = candidates.k();
+        let mut items = Vec::with_capacity(k * rows().count());
+        rows().for_each(|row| items.extend_from_slice(row.as_ref()));
+        self.index(tree, CandidateTable::from_arena(k, items))
     }
 
     /// The one dispatch behind [`build`](Self::build) and the serial pass:
@@ -523,26 +522,6 @@ impl Share for OwnershipFilter {
 
     fn holds_from(&self, first: Item) -> Option<bool> {
         self.owns_from(first)
-    }
-}
-
-/// An iterator that yields exactly `len` rows, saying so in its size hint.
-struct ExactLen<I> {
-    rows: I,
-    len: usize,
-}
-
-impl<I: Iterator> Iterator for ExactLen<I> {
-    type Item = I::Item;
-
-    fn next(&mut self) -> Option<I::Item> {
-        let row = self.rows.next()?;
-        self.len -= 1;
-        Some(row)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.len, Some(self.len))
     }
 }
 
@@ -880,6 +859,45 @@ pub(crate) mod tests {
         });
     }
 
+    /// At `k = 2`, `frequent` over a pair table holding dense rows (all of
+    /// `F₁ × F₁` over items 0..16) and sparse ones (first items 20..29,
+    /// each with every third later item up to 47) is brute force's level,
+    /// in row order: at min count 0 (every candidate), at the median count
+    /// (some), and one above the largest count (none).
+    pub(crate) fn pair_levels(backend: CounterBackend) {
+        let slab = slab();
+        let dense = (0..16u32).flat_map(|a| (a + 1..16).map(move |b| set(&[a, b])));
+        let sparse = (20..30u32).flat_map(|a| (a + 1..48).step_by(3).map(move |b| set(&[a, b])));
+        let candidates: Vec<ItemSet> = dense.chain(sparse).collect();
+        let table = CandidateTable::new(2, &candidates);
+        let pairs = PairCounter::from_rows(&table.items).expect("the pair table takes them");
+        let kinds: Vec<bool> = pairs.rows().map(|row| row.cells.is_none()).collect();
+        assert!(kinds.contains(&true) && kinds.contains(&false), "{kinds:?}");
+        let want = supports(&candidates, &slab);
+        let mut sorted = want.clone();
+        sorted.sort_unstable();
+        let (middle, top) = (sorted[sorted.len() / 2], sorted[sorted.len() - 1]);
+        let survivors = |min: u64| -> Vec<(ItemSet, u64)> {
+            let pairs = candidates.iter().cloned().zip(want.iter().copied());
+            pairs.filter(|&(_, n)| n >= min).collect()
+        };
+        let kept = survivors(middle).len();
+        assert!(
+            0 < kept && kept < candidates.len(),
+            "median {middle} kept {kept}"
+        );
+        each_subject(backend, |subject, k, on| {
+            if k != 2 {
+                return;
+            }
+            let mut counter = subject.build(2, &candidates);
+            counter.count_all(&slab, &OwnershipFilter::all());
+            for min in [0, middle, top + 1] {
+                assert_eq!(counter.frequent(min), survivors(min), "{on}, min {min}");
+            }
+        });
+    }
+
     /// Under IDD's first-item filter and the two-level one, a counter over
     /// the share its filter owns, as a driver builds it, counts that share
     /// exactly. A counter over every candidate counts the owned ones
@@ -1195,6 +1213,11 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn pair_levels_are_brute_force_behind_every_backend() {
+        CounterBackend::ALL.into_iter().for_each(pair_levels);
+    }
+
+    #[test]
     fn table_bookkeeping_is_the_same_behind_every_backend() {
         for backend in CounterBackend::ALL {
             bookkeeping(backend);
@@ -1298,7 +1321,6 @@ pub(crate) mod tests {
         for (f1, declined) in [(odd, false), (vec![Item(3), Item(9), Item(40), top], true)] {
             let c2 = Candidates::pairs(f1.clone());
             let len = c2.len();
-            let rows = || c2.rows(0..len);
             type Keep<'a> = Box<dyn Fn(usize, &[Item]) -> bool + 'a>;
             let mut shares: Vec<(String, Range<usize>, Keep, OwnershipFilter)> = vec![
                 (
@@ -1314,10 +1336,10 @@ pub(crate) mod tests {
                     OwnershipFilter::all(),
                 ),
             ];
-            let mut plans = vec![("round-robin", partition_round_robin(rows(), 3))];
+            let mut plans = vec![("round-robin", partition_round_robin(len, 3))];
             if !declined {
-                plans.push(("first-item", partition_by_first_item(rows(), 64, &[1.0; 3])));
-                plans.push(("two-level", partition_two_level(rows(), 64, &[1.0; 3], 20)));
+                plans.push(("first-item", partition_by_first_item(&c2, 64, &[1.0; 3])));
+                plans.push(("two-level", partition_two_level(&c2, 64, &[1.0; 3], 20)));
             }
             for (name, plan) in plans {
                 let plan = std::rc::Rc::new(plan);

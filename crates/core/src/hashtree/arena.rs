@@ -10,11 +10,13 @@
 //! order is the tree's own, and the counts stay in row order.
 //! [`Arena::pair_shape`] builds a pass-2 tree's nodes and
 //! leaf sizes with no candidate behind them, to be walked and never
-//! scored.
+//! scored, from the pair table's rows: a root bucket grows by each row's
+//! length, and a full bucket's cells count its rows' second-item buckets.
 
 use super::filter::OwnershipFilter;
 use crate::counter::CounterStats;
 use crate::item::Item;
+use crate::pairs::{PairCounter, NONE as NO_PAIR};
 
 /// The hash function of the tree, `id % branching`: items are hashed on
 /// their integer value (Figure 2 uses `mod 3`: buckets {1,4,7}, {2,5,8},
@@ -88,23 +90,21 @@ impl Arena {
         (arena.rooted(root), order)
     }
 
-    /// The shape [`build`](Self::build) gives a tree over the pairs that
-    /// `pairs` yields (read at most twice, as ranks into `items`), worked
-    /// out from hash counts alone: a root bucket that at most `max_leaf`
-    /// pairs reach is a leaf, a fuller one a node whose cells, the pairs
-    /// counted by their second item's bucket, are leaves. Every slot and
-    /// leaf size is the one `build` gives; no candidate is placed, so the
-    /// leaves are only ever walked, never scored.
-    pub(super) fn pair_shape<I: Iterator<Item = (u32, u32)>>(
-        branching: usize,
-        max_leaf: usize,
-        items: &[Item],
-        pairs: impl Fn() -> I,
-    ) -> Arena {
+    /// The shape [`build`](Self::build) gives a tree over the candidates of
+    /// `pairs`, worked out from hash counts alone and read row by row: a
+    /// root bucket that at most `max_leaf` pairs reach is a leaf, a fuller
+    /// one a node whose cells, the pairs counted by their second item's
+    /// bucket, are leaves. Every slot and leaf size is the one `build`
+    /// gives; no candidate is placed, so the leaves are only ever walked,
+    /// never scored.
+    pub(super) fn pair_shape(branching: usize, max_leaf: usize, pairs: &PairCounter) -> Arena {
+        let items = pairs.ranked_items();
         let bucket: Vec<u32> = items.iter().map(|&item| hash(item, branching)).collect();
+        // A row's pairs all share its first item's root bucket.
         let mut row_sizes = vec![0usize; branching];
-        // `for_each`, not `for`: a flattened iterator folds in tight loops.
-        pairs().for_each(|(first, _)| row_sizes[bucket[first as usize] as usize] += 1);
+        for row in pairs.rows() {
+            row_sizes[bucket[row.first as usize] as usize] += row.slots.len();
+        }
         let num_pairs: usize = row_sizes.iter().sum();
         let mut arena = Arena::empty(2, branching, num_pairs);
         if num_pairs <= max_leaf {
@@ -113,19 +113,27 @@ impl Arena {
         }
         // The root's slots, then one block per full bucket, in bucket
         // order as `partition` allocates them. A full bucket's root slot
-        // names its node, and the node's slots count its cells.
+        // names its node, and the node's slots count its cells: one pass
+        // over each of its rows' second-item buckets.
         let b = branching;
         arena.slots = vec![NONE; b];
         for (h, _) in row_sizes.iter().enumerate().filter(|&(_, &n)| n > max_leaf) {
             arena.slots[h] = (arena.slots.len() / b) as u32;
             arena.slots.resize(arena.slots.len() + b, 0);
         }
-        pairs().for_each(|(first, second)| {
-            let node = arena.slots[bucket[first as usize] as usize];
-            if node != NONE {
-                arena.slots[node as usize * b + bucket[second as usize] as usize] += 1;
+        for row in pairs.rows() {
+            let node = arena.slots[bucket[row.first as usize] as usize];
+            if node == NONE {
+                continue;
             }
-        });
+            let cells = &mut arena.slots[node as usize * b..][..b];
+            let seconds = bucket[row.seconds.start as usize..row.seconds.end as usize].iter();
+            match row.cells {
+                None => seconds.for_each(|&h| cells[h as usize] += 1),
+                Some(held) => (seconds.zip(held))
+                    .for_each(|(&h, &slot)| cells[h as usize] += u32::from(slot != NO_PAIR)),
+            }
+        }
         // The leaves, in the depth-first order `partition` pushes them.
         let leaf_rows = row_sizes.iter().filter(|&&n| 0 < n && n <= max_leaf);
         let leaf_cells = arena.slots[b..].iter().filter(|&&n| n > 0);

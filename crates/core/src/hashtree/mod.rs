@@ -334,8 +334,7 @@ impl PairTree {
     /// If the params are degenerate (branching 1, max_leaf 0).
     pub(crate) fn new(params: HashTreeParams, pairs: PairCounter) -> Self {
         let branching = params.checked_fan_out(2, pairs.num_candidates());
-        let items = pairs.ranked_items();
-        let arena = Arena::pair_shape(branching, params.max_leaf, items, || pairs.ranked_pairs());
+        let arena = Arena::pair_shape(branching, params.max_leaf, &pairs);
         PairTree {
             last_visitor: vec![0; arena.num_leaves()],
             walked: 0,
@@ -903,11 +902,16 @@ mod tests {
     /// The shape of a pass-2 tree, built from hash-cell counts, is the
     /// one `Arena::build` partitions from the same pairs: every slot, and
     /// every leaf's size and place in the leaf order, for seeded random
-    /// pair sets, under the sized fan-out, a pinned
-    /// `8 × 16` and a narrow `3 × 2`, from a root that is a leaf up to
-    /// thousands of pairs.
+    /// pair sets and for the shares of `F₁ × F₁` that DD's round-robin
+    /// plan and a two-level split cut (sparse rows beside dense ones),
+    /// under the sized fan-out, a pinned `8 × 16` and a narrow `3 × 2`,
+    /// from a root that is a leaf up to thousands of pairs. The shape is
+    /// counted row by row, and both kinds of row reach a full bucket's
+    /// node cells.
     #[test]
     fn the_pair_shape_is_the_partitioned_shape() {
+        use crate::binpack::{partition_round_robin, partition_two_level};
+        use crate::candidates::Candidates;
         use crate::counter::CandidateTable;
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(42);
@@ -919,7 +923,7 @@ mod tests {
             branching: 3,
             max_leaf: 2,
         };
-        let mut seen_root_leaf = false;
+        let mut pair_sets: Vec<(String, Vec<ItemSet>)> = Vec::new();
         for trial in 0..48 {
             let wanted = match trial % 4 {
                 0 => rng.gen_range(0..=16usize),
@@ -935,9 +939,29 @@ mod tests {
                     pairs.insert(set(&[a.min(b), a.max(b)]));
                 }
             }
-            let pairs: Vec<ItemSet> = pairs.into_iter().collect();
+            pair_sets.push((format!("trial {trial}"), pairs.into_iter().collect()));
+        }
+        // `F₁ × F₁` over 60 odd items, cut by stride and by a split.
+        let c2 = Candidates::pairs((1..120).step_by(2).map(Item).collect());
+        let plans = [
+            ("round-robin", partition_round_robin(c2.len(), 3)),
+            ("two-level", partition_two_level(&c2, 120, &[1.0; 3], 30)),
+        ];
+        for (name, plan) in &plans {
+            for proc in 0..3 {
+                let rows = c2.rows(0..c2.len()).enumerate();
+                let owned = rows.filter(|(i, row)| plan.owns(proc, *i, row.as_ref()));
+                let share = owned.map(|(_, row)| ItemSet::from_sorted(row.as_ref().to_vec()));
+                let share = share.collect();
+                pair_sets.push((format!("{name} share {proc}"), share));
+            }
+        }
+        let mut seen_root_leaf = false;
+        // Rows of each kind in a full root bucket: counted into node cells.
+        let (mut dense_in_nodes, mut sparse_in_nodes) = (0, 0);
+        for (name, pairs) in pair_sets {
             for params in [HashTreeParams::default(), pinned, narrow] {
-                let on = format!("trial {trial}, {} pairs, {params:?}", pairs.len());
+                let on = format!("{name}, {} pairs, {params:?}", pairs.len());
                 let tree = HashTree::build(2, params, pairs.clone());
                 let table = CandidateTable::new(2, pairs.clone());
                 let counter = PairCounter::from_rows(&table.items).expect("dense enough to take");
@@ -945,9 +969,27 @@ mod tests {
                 assert_eq!(shaped.arena.shape(), tree.arena.shape(), "{on}");
                 assert_eq!(shaped.arena.branching(), tree.branching(), "{on}");
                 seen_root_leaf |= pairs.len() <= params.max_leaf;
+
+                let b = tree.branching() as u32;
+                let bucket = |rank: u32| shaped.pairs.ranked_items()[rank as usize].id() % b;
+                let mut sizes = vec![0; b as usize];
+                for row in shaped.pairs.rows() {
+                    sizes[bucket(row.first) as usize] += row.slots.len();
+                }
+                let full = |rank| {
+                    pairs.len() > params.max_leaf && sizes[bucket(rank) as usize] > params.max_leaf
+                };
+                for row in shaped.pairs.rows().filter(|row| full(row.first)) {
+                    match row.cells {
+                        None => dense_in_nodes += 1,
+                        Some(_) => sparse_in_nodes += 1,
+                    }
+                }
             }
         }
         assert!(seen_root_leaf, "no root was a leaf");
+        assert!(dense_in_nodes > 0, "no dense row reached a node");
+        assert!(sparse_in_nodes > 0, "no sparse row reached a node");
     }
 
     #[test]

@@ -21,8 +21,11 @@
 //!   partition have such rows.
 //!
 //! So the counter holds one count per candidate, one row per item, a rank
-//! lookup and the cells of its sparse rows; its candidates are decoded
-//! from ranks when asked for. Counting a transaction ranks its items once
+//! lookup and the cells of its sparse rows. Its candidates are read back
+//! row by row ([`PairCounter::rows`]): a dense row is its span and a run of
+//! slots, a sparse row its cells. That is how `frequent` decodes the
+//! survivors and the hash tree's pass-2 shape counts its cells. Counting a
+//! transaction ranks its items once
 //! and then, for every item pair, does one subtraction, one compare and
 //! (sparse rows) one cell load — against the trie's merge scan of a
 //! several-hundred-entry child list per first item and the vertical
@@ -58,7 +61,7 @@ use crate::transaction::Transaction;
 use std::ops::Range;
 
 /// "No candidate" in `cells`, and a row with no pair's `lo`.
-const NONE: u32 = u32::MAX;
+pub(crate) const NONE: u32 = u32::MAX;
 
 /// The density fallback: above this many `u32` cells (rank lookup plus a
 /// cell for every span position of every row) per candidate the counter
@@ -141,11 +144,23 @@ impl PairCounter {
         (slot != NONE).then_some(slot as usize)
     }
 
-    /// Every candidate as `(slot, first rank, second rank)`, row by row.
-    fn candidates(&self) -> impl Iterator<Item = (usize, u32, u32)> + '_ {
-        (0..).zip(&self.rows).flat_map(move |(first, row)| {
-            (row.lo..row.lo.wrapping_add(row.len))
-                .filter_map(move |second| Some((self.slot(first, second)?, first, second)))
+    /// Every row that holds a candidate, first rank ascending (so slot
+    /// order): how the pairs are read back, by the hash tree's pass-2 shape
+    /// and by [`frequent`](CandidateCounter::frequent).
+    pub(crate) fn rows(&self) -> impl Iterator<Item = PairRow<'_>> + '_ {
+        let rows = (0..).zip(&self.rows).filter(|(_, row)| row.len > 0);
+        rows.map(|(first, row)| {
+            let cells = (!row.dense).then(|| &self.cells[row.start as usize..][..row.len as usize]);
+            // A sparse row's span starts and ends at a candidate.
+            let ends = |cells: &[u32]| (cells[0], cells[cells.len() - 1]);
+            let (lo, hi) = cells.map_or((row.start, row.start + row.len - 1), ends);
+            let (seconds, slots) = (row.lo..row.lo + row.len, lo as usize..hi as usize + 1);
+            PairRow {
+                first,
+                seconds,
+                slots,
+                cells,
+            }
         })
     }
 
@@ -202,16 +217,23 @@ impl PairCounter {
         probed
     }
 
-    /// Rank → item: what the ranks of [`ranked_pairs`](Self::ranked_pairs)
-    /// index.
+    /// Rank → item: what the ranks of [`rows`](Self::rows) index.
     pub(crate) fn ranked_items(&self) -> &[Item] {
         &self.items
     }
+}
 
-    /// Every candidate as its `(first, second)` ranks, row by row.
-    pub(crate) fn ranked_pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.candidates().map(|(_, first, second)| (first, second))
-    }
+/// One row of a pair counter, as [`PairCounter::rows`] lends it: the pairs
+/// of rank `first` with the second-item ranks of `seconds` that it holds.
+pub(crate) struct PairRow<'a> {
+    pub(crate) first: u32,
+    /// The row's span.
+    pub(crate) seconds: Range<u32>,
+    /// The row's slots, one per candidate: rows take consecutive slots.
+    pub(crate) slots: Range<usize>,
+    /// A sparse row's cells, each span position's slot or [`NONE`]; `None`
+    /// for a dense row, whose span's pairs take its slots in order.
+    pub(crate) cells: Option<&'a [u32]>,
 }
 
 /// The work of counting one transaction: first items whose row was
@@ -438,18 +460,26 @@ impl CandidateCounter for PairCounter {
         Some(self.table.counts[slot])
     }
 
-    /// Decoded straight into the level: rows and spans run in rank order,
-    /// which is slot order.
+    /// Decoded straight into the level row by row, a dense row by a scan of
+    /// its span of counts. Rows and spans run in rank order, which is slot
+    /// order, so the survivors are as many as the counts that pass.
     fn frequent(&self, min_count: u64) -> Vec<(ItemSet, u64)> {
         let counts = &self.table.counts;
-        let survivors = || {
-            let candidates = self.candidates();
-            candidates.filter(move |&(slot, _, _)| counts[slot] >= min_count)
+        let mut level = Vec::with_capacity(counts.iter().filter(|&&n| n >= min_count).count());
+        let mut keep = |first, second, n| {
+            if n >= min_count {
+                level.push((self.pair(first, second), n));
+            }
         };
-        let mut level = Vec::with_capacity(survivors().count());
-        level.extend(
-            survivors().map(|(slot, first, second)| (self.pair(first, second), counts[slot])),
-        );
+        for row in self.rows() {
+            match row.cells {
+                None => {
+                    (row.seconds.zip(&counts[row.slots])).for_each(|(j, &n)| keep(row.first, j, n))
+                }
+                Some(cells) => (row.seconds.zip(cells).filter(|&(_, &slot)| slot != NONE))
+                    .for_each(|(j, &slot)| keep(row.first, j, counts[slot as usize])),
+            }
+        }
         level
     }
 }

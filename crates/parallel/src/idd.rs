@@ -36,10 +36,9 @@ pub(crate) fn make_partition(
     capacities: &[f64],
     params: &ParallelParams,
 ) -> CandidatePartition {
-    let rows = candidates.rows(0..candidates.len());
     match params.split_threshold {
-        Some(t) => partition_two_level(rows, num_items, capacities, t),
-        None => partition_by_first_item(rows, num_items, capacities),
+        Some(t) => partition_two_level(candidates, num_items, capacities, t),
+        None => partition_by_first_item(candidates, num_items, capacities),
     }
 }
 

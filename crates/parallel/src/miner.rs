@@ -277,7 +277,7 @@ fn count_pass(
     };
     let candidates = pruned.as_ref().unwrap_or(candidates);
     let p = ctx.size();
-    let round_robin = || partition_round_robin(candidates.rows(0..candidates.len()), p);
+    let round_robin = || partition_round_robin(candidates.len(), p);
     let first_item = || idd::make_partition(candidates, ctx.num_items, &ctx.capacities, params);
     let (whole, cap) = (CandidatePartition::whole, params.memory_capacity);
     let (plan, grid, movement, reduction, cap) = match algorithm {

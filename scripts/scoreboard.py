@@ -55,11 +55,11 @@ UNSHARED_CEILING = {
 PRODUCTION_CEILING = {
     "armine-bench": 1986,
     "armine-cli": 707,
-    "armine-core": 6021,
+    "armine-core": 6015,
     "armine-datagen": 507,
     "armine-metrics": 678,
     "armine-mpsim": 2650,
-    "armine-parallel": 2503,
+    "armine-parallel": 2502,
     "armine": 30,
 }
 # The most concepts each row may hold, at their measured values, under the

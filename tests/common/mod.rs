@@ -4,9 +4,13 @@
 
 use armine::core::apriori::FrequentItemsets;
 use armine::core::binpack::CandidatePartition;
+use armine::core::candidates::Candidates;
 use armine::core::{Dataset, Item, ItemSet, Transaction};
 use armine::datagen::QuestParams;
 use proptest::prelude::*;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 /// The paper's T15.I6 Quest shape: `n` transactions over `items` items,
 /// drawn from `patterns` patterns.
@@ -53,6 +57,12 @@ pub fn to_itemsets(raw: &[Vec<u32>]) -> Vec<ItemSet> {
     sets
 }
 
+/// `sets`, strictly ascending `k`-item sets, as a pass's `C_k`: what the
+/// partitioners read.
+pub fn c_k(k: usize, sets: &[ItemSet]) -> Candidates {
+    Candidates::from_arena(k, sets.iter().flat_map(ItemSet::items).copied().collect())
+}
+
 /// Every processor's share of `cands` under `part`, cut the way the
 /// parallel drivers cut their own.
 pub fn shares(part: &CandidatePartition, cands: &[ItemSet]) -> Vec<Vec<ItemSet>> {
@@ -62,4 +72,29 @@ pub fn shares(part: &CandidatePartition, cands: &[ItemSet]) -> Vec<Vec<ItemSet>>
         mine.map(|(_, c)| c.clone()).collect()
     };
     (0..part.num_procs()).map(owned).collect()
+}
+
+/// How long one case of a suite that can hang may run: a recovery protocol
+/// whose survivor waits on a peer that never joins would otherwise wait
+/// forever. The whole fault-recovery suite takes about 5 s in release and
+/// 7 s in debug, so this is ample.
+pub const CASE_DEADLINE: Duration = Duration::from_secs(120);
+
+/// Runs `case` on a thread of its own and returns what it returns; a panic
+/// in it is re-raised here. A case still running after [`CASE_DEADLINE`]
+/// fails with `name`, and its thread is left to end with the process.
+pub fn bounded<T: Send + 'static>(name: &str, case: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, outcome) = mpsc::channel();
+    std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(move || done.send(panic::catch_unwind(AssertUnwindSafe(case))))
+        .expect("a thread for the case");
+    match outcome.recv_timeout(CASE_DEADLINE) {
+        Ok(Ok(value)) => value,
+        Ok(Err(payload)) => panic::resume_unwind(payload),
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{name}: still running after {CASE_DEADLINE:?}, so it hangs")
+        }
+        Err(RecvTimeoutError::Disconnected) => unreachable!("{name} ended without an outcome"),
+    }
 }

@@ -19,7 +19,7 @@ use rand::prelude::*;
 use std::collections::BTreeSet;
 
 mod common;
-use common::{arb_candidate, arb_transaction, shares, to_itemsets, to_transactions};
+use common::{arb_candidate, arb_transaction, c_k, shares, to_itemsets, to_transactions};
 
 /// The reference semantics both backends must implement: candidate `c` is
 /// counted in `t` iff `c ⊆ t` and the filter admits the walk that reaches
@@ -86,7 +86,7 @@ proptest! {
     ) {
         let cands = to_itemsets(&raw_cands);
         let txs = to_transactions(&raw_txs);
-        let part = partition_by_first_item(&cands, 16, &vec![1.0; procs]);
+        let part = partition_by_first_item(&c_k(2, &cands), 16, &vec![1.0; procs]);
         let mut serial = CounterBackend::HashTree.build(2, HashTreeParams::default(), cands.clone());
         serial.count_all(&txs, &OwnershipFilter::all());
         let mut want_union = serial.frequent(min_count);
@@ -137,8 +137,8 @@ proptest! {
         let txs = to_transactions(&raw_txs);
         let capacities = [1.0, 1.0];
         let part = match split_threshold {
-            0 => partition_by_first_item(&cands, universe, &capacities),
-            t => partition_two_level(&cands, universe, &capacities, 40 * t),
+            0 => partition_by_first_item(&c_k(k, &cands), universe, &capacities),
+            t => partition_two_level(&c_k(k, &cands), universe, &capacities, 40 * t),
         };
         let whole = (&cands, &OwnershipFilter::all());
         let shares = shares(&part, &cands);
@@ -178,7 +178,7 @@ proptest! {
             .chain(short.iter().cloned())
             .collect();
         let txs = to_transactions(&raw_txs);
-        let part = partition_by_first_item(&cands, 24, &[1.0; 3]);
+        let part = partition_by_first_item(&c_k(k, &cands), 24, &[1.0; 3]);
         let whole = (&cands, &OwnershipFilter::all());
         let shares = shares(&part, &cands);
         for (mine, filter) in shares.iter().zip(&part.filters).chain([whole]) {
@@ -238,8 +238,9 @@ fn pass2_equals_brute_force_on_every_share_shape() {
     let txs = pass2_transactions();
     assert!(txs.iter().any(|t| t.len() < 2) && txs.iter().any(|t| t.contains(Item(5000))));
     let capacities = [1.0, 1.0, 1.0];
-    let by_first = partition_by_first_item(&full, 64, &capacities);
-    let two_level = partition_two_level(&full, 64, &capacities, 20);
+    let c2 = Candidates::pairs(odd_items());
+    let by_first = partition_by_first_item(&c2, 64, &capacities);
+    let two_level = partition_two_level(&c2, 64, &capacities, 20);
     let (by_first_shares, two_level_shares) = (shares(&by_first, &full), shares(&two_level, &full));
     let split_firsts = two_level_shares
         .iter()
@@ -341,15 +342,15 @@ fn every_share<'a>(c2: &'a Candidates, txs: &[Transaction], partitioned: bool) -
         .max()
         .unwrap_or(0);
     let capacities = vec![1.0; procs];
-    let mut plans = vec![("round-robin", partition_round_robin(rows(), procs))];
+    let mut plans = vec![("round-robin", partition_round_robin(len, procs))];
     if partitioned {
         plans.push((
             "first-item",
-            partition_by_first_item(rows(), universe, &capacities),
+            partition_by_first_item(c2, universe, &capacities),
         ));
         plans.push((
             "two-level",
-            partition_two_level(rows(), universe, &capacities, 3),
+            partition_two_level(c2, universe, &capacities, 3),
         ));
     }
     for (name, plan) in plans {

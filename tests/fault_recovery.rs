@@ -5,7 +5,9 @@
 //! on **both** execution backends
 //! (virtual-time injection under sim, real thread deaths and wall-clock
 //! timers under native); and on sim the same plan must reproduce the
-//! same virtual clocks and fault counters.
+//! same virtual clocks and fault counters. Every case runs on a thread of
+//! its own under `common::CASE_DEADLINE`, so a recovery that hangs fails
+//! the case by name.
 
 mod common;
 
@@ -13,7 +15,7 @@ use armine::core::rules::generate_rules;
 use armine::metrics::json::BenchDocument;
 use armine::mpsim::{ClusterProfile, CrashPoint, ExecBackend, FaultPlan, MachineProfile};
 use armine::parallel::{Algorithm, FaultRunError, ParallelMiner, ParallelParams, PlacementPolicy};
-use common::{lattice, quest};
+use common::{bounded, lattice, quest};
 use proptest::prelude::*;
 
 const PROCS: usize = 4;
@@ -112,23 +114,25 @@ proptest! {
             crash_time_micros,
         );
         let adaptive = placement == 1;
-        let dataset = dataset();
-        let clean = ParallelMiner::new(PROCS);
-        let (miner, placed_params) = placed(ParallelMiner::new(PROCS), adaptive);
-        for algo in ALGOS {
-            let clean = clean.mine(algo, &dataset, &params());
-            let faulted = miner
-                .mine_with_faults(algo, &dataset, &placed_params, Some(&plan))
-                .unwrap_or_else(|e| panic!("{} under {plan}: {e}", algo.name()));
-            prop_assert_eq!(
-                lattice(&faulted.frequent),
-                lattice(&clean.frequent),
-                "{} (adaptive: {}) diverged under plan:\n{}",
-                algo.name(),
-                adaptive,
-                plan
-            );
-        }
+        bounded("recoverable_plans_preserve_the_lattice", move || {
+            let dataset = dataset();
+            let clean = ParallelMiner::new(PROCS);
+            let (miner, placed_params) = placed(ParallelMiner::new(PROCS), adaptive);
+            for algo in ALGOS {
+                let clean = clean.mine(algo, &dataset, &params());
+                let faulted = miner
+                    .mine_with_faults(algo, &dataset, &placed_params, Some(&plan))
+                    .unwrap_or_else(|e| panic!("{} under {plan}: {e}", algo.name()));
+                prop_assert_eq!(
+                    lattice(&faulted.frequent),
+                    lattice(&clean.frequent),
+                    "{} (adaptive: {}) diverged under plan:\n{}",
+                    algo.name(),
+                    adaptive,
+                    plan
+                );
+            }
+        });
     }
 }
 
@@ -167,24 +171,26 @@ proptest! {
         .rto(5e-5)
         .detect_timeout(2e-3);
         let adaptive = placement == 1;
-        let dataset = dataset();
-        let sim = ParallelMiner::new(PROCS);
-        let native = ParallelMiner::new(PROCS).backend(ExecBackend::Native);
-        let (native, placed_params) = placed(native, adaptive);
-        for algo in ALGOS {
-            let clean = sim.mine(algo, &dataset, &params());
-            let faulted = native
-                .mine_with_faults(algo, &dataset, &placed_params, Some(&plan))
-                .unwrap_or_else(|e| panic!("native {} under {plan}: {e}", algo.name()));
-            prop_assert_eq!(
-                lattice(&faulted.frequent),
-                lattice(&clean.frequent),
-                "native {} (adaptive: {}) diverged under plan:\n{}",
-                algo.name(),
-                adaptive,
-                plan
-            );
-        }
+        bounded("recoverable_plans_preserve_the_lattice_natively", move || {
+            let dataset = dataset();
+            let sim = ParallelMiner::new(PROCS);
+            let native = ParallelMiner::new(PROCS).backend(ExecBackend::Native);
+            let (native, placed_params) = placed(native, adaptive);
+            for algo in ALGOS {
+                let clean = sim.mine(algo, &dataset, &params());
+                let faulted = native
+                    .mine_with_faults(algo, &dataset, &placed_params, Some(&plan))
+                    .unwrap_or_else(|e| panic!("native {} under {plan}: {e}", algo.name()));
+                prop_assert_eq!(
+                    lattice(&faulted.frequent),
+                    lattice(&clean.frequent),
+                    "native {} (adaptive: {}) diverged under plan:\n{}",
+                    algo.name(),
+                    adaptive,
+                    plan
+                );
+            }
+        });
     }
 }
 
@@ -193,37 +199,42 @@ proptest! {
 /// rules identical to fault-free, for every recoverable algorithm.
 #[test]
 fn drops_straggler_and_midpass_crash_reproduce_fault_free_results() {
-    let dataset = dataset();
-    let params = params();
-    let miner = ParallelMiner::new(PROCS);
-    let plan = FaultPlan::new()
-        .seed(42)
-        .drop_rate(0.05)
-        .slowdown(0, 2.0)
-        .slowdown(3, 2.0)
-        .crash(1, CrashPoint::AtTime(0.0015));
-    for algo in ALGOS {
-        let clean = miner.mine(algo, &dataset, &params);
-        let faulted = miner
-            .mine_with_faults(algo, &dataset, &params, Some(&plan))
-            .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
-        assert_eq!(
-            lattice(&faulted.frequent),
-            lattice(&clean.frequent),
-            "{}",
-            algo.name()
-        );
-        assert!(
-            faulted.total_recoveries() > 0,
-            "{} never committed the recovery",
-            algo.name()
-        );
-        assert!(faulted.total_retransmits() > 0, "{}", algo.name());
-        // Rule generation runs on the recovered lattice: identical rules.
-        let clean_rules = generate_rules(&clean.frequent, 0.5);
-        let faulted_rules = generate_rules(&faulted.frequent, 0.5);
-        assert_eq!(faulted_rules, clean_rules, "{}", algo.name());
-    }
+    bounded(
+        "drops_straggler_and_midpass_crash_reproduce_fault_free_results",
+        || {
+            let dataset = dataset();
+            let params = params();
+            let miner = ParallelMiner::new(PROCS);
+            let plan = FaultPlan::new()
+                .seed(42)
+                .drop_rate(0.05)
+                .slowdown(0, 2.0)
+                .slowdown(3, 2.0)
+                .crash(1, CrashPoint::AtTime(0.0015));
+            for algo in ALGOS {
+                let clean = miner.mine(algo, &dataset, &params);
+                let faulted = miner
+                    .mine_with_faults(algo, &dataset, &params, Some(&plan))
+                    .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+                assert_eq!(
+                    lattice(&faulted.frequent),
+                    lattice(&clean.frequent),
+                    "{}",
+                    algo.name()
+                );
+                assert!(
+                    faulted.total_recoveries() > 0,
+                    "{} never committed the recovery",
+                    algo.name()
+                );
+                assert!(faulted.total_retransmits() > 0, "{}", algo.name());
+                // Rule generation runs on the recovered lattice: identical rules.
+                let clean_rules = generate_rules(&clean.frequent, 0.5);
+                let faulted_rules = generate_rules(&faulted.frequent, 0.5);
+                assert_eq!(faulted_rules, clean_rules, "{}", algo.name());
+            }
+        },
+    );
 }
 
 /// Crashes aimed at the adaptive re-balance: under the adaptive placement
@@ -235,26 +246,31 @@ fn drops_straggler_and_midpass_crash_reproduce_fault_free_results() {
 /// fault-free lattice, on the sim backend, deterministically.
 #[test]
 fn adaptive_crashes_at_pass_ends_mine_the_fault_free_lattice() {
-    let dataset = dataset();
-    let (miner, params) = placed(ParallelMiner::new(PROCS), true);
-    for algo in ALGOS {
-        let clean = miner.mine(algo, &dataset, &params);
-        let want = lattice(&clean.frequent);
-        let mut end = 0.0;
-        for pass in &clean.passes {
-            end += pass.time;
-            for at in (0..=6).map(|step| end + f64::from(step) * 50e-6) {
-                for rank in 0..PROCS {
-                    let plan = FaultPlan::new().seed(5).crash(rank, CrashPoint::AtTime(at));
-                    let on = format!("{} under {plan}", algo.name());
-                    let run = miner
-                        .mine_with_faults(algo, &dataset, &params, Some(&plan))
-                        .unwrap_or_else(|e| panic!("{on}: {e}"));
-                    assert_eq!(lattice(&run.frequent), want, "{on}");
+    bounded(
+        "adaptive_crashes_at_pass_ends_mine_the_fault_free_lattice",
+        || {
+            let dataset = dataset();
+            let (miner, params) = placed(ParallelMiner::new(PROCS), true);
+            for algo in ALGOS {
+                let clean = miner.mine(algo, &dataset, &params);
+                let want = lattice(&clean.frequent);
+                let mut end = 0.0;
+                for pass in &clean.passes {
+                    end += pass.time;
+                    for at in (0..=6).map(|step| end + f64::from(step) * 50e-6) {
+                        for rank in 0..PROCS {
+                            let plan = FaultPlan::new().seed(5).crash(rank, CrashPoint::AtTime(at));
+                            let on = format!("{} under {plan}", algo.name());
+                            let run = miner
+                                .mine_with_faults(algo, &dataset, &params, Some(&plan))
+                                .unwrap_or_else(|e| panic!("{on}: {e}"));
+                            assert_eq!(lattice(&run.frequent), want, "{on}");
+                        }
+                    }
                 }
             }
-        }
-    }
+        },
+    );
 }
 
 /// A run generates each pass's candidates once, in whichever rank asks
@@ -264,88 +280,97 @@ fn adaptive_crashes_at_pass_ends_mine_the_fault_free_lattice() {
 /// plan twice writes byte-identical metrics.
 #[test]
 fn generating_rank_crashes_mine_the_fault_free_lattice() {
-    let dataset = dataset();
-    let params = params();
-    let sim = ParallelMiner::new(PROCS);
-    let native = ParallelMiner::new(PROCS).backend(ExecBackend::Native);
-    let metrics_json = |run: &armine::parallel::ParallelRun| {
-        BenchDocument::new("parallel_mine", run.metrics.clone()).to_json()
-    };
-    // Pass 2 runs from 0.14 ms to about 3 ms of virtual time.
-    let plans = [CrashPoint::AtPass(2), CrashPoint::AtTime(0.0015)]
-        .map(|at| FaultPlan::new().seed(11).crash(0, at));
-    let algos = [
-        Algorithm::Cd,
-        Algorithm::Idd,
-        Algorithm::Hd {
-            group_threshold: 400,
-        },
-    ];
-    for algo in algos {
-        let clean = lattice(&sim.mine(algo, &dataset, &params).frequent);
-        for plan in &plans {
-            let on = format!("{} under {plan}", algo.name());
-            let run = || {
-                sim.mine_with_faults(algo, &dataset, &params, Some(plan))
-                    .unwrap_or_else(|e| panic!("{on}: {e}"))
+    bounded(
+        "generating_rank_crashes_mine_the_fault_free_lattice",
+        || {
+            let dataset = dataset();
+            let params = params();
+            let sim = ParallelMiner::new(PROCS);
+            let native = ParallelMiner::new(PROCS).backend(ExecBackend::Native);
+            let metrics_json = |run: &armine::parallel::ParallelRun| {
+                BenchDocument::new("parallel_mine", run.metrics.clone()).to_json()
             };
-            let (first, second) = (run(), run());
-            assert_eq!(lattice(&first.frequent), clean, "{on}");
-            assert!(first.total_recoveries() > 0, "{on}: no recovery");
-            assert_eq!(metrics_json(&first), metrics_json(&second), "{on}");
-            let plan = plan.clone().rto(5e-5).detect_timeout(2e-3);
-            let faulted = native
-                .mine_with_faults(algo, &dataset, &params, Some(&plan))
-                .unwrap_or_else(|e| panic!("native {on}: {e}"));
-            assert_eq!(lattice(&faulted.frequent), clean, "native {on}");
-        }
-    }
+            // Pass 2 runs from 0.14 ms to about 3 ms of virtual time.
+            let plans = [CrashPoint::AtPass(2), CrashPoint::AtTime(0.0015)]
+                .map(|at| FaultPlan::new().seed(11).crash(0, at));
+            let algos = [
+                Algorithm::Cd,
+                Algorithm::Idd,
+                Algorithm::Hd {
+                    group_threshold: 400,
+                },
+            ];
+            for algo in algos {
+                let clean = lattice(&sim.mine(algo, &dataset, &params).frequent);
+                for plan in &plans {
+                    let on = format!("{} under {plan}", algo.name());
+                    let run = || {
+                        sim.mine_with_faults(algo, &dataset, &params, Some(plan))
+                            .unwrap_or_else(|e| panic!("{on}: {e}"))
+                    };
+                    let (first, second) = (run(), run());
+                    assert_eq!(lattice(&first.frequent), clean, "{on}");
+                    assert!(first.total_recoveries() > 0, "{on}: no recovery");
+                    assert_eq!(metrics_json(&first), metrics_json(&second), "{on}");
+                    let plan = plan.clone().rto(5e-5).detect_timeout(2e-3);
+                    let faulted = native
+                        .mine_with_faults(algo, &dataset, &params, Some(&plan))
+                        .unwrap_or_else(|e| panic!("native {on}: {e}"));
+                    assert_eq!(lattice(&faulted.frequent), clean, "native {on}");
+                }
+            }
+        },
+    );
 }
 
 /// Same seed + same plan ⇒ bit-identical virtual clocks and fault
 /// counters, rank by rank.
 #[test]
 fn faulted_runs_are_bit_deterministic() {
-    let dataset = dataset();
-    let params = params();
-    let miner = ParallelMiner::new(PROCS);
-    let plan = FaultPlan::new()
-        .seed(7)
-        .drop_rate(0.1)
-        .slowdown(2, 1.7)
-        .crash(3, CrashPoint::AtPass(2));
-    let a = miner
-        .mine_with_faults(Algorithm::Idd, &dataset, &params, Some(&plan))
-        .unwrap();
-    let b = miner
-        .mine_with_faults(Algorithm::Idd, &dataset, &params, Some(&plan))
-        .unwrap();
-    assert_eq!(
-        a.response_time.to_bits(),
-        b.response_time.to_bits(),
-        "response time must be bit-identical"
-    );
-    assert_eq!(a.ranks, b.ranks, "per-rank stats must be bit-identical");
-    assert!(a.total_retransmits() > 0 && a.total_timeouts() > 0);
+    bounded("faulted_runs_are_bit_deterministic", || {
+        let dataset = dataset();
+        let params = params();
+        let miner = ParallelMiner::new(PROCS);
+        let plan = FaultPlan::new()
+            .seed(7)
+            .drop_rate(0.1)
+            .slowdown(2, 1.7)
+            .crash(3, CrashPoint::AtPass(2));
+        let a = miner
+            .mine_with_faults(Algorithm::Idd, &dataset, &params, Some(&plan))
+            .unwrap();
+        let b = miner
+            .mine_with_faults(Algorithm::Idd, &dataset, &params, Some(&plan))
+            .unwrap();
+        assert_eq!(
+            a.response_time.to_bits(),
+            b.response_time.to_bits(),
+            "response time must be bit-identical"
+        );
+        assert_eq!(a.ranks, b.ranks, "per-rank stats must be bit-identical");
+        assert!(a.total_retransmits() > 0 && a.total_timeouts() > 0);
+    });
 }
 
 /// An unrecoverable plan (every rank crashes) errors cleanly instead of
 /// hanging or panicking.
 #[test]
 fn unrecoverable_plan_errors_cleanly() {
-    let mut plan = FaultPlan::new();
-    for rank in 0..PROCS {
-        plan = plan.crash(rank, CrashPoint::AtTime(0.0005 * (rank + 1) as f64));
-    }
-    let err = ParallelMiner::new(PROCS)
-        .mine_with_faults(
-            Algorithm::Hd {
-                group_threshold: 30,
-            },
-            &dataset(),
-            &params(),
-            Some(&plan),
-        )
-        .unwrap_err();
-    assert_eq!(err, FaultRunError::AllRanksCrashed);
+    bounded("unrecoverable_plan_errors_cleanly", || {
+        let mut plan = FaultPlan::new();
+        for rank in 0..PROCS {
+            plan = plan.crash(rank, CrashPoint::AtTime(0.0005 * (rank + 1) as f64));
+        }
+        let err = ParallelMiner::new(PROCS)
+            .mine_with_faults(
+                Algorithm::Hd {
+                    group_threshold: 30,
+                },
+                &dataset(),
+                &params(),
+                Some(&plan),
+            )
+            .unwrap_err();
+        assert_eq!(err, FaultRunError::AllRanksCrashed);
+    });
 }

@@ -1,7 +1,9 @@
 //! Property-based tests (proptest) over the core invariants.
 
 use armine::core::apriori::{apriori_gen, Apriori, AprioriParams};
-use armine::core::binpack::{partition_by_first_item, partition_round_robin, partition_two_level};
+use armine::core::binpack::{
+    partition_by_first_item, partition_round_robin, partition_two_level, CandidatePartition,
+};
 use armine::core::counter::CandidateCounter;
 use armine::core::hashtree::{HashTree, HashTreeParams, OwnershipFilter};
 use armine::core::model::expected_distinct_leaves;
@@ -9,7 +11,7 @@ use armine::core::{Item, ItemSet, Transaction};
 use proptest::prelude::*;
 
 mod common;
-use common::{arb_candidate, arb_transaction, shares, to_itemsets, to_transactions};
+use common::{arb_candidate, arb_transaction, c_k, shares, to_itemsets, to_transactions};
 
 /// Every `k`-subset of `0..universe` in lexicographic order, less each
 /// `thin`-th one: candidate sets dense enough that the sized default
@@ -68,8 +70,8 @@ proptest! {
         let txs = to_transactions(&raw_txs);
         let capacities = [1.0, 1.0];
         let part = match split_threshold {
-            0 => partition_by_first_item(&cands, universe, &capacities),
-            t => partition_two_level(&cands, universe, &capacities, 40 * t),
+            0 => partition_by_first_item(&c_k(k, &cands), universe, &capacities),
+            t => partition_two_level(&c_k(k, &cands), universe, &capacities, 40 * t),
         };
         let whole = (&cands, &OwnershipFilter::all());
         let shares = shares(&part, &cands);
@@ -218,7 +220,7 @@ proptest! {
     ) {
         let cands = to_itemsets(&raw_cands);
         let txs = to_transactions(&raw_txs);
-        let part = partition_by_first_item(&cands, 16, &vec![1.0; procs]);
+        let part = partition_by_first_item(&c_k(2, &cands), 16, &vec![1.0; procs]);
         for (mine, filter) in shares(&part, &cands).iter().zip(&part.filters) {
             let mut tree = HashTree::build(2, HashTreeParams::default(), mine.clone());
             tree.count_all(&txs, filter);
@@ -269,69 +271,63 @@ fn transient_plan_bites_under_adaptive_placement() {
     }
 }
 
-/// A plan built from the rows of a `k`-strided arena, as the parallel
-/// drivers build theirs from `C_k`, is the plan built from the boxed list of
-/// the same candidates: the same filters and imbalance, and `owns` takes
-/// the same rows. Seeded; `k` from 2 to 5, first items
-/// skewed toward small ids so that two-level plans split some of them,
-/// round-robin, first-item and two-level plans at several split
-/// thresholds, uniform and skewed capacities.
+/// A plan built from `F₁ × F₁`, whose first-item histogram is its row
+/// lengths, is the plan built from the arena of the same pairs, read row
+/// by row: the same filters and imbalance, and `owns` takes the same rows.
+/// Seeded; `F₁` of 0 to 40 items over a universe of 48, round-robin,
+/// first-item and two-level plans at several split thresholds (so that
+/// some first items are split and some not), uniform and skewed
+/// capacities.
 #[test]
-fn plans_from_arena_rows_equal_plans_from_item_sets() {
+fn plans_from_f1_row_lengths_equal_plans_from_every_pair() {
+    use armine::core::candidates::Candidates;
     use rand::prelude::*;
     let mut rng = StdRng::seed_from_u64(30);
-    let universe = 24u32;
-    for k in 2..=5usize {
-        for _ in 0..6 {
-            let raw: Vec<Vec<u32>> = (0..rng.gen_range(1..150))
-                .map(|_| {
-                    let mut ids = std::collections::BTreeSet::new();
-                    while ids.len() < k {
-                        ids.insert(rng.gen_range(0..universe).min(rng.gen_range(0..universe)));
-                    }
-                    ids.into_iter().collect()
+    let universe = 48u32;
+    for trial in 0..24 {
+        let mut ids: Vec<u32> = (0..universe).collect();
+        ids.shuffle(&mut rng);
+        let mut f1: Vec<Item> = ids[..trial * 40 / 23].iter().map(|&id| Item(id)).collect();
+        f1.sort_unstable();
+        let every_pair: Vec<ItemSet> = (0..f1.len())
+            .flat_map(|i| (i + 1..f1.len()).map(move |j| (i, j)))
+            .map(|(i, j)| ItemSet::from_sorted(vec![f1[i], f1[j]]))
+            .collect();
+        let (pairs, arena) = (Candidates::pairs(f1.clone()), c_k(2, &every_pair));
+        assert_eq!(pairs.len(), arena.len());
+        let procs = rng.gen_range(1..7);
+        for skewed in [false, true] {
+            let capacities: Vec<f64> = (0..procs)
+                .map(|_| match skewed {
+                    true => f64::from(rng.gen_range(1u32..6)) / 2.0,
+                    false => 1.0,
                 })
                 .collect();
-            let cands = to_itemsets(&raw);
-            let arena: Vec<Item> = cands.iter().flat_map(ItemSet::items).copied().collect();
-            let rows = || arena.chunks_exact(k);
-            let procs = rng.gen_range(1..7);
-            for skewed in [false, true] {
-                let capacities: Vec<f64> = (0..procs)
-                    .map(|_| match skewed {
-                        true => f64::from(rng.gen_range(1u32..6)) / 2.0,
-                        false => 1.0,
-                    })
-                    .collect();
-                let mut plans = vec![
-                    (
-                        partition_round_robin(&cands, procs),
-                        partition_round_robin(rows(), procs),
-                    ),
-                    (
-                        partition_by_first_item(&cands, universe, &capacities),
-                        partition_by_first_item(rows(), universe, &capacities),
-                    ),
-                ];
-                for threshold in [0, 1, 4, 16, 64] {
-                    plans.push((
-                        partition_two_level(&cands, universe, &capacities, threshold),
-                        partition_two_level(rows(), universe, &capacities, threshold),
-                    ));
-                }
-                let on = format!("k={k}, {} candidates, P={procs}", cands.len());
-                for (boxed, from_rows) in &plans {
-                    assert_eq!(from_rows.filters, boxed.filters, "{on}");
-                    assert_eq!(from_rows.imbalance, boxed.imbalance, "{on}");
-                    for proc in 0..procs {
-                        let by_rows: Vec<bool> = (rows().enumerate())
-                            .map(|(i, row)| from_rows.owns(proc, i, row))
-                            .collect();
-                        let by_sets: Vec<bool> = (cands.iter().enumerate())
-                            .map(|(i, set)| boxed.owns(proc, i, set.items()))
-                            .collect();
-                        assert_eq!(by_rows, by_sets, "{on}, proc {proc}");
-                    }
+            let mut plans = vec![(
+                partition_round_robin(pairs.len(), procs),
+                partition_round_robin(arena.len(), procs),
+            )];
+            plans.push((
+                partition_by_first_item(&pairs, universe, &capacities),
+                partition_by_first_item(&arena, universe, &capacities),
+            ));
+            for threshold in [0, 1, 4, 16, 64] {
+                plans.push((
+                    partition_two_level(&pairs, universe, &capacities, threshold),
+                    partition_two_level(&arena, universe, &capacities, threshold),
+                ));
+            }
+            let on = format!("|F1| = {}, P = {procs}", f1.len());
+            for (from_lengths, from_rows) in &plans {
+                assert_eq!(from_lengths.filters, from_rows.filters, "{on}");
+                assert_eq!(from_lengths.imbalance, from_rows.imbalance, "{on}");
+                for proc in 0..procs {
+                    let owned = |plan: &CandidatePartition| -> Vec<bool> {
+                        let rows = arena.rows(0..arena.len()).enumerate();
+                        rows.map(|(i, row)| plan.owns(proc, i, row.as_ref()))
+                            .collect()
+                    };
+                    assert_eq!(owned(from_lengths), owned(from_rows), "{on}, proc {proc}");
                 }
             }
         }
